@@ -21,6 +21,7 @@ from .fock import (
     FockCutoff,
     SqueezeParam,
     TailMassError,
+    _hermite_series,
     coherent_amplitudes,
     displacement_operator,
     hs_distance,
@@ -153,135 +154,92 @@ def maximally_mixed(b: float, cutoff: FockCutoff,
     return DensityOperator(np.diag(diag.astype(complex)), cutoff, validate=False)
 
 
-def _projector_average(rows: np.ndarray) -> np.ndarray:
-    """Mean of |v_k><v_k| over the rows v_k of ``rows``."""
-    return rows.T @ rows.conj() / rows.shape[0]
+_NO_SQUEEZE = SqueezeParam(0.0)
 
 
-def _ring_rows(p: int, radius: float, cutoff: FockCutoff) -> np.ndarray:
-    alphas = radius * np.exp(1j * (np.pi / p) * (2 * np.arange(1, p + 1) - 1))
+def _key_average(rows: np.ndarray, xi: SqueezeParam, cutoff: FockCutoff,
+                 tail_tol: float, what) -> DensityOperator:
+    """Mean of the projectors on the rows v_k of ``rows``, each squeezed by S(xi).
+
+    ``what(k)`` names row k in the TailMassError raised when any squeezed row
+    has lost more than ``tail_tol`` to truncation.
+    """
+    if xi.r != 0:
+        rows = rows @ squeeze_operator(xi, cutoff).T
+    tails = 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
+    k = int(np.argmax(tails))
+    if tails[k] > tail_tol:
+        raise TailMassError(float(tails[k]), tail_tol, what(k))
+    return DensityOperator(rows.T @ rows.conj() / rows.shape[0], cutoff, validate=False)
+
+
+def _coherent_rows(alphas, cutoff: FockCutoff) -> np.ndarray:
     return np.vstack([coherent_amplitudes(a, cutoff) for a in alphas])
 
 
-def ring_analytic_matrix(p: int, radius: float, cutoff: FockCutoff,
-                         signed: bool = True) -> np.ndarray:
-    """Closed form of the p-point ring average.
-
-    Entries live on the pattern m = n (mod p) and carry magnitude
-    e^{-radius^2} radius^{m+n}/sqrt(m! n!).  With ``signed`` the on-pattern
-    sign (-1)^{(m-n)/p} is included, which is what the half-step angular
-    offset of the ring produces; the unsigned variant matches the
-    operational average only after the basis rephasing of
-    ``ring_phase_absorber``.
-    """
-    d = cutoff.dim
-    if radius == 0.0:
-        mat = np.zeros((d, d), dtype=complex)
-        mat[0, 0] = 1.0
-        return mat
-    m = np.arange(d)[:, None]
-    n = np.arange(d)[None, :]
-    logmag = (-radius * radius + (m + n) * math.log(radius)
-              - 0.5 * (gammaln(m + 1) + gammaln(n + 1)))
-    onpat = (m - n) % p == 0
-    out = np.where(onpat, np.exp(logmag), 0.0).astype(complex)
-    if signed:
-        out *= np.where(onpat, (-1.0) ** ((m - n) // p), 1.0)
-    return out
-
-
-def ring_phase_absorber(p: int, cutoff: FockCutoff) -> np.ndarray:
-    """Diagonal phases w_n = e^{i pi n / p} relating the two ring closed forms.
-
-    outer(w, conj(w)) * unsigned == signed == operational.
-    """
-    return np.exp(1j * np.pi * cutoff.levels() / p)
+def _worst_key(N: int, what: str):
+    """Names key row k by its ring coordinates, for a TailMassError."""
+    def name(k):
+        p, q = key_to_ring(k, N)
+        return f"{what}, worst key p={p}, q={q}"
+    return name
 
 
 def conformation_ring(p: int, radius: float, cutoff: FockCutoff,
-                      form: str = "operational",
                       tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """p-point ring mixture at an explicit radius (decoupled from the N schedule)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if form == "operational":
-        rows = _ring_rows(p, radius, cutoff)
-        _check_row_tails(rows, tail_tol, lambda k: f"ring p={p}, radius={radius}, q={k + 1}")
-        mat = _projector_average(rows)
-    elif form == "analytic":
-        mat = ring_analytic_matrix(p, radius, cutoff, signed=True)
-        tail = 1.0 - float(np.trace(mat).real)
-        if tail > tail_tol:
-            raise TailMassError(tail, tail_tol, f"ring p={p}, radius={radius} (analytic)")
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return DensityOperator(mat, cutoff, validate=False)
+    alphas = radius * np.exp(1j * (np.pi / p) * (2 * np.arange(1, p + 1) - 1))
+    return _key_average(_coherent_rows(alphas, cutoff), _NO_SQUEEZE, cutoff, tail_tol,
+                        lambda k: f"ring p={p}, radius={radius}, q={k + 1}")
 
 
 def conformation(spec: ConformationSpec, cutoff: FockCutoff,
-                 form: str = "operational",
                  tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """Ring p of the family, at its scheduled radius (p-1)b/N."""
-    return conformation_ring(spec.p, spec.radius, cutoff, form=form, tail_tol=tail_tol)
-
-
-def _check_row_tails(rows: np.ndarray, tail_tol: float, what) -> None:
-    tails = 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
-    k = int(np.argmax(tails))
-    if tails[k] > tail_tol:
-        raise TailMassError(float(tails[k]), tail_tol, what(k))
+    return conformation_ring(spec.p, spec.radius, cutoff, tail_tol=tail_tol)
 
 
 def mixture_gamma(N: int, b: float, cutoff: FockCutoff,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """Flat average over all M displaced vacua of the key space."""
-    rows = np.vstack([coherent_amplitudes(a, cutoff) for a in key_displacements(N, b)])
-
-    def name(k):
-        p, q = key_to_ring(k, N)
-        return f"mixture N={N}, b={b}, worst point p={p}, q={q}"
-
-    _check_row_tails(rows, tail_tol, name)
-    return DensityOperator(_projector_average(rows), cutoff, validate=False)
+    return _key_average(_coherent_rows(key_displacements(N, b), cutoff), _NO_SQUEEZE,
+                        cutoff, tail_tol,
+                        _worst_key(N, f"mixture N={N}, b={b}"))
 
 
 def squeezed_conformation(spec: ConformationSpec, xi: SqueezeParam, cutoff: FockCutoff,
                           tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """Ring average of squeezed displaced vacua, built operationally."""
-    rows = _ring_rows(spec.p, spec.radius, cutoff)
-    rows = rows @ squeeze_operator(xi, cutoff).T
-    _check_row_tails(rows, tail_tol,
-                     lambda k: f"squeezed ring p={spec.p}, r={xi.r}, q={k + 1}")
-    return DensityOperator(_projector_average(rows), cutoff, validate=False)
+    return _key_average(_coherent_rows(spec.displacements(), cutoff), xi, cutoff, tail_tol,
+                        lambda k: f"squeezed ring p={spec.p}, r={xi.r}, q={k + 1}")
 
 
 def squeezed_mixture(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
                      tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """Flat average over all M squeezed displaced vacua."""
-    rows = np.vstack([coherent_amplitudes(a, cutoff) for a in key_displacements(N, b)])
-    rows = rows @ squeeze_operator(xi, cutoff).T
-
-    def name(k):
-        p, q = key_to_ring(k, N)
-        return f"squeezed mixture N={N}, b={b}, r={xi.r}, worst point p={p}, q={q}"
-
-    _check_row_tails(rows, tail_tol, name)
-    return DensityOperator(_projector_average(rows), cutoff, validate=False)
+    return _key_average(_coherent_rows(key_displacements(N, b), cutoff), xi, cutoff, tail_tol,
+                        _worst_key(N, f"squeezed mixture N={N}, b={b}, r={xi.r}"))
 
 
 # ---------------------------------------------------------------------------
 # encryption
 
 
+def _displaced_coherent(alpha: complex, beta: complex, cutoff: FockCutoff) -> np.ndarray:
+    """Amplitudes of D(alpha)|beta> = e^{i Im(alpha conj(beta))} |alpha + beta>."""
+    phase = np.exp(1j * (alpha * np.conj(beta)).imag)
+    return phase * coherent_amplitudes(alpha + beta, cutoff)
+
+
 def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
             cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """One key branch: squeeze(displace_key(|beta>)) as a projector."""
     alpha = key_displacement(key_index, N, b)
-    amps = coherent_amplitudes(beta, cutoff)
-    amps = displacement_operator(alpha, cutoff) @ amps
-    amps = squeeze_operator(xi, cutoff) @ amps
+    amps = squeeze_operator(xi, cutoff) @ _displaced_coherent(alpha, beta, cutoff)
     tail = 1.0 - float(np.vdot(amps, amps).real)
     if tail > tail_tol:
         p, q = key_to_ring(key_index, N)
@@ -302,17 +260,9 @@ def decrypt(rho: DensityOperator, xi: SqueezeParam, key_index: int, N: int, b: f
 def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,
                    cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """Key-averaged encryption of |beta>."""
-    base = coherent_amplitudes(beta, cutoff)
-    disp = key_displacements(N, b)
-    rows = np.vstack([displacement_operator(a, cutoff) @ base for a in disp])
-    rows = rows @ squeeze_operator(xi, cutoff).T
-
-    def name(k):
-        p, q = key_to_ring(k, N)
-        return f"channel output beta={beta}, N={N}, worst key p={p}, q={q}"
-
-    _check_row_tails(rows, tail_tol, name)
-    return DensityOperator(_projector_average(rows), cutoff, validate=False)
+    rows = np.vstack([_displaced_coherent(a, beta, cutoff) for a in key_displacements(N, b)])
+    return _key_average(rows, xi, cutoff, tail_tol,
+                        _worst_key(N, f"channel output beta={beta}, N={N}"))
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +301,7 @@ def squeezed_projector_prefactor(xi: SqueezeParam, alpha: complex,
         return np.outer(col, col.conj())
     theta = float(np.angle(alpha)) if alpha != 0 else 0.0
     x = abs(alpha) * np.exp(1j * (theta - xi.phi / 2.0)) / math.sqrt(math.sinh(2.0 * xi.r))
-    herm = np.zeros(d, dtype=complex)
-    herm[0] = 1.0
-    if d > 1:
-        herm[1] = 2.0 * x
-    for k in range(1, d - 1):
-        herm[k + 1] = 2.0 * x * herm[k] - 2.0 * k * herm[k - 1]
+    herm = _hermite_series(x, d)
     col = (math.tanh(xi.r) / 2.0) ** (m / 2.0) * fact * np.exp(1j * xi.phi * m / 2.0) * herm
     return np.outer(col, col.conj()) / math.cosh(xi.r)
 
@@ -378,17 +323,21 @@ class DistanceReport:
         return self.d_hs
 
 
+def _distances(mm: DensityOperator, N: int, b: float, xi: SqueezeParam,
+               cutoff: FockCutoff, tail_tol: float):
+    """(DistanceReport, the mixture its d_hs measures); squeezed only when xi.r > 0."""
+    gam = mixture_gamma(N, b, cutoff, tail_tol)
+    d_coh = hs_distance(mm, gam)
+    if xi.r == 0.0:
+        return DistanceReport(d_coh, d_coh, 0.0, d_coh), gam
+    gam_xi = squeezed_mixture(N, b, xi, cutoff, tail_tol)
+    d_sq = hs_distance(gam_xi, gam)
+    return DistanceReport(hs_distance(mm, gam_xi), d_coh, d_sq, d_coh + d_sq), gam_xi
+
+
 def distance_to_mm(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
                    tail_tol: float = DEFAULT_TAIL_TOL) -> DistanceReport:
-    mm = maximally_mixed(b, cutoff, tail_tol)
-    gam = mixture_gamma(N, b, cutoff, tail_tol)
-    if xi.r == 0.0:
-        d_coh = hs_distance(mm, gam)
-        return DistanceReport(d_coh, d_coh, 0.0, d_coh)
-    gam_xi = squeezed_mixture(N, b, xi, cutoff, tail_tol)
-    d_coh = hs_distance(mm, gam)
-    d_sq = hs_distance(gam_xi, gam)
-    return DistanceReport(hs_distance(mm, gam_xi), d_coh, d_sq, d_coh + d_sq)
+    return _distances(maximally_mixed(b, cutoff, tail_tol), N, b, xi, cutoff, tail_tol)[0]
 
 
 def squeezed_vacuum_distance_closed_form(r: float) -> float:
@@ -412,30 +361,14 @@ class ConvergenceRow:
 def convergence_sweep(N_list: Sequence[int], b: float, xi: SqueezeParam,
                       cutoff: FockCutoff,
                       tail_tol: float = DEFAULT_TAIL_TOL) -> list:
+    """One row per N; each mixture is built once and serves distances and entropy."""
+    mm = maximally_mixed(b, cutoff, tail_tol)
     rows = []
     for N in N_list:
-        rep = distance_to_mm(N, b, xi, cutoff, tail_tol)
-        gam_xi = (squeezed_mixture(N, b, xi, cutoff, tail_tol) if xi.r > 0
-                  else mixture_gamma(N, b, cutoff, tail_tol))
+        rep, gam_xi = _distances(mm, N, b, xi, cutoff, tail_tol)
         rows.append(ConvergenceRow(
             N=int(N), b=float(b), r=xi.r, phi=xi.phi, cutoff=cutoff.n_max,
             d_hs=rep.d_hs, d_hs_times_Np1=rep.d_hs * (N + 1),
             triangle_bound=rep.triangle_bound,
             entropy=von_neumann_entropy(gam_xi)))
     return rows
-
-
-def holevo_proxy(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
-                 tail_tol: float = DEFAULT_TAIL_TOL):
-    """Entropies (bits) of the key-averaged output with and without squeezing.
-
-    Every key branch is pure, so each entropy equals the Holevo quantity of
-    the corresponding uniform-key ensemble.  The two are equal by unitary
-    invariance; reported as a pair for descriptive output, not as a bound
-    on an eavesdropper's accessible information.
-    """
-    s_coh = von_neumann_entropy(mixture_gamma(N, b, cutoff, tail_tol))
-    if xi.r == 0.0:
-        return s_coh, s_coh
-    s_sq = von_neumann_entropy(squeezed_mixture(N, b, xi, cutoff, tail_tol))
-    return s_sq, s_coh

@@ -73,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="output file path")
     run_p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default csv)")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded with the run; reruns with the same "
-                            "seed and config are byte-identical")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config", help="path to a flat JSON config document")
@@ -102,7 +99,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     # run
-    for name in ("workers", "out", "format", "seed"):
+    for name in ("workers", "out", "format"):
         v = getattr(args, name)
         if v is not None:
             setattr(cfg, name, v)

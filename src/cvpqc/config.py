@@ -64,7 +64,6 @@ class ExperimentConfig:
     input_varphi: float = 0.0
     cutoff: Optional[int] = None           # n_max; None = per-experiment default
     tail_tol: float = 1e-8
-    seed: int = 0
     out: Optional[str] = None
     format: str = "csv"
     workers: int = 1
@@ -73,7 +72,7 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_INT_FIELDS = {"cutoff", "seed", "workers"}
+_INT_FIELDS = {"cutoff", "workers"}
 _INT_LIST_FIELDS = {"N_list", "p_list"}
 _FLOAT_FIELDS = {"eff_re", "eff_im", "input_beta_mag", "input_varphi", "tail_tol"}
 _STR_FIELDS = {"experiment", "input_kind", "out", "format"}
@@ -86,9 +85,15 @@ def _want_int(name, v):
 
 
 def _want_real(name, v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field {name!r} must be a number, got {v!r}")
-    return float(v)
+    # json.load also yields NaN, Infinity and integers beyond the double range
+    if not isinstance(v, bool) and isinstance(v, (int, float)):
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"field {name!r} must be a finite number, got {v!r}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -224,8 +229,6 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if cfg.experiment == "displacement_bs" and cfg.input_kind not in ("vacuum",
                                                                       "even_coherent"):
         bad(f"input_kind must be 'vacuum' or 'even_coherent', got {cfg.input_kind!r}")
-    if cfg.seed < 0 or cfg.seed >= 2 ** 64:
-        bad("seed must fit in an unsigned 64-bit integer")
 
     if rep.problems:
         return rep

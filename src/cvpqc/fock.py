@@ -28,10 +28,6 @@ ENTROPY_CLIP = 1e-14
 
 _TWO_PI = 2.0 * math.pi
 
-# aliases documenting intent in signatures; no behavior of their own
-DisplacementParam = complex
-QuadratureAngle = float
-
 
 class TailMassError(ValueError):
     """Raised when a construction loses more probability to truncation than allowed."""
@@ -249,21 +245,13 @@ def coherent_state(alpha: complex, cutoff: FockCutoff,
 # displacement and squeezing
 
 
-def displacement_operator(alpha: complex, cutoff: FockCutoff,
-                          method: str = "laguerre") -> np.ndarray:
-    """Matrix of D(alpha) in the truncated basis.
+def displacement_operator(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
+    """Matrix of D(alpha) in the truncated basis, from the analytic elements
 
-    ``laguerre`` fills the analytic elements
         <m|D|n> = sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2)
+
     for m >= n (the m < n triangle follows from D(alpha)+ = D(-alpha)).
-    ``exponential`` exponentiates the truncated generator and is kept as a
-    cross-check; the two agree on the interior of the basis.
     """
-    if method == "exponential":
-        a = annihilation(cutoff)
-        return expm(alpha * a.conj().T - np.conj(alpha) * a)
-    if method != "laguerre":
-        raise ValueError(f"unknown method {method!r}")
     if alpha == 0:
         return np.eye(cutoff.dim, dtype=complex)
     m = cutoff.levels()[:, None]
@@ -313,6 +301,18 @@ def squeezed_coherent_state(xi: SqueezeParam, alpha: complex, cutoff: FockCutoff
                          f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={alpha}")
 
 
+def _hermite_series(x: complex, dim: int) -> np.ndarray:
+    """Physicists' Hermite polynomials H_0(x) .. H_{dim-1}(x) at a complex argument,
+    by the three-term recurrence H_{m+1} = 2x H_m - 2m H_{m-1}."""
+    herm = np.zeros(dim, dtype=complex)
+    herm[0] = 1.0
+    if dim > 1:
+        herm[1] = 2.0 * x
+    for m in range(1, dim - 1):
+        herm[m + 1] = 2.0 * x * herm[m] - 2.0 * m * herm[m - 1]
+    return herm
+
+
 def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
                                   cutoff: FockCutoff) -> np.ndarray:
     """Closed-form amplitudes of S(xi) D(alpha) |0> via complex-argument Hermite polynomials.
@@ -329,14 +329,7 @@ def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
     nu = np.exp(1j * xi.phi) * math.sinh(xi.r)
     ch = math.cosh(xi.r)
     pref = np.exp(-0.5 * (abs(alpha) ** 2 - np.conj(nu) * alpha ** 2 / ch))
-    x = alpha / np.sqrt(2.0 * nu * ch)
-    d = cutoff.dim
-    herm = np.zeros(d, dtype=complex)
-    herm[0] = 1.0
-    if d > 1:
-        herm[1] = 2.0 * x
-    for m in range(1, d - 1):
-        herm[m + 1] = 2.0 * x * herm[m] - 2.0 * m * herm[m - 1]
+    herm = _hermite_series(alpha / np.sqrt(2.0 * nu * ch), cutoff.dim)
     m = cutoff.levels()
     scale = (nu / (2.0 * ch)) ** (m / 2.0) / math.sqrt(ch) * np.exp(-0.5 * gammaln(m + 1))
     return scale * pref * herm
@@ -362,8 +355,7 @@ class TwoModeUnitary:
 
     ``key`` maps a basis pair (i, j) to its conserved block label (i+j for
     photon-number-conserving generators, i-j for pair creation/annihilation).
-    Each block is exactly unitary, so the whole operator is; dense
-    materialization is only for small cutoffs.
+    Each block is exactly unitary, so the whole operator is.
     """
 
     def __init__(self, cutoff: FockCutoff, blocks, conserved: str):
@@ -385,20 +377,6 @@ class TwoModeUnitary:
 
     def _partner(self, idx, label):
         return label - idx if self.conserved == "sum" else idx - label
-
-    def inverse(self) -> "TwoModeUnitary":
-        inv = {lab: (idx, blk.conj().T) for lab, (idx, blk) in self.blocks.items()}
-        return TwoModeUnitary(self.cutoff, inv, self.conserved)
-
-    def dense(self) -> np.ndarray:
-        """Full (dim^2 x dim^2) matrix. O(dim^4) memory; intended for small cutoffs."""
-        d = self.cutoff.dim
-        out = np.zeros((d * d, d * d), dtype=complex)
-        for lab, (idx, blk) in self.blocks.items():
-            jdx = self._partner(idx, lab)
-            rows = idx * d + jdx
-            out[np.ix_(rows, rows)] = blk
-        return out
 
 
 @lru_cache(maxsize=16)

@@ -43,6 +43,7 @@ from cvpqc.nongauss import (
     squeezed_vacuum_variance,
     squeezed_vacuum_variance_approx,
 )
+from oracles import ring_analytic_matrix
 
 
 @pytest.fixture
@@ -90,9 +91,9 @@ def test_criterion_03_ring_forms_agree_and_selection_rule(report):
     worst_pattern = 0.0
     for p in range(1, 9):
         for radius in (0.5, 1.0, 2.0):
-            a = conformation_ring(p, radius, cut, form="analytic")
-            o = conformation_ring(p, radius, cut, form="operational")
-            worst_form = max(worst_form, float(np.max(np.abs(a.matrix - o.matrix))))
+            a = ring_analytic_matrix(p, radius, cut)
+            o = conformation_ring(p, radius, cut)
+            worst_form = max(worst_form, float(np.max(np.abs(a - o.matrix))))
             m, n = np.meshgrid(np.arange(60), np.arange(60), indexing="ij")
             off = (m - n) % p != 0
             if off.any():  # p=1 has no off-pattern cells

@@ -15,7 +15,6 @@ from cvpqc.channel import (
     decrypt,
     distance_to_mm,
     encrypt,
-    holevo_proxy,
     k_factor,
     key_count,
     key_displacement,
@@ -24,8 +23,6 @@ from cvpqc.channel import (
     maximally_mixed,
     mixture_gamma,
     random_key,
-    ring_analytic_matrix,
-    ring_phase_absorber,
     secret_bits,
     squeezed_conformation,
     squeezed_mixture,
@@ -46,6 +43,7 @@ from cvpqc.fock import (
     vacuum,
     von_neumann_entropy,
 )
+from oracles import ring_analytic_matrix
 
 C59 = FockCutoff(59)
 C60 = FockCutoff(60)
@@ -184,23 +182,9 @@ def test_ring_off_pattern_entries_vanish():
 def test_ring_analytic_matches_operational():
     cut = C59
     for p, radius in ((2, 0.5), (4, 1.0), (5, 1.6), (8, 2.0)):
-        a = conformation_ring(p, radius, cut, form="analytic")
-        o = conformation_ring(p, radius, cut, form="operational")
-        assert np.max(np.abs(a.matrix - o.matrix)) < 1e-10
-
-
-def test_ring_unknown_form_rejected():
-    with pytest.raises(ValueError):
-        conformation_ring(3, 1.0, C59, form="fancy")
-
-
-def test_phase_absorber_relates_signed_and_unsigned_forms():
-    cut = FockCutoff(40)
-    for p, radius in ((3, 0.8), (6, 1.5)):
-        signed = ring_analytic_matrix(p, radius, cut, signed=True)
-        plain = ring_analytic_matrix(p, radius, cut, signed=False)
-        w = ring_phase_absorber(p, cut)
-        assert np.max(np.abs(signed - (w[:, None] * plain) * w.conj()[None, :])) < 1e-14
+        a = ring_analytic_matrix(p, radius, cut)
+        o = conformation_ring(p, radius, cut)
+        assert np.max(np.abs(a - o.matrix)) < 1e-10
 
 
 def test_ring_cutoff_too_small_raises_with_location():
@@ -324,10 +308,17 @@ def test_decrypt_recovers_message():
     N, b, k = 4, 2.0, 5
     xi = SqueezeParam(0.3, 1.0)
     beta = 0.3 + 0.2j
-    rho = decrypt(encrypt(beta, xi, k, N, b, C60), xi, k, N, b, C60)
+    branch = encrypt(beta, xi, k, N, b, C60)
+    rho = decrypt(branch, xi, k, N, b, C60)
     msg = coherent_amplitudes(beta, C60)
     overlap = (msg.conj() @ rho.matrix @ msg).real
     assert overlap >= 1 - 1e-8
+    # the branch against S D(alpha)|beta> from the Laguerre matrix, at a key where
+    # the closed form's phase e^{i Im(alpha conj(beta))} is not 1
+    alpha = key_displacement(k, N, b)
+    assert abs((alpha * np.conj(beta)).imag) > 0.1
+    row = squeeze_operator(xi, C60) @ displacement_operator(alpha, C60) @ msg
+    assert np.max(np.abs(branch.matrix - np.outer(row, row.conj()))[:40, :40]) < 1e-12
 
 
 def test_channel_output_is_key_average():
@@ -421,18 +412,37 @@ def test_convergence_sweep_row_contents():
     assert rows[0].d_hs == pytest.approx(hs_distance(mm, vac))
 
 
+# Every key branch is pure, so the entropy of a key-averaged mixture is the
+# Holevo quantity of its uniform-key ensemble.
+
+
 def test_holevo_proxy_pure_for_single_point():
-    s_sq, s_coh = holevo_proxy(1, 2.0, SqueezeParam(0.4, 0.2), C60)
-    assert s_sq < 1e-10 and s_coh < 1e-10
+    xi = SqueezeParam(0.4, 0.2)
+    assert von_neumann_entropy(squeezed_mixture(1, 2.0, xi, C60)) < 1e-10
+    assert von_neumann_entropy(mixture_gamma(1, 2.0, C60)) < 1e-10
 
 
 def test_holevo_proxy_entropies_equal_by_unitary_invariance():
-    s_sq, s_coh = holevo_proxy(4, 2.0, SqueezeParam(0.3, 1.1), C60)
+    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, SqueezeParam(0.3, 1.1), C60))
+    s_coh = von_neumann_entropy(mixture_gamma(4, 2.0, C60))
     assert s_coh > 1.0  # genuinely mixed family
     assert abs(s_sq - s_coh) < 1e-8
 
 
 def test_mixture_entropy_matches_direct_computation():
-    rho = squeezed_mixture(3, 2.0, SqueezeParam(0.3, 1.1), C60)
-    s_sq, _ = holevo_proxy(3, 2.0, SqueezeParam(0.3, 1.1), C60)
-    assert abs(von_neumann_entropy(rho) - s_sq) < 1e-12
+    xi = SqueezeParam(0.3, 1.1)
+    rho = squeezed_mixture(3, 2.0, xi, C60)
+    row = convergence_sweep([3], 2.0, xi, C60)[0]
+    assert abs(row.entropy - von_neumann_entropy(rho)) < 1e-12
+
+
+def test_squeezed_convergence_point_squeezes_once(monkeypatch):
+    calls = []
+
+    def counting(xi, cutoff):
+        calls.append(xi)
+        return squeeze_operator(xi, cutoff)
+
+    monkeypatch.setattr("cvpqc.channel.squeeze_operator", counting)
+    convergence_sweep([4], 2.0, SqueezeParam(0.3, 1.1), C60)
+    assert len(calls) == 1

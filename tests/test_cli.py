@@ -2,11 +2,13 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cvpqc
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
 from cvpqc.fock import FockCutoff, hs_distance, vacuum
@@ -181,13 +183,12 @@ def test_json_format_matches_csv_content(tmp_path):
 def test_sidecar_records_run(tmp_path):
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
-                       N_list=[1, 2], b_list=[2.0], cutoff=40, out=out, seed=9)
+                       N_list=[1, 2], b_list=[2.0], cutoff=40, out=out)
     assert main(["run", cfg]) == 0
     with open(out + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
     assert meta["row_count"] == 2
     assert meta["config"]["experiment"] == "convergence"
-    assert meta["config"]["seed"] == 9
     assert meta["columns"][0] == "N"
     assert meta["wall_time_s"] >= 0
     assert "library_version" in meta
@@ -197,10 +198,10 @@ def test_cli_overrides_reach_sidecar(tmp_path):
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
                        N_list=[1], b_list=[2.0], cutoff=40)
-    assert main(["run", cfg, "--out", out, "--seed", "17"]) == 0
+    assert main(["run", cfg, "--out", out, "--format", "json"]) == 0
     with open(out + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
-    assert meta["config"]["seed"] == 17
+    assert meta["config"]["format"] == "json"
     assert meta["config"]["out"] == out
 
 
@@ -236,6 +237,28 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="convergence", n_list=[2])
     assert main(["run", cfg]) == 2
     assert "n_list" in capsys.readouterr().err
+    # no experiment draws random numbers, so there is no seed field
+    cfg = write_config(tmp_path, "seed.json", experiment="convergence", N_list=[1],
+                       cutoff=40, out=str(tmp_path / "rows.csv"), seed=0)
+    assert main(["run", cfg]) == 2
+    assert "unknown config field(s): seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field, value", [
+    ("b_list", [math.nan]),
+    ("alpha_list", [math.inf]),
+    ("r_list", [0.1, -math.inf]),
+    ("tail_tol", math.nan),
+    ("eff_re", math.inf),
+    ("input_beta_mag", 10 ** 400),  # an integer literal beyond the double range
+], ids=["b_list-nan", "alpha_list-inf", "r_list-minus_inf", "tail_tol-nan", "eff_re-inf",
+        "input_beta_mag-huge_int"])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, field, value):
+    out = str(tmp_path / "rows.csv")
+    cfg = write_config(tmp_path, experiment="attack", cutoff=20, out=out, **{field: value})
+    assert main([command, cfg]) == 2
+    assert f"field '{field}" in capsys.readouterr().err
 
 
 def test_wrong_type_exits_2(tmp_path, capsys):
@@ -280,8 +303,12 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child imports the same package the tests do, installed or not
+    src = os.path.dirname(os.path.dirname(cvpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "cvpqc.cli", "validate", "/nonexistent.json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "config error" in proc.stderr
