@@ -3,107 +3,3 @@ variant, a beam-splitter eavesdropping model, and even-coherent-state
 approximations, plus a reproducible sweep CLI."""
 
 __version__ = "0.1.0"
-
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    DensityOperator,
-    FockCutoff,
-    PureState,
-    SqueezeParam,
-    TailMassError,
-    beam_splitter,
-    beam_splitter_5050,
-    coherent_state,
-    displacement_operator,
-    fidelity,
-    heuristic_cutoff,
-    hs_distance,
-    partial_trace,
-    purity,
-    quadrature_variance,
-    squeeze_operator,
-    squeezed_coherent_state,
-    squeezed_vacuum_state,
-    two_mode_squeezer,
-    vacuum,
-    von_neumann_entropy,
-)
-from .channel import (
-    ChannelSpec,
-    ConformationSpec,
-    channel_output,
-    conformation,
-    convergence_sweep,
-    decrypt,
-    distance_to_mm,
-    encrypt,
-    k_factor,
-    maximally_mixed,
-    mixture_gamma,
-    secret_bits,
-    squeezed_conformation,
-    squeezed_mixture,
-    vacuum_weight,
-)
-from .attack import AttackReport, DecompositionReport, attack, verify_decomposition
-from .nongauss import (
-    BeamSplitterRealization,
-    EvenCoherentParam,
-    displacement_via_beamsplitter,
-    even_coherent_state,
-    overlap_even_vs_squeezed,
-    quadrature_variance_even,
-    truncated_squeeze_check,
-)
-
-__all__ = [
-    "DEFAULT_TAIL_TOL",
-    "DensityOperator",
-    "FockCutoff",
-    "PureState",
-    "SqueezeParam",
-    "TailMassError",
-    "beam_splitter",
-    "beam_splitter_5050",
-    "coherent_state",
-    "displacement_operator",
-    "fidelity",
-    "heuristic_cutoff",
-    "hs_distance",
-    "partial_trace",
-    "purity",
-    "quadrature_variance",
-    "squeeze_operator",
-    "squeezed_coherent_state",
-    "squeezed_vacuum_state",
-    "two_mode_squeezer",
-    "vacuum",
-    "von_neumann_entropy",
-    "ChannelSpec",
-    "ConformationSpec",
-    "channel_output",
-    "conformation",
-    "convergence_sweep",
-    "decrypt",
-    "distance_to_mm",
-    "encrypt",
-    "k_factor",
-    "maximally_mixed",
-    "mixture_gamma",
-    "secret_bits",
-    "squeezed_conformation",
-    "squeezed_mixture",
-    "vacuum_weight",
-    "AttackReport",
-    "DecompositionReport",
-    "attack",
-    "verify_decomposition",
-    "BeamSplitterRealization",
-    "EvenCoherentParam",
-    "displacement_via_beamsplitter",
-    "even_coherent_state",
-    "overlap_even_vs_squeezed",
-    "quadrature_variance_even",
-    "truncated_squeeze_check",
-    "__version__",
-]

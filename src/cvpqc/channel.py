@@ -238,14 +238,10 @@ def _displaced_coherent(alpha: complex, beta: complex, cutoff: FockCutoff) -> np
 def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
             cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
     """One key branch: squeeze(displace_key(|beta>)) as a projector."""
-    alpha = key_displacement(key_index, N, b)
-    amps = squeeze_operator(xi, cutoff) @ _displaced_coherent(alpha, beta, cutoff)
-    tail = 1.0 - float(np.vdot(amps, amps).real)
-    if tail > tail_tol:
-        p, q = key_to_ring(key_index, N)
-        raise TailMassError(tail, tail_tol,
-                            f"encrypt beta={beta}, key p={p}, q={q}, r={xi.r}")
-    return DensityOperator(np.outer(amps, amps.conj()), cutoff, validate=False)
+    row = _displaced_coherent(key_displacement(key_index, N, b), beta, cutoff)
+    p, q = key_to_ring(key_index, N)
+    return _key_average(row[None, :], xi, cutoff, tail_tol,
+                        lambda k: f"encrypt beta={beta}, key p={p}, q={q}, r={xi.r}")
 
 
 def decrypt(rho: DensityOperator, xi: SqueezeParam, key_index: int, N: int, b: float,

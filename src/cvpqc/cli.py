@@ -79,31 +79,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path: str):
-    cfg = load_config(path)
-    rep = validate(cfg)
-    return cfg, rep
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     try:
-        cfg, rep = _load(args.config)
+        cfg = load_config(args.config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+
+    if args.command == "run":
+        for name in ("workers", "out", "format"):
+            v = getattr(args, name)
+            if v is not None:
+                setattr(cfg, name, v)
+    rep = validate(cfg)
 
     if args.command == "validate":
         print(rep.render())
         return EXIT_OK
 
-    # run
-    for name in ("workers", "out", "format"):
-        v = getattr(args, name)
-        if v is not None:
-            setattr(cfg, name, v)
-    rep = validate(cfg)  # overrides may change validity
     if not rep.ok:
         print(rep.render(), file=sys.stderr)
         return EXIT_CONFIG

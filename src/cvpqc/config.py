@@ -11,33 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .fock import heuristic_cutoff
-
-EXPERIMENTS = (
-    "mmstate",
-    "conformation",
-    "convergence",
-    "squeezed_convergence",
-    "attack",
-    "nongauss_overlap",
-    "nongauss_variance",
-    "displacement_bs",
-)
-
-_B_EXPERIMENTS = ("mmstate", "conformation", "convergence", "squeezed_convergence")
-
-# grids each experiment iterates over; empty ones are config errors
-REQUIRED_GRIDS = {
-    "mmstate": ("b_list",),
-    "conformation": ("N_list", "b_list", "r_list", "phi_list"),
-    "convergence": ("N_list", "b_list"),
-    "squeezed_convergence": ("N_list", "b_list", "r_list", "phi_list"),
-    "attack": ("alpha_list", "r_list", "phi_list"),
-    "nongauss_overlap": ("r_list", "phi_list", "beta_mag_list", "varphi_list"),
-    "nongauss_variance": ("r_list", "phi_list", "beta_mag_list", "varphi_list",
-                          "theta_list"),
-    "displacement_bs": ("T_list",),
-}
+from .experiments import REGISTRY, resolve_cutoff
 
 
 class ConfigError(ValueError):
@@ -136,36 +110,13 @@ def load_config(path: str) -> ExperimentConfig:
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, int-string limit
         raise ConfigError(f"config {path!r} is not valid JSON: {e}") from e
     return config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-_AUTO_CUTOFF = {"attack": 60, "nongauss_overlap": 40, "nongauss_variance": 40}
-
-
-def max_ancilla_amp(cfg: ExperimentConfig) -> float:
-    eff = math.hypot(cfg.eff_re, cfg.eff_im)
-    ts = [t for t in cfg.T_list if t > 0]
-    return eff / math.sqrt(min(ts)) if ts else 0.0
-
-
-def resolve_cutoff(cfg: ExperimentConfig) -> int:
-    """Explicit cutoff, or the per-experiment heuristic default."""
-    if cfg.cutoff is not None:
-        return cfg.cutoff
-    if cfg.experiment in _AUTO_CUTOFF:
-        return _AUTO_CUTOFF[cfg.experiment]
-    if cfg.experiment in _B_EXPERIMENTS:
-        return heuristic_cutoff(max(cfg.b_list)) if cfg.b_list else 0
-    if cfg.experiment == "displacement_bs":
-        amp = max_ancilla_amp(cfg)
-        return heuristic_cutoff(amp) if amp > 0 else 20
-    return 40
 
 
 @dataclass
@@ -198,11 +149,12 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     rep = ValidationReport()
     bad = rep.problems.append
 
-    if cfg.experiment not in EXPERIMENTS:
-        bad(f"unknown experiment {cfg.experiment!r}; choose from {', '.join(EXPERIMENTS)}")
+    if cfg.experiment not in REGISTRY:
+        bad(f"unknown experiment {cfg.experiment!r}; choose from {', '.join(REGISTRY)}")
         return rep
+    exp = REGISTRY[cfg.experiment]
 
-    for grid in REQUIRED_GRIDS[cfg.experiment]:
+    for grid in exp.grids:
         if not getattr(cfg, grid):
             bad(f"grid {grid!r} must not be empty for experiment {cfg.experiment!r}")
 
@@ -238,21 +190,13 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     rep.info.append(f"cutoff n_max = {n_max}"
                     + (" (heuristic default)" if cfg.cutoff is None else " (explicit)"))
 
-    if cfg.experiment in _B_EXPERIMENTS and cfg.b_list:
-        need = heuristic_cutoff(max(cfg.b_list))
-        if n_max < need:
-            rep.warnings.append(
-                f"cutoff {n_max} is below the heuristic minimum {need} "
-                f"for b = {max(cfg.b_list)}; expect tail-mass failures")
-    if cfg.experiment == "displacement_bs":
-        amp = max_ancilla_amp(cfg)
-        need = heuristic_cutoff(amp) if amp > 0 else 0
-        if n_max < need:
-            rep.warnings.append(
-                f"cutoff {n_max} is below the heuristic minimum {need} "
-                f"for ancilla amplitude {amp:.3g}; expect tail-mass failures")
+    need = exp.heuristic_minimum(cfg)
+    if n_max < need:
+        rep.warnings.append(
+            f"cutoff {n_max} is below the heuristic minimum {need} for amplitude "
+            f"scale {exp.scale(cfg):.3g}; expect tail-mass failures")
 
-    if cfg.experiment in ("attack", "displacement_bs"):
+    if exp.two_mode:
         two = d * d
         rep.info.append(
             f"two-mode basis dimension {two} ({d} per mode); a dense two-mode matrix "

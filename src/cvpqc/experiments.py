@@ -1,66 +1,92 @@
 """Experiment drivers: turn a config into (columns, rows).
 
-Each experiment is a planner that expands the config grids into task
-tuples plus a compute function mapping one task to its output rows.
-Tasks and rows hold only plain scalars so they cross process boundaries,
-and tasks are generated in a fixed grid order, so output is deterministic
-for a given config regardless of worker count.
+``REGISTRY`` holds the one definition of each experiment: its columns, the
+config grids it loops over (outermost first) with the compute function for
+one point of their product, its default cutoff, and whether it works on two
+modes.  A task is one grid point; it and its rows hold only plain values so
+they cross process boundaries, and tasks come in a fixed grid order, so
+output is deterministic for a given config regardless of worker count.
+
+Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
+grid to its value under the grid's name without the ``_list`` suffix; they
+read ``tail_tol``, ``p_list`` and the ``input_*`` fields from ``cfg``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-# the package re-exports the attack() function under the submodule's name,
-# so bind the function directly instead of going through the package attribute
-from .attack import attack as tap_attack
-from . import channel, nongauss
-from .fock import (FockCutoff, SqueezeParam, quadrature_variance,
+from . import attack, channel, nongauss
+from .fock import (FockCutoff, SqueezeParam, heuristic_cutoff, quadrature_variance,
                    squeezed_vacuum_state, vacuum)
-from .config import ExperimentConfig, resolve_cutoff
 
 
 @dataclass(frozen=True)
 class Experiment:
-    name: str
+    """One sweep.
+
+    ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
+    later stage follow all rows of an earlier one.  The default cutoff is
+    ``heuristic_cutoff(scale(cfg))`` when ``scale`` is given and positive,
+    otherwise ``n_max``.
+    """
+
     columns: tuple
-    plan: callable
-    compute: callable
+    stages: tuple
+    n_max: int = 0
+    scale: Optional[Callable] = None
+    two_mode: bool = False
+
+    @property
+    def grids(self) -> tuple:
+        """Every grid the experiment loops over, in order of first use."""
+        return tuple(dict.fromkeys(g for grids, _ in self.stages for g in grids))
+
+    def heuristic_minimum(self, cfg) -> int:
+        """heuristic_cutoff of the amplitude scale; 0 when there is none."""
+        scale = self.scale(cfg) if self.scale else 0.0
+        return heuristic_cutoff(scale) if scale > 0 else 0
+
+
+def ancilla_amplitude(cfg) -> float:
+    """Largest displacement_bs ancilla amplitude |eff| / sqrt(T), at the smallest T."""
+    eff = math.hypot(cfg.eff_re, cfg.eff_im)
+    ts = [t for t in cfg.T_list if t > 0]
+    return eff / math.sqrt(min(ts)) if ts else 0.0
+
+
+def _max_b(cfg) -> float:
+    return max(cfg.b_list, default=0.0)
+
+
+def resolve_cutoff(cfg) -> int:
+    """Explicit cutoff, or the experiment's default."""
+    if cfg.cutoff is not None:
+        return cfg.cutoff
+    exp = REGISTRY[cfg.experiment]
+    return exp.heuristic_minimum(cfg) or exp.n_max
 
 
 # --- mmstate ---------------------------------------------------------------
 
 
-def _plan_mmstate(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    return [(b, n_max, cfg.tail_tol) for b in cfg.b_list]
-
-
-def _compute_mmstate(task):
-    b, n_max, tail_tol = task
-    mm = channel.maximally_mixed(b, FockCutoff(n_max), tail_tol)
+def _compute_mmstate(cfg, n_max, b):
+    mm = channel.maximally_mixed(b, FockCutoff(n_max), cfg.tail_tol)
     diag = mm.matrix.diagonal().real
-    return [(b, n_max, tail_tol, n, float(diag[n]), mm.mass)
+    return [(b, n_max, cfg.tail_tol, n, float(diag[n]), mm.mass)
             for n in range(n_max + 1)]
 
 
 # --- conformation (ring geometry / angular weights) -------------------------
 
 
-def _plan_conformation(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    p_sel = tuple(cfg.p_list) if cfg.p_list is not None else None
-    return [(N, b, r, phi, n_max, p_sel)
-            for N in cfg.N_list for b in cfg.b_list
-            for r in cfg.r_list for phi in cfg.phi_list]
-
-
-def _compute_conformation(task):
-    N, b, r, phi, n_max, p_sel = task
+def _compute_conformation(cfg, n_max, N, b, r, phi):
     xi = SqueezeParam(r, phi)
     rows = []
-    for p in (p_sel if p_sel is not None else range(1, N + 1)):
+    for p in (cfg.p_list if cfg.p_list is not None else range(1, N + 1)):
         if p > N:
             continue
         spec = channel.ConformationSpec(N, b, p)
@@ -75,23 +101,9 @@ def _compute_conformation(task):
 # --- convergence sweeps ------------------------------------------------------
 
 
-def _plan_convergence(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    return [(N, b, 0.0, 0.0, n_max, cfg.tail_tol)
-            for b in cfg.b_list for N in cfg.N_list]
-
-
-def _plan_squeezed_convergence(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    return [(N, b, r, phi, n_max, cfg.tail_tol)
-            for b in cfg.b_list for r in cfg.r_list
-            for phi in cfg.phi_list for N in cfg.N_list]
-
-
-def _compute_convergence(task):
-    N, b, r, phi, n_max, tail_tol = task
+def _compute_convergence(cfg, n_max, N, b, r=0.0, phi=0.0):
     row = channel.convergence_sweep([N], b, SqueezeParam(r, phi),
-                                    FockCutoff(n_max), tail_tol)[0]
+                                    FockCutoff(n_max), cfg.tail_tol)[0]
     return [(row.N, row.b, row.r, row.phi, row.cutoff, row.d_hs,
              row.d_hs_times_Np1, row.triangle_bound, row.entropy)]
 
@@ -99,16 +111,9 @@ def _compute_convergence(task):
 # --- beam-splitter tap -------------------------------------------------------
 
 
-def _plan_attack(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    return [(a, r, phi, n_max, cfg.tail_tol)
-            for a in cfg.alpha_list for r in cfg.r_list for phi in cfg.phi_list]
-
-
-def _compute_attack(task):
-    a, r, phi, n_max, tail_tol = task
-    rep = tap_attack(complex(a), SqueezeParam(r, phi),
-                     FockCutoff(n_max), tail_tol)
+def _compute_attack(cfg, n_max, alpha, r, phi):
+    rep = attack.attack(complex(alpha), SqueezeParam(r, phi),
+                        FockCutoff(n_max), cfg.tail_tol)
     return [(rep.input_kind, rep.alpha.real, rep.alpha.imag, r, phi, n_max,
              rep.bob_reduced_purity, rep.eve_reduced_purity,
              rep.entanglement_proxy, rep.bob_fidelity_vs_expected)]
@@ -117,122 +122,122 @@ def _compute_attack(task):
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
 
 
-def _plan_overlap(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    return [(r, phi, bm, vp, n_max, cfg.tail_tol)
-            for r in cfg.r_list for phi in cfg.phi_list
-            for bm in cfg.beta_mag_list for vp in cfg.varphi_list]
-
-
-def _compute_overlap(task):
-    r, phi, bm, vp, n_max, tail_tol = task
+def _compute_overlap(cfg, n_max, r, phi, beta_mag, varphi):
     exact, approx = nongauss.overlap_even_vs_squeezed(
-        nongauss.EvenCoherentParam(bm, vp), SqueezeParam(r, phi),
-        FockCutoff(n_max), tail_tol)
-    return [(r, phi, bm, vp, n_max, exact, approx, abs(exact - approx))]
+        nongauss.EvenCoherentParam(beta_mag, varphi), SqueezeParam(r, phi),
+        FockCutoff(n_max), cfg.tail_tol)
+    return [(r, phi, beta_mag, varphi, n_max, exact, approx, abs(exact - approx))]
 
 
 # --- quadrature variances ----------------------------------------------------
 
 
-def _plan_variance(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    sv = [("squeezed_vacuum", r, phi, 0.0, 0.0, th, n_max, cfg.tail_tol)
-          for r in cfg.r_list for phi in cfg.phi_list for th in cfg.theta_list]
-    ec = [("even_coherent", 0.0, 0.0, bm, vp, th, n_max, cfg.tail_tol)
-          for bm in cfg.beta_mag_list for vp in cfg.varphi_list
-          for th in cfg.theta_list]
-    return sv + ec
-
-
-def _compute_variance(task):
-    kind, r, phi, bm, vp, theta, n_max, tail_tol = task
-    cut = FockCutoff(n_max)
-    if kind == "squeezed_vacuum":
-        xi = SqueezeParam(r, phi)
-        exact = quadrature_variance(squeezed_vacuum_state(xi, cut, tail_tol), theta)
-        closed = nongauss.squeezed_vacuum_variance(xi, theta)
-        approx = nongauss.squeezed_vacuum_variance_approx(xi, theta)
-    else:
-        param = nongauss.EvenCoherentParam(bm, vp)
-        exact, closed = nongauss.quadrature_variance_even(param, cut, theta, tail_tol)
-        approx = float(nongauss.even_variance_approx(param, theta))
+def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
     return [(kind, r, phi, bm, vp, theta, n_max, float(exact), float(closed),
              float(approx), abs(float(exact) - float(closed)))]
+
+
+def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
+    xi = SqueezeParam(r, phi)
+    state = squeezed_vacuum_state(xi, FockCutoff(n_max), cfg.tail_tol)
+    return _variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
+                         quadrature_variance(state, theta, cfg.tail_tol),
+                         nongauss.squeezed_vacuum_variance(xi, theta),
+                         nongauss.squeezed_vacuum_variance_approx(xi, theta))
+
+
+def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
+    param = nongauss.EvenCoherentParam(beta_mag, varphi)
+    exact, closed = nongauss.quadrature_variance_even(param, FockCutoff(n_max), theta,
+                                                      cfg.tail_tol)
+    return _variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
+                         exact, closed, nongauss.even_variance_approx(param, theta))
 
 
 # --- displacement from a strong ancilla --------------------------------------
 
 
-def _plan_displacement_bs(cfg: ExperimentConfig):
-    n_max = resolve_cutoff(cfg)
-    return [(cfg.input_kind, cfg.input_beta_mag, cfg.input_varphi,
-             t, cfg.eff_re, cfg.eff_im, n_max, cfg.tail_tol)
-            for t in cfg.T_list]
-
-
-def _compute_displacement_bs(task):
-    kind, bm, vp, t, eff_re, eff_im, n_max, tail_tol = task
+def _compute_displacement_bs(cfg, n_max, T):
     cut = FockCutoff(n_max)
-    state = (vacuum(cut) if kind == "vacuum"
+    bm, vp = cfg.input_beta_mag, cfg.input_varphi
+    state = (vacuum(cut) if cfg.input_kind == "vacuum"
              else nongauss.even_coherent_state(nongauss.EvenCoherentParam(bm, vp),
-                                               cut, tail_tol))
-    gamma = complex(eff_re, eff_im) / math.sqrt(t)
-    real = nongauss.BeamSplitterRealization(t, gamma)
-    _, fid = nongauss.displacement_via_beamsplitter(real, state, cut, tail_tol)
-    return [(kind, bm, vp, t, gamma.real, gamma.imag, eff_re, eff_im, n_max, fid)]
+                                               cut, cfg.tail_tol))
+    gamma = complex(cfg.eff_re, cfg.eff_im) / math.sqrt(T)
+    real = nongauss.BeamSplitterRealization(T, gamma)
+    _, fid = nongauss.displacement_via_beamsplitter(real, state, cut, cfg.tail_tol)
+    return [(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re, cfg.eff_im,
+             n_max, fid)]
 
+
+_CONVERGENCE_COLUMNS = ("N", "b", "r", "phi", "cutoff", "d_hs", "d_hs_times_Np1",
+                        "triangle_bound", "entropy")
 
 REGISTRY = {
     "mmstate": Experiment(
-        "mmstate",
         ("b", "cutoff", "tail_tol", "n", "weight", "mass"),
-        _plan_mmstate, _compute_mmstate),
+        ((("b_list",), _compute_mmstate),),
+        scale=_max_b),
     "conformation": Experiment(
-        "conformation",
         ("N", "b", "r", "phi", "cutoff", "p", "q", "r_p", "theta_pq",
          "k_factor", "vacuum_weight"),
-        _plan_conformation, _compute_conformation),
+        ((("N_list", "b_list", "r_list", "phi_list"), _compute_conformation),),
+        scale=_max_b),
     "convergence": Experiment(
-        "convergence",
-        ("N", "b", "r", "phi", "cutoff", "d_hs", "d_hs_times_Np1",
-         "triangle_bound", "entropy"),
-        _plan_convergence, _compute_convergence),
+        _CONVERGENCE_COLUMNS,
+        ((("b_list", "N_list"), _compute_convergence),),
+        scale=_max_b),
     "squeezed_convergence": Experiment(
-        "squeezed_convergence",
-        ("N", "b", "r", "phi", "cutoff", "d_hs", "d_hs_times_Np1",
-         "triangle_bound", "entropy"),
-        _plan_squeezed_convergence, _compute_convergence),
+        _CONVERGENCE_COLUMNS,
+        ((("b_list", "r_list", "phi_list", "N_list"), _compute_convergence),),
+        scale=_max_b),
     "attack": Experiment(
-        "attack",
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
-        _plan_attack, _compute_attack),
+        ((("alpha_list", "r_list", "phi_list"), _compute_attack),),
+        n_max=60, two_mode=True),
     "nongauss_overlap": Experiment(
-        "nongauss_overlap",
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),
-        _plan_overlap, _compute_overlap),
+        ((("r_list", "phi_list", "beta_mag_list", "varphi_list"), _compute_overlap),),
+        n_max=40),
     "nongauss_variance": Experiment(
-        "nongauss_variance",
         ("kind", "r", "phi_xi", "beta_mag", "varphi", "theta", "cutoff",
          "exact", "closed_form", "approx", "abs_err"),
-        _plan_variance, _compute_variance),
+        ((("r_list", "phi_list", "theta_list"), _compute_squeezed_variance),
+         (("beta_mag_list", "varphi_list", "theta_list"), _compute_even_variance)),
+        n_max=40),
     "displacement_bs": Experiment(
-        "displacement_bs",
         ("input_kind", "input_beta_mag", "input_varphi", "T", "gamma_re",
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),
-        _plan_displacement_bs, _compute_displacement_bs),
+        ((("T_list",), _compute_displacement_bs),),
+        n_max=20, scale=ancilla_amplitude, two_mode=True),
 }
 
 
-def execute(cfg: ExperimentConfig, workers: int = 1):
+def _plan(exp: Experiment, cfg) -> list:
+    """(compute, cfg, n_max, point) for every grid point, in loop order."""
+    n_max = resolve_cutoff(cfg)
+    tasks = []
+    for grids, compute in exp.stages:
+        names = [g[:-len("_list")] for g in grids]
+        for values in itertools.product(*(getattr(cfg, g) for g in grids)):
+            tasks.append((compute, cfg, n_max, dict(zip(names, values))))
+    return tasks
+
+
+def _run_task(task) -> list:
+    compute, cfg, n_max, point = task
+    return compute(cfg, n_max, **point)
+
+
+def execute(cfg, workers: int = 1):
     """Expand the grid and evaluate it; returns (columns, rows) in grid order."""
     exp = REGISTRY[cfg.experiment]
-    tasks = exp.plan(cfg)
+    tasks = _plan(exp, cfg)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(exp.compute, tasks))
+            chunks = list(pool.map(_run_task, tasks))
     else:
-        chunks = [exp.compute(t) for t in tasks]
+        chunks = [_run_task(t) for t in tasks]
     return list(exp.columns), [row for chunk in chunks for row in chunk]

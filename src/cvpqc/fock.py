@@ -140,9 +140,6 @@ class PureState:
             raise ValueError("mode-count mismatch")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def density_operator(self) -> "DensityOperator":
         m = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityOperator(m, self.cutoff, self.modes, validate=False)
@@ -201,10 +198,6 @@ class DensityOperator:
 
 def annihilation(cutoff: FockCutoff) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff.dim, dtype=float)), 1).astype(complex)
-
-
-def creation(cutoff: FockCutoff) -> np.ndarray:
-    return annihilation(cutoff).conj().T
 
 
 def vacuum(cutoff: FockCutoff, modes: int = 1) -> PureState:
@@ -532,7 +525,7 @@ def mode_moments(state: PureState):
 
 
 def quadrature_variance(state: PureState, theta: float,
-                        tail_tol: float = 1e-6) -> float:
+                        tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Var X_theta from <a>, <a^2>, <a+ a>; vacuum gives 1/4."""
     if state.tail_mass > tail_tol:
         raise TailMassError(state.tail_mass, tail_tol, "quadrature variance input")

@@ -18,7 +18,7 @@ from .fock import (
     FockCutoff,
     PureState,
     SqueezeParam,
-    TailMassError,
+    _finish_state,
     annihilation,
     beam_splitter,
     coherent_amplitudes,
@@ -77,11 +77,7 @@ def even_coherent_state(param: EvenCoherentParam, cutoff: FockCutoff,
     raw[1::2] = 0.0  # enforce parity exactly instead of relying on cancellation
     raw[0::2] *= 2.0
     raw /= math.sqrt(2.0 * (1.0 + math.exp(-2.0 * b2)))
-    nrm2 = float(np.vdot(raw, raw).real)
-    tail = max(0.0, 1.0 - nrm2)
-    if tail > tail_tol:
-        raise TailMassError(tail, tail_tol, f"even coherent state |beta|={param.beta_mag}")
-    return PureState(raw / math.sqrt(nrm2), cutoff, tail_mass=tail)
+    return _finish_state(raw, cutoff, tail_tol, f"even coherent state |beta|={param.beta_mag}")
 
 
 def matching_varphi(phi_xi: float):
@@ -162,7 +158,7 @@ def quadrature_variance_even(param: EvenCoherentParam, cutoff: FockCutoff, theta
     """(exact, closed_form) variance of the even coherent state, per angle."""
     state = even_coherent_state(param, cutoff, tail_tol)
     t = np.atleast_1d(np.asarray(thetas, dtype=float))
-    exact = np.array([quadrature_variance(state, th) for th in t])
+    exact = np.array([quadrature_variance(state, th, tail_tol) for th in t])
     closed = even_variance_closed_form(param, t)
     if np.isscalar(thetas) or np.asarray(thetas).ndim == 0:
         return float(exact[0]), float(closed.reshape(-1)[0])
@@ -188,12 +184,8 @@ def displacement_via_beamsplitter(realization: BeamSplitterRealization,
     T = realization.transmission
     gamma = complex(realization.ancilla_amp)
 
-    anc_raw = coherent_amplitudes(gamma, cutoff)
-    anc_tail = max(0.0, 1.0 - float(np.vdot(anc_raw, anc_raw).real))
-    if anc_tail > tail_tol:
-        raise TailMassError(anc_tail, tail_tol,
+    ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), cutoff, tail_tol,
                             f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
-    ancilla = PureState(anc_raw / math.sqrt(1.0 - anc_tail), cutoff, tail_mass=anc_tail)
 
     both = tensor(input_state, ancilla)
     # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla

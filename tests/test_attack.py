@@ -1,4 +1,5 @@
 """Beam-splitter tap on a single branch: purity, entanglement, factorization."""
+import inspect
 import math
 
 import numpy as np
@@ -126,3 +127,8 @@ def test_factorization_matches_over_phase_grid():
     for phi in (0.0, math.pi / 2, math.pi):
         rep = verify_decomposition(0.7, SqueezeParam(0.3, phi), C60)
         assert rep.fidelity_sqrt2 >= 1 - 1e-9
+
+
+def test_attack_submodule_is_not_shadowed():
+    import cvpqc.attack
+    assert inspect.ismodule(cvpqc.attack)

@@ -11,6 +11,8 @@ import pytest
 import cvpqc
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
+from cvpqc.config import config_from_dict, validate
+from cvpqc.experiments import REGISTRY, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance, vacuum
 
 
@@ -53,6 +55,27 @@ def test_validate_warns_on_low_cutoff(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "below the heuristic minimum" in out
+
+
+@pytest.mark.parametrize("experiment, grid", [
+    (name, grid) for name, exp in REGISTRY.items() for grid in exp.grids])
+def test_validate_flags_each_empty_grid(experiment, grid):
+    rep = validate(config_from_dict({"experiment": experiment, grid: []}))
+    assert not rep.ok
+    assert any(repr(grid) in p for p in rep.problems)
+
+
+@pytest.mark.parametrize("doc, n_max", [
+    ({"experiment": "attack"}, 60),
+    ({"experiment": "nongauss_overlap"}, 40),
+    ({"experiment": "nongauss_variance"}, 40),
+    ({"experiment": "convergence", "b_list": [2.0]}, 59),
+    ({"experiment": "displacement_bs"}, 99),
+    ({"experiment": "displacement_bs", "eff_re": 0.0, "eff_im": 0.0}, 20),
+], ids=["attack", "nongauss_overlap", "nongauss_variance", "convergence-b2",
+        "displacement_bs", "displacement_bs-no_ancilla"])
+def test_default_cutoffs(doc, n_max):
+    assert resolve_cutoff(config_from_dict(doc)) == n_max
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -261,6 +284,17 @@ def test_non_finite_number_exits_2(tmp_path, capsys, command, field, value):
     assert f"field '{field}" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no limit on integer string length")
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"experiment": "attack", "cutoff": ' + "1" * 5000 + "}",
+                    encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_wrong_type_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="convergence", cutoff="big")
     assert main(["run", cfg]) == 2
@@ -278,6 +312,16 @@ def test_run_without_output_path_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="convergence", N_list=[1], cutoff=40)
     assert main(["run", cfg]) == 2
     assert "output path" in capsys.readouterr().err
+
+
+def test_variance_uses_the_config_tail_tol(tmp_path):
+    # the squeezed vacuum loses ~4.8e-6 at cutoff 24: inside tail_tol, so it must run
+    out = str(tmp_path / "rows.csv")
+    cfg = write_config(tmp_path, experiment="nongauss_variance", r_list=[0.8],
+                       beta_mag_list=[0.1], cutoff=24, tail_tol=1e-5, out=out)
+    assert main(["run", cfg]) == 0
+    cols, rows = read_csv(out)
+    assert [row[0] for row in rows] == ["squeezed_vacuum", "even_coherent"]
 
 
 def test_tail_mass_violation_exits_3(tmp_path, capsys):
