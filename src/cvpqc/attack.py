@@ -20,7 +20,10 @@ from .fock import (
     SqueezeParam,
     apply_mode_operator,
     beam_splitter_5050,
-    coherent_amplitudes,
+    coherent_state,
+    fidelity,
+    partial_trace,
+    purity,
     squeeze_operator,
     squeezed_coherent_state,
     tensor,
@@ -65,24 +68,18 @@ def _tap_output(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
 def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
            tail_tol: float = DEFAULT_TAIL_TOL) -> AttackReport:
     """Send squeeze(displace(|0>)) through the 50:50 tap and report both arms."""
-    out = _tap_output(alpha, xi, cutoff, tail_tol)
-    d = cutoff.dim
-    psi = out.amplitudes.reshape(d, d)  # [receiver, eavesdropper]
-    rho_b = psi @ psi.conj().T
-    rho_e = psi.T @ psi.conj()
-
+    out = _tap_output(alpha, xi, cutoff, tail_tol)  # modes: receiver, eavesdropper
+    rho_b = partial_trace(out, 0)
     expected = squeezed_coherent_state(xi.half(), alpha / _SQRT2, cutoff,
                                        tail_tol=tail_tol)
-    v = expected.amplitudes
-    fid = float((v.conj() @ rho_b @ v).real)
 
     return AttackReport(
         input_kind="coherent" if xi.r == 0.0 else "squeezed_coherent",
         alpha=complex(alpha),
         xi=xi,
-        bob_reduced_purity=float(np.linalg.norm(rho_b) ** 2),
-        eve_reduced_purity=float(np.linalg.norm(rho_e) ** 2),
-        bob_fidelity_vs_expected=fid,
+        bob_reduced_purity=purity(rho_b),
+        eve_reduced_purity=purity(partial_trace(out, 1)),
+        bob_fidelity_vs_expected=fidelity(expected, rho_b),
         entanglement_proxy=von_neumann_entropy(rho_b),
         tail_mass=out.tail_mass,
     )
@@ -111,14 +108,12 @@ class DecompositionReport:
         return self.best
 
 
-def _factorized_model(alpha_each: complex, xi: SqueezeParam,
-                      cutoff: FockCutoff) -> PureState:
+def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,
+                      tail_tol: float) -> PureState:
     """Local-squeeze(half) x2 . two-mode-squeeze(half) . displace(each arm)."""
     half = xi.half()
-    c = coherent_amplitudes(alpha_each, cutoff)
-    both = PureState(np.kron(c, c), cutoff, modes=2,
-                     tail_mass=max(0.0, 1.0 - float(np.vdot(c, c).real ** 2)))
-    state = two_mode_squeezer(half, cutoff).apply(both)
+    c = coherent_state(alpha_each, cutoff, tail_tol)
+    state = two_mode_squeezer(half, cutoff).apply(tensor(c, c))
     s = squeeze_operator(half, cutoff)
     state = apply_mode_operator(s, state, 0)
     return apply_mode_operator(s, state, 1)
@@ -130,7 +125,7 @@ def verify_decomposition(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
     lhs = _tap_output(alpha, xi, cutoff, tail_tol)
 
     def score(amp_each: complex) -> float:
-        rhs = _factorized_model(amp_each, xi, cutoff)
+        rhs = _factorized_model(amp_each, xi, cutoff, tail_tol)
         num = abs(np.vdot(lhs.amplitudes, rhs.amplitudes)) ** 2
         den = float(np.vdot(rhs.amplitudes, rhs.amplitudes).real)
         return float(num / den) if den > 0 else 0.0

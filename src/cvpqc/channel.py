@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -58,40 +58,6 @@ class ConformationSpec:
         return self.radius * np.exp(1j * self.angles())
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Full channel: N rings inside radius b, optional squeezing of every branch."""
-
-    N: int
-    b: float
-    xi: SqueezeParam = SqueezeParam(0.0)
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.b <= 0:
-            raise ValueError(f"boundary radius must be > 0, got {self.b}")
-
-    @property
-    def M(self) -> int:
-        return self.N * (self.N + 1) // 2
-
-    @property
-    def L(self) -> int:
-        return self.M + 1
-
-    @property
-    def secret_bits(self) -> float:
-        return math.log2(self.L)
-
-    def rings(self) -> Iterable[ConformationSpec]:
-        return (ConformationSpec(self.N, self.b, p) for p in range(1, self.N + 1))
-
-
-def secret_bits(N: int) -> float:
-    return ChannelSpec(N, 1.0).secret_bits
-
-
 # ---------------------------------------------------------------------------
 # key bookkeeping: lexicographic over (p, q), p major
 
@@ -100,17 +66,17 @@ def key_count(N: int) -> int:
     return N * (N + 1) // 2
 
 
+def secret_bits(N: int) -> float:
+    """log2 of the message alphabet: the M keys plus one."""
+    return math.log2(key_count(N) + 1)
+
+
 def key_to_ring(key_index: int, N: int):
     """Inverse of the lexicographic key layout; returns (p, q), both 1-based."""
     M = key_count(N)
     if not 0 <= key_index < M:
         raise ValueError(f"key index {key_index} outside [0, {M})")
-    p = int((math.isqrt(8 * key_index + 1) + 1) // 2)
-    # guard rounding at triangular-number boundaries
-    while p * (p - 1) // 2 > key_index:
-        p -= 1
-    while p * (p + 1) // 2 <= key_index:
-        p += 1
+    p = (math.isqrt(8 * key_index + 1) + 1) // 2  # exact: p(p-1)/2 <= k < p(p+1)/2
     q = key_index - p * (p - 1) // 2 + 1
     return p, q
 
@@ -151,7 +117,7 @@ def maximally_mixed(b: float, cutoff: FockCutoff,
     mass = float(diag.sum())
     if 1.0 - mass > tail_tol:
         raise TailMassError(1.0 - mass, tail_tol, f"disk-uniform state b={b}")
-    return DensityOperator(np.diag(diag.astype(complex)), cutoff, validate=False)
+    return DensityOperator(np.diag(diag.astype(complex)), cutoff)
 
 
 _NO_SQUEEZE = SqueezeParam(0.0)
@@ -170,7 +136,7 @@ def _key_average(rows: np.ndarray, xi: SqueezeParam, cutoff: FockCutoff,
     k = int(np.argmax(tails))
     if tails[k] > tail_tol:
         raise TailMassError(float(tails[k]), tail_tol, what(k))
-    return DensityOperator(rows.T @ rows.conj() / rows.shape[0], cutoff, validate=False)
+    return DensityOperator(rows.T @ rows.conj() / rows.shape[0], cutoff)
 
 
 def _coherent_rows(alphas, cutoff: FockCutoff) -> np.ndarray:
@@ -250,7 +216,7 @@ def decrypt(rho: DensityOperator, xi: SqueezeParam, key_index: int, N: int, b: f
     alpha = key_displacement(key_index, N, b)
     u = squeeze_operator(xi, cutoff) @ displacement_operator(alpha, cutoff)
     mat = u.conj().T @ rho.matrix @ u
-    return DensityOperator(mat, cutoff, validate=False)
+    return DensityOperator(mat, cutoff)
 
 
 def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,

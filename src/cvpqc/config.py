@@ -187,10 +187,10 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
 
     n_max = resolve_cutoff(cfg)
     d = n_max + 1
-    rep.info.append(f"cutoff n_max = {n_max}"
-                    + (" (heuristic default)" if cfg.cutoff is None else " (explicit)"))
-
     need = exp.heuristic_minimum(cfg)
+    how = "explicit" if cfg.cutoff is not None else "heuristic default" if need else "default"
+    rep.info.append(f"cutoff n_max = {n_max} ({how})")
+
     if n_max < need:
         rep.warnings.append(
             f"cutoff {n_max} is below the heuristic minimum {need} for amplitude "

@@ -14,7 +14,7 @@ Entropies are in bits (log base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -141,8 +141,10 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density_operator(self) -> "DensityOperator":
-        m = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(m, self.cutoff, self.modes, validate=False)
+        """|psi><psi| of a single-mode state; two-mode states reduce by partial_trace."""
+        if self.modes != 1:
+            raise ValueError("density_operator expects a single-mode state")
+        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.cutoff)
 
 
 def _finish_state(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float, what: str,
@@ -155,30 +157,19 @@ def _finish_state(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float, what: st
     return PureState(raw / math.sqrt(nrm2), cutoff, modes=modes, tail_mass=tail)
 
 
-@dataclass
 class DensityOperator:
-    """Hermitian PSD matrix with recorded mass (trace; < 1 quantifies truncation loss)."""
+    """Single-mode density matrix with recorded mass (trace; < 1 quantifies truncation loss).
 
-    matrix: np.ndarray
-    cutoff: FockCutoff
-    modes: int = 1
-    mass: float = field(default=0.0)
+    Only the shape and the trace are checked here.  Every library matrix is
+    Hermitian and positive semidefinite by construction (an average of
+    projectors, a conjugation, or a partial trace of a pure state).
+    """
 
-    HERMITICITY_TOL = 1e-12
-    EIG_FLOOR = -1e-10
-
-    def __init__(self, matrix, cutoff: FockCutoff, modes: int = 1, validate: bool = True):
+    def __init__(self, matrix, cutoff: FockCutoff):
         m = np.asarray(matrix, dtype=complex)
-        d = cutoff.dim ** modes
+        d = cutoff.dim
         if m.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d} for this cutoff, got {m.shape}")
-        if validate:
-            herm = float(np.max(np.abs(m - m.conj().T)))
-            if herm > self.HERMITICITY_TOL:
-                raise ValueError(f"matrix not Hermitian: max |M - M+| = {herm:.3e}")
-            lo = float(np.linalg.eigvalsh(m)[0])
-            if lo < self.EIG_FLOOR:
-                raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}")
         tr = complex(np.trace(m))
         if abs(tr.imag) > 1e-10:
             raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
@@ -188,7 +179,6 @@ class DensityOperator:
         m.setflags(write=False)
         self.matrix = m
         self.cutoff = cutoff
-        self.modes = modes
         self.mass = tr.real
 
 
@@ -434,21 +424,6 @@ def apply_mode_operator(op: np.ndarray, state: PureState, mode: int) -> PureStat
     return PureState(out.reshape(-1), state.cutoff, modes=2, tail_mass=state.tail_mass)
 
 
-def schmidt_coefficients(state: PureState) -> np.ndarray:
-    """Singular values of the mode-0/mode-1 split of a two-mode pure state."""
-    if state.modes != 2:
-        raise ValueError("expects a two-mode state")
-    d = state.cutoff.dim
-    return np.linalg.svd(state.amplitudes.reshape(d, d), compute_uv=False)
-
-
-def entanglement_entropy(state: PureState) -> float:
-    """Entropy (bits) of either reduced state of a two-mode pure state."""
-    w = schmidt_coefficients(state) ** 2
-    w = w[w > ENTROPY_CLIP]
-    return float(-(w * np.log2(w)).sum() + 0.0)  # +0.0 folds -0.0 into 0.0
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -470,22 +445,10 @@ def hs_distance(rho1, rho2) -> float:
     return float(np.linalg.norm(m1 - m2))
 
 
-def fidelity(a, b) -> float:
-    """Uhlmann fidelity; cheap paths for pure arguments."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return float(abs(a.overlap(b)) ** 2)
-    if isinstance(b, PureState):
-        a, b = b, a
-    if isinstance(a, PureState):
-        v = a.amplitudes
-        return float((v.conj() @ _as_matrix(b) @ v).real)
-    m1, m2 = _as_matrix(a), _as_matrix(b)
-    w, v = np.linalg.eigh(m1)
-    w = np.clip(w, 0.0, None)
-    sq = (v * np.sqrt(w)) @ v.conj().T
-    inner = sq @ m2 @ sq
-    ev = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sqrt(ev).sum() ** 2)
+def fidelity(state: PureState, rho: DensityOperator) -> float:
+    """<psi| rho |psi> of a pure state against a density operator."""
+    v = state.amplitudes
+    return float((v.conj() @ rho.matrix @ v).real)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -500,16 +463,20 @@ def purity(rho) -> float:
     return float(np.linalg.norm(m) ** 2)  # tr rho^2 for Hermitian rho
 
 
-def partial_trace(rho: DensityOperator, mode: int) -> DensityOperator:
-    """Reduced state of mode ``mode`` (0 or 1) of a two-mode density operator."""
-    if rho.modes != 2:
-        raise ValueError("partial trace expects a two-mode density operator")
+def partial_trace(state: PureState, mode: int) -> DensityOperator:
+    """Reduced state of mode ``mode`` (0 or 1) of a two-mode pure state.
+
+    With the amplitude matrix psi[i, j] = <i, j|state>, mode 0 keeps
+    psi psi+ and mode 1 keeps psi^T psi*; no two-mode density matrix is formed.
+    """
+    if state.modes != 2:
+        raise ValueError("partial trace expects a two-mode state")
     if mode not in (0, 1):
         raise ValueError("mode must be 0 or 1")
-    d = rho.cutoff.dim
-    m = rho.matrix.reshape(d, d, d, d)  # [i, j, i', j']
-    red = np.trace(m, axis1=1, axis2=3) if mode == 0 else np.trace(m, axis1=0, axis2=2)
-    return DensityOperator(red, rho.cutoff, modes=1, validate=False)
+    d = state.cutoff.dim
+    psi = state.amplitudes.reshape(d, d)
+    red = psi @ psi.conj().T if mode == 0 else psi.T @ psi.conj()
+    return DensityOperator(red, state.cutoff)
 
 
 def mode_moments(state: PureState):

@@ -14,7 +14,6 @@ import numpy as np
 
 from .fock import (
     DEFAULT_TAIL_TOL,
-    DensityOperator,
     FockCutoff,
     PureState,
     SqueezeParam,
@@ -23,6 +22,8 @@ from .fock import (
     beam_splitter,
     coherent_amplitudes,
     displacement_operator,
+    fidelity,
+    partial_trace,
     quadrature_variance,
     squeeze_operator,
     squeezed_vacuum_state,
@@ -191,13 +192,9 @@ def displacement_via_beamsplitter(realization: BeamSplitterRealization,
     # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla
     mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(both)
 
-    d = cutoff.dim
-    psi = mixed.amplitudes.reshape(d, d)
-    rho = psi @ psi.conj().T
-    signal = DensityOperator(rho, cutoff, validate=False)
+    signal = partial_trace(mixed, 0)
 
     ideal = displacement_operator(realization.effective_displacement, cutoff) \
         @ input_state.amplitudes
-    ideal = ideal / np.linalg.norm(ideal)
-    fid = float((ideal.conj() @ rho @ ideal).real / np.trace(rho).real)
-    return signal, fid
+    ideal = PureState(ideal / np.linalg.norm(ideal), cutoff)
+    return signal, fidelity(ideal, signal) / signal.mass

@@ -2,8 +2,9 @@
 
 Each one computes a library quantity a second, independent way: by
 exponentiating a truncated generator, from a closed form, or by
-materializing a block-structured operator densely.  None of them is used
-by any experiment.
+materializing a block-structured operator or a two-mode density matrix
+densely.  ``check_density`` holds the Hermiticity and positivity checks
+the library never runs.  None of them is used by any experiment.
 """
 import math
 
@@ -11,7 +12,11 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from cvpqc.fock import FockCutoff, TwoModeUnitary, annihilation
+from cvpqc.fock import (DensityOperator, FockCutoff, PureState, TwoModeUnitary,
+                        annihilation)
+
+HERMITICITY_TOL = 1e-12
+EIG_FLOOR = -1e-10
 
 
 def displacement_expm(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
@@ -60,3 +65,24 @@ def two_mode_inverse(u: TwoModeUnitary) -> TwoModeUnitary:
     """The adjoint, block by block."""
     inv = {label: (idx, blk.conj().T) for label, (idx, blk) in u.blocks.items()}
     return TwoModeUnitary(u.cutoff, inv, u.conserved)
+
+
+def partial_trace_dense(state: PureState, mode: int) -> np.ndarray:
+    """Reduced matrix of one mode of a two-mode pure state, traced out of the
+    full (dim^2 x dim^2) density matrix, which holds dim^4 entries."""
+    d = state.cutoff.dim
+    rho = np.outer(state.amplitudes, state.amplitudes.conj()).reshape(d, d, d, d)
+    # axes [i, j, i', j'] for |i>_0 |j>_1 <i'|_0 <j'|_1
+    return np.trace(rho, axis1=1, axis2=3) if mode == 0 else np.trace(rho, axis1=0, axis2=2)
+
+
+def check_density(rho: DensityOperator) -> None:
+    """Raise ValueError unless the matrix is Hermitian and positive semidefinite
+    (DensityOperator itself checks only the shape and a trace in (0, 1])."""
+    m = rho.matrix
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"matrix not Hermitian: max |M - M+| = {herm:.3e}")
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if lo < EIG_FLOOR:
+        raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}")

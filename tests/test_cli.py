@@ -65,17 +65,21 @@ def test_validate_flags_each_empty_grid(experiment, grid):
     assert any(repr(grid) in p for p in rep.problems)
 
 
-@pytest.mark.parametrize("doc, n_max", [
-    ({"experiment": "attack"}, 60),
-    ({"experiment": "nongauss_overlap"}, 40),
-    ({"experiment": "nongauss_variance"}, 40),
-    ({"experiment": "convergence", "b_list": [2.0]}, 59),
-    ({"experiment": "displacement_bs"}, 99),
-    ({"experiment": "displacement_bs", "eff_re": 0.0, "eff_im": 0.0}, 20),
+@pytest.mark.parametrize("doc, n_max, how", [
+    ({"experiment": "attack"}, 60, "default"),
+    ({"experiment": "nongauss_overlap"}, 40, "default"),
+    ({"experiment": "nongauss_variance"}, 40, "default"),
+    ({"experiment": "convergence", "b_list": [2.0]}, 59, "heuristic default"),
+    ({"experiment": "displacement_bs"}, 99, "heuristic default"),
+    ({"experiment": "displacement_bs", "eff_re": 0.0, "eff_im": 0.0}, 20, "default"),
+    ({"experiment": "mmstate"}, 59, "heuristic default"),
+    ({"experiment": "attack", "cutoff": 60}, 60, "explicit"),
 ], ids=["attack", "nongauss_overlap", "nongauss_variance", "convergence-b2",
-        "displacement_bs", "displacement_bs-no_ancilla"])
-def test_default_cutoffs(doc, n_max):
-    assert resolve_cutoff(config_from_dict(doc)) == n_max
+        "displacement_bs", "displacement_bs-no_ancilla", "mmstate", "attack-explicit"])
+def test_default_cutoffs(doc, n_max, how):
+    cfg = config_from_dict(doc)
+    assert resolve_cutoff(cfg) == n_max
+    assert f"cutoff n_max = {n_max} ({how})" in validate(cfg).info
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

@@ -4,6 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from cvpqc.channel import (
+    ConformationSpec,
+    channel_output,
+    conformation_ring,
+    decrypt,
+    encrypt,
+    maximally_mixed,
+    mixture_gamma,
+    squeezed_conformation,
+    squeezed_mixture,
+)
 from cvpqc.fock import (
     DensityOperator,
     FockCutoff,
@@ -17,7 +28,6 @@ from cvpqc.fock import (
     coherent_amplitudes,
     coherent_state,
     displacement_operator,
-    entanglement_entropy,
     fidelity,
     fock_state,
     heuristic_cutoff,
@@ -36,7 +46,19 @@ from cvpqc.fock import (
     vacuum,
     von_neumann_entropy,
 )
-from oracles import displacement_expm, two_mode_dense, two_mode_inverse
+from cvpqc.nongauss import (
+    BeamSplitterRealization,
+    EvenCoherentParam,
+    displacement_via_beamsplitter,
+    even_coherent_state,
+)
+from oracles import (
+    check_density,
+    displacement_expm,
+    partial_trace_dense,
+    two_mode_dense,
+    two_mode_inverse,
+)
 
 C40 = FockCutoff(40)
 C60 = FockCutoff(60)
@@ -323,22 +345,32 @@ def test_entropy_of_flat_diagonal_state():
 def test_partial_trace_of_product_state_is_pure():
     cut = FockCutoff(30)
     half = coherent_state(1.0 / math.sqrt(2.0), cut)
-    rho = tensor(half, half).density_operator()
+    both = tensor(half, half)
     for mode in (0, 1):
-        red = partial_trace(rho, mode)
+        red = partial_trace(both, mode)
         assert purity(red) >= 1 - 1e-8
         assert abs(fidelity(half, red) - 1.0) < 1e-8
 
 
 def test_partial_trace_requires_two_modes():
     with pytest.raises(ValueError):
-        partial_trace(vacuum(C40).density_operator(), 0)
+        partial_trace(vacuum(C40), 0)
+
+
+def test_partial_trace_of_tap_matches_dense_oracle():
+    cut = FockCutoff(12)
+    sig = squeezed_coherent_state(SqueezeParam(0.4, 0.9), 0.6 - 0.3j, cut)
+    out = beam_splitter_5050(cut).apply(tensor(sig, vacuum(cut)))
+    for mode in (0, 1):
+        red = partial_trace(out, mode)
+        assert np.max(np.abs(red.matrix - partial_trace_dense(out, mode))) < 1e-14
 
 
 def test_entanglement_entropy_of_product_state_is_zero():
     cut = FockCutoff(20)
     st = tensor(coherent_state(0.7, cut), coherent_state(-0.2, cut))
-    assert entanglement_entropy(st) < 1e-10
+    for mode in (0, 1):
+        assert von_neumann_entropy(partial_trace(st, mode)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +422,7 @@ def test_density_validation_rejects_non_hermitian():
     m[0, 0] = 1.0
     m[0, 1] = 1e-6
     with pytest.raises(ValueError):
-        DensityOperator(m, C40)
+        check_density(DensityOperator(m, C40))
 
 
 def test_density_validation_rejects_negative_eigenvalue():
@@ -398,7 +430,7 @@ def test_density_validation_rejects_negative_eigenvalue():
     m[0, 0] = 1.1
     m[1, 1] = -0.1
     with pytest.raises(ValueError):
-        DensityOperator(m, C40)
+        check_density(DensityOperator(m, C40))
 
 
 def test_density_validation_rejects_excess_trace():
@@ -406,13 +438,41 @@ def test_density_validation_rejects_excess_trace():
         DensityOperator(np.eye(41, dtype=complex), C40)
 
 
-def test_module_outputs_pass_validation():
-    # re-validate matrices produced by the constructors
-    for rho in (
-        coherent_state(0.5, C40).density_operator(),
-        squeezed_vacuum_state(SqueezeParam(0.4, 0.7), C60).density_operator(),
-    ):
-        DensityOperator(rho.matrix, rho.cutoff, modes=rho.modes)  # must not raise
+_C30 = FockCutoff(30)
+_XI = SqueezeParam(0.3, 0.7)
+_RING = ConformationSpec(4, 1.5, 3)
+
+
+def _tap_arm(mode):
+    sig = squeezed_coherent_state(SqueezeParam(0.5, 1.3), 0.8, _C30)
+    return partial_trace(beam_splitter_5050(_C30).apply(tensor(sig, vacuum(_C30))), mode)
+
+
+# every library call that returns a DensityOperator
+_DENSITY_OUTPUTS = {
+    "coherent_projector": lambda: coherent_state(0.5, C40).density_operator(),
+    "squeezed_vacuum_projector":
+        lambda: squeezed_vacuum_state(SqueezeParam(0.4, 0.7), C60).density_operator(),
+    "maximally_mixed": lambda: maximally_mixed(1.5, _C30),
+    "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
+    "mixture_gamma": lambda: mixture_gamma(4, 1.5, _C30),
+    "squeezed_conformation": lambda: squeezed_conformation(_RING, _XI, _C30),
+    "squeezed_mixture": lambda: squeezed_mixture(4, 1.5, _XI, _C30),
+    "encrypt": lambda: encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30),
+    "decrypt": lambda: decrypt(encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30), _XI, 7, 4, 1.5,
+                               _C30),
+    "channel_output": lambda: channel_output(0.4 + 0.2j, _XI, 4, 1.5, _C30),
+    "tap_receiver_arm": lambda: _tap_arm(0),
+    "tap_eavesdropper_arm": lambda: _tap_arm(1),
+    "displacement_bs_signal": lambda: displacement_via_beamsplitter(
+        BeamSplitterRealization(0.1, 0.9),
+        even_coherent_state(EvenCoherentParam(0.8, 0.3), C40), C40)[0],
+}
+
+
+@pytest.mark.parametrize("make", _DENSITY_OUTPUTS.values(), ids=_DENSITY_OUTPUTS.keys())
+def test_module_outputs_pass_validation(make):
+    check_density(make())  # must not raise
 
 
 # ---------------------------------------------------------------------------
