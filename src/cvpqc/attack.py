@@ -18,16 +18,12 @@ from .fock import (
     FockCutoff,
     PureState,
     SqueezeParam,
-    apply_mode_operator,
     beam_splitter_5050,
-    coherent_state,
     fidelity,
     partial_trace,
     purity,
-    squeeze_operator,
     squeezed_coherent_state,
     tensor,
-    two_mode_squeezer,
     vacuum,
     von_neumann_entropy,
 )
@@ -82,56 +78,4 @@ def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
         bob_fidelity_vs_expected=fidelity(expected, rho_b),
         entanglement_proxy=von_neumann_entropy(rho_b),
         tail_mass=out.tail_mass,
-    )
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Fit of the factorized tap model against direct simulation.
-
-    The model: local squeezers at half strength on both arms, a two-mode
-    squeezer at half strength across them, and equal displacements on both
-    arms.  Two displacement conventions are scored, amplitude/2 and
-    amplitude/sqrt(2); ``best`` is the larger fidelity.
-    """
-
-    alpha: complex
-    xi: SqueezeParam
-    fidelity_half: float
-    fidelity_sqrt2: float
-
-    @property
-    def best(self) -> float:
-        return max(self.fidelity_half, self.fidelity_sqrt2)
-
-    def __float__(self) -> float:
-        return self.best
-
-
-def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,
-                      tail_tol: float) -> PureState:
-    """Local-squeeze(half) x2 . two-mode-squeeze(half) . displace(each arm)."""
-    half = xi.half()
-    c = coherent_state(alpha_each, cutoff, tail_tol)
-    state = two_mode_squeezer(half, cutoff).apply(tensor(c, c))
-    s = squeeze_operator(half, cutoff)
-    state = apply_mode_operator(s, state, 0)
-    return apply_mode_operator(s, state, 1)
-
-
-def verify_decomposition(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
-                         tail_tol: float = DEFAULT_TAIL_TOL) -> DecompositionReport:
-    """Score the factorized tap model under both displacement conventions."""
-    lhs = _tap_output(alpha, xi, cutoff, tail_tol)
-
-    def score(amp_each: complex) -> float:
-        rhs = _factorized_model(amp_each, xi, cutoff, tail_tol)
-        num = abs(np.vdot(lhs.amplitudes, rhs.amplitudes)) ** 2
-        den = float(np.vdot(rhs.amplitudes, rhs.amplitudes).real)
-        return float(num / den) if den > 0 else 0.0
-
-    return DecompositionReport(
-        alpha=complex(alpha), xi=xi,
-        fidelity_half=score(alpha / 2.0),
-        fidelity_sqrt2=score(alpha / _SQRT2),
     )

@@ -197,11 +197,11 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
             f"scale {exp.scale(cfg):.3g}; expect tail-mass failures")
 
     if exp.two_mode:
-        two = d * d
+        blocks = (2 * d ** 3 + d) // 3
         rep.info.append(
-            f"two-mode basis dimension {two} ({d} per mode); a dense two-mode matrix "
-            f"would hold {two}^2 = {two * two} complex entries (~{_mb(two * two):.1f} MB); "
-            f"block structure keeps the working set near {two} amplitudes")
+            f"two-mode basis dimension {d * d} ({d} per mode); the beam splitter "
+            f"holds {blocks} complex block entries (~{_mb(blocks):.1f} MB), "
+            f"cached for one angle at a time")
     else:
         rep.info.append(
             f"basis dimension {d}; density matrices hold {d * d} complex entries "

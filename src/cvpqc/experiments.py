@@ -102,10 +102,10 @@ def _compute_conformation(cfg, n_max, N, b, r, phi):
 
 
 def _compute_convergence(cfg, n_max, N, b, r=0.0, phi=0.0):
-    row = channel.convergence_sweep([N], b, SqueezeParam(r, phi),
-                                    FockCutoff(n_max), cfg.tail_tol)[0]
-    return [(row.N, row.b, row.r, row.phi, row.cutoff, row.d_hs,
-             row.d_hs_times_Np1, row.triangle_bound, row.entropy)]
+    xi = SqueezeParam(r, phi)
+    d_hs, bound, entropy = channel.convergence_point(N, b, xi, FockCutoff(n_max),
+                                                     cfg.tail_tol)
+    return [(N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)]
 
 
 # --- beam-splitter tap -------------------------------------------------------

@@ -198,30 +198,27 @@ def vacuum(cutoff: FockCutoff, modes: int = 1) -> PureState:
     return PureState(amp, cutoff, modes=modes, tail_mass=0.0)
 
 
-def fock_state(n: int, cutoff: FockCutoff) -> PureState:
-    if not 0 <= n <= cutoff.n_max:
-        raise ValueError(f"level {n} outside cutoff {cutoff.n_max}")
-    amp = np.zeros(cutoff.dim, dtype=complex)
-    amp[n] = 1.0
-    return PureState(amp, cutoff, tail_mass=0.0)
+def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
+    """Exact amplitudes e^{-|a|^2/2} a^n / sqrt(n!), truncated (not renormalized).
 
-
-def coherent_amplitudes(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
-    """Exact amplitudes e^{-|a|^2/2} a^n / sqrt(n!), truncated (not renormalized)."""
+    ``alpha`` is one amplitude, or a 1-D array of them for one row per alpha.
+    """
+    scalar = np.ndim(alpha) == 0
+    alphas = [alpha] if scalar else alpha
     n = cutoff.levels()
-    if alpha == 0:
-        amp = np.zeros(cutoff.dim, dtype=complex)
-        amp[0] = 1.0
-        return amp
-    # log-space magnitudes keep large |alpha| from overflowing the factorial ratio
-    logmag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1) - abs(alpha) ** 2 / 2.0
-    return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
-
-
-def coherent_state(alpha: complex, cutoff: FockCutoff,
-                   tail_tol: float = DEFAULT_TAIL_TOL) -> PureState:
-    raw = coherent_amplitudes(alpha, cutoff)
-    return _finish_state(raw, cutoff, tail_tol, f"coherent state alpha={alpha}")
+    rows = np.zeros((len(alphas), cutoff.dim), dtype=complex)
+    rows[:, 0] = 1.0  # alpha = 0 keeps this vacuum row exactly
+    nonzero = [k for k, a in enumerate(alphas) if a != 0]
+    if nonzero:
+        # per-alpha scalars in scalar arithmetic: np.log and np.angle over an array
+        # can differ in the last bit, and a row must not depend on its batch
+        log_abs, half_sq, angle = np.array(
+            [(math.log(abs(alphas[k])), abs(alphas[k]) ** 2 / 2.0, np.angle(alphas[k]))
+             for k in nonzero]).T[:, :, None]
+        # log-space magnitudes keep large |alpha| from overflowing the factorial ratio
+        logmag = n * log_abs - 0.5 * gammaln(n + 1) - half_sq
+        rows[nonzero] = np.exp(logmag) * np.exp(1j * n * angle)
+    return rows[0] if scalar else rows
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +331,15 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 class TwoModeUnitary:
-    """Two-mode unitary stored block-diagonally over a conserved index.
+    """Photon-number-conserving two-mode unitary, stored block-diagonally over
+    the total photon number s = i + j.
 
-    ``key`` maps a basis pair (i, j) to its conserved block label (i+j for
-    photon-number-conserving generators, i-j for pair creation/annihilation).
     Each block is exactly unitary, so the whole operator is.
     """
 
-    def __init__(self, cutoff: FockCutoff, blocks, conserved: str):
+    def __init__(self, cutoff: FockCutoff, blocks):
         self.cutoff = cutoff
-        self.blocks = blocks  # label -> (i-index array, block matrix)
-        self.conserved = conserved
+        self.blocks = blocks  # s -> (i-index array, block matrix)
 
     def apply(self, state: PureState) -> PureState:
         if state.modes != 2 or state.cutoff != self.cutoff:
@@ -352,22 +347,21 @@ class TwoModeUnitary:
         d = self.cutoff.dim
         psi = state.amplitudes.reshape(d, d)
         out = np.zeros_like(psi)
-        for _, (idx, blk) in self.blocks.items():
-            jdx = self._partner(idx, _)
-            out[idx, jdx] = blk @ psi[idx, jdx]
+        for s, (idx, blk) in self.blocks.items():
+            out[idx, s - idx] = blk @ psi[idx, s - idx]
         return PureState(out.reshape(-1), self.cutoff, modes=2,
                          tail_mass=state.tail_mass)
 
-    def _partner(self, idx, label):
-        return label - idx if self.conserved == "sum" else idx - label
 
-
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
     """exp[theta (a0 a1+ - a0+ a1)]; mode-0 annihilation maps to a0 cos + a1 sin.
 
     Conserves total photon number, so it is exponentiated block-by-block
-    (each block exactly unitary).  Cached; treat the result as read-only.
+    (each block exactly unitary).  Its (2d^3 + d)/3 block entries are cached
+    for the last angle only: the tap reuses one angle across its grid, and
+    the ancilla displacement asks for a new one at every transmission.
+    Treat the result as read-only.
     """
     d = cutoff.dim
     blocks = {}
@@ -382,7 +376,7 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
             if i + 1 <= hi:
                 gen[a_ + 1, a_] -= math.sqrt(i + 1) * math.sqrt(j)  # -a0+ a1
         blocks[s] = (idx, expm(theta * gen).astype(complex))
-    return TwoModeUnitary(cutoff, blocks, "sum")
+    return TwoModeUnitary(cutoff, blocks)
 
 
 def beam_splitter_5050(cutoff: FockCutoff) -> TwoModeUnitary:
@@ -390,59 +384,17 @@ def beam_splitter_5050(cutoff: FockCutoff) -> TwoModeUnitary:
     return beam_splitter(math.pi / 4.0, cutoff)
 
 
-@lru_cache(maxsize=16)
-def two_mode_squeezer(zeta: SqueezeParam, cutoff: FockCutoff) -> TwoModeUnitary:
-    """exp[conj(z) a0 a1 - z a0+ a1+]; conserves the photon-number difference.
-
-    Cached; treat the result as read-only.
-    """
-    d = cutoff.dim
-    z = zeta.xi
-    blocks = {}
-    for diff in range(-(d - 1), d):
-        idx = np.arange(diff, d) if diff >= 0 else np.arange(0, d + diff)
-        gen = np.zeros((len(idx), len(idx)), dtype=complex)
-        for a_, i in enumerate(idx):
-            j = i - diff
-            if a_ - 1 >= 0:
-                gen[a_ - 1, a_] += np.conj(z) * math.sqrt(i) * math.sqrt(j)
-            if a_ + 1 < len(idx):
-                gen[a_ + 1, a_] -= z * math.sqrt(i + 1) * math.sqrt(j + 1)
-        blocks[diff] = (idx, expm(gen))
-    return TwoModeUnitary(cutoff, blocks, "difference")
-
-
-def apply_mode_operator(op: np.ndarray, state: PureState, mode: int) -> PureState:
-    """Apply a single-mode operator to one mode of a two-mode state."""
-    if state.modes != 2:
-        raise ValueError("expects a two-mode state")
-    d = state.cutoff.dim
-    if op.shape != (d, d):
-        raise ValueError("operator dimension does not match the cutoff")
-    psi = state.amplitudes.reshape(d, d)
-    out = op @ psi if mode == 0 else psi @ op.T
-    return PureState(out.reshape(-1), state.cutoff, modes=2, tail_mass=state.tail_mass)
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
 
-def _as_matrix(x) -> np.ndarray:
-    return x.matrix if isinstance(x, DensityOperator) else np.asarray(x, dtype=complex)
-
-
-def hs_distance(rho1, rho2) -> float:
+def hs_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:
     """sqrt(tr (rho1 - rho2)^2); equals the Frobenius norm for Hermitian arguments.
 
     Orthogonal pure states are at distance sqrt(2).
     """
-    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
-    if m1.shape != m2.shape:
-        raise ValueError(f"dimension mismatch: {m1.shape} vs {m2.shape}")
-    if isinstance(rho1, DensityOperator) and isinstance(rho2, DensityOperator):
-        _check_same_cutoff(rho1, rho2)
-    return float(np.linalg.norm(m1 - m2))
+    _check_same_cutoff(rho1, rho2)
+    return float(np.linalg.norm(rho1.matrix - rho2.matrix))
 
 
 def fidelity(state: PureState, rho: DensityOperator) -> float:
@@ -451,16 +403,15 @@ def fidelity(state: PureState, rho: DensityOperator) -> float:
     return float((v.conj() @ rho.matrix @ v).real)
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho: DensityOperator) -> float:
     """-tr rho log2 rho with eigenvalues below the clip treated as exact zeros."""
-    w = np.linalg.eigvalsh(_as_matrix(rho))
+    w = np.linalg.eigvalsh(rho.matrix)
     w = w[w > ENTROPY_CLIP]
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
-def purity(rho) -> float:
-    m = _as_matrix(rho)
-    return float(np.linalg.norm(m) ** 2)  # tr rho^2 for Hermitian rho
+def purity(rho: DensityOperator) -> float:
+    return float(np.linalg.norm(rho.matrix) ** 2)  # tr rho^2 for Hermitian rho
 
 
 def partial_trace(state: PureState, mode: int) -> DensityOperator:

@@ -1,9 +1,8 @@
 """Even coherent states and how well they mimic weakly squeezed vacua.
 
-Covers the small-parameter overlap between the two families, the
-first-order truncation of the squeezer, quadrature-variance closed forms,
-and the realization of a displacement by mixing with a strong coherent
-ancilla on a highly reflective beam splitter.
+Covers the small-parameter overlap between the two families,
+quadrature-variance closed forms, and the realization of a displacement by
+mixing with a strong coherent ancilla on a highly reflective beam splitter.
 """
 from __future__ import annotations
 
@@ -18,14 +17,12 @@ from .fock import (
     PureState,
     SqueezeParam,
     _finish_state,
-    annihilation,
     beam_splitter,
     coherent_amplitudes,
     displacement_operator,
     fidelity,
     partial_trace,
     quadrature_variance,
-    squeeze_operator,
     squeezed_vacuum_state,
     tensor,
     wrap_angle,
@@ -81,12 +78,6 @@ def even_coherent_state(param: EvenCoherentParam, cutoff: FockCutoff,
     return _finish_state(raw, cutoff, tail_tol, f"even coherent state |beta|={param.beta_mag}")
 
 
-def matching_varphi(phi_xi: float):
-    """The two amplitude arguments that align an even coherent state with a
-    squeezed vacuum of argument phi_xi: (phi_xi +/- pi) / 2."""
-    return wrap_angle((phi_xi + math.pi) / 2.0), wrap_angle((phi_xi - math.pi) / 2.0)
-
-
 def overlap_even_vs_squeezed(param: EvenCoherentParam, xi: SqueezeParam,
                              cutoff: FockCutoff,
                              tail_tol: float = DEFAULT_TAIL_TOL):
@@ -102,26 +93,6 @@ def overlap_even_vs_squeezed(param: EvenCoherentParam, xi: SqueezeParam,
     exact = float(abs(np.vdot(ec.amplitudes, sv.amplitudes)) ** 2)
     approx = 1.0 - param.beta_mag ** 2 * xi.r * math.cos(2.0 * param.varphi - xi.phi)
     return exact, approx
-
-
-def truncated_squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
-    """First-order squeezer: 1 + (conj(xi)/2) a^2 - (xi/2) a+^2."""
-    a = annihilation(cutoff)
-    z = xi.xi
-    eye = np.eye(cutoff.dim, dtype=complex)
-    return eye + (np.conj(z) / 2.0) * (a @ a) - (z / 2.0) * (a.conj().T @ a.conj().T)
-
-
-def truncated_squeeze_check(xi: SqueezeParam, cutoff: FockCutoff) -> float:
-    """Norm of (full squeezer - first-order squeezer) on the low Fock block.
-
-    Restricted to levels n <= n_max/3 so the comparison is free of
-    truncation-boundary artifacts; the value scales as O(r^2).
-    """
-    full = squeeze_operator(xi, cutoff)
-    trunc = truncated_squeeze_operator(xi, cutoff)
-    lo = cutoff.n_max // 3 + 1
-    return float(np.linalg.norm(full[:lo, :lo] - trunc[:lo, :lo]))
 
 
 # ---------------------------------------------------------------------------

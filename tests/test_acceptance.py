@@ -9,17 +9,9 @@ import numpy as np
 import pytest
 
 from cvpqc.attack import attack
-from cvpqc.channel import (
-    channel_output,
-    conformation_ring,
-    distance_to_mm,
-    k_factor,
-    mixture_gamma,
-    secret_bits,
-    squeezed_vacuum_distance_closed_form,
-    vacuum_weight,
-)
+from cvpqc.channel import convergence_point, k_factor, mixture_gamma, vacuum_weight
 from cvpqc.fock import (
+    DensityOperator,
     FockCutoff,
     SqueezeParam,
     coherent_amplitudes,
@@ -37,13 +29,19 @@ from cvpqc.nongauss import (
     displacement_via_beamsplitter,
     even_coherent_state,
     even_variance_approx,
-    matching_varphi,
     overlap_even_vs_squeezed,
     quadrature_variance_even,
     squeezed_vacuum_variance,
     squeezed_vacuum_variance_approx,
 )
-from oracles import ring_analytic_matrix
+from oracles import (
+    channel_output,
+    conformation_ring,
+    matching_varphi,
+    ring_analytic_matrix,
+    secret_bits,
+    squeezed_vacuum_distance_closed_form,
+)
 
 
 @pytest.fixture
@@ -61,7 +59,7 @@ def test_criterion_01_mixture_converges_to_disk_target(report):
     b = 2.0
     cut = FockCutoff(heuristic_cutoff(b))  # 59
     Ns = [2, 4, 8, 16, 32]
-    ds = [float(distance_to_mm(N, b, SqueezeParam(0.0), cut)) for N in Ns]
+    ds = [convergence_point(N, b, SqueezeParam(0.0), cut)[0] for N in Ns]
     decreasing = all(a > bb for a, bb in zip(ds, ds[1:]))
     products = {N: d * (N + 1) for N, d in zip(Ns, ds)}
     banded = all(0.5 <= products[N] <= 2.0 for N in (8, 16, 32))
@@ -77,9 +75,9 @@ def test_criterion_02_squeezed_vacuum_distance_closed_form(report):
     for r in (0.1, 0.2, 0.5, 1.0):
         cut = FockCutoff(120 if r >= 1.0 else 60)
         col = squeeze_operator(SqueezeParam(r), cut)[:, 0]
-        sv = np.outer(col, col.conj())
+        sv = DensityOperator(np.outer(col, col.conj()), cut)
         vac = vacuum(cut).density_operator()
-        numeric = hs_distance(sv, vac.matrix)
+        numeric = hs_distance(sv, vac)
         worst = max(worst, abs(numeric - squeezed_vacuum_distance_closed_form(r)))
     ok = worst <= 1e-8
     assert report(2, "squeezed-vacuum distance closed form", ok), f"worst error {worst}"
@@ -129,8 +127,8 @@ def test_criterion_05_triangle_bound(report):
     for N in (2, 4, 8, 16, 32):
         for r in (0.2, 0.5):
             for phi in (0.0, math.pi / 3):
-                rep = distance_to_mm(N, 2.0, SqueezeParam(r, phi), cut)
-                slack = rep.d_hs - rep.triangle_bound
+                d_hs, bound, _ = convergence_point(N, 2.0, SqueezeParam(r, phi), cut)
+                slack = d_hs - bound
                 worst_slack = max(worst_slack, slack)
                 ok = ok and slack <= 1e-12
     assert report(5, "triangle bound on the squeezed distance", ok), (

@@ -7,28 +7,18 @@ from scipy.integrate import simpson
 
 from cvpqc.channel import (
     ConformationSpec,
-    channel_output,
-    conformation,
-    conformation_ring,
-    convergence_sweep,
-    decrypt,
-    distance_to_mm,
-    encrypt,
+    convergence_point,
     k_factor,
     key_count,
-    key_displacement,
     key_displacements,
     key_to_ring,
     maximally_mixed,
     mixture_gamma,
-    random_key,
-    secret_bits,
-    squeezed_conformation,
     squeezed_mixture,
-    squeezed_projector_prefactor,
-    squeezed_vacuum_distance_closed_form,
     vacuum_weight,
 )
+from cvpqc.config import config_from_dict
+from cvpqc.experiments import execute
 from cvpqc.fock import (
     FockCutoff,
     SqueezeParam,
@@ -42,7 +32,17 @@ from cvpqc.fock import (
     vacuum,
     von_neumann_entropy,
 )
-from oracles import ring_analytic_matrix
+from oracles import (
+    channel_output,
+    conformation_ring,
+    decrypt,
+    encrypt,
+    ring_analytic_matrix,
+    secret_bits,
+    squeezed_conformation,
+    squeezed_projector_prefactor,
+    squeezed_vacuum_distance_closed_form,
+)
 
 C59 = FockCutoff(59)
 C60 = FockCutoff(60)
@@ -137,15 +137,6 @@ def test_key_displacement_matches_ring_schedule():
         p, q = key_to_ring(k, N)
         expect = (p - 1) * b / N * np.exp(1j * np.pi / p * (2 * q - 1))
         assert abs(disp[k] - expect) < 1e-14
-        assert abs(key_displacement(k, N, b) - expect) < 1e-14
-
-
-def test_random_key_in_range_and_seeded():
-    rng = np.random.default_rng(5)
-    ks = [random_key(6, rng) for _ in range(50)]
-    assert all(0 <= k < 21 for k in ks)
-    rng2 = np.random.default_rng(5)
-    assert ks == [random_key(6, rng2) for _ in range(50)]
 
 
 def test_secret_bits_identity():
@@ -160,7 +151,8 @@ def test_secret_bits_identity():
 
 
 def test_innermost_ring_is_vacuum_projector():
-    rho = conformation(ConformationSpec(4, 2.0, 1), C59)
+    spec = ConformationSpec(4, 2.0, 1)
+    rho = conformation_ring(spec.p, spec.radius, C59)
     expect = np.zeros((60, 60), dtype=complex)
     expect[0, 0] = 1.0
     assert np.max(np.abs(rho.matrix - expect)) < 1e-14
@@ -205,7 +197,8 @@ def test_mixture_is_ring_average_weighted_by_population():
     M = key_count(N)
     acc = np.zeros((60, 60), dtype=complex)
     for p in range(1, N + 1):
-        acc += p * conformation(ConformationSpec(N, b, p), cut).matrix
+        spec = ConformationSpec(N, b, p)
+        acc += p * conformation_ring(p, spec.radius, cut).matrix
     acc /= M
     mix = mixture_gamma(N, b, cut)
     assert np.max(np.abs(mix.matrix - acc)) < 1e-12
@@ -225,7 +218,7 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
 def test_squeezed_conformation_at_zero_squeezing_reduces():
     spec = ConformationSpec(4, 2.0, 3)
     a = squeezed_conformation(spec, SqueezeParam(0.0), C59)
-    b = conformation(spec, C59)
+    b = conformation_ring(spec.p, spec.radius, C59)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-14
 
 
@@ -296,7 +289,7 @@ def test_projector_prefactor_converges_linearly_in_r():
 def test_encrypt_zero_message_zero_squeeze_is_key_projector():
     N, b, k = 4, 2.0, 7
     rho = encrypt(0.0, SqueezeParam(0.0), k, N, b, C59)
-    col = coherent_amplitudes(key_displacement(k, N, b), C59)
+    col = coherent_amplitudes(key_displacements(N, b)[k], C59)
     assert np.max(np.abs(rho.matrix - np.outer(col, col.conj()))) < 1e-12
 
 
@@ -311,7 +304,7 @@ def test_decrypt_recovers_message():
     assert overlap >= 1 - 1e-8
     # the branch against S D(alpha)|beta> from the Laguerre matrix, at a key where
     # the closed form's phase e^{i Im(alpha conj(beta))} is not 1
-    alpha = key_displacement(k, N, b)
+    alpha = key_displacements(N, b)[k]
     assert abs((alpha * np.conj(beta)).imag) > 0.1
     row = squeeze_operator(xi, C60) @ displacement_operator(alpha, C60) @ msg
     assert np.max(np.abs(branch.matrix - np.outer(row, row.conj()))[:40, :40]) < 1e-12
@@ -360,22 +353,23 @@ def test_encrypt_tail_failure_names_key():
 # distances and convergence
 
 
-def test_distance_report_float_protocol():
-    rep = distance_to_mm(2, 2.0, SqueezeParam(0.0), C59)
-    assert float(rep) == rep.d_hs
-    assert rep.d_squeeze == 0.0
-    assert rep.d_coherent == rep.d_hs
+def test_unsqueezed_point_has_tight_triangle_bound():
+    # r = 0: d_hs is the distance to the plain mixture, and the bound adds nothing
+    d_hs, bound, _ = convergence_point(2, 2.0, SqueezeParam(0.0), C59)
+    assert d_hs == hs_distance(maximally_mixed(2.0, C59), mixture_gamma(2, 2.0, C59))
+    assert bound == d_hs
 
 
 def test_squeezed_vacuum_distance_closed_form_against_numeric():
     r = 0.2
-    rep = distance_to_mm(1, 2.0, SqueezeParam(r), C60)
     # N=1: plain mixture is the vacuum, squeezed mixture is a squeezed vacuum
-    assert abs(rep.d_squeeze - squeezed_vacuum_distance_closed_form(r)) < 1e-8
+    d_squeeze = hs_distance(squeezed_mixture(1, 2.0, SqueezeParam(r), C60),
+                            mixture_gamma(1, 2.0, C60))
+    assert abs(d_squeeze - squeezed_vacuum_distance_closed_form(r)) < 1e-8
 
 
 def test_distance_decreases_with_ring_count():
-    ds = [float(distance_to_mm(N, 2.0, SqueezeParam(0.0), C59)) for N in range(1, 9)]
+    ds = [convergence_point(N, 2.0, SqueezeParam(0.0), C59)[0] for N in range(1, 9)]
     assert all(a > b for a, b in zip(ds, ds[1:]))
 
 
@@ -384,28 +378,33 @@ def test_distance_regression_values():
     # silent drift in the mixture or target constructions
     frozen = {2: 0.475070, 4: 0.221063, 8: 0.091218, 16: 0.044170, 32: 0.021989}
     for N, expect in frozen.items():
-        assert abs(float(distance_to_mm(N, 2.0, SqueezeParam(0.0), C59)) - expect) < 1e-5
+        assert abs(convergence_point(N, 2.0, SqueezeParam(0.0), C59)[0] - expect) < 1e-5
 
 
 def test_triangle_bound_holds():
+    mm = maximally_mixed(2.0, C60)
     for N in (2, 4):
+        gam = mixture_gamma(N, 2.0, C60)
         for xi in (SqueezeParam(0.2, 0.0), SqueezeParam(0.5, np.pi / 3)):
-            rep = distance_to_mm(N, 2.0, xi, C60)
-            assert rep.d_hs <= rep.triangle_bound + 1e-12
-            assert abs(rep.triangle_bound - (rep.d_coherent + rep.d_squeeze)) < 1e-15
+            d_hs, bound, _ = convergence_point(N, 2.0, xi, C60)
+            assert d_hs <= bound + 1e-12
+            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, xi, C60), gam)
+            assert abs(bound - (hs_distance(mm, gam) + d_squeeze)) < 1e-15
 
 
 def test_convergence_sweep_row_contents():
-    rows = convergence_sweep([1, 2], 2.0, SqueezeParam(0.0), C59)
-    assert [r.N for r in rows] == [1, 2]
+    columns, rows = execute(config_from_dict(
+        {"experiment": "convergence", "N_list": [1, 2], "b_list": [2.0], "cutoff": 59}))
+    rows = [dict(zip(columns, row)) for row in rows]
+    assert [r["N"] for r in rows] == [1, 2]
     for row in rows:
-        assert row.d_hs_times_Np1 == pytest.approx(row.d_hs * (row.N + 1))
-        assert row.b == 2.0 and row.cutoff == 59
+        assert row["d_hs_times_Np1"] == pytest.approx(row["d_hs"] * (row["N"] + 1))
+        assert row["b"] == 2.0 and row["cutoff"] == 59
     # single ring family is a pure vacuum: zero entropy, known distance
-    assert rows[0].entropy < 1e-10
+    assert rows[0]["entropy"] < 1e-10
     vac = vacuum(C59).density_operator()
     mm = maximally_mixed(2.0, C59)
-    assert rows[0].d_hs == pytest.approx(hs_distance(mm, vac))
+    assert rows[0]["d_hs"] == pytest.approx(hs_distance(mm, vac))
 
 
 # Every key branch is pure, so the entropy of a key-averaged mixture is the
@@ -428,8 +427,8 @@ def test_holevo_proxy_entropies_equal_by_unitary_invariance():
 def test_mixture_entropy_matches_direct_computation():
     xi = SqueezeParam(0.3, 1.1)
     rho = squeezed_mixture(3, 2.0, xi, C60)
-    row = convergence_sweep([3], 2.0, xi, C60)[0]
-    assert abs(row.entropy - von_neumann_entropy(rho)) < 1e-12
+    entropy = convergence_point(3, 2.0, xi, C60)[2]
+    assert abs(entropy - von_neumann_entropy(rho)) < 1e-12
 
 
 def test_squeezed_convergence_point_squeezes_once(monkeypatch):
@@ -440,5 +439,5 @@ def test_squeezed_convergence_point_squeezes_once(monkeypatch):
         return squeeze_operator(xi, cutoff)
 
     monkeypatch.setattr("cvpqc.channel.squeeze_operator", counting)
-    convergence_sweep([4], 2.0, SqueezeParam(0.3, 1.1), C60)
+    convergence_point(4, 2.0, SqueezeParam(0.3, 1.1), C60)
     assert len(calls) == 1

@@ -37,8 +37,12 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "961" in out       # two-mode basis dimension 31^2
-    assert "923521" in out    # dense two-mode entry count 961^2
+    assert "19871" in out     # beam-splitter block entries (2*31^3 + 31)/3
     assert "config valid" in out
+    # the displacement_bs benchmark cutoff: (2*99^3 + 99)/3 entries of 16 bytes
+    cfg = write_config(tmp_path, experiment="displacement_bs", cutoff=98)
+    assert main(["validate", cfg]) == 0
+    assert "holds 646899 complex block entries (~10.4 MB)" in capsys.readouterr().out
 
 
 def test_validate_flags_empty_grid_but_exits_zero(tmp_path, capsys):

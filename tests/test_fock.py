@@ -4,17 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cvpqc.channel import (
-    ConformationSpec,
-    channel_output,
-    conformation_ring,
-    decrypt,
-    encrypt,
-    maximally_mixed,
-    mixture_gamma,
-    squeezed_conformation,
-    squeezed_mixture,
-)
+from cvpqc.channel import ConformationSpec, maximally_mixed, mixture_gamma, squeezed_mixture
 from cvpqc.fock import (
     DensityOperator,
     FockCutoff,
@@ -22,14 +12,11 @@ from cvpqc.fock import (
     SqueezeParam,
     TailMassError,
     annihilation,
-    apply_mode_operator,
     beam_splitter,
     beam_splitter_5050,
     coherent_amplitudes,
-    coherent_state,
     displacement_operator,
     fidelity,
-    fock_state,
     heuristic_cutoff,
     hs_distance,
     mode_moments,
@@ -42,7 +29,6 @@ from cvpqc.fock import (
     squeezed_vacuum_amplitudes,
     squeezed_vacuum_state,
     tensor,
-    two_mode_squeezer,
     vacuum,
     von_neumann_entropy,
 )
@@ -53,11 +39,19 @@ from cvpqc.nongauss import (
     even_coherent_state,
 )
 from oracles import (
+    apply_mode_operator,
+    channel_output,
     check_density,
+    coherent_state,
+    conformation_ring,
+    decrypt,
     displacement_expm,
+    encrypt,
     partial_trace_dense,
+    squeezed_conformation,
     two_mode_dense,
     two_mode_inverse,
+    two_mode_squeezer,
 )
 
 C40 = FockCutoff(40)
@@ -96,6 +90,16 @@ def test_displacement_zero_is_identity():
     for build in (displacement_operator, displacement_expm):
         D = build(0.0, FockCutoff(12))
         assert np.allclose(D, np.eye(13), atol=1e-14)
+
+
+def test_coherent_rows_equal_one_call_per_alpha():
+    # one batched call must give each row bit for bit, and alpha = 0 the vacuum row
+    alphas = np.array([0.7 - 0.4j, 0.0, -2.5 + 1e-3j, 1e-9j, 5.0])
+    rows = coherent_amplitudes(alphas, C40)
+    assert rows.shape == (5, 41)
+    for a, row in zip(alphas, rows):
+        assert np.array_equal(row, coherent_amplitudes(a, C40))
+    assert np.array_equal(rows[1], np.eye(41)[0])
 
 
 def test_displacement_column_zero_is_coherent_amplitudes():
@@ -297,8 +301,8 @@ def test_hs_distance_of_state_with_itself_is_zero():
 
 
 def test_hs_distance_orthogonal_pure_states():
-    r0 = fock_state(0, C40).density_operator()
-    r1 = fock_state(1, C40).density_operator()
+    r0 = vacuum(C40).density_operator()
+    r1 = PureState(np.eye(41)[1], C40).density_operator()
     assert abs(hs_distance(r0, r1) - math.sqrt(2.0)) < 1e-12
 
 
@@ -321,11 +325,14 @@ def test_hs_distance_unitary_invariance():
         full[:11, :11] = m / np.trace(m).real
         return full
 
+    def moved_by(u, m):
+        return DensityOperator(u @ m @ u.conj().T, cut)
+
     u = displacement_operator(0.5 + 0.2j, cut) @ squeeze_operator(SqueezeParam(0.3, 1.0), cut)
     for _ in range(5):
         r1, r2 = random_density(), random_density()
-        base = hs_distance(r1, r2)
-        moved = hs_distance(u @ r1 @ u.conj().T, u @ r2 @ u.conj().T)
+        base = hs_distance(DensityOperator(r1, cut), DensityOperator(r2, cut))
+        moved = hs_distance(moved_by(u, r1), moved_by(u, r2))
         assert abs(moved - base) < 1e-8
 
 
@@ -448,7 +455,7 @@ def _tap_arm(mode):
     return partial_trace(beam_splitter_5050(_C30).apply(tensor(sig, vacuum(_C30))), mode)
 
 
-# every library call that returns a DensityOperator
+# every library call that returns a DensityOperator, and the oracles built on its key average
 _DENSITY_OUTPUTS = {
     "coherent_projector": lambda: coherent_state(0.5, C40).density_operator(),
     "squeezed_vacuum_projector":

@@ -1,0 +1,88 @@
+"""Package layout: every top-level definition in `src/cvpqc` is reached from an
+entry point.
+
+The entry points are every definition in `cli`, `config` and `experiments`,
+plus `fock.squeezed_coherent_closed_form`, which the benchmark's honesty screen
+imports.  A definition reached only from tests belongs in `tests/oracles.py`.
+The walk follows names through the AST: a bare name resolves to a definition
+of the same module or to a `from .module import name`, and `module.name`
+resolves through `from . import module`.  Methods ride along with their class.
+"""
+import ast
+from pathlib import Path
+
+import cvpqc
+
+PACKAGE = Path(cvpqc.__file__).resolve().parent
+ROOT_MODULES = ("cli", "config", "experiments")
+EXTRA_ROOTS = ("fock.squeezed_coherent_closed_form",)
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _module_graph(modules):
+    """(definition -> the definitions it references,
+    module -> [(names a top-level statement defines, what it references)])."""
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text(encoding="utf-8")) for m in modules}
+    local, imported, submodules = {}, {}, {}
+    for m, tree in trees.items():
+        local[m] = {n for stmt in tree.body for n in _defined_names(stmt)}
+        imported[m], submodules[m] = {}, {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name
+                    if stmt.module is None and alias.name in modules:
+                        submodules[m][bound] = alias.name
+                    else:
+                        imported[m][bound] = f"{stmt.module or '__init__'}.{alias.name}"
+
+    def resolve(m, node):
+        if isinstance(node, ast.Name):
+            if node.id in local[m]:
+                return f"{m}.{node.id}"
+            return imported[m].get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in submodules[m]):
+            return f"{submodules[m][node.value.id]}.{node.attr}"
+        return None
+
+    edges, statements = {}, {}
+    for m, tree in trees.items():
+        statements[m] = []
+        for stmt in tree.body:
+            refs = {r for n in ast.walk(stmt) if (r := resolve(m, n))}
+            names = _defined_names(stmt)
+            statements[m].append((names, refs))
+            for name in names:
+                edges.setdefault(f"{m}.{name}", set()).update(refs)
+    return edges, statements
+
+
+def unreached_definitions():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
+    edges, statements = _module_graph(modules)
+    roots = set(EXTRA_ROOTS)
+    for m in modules:
+        for names, refs in statements[m]:
+            if m in ROOT_MODULES:
+                roots.update(f"{m}.{n}" for n in names)
+            if not names:
+                roots.update(refs)  # module-level code runs on import
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(edges.get(name, ()))
+    return sorted(set(edges) - seen)
+
+
+def test_every_definition_is_reached_from_an_entry_point():
+    assert unreached_definitions() == []

@@ -9,7 +9,6 @@ from cvpqc.fock import (
     PureState,
     SqueezeParam,
     TailMassError,
-    coherent_state,
     fidelity,
     quadrature_variance,
     squeeze_operator,
@@ -22,11 +21,14 @@ from cvpqc.nongauss import (
     even_coherent_state,
     even_variance_approx,
     even_variance_closed_form,
-    matching_varphi,
     overlap_even_vs_squeezed,
     quadrature_variance_even,
     squeezed_vacuum_variance,
     squeezed_vacuum_variance_approx,
+)
+from oracles import (
+    coherent_state,
+    matching_varphi,
     truncated_squeeze_check,
     truncated_squeeze_operator,
 )
