@@ -5,14 +5,27 @@
 
 Exit codes: 0 success, 2 unusable config, 3 tail-mass violation (the
 message names the offending grid point), 4 output I/O failure.
+
+Importing this module pins OpenBLAS to one thread unless a thread-count
+variable is already set; see ``BLAS_THREAD_VARS``.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+
+# The matrices here are at most a few hundred rows wide, where BLAS threads
+# cost more than they save.  numpy and scipy each load their own OpenBLAS and
+# read these variables when it loads, so this runs before either is imported;
+# pool workers inherit os.environ.  A user who sets any of them keeps control.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_PINNED_BY_CLI = not any(os.environ.get(k) for k in BLAS_THREAD_VARS + ("GOTO_NUM_THREADS",))
+if BLAS_PINNED_BY_CLI:
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from . import __version__
 from .config import ConfigError, load_config, validate
@@ -54,6 +67,8 @@ def _write_sidecar(path: str, cfg, columns, row_count: int, wall: float) -> None
         "columns": list(columns),
         "row_count": row_count,
         "wall_time_s": wall,
+        "blas_threads": dict({k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+                             set_by_cli=BLAS_PINNED_BY_CLI),
     }
     with open(path + ".meta.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)

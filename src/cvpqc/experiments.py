@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -232,10 +233,15 @@ def _run_task(task) -> list:
 
 
 def execute(cfg, workers: int = 1):
-    """Expand the grid and evaluate it; returns (columns, rows) in grid order."""
+    """Expand the grid and evaluate it; returns (columns, rows) in grid order.
+
+    At most one worker process per task and per CPU is started: each runs
+    one BLAS thread under the CLI, so more processes than CPUs only contend.
+    """
     exp = REGISTRY[cfg.experiment]
     tasks = _plan(exp, cfg)
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_task, tasks))
     else:

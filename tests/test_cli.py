@@ -9,10 +9,11 @@ import sys
 import pytest
 
 import cvpqc
+from cvpqc import experiments
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
 from cvpqc.config import config_from_dict, validate
-from cvpqc.experiments import REGISTRY, resolve_cutoff
+from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance, vacuum
 
 
@@ -223,6 +224,13 @@ def test_sidecar_records_run(tmp_path):
     assert meta["columns"][0] == "N"
     assert meta["wall_time_s"] >= 0
     assert "library_version" in meta
+    threads = meta["blas_threads"]
+    assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                            "set_by_cli"}
+    assert isinstance(threads["set_by_cli"], bool)
+    assert threads["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    if threads["set_by_cli"]:
+        assert threads["OMP_NUM_THREADS"] == threads["MKL_NUM_THREADS"] == "1"
 
 
 def test_cli_overrides_reach_sidecar(tmp_path):
@@ -251,6 +259,90 @@ def test_workers_do_not_change_output(tmp_path):
     assert main(["run", cfg2]) == 0
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (5000, 2, 2),        # one process per CPU
+    (5000, 64, 4),       # one process per grid point
+    (3, 64, 3),
+    (5000, None, None),  # unknown CPU count: serial
+])
+def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    cfg = config_from_dict(dict(experiment="convergence", N_list=[1, 2, 3, 4],
+                                b_list=[2.0], cutoff=30))
+    assert execute(cfg, workers=workers) == execute(cfg, workers=1)
+    assert _SerialPool.sizes == ([] if expected is None else [expected])
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread pin
+
+_THREAD_PROBE = r"""
+import ctypes, glob, json, os, sys
+import cvpqc
+numpy_with_package = "numpy" in sys.modules
+import cvpqc.cli
+import numpy, scipy
+threads = {}
+for mod in (numpy, scipy):
+    for lib in glob.glob(os.path.dirname(mod.__file__) + ".libs/*openblas*"):
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                threads[os.path.basename(lib)] = fn()
+                break
+print(json.dumps({"numpy_with_package": numpy_with_package, "threads": threads}))
+"""
+
+
+def _probe_threads(**thread_env):
+    """OpenBLAS thread counts of a child that imports cvpqc.cli, started with
+    no *_NUM_THREADS variable but ``thread_env``."""
+    src = os.path.dirname(os.path.dirname(cvpqc.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(thread_env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                          capture_output=True, text=True, env=env, check=True)
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not got["numpy_with_package"], "import cvpqc loaded numpy before the CLI's pin"
+    if not got["threads"]:
+        pytest.skip("no OpenBLAS thread-count symbol found")
+    return set(got["threads"].values())
+
+
+def test_cli_import_pins_blas_to_one_thread():
+    assert _probe_threads() == {1}
+
+
+def test_user_thread_setting_wins():
+    # OpenBLAS caps its thread count at the CPUs it may run on
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs to tell 2 threads from 1")
+    assert _probe_threads(OPENBLAS_NUM_THREADS="2") == {2}
 
 
 # ---------------------------------------------------------------------------
