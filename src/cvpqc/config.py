@@ -201,7 +201,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         rep.info.append(
             f"two-mode basis dimension {d * d} ({d} per mode); the beam splitter "
             f"holds {blocks} complex block entries (~{_mb(blocks):.1f} MB), "
-            f"cached for one angle at a time")
+            f"built once and reused across the grid")
     else:
         rep.info.append(
             f"basis dimension {d}; density matrices hold {d * d} complex entries "

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from . import attack, channel, nongauss
 from .fock import (FockCutoff, SqueezeParam, heuristic_cutoff, quadrature_variance,
-                   squeezed_vacuum_state, vacuum)
+                   squeezed_vacuum_state)
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,18 @@ class Experiment:
         return heuristic_cutoff(scale) if scale > 0 else 0
 
 
-def ancilla_amplitude(cfg) -> float:
-    """Largest displacement_bs ancilla amplitude |eff| / sqrt(T), at the smallest T."""
-    eff = math.hypot(cfg.eff_re, cfg.eff_im)
-    ts = [t for t in cfg.T_list if t > 0]
-    return eff / math.sqrt(min(ts)) if ts else 0.0
-
-
 def _max_b(cfg) -> float:
     return max(cfg.b_list, default=0.0)
+
+
+def _input_beta_mag(cfg) -> float:
+    """|beta| of the displacement_bs input; the vacuum is beta = 0."""
+    return 0.0 if cfg.input_kind == "vacuum" else cfg.input_beta_mag
+
+
+def _displaced_amplitude(cfg) -> float:
+    """|eff| + |beta|: the largest amplitude a truncated displacement_bs vector holds."""
+    return math.hypot(cfg.eff_re, cfg.eff_im) + _input_beta_mag(cfg)
 
 
 def resolve_cutoff(cfg) -> int:
@@ -159,14 +162,12 @@ def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
 
 
 def _compute_displacement_bs(cfg, n_max, T):
-    cut = FockCutoff(n_max)
     bm, vp = cfg.input_beta_mag, cfg.input_varphi
-    state = (vacuum(cut) if cfg.input_kind == "vacuum"
-             else nongauss.even_coherent_state(nongauss.EvenCoherentParam(bm, vp),
-                                               cut, cfg.tail_tol))
     gamma = complex(cfg.eff_re, cfg.eff_im) / math.sqrt(T)
     real = nongauss.BeamSplitterRealization(T, gamma)
-    _, fid = nongauss.displacement_via_beamsplitter(real, state, cut, cfg.tail_tol)
+    _, fid = nongauss.displacement_via_beamsplitter(
+        real, nongauss.EvenCoherentParam(_input_beta_mag(cfg), vp), FockCutoff(n_max),
+        cfg.tail_tol)
     return [(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re, cfg.eff_im,
              n_max, fid)]
 
@@ -212,7 +213,7 @@ REGISTRY = {
         ("input_kind", "input_beta_mag", "input_varphi", "T", "gamma_re",
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),
         ((("T_list",), _compute_displacement_bs),),
-        n_max=20, scale=ancilla_amplitude, two_mode=True),
+        n_max=20, scale=_displaced_amplitude),
 }
 
 

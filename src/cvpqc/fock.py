@@ -147,14 +147,14 @@ class PureState:
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.cutoff)
 
 
-def _finish_state(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float, what: str,
-                  modes: int = 1) -> PureState:
+def _finish_state(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float,
+                  what: str) -> PureState:
     """Tail-check raw amplitudes, then normalize."""
     nrm2 = float(np.vdot(raw, raw).real)
     tail = max(0.0, 1.0 - nrm2)
     if tail > tail_tol:
         raise TailMassError(tail, tail_tol, what)
-    return PureState(raw / math.sqrt(nrm2), cutoff, modes=modes, tail_mass=tail)
+    return PureState(raw / math.sqrt(nrm2), cutoff, tail_mass=tail)
 
 
 class DensityOperator:
@@ -359,8 +359,7 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
 
     Conserves total photon number, so it is exponentiated block-by-block
     (each block exactly unitary).  Its (2d^3 + d)/3 block entries are cached
-    for the last angle only: the tap reuses one angle across its grid, and
-    the ancilla displacement asks for a new one at every transmission.
+    for the last angle only, which the tap reuses across its grid.
     Treat the result as read-only.
     """
     d = cutoff.dim

@@ -13,18 +13,17 @@ import numpy as np
 
 from .fock import (
     DEFAULT_TAIL_TOL,
+    DensityOperator,
     FockCutoff,
     PureState,
     SqueezeParam,
+    TailMassError,
     _finish_state,
-    beam_splitter,
     coherent_amplitudes,
     displacement_operator,
     fidelity,
-    partial_trace,
     quadrature_variance,
     squeezed_vacuum_state,
-    tensor,
     wrap_angle,
 )
 
@@ -142,30 +141,31 @@ def quadrature_variance_even(param: EvenCoherentParam, cutoff: FockCutoff, theta
 
 
 def displacement_via_beamsplitter(realization: BeamSplitterRealization,
-                                  input_state: PureState, cutoff: FockCutoff,
+                                  param: EvenCoherentParam, cutoff: FockCutoff,
                                   tail_tol: float = DEFAULT_TAIL_TOL):
-    """Mix the input with the coherent ancilla and keep the signal arm.
+    """Mix the even coherent input (beta = 0 is the vacuum) with the coherent
+    ancilla; returns (signal-arm state, fidelity against the displaced input).
 
-    Returns (signal-arm reduced state, fidelity against the ideally displaced
-    input).  With the effective displacement held fixed, the fidelity climbs
-    toward 1 as the transmission shrinks, because the signal amplitude
-    sqrt(1-T) approaches unity.
+    With t = sqrt(1-T) and s = sqrt(T) the splitter sends |+-beta>|gamma> to
+    |+-t beta + s gamma>|-+s beta + t gamma>, so the signal is a 2x2 mixture of
+    coherent dyads weighted by the overlaps of the two eavesdropper states.
+    With the effective displacement s gamma held fixed, the fidelity climbs
+    toward 1 as T shrinks, because t approaches unity.
     """
-    if input_state.modes != 1 or input_state.cutoff != cutoff:
-        raise ValueError("input must be a single-mode state at the given cutoff")
-    T = realization.transmission
-    gamma = complex(realization.ancilla_amp)
-
-    ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), cutoff, tail_tol,
-                            f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
-
-    both = tensor(input_state, ancilla)
-    # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla
-    mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(both)
-
-    signal = partial_trace(mixed, 0)
-
-    ideal = displacement_operator(realization.effective_displacement, cutoff) \
-        @ input_state.amplitudes
-    ideal = PureState(ideal / np.linalg.norm(ideal), cutoff)
+    T, eff = realization.transmission, realization.effective_displacement
+    t = math.sqrt(1.0 - T)
+    sig = t * param.beta * np.array([1.0, -1.0]) + eff
+    rows = coherent_amplitudes(sig, cutoff)
+    tails = 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
+    k = int(np.argmax(tails))
+    if tails[k] > tail_tol:
+        raise TailMassError(float(tails[k]), tail_tol, f"signal amplitude {sig[k]} at T={T}")
+    # <s beta + t gamma|-s beta + t gamma> in terms of eff = s gamma: no |gamma|^2 to cancel
+    w = np.exp(-2.0 * T * param.beta_mag ** 2 + 2j * t * (eff * np.conj(param.beta)).imag)
+    gram = np.array([[1.0, w], [np.conj(w), 1.0]])
+    norm = 2.0 * (1.0 + math.exp(-2.0 * param.beta_mag ** 2))
+    signal = DensityOperator(rows.T @ gram @ rows.conj() / norm, cutoff)
+    psi = even_coherent_state(param, cutoff, tail_tol).amplitudes
+    ideal = _finish_state(displacement_operator(eff, cutoff) @ psi, cutoff, tail_tol,
+                          f"displaced target eff={eff}")
     return signal, fidelity(ideal, signal) / signal.mass

@@ -7,7 +7,8 @@ densely.  ``check_density`` holds the Hermiticity and positivity checks
 the library never runs.  The protocol helpers (encrypt, decrypt, the
 channel output), the single-ring mixtures, the factorized tap model and
 the first-order squeezer live here too: the acceptance criteria use them,
-and no experiment does.
+and no experiment does.  The ancilla displacement simulated in the two-mode
+Fock space is the reference for its closed form in ``nongauss``.
 """
 import math
 from dataclasses import dataclass
@@ -22,8 +23,10 @@ from cvpqc.channel import (_NO_SQUEEZE, ConformationSpec, _key_average, _worst_k
                            key_count, key_displacements, key_to_ring)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, DensityOperator, FockCutoff, PureState,
                         SqueezeParam, TwoModeUnitary, _finish_state, _hermite_series,
-                        annihilation, coherent_amplitudes, displacement_operator,
-                        squeeze_operator, tensor, wrap_angle)
+                        annihilation, beam_splitter, coherent_amplitudes,
+                        displacement_operator, fidelity, partial_trace, squeeze_operator,
+                        tensor, wrap_angle)
+from cvpqc.nongauss import BeamSplitterRealization
 
 HERMITICITY_TOL = 1e-12
 EIG_FLOOR = -1e-10
@@ -310,6 +313,40 @@ def verify_decomposition(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
         fidelity_half=score(alpha / 2.0),
         fidelity_sqrt2=score(alpha / _SQRT2),
     )
+
+
+# ---------------------------------------------------------------------------
+# displacement from a strong ancilla, simulated in the two-mode Fock space
+
+
+def displacement_via_beamsplitter_fock(realization: BeamSplitterRealization,
+                                       input_state: PureState, cutoff: FockCutoff,
+                                       tail_tol: float = DEFAULT_TAIL_TOL):
+    """Mix the input with the coherent ancilla and keep the signal arm.
+
+    Returns (signal-arm reduced state, fidelity against the ideally displaced
+    input).  With the effective displacement held fixed, the fidelity climbs
+    toward 1 as the transmission shrinks, because the signal amplitude
+    sqrt(1-T) approaches unity.
+    """
+    if input_state.modes != 1 or input_state.cutoff != cutoff:
+        raise ValueError("input must be a single-mode state at the given cutoff")
+    T = realization.transmission
+    gamma = complex(realization.ancilla_amp)
+
+    ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), cutoff, tail_tol,
+                            f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
+
+    both = tensor(input_state, ancilla)
+    # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla
+    mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(both)
+
+    signal = partial_trace(mixed, 0)
+
+    ideal = displacement_operator(realization.effective_displacement, cutoff) \
+        @ input_state.amplitudes
+    ideal = PureState(ideal / np.linalg.norm(ideal), cutoff)
+    return signal, fidelity(ideal, signal) / signal.mass
 
 
 # ---------------------------------------------------------------------------

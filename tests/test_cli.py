@@ -40,10 +40,16 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert "961" in out       # two-mode basis dimension 31^2
     assert "19871" in out     # beam-splitter block entries (2*31^3 + 31)/3
     assert "config valid" in out
-    # the displacement_bs benchmark cutoff: (2*99^3 + 99)/3 entries of 16 bytes
+    # the attack benchmark cutoff: (2*101^3 + 101)/3 entries of 16 bytes
+    cfg = write_config(tmp_path, experiment="attack", cutoff=100)
+    assert main(["validate", cfg]) == 0
+    assert "holds 686901 complex block entries (~11.0 MB)" in capsys.readouterr().out
+    # displacement_bs stays in one mode: a d x d density matrix
     cfg = write_config(tmp_path, experiment="displacement_bs", cutoff=98)
     assert main(["validate", cfg]) == 0
-    assert "holds 646899 complex block entries (~10.4 MB)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "9801 complex entries" in out
+    assert "two-mode" not in out
 
 
 def test_validate_flags_empty_grid_but_exits_zero(tmp_path, capsys):
@@ -75,16 +81,30 @@ def test_validate_flags_each_empty_grid(experiment, grid):
     ({"experiment": "nongauss_overlap"}, 40, "default"),
     ({"experiment": "nongauss_variance"}, 40, "default"),
     ({"experiment": "convergence", "b_list": [2.0]}, 59, "heuristic default"),
-    ({"experiment": "displacement_bs"}, 99, "heuristic default"),
-    ({"experiment": "displacement_bs", "eff_re": 0.0, "eff_im": 0.0}, 20, "default"),
+    # displacement_bs: scale |eff| + |beta|, the largest amplitude a truncated vector holds
+    ({"experiment": "displacement_bs"}, 35, "heuristic default"),
+    ({"experiment": "displacement_bs", "eff_re": 0.0, "eff_im": 0.0}, 25, "heuristic default"),
+    ({"experiment": "displacement_bs", "input_kind": "vacuum"}, 7, "heuristic default"),
     ({"experiment": "mmstate"}, 59, "heuristic default"),
     ({"experiment": "attack", "cutoff": 60}, 60, "explicit"),
 ], ids=["attack", "nongauss_overlap", "nongauss_variance", "convergence-b2",
-        "displacement_bs", "displacement_bs-no_ancilla", "mmstate", "attack-explicit"])
+        "displacement_bs", "displacement_bs-no_ancilla", "displacement_bs-vacuum", "mmstate",
+        "attack-explicit"])
 def test_default_cutoffs(doc, n_max, how):
     cfg = config_from_dict(doc)
     assert resolve_cutoff(cfg) == n_max
     assert f"cutoff n_max = {n_max} ({how})" in validate(cfg).info
+
+
+def test_displacement_bs_benchmark_cutoff_draws_no_warning():
+    # the benchmark's displacement_bs_paper config: every truncated amplitude is
+    # at most |eff| + |beta| = 1.3, far inside cutoff 98
+    rep = validate(config_from_dict({
+        "experiment": "displacement_bs", "cutoff": 98, "eff_re": 0.3, "eff_im": 0.0,
+        "input_kind": "even_coherent", "input_beta_mag": 1.0, "input_varphi": 0.0,
+        "T_list": [0.5, 0.25, 0.1, 0.04, 0.01]}))
+    assert rep.ok
+    assert rep.warnings == []
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -432,6 +452,15 @@ def test_tail_mass_violation_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tail-mass violation" in err
     assert "b=3.0" in err  # the offending grid point is named
+
+
+def test_displacement_bs_target_tail_exits_3(tmp_path, capsys):
+    # D(2.5)|+-2.5> reaches amplitude 5 and loses 6.8e-2 at cutoff 30
+    out = str(tmp_path / "rows.csv")
+    cfg = write_config(tmp_path, experiment="displacement_bs", input_beta_mag=2.5,
+                       eff_re=2.5, T_list=[1.0], cutoff=30, out=out)
+    assert main(["run", cfg]) == 3
+    assert "displaced target" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

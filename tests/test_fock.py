@@ -36,7 +36,6 @@ from cvpqc.nongauss import (
     BeamSplitterRealization,
     EvenCoherentParam,
     displacement_via_beamsplitter,
-    even_coherent_state,
 )
 from oracles import (
     apply_mode_operator,
@@ -472,8 +471,7 @@ _DENSITY_OUTPUTS = {
     "tap_receiver_arm": lambda: _tap_arm(0),
     "tap_eavesdropper_arm": lambda: _tap_arm(1),
     "displacement_bs_signal": lambda: displacement_via_beamsplitter(
-        BeamSplitterRealization(0.1, 0.9),
-        even_coherent_state(EvenCoherentParam(0.8, 0.3), C40), C40)[0],
+        BeamSplitterRealization(0.1, 0.9), EvenCoherentParam(0.8, 0.3), C40)[0],
 }
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cvpqc.fock import (
     FockCutoff,
@@ -28,6 +29,7 @@ from cvpqc.nongauss import (
 )
 from oracles import (
     coherent_state,
+    displacement_via_beamsplitter_fock,
     matching_varphi,
     truncated_squeeze_check,
     truncated_squeeze_operator,
@@ -244,15 +246,18 @@ def test_bs_realization_validation():
     assert real.effective_displacement == pytest.approx(0.3)
 
 
+VACUUM = EvenCoherentParam(0.0)
+
+
 def test_displacement_bs_full_swap_replaces_vacuum():
     real = BeamSplitterRealization(1.0, 0.0)
-    rho, fid = displacement_via_beamsplitter(real, vacuum(C40), C40)
+    rho, fid = displacement_via_beamsplitter(real, VACUUM, C40)
     assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_displacement_bs_vacuum_input_high_reflectivity():
     real = BeamSplitterRealization(0.01, 3.0)
-    rho, fid = displacement_via_beamsplitter(real, vacuum(C40), C40)
+    rho, fid = displacement_via_beamsplitter(real, VACUUM, C40)
     assert fid >= 0.99
     target = coherent_state(0.3, C40)
     assert fidelity(target, rho) >= 0.99
@@ -263,7 +268,7 @@ def test_displacement_bs_vacuum_input_fidelity_is_exactly_one():
     # the ideal displaced state whenever the input is itself coherent
     for T in (0.5, 0.1, 0.01):
         real = BeamSplitterRealization(T, 0.3 / math.sqrt(T))
-        _, fid = displacement_via_beamsplitter(real, vacuum(C40), C40)
+        _, fid = displacement_via_beamsplitter(real, VACUUM, C40)
         assert fid == pytest.approx(1.0, abs=1e-9)
 
 
@@ -273,32 +278,76 @@ def test_displacement_bs_coherent_input_gap():
     st = coherent_state(alpha, C40)
     for T in (0.25, 0.04):
         real = BeamSplitterRealization(T, 0.2 / math.sqrt(T))
-        _, fid = displacement_via_beamsplitter(real, st, C40)
+        _, fid = displacement_via_beamsplitter_fock(real, st, C40)
         expect = math.exp(-abs(alpha) ** 2 * (1.0 - math.sqrt(1.0 - T)) ** 2)
         assert abs(fid - expect) < 1e-6
 
 
 def test_displacement_bs_fidelity_improves_as_T_drops():
-    from cvpqc.nongauss import even_coherent_state as ecs
     cut = FockCutoff(45)
-    st = ecs(EvenCoherentParam(1.0), cut)
     fids = []
     for T in (0.5, 0.25, 0.1, 0.04, 0.01):
         real = BeamSplitterRealization(T, 0.3 / math.sqrt(T))
-        _, fid = displacement_via_beamsplitter(real, st, cut)
+        _, fid = displacement_via_beamsplitter(real, EvenCoherentParam(1.0), cut)
         fids.append(fid)
     assert all(a < b for a, b in zip(fids, fids[1:]))
     assert fids[-1] >= 0.99
 
 
 def test_displacement_bs_ancilla_tail_guard():
-    real = BeamSplitterRealization(0.01, 9.0)  # mean 81 photons, cutoff 40
+    # the ancilla (mean 81 photons at cutoff 40) is never truncated: only the
+    # signal rows and the target are, and here both sit at amplitude 0.9
+    _, fid = displacement_via_beamsplitter(BeamSplitterRealization(0.01, 9.0), VACUUM, C40)
+    assert fid == pytest.approx(1.0, abs=1e-9)
+    # a signal row at amplitude sqrt(0.5) * 12.7 ~ 9 loses more than tail_tol
     with pytest.raises(TailMassError) as exc:
-        displacement_via_beamsplitter(real, vacuum(C40), C40)
-    assert "ancilla" in str(exc.value)
+        displacement_via_beamsplitter(BeamSplitterRealization(0.5, 12.7), VACUUM, C40)
+    assert "signal" in str(exc.value)
 
 
 def test_displacement_bs_rejects_mismatched_input():
     with pytest.raises(ValueError):
-        displacement_via_beamsplitter(
+        displacement_via_beamsplitter_fock(
             BeamSplitterRealization(0.5, 0.1), vacuum(FockCutoff(20)), C40)
+
+
+@pytest.mark.parametrize("T", [1.0, 0.5, 0.1, 0.01])
+def test_displacement_bs_closed_form_matches_fock_oracle(T):
+    for beta_mag in (0.0, 0.8, 1.5):
+        param = EvenCoherentParam(beta_mag, 0.9)
+        for eff in (0.3, 0.2 + 0.25j):
+            real = BeamSplitterRealization(T, eff / math.sqrt(T))
+            rho, fid = displacement_via_beamsplitter(real, param, C40)
+            rho_fock, fid_fock = displacement_via_beamsplitter_fock(
+                real, even_coherent_state(param, C40), C40)
+            # the oracle renormalizes a truncated ancilla and is off by a few
+            # times its tail (3.8e-13 for |gamma| = 3.2); the closed form truncates none
+            anc = coherent_state(real.ancilla_amp, C40)
+            tol = 1e-12 + 10.0 * anc.tail_mass
+            assert abs(fid - fid_fock) <= tol
+            assert np.max(np.abs(rho.matrix - rho_fock.matrix)) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(T=strategies.floats(0.0, 1.0, exclude_min=True),
+       beta_mag=strategies.floats(0.0, 3.0), varphi=strategies.floats(0.0, 2.0 * math.pi),
+       eff_mag=strategies.floats(0.0, 2.0), eff_arg=strategies.floats(0.0, 2.0 * math.pi))
+def test_displacement_bs_closed_form_raises_or_meets_tail_tol(T, beta_mag, varphi,
+                                                              eff_mag, eff_arg):
+    # the oracle runs at cutoff 60: at cutoff 30 its truncated splitter is itself
+    # off by up to 4e-6 in rho while its input and ancilla pass their tail checks
+    cut, big, tol = FockCutoff(30), FockCutoff(60), 1e-8
+    param = EvenCoherentParam(beta_mag, varphi)
+    real = BeamSplitterRealization(T, eff_mag * complex(math.cos(eff_arg),
+                                                        math.sin(eff_arg)) / math.sqrt(T))
+    try:
+        rho, fid = displacement_via_beamsplitter(real, param, cut, tol)
+    except TailMassError:
+        return
+    try:
+        rho_fock, fid_fock = displacement_via_beamsplitter_fock(
+            real, even_coherent_state(param, big, tol), big, tol)
+    except (TailMassError, OverflowError):  # |gamma|^2 beyond the double range
+        return
+    assert abs(fid - fid_fock) <= tol
+    assert np.max(np.abs(rho.matrix - rho_fock.matrix[:cut.dim, :cut.dim])) <= tol
