@@ -109,8 +109,9 @@ def _key_average(rows: np.ndarray, xi: SqueezeParam, cutoff: FockCutoff,
                  tail_tol: float, what) -> DensityOperator:
     """Mean of the projectors on the rows v_k of ``rows``, each squeezed by S(xi).
 
-    ``what(k)`` names row k in the TailMassError raised when any squeezed row
-    has lost more than ``tail_tol`` to truncation.
+    The squeezer holds the exact truncated matrix elements, so a squeezed row
+    keeps only the mass inside the cutoff; ``what(k)`` names row k in the
+    TailMassError raised when any row has lost more than ``tail_tol``.
     """
     if xi.r != 0:
         rows = rows @ squeeze_operator(xi, cutoff).T

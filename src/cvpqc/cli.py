@@ -3,8 +3,9 @@
     cvpqc run <config.json>      execute a sweep, write rows plus a sidecar
     cvpqc validate <config.json> dry-run check: grids, cutoffs, memory
 
-Exit codes: 0 success, 2 unusable config, 3 tail-mass violation (the
-message names the offending grid point), 4 output I/O failure.
+Exit codes: 0 success, 2 unusable config (also a value so large that the
+run overflows a float), 3 tail-mass violation (the message names the
+offending grid point), 4 output I/O failure.
 
 Importing this module pins OpenBLAS to one thread unless a thread-count
 variable is already set; see ``BLAS_THREAD_VARS``.
@@ -130,6 +131,9 @@ def main(argv=None) -> int:
     except TailMassError as e:
         print(f"tail-mass violation: {e}", file=sys.stderr)
         return EXIT_TAIL
+    except OverflowError as e:  # e.g. cosh r for r past ~710
+        print(f"config error: a config value overflows a float: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     wall = time.perf_counter() - t0
 
     try:

@@ -178,6 +178,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad(f"format must be 'csv' or 'json', got {cfg.format!r}")
     if cfg.workers < 1:
         bad("workers must be >= 1")
+    if cfg.input_beta_mag < 0:
+        bad("input_beta_mag must be >= 0")
     if cfg.experiment == "displacement_bs" and cfg.input_kind not in ("vacuum",
                                                                       "even_coherent"):
         bad(f"input_kind must be 'vacuum' or 'even_coherent', got {cfg.input_kind!r}")
@@ -185,9 +187,13 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if rep.problems:
         return rep
 
+    try:
+        need = exp.heuristic_minimum(cfg)
+    except OverflowError:  # the square in heuristic_cutoff, for b past ~1e154
+        bad(f"amplitude scale {exp.scale(cfg):.3g} is beyond any Fock cutoff")
+        return rep
     n_max = resolve_cutoff(cfg)
     d = n_max + 1
-    need = exp.heuristic_minimum(cfg)
     how = "explicit" if cfg.cutoff is not None else "heuristic default" if need else "default"
     rep.info.append(f"cutoff n_max = {n_max} ({how})")
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from . import attack, channel, nongauss
 from .fock import (FockCutoff, SqueezeParam, heuristic_cutoff, quadrature_variance,
-                   squeezed_vacuum_state)
+                   squeezed_coherent_state)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
 
 def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
     xi = SqueezeParam(r, phi)
-    state = squeezed_vacuum_state(xi, FockCutoff(n_max), cfg.tail_tol)
+    state = squeezed_coherent_state(xi, 0.0, FockCutoff(n_max), cfg.tail_tol)
     return _variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
                          quadrature_variance(state, theta, cfg.tail_tol),
                          nongauss.squeezed_vacuum_variance(xi, theta),

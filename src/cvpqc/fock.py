@@ -183,11 +183,7 @@ class DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# ladder operators and elementary states
-
-
-def annihilation(cutoff: FockCutoff) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff.dim, dtype=float)), 1).astype(complex)
+# elementary states
 
 
 def vacuum(cutoff: FockCutoff, modes: int = 1) -> PureState:
@@ -213,9 +209,10 @@ def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
         # per-alpha scalars in scalar arithmetic: np.log and np.angle over an array
         # can differ in the last bit, and a row must not depend on its batch
         log_abs, half_sq, angle = np.array(
-            [(math.log(abs(alphas[k])), abs(alphas[k]) ** 2 / 2.0, np.angle(alphas[k]))
-             for k in nonzero]).T[:, :, None]
-        # log-space magnitudes keep large |alpha| from overflowing the factorial ratio
+            [(math.log(abs(alphas[k])), abs(alphas[k]) * abs(alphas[k]) / 2.0,
+              np.angle(alphas[k])) for k in nonzero]).T[:, :, None]
+        # log-space magnitudes keep large |alpha| from overflowing the factorial ratio;
+        # beyond |alpha| ~ 1e154 the square is inf and the row is zero, a tail of 1
         logmag = n * log_abs - 0.5 * gammaln(n + 1) - half_sq
         rows[nonzero] = np.exp(logmag) * np.exp(1j * n * angle)
     return rows[0] if scalar else rows
@@ -241,41 +238,42 @@ def displacement_operator(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
     x = abs(alpha) ** 2
     base = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1)) - x / 2.0)
     lag = eval_genlaguerre(lo, k, x)
-    power = np.where(m >= n, alpha ** (m - n + 0j), (-np.conj(alpha)) ** (n - m + 0j))
+    # one base per triangle raised to |m - n|: no negative power of a tiny alpha
+    power = np.where(m >= n, alpha, -np.conj(alpha)) ** (k + 0j)
     return base * lag * power
 
 
 def squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
-    """Matrix exponential of the quadratic generator (exactly anti-Hermitian, so unitary)."""
-    a = annihilation(cutoff)
-    adag = a.conj().T
-    z = xi.xi
-    return expm((np.conj(z) * (a @ a) - z * (adag @ adag)) / 2.0)
+    """Exact matrix elements <m|S(xi)|n>, m, n <= n_max, by their two-term recurrence
 
+        S_00 = sqrt(sech r),   S_m0 = -sqrt((m-1)/m) t S_{m-2,0},
+        S_mn = sqrt((n-1)/n) conj(t) S_{m,n-2} + sqrt(m/n) sech r S_{m-1,n-1},
 
-def squeezed_vacuum_amplitudes(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
-    """Analytic series: c_{2n} = (1/sqrt(cosh r)) sqrt((2n)!)/(2^n n!) (-e^{i phi} tanh r)^n.
-
-    Built by the stable term ratio; serves as the oracle for squeeze_operator's
-    vacuum column.
+    with t = e^{i phi} tanh r.  Column n is the truncated S|n>, so it is not
+    unitary on the truncated space: a squeezed row keeps exactly the mass that
+    truncation leaves it, and the tail checks see what is lost.
     """
-    c = np.zeros(cutoff.dim, dtype=complex)
-    c[0] = 1.0 / math.sqrt(math.cosh(xi.r))
-    t = -np.exp(1j * xi.phi) * math.tanh(xi.r)
-    for n in range(0, (cutoff.dim - 1) // 2):
-        c[2 * n + 2] = c[2 * n] * t * math.sqrt((2 * n + 1) * (2 * n + 2)) / (2 * (n + 1))
-    return c
-
-
-def squeezed_vacuum_state(xi: SqueezeParam, cutoff: FockCutoff,
-                          tail_tol: float = DEFAULT_TAIL_TOL) -> PureState:
-    raw = squeezed_vacuum_amplitudes(xi, cutoff)
-    return _finish_state(raw, cutoff, tail_tol, f"squeezed vacuum r={xi.r}, phi={xi.phi}")
+    d = cutoff.dim
+    e = math.exp(-xi.r)
+    sech = 2.0 * e / (1.0 + e * e)  # from e^{-r}: cosh r overflows for r above ~710
+    t = complex(math.cos(xi.phi), math.sin(xi.phi)) * math.tanh(xi.r)
+    m = np.arange(d)
+    s = np.zeros((d, d), dtype=complex)
+    s[0, 0] = math.sqrt(sech)
+    for k in range(2, d, 2):
+        s[k, 0] = -math.sqrt((k - 1) / k) * t * s[k - 2, 0]
+    for n in range(1, d):
+        s[1:, n] = np.sqrt(m[1:] / n) * sech * s[:-1, n - 1]
+        if n >= 2:
+            s[:, n] += math.sqrt((n - 1) / n) * t.conjugate() * s[:, n - 2]
+    return s
 
 
 def squeezed_coherent_state(xi: SqueezeParam, alpha: complex, cutoff: FockCutoff,
                             tail_tol: float = DEFAULT_TAIL_TOL) -> PureState:
-    """S(xi) D(alpha) |0>, built operationally."""
+    """S(xi) D(alpha) |0> from the exact truncated matrix elements of both factors;
+    alpha = 0 gives the squeezed vacuum.  The tail check sees the mass that the
+    coherent row and the squeezing both lose at the cutoff."""
     raw = squeeze_operator(xi, cutoff) @ coherent_amplitudes(alpha, cutoff)
     return _finish_state(raw, cutoff, tail_tol,
                          f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={alpha}")

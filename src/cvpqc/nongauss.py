@@ -23,7 +23,7 @@ from .fock import (
     displacement_operator,
     fidelity,
     quadrature_variance,
-    squeezed_vacuum_state,
+    squeezed_coherent_state,
     wrap_angle,
 )
 
@@ -88,7 +88,7 @@ def overlap_even_vs_squeezed(param: EvenCoherentParam, xi: SqueezeParam,
     to the neglected O(r^2, |beta|^4) terms near the matching angles.
     """
     ec = even_coherent_state(param, cutoff, tail_tol)
-    sv = squeezed_vacuum_state(xi, cutoff, tail_tol)
+    sv = squeezed_coherent_state(xi, 0.0, cutoff, tail_tol)
     exact = float(abs(np.vdot(ec.amplitudes, sv.amplitudes)) ** 2)
     approx = 1.0 - param.beta_mag ** 2 * xi.r * math.cos(2.0 * param.varphi - xi.phi)
     return exact, approx

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Each one computes a library quantity a second, independent way: by
-exponentiating a truncated generator, from a closed form, or by
+exponentiating a truncated generator (displacement, squeezing), from a closed
+form or a series (the squeezed-vacuum term ratio), or by
 materializing a block-structured operator or a two-mode density matrix
 densely.  ``check_density`` holds the Hermiticity and positivity checks
 the library never runs.  The protocol helpers (encrypt, decrypt, the
@@ -10,6 +11,7 @@ the first-order squeezer live here too: the acceptance criteria use them,
 and no experiment does.  The ancilla displacement simulated in the two-mode
 Fock space is the reference for its closed form in ``nongauss``.
 """
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +25,7 @@ from cvpqc.channel import (_NO_SQUEEZE, ConformationSpec, _key_average, _worst_k
                            key_count, key_displacements, key_to_ring)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, DensityOperator, FockCutoff, PureState,
                         SqueezeParam, TwoModeUnitary, _finish_state, _hermite_series,
-                        annihilation, beam_splitter, coherent_amplitudes,
+                        beam_splitter, coherent_amplitudes,
                         displacement_operator, fidelity, partial_trace, squeeze_operator,
                         tensor, wrap_angle)
 from cvpqc.nongauss import BeamSplitterRealization
@@ -32,11 +34,57 @@ HERMITICITY_TOL = 1e-12
 EIG_FLOOR = -1e-10
 
 
+def annihilation(cutoff: FockCutoff) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1, cutoff.dim, dtype=float)), 1).astype(complex)
+
+
 def displacement_expm(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
     """D(alpha) as expm of the truncated generator; agrees with the Laguerre
     matrix on the interior of the basis."""
     a = annihilation(cutoff)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def squeeze_expm(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
+    """S(xi) as expm of the truncated generator: exactly unitary on the truncated
+    space, so it agrees with the library's exact matrix elements only on the
+    interior of the basis."""
+    a = annihilation(cutoff)
+    adag = a.conj().T
+    z = xi.xi
+    return expm((np.conj(z) * (a @ a) - z * (adag @ adag)) / 2.0)
+
+
+def squeezed_vacuum_amplitudes(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
+    """Analytic series: c_{2n} = (1/sqrt(cosh r)) sqrt((2n)!)/(2^n n!) (-e^{i phi} tanh r)^n,
+    built by the term ratio; truncated, not renormalized."""
+    c = np.zeros(cutoff.dim, dtype=complex)
+    c[0] = 1.0 / math.sqrt(math.cosh(xi.r))
+    t = -np.exp(1j * xi.phi) * math.tanh(xi.r)
+    for n in range(0, (cutoff.dim - 1) // 2):
+        c[2 * n + 2] = c[2 * n] * t * math.sqrt((2 * n + 1) * (2 * n + 2)) / (2 * (n + 1))
+    return c
+
+
+def squeezed_coherent_amplitudes(xi: SqueezeParam, alpha: complex, m_max: int) -> np.ndarray:
+    """<m|S(xi) D(alpha)|0> for m = 0..m_max, from the Hermite closed form.
+
+    Its recurrence, rewritten for the amplitudes themselves,
+    c_{m+1} = (alpha c_m - nu sqrt(m) c_{m-1}) / (cosh r sqrt(m+1)) with
+    nu = e^{i phi} sinh r, carries only numbers of modulus <= 1, so it reaches
+    the levels far past any cutoff where H_m alone overflows.
+    """
+    ch = math.cosh(xi.r)
+    nu = complex(math.cos(xi.phi), math.sin(xi.phi)) * math.sinh(xi.r)
+    alpha = complex(alpha)
+    amps = np.empty(m_max + 1, dtype=complex)
+    amps[0] = cmath.exp(-0.5 * (abs(alpha) ** 2 - nu.conjugate() * alpha ** 2 / ch)) \
+        / math.sqrt(ch)
+    prev = 0j
+    for m in range(m_max):
+        prev, amps[m + 1] = amps[m], (alpha * amps[m] - nu * math.sqrt(m) * prev) \
+            / (ch * math.sqrt(m + 1))
+    return amps
 
 
 def ring_analytic_matrix(p: int, radius: float, cutoff: FockCutoff) -> np.ndarray:

@@ -454,6 +454,38 @@ def test_tail_mass_violation_exits_3(tmp_path, capsys):
     assert "b=3.0" in err  # the offending grid point is named
 
 
+@pytest.mark.parametrize("fields, what", [
+    ({"experiment": "squeezed_convergence", "b_list": [2.0], "N_list": [16],
+      "r_list": [1.5], "cutoff": 59}, "tail mass 5.878e-01"),
+    ({"experiment": "attack", "r_list": [1000.0], "cutoff": 20}, "tail mass 1.000e+00"),
+], ids=["squeezed_convergence-r1.5", "attack-r1000"])
+def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
+    # the squeezer's exact elements let the tail checks see the mass pushed past n_max
+    cfg = write_config(tmp_path, out=str(tmp_path / "rows.csv"), **fields)
+    assert main(["run", cfg]) == 3
+    assert what in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, code", [
+    ({"experiment": "convergence", "b_list": [1e160], "N_list": [1], "cutoff": 5}, 2),
+    ({"experiment": "attack", "alpha_list": [1e160], "cutoff": 5}, 3),  # an all-zero row
+    ({"experiment": "conformation", "r_list": [1000.0], "N_list": [2]}, 2),
+], ids=["heuristic_cutoff-b", "coherent_amplitudes-alpha", "vacuum_weight-cosh_r"])
+def test_overflowing_values_exit_without_traceback(tmp_path, capsys, fields, code):
+    cfg = write_config(tmp_path, out=str(tmp_path / "rows.csv"), **fields)
+    assert main(["run", cfg]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_input_beta_mag_is_a_config_problem(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, experiment="displacement_bs", input_beta_mag=-1.0,
+                       T_list=[0.5], cutoff=20, out=str(tmp_path / "rows.csv"))
+    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    captured = capsys.readouterr()
+    assert "input_beta_mag must be >= 0" in captured.out + captured.err
+
+
 def test_displacement_bs_target_tail_exits_3(tmp_path, capsys):
     # D(2.5)|+-2.5> reaches amplitude 5 and loses 6.8e-2 at cutoff 30
     out = str(tmp_path / "rows.csv")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from cvpqc.channel import ConformationSpec, maximally_mixed, mixture_gamma, squeezed_mixture
 from cvpqc.fock import (
@@ -11,7 +12,6 @@ from cvpqc.fock import (
     PureState,
     SqueezeParam,
     TailMassError,
-    annihilation,
     beam_splitter,
     beam_splitter_5050,
     coherent_amplitudes,
@@ -26,8 +26,6 @@ from cvpqc.fock import (
     squeeze_operator,
     squeezed_coherent_closed_form,
     squeezed_coherent_state,
-    squeezed_vacuum_amplitudes,
-    squeezed_vacuum_state,
     tensor,
     vacuum,
     von_neumann_entropy,
@@ -38,6 +36,7 @@ from cvpqc.nongauss import (
     displacement_via_beamsplitter,
 )
 from oracles import (
+    annihilation,
     apply_mode_operator,
     channel_output,
     check_density,
@@ -47,7 +46,10 @@ from oracles import (
     displacement_expm,
     encrypt,
     partial_trace_dense,
+    squeeze_expm,
+    squeezed_coherent_amplitudes,
     squeezed_conformation,
+    squeezed_vacuum_amplitudes,
     two_mode_dense,
     two_mode_inverse,
     two_mode_squeezer,
@@ -147,23 +149,82 @@ def test_squeezed_vacuum_series_matches_operator_column():
     xi = SqueezeParam(0.6, 2.0)
     col = squeeze_operator(xi, C60)[:, 0]
     ser = squeezed_vacuum_amplitudes(xi, C60)
-    assert np.max(np.abs(col[:40] - ser[:40])) < 1e-10
+    assert np.max(np.abs(col - ser)) < 1e-14
 
 
 def test_squeeze_operator_is_unitary():
-    S = squeeze_operator(SqueezeParam(0.8, 0.3), C60)
-    assert np.max(np.abs(S.conj().T @ S - np.eye(61))) < 1e-12
+    # unitary where truncation does not bite: on the columns S|n> whose tail beyond
+    # n_max is negligible (read off the expm form at three times the cutoff), and
+    # equal to the truncated generator's expm on the interior block
+    xi = SqueezeParam(0.3, 0.3)
+    S = squeeze_operator(xi, C60)
+    wide = squeeze_expm(xi, FockCutoff(180))
+    tails = np.sum(np.abs(wide[61:, :61]) ** 2, axis=0)
+    kept = np.flatnonzero(tails < 1e-15)
+    assert len(kept) >= 12
+    G = S[:, kept].conj().T @ S[:, kept]
+    assert np.max(np.abs(G - np.eye(len(kept)))) < 1e-12
+    lo = C60.n_max // 3 + 1
+    assert np.max(np.abs(S[:lo, :lo] - squeeze_expm(xi, C60)[:lo, :lo])) < 1e-12
+
+
+@pytest.mark.parametrize("r", [0.3, 0.6])
+def test_squeeze_operator_times_coherent_row_is_the_closed_form(r):
+    xi = SqueezeParam(r, 1.2)
+    for alpha in (1.0, 0.5 - 0.7j):
+        got = squeeze_operator(xi, C60) @ coherent_amplitudes(alpha, C60)
+        assert np.max(np.abs(got - squeezed_coherent_closed_form(xi, alpha, C60))) <= 1e-14
+
+
+def test_squeezed_state_reports_the_mass_it_loses():
+    # the squeezed vacuum at r = 2 keeps only 79% of its mass below level 21
+    with pytest.raises(TailMassError) as err:
+        squeezed_coherent_state(SqueezeParam(2.0), 0, FockCutoff(20))
+    assert err.value.tail == pytest.approx(0.2093, rel=0.01)
+
+
+@pytest.mark.parametrize("r, tail", [(1.0, 2.16e-2), (1.5, 0.588)])
+def test_squeezed_mixture_reports_the_mass_it_loses(r, tail):
+    # b = 2 at the heuristic cutoff 59: the outer ring loses this much once squeezed
+    with pytest.raises(TailMassError) as err:
+        squeezed_mixture(16, 2.0, SqueezeParam(r), FockCutoff(59))
+    assert err.value.tail == pytest.approx(tail, rel=0.01)
 
 
 # ---------------------------------------------------------------------------
 # coherent and squeezed coherent states
 
 
+@settings(max_examples=200, deadline=None)
+@given(r=strategies.floats(0.0, 2.0), phi=strategies.floats(0.0, 2.0 * math.pi),
+       alpha_mag=strategies.floats(0.0, 4.0), alpha_arg=strategies.floats(0.0, 2.0 * math.pi),
+       n_max=strategies.integers(5, 80))
+def test_squeezed_coherent_state_raises_or_matches_closed_form(r, phi, alpha_mag, alpha_arg,
+                                                               n_max):
+    # An accepted state has lost at most tol: its raw amplitudes S P c (P truncates
+    # the coherent row c) differ from the truncated closed form P S c by P S (1 - P) c,
+    # whose squared norm is at most the coherent tail, itself at most the tail the
+    # call reports.  Single levels can move by more (4.8e-7 seen): the error is first
+    # order in that amplitude, so the comparison is in the norm the contract bounds.
+    xi, tol = SqueezeParam(r, phi), 1e-8
+    alpha = alpha_mag * complex(math.cos(alpha_arg), math.sin(alpha_arg))
+    closed = squeezed_coherent_amplitudes(xi, alpha, 4000)
+    probs = np.abs(closed) ** 2
+    assert abs(1.0 - probs.sum()) < 1e-10  # the closed form has converged
+    try:
+        state = squeezed_coherent_state(xi, alpha, FockCutoff(n_max), tol)
+    except TailMassError:
+        return
+    assert probs[n_max + 1:].sum() <= 2.0 * tol
+    raw = state.amplitudes * math.sqrt(1.0 - state.tail_mass)
+    assert np.sum(np.abs(raw - closed[:n_max + 1]) ** 2) <= tol
+
+
 def test_squeezed_coherent_with_zero_displacement_is_squeezed_vacuum():
     xi = SqueezeParam(0.4, 0.9)
     sc = squeezed_coherent_state(xi, 0.0, C60)
-    sv = squeezed_vacuum_state(xi, C60)
-    assert abs(sc.overlap(sv)) ** 2 > 1 - 1e-12
+    sv = squeezed_vacuum_amplitudes(xi, C60)
+    assert abs(np.vdot(sv / np.linalg.norm(sv), sc.amplitudes)) ** 2 > 1 - 1e-12
 
 
 def test_squeezed_coherent_without_squeezing_is_coherent():
@@ -307,7 +368,7 @@ def test_hs_distance_orthogonal_pure_states():
 
 def test_hs_distance_squeezed_vacuum_closed_form():
     r = 0.2
-    sv = squeezed_vacuum_state(SqueezeParam(r), C60).density_operator()
+    sv = squeezed_coherent_state(SqueezeParam(r), 0.0, C60).density_operator()
     vac = vacuum(C60).density_operator()
     closed = 2.0 * math.sinh(r / 2.0) / math.sqrt(math.cosh(r))
     assert abs(hs_distance(sv, vac) - closed) < 1e-10
@@ -364,7 +425,8 @@ def test_partial_trace_requires_two_modes():
 
 
 def test_partial_trace_of_tap_matches_dense_oracle():
-    cut = FockCutoff(12)
+    # the input's closed-form tail is within tail_tol from cutoff 23 on (5.9e-5 at 12)
+    cut = FockCutoff(23)
     sig = squeezed_coherent_state(SqueezeParam(0.4, 0.9), 0.6 - 0.3j, cut)
     out = beam_splitter_5050(cut).apply(tensor(sig, vacuum(cut)))
     for mode in (0, 1):
@@ -397,7 +459,7 @@ def test_coherent_variance_quarter_at_all_angles():
 
 def test_squeezed_vacuum_variance_closed_form():
     xi = SqueezeParam(0.45, 1.7)
-    sv = squeezed_vacuum_state(xi, C60)
+    sv = squeezed_coherent_state(xi, 0.0, C60)
     for th in np.linspace(0, math.pi, 7):
         expect = 0.25 * (math.cosh(2 * xi.r) - math.sinh(2 * xi.r) * math.cos(2 * th - xi.phi))
         assert abs(quadrature_variance(sv, th) - expect) < 1e-8
@@ -458,7 +520,7 @@ def _tap_arm(mode):
 _DENSITY_OUTPUTS = {
     "coherent_projector": lambda: coherent_state(0.5, C40).density_operator(),
     "squeezed_vacuum_projector":
-        lambda: squeezed_vacuum_state(SqueezeParam(0.4, 0.7), C60).density_operator(),
+        lambda: squeezed_coherent_state(SqueezeParam(0.4, 0.7), 0.0, C60).density_operator(),
     "maximally_mixed": lambda: maximally_mixed(1.5, _C30),
     "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
     "mixture_gamma": lambda: mixture_gamma(4, 1.5, _C30),

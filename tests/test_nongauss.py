@@ -334,9 +334,10 @@ def test_displacement_bs_closed_form_matches_fock_oracle(T):
        eff_mag=strategies.floats(0.0, 2.0), eff_arg=strategies.floats(0.0, 2.0 * math.pi))
 def test_displacement_bs_closed_form_raises_or_meets_tail_tol(T, beta_mag, varphi,
                                                               eff_mag, eff_arg):
-    # the oracle runs at cutoff 60: at cutoff 30 its truncated splitter is itself
-    # off by up to 4e-6 in rho while its input and ancilla pass their tail checks
-    cut, big, tol = FockCutoff(30), FockCutoff(60), 1e-8
+    # the oracle runs at cutoff 80: its truncated splitter is itself off by up to
+    # 4e-6 in rho at cutoff 30, and by 3.5e-8 in fidelity at cutoff 60 (T = 0.0664,
+    # |beta| = 1, |eff| = 1.31), while its input and ancilla pass their tail checks
+    cut, big, tol = FockCutoff(30), FockCutoff(80), 1e-8
     param = EvenCoherentParam(beta_mag, varphi)
     real = BeamSplitterRealization(T, eff_mag * complex(math.cos(eff_arg),
                                                         math.sin(eff_arg)) / math.sqrt(T))
@@ -347,7 +348,7 @@ def test_displacement_bs_closed_form_raises_or_meets_tail_tol(T, beta_mag, varph
     try:
         rho_fock, fid_fock = displacement_via_beamsplitter_fock(
             real, even_coherent_state(param, big, tol), big, tol)
-    except (TailMassError, OverflowError):  # |gamma|^2 beyond the double range
+    except TailMassError:  # a gamma past ~1e154 has an all-zero row, a tail of 1
         return
     assert abs(fid - fid_fock) <= tol
     assert np.max(np.abs(rho.matrix - rho_fock.matrix[:cut.dim, :cut.dim])) <= tol
