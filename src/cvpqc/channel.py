@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .fock import (
     DEFAULT_TAIL_TOL,
@@ -89,13 +88,24 @@ def maximally_mixed(b: float, cutoff: FockCutoff,
     """Disk-uniform average of coherent projectors up to radius b.
 
     Fock-diagonal with entries equal to the Poisson(b^2) upper-tail
-    probability beyond level n, divided by b^2; evaluated through the
-    regularized incomplete gamma function for stability.
+    probability beyond level n, divided by b^2.  The pmf over levels
+    k < 2 d + 64 runs outward from its mode by the ratio b^2 / k, so no entry
+    overflows and each carries a few roundings, whatever b is.  Each tail is
+    summed on its smaller side: one minus the running sum while that is below
+    1/2, otherwise from the top down, where past the median the levels beyond
+    2 d + 64 hold a negligible share.
     """
     if b <= 0:
         raise ValueError(f"radius must be > 0, got {b}")
     n = cutoff.levels()
-    diag = gammainc(n + 1, b * b) / (b * b)
+    x = b * b
+    k = np.arange(2 * cutoff.dim + 64)
+    mode = int(min(x, k[-1]))
+    peak = math.exp(2.0 * mode * math.log(b) - x - math.lgamma(mode + 1.0))
+    pmf = peak * np.concatenate((np.cumprod(k[mode:0:-1] / x)[::-1], [1.0],
+                                 np.cumprod(x / k[mode + 1:])))
+    cdf = np.cumsum(pmf)[n]
+    diag = np.where(cdf < 0.5, 1.0 - cdf, np.cumsum(pmf[::-1])[::-1][n + 1]) / x
     mass = float(diag.sum())
     if 1.0 - mass > tail_tol:
         raise TailMassError(1.0 - mass, tail_tol, f"disk-uniform state b={b}")

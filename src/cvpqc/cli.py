@@ -20,9 +20,9 @@ import sys
 import time
 
 # The matrices here are at most a few hundred rows wide, where BLAS threads
-# cost more than they save.  numpy and scipy each load their own OpenBLAS and
-# read these variables when it loads, so this runs before either is imported;
-# pool workers inherit os.environ.  A user who sets any of them keeps control.
+# cost more than they save.  numpy reads these variables when it loads its
+# OpenBLAS, so this runs before numpy is imported; pool workers inherit
+# os.environ.  A user who sets any of them keeps control.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_PINNED_BY_CLI = not any(os.environ.get(k) for k in BLAS_THREAD_VARS + ("GOTO_NUM_THREADS",))
 if BLAS_PINNED_BY_CLI:

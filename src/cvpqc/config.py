@@ -189,8 +189,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
 
     try:
         need = exp.heuristic_minimum(cfg)
-    except OverflowError:  # the square in heuristic_cutoff, for b past ~1e154
-        bad(f"amplitude scale {exp.scale(cfg):.3g} is beyond any Fock cutoff")
+    except OverflowError:  # b past ~1e154, or e^r for r past ~710
+        bad(f"the amplitude scale of {cfg.experiment!r} is beyond any Fock cutoff")
         return rep
     n_max = resolve_cutoff(cfg)
     d = n_max + 1

@@ -56,6 +56,11 @@ def _max_b(cfg) -> float:
     return max(cfg.b_list, default=0.0)
 
 
+def _squeezed_b(cfg) -> float:
+    """max b times e^{max r}: squeezing stretches a key's largest quadrature by e^r."""
+    return _max_b(cfg) * math.exp(max(cfg.r_list, default=0.0))
+
+
 def _input_beta_mag(cfg) -> float:
     """|beta| of the displacement_bs input; the vacuum is beta = 0."""
     return 0.0 if cfg.input_kind == "vacuum" else cfg.input_beta_mag
@@ -192,7 +197,7 @@ REGISTRY = {
     "squeezed_convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "r_list", "phi_list", "N_list"), _compute_convergence),),
-        scale=_max_b),
+        scale=_squeezed_b),
     "attack": Experiment(
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),

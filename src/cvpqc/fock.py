@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
 
 DEFAULT_TAIL_TOL = 1e-8
 
@@ -67,6 +65,11 @@ class FockCutoff:
 
     def levels(self) -> np.ndarray:
         return np.arange(self.dim)
+
+
+def log_factorial(n) -> np.ndarray:
+    """log n! for each entry of the integer array ``n``."""
+    return np.array([math.lgamma(k + 1.0) for k in n])
 
 
 def heuristic_cutoff(b: float) -> int:
@@ -213,7 +216,7 @@ def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
               np.angle(alphas[k])) for k in nonzero]).T[:, :, None]
         # log-space magnitudes keep large |alpha| from overflowing the factorial ratio;
         # beyond |alpha| ~ 1e154 the square is inf and the row is zero, a tail of 1
-        logmag = n * log_abs - 0.5 * gammaln(n + 1) - half_sq
+        logmag = n * log_abs - 0.5 * log_factorial(n) - half_sq
         rows[nonzero] = np.exp(logmag) * np.exp(1j * n * angle)
     return rows[0] if scalar else rows
 
@@ -223,24 +226,36 @@ def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
 
 
 def displacement_operator(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
-    """Matrix of D(alpha) in the truncated basis, from the analytic elements
+    """Matrix of D(alpha) in the truncated basis, from its exact elements
 
-        <m|D|n> = sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2)
+        g_n = <n+k|D|n> = e^{-x/2} alpha^k sqrt(n!/(n+k)!) L_n^(k)(x),   x = |alpha|^2,
 
-    for m >= n (the m < n triangle follows from D(alpha)+ = D(-alpha)).
+    (the upper triangle follows from D(alpha)+ = D(-alpha)).  All diagonals k
+    step down n at once by the Laguerre recurrence written for g and its
+    difference u; the plain three-term form drifts at small x, where its two
+    solutions nearly coincide:
+
+        u_n = (-x g_{n-1} + (n-1) u_{n-1}) / sqrt(n (n+k)),
+        g_n = sqrt((n+k)/n) g_{n-1} + u_n,
+
+    from u_0 = 0 and g_0 the coherent amplitude of alpha (or of -conj(alpha))
+    at level k, so every g is a matrix element of modulus <= 1.
     """
     if alpha == 0:
         return np.eye(cutoff.dim, dtype=complex)
-    m = cutoff.levels()[:, None]
-    n = cutoff.levels()[None, :]
-    lo = np.minimum(m, n)
-    k = np.abs(m - n)
+    d = cutoff.dim
     x = abs(alpha) ** 2
-    base = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1)) - x / 2.0)
-    lag = eval_genlaguerre(lo, k, x)
-    # one base per triangle raised to |m - n|: no negative power of a tiny alpha
-    power = np.where(m >= n, alpha, -np.conj(alpha)) ** (k + 0j)
-    return base * lag * power
+    k = cutoff.levels()
+    # g[n, 0, k] = <n+k|D|n> (below the main diagonal), g[n, 1, k] = <n|D|n+k> (above)
+    g = np.zeros((d, 2, d), dtype=complex)
+    g[0] = coherent_amplitudes(np.array([alpha, -np.conj(alpha)]), cutoff)
+    u = np.zeros((2, d), dtype=complex)
+    for n in range(1, d):
+        kk = k[:d - n]  # diagonal k reaches row n + k <= n_max
+        u = (-x * g[n - 1, :, :d - n] + (n - 1) * u[:, :d - n]) / np.sqrt(n * (n + kk))
+        g[n, :, :d - n] = np.sqrt((n + kk) / n) * g[n - 1, :, :d - n] + u
+    m, n = k[:, None], k[None, :]
+    return g[np.minimum(m, n), (m < n).astype(int), np.abs(m - n)]
 
 
 def squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
@@ -309,7 +324,7 @@ def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
     pref = np.exp(-0.5 * (abs(alpha) ** 2 - np.conj(nu) * alpha ** 2 / ch))
     herm = _hermite_series(alpha / np.sqrt(2.0 * nu * ch), cutoff.dim)
     m = cutoff.levels()
-    scale = (nu / (2.0 * ch)) ** (m / 2.0) / math.sqrt(ch) * np.exp(-0.5 * gammaln(m + 1))
+    scale = (nu / (2.0 * ch)) ** (m / 2.0) / math.sqrt(ch) * np.exp(-0.5 * log_factorial(m))
     return scale * pref * herm
 
 
@@ -355,24 +370,22 @@ class TwoModeUnitary:
 def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
     """exp[theta (a0 a1+ - a0+ a1)]; mode-0 annihilation maps to a0 cos + a1 sin.
 
-    Conserves total photon number, so it is exponentiated block-by-block
-    (each block exactly unitary).  Its (2d^3 + d)/3 block entries are cached
+    Conserves total photon number, so it is built block by block.  In sector
+    s the generator G is real, antisymmetric and tridiagonal, with
+    off-diagonal sqrt(i (s-i+1)); i G is Hermitian, and from its eigenvectors V
+    and eigenvalues w the block is exp(theta G) = V e^{-i theta w} V+, real and
+    orthogonal to rounding.  Its (2d^3 + d)/3 block entries are cached
     for the last angle only, which the tap reuses across its grid.
     Treat the result as read-only.
     """
     d = cutoff.dim
     blocks = {}
     for s in range(2 * d - 1):
-        lo, hi = max(0, s - (d - 1)), min(s, d - 1)
-        idx = np.arange(lo, hi + 1)
-        gen = np.zeros((len(idx), len(idx)))
-        for a_, i in enumerate(idx):
-            j = s - i
-            if i - 1 >= lo:
-                gen[a_ - 1, a_] += math.sqrt(i) * math.sqrt(j + 1)  # a0 a1+
-            if i + 1 <= hi:
-                gen[a_ + 1, a_] -= math.sqrt(i + 1) * math.sqrt(j)  # -a0+ a1
-        blocks[s] = (idx, expm(theta * gen).astype(complex))
+        idx = np.arange(max(0, s - (d - 1)), min(s, d - 1) + 1)
+        off = np.sqrt(idx[1:] * (s - idx[1:] + 1.0))  # <i-1, j+1| a0 a1+ |i, j>
+        w, v = np.linalg.eigh(1j * (np.diag(off, 1) - np.diag(off, -1)))
+        blk = (v * np.exp(-1j * theta * w)) @ v.conj().T
+        blocks[s] = (idx, blk.real.astype(complex))
     return TwoModeUnitary(cutoff, blocks)
 
 

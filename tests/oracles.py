@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 Each one computes a library quantity a second, independent way: by
-exponentiating a truncated generator (displacement, squeezing), from a closed
-form or a series (the squeezed-vacuum term ratio), or by
+exponentiating a truncated generator (displacement, squeezing, the beam
+splitter's blocks), through scipy's special functions (the Laguerre
+displacement matrix, the incomplete-gamma disk-uniform diagonal), from a
+closed form or a series (the squeezed-vacuum term ratio), or by
 materializing a block-structured operator or a two-mode density matrix
 densely.  ``check_density`` holds the Hermiticity and positivity checks
 the library never runs.  The protocol helpers (encrypt, decrypt, the
@@ -18,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from cvpqc.attack import _SQRT2, _tap_output
 from cvpqc.channel import (_NO_SQUEEZE, ConformationSpec, _key_average, _worst_key,
@@ -39,10 +41,55 @@ def annihilation(cutoff: FockCutoff) -> np.ndarray:
 
 
 def displacement_expm(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
-    """D(alpha) as expm of the truncated generator; agrees with the Laguerre
-    matrix on the interior of the basis."""
+    """D(alpha) as expm of the truncated generator; agrees with the exact
+    matrix elements only on the interior of the basis."""
     a = annihilation(cutoff)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+def displacement_laguerre(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
+    """D(alpha) from the analytic elements
+
+        <m|D|n> = sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2)
+
+    for m >= n (the m < n triangle follows from D(alpha)+ = D(-alpha))."""
+    if alpha == 0:
+        return np.eye(cutoff.dim, dtype=complex)
+    m = cutoff.levels()[:, None]
+    n = cutoff.levels()[None, :]
+    lo = np.minimum(m, n)
+    k = np.abs(m - n)
+    x = abs(alpha) ** 2
+    base = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1)) - x / 2.0)
+    lag = eval_genlaguerre(lo, k, x)
+    # one base per triangle raised to |m - n|: no negative power of a tiny alpha
+    power = np.where(m >= n, alpha, -np.conj(alpha)) ** (k + 0j)
+    return base * lag * power
+
+
+def beam_splitter_expm(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
+    """The library's beam splitter with each photon-number-sum block as expm
+    of its truncated generator."""
+    d = cutoff.dim
+    blocks = {}
+    for s in range(2 * d - 1):
+        lo, hi = max(0, s - (d - 1)), min(s, d - 1)
+        idx = np.arange(lo, hi + 1)
+        gen = np.zeros((len(idx), len(idx)))
+        for a_, i in enumerate(idx):
+            j = s - i
+            if i - 1 >= lo:
+                gen[a_ - 1, a_] += math.sqrt(i) * math.sqrt(j + 1)  # a0 a1+
+            if i + 1 <= hi:
+                gen[a_ + 1, a_] -= math.sqrt(i + 1) * math.sqrt(j)  # -a0+ a1
+        blocks[s] = (idx, expm(theta * gen).astype(complex))
+    return TwoModeUnitary(cutoff, blocks)
+
+
+def disk_uniform_diagonal(b: float, cutoff: FockCutoff) -> np.ndarray:
+    """Diagonal of the disk-uniform state: the regularized lower incomplete gamma
+    function P(n+1, b^2), which is the Poisson(b^2) tail beyond level n, over b^2."""
+    return gammainc(cutoff.levels() + 1, b * b) / (b * b)
 
 
 def squeeze_expm(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:

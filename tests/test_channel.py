@@ -1,8 +1,11 @@
 """Ring-key channel: target state, conformations, mixtures, encryption, distances."""
+import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.integrate import simpson
 
 from cvpqc.channel import (
@@ -17,6 +20,7 @@ from cvpqc.channel import (
     squeezed_mixture,
     vacuum_weight,
 )
+from cvpqc.cli import main
 from cvpqc.config import config_from_dict
 from cvpqc.experiments import execute
 from cvpqc.fock import (
@@ -34,11 +38,14 @@ from cvpqc.fock import (
 )
 from oracles import (
     channel_output,
+    check_density,
     conformation_ring,
     decrypt,
+    disk_uniform_diagonal,
     encrypt,
     ring_analytic_matrix,
     secret_bits,
+    squeezed_coherent_amplitudes,
     squeezed_conformation,
     squeezed_projector_prefactor,
     squeezed_vacuum_distance_closed_form,
@@ -77,6 +84,28 @@ def test_mm_entries_match_radial_integral():
         f = np.exp(-s * s) * s ** (2 * n + 1) / math.factorial(n)
         val = 2.0 / (b * b) * simpson(f, x=s)
         assert abs(diag[n] - val) < 1e-10
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 5.0, 10.0])
+def test_mm_matches_incomplete_gamma_oracle(b):
+    for n_max in (heuristic_cutoff(b), heuristic_cutoff(b) // 2, 3):
+        cut = FockCutoff(n_max)
+        diag = np.diag(maximally_mixed(b, cut, tail_tol=1.0).matrix).real
+        ref = disk_uniform_diagonal(b, cut)
+        assert np.max(np.abs(diag - ref) / ref) <= 1e-12
+
+
+def test_mm_at_a_huge_radius_raises_at_once(tmp_path, capsys):
+    # the pmf spans the levels below 2 d + 64, not b^2 = 1e10 of them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "mmstate", "b_list": [1e5], "cutoff": 10,
+                               "out": str(tmp_path / "rows.csv")}), encoding="utf-8")
+    t0 = time.perf_counter()
+    with pytest.raises(TailMassError):
+        maximally_mixed(1e5, FockCutoff(10))
+    assert main(["run", str(cfg)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "disk-uniform state b=100000.0" in capsys.readouterr().err
 
 
 def test_mm_rejects_nonpositive_radius():
@@ -213,6 +242,30 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
     plain = mixture_gamma(N, b, cut)
     sq = squeezed_mixture(N, b, xi, cut)
     assert np.max(np.abs(sq.matrix - s @ plain.matrix @ s.conj().T)) < 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(N=strategies.integers(1, 6), b=strategies.floats(0.01, 3.0),
+       r=strategies.floats(0.0, 1.0), phi=strategies.floats(0.0, 2.0 * math.pi),
+       n_max=strategies.integers(5, 80))
+def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
+    # The tail check must catch every key whose true tail, read from the closed
+    # form at a wide cutoff, is past twice the tolerance.  Single levels are not
+    # compared: a squeezed truncated row differs from the truncated closed form
+    # by more than the tolerance at single levels, though not in norm.
+    xi, tol = SqueezeParam(r, phi), 1e-8
+    worst = 0.0
+    for alpha in key_displacements(N, b):
+        probs = np.abs(squeezed_coherent_amplitudes(xi, alpha, 1500)) ** 2
+        assert abs(1.0 - probs.sum()) < 1e-10  # the closed form has converged
+        worst = max(worst, probs[n_max + 1:].sum())
+    try:
+        rho = squeezed_mixture(N, b, xi, FockCutoff(n_max), tol)
+    except TailMassError:
+        return
+    assert worst <= 2.0 * tol
+    check_density(rho)
+    assert rho.mass >= 1.0 - tol
 
 
 def test_squeezed_conformation_at_zero_squeezing_reduces():

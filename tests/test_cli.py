@@ -87,13 +87,31 @@ def test_validate_flags_each_empty_grid(experiment, grid):
     ({"experiment": "displacement_bs", "input_kind": "vacuum"}, 7, "heuristic default"),
     ({"experiment": "mmstate"}, 59, "heuristic default"),
     ({"experiment": "attack", "cutoff": 60}, 60, "explicit"),
+    # squeezed_convergence: scale max b e^{max r}, the largest stretched quadrature
+    ({"experiment": "squeezed_convergence"}, 59, "heuristic default"),
+    ({"experiment": "squeezed_convergence", "r_list": [0.0, 0.5], "phi_list": [3.0]}, 112,
+     "heuristic default"),
+    ({"experiment": "squeezed_convergence", "r_list": [1.0]}, 218, "heuristic default"),
+    ({"experiment": "conformation", "r_list": [1.0]}, 59, "heuristic default"),
 ], ids=["attack", "nongauss_overlap", "nongauss_variance", "convergence-b2",
         "displacement_bs", "displacement_bs-no_ancilla", "displacement_bs-vacuum", "mmstate",
-        "attack-explicit"])
+        "attack-explicit", "squeezed_convergence-r0", "squeezed_convergence-r0.5",
+        "squeezed_convergence-r1", "conformation-r1"])
 def test_default_cutoffs(doc, n_max, how):
     cfg = config_from_dict(doc)
     assert resolve_cutoff(cfg) == n_max
     assert f"cutoff n_max = {n_max} ({how})" in validate(cfg).info
+
+
+@pytest.mark.parametrize("fields", [
+    {"r_list": [0.5], "phi_list": [3.0]},
+    {"r_list": [1.0], "N_list": [8, 32]},
+], ids=["r0.5", "r1"])
+def test_squeezed_default_cutoff_holds_the_squeezed_keys(tmp_path, fields):
+    # with the unsqueezed default 59 both runs exit 3 (tail 1.11e-8 at r = 0.5)
+    cfg = write_config(tmp_path, experiment="squeezed_convergence",
+                       out=str(tmp_path / "rows.csv"), **fields)
+    assert main(["run", cfg]) == 0
 
 
 def test_displacement_bs_benchmark_cutoff_draws_no_warning():
@@ -366,6 +384,46 @@ def test_user_thread_setting_wins():
 
 
 # ---------------------------------------------------------------------------
+# numpy is the one runtime dependency
+
+# one small config per experiment
+_SMALL_RUNS = {
+    "mmstate": {"b_list": [1.0]},
+    "conformation": {"N_list": [3], "r_list": [0.3]},
+    "convergence": {"N_list": [2, 4], "b_list": [1.0]},
+    "squeezed_convergence": {"N_list": [2], "b_list": [1.0], "r_list": [0.3]},
+    "attack": {"alpha_list": [0.5], "r_list": [0.3], "cutoff": 20},
+    "nongauss_overlap": {"r_list": [0.1], "cutoff": 20},
+    "nongauss_variance": {"r_list": [0.1], "cutoff": 20},
+    "displacement_bs": {"T_list": [0.5]},
+}
+
+_WITHOUT_SCIPY = r"""
+import json, sys
+sys.modules["scipy"] = None  # any scipy import, lazy ones too, raises ImportError
+from cvpqc.cli import main
+codes = {name: [main([command, path]) for command in ("validate", "run")]
+         for name, path in json.loads(sys.argv[1]).items()}
+print(json.dumps(codes))
+"""
+
+
+def test_every_experiment_runs_without_scipy(tmp_path):
+    assert set(_SMALL_RUNS) == set(REGISTRY)
+    paths = {name: write_config(tmp_path, f"{name}.json", experiment=name,
+                                out=str(tmp_path / f"{name}.csv"), **fields)
+             for name, fields in _SMALL_RUNS.items()}
+    src = os.path.dirname(os.path.dirname(cvpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(paths)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == {name: [0, 0] for name in REGISTRY}, proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # failure exit codes
 
 
@@ -470,7 +528,10 @@ def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
     ({"experiment": "convergence", "b_list": [1e160], "N_list": [1], "cutoff": 5}, 2),
     ({"experiment": "attack", "alpha_list": [1e160], "cutoff": 5}, 3),  # an all-zero row
     ({"experiment": "conformation", "r_list": [1000.0], "N_list": [2]}, 2),
-], ids=["heuristic_cutoff-b", "coherent_amplitudes-alpha", "vacuum_weight-cosh_r"])
+    ({"experiment": "squeezed_convergence", "r_list": [800.0], "N_list": [1], "cutoff": 5},
+     2),  # the default-cutoff scale b e^r
+], ids=["heuristic_cutoff-b", "coherent_amplitudes-alpha", "vacuum_weight-cosh_r",
+        "heuristic_cutoff-e_r"])
 def test_overflowing_values_exit_without_traceback(tmp_path, capsys, fields, code):
     cfg = write_config(tmp_path, out=str(tmp_path / "rows.csv"), **fields)
     assert main(["run", cfg]) == code

@@ -38,12 +38,14 @@ from cvpqc.nongauss import (
 from oracles import (
     annihilation,
     apply_mode_operator,
+    beam_splitter_expm,
     channel_output,
     check_density,
     coherent_state,
     conformation_ring,
     decrypt,
     displacement_expm,
+    displacement_laguerre,
     encrypt,
     partial_trace_dense,
     squeeze_expm,
@@ -113,6 +115,14 @@ def test_displacement_methods_agree_on_interior():
     D1 = displacement_operator(1.0, C40)
     D2 = displacement_expm(1.0, C40)
     assert np.max(np.abs(D1[:21, :21] - D2[:21, :21])) < 1e-8
+
+
+@pytest.mark.parametrize("n_max", [40, 99, 195])
+@pytest.mark.parametrize("alpha", [0.01j, 0.3, 0.8 + 0.5j, 2 - 1j, 3.0, -2.5 + 3j, 4.0])
+def test_displacement_recurrence_matches_laguerre_oracle(alpha, n_max):
+    cut = FockCutoff(n_max)
+    assert np.max(np.abs(displacement_operator(alpha, cut)
+                         - displacement_laguerre(alpha, cut))) <= 1e-13
 
 
 def test_displacement_laguerre_unitary_on_interior():
@@ -289,6 +299,19 @@ def test_beam_splitter_dense_is_unitary():
     cut = FockCutoff(12)
     B = two_mode_dense(beam_splitter_5050(cut))
     assert np.max(np.abs(B.conj().T @ B - np.eye(13 * 13))) < 1e-8
+
+
+@pytest.mark.parametrize("n_max", [12, 40, 100])
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.6, math.asin(math.sqrt(0.01))])
+def test_beam_splitter_blocks_match_expm_and_are_orthonormal(theta, n_max):
+    cut = FockCutoff(n_max)
+    blocks = beam_splitter(theta, cut).blocks
+    oracle = beam_splitter_expm(theta, cut).blocks
+    assert blocks.keys() == oracle.keys() == set(range(2 * n_max + 1))
+    for s, (idx, blk) in blocks.items():
+        assert np.array_equal(idx, oracle[s][0])
+        assert np.max(np.abs(blk - oracle[s][1])) <= 1e-11
+        assert np.max(np.abs(blk.conj().T @ blk - np.eye(len(idx)))) <= 1e-13
 
 
 def test_beam_splitter_dense_and_apply_agree():
