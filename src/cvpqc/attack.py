@@ -3,79 +3,46 @@
 The tap sends half of the signal to an eavesdropper arm.  For a coherent
 input the two output arms are an unentangled product, so the tap leaves
 no correlation trace; squeezing the input changes that, and the reduced
-states of both arms become mixed.  Everything here works on the pure
-two-mode output, so reduced-state entropy is an exact entanglement
-measure rather than a proxy bound.
+states of both arms become mixed.  The two-mode output is pure, held as its
+amplitude matrix psi[i, j] = <i, j|out> (receiver i, eavesdropper j), so the
+entropy of either arm is an exact entanglement measure rather than a proxy
+bound.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (
     DEFAULT_TAIL_TOL,
+    DensityOperator,
     FockCutoff,
-    PureState,
     SqueezeParam,
     beam_splitter_5050,
     fidelity,
-    partial_trace,
     purity,
     squeezed_coherent_state,
-    tensor,
-    vacuum,
     von_neumann_entropy,
 )
 
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class AttackReport:
-    """Tap outcome for one input.
-
-    ``entanglement_proxy`` is the von Neumann entropy (bits) of the
-    receiver's reduced state; the global two-mode output is pure, so this
-    is the exact entanglement entropy between the two arms (preferred here
-    over negativity-style measures, which add nothing for pure states).
-    ``bob_fidelity_vs_expected`` compares the receiver arm against the
-    undisturbed local target: the input with its amplitude and squeezing
-    both cut in half by the tap.
-    """
-
-    input_kind: str  # "coherent" or "squeezed_coherent"
-    alpha: complex
-    xi: SqueezeParam
-    bob_reduced_purity: float
-    eve_reduced_purity: float
-    bob_fidelity_vs_expected: float
-    entanglement_proxy: float
-    tail_mass: float
-
-
-def _tap_output(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
-                tail_tol: float) -> PureState:
-    signal = squeezed_coherent_state(xi, alpha, cutoff, tail_tol=tail_tol)
-    both = tensor(signal, vacuum(cutoff))
-    return beam_splitter_5050(cutoff).apply(both)
-
-
 def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
-           tail_tol: float = DEFAULT_TAIL_TOL) -> AttackReport:
-    """Send squeeze(displace(|0>)) through the 50:50 tap and report both arms."""
-    out = _tap_output(alpha, xi, cutoff, tail_tol)  # modes: receiver, eavesdropper
-    rho_b = partial_trace(out, 0)
-    expected = squeezed_coherent_state(xi.half(), alpha / _SQRT2, cutoff,
-                                       tail_tol=tail_tol)
+           tail_tol: float = DEFAULT_TAIL_TOL):
+    """Send S(xi) D(alpha)|0> through the 50:50 tap, the vacuum in the other port.
 
-    return AttackReport(
-        input_kind="coherent" if xi.r == 0.0 else "squeezed_coherent",
-        alpha=complex(alpha),
-        xi=xi,
-        bob_reduced_purity=purity(rho_b),
-        eve_reduced_purity=purity(partial_trace(out, 1)),
-        bob_fidelity_vs_expected=fidelity(expected, rho_b),
-        entanglement_proxy=von_neumann_entropy(rho_b),
-        tail_mass=out.tail_mass,
-    )
+    Returns (bob_purity, eve_purity, ent_proxy, fidelity): the purities of the
+    receiver's and the eavesdropper's reduced states, the von Neumann entropy
+    (bits) of the receiver's, which is the exact entanglement entropy between
+    the arms because the output is pure, and the fidelity of the receiver's
+    state with the undisturbed local target, the input with its amplitude cut
+    by sqrt 2 and its squeezing in half.
+    """
+    psi = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+    psi[:, 0] = squeezed_coherent_state(xi, alpha, cutoff, tail_tol).amplitudes
+    out = beam_splitter_5050(cutoff).apply(psi)
+    rho_b = DensityOperator(out @ out.conj().T, cutoff)
+    rho_e = DensityOperator(out.T @ out.conj(), cutoff)
+    expected = squeezed_coherent_state(xi.half(), alpha / _SQRT2, cutoff, tail_tol)
+    return (purity(rho_b), purity(rho_e), von_neumann_entropy(rho_b),
+            fidelity(expected, rho_b))

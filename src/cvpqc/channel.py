@@ -19,6 +19,7 @@ from .fock import (
     FockCutoff,
     SqueezeParam,
     TailMassError,
+    check_row_tails,
     coherent_amplitudes,
     hs_distance,
     squeeze_operator,
@@ -125,10 +126,7 @@ def _key_average(rows: np.ndarray, xi: SqueezeParam, cutoff: FockCutoff,
     """
     if xi.r != 0:
         rows = rows @ squeeze_operator(xi, cutoff).T
-    tails = 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
-    k = int(np.argmax(tails))
-    if tails[k] > tail_tol:
-        raise TailMassError(float(tails[k]), tail_tol, what(k))
+    check_row_tails(rows, tail_tol, what)
     return DensityOperator(rows.T @ rows.conj() / rows.shape[0], cutoff)
 
 

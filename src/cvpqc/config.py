@@ -162,6 +162,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("N_list entries must be >= 1")
     if any(b <= 0 for b in cfg.b_list):
         bad("b_list entries must be > 0")
+    elif any(b * b == 0.0 for b in cfg.b_list):  # the disk-uniform state divides by b^2
+        bad("b_list entries must be large enough that b^2 does not underflow to 0")
     if any(r < 0 for r in cfg.r_list):
         bad("r_list entries must be >= 0")
     if any(m < 0 for m in cfg.beta_mag_list):

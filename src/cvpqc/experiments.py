@@ -121,11 +121,10 @@ def _compute_convergence(cfg, n_max, N, b, r=0.0, phi=0.0):
 
 
 def _compute_attack(cfg, n_max, alpha, r, phi):
-    rep = attack.attack(complex(alpha), SqueezeParam(r, phi),
-                        FockCutoff(n_max), cfg.tail_tol)
-    return [(rep.input_kind, rep.alpha.real, rep.alpha.imag, r, phi, n_max,
-             rep.bob_reduced_purity, rep.eve_reduced_purity,
-             rep.entanglement_proxy, rep.bob_fidelity_vs_expected)]
+    alpha = complex(alpha)
+    kind = "coherent" if r == 0.0 else "squeezed_coherent"
+    return [(kind, alpha.real, alpha.imag, r, phi, n_max,
+             *attack.attack(alpha, SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol))]
 
 
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
@@ -168,10 +167,10 @@ def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
 
 def _compute_displacement_bs(cfg, n_max, T):
     bm, vp = cfg.input_beta_mag, cfg.input_varphi
-    gamma = complex(cfg.eff_re, cfg.eff_im) / math.sqrt(T)
-    real = nongauss.BeamSplitterRealization(T, gamma)
+    eff = complex(cfg.eff_re, cfg.eff_im)
+    gamma = eff / math.sqrt(T)
     _, fid = nongauss.displacement_via_beamsplitter(
-        real, nongauss.EvenCoherentParam(_input_beta_mag(cfg), vp), FockCutoff(n_max),
+        T, eff, nongauss.EvenCoherentParam(_input_beta_mag(cfg), vp), FockCutoff(n_max),
         cfg.tail_tol)
     return [(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re, cfg.eff_im,
              n_max, fid)]

@@ -1,9 +1,12 @@
-"""Truncated Fock-basis linear algebra for one or two bosonic modes.
+"""Truncated Fock-basis linear algebra for one bosonic mode, and the beam
+splitter that mixes two.
 
-Everything is a dense complex array over the number basis |0>..|n_max>
-(per mode).  Truncation is the dominant numerical hazard, so state
-constructors measure the probability weight they lose (the tail mass)
-and refuse to proceed when it exceeds a caller-supplied budget.
+Everything is a dense complex array over the number basis |0>..|n_max>.  A
+two-mode pure state is its d x d amplitude matrix psi[i, j] = <i, j|psi>,
+and the reduced state of either mode is a product of psi with its adjoint.
+Truncation is the dominant numerical hazard, so state constructors measure
+the probability weight they lose (the tail mass) and refuse to proceed when
+it exceeds a caller-supplied budget.
 
 Conventions used throughout:
     D(alpha) = exp(alpha a+ - conj(alpha) a)
@@ -92,22 +95,13 @@ class SqueezeParam:
             raise ValueError(f"squeezing magnitude must be >= 0, got {self.r}")
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
-    @property
-    def xi(self) -> complex:
-        return self.r * np.exp(1j * self.phi)
-
     def half(self) -> "SqueezeParam":
         return SqueezeParam(self.r / 2.0, self.phi)
 
 
-def _check_same_cutoff(a, b):
-    if a.cutoff != b.cutoff:
-        raise ValueError(f"cross-cutoff operation rejected: {a.cutoff} vs {b.cutoff}")
-
-
 @dataclass
 class PureState:
-    """Normalized state vector in the truncated basis.
+    """Normalized single-mode state vector in the truncated basis.
 
     ``tail_mass`` records the probability weight lost to truncation at
     construction time (before renormalization).  Treated as immutable;
@@ -116,38 +110,16 @@ class PureState:
 
     amplitudes: np.ndarray
     cutoff: FockCutoff
-    modes: int = 1
     tail_mass: float = 0.0
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
-        expected = self.cutoff.dim ** self.modes
-        if self.modes not in (1, 2):
-            raise ValueError(f"modes must be 1 or 2, got {self.modes}")
-        if amp.shape != (expected,):
-            raise ValueError(f"amplitude vector must have shape ({expected},), got {amp.shape}")
+        if amp.shape != (self.cutoff.dim,):
+            raise ValueError(f"amplitude vector must have shape ({self.cutoff.dim},), "
+                             f"got {amp.shape}")
         amp = amp.copy()
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "PureState") -> complex:
-        _check_same_cutoff(self, other)
-        if self.modes != other.modes:
-            raise ValueError("mode-count mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def density_operator(self) -> "DensityOperator":
-        """|psi><psi| of a single-mode state; two-mode states reduce by partial_trace."""
-        if self.modes != 1:
-            raise ValueError("density_operator expects a single-mode state")
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.cutoff)
 
 
 def _finish_state(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float,
@@ -158,6 +130,15 @@ def _finish_state(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float,
     if tail > tail_tol:
         raise TailMassError(tail, tail_tol, what)
     return PureState(raw / math.sqrt(nrm2), cutoff, tail_mass=tail)
+
+
+def check_row_tails(rows: np.ndarray, tail_tol: float, what) -> None:
+    """Raise TailMassError when a row of truncated amplitudes has lost more than
+    ``tail_tol``; ``what(k)`` names the worst row k in the message."""
+    tails = 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
+    k = int(np.argmax(tails))
+    if tails[k] > tail_tol:
+        raise TailMassError(float(tails[k]), tail_tol, what(k))
 
 
 class DensityOperator:
@@ -174,9 +155,10 @@ class DensityOperator:
         if m.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d} for this cutoff, got {m.shape}")
         tr = complex(np.trace(m))
-        if abs(tr.imag) > 1e-10:
+        # negated comparisons, so that a NaN trace fails them too
+        if not abs(tr.imag) <= 1e-10:
             raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
-        if tr.real > 1.0 + 1e-9 or tr.real <= 0.0:
+        if not 0.0 < tr.real <= 1.0 + 1e-9:
             raise ValueError(f"trace {tr.real!r} outside (0, 1]")
         m = m.copy()
         m.setflags(write=False)
@@ -187,14 +169,6 @@ class DensityOperator:
 
 # ---------------------------------------------------------------------------
 # elementary states
-
-
-def vacuum(cutoff: FockCutoff, modes: int = 1) -> PureState:
-    if modes not in (1, 2):
-        raise ValueError(f"modes must be 1 or 2, got {modes}")
-    amp = np.zeros(cutoff.dim ** modes, dtype=complex)
-    amp[0] = 1.0
-    return PureState(amp, cutoff, modes=modes, tail_mass=0.0)
 
 
 def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
@@ -331,17 +305,6 @@ def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
 # ---------------------------------------------------------------------------
 # two-mode machinery
 
-# Mode ordering: amplitude index i*dim + j means |i>_0 (x) |j>_1.
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    _check_same_cutoff(a, b)
-    if a.modes != 1 or b.modes != 1:
-        raise ValueError("tensor expects two single-mode states")
-    amp = np.kron(a.amplitudes, b.amplitudes)
-    tail = a.tail_mass + b.tail_mass
-    return PureState(amp, a.cutoff, modes=2, tail_mass=tail)
-
 
 class TwoModeUnitary:
     """Photon-number-conserving two-mode unitary, stored block-diagonally over
@@ -350,20 +313,15 @@ class TwoModeUnitary:
     Each block is exactly unitary, so the whole operator is.
     """
 
-    def __init__(self, cutoff: FockCutoff, blocks):
-        self.cutoff = cutoff
+    def __init__(self, blocks):
         self.blocks = blocks  # s -> (i-index array, block matrix)
 
-    def apply(self, state: PureState) -> PureState:
-        if state.modes != 2 or state.cutoff != self.cutoff:
-            raise ValueError("expects a two-mode state at the same cutoff")
-        d = self.cutoff.dim
-        psi = state.amplitudes.reshape(d, d)
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """U psi for the d x d amplitude matrix psi[i, j] = <i, j|psi>."""
         out = np.zeros_like(psi)
         for s, (idx, blk) in self.blocks.items():
             out[idx, s - idx] = blk @ psi[idx, s - idx]
-        return PureState(out.reshape(-1), self.cutoff, modes=2,
-                         tail_mass=state.tail_mass)
+        return out
 
 
 @lru_cache(maxsize=1)
@@ -386,7 +344,7 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
         w, v = np.linalg.eigh(1j * (np.diag(off, 1) - np.diag(off, -1)))
         blk = (v * np.exp(-1j * theta * w)) @ v.conj().T
         blocks[s] = (idx, blk.real.astype(complex))
-    return TwoModeUnitary(cutoff, blocks)
+    return TwoModeUnitary(blocks)
 
 
 def beam_splitter_5050(cutoff: FockCutoff) -> TwoModeUnitary:
@@ -403,7 +361,8 @@ def hs_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:
 
     Orthogonal pure states are at distance sqrt(2).
     """
-    _check_same_cutoff(rho1, rho2)
+    if rho1.cutoff != rho2.cutoff:
+        raise ValueError(f"cross-cutoff operation rejected: {rho1.cutoff} vs {rho2.cutoff}")
     return float(np.linalg.norm(rho1.matrix - rho2.matrix))
 
 
@@ -424,26 +383,8 @@ def purity(rho: DensityOperator) -> float:
     return float(np.linalg.norm(rho.matrix) ** 2)  # tr rho^2 for Hermitian rho
 
 
-def partial_trace(state: PureState, mode: int) -> DensityOperator:
-    """Reduced state of mode ``mode`` (0 or 1) of a two-mode pure state.
-
-    With the amplitude matrix psi[i, j] = <i, j|state>, mode 0 keeps
-    psi psi+ and mode 1 keeps psi^T psi*; no two-mode density matrix is formed.
-    """
-    if state.modes != 2:
-        raise ValueError("partial trace expects a two-mode state")
-    if mode not in (0, 1):
-        raise ValueError("mode must be 0 or 1")
-    d = state.cutoff.dim
-    psi = state.amplitudes.reshape(d, d)
-    red = psi @ psi.conj().T if mode == 0 else psi.T @ psi.conj()
-    return DensityOperator(red, state.cutoff)
-
-
 def mode_moments(state: PureState):
-    """(<a>, <a^2>, <a+ a>) of a single-mode pure state, from amplitude shifts."""
-    if state.modes != 1:
-        raise ValueError("expects a single-mode state")
+    """(<a>, <a^2>, <a+ a>) of a pure state, from amplitude shifts."""
     c = state.amplitudes
     n = np.arange(c.shape[0], dtype=float)
     ea = complex(np.sum(np.conj(c[:-1]) * np.sqrt(n[1:]) * c[1:]))

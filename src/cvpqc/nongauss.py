@@ -17,8 +17,8 @@ from .fock import (
     FockCutoff,
     PureState,
     SqueezeParam,
-    TailMassError,
     _finish_state,
+    check_row_tails,
     coherent_amplitudes,
     displacement_operator,
     fidelity,
@@ -43,27 +43,6 @@ class EvenCoherentParam:
     @property
     def beta(self) -> complex:
         return self.beta_mag * np.exp(1j * self.varphi)
-
-
-@dataclass(frozen=True)
-class BeamSplitterRealization:
-    """Mixing with a coherent ancilla: transmission T for the ancilla arm.
-
-    The signal survives with amplitude sqrt(1-T), so small T means a nearly
-    transparent pass for the signal; the ancilla contributes the effective
-    displacement sqrt(T) * gamma.
-    """
-
-    transmission: float
-    ancilla_amp: complex
-
-    def __post_init__(self):
-        if not 0.0 < self.transmission <= 1.0:
-            raise ValueError(f"transmission must lie in (0, 1], got {self.transmission}")
-
-    @property
-    def effective_displacement(self) -> complex:
-        return math.sqrt(self.transmission) * complex(self.ancilla_amp)
 
 
 def even_coherent_state(param: EvenCoherentParam, cutoff: FockCutoff,
@@ -140,11 +119,11 @@ def quadrature_variance_even(param: EvenCoherentParam, cutoff: FockCutoff, theta
 # displacement from a strong ancilla
 
 
-def displacement_via_beamsplitter(realization: BeamSplitterRealization,
-                                  param: EvenCoherentParam, cutoff: FockCutoff,
-                                  tail_tol: float = DEFAULT_TAIL_TOL):
-    """Mix the even coherent input (beta = 0 is the vacuum) with the coherent
-    ancilla; returns (signal-arm state, fidelity against the displaced input).
+def displacement_via_beamsplitter(T: float, eff: complex, param: EvenCoherentParam,
+                                  cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
+    """Mix the even coherent input (beta = 0 is the vacuum) with a coherent
+    ancilla gamma on a splitter of transmission T for the ancilla arm; returns
+    (signal-arm state, fidelity against the input displaced by eff = sqrt(T) gamma).
 
     With t = sqrt(1-T) and s = sqrt(T) the splitter sends |+-beta>|gamma> to
     |+-t beta + s gamma>|-+s beta + t gamma>, so the signal is a 2x2 mixture of
@@ -152,14 +131,12 @@ def displacement_via_beamsplitter(realization: BeamSplitterRealization,
     With the effective displacement s gamma held fixed, the fidelity climbs
     toward 1 as T shrinks, because t approaches unity.
     """
-    T, eff = realization.transmission, realization.effective_displacement
+    if not 0.0 < T <= 1.0:
+        raise ValueError(f"transmission must lie in (0, 1], got {T}")
     t = math.sqrt(1.0 - T)
     sig = t * param.beta * np.array([1.0, -1.0]) + eff
     rows = coherent_amplitudes(sig, cutoff)
-    tails = 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
-    k = int(np.argmax(tails))
-    if tails[k] > tail_tol:
-        raise TailMassError(float(tails[k]), tail_tol, f"signal amplitude {sig[k]} at T={T}")
+    check_row_tails(rows, tail_tol, lambda k: f"signal amplitude {sig[k]} at T={T}")
     # <s beta + t gamma|-s beta + t gamma> in terms of eff = s gamma: no |gamma|^2 to cancel
     w = np.exp(-2.0 * T * param.beta_mag ** 2 + 2j * t * (eff * np.conj(param.beta)).imag)
     gram = np.array([[1.0, w], [np.conj(w), 1.0]])

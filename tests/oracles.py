@@ -6,11 +6,12 @@ splitter's blocks), through scipy's special functions (the Laguerre
 displacement matrix, the incomplete-gamma disk-uniform diagonal), from a
 closed form or a series (the squeezed-vacuum term ratio), or by
 materializing a block-structured operator or a two-mode density matrix
-densely.  ``check_density`` holds the Hermiticity and positivity checks
-the library never runs.  The protocol helpers (encrypt, decrypt, the
-channel output), the single-ring mixtures, the factorized tap model and
-the first-order squeezer live here too: the acceptance criteria use them,
-and no experiment does.  The ancilla displacement simulated in the two-mode
+densely.  A two-mode pure state is its amplitude matrix
+psi[i, j] = <i, j|psi>, as in the library.  ``check_density`` holds the
+Hermiticity and positivity checks the library never runs.  The protocol
+helpers (encrypt, decrypt, the channel output), the single-ring mixtures,
+the factorized tap model and the first-order squeezer live here too: the
+acceptance criteria use them, and no experiment does.  The ancilla displacement simulated in the two-mode
 Fock space is the reference for its closed form in ``nongauss``.
 """
 import cmath
@@ -22,18 +23,22 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammainc, gammaln
 
-from cvpqc.attack import _SQRT2, _tap_output
+from cvpqc.attack import _SQRT2
 from cvpqc.channel import (_NO_SQUEEZE, ConformationSpec, _key_average, _worst_key,
                            key_count, key_displacements, key_to_ring)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, DensityOperator, FockCutoff, PureState,
                         SqueezeParam, TwoModeUnitary, _finish_state, _hermite_series,
-                        beam_splitter, coherent_amplitudes,
-                        displacement_operator, fidelity, partial_trace, squeeze_operator,
-                        tensor, wrap_angle)
-from cvpqc.nongauss import BeamSplitterRealization
+                        beam_splitter, beam_splitter_5050, coherent_amplitudes,
+                        displacement_operator, fidelity, squeeze_operator,
+                        squeezed_coherent_state, wrap_angle)
 
 HERMITICITY_TOL = 1e-12
 EIG_FLOOR = -1e-10
+
+
+def xi_value(xi: SqueezeParam) -> complex:
+    """The complex squeezing parameter r e^{i phi}."""
+    return xi.r * np.exp(1j * xi.phi)
 
 
 def annihilation(cutoff: FockCutoff) -> np.ndarray:
@@ -83,7 +88,7 @@ def beam_splitter_expm(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
             if i + 1 <= hi:
                 gen[a_ + 1, a_] -= math.sqrt(i + 1) * math.sqrt(j)  # -a0+ a1
         blocks[s] = (idx, expm(theta * gen).astype(complex))
-    return TwoModeUnitary(cutoff, blocks)
+    return TwoModeUnitary(blocks)
 
 
 def disk_uniform_diagonal(b: float, cutoff: FockCutoff) -> np.ndarray:
@@ -98,7 +103,7 @@ def squeeze_expm(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
     interior of the basis."""
     a = annihilation(cutoff)
     adag = a.conj().T
-    z = xi.xi
+    z = xi_value(xi)
     return expm((np.conj(z) * (a @ a) - z * (adag @ adag)) / 2.0)
 
 
@@ -157,7 +162,7 @@ def ring_analytic_matrix(p: int, radius: float, cutoff: FockCutoff) -> np.ndarra
 
 def two_mode_dense(u: TwoModeUnitary) -> np.ndarray:
     """Full (dim^2 x dim^2) matrix of a block-stored two-mode unitary."""
-    d = u.cutoff.dim
+    d = (len(u.blocks) + 1) // 2  # one block per photon-number sum 0 .. 2 (d - 1)
     out = np.zeros((d * d, d * d), dtype=complex)
     for label, (idx, blk) in u.blocks.items():
         rows = idx * d + (label - idx)
@@ -168,14 +173,14 @@ def two_mode_dense(u: TwoModeUnitary) -> np.ndarray:
 def two_mode_inverse(u: TwoModeUnitary) -> TwoModeUnitary:
     """The adjoint, block by block."""
     inv = {label: (idx, blk.conj().T) for label, (idx, blk) in u.blocks.items()}
-    return TwoModeUnitary(u.cutoff, inv)
+    return TwoModeUnitary(inv)
 
 
-def partial_trace_dense(state: PureState, mode: int) -> np.ndarray:
+def partial_trace_dense(psi: np.ndarray, mode: int) -> np.ndarray:
     """Reduced matrix of one mode of a two-mode pure state, traced out of the
     full (dim^2 x dim^2) density matrix, which holds dim^4 entries."""
-    d = state.cutoff.dim
-    rho = np.outer(state.amplitudes, state.amplitudes.conj()).reshape(d, d, d, d)
+    d = psi.shape[0]
+    rho = np.outer(psi, psi.conj()).reshape(d, d, d, d)
     # axes [i, j, i', j'] for |i>_0 |j>_1 <i'|_0 <j'|_1
     return np.trace(rho, axis1=1, axis2=3) if mode == 0 else np.trace(rho, axis1=0, axis2=2)
 
@@ -196,22 +201,26 @@ def check_density(rho: DensityOperator) -> None:
 # single-mode states and two-mode operators no experiment builds
 
 
+def vacuum(cutoff: FockCutoff) -> PureState:
+    return PureState(np.eye(cutoff.dim, dtype=complex)[0], cutoff)
+
+
+def projector(state: PureState) -> DensityOperator:
+    """|psi><psi| of a pure state."""
+    return DensityOperator(np.outer(state.amplitudes, state.amplitudes.conj()), state.cutoff)
+
+
 def coherent_state(alpha: complex, cutoff: FockCutoff,
                    tail_tol: float = DEFAULT_TAIL_TOL) -> PureState:
     raw = coherent_amplitudes(alpha, cutoff)
     return _finish_state(raw, cutoff, tail_tol, f"coherent state alpha={alpha}")
 
 
-def apply_mode_operator(op: np.ndarray, state: PureState, mode: int) -> PureState:
-    """Apply a single-mode operator to one mode of a two-mode state."""
-    if state.modes != 2:
-        raise ValueError("expects a two-mode state")
-    d = state.cutoff.dim
-    if op.shape != (d, d):
+def apply_mode_operator(op: np.ndarray, psi: np.ndarray, mode: int) -> np.ndarray:
+    """Apply a single-mode operator to one mode of a two-mode amplitude matrix."""
+    if op.shape != psi.shape:
         raise ValueError("operator dimension does not match the cutoff")
-    psi = state.amplitudes.reshape(d, d)
-    out = op @ psi if mode == 0 else psi @ op.T
-    return PureState(out.reshape(-1), state.cutoff, modes=2, tail_mass=state.tail_mass)
+    return op @ psi if mode == 0 else psi @ op.T
 
 
 class PairUnitary:
@@ -219,20 +228,14 @@ class PairUnitary:
     difference i - j, which pair creation and annihilation conserve (the
     library's ``TwoModeUnitary`` keys its blocks by the sum i + j)."""
 
-    def __init__(self, cutoff: FockCutoff, blocks):
-        self.cutoff = cutoff
+    def __init__(self, blocks):
         self.blocks = blocks  # i - j -> (i-index array, block matrix)
 
-    def apply(self, state: PureState) -> PureState:
-        if state.modes != 2 or state.cutoff != self.cutoff:
-            raise ValueError("expects a two-mode state at the same cutoff")
-        d = self.cutoff.dim
-        psi = state.amplitudes.reshape(d, d)
+    def apply(self, psi: np.ndarray) -> np.ndarray:
         out = np.zeros_like(psi)
         for diff, (idx, blk) in self.blocks.items():
             out[idx, idx - diff] = blk @ psi[idx, idx - diff]
-        return PureState(out.reshape(-1), self.cutoff, modes=2,
-                         tail_mass=state.tail_mass)
+        return out
 
 
 @lru_cache(maxsize=16)
@@ -242,7 +245,7 @@ def two_mode_squeezer(zeta: SqueezeParam, cutoff: FockCutoff) -> PairUnitary:
     Cached; treat the result as read-only.
     """
     d = cutoff.dim
-    z = zeta.xi
+    z = xi_value(zeta)
     blocks = {}
     for diff in range(-(d - 1), d):
         idx = np.arange(diff, d) if diff >= 0 else np.arange(0, d + diff)
@@ -254,7 +257,7 @@ def two_mode_squeezer(zeta: SqueezeParam, cutoff: FockCutoff) -> PairUnitary:
             if a_ + 1 < len(idx):
                 gen[a_ + 1, a_] -= z * math.sqrt(i + 1) * math.sqrt(j + 1)
         blocks[diff] = (idx, expm(gen))
-    return PairUnitary(cutoff, blocks)
+    return PairUnitary(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +384,20 @@ class DecompositionReport:
         return self.best
 
 
+def tap_output(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
+               tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+    """Amplitude matrix of the 50:50 tap's output for S(xi) D(alpha)|0> (x) |0>."""
+    signal = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
+    return beam_splitter_5050(cutoff).apply(
+        np.outer(signal.amplitudes, vacuum(cutoff).amplitudes))
+
+
 def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,
-                      tail_tol: float) -> PureState:
+                      tail_tol: float) -> np.ndarray:
     """Local-squeeze(half) x2 . two-mode-squeeze(half) . displace(each arm)."""
     half = xi.half()
-    c = coherent_state(alpha_each, cutoff, tail_tol)
-    state = two_mode_squeezer(half, cutoff).apply(tensor(c, c))
+    c = coherent_state(alpha_each, cutoff, tail_tol).amplitudes
+    state = two_mode_squeezer(half, cutoff).apply(np.outer(c, c))
     s = squeeze_operator(half, cutoff)
     state = apply_mode_operator(s, state, 0)
     return apply_mode_operator(s, state, 1)
@@ -395,12 +406,12 @@ def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,
 def verify_decomposition(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
                          tail_tol: float = DEFAULT_TAIL_TOL) -> DecompositionReport:
     """Score the factorized tap model under both displacement conventions."""
-    lhs = _tap_output(alpha, xi, cutoff, tail_tol)
+    lhs = tap_output(alpha, xi, cutoff, tail_tol)
 
     def score(amp_each: complex) -> float:
         rhs = _factorized_model(amp_each, xi, cutoff, tail_tol)
-        num = abs(np.vdot(lhs.amplitudes, rhs.amplitudes)) ** 2
-        den = float(np.vdot(rhs.amplitudes, rhs.amplitudes).real)
+        num = abs(np.vdot(lhs, rhs)) ** 2
+        den = float(np.vdot(rhs, rhs).real)
         return float(num / den) if den > 0 else 0.0
 
     return DecompositionReport(
@@ -414,32 +425,30 @@ def verify_decomposition(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
 # displacement from a strong ancilla, simulated in the two-mode Fock space
 
 
-def displacement_via_beamsplitter_fock(realization: BeamSplitterRealization,
-                                       input_state: PureState, cutoff: FockCutoff,
+def displacement_via_beamsplitter_fock(T: float, eff: complex, input_state: PureState,
+                                       cutoff: FockCutoff,
                                        tail_tol: float = DEFAULT_TAIL_TOL):
-    """Mix the input with the coherent ancilla and keep the signal arm.
+    """Mix the input with the coherent ancilla gamma = eff / sqrt(T) and keep the
+    signal arm.
 
-    Returns (signal-arm reduced state, fidelity against the ideally displaced
-    input).  With the effective displacement held fixed, the fidelity climbs
+    Returns (signal-arm reduced state, fidelity against the input displaced by
+    eff).  With the effective displacement held fixed, the fidelity climbs
     toward 1 as the transmission shrinks, because the signal amplitude
     sqrt(1-T) approaches unity.
     """
-    if input_state.modes != 1 or input_state.cutoff != cutoff:
-        raise ValueError("input must be a single-mode state at the given cutoff")
-    T = realization.transmission
-    gamma = complex(realization.ancilla_amp)
+    if input_state.cutoff != cutoff:
+        raise ValueError("input must be a state at the given cutoff")
+    gamma = complex(eff) / math.sqrt(T)
 
     ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), cutoff, tail_tol,
                             f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
 
-    both = tensor(input_state, ancilla)
     # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla
-    mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(both)
+    mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(
+        np.outer(input_state.amplitudes, ancilla.amplitudes))
+    signal = DensityOperator(mixed @ mixed.conj().T, cutoff)
 
-    signal = partial_trace(mixed, 0)
-
-    ideal = displacement_operator(realization.effective_displacement, cutoff) \
-        @ input_state.amplitudes
+    ideal = displacement_operator(eff, cutoff) @ input_state.amplitudes
     ideal = PureState(ideal / np.linalg.norm(ideal), cutoff)
     return signal, fidelity(ideal, signal) / signal.mass
 
@@ -457,7 +466,7 @@ def matching_varphi(phi_xi: float):
 def truncated_squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
     """First-order squeezer: 1 + (conj(xi)/2) a^2 - (xi/2) a+^2."""
     a = annihilation(cutoff)
-    z = xi.xi
+    z = xi_value(xi)
     eye = np.eye(cutoff.dim, dtype=complex)
     return eye + (np.conj(z) / 2.0) * (a @ a) - (z / 2.0) * (a.conj().T @ a.conj().T)
 

@@ -33,7 +33,6 @@ from cvpqc.fock import (
     heuristic_cutoff,
     hs_distance,
     squeeze_operator,
-    vacuum,
     von_neumann_entropy,
 )
 from oracles import (
@@ -43,12 +42,14 @@ from oracles import (
     decrypt,
     disk_uniform_diagonal,
     encrypt,
+    projector,
     ring_analytic_matrix,
     secret_bits,
     squeezed_coherent_amplitudes,
     squeezed_conformation,
     squeezed_projector_prefactor,
     squeezed_vacuum_distance_closed_form,
+    vacuum,
 )
 
 C59 = FockCutoff(59)
@@ -455,7 +456,7 @@ def test_convergence_sweep_row_contents():
         assert row["b"] == 2.0 and row["cutoff"] == 59
     # single ring family is a pure vacuum: zero entropy, known distance
     assert rows[0]["entropy"] < 1e-10
-    vac = vacuum(C59).density_operator()
+    vac = projector(vacuum(C59))
     mm = maximally_mixed(2.0, C59)
     assert rows[0]["d_hs"] == pytest.approx(hs_distance(mm, vac))
 

@@ -5,16 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cvpqc
 from cvpqc import experiments
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
-from cvpqc.config import config_from_dict, validate
+from cvpqc.config import ExperimentConfig, config_from_dict, validate
 from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
-from cvpqc.fock import FockCutoff, hs_distance, vacuum
+from cvpqc.fock import FockCutoff, hs_distance
+from oracles import projector, vacuum
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -146,7 +149,7 @@ def test_run_convergence_single_ring(tmp_path, capsys):
     row = dict(zip(cols, rows[0]))
     cut = FockCutoff(59)
     expect = hs_distance(maximally_mixed(2.0, cut),
-                         vacuum(cut).density_operator())
+                         projector(vacuum(cut)))
     assert float(row["d_hs"]) == pytest.approx(expect, abs=1e-12)
     assert float(row["d_hs_times_Np1"]) == pytest.approx(2 * expect, abs=1e-12)
     assert "wrote 1 rows" in capsys.readouterr().out
@@ -222,7 +225,7 @@ def test_float_cells_round_trip_exactly(tmp_path):
     row = dict(zip(cols, rows[0]))
     cut = FockCutoff(59)
     expect = hs_distance(maximally_mixed(2.0, cut),
-                         vacuum(cut).density_operator())
+                         projector(vacuum(cut)))
     # 17 significant digits reproduce the double bit-for-bit
     assert float(row["d_hs"]) == expect
 
@@ -556,12 +559,103 @@ def test_displacement_bs_target_tail_exits_3(tmp_path, capsys):
     assert "displaced target" in capsys.readouterr().err
 
 
+def test_b_whose_square_underflows_exits_2(tmp_path, capsys):
+    # b^2 = 0 would make every disk-uniform weight 0/0
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, experiment="mmstate", b_list=[1e-200], out=str(out))
+    assert main(["run", cfg]) == 2
+    assert "b^2 does not underflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     out = str(tmp_path / "no_such_dir" / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
                        N_list=[1], b_list=[2.0], cutoff=40, out=out)
     assert main(["run", cfg]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs: every JSON document ends in an exit code, never a traceback
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}), st.just([]))
+_NASTY = st.one_of(
+    st.floats(),  # NaN, +-inf, huge, subnormal and negative values included
+    st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-200, 1e300, 10 ** 400]),
+)
+_SMALL_INT = st.integers(-3, 0)  # no large integers where they set a size
+
+
+def _well_typed(name):
+    """A value of the field's own type, in a range where a run is cheap."""
+    if name == "experiment":
+        return st.sampled_from(sorted(REGISTRY))
+    if name == "cutoff":
+        return st.integers(1, 30)
+    if name in ("N_list", "p_list"):
+        return st.lists(st.integers(1, 8), min_size=1, max_size=3)
+    if name == "T_list":
+        return st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3)
+    if name.endswith("_list"):
+        return st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3)
+    if name == "input_kind":
+        return st.sampled_from(["vacuum", "even_coherent"])
+    if name == "format":
+        return st.sampled_from(["csv", "json"])
+    return st.floats(0.0, 3.0)
+
+
+def _ill_formed(name):
+    """Wrong types, non-finite, huge, tiny, negative and empty values.  The cutoff
+    is never null, which would take the default, nor N or p large: both set the
+    size of a run."""
+    if name == "cutoff":
+        return st.one_of(_SMALL_INT, st.floats(), st.booleans(), st.text(max_size=3))
+    if name in ("N_list", "p_list"):
+        number = st.one_of(_SMALL_INT, st.floats())
+    else:
+        number = st.one_of(_NASTY, st.integers(-3, 3))
+    return st.one_of(number, _JUNK, st.lists(st.one_of(number, _JUNK), max_size=3))
+
+
+def _field(name):
+    """Ill formed one time in eight, so that many configs pass validation and run."""
+    return st.integers(0, 7).flatmap(
+        lambda k: _ill_formed(name) if k == 0 else _well_typed(name))
+
+
+# workers is left out so that no process pool starts, out is set by --out, and
+# the cutoff is always present
+_FUZZED_FIELDS = sorted(f for f in ExperimentConfig.__dataclass_fields__
+                        if f not in ("workers", "out", "cutoff"))
+
+
+@st.composite
+def _config_docs(draw):
+    doc = {"experiment": draw(_field("experiment")), "cutoff": draw(_field("cutoff"))}
+    for name in draw(st.lists(st.sampled_from(_FUZZED_FIELDS), max_size=5, unique=True)):
+        doc[name] = draw(_field(name))
+    if draw(st.integers(0, 9)) == 0:
+        del doc["experiment"]  # a missing required field
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(["seed", "n_list", "b"]))] = draw(_NASTY)  # unknown
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=st.integers(0, 9).flatmap(lambda k: st.one_of(_NASTY, _JUNK) if k == 0
+                                     else _config_docs()))
+def test_fuzzed_configs_end_in_an_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        out = os.path.join(tmp, "rows.out")
+        assert main(["validate", path]) in (0, 2)
+        rc = main(["run", path, "--out", out])
+        assert rc in (0, 2, 3, 4)
+        assert os.path.exists(out) == (rc == 0)
 
 
 # ---------------------------------------------------------------------------

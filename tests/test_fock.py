@@ -20,21 +20,15 @@ from cvpqc.fock import (
     heuristic_cutoff,
     hs_distance,
     mode_moments,
-    partial_trace,
     purity,
     quadrature_variance,
     squeeze_operator,
     squeezed_coherent_closed_form,
     squeezed_coherent_state,
-    tensor,
-    vacuum,
     von_neumann_entropy,
 )
-from cvpqc.nongauss import (
-    BeamSplitterRealization,
-    EvenCoherentParam,
-    displacement_via_beamsplitter,
-)
+from cvpqc.attack import attack
+from cvpqc.nongauss import EvenCoherentParam, displacement_via_beamsplitter
 from oracles import (
     annihilation,
     apply_mode_operator,
@@ -48,13 +42,16 @@ from oracles import (
     displacement_laguerre,
     encrypt,
     partial_trace_dense,
+    projector,
     squeeze_expm,
     squeezed_coherent_amplitudes,
     squeezed_conformation,
     squeezed_vacuum_amplitudes,
+    tap_output,
     two_mode_dense,
     two_mode_inverse,
     two_mode_squeezer,
+    vacuum,
 )
 
 C40 = FockCutoff(40)
@@ -70,19 +67,8 @@ def test_vacuum_single_mode_amplitudes():
     assert np.array_equal(v.amplitudes, np.array([1, 0, 0, 0, 0], dtype=complex))
 
 
-def test_vacuum_two_mode_amplitude_at_origin():
-    v = vacuum(FockCutoff(2), modes=2)
-    assert v.amplitudes[0] == 1.0
-    assert np.all(v.amplitudes[1:] == 0)
-
-
 def test_vacuum_norm_exact():
-    assert vacuum(C40).norm() == 1.0
-
-
-def test_vacuum_rejects_bad_mode_count():
-    with pytest.raises(ValueError):
-        vacuum(C40, modes=3)
+    assert np.linalg.norm(vacuum(C40).amplitudes) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +226,7 @@ def test_squeezed_coherent_with_zero_displacement_is_squeezed_vacuum():
 def test_squeezed_coherent_without_squeezing_is_coherent():
     sc = squeezed_coherent_state(SqueezeParam(0.0), 1.3, C60)
     c = coherent_state(1.3, C60)
-    assert abs(sc.overlap(c)) ** 2 > 1 - 1e-12
+    assert abs(np.vdot(sc.amplitudes, c.amplitudes)) ** 2 > 1 - 1e-12
 
 
 def test_squeezed_coherent_matches_closed_form():
@@ -283,16 +269,17 @@ def test_tail_mass_recorded_and_small():
 
 def test_beam_splitter_preserves_vacuum():
     bs = beam_splitter_5050(FockCutoff(10))
-    out = bs.apply(vacuum(FockCutoff(10), modes=2))
-    assert abs(out.amplitudes[0]) > 1 - 1e-12
+    vac = vacuum(FockCutoff(10)).amplitudes
+    out = bs.apply(np.outer(vac, vac))
+    assert abs(out[0, 0]) > 1 - 1e-12
 
 
 def test_beam_splitter_splits_coherent_state():
     cut = FockCutoff(25)
-    out = beam_splitter_5050(cut).apply(tensor(coherent_state(1.0, cut), vacuum(cut)))
-    half = coherent_state(1.0 / math.sqrt(2.0), cut)
-    target = tensor(half, half)
-    assert abs(out.overlap(target)) ** 2 >= 1 - 1e-6
+    out = beam_splitter_5050(cut).apply(
+        np.outer(coherent_state(1.0, cut).amplitudes, vacuum(cut).amplitudes))
+    half = coherent_state(1.0 / math.sqrt(2.0), cut).amplitudes
+    assert abs(np.vdot(out, np.outer(half, half))) ** 2 >= 1 - 1e-6
 
 
 def test_beam_splitter_dense_is_unitary():
@@ -319,10 +306,9 @@ def test_beam_splitter_dense_and_apply_agree():
     rng = np.random.default_rng(7)
     amps = rng.normal(size=81) + 1j * rng.normal(size=81)
     amps /= np.linalg.norm(amps)
-    st = PureState(amps, cut, modes=2)
     bs = beam_splitter(0.6, cut)
     direct = two_mode_dense(bs) @ amps
-    assert np.max(np.abs(direct - bs.apply(st).amplitudes)) < 1e-12
+    assert np.max(np.abs(direct - bs.apply(amps.reshape(9, 9)).reshape(-1))) < 1e-12
 
 
 def test_beam_splitter_inverse_roundtrip():
@@ -330,17 +316,18 @@ def test_beam_splitter_inverse_roundtrip():
     rng = np.random.default_rng(3)
     amps = rng.normal(size=121) + 1j * rng.normal(size=121)
     amps /= np.linalg.norm(amps)
-    st = PureState(amps, cut, modes=2)
+    psi = amps.reshape(11, 11)
     bs = beam_splitter(0.9, cut)
-    back = two_mode_inverse(bs).apply(bs.apply(st))
-    assert np.max(np.abs(back.amplitudes - amps)) < 1e-12
+    back = two_mode_inverse(bs).apply(bs.apply(psi))
+    assert np.max(np.abs(back - psi)) < 1e-12
 
 
 def test_two_mode_squeezer_vacuum_series():
     # exp(z* ab - z a+b+)|0,0> has amplitude (-e^{i phi} tanh r)^n / cosh r at |n,n>
     cut = FockCutoff(20)
     xi = SqueezeParam(0.5, 0.8)
-    out = two_mode_squeezer(xi, cut).apply(vacuum(cut, modes=2)).amplitudes.reshape(21, 21)
+    vac = vacuum(cut).amplitudes
+    out = two_mode_squeezer(xi, cut).apply(np.outer(vac, vac))
     n = np.arange(21)
     expect = (-np.exp(1j * xi.phi) * math.tanh(xi.r)) ** n / math.cosh(xi.r)
     # ladder truncation perturbs the top levels; the interior is converged
@@ -356,10 +343,10 @@ def test_apply_mode_operator_matches_kron():
     op = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     amps = rng.normal(size=49) + 1j * rng.normal(size=49)
     amps /= np.linalg.norm(amps)
-    st = PureState(amps, cut, modes=2)
-    via0 = apply_mode_operator(op, st, 0).amplitudes
+    psi = amps.reshape(7, 7)
+    via0 = apply_mode_operator(op, psi, 0).reshape(-1)
     assert np.allclose(via0, np.kron(op, np.eye(7)) @ amps)
-    via1 = apply_mode_operator(op, st, 1).amplitudes
+    via1 = apply_mode_operator(op, psi, 1).reshape(-1)
     assert np.allclose(via1, np.kron(np.eye(7), op) @ amps)
 
 
@@ -367,11 +354,7 @@ def test_cross_cutoff_operations_rejected():
     a = vacuum(FockCutoff(5))
     b = vacuum(FockCutoff(6))
     with pytest.raises(ValueError):
-        tensor(a, b)
-    with pytest.raises(ValueError):
-        a.overlap(b)
-    with pytest.raises(ValueError):
-        hs_distance(a.density_operator(), b.density_operator())
+        hs_distance(projector(a), projector(b))
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +362,20 @@ def test_cross_cutoff_operations_rejected():
 
 
 def test_hs_distance_of_state_with_itself_is_zero():
-    rho = coherent_state(0.6, C40).density_operator()
+    rho = projector(coherent_state(0.6, C40))
     assert hs_distance(rho, rho) == 0.0
 
 
 def test_hs_distance_orthogonal_pure_states():
-    r0 = vacuum(C40).density_operator()
-    r1 = PureState(np.eye(41)[1], C40).density_operator()
+    r0 = projector(vacuum(C40))
+    r1 = projector(PureState(np.eye(41)[1], C40))
     assert abs(hs_distance(r0, r1) - math.sqrt(2.0)) < 1e-12
 
 
 def test_hs_distance_squeezed_vacuum_closed_form():
     r = 0.2
-    sv = squeezed_coherent_state(SqueezeParam(r), 0.0, C60).density_operator()
-    vac = vacuum(C60).density_operator()
+    sv = projector(squeezed_coherent_state(SqueezeParam(r), 0.0, C60))
+    vac = projector(vacuum(C60))
     closed = 2.0 * math.sinh(r / 2.0) / math.sqrt(math.cosh(r))
     assert abs(hs_distance(sv, vac) - closed) < 1e-10
 
@@ -420,7 +403,7 @@ def test_hs_distance_unitary_invariance():
 
 
 def test_entropy_and_purity_of_pure_state():
-    rho = coherent_state(0.9, C40).density_operator()
+    rho = projector(coherent_state(0.9, C40))
     assert von_neumann_entropy(rho) < 1e-10
     assert abs(purity(rho) - 1.0) < 1e-10
 
@@ -433,35 +416,40 @@ def test_entropy_of_flat_diagonal_state():
 
 
 def test_partial_trace_of_product_state_is_pure():
+    # a coherent input leaves the tap as the product |a/sqrt2>|a/sqrt2>: both
+    # reduced states are pure, and the receiver's is the attenuated copy
     cut = FockCutoff(30)
     half = coherent_state(1.0 / math.sqrt(2.0), cut)
-    both = tensor(half, half)
+    out = tap_output(1.0, SqueezeParam(0.0), cut)
     for mode in (0, 1):
-        red = partial_trace(both, mode)
-        assert purity(red) >= 1 - 1e-8
+        red = DensityOperator(partial_trace_dense(out, mode), cut)
         assert abs(fidelity(half, red) - 1.0) < 1e-8
-
-
-def test_partial_trace_requires_two_modes():
-    with pytest.raises(ValueError):
-        partial_trace(vacuum(C40), 0)
-
-
-def test_partial_trace_of_tap_matches_dense_oracle():
-    # the input's closed-form tail is within tail_tol from cutoff 23 on (5.9e-5 at 12)
-    cut = FockCutoff(23)
-    sig = squeezed_coherent_state(SqueezeParam(0.4, 0.9), 0.6 - 0.3j, cut)
-    out = beam_splitter_5050(cut).apply(tensor(sig, vacuum(cut)))
-    for mode in (0, 1):
-        red = partial_trace(out, mode)
-        assert np.max(np.abs(red.matrix - partial_trace_dense(out, mode))) < 1e-14
+    bob, eve, ent, fid = attack(1.0, SqueezeParam(0.0), cut)
+    assert min(bob, eve, fid) >= 1 - 1e-8
+    assert ent < 1e-10
 
 
 def test_entanglement_entropy_of_product_state_is_zero():
+    # two coherent inputs leave any splitter as a product of coherent states, so the
+    # reduced state of either arm is pure
     cut = FockCutoff(20)
-    st = tensor(coherent_state(0.7, cut), coherent_state(-0.2, cut))
-    for mode in (0, 1):
-        assert von_neumann_entropy(partial_trace(st, mode)) < 1e-10
+    both = np.outer(coherent_state(0.7, cut).amplitudes, coherent_state(-0.2, cut).amplitudes)
+    out = beam_splitter(0.6, cut).apply(both)
+    for red in (out @ out.conj().T, out.T @ out.conj()):
+        assert von_neumann_entropy(DensityOperator(red, cut)) < 1e-10
+
+
+def test_partial_trace_of_tap_matches_dense_oracle():
+    # the input's closed-form tail is within tail_tol from cutoff 23 on (5.9e-5 at 12);
+    # every number attack reports is read off its two reduced states
+    cut = FockCutoff(23)
+    xi, alpha = SqueezeParam(0.4, 0.9), 0.6 - 0.3j
+    out = tap_output(alpha, xi, cut)
+    rho_b, rho_e = (DensityOperator(partial_trace_dense(out, mode), cut) for mode in (0, 1))
+    expected = squeezed_coherent_state(xi.half(), alpha / math.sqrt(2.0), cut)
+    dense = (purity(rho_b), purity(rho_e), von_neumann_entropy(rho_b),
+             fidelity(expected, rho_b))
+    assert np.max(np.abs(np.subtract(attack(alpha, xi, cut), dense))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -529,21 +517,30 @@ def test_density_validation_rejects_excess_trace():
         DensityOperator(np.eye(41, dtype=complex), C40)
 
 
+@pytest.mark.parametrize("entry", [math.nan, complex(0.5, math.nan)])
+def test_density_rejects_a_trace_that_is_not_finite(entry):
+    m = np.zeros((41, 41), dtype=complex)
+    m[0, 0] = entry
+    with pytest.raises(ValueError, match="trace"):
+        DensityOperator(m, C40)
+
+
 _C30 = FockCutoff(30)
 _XI = SqueezeParam(0.3, 0.7)
 _RING = ConformationSpec(4, 1.5, 3)
 
 
 def _tap_arm(mode):
-    sig = squeezed_coherent_state(SqueezeParam(0.5, 1.3), 0.8, _C30)
-    return partial_trace(beam_splitter_5050(_C30).apply(tensor(sig, vacuum(_C30))), mode)
+    # the receiver's and the eavesdropper's reduced states, as attack forms them
+    out = tap_output(0.8, SqueezeParam(0.5, 1.3), _C30)
+    return DensityOperator(out @ out.conj().T if mode == 0 else out.T @ out.conj(), _C30)
 
 
 # every library call that returns a DensityOperator, and the oracles built on its key average
 _DENSITY_OUTPUTS = {
-    "coherent_projector": lambda: coherent_state(0.5, C40).density_operator(),
+    "coherent_projector": lambda: projector(coherent_state(0.5, C40)),
     "squeezed_vacuum_projector":
-        lambda: squeezed_coherent_state(SqueezeParam(0.4, 0.7), 0.0, C60).density_operator(),
+        lambda: projector(squeezed_coherent_state(SqueezeParam(0.4, 0.7), 0.0, C60)),
     "maximally_mixed": lambda: maximally_mixed(1.5, _C30),
     "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
     "mixture_gamma": lambda: mixture_gamma(4, 1.5, _C30),
@@ -556,7 +553,7 @@ _DENSITY_OUTPUTS = {
     "tap_receiver_arm": lambda: _tap_arm(0),
     "tap_eavesdropper_arm": lambda: _tap_arm(1),
     "displacement_bs_signal": lambda: displacement_via_beamsplitter(
-        BeamSplitterRealization(0.1, 0.9), EvenCoherentParam(0.8, 0.3), C40)[0],
+        0.1, math.sqrt(0.1) * 0.9, EvenCoherentParam(0.8, 0.3), C40)[0],
 }
 
 

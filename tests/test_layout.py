@@ -6,7 +6,11 @@ plus `fock.squeezed_coherent_closed_form`, which the benchmark's honesty screen
 imports.  A definition reached only from tests belongs in `tests/oracles.py`.
 The walk follows names through the AST: a bare name resolves to a definition
 of the same module or to a `from .module import name`, and `module.name`
-resolves through `from . import module`.  Methods ride along with their class.
+resolves through `from . import module`.  Methods ride along with their class
+in that walk; a second check asks of every public method and property that
+its name is read as an attribute somewhere in `src` outside its own body.
+That check goes by name only, so it can miss an unused member whose name
+another object's attribute shares, but it never flags a used one.
 """
 import ast
 from pathlib import Path
@@ -86,3 +90,24 @@ def unreached_definitions():
 
 def test_every_definition_is_reached_from_an_entry_point():
     assert unreached_definitions() == []
+
+
+def unread_members():
+    """Public methods and properties of `src` classes whose name no attribute
+    read in `src` uses, apart from reads inside the member's own body."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    reads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for tree in trees:
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    own = {id(n) for n in ast.walk(member)}
+                    if not any(r.attr == member.name and id(r) not in own for r in reads):
+                        unread.append(f"{cls.name}.{member.name}")
+    return sorted(unread)
+
+
+def test_every_public_member_is_read_in_src():
+    assert unread_members() == []
