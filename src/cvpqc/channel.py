@@ -138,19 +138,26 @@ def _worst_key(N: int, what: str):
     return name
 
 
-def mixture_gamma(N: int, b: float, cutoff: FockCutoff,
+def key_rows(N: int, b: float, cutoff: FockCutoff) -> np.ndarray:
+    """The M coherent key rows <n|alpha_k>, in key order, in one batched call."""
+    return coherent_amplitudes(key_displacements(N, b), cutoff)
+
+
+def mixture_gamma(N: int, b: float, rows: np.ndarray, cutoff: FockCutoff,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
-    """Flat average over all M displaced vacua of the key space."""
-    return _key_average(coherent_amplitudes(key_displacements(N, b), cutoff), _NO_SQUEEZE,
-                        cutoff, tail_tol,
+    """Flat average over all M displaced vacua of the key space.
+
+    ``rows`` is ``key_rows(N, b, cutoff)``, which the squeezed mixtures of
+    the same (b, N) share.
+    """
+    return _key_average(rows, _NO_SQUEEZE, cutoff, tail_tol,
                         _worst_key(N, f"mixture N={N}, b={b}"))
 
 
-def squeezed_mixture(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
-                     tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
-    """Flat average over all M squeezed displaced vacua."""
-    return _key_average(coherent_amplitudes(key_displacements(N, b), cutoff), xi, cutoff,
-                        tail_tol,
+def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
+                     cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
+    """Flat average over all M squeezed displaced vacua; ``rows`` as for mixture_gamma."""
+    return _key_average(rows, xi, cutoff, tail_tol,
                         _worst_key(N, f"squeezed mixture N={N}, b={b}, r={xi.r}"))
 
 
@@ -173,21 +180,27 @@ def vacuum_weight(xi: SqueezeParam, alpha: complex) -> float:
 # convergence experiments
 
 
-def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
-                      tail_tol: float = DEFAULT_TAIL_TOL):
-    """(d_hs, triangle_bound, entropy) of one convergence grid point.
+def convergence_rows(N: int, b: float, xis, cutoff: FockCutoff,
+                     tail_tol: float = DEFAULT_TAIL_TOL) -> list:
+    """(d_hs, triangle_bound, entropy) at one (b, N), one triple per squeezing in ``xis``.
 
     d_hs is the distance from the disk-uniform target to the key-averaged
     mixture, squeezed when xi.r > 0; triangle_bound >= d_hs is the distance
     from the target to the plain mixture plus the distance between the two
-    mixtures; entropy is that of the mixture d_hs measures.  Each mixture is
-    built once.
+    mixtures; entropy is that of the mixture d_hs measures.  The target, the
+    key rows, the plain mixture and its distance to the target are built once
+    and shared by every squeezing; each squeezed mixture is built once.
     """
     mm = maximally_mixed(b, cutoff, tail_tol)
-    gam = mixture_gamma(N, b, cutoff, tail_tol)
+    rows = key_rows(N, b, cutoff)
+    gam = mixture_gamma(N, b, rows, cutoff, tail_tol)
     d_coh = hs_distance(mm, gam)
-    if xi.r == 0.0:
-        return d_coh, d_coh, von_neumann_entropy(gam)
-    gam_xi = squeezed_mixture(N, b, xi, cutoff, tail_tol)
-    return (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
-            von_neumann_entropy(gam_xi))
+    out = []
+    for xi in xis:
+        if xi.r == 0.0:
+            out.append((d_coh, d_coh, von_neumann_entropy(gam)))
+        else:
+            gam_xi = squeezed_mixture(N, b, rows, xi, cutoff, tail_tol)
+            out.append((hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
+                        von_neumann_entropy(gam_xi)))
+    return out

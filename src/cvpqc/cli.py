@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a sweep described by a JSON config")
     run_p.add_argument("config", help="path to a flat JSON config document")
     run_p.add_argument("--workers", type=int, default=None,
-                       help="evaluate grid points in up to K processes")
+                       help="evaluate the grid's tasks in up to K processes")
     run_p.add_argument("--out", default=None, help="output file path")
     run_p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default csv)")

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from .channel import key_count
 from .experiments import REGISTRY, resolve_cutoff
 
 
@@ -211,7 +212,12 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
             f"holds {blocks} complex block entries (~{_mb(blocks):.1f} MB), "
             f"built once and reused across the grid")
     else:
-        rep.info.append(
-            f"basis dimension {d}; density matrices hold {d * d} complex entries "
-            f"(~{_mb(d * d):.3f} MB)")
+        memory = (f"basis dimension {d}; density matrices hold {d * d} complex entries "
+                  f"(~{_mb(d * d):.3f} MB)")
+        if exp.key_stack:
+            N = max(cfg.N_list)
+            stack = key_count(N) * d
+            memory += (f"; the key-row stack at N = {N} holds {stack} complex entries "
+                       f"(~{_mb(stack):.3f} MB)")
+        rep.info.append(memory)
     return rep

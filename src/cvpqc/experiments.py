@@ -2,21 +2,26 @@
 
 ``REGISTRY`` holds the one definition of each experiment: its columns, the
 config grids it loops over (outermost first) with the compute function for
-one point of their product, its default cutoff, and whether it works on two
-modes.  A task is one grid point; it and its rows hold only plain values so
-they cross process boundaries, and tasks come in a fixed grid order, so
-output is deterministic for a given config regardless of worker count.
+one task, its default cutoff, and whether it works on two modes.  A task is
+one point of the grids' product, except that a task covers every value of
+the experiment's ``shared`` grids at once: a convergence task is one (b, N)
+pair, and it builds the target, the key rows and the plain mixture once for
+all of its squeezings.  Tasks and their rows hold only plain values so they
+cross process boundaries; tasks come in a fixed order, and ``execute`` puts
+every row back at its grid position, so output is deterministic for a given
+config regardless of worker count.
 
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
-grid to its value under the grid's name without the ``_list`` suffix; they
-read ``tail_tol``, ``p_list`` and the ``input_*`` fields from ``cfg``.
+grid to its value under the grid's name without the ``_list`` suffix, and
+each shared grid to its whole list under its own name; they read
+``tail_tol``, ``p_list`` and the ``input_*`` fields from ``cfg``.  They
+return one list of rows per grid point the task covers, in loop order.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,9 +35,11 @@ class Experiment:
     """One sweep.
 
     ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
-    later stage follow all rows of an earlier one.  The default cutoff is
+    later stage follow all rows of an earlier one.  One task covers every
+    value of the ``shared`` grids.  The default cutoff is
     ``heuristic_cutoff(scale(cfg))`` when ``scale`` is given and positive,
-    otherwise ``n_max``.
+    otherwise ``n_max``.  ``key_stack`` marks the experiments whose tasks hold
+    the M x d stack of key rows.
     """
 
     columns: tuple
@@ -40,6 +47,8 @@ class Experiment:
     n_max: int = 0
     scale: Optional[Callable] = None
     two_mode: bool = False
+    shared: tuple = ()
+    key_stack: bool = False
 
     @property
     def grids(self) -> tuple:
@@ -85,8 +94,8 @@ def resolve_cutoff(cfg) -> int:
 def _compute_mmstate(cfg, n_max, b):
     mm = channel.maximally_mixed(b, FockCutoff(n_max), cfg.tail_tol)
     diag = mm.matrix.diagonal().real
-    return [(b, n_max, cfg.tail_tol, n, float(diag[n]), mm.mass)
-            for n in range(n_max + 1)]
+    return [[(b, n_max, cfg.tail_tol, n, float(diag[n]), mm.mass)
+             for n in range(n_max + 1)]]
 
 
 # --- conformation (ring geometry / angular weights) -------------------------
@@ -104,17 +113,17 @@ def _compute_conformation(cfg, n_max, N, b, r, phi):
             rows.append((N, b, r, phi, n_max, p, q, spec.radius, float(theta),
                          channel.k_factor(xi, float(theta)),
                          channel.vacuum_weight(xi, alpha)))
-    return rows
+    return [rows]
 
 
 # --- convergence sweeps ------------------------------------------------------
 
 
-def _compute_convergence(cfg, n_max, N, b, r=0.0, phi=0.0):
-    xi = SqueezeParam(r, phi)
-    d_hs, bound, entropy = channel.convergence_point(N, b, xi, FockCutoff(n_max),
-                                                     cfg.tail_tol)
-    return [(N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)]
+def _compute_convergence(cfg, n_max, N, b, r_list=(0.0,), phi_list=(0.0,)):
+    xis = [SqueezeParam(r, phi) for r in r_list for phi in phi_list]
+    triples = channel.convergence_rows(N, b, xis, FockCutoff(n_max), cfg.tail_tol)
+    return [[(N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)]
+            for xi, (d_hs, bound, entropy) in zip(xis, triples)]
 
 
 # --- beam-splitter tap -------------------------------------------------------
@@ -123,8 +132,8 @@ def _compute_convergence(cfg, n_max, N, b, r=0.0, phi=0.0):
 def _compute_attack(cfg, n_max, alpha, r, phi):
     alpha = complex(alpha)
     kind = "coherent" if r == 0.0 else "squeezed_coherent"
-    return [(kind, alpha.real, alpha.imag, r, phi, n_max,
-             *attack.attack(alpha, SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol))]
+    return [[(kind, alpha.real, alpha.imag, r, phi, n_max,
+              *attack.attack(alpha, SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol))]]
 
 
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
@@ -134,15 +143,15 @@ def _compute_overlap(cfg, n_max, r, phi, beta_mag, varphi):
     exact, approx = nongauss.overlap_even_vs_squeezed(
         nongauss.EvenCoherentParam(beta_mag, varphi), SqueezeParam(r, phi),
         FockCutoff(n_max), cfg.tail_tol)
-    return [(r, phi, beta_mag, varphi, n_max, exact, approx, abs(exact - approx))]
+    return [[(r, phi, beta_mag, varphi, n_max, exact, approx, abs(exact - approx))]]
 
 
 # --- quadrature variances ----------------------------------------------------
 
 
 def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
-    return [(kind, r, phi, bm, vp, theta, n_max, float(exact), float(closed),
-             float(approx), abs(float(exact) - float(closed)))]
+    return [[(kind, r, phi, bm, vp, theta, n_max, float(exact), float(closed),
+              float(approx), abs(float(exact) - float(closed)))]]
 
 
 def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
@@ -172,8 +181,8 @@ def _compute_displacement_bs(cfg, n_max, T):
     _, fid = nongauss.displacement_via_beamsplitter(
         T, eff, nongauss.EvenCoherentParam(_input_beta_mag(cfg), vp), FockCutoff(n_max),
         cfg.tail_tol)
-    return [(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re, cfg.eff_im,
-             n_max, fid)]
+    return [[(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re, cfg.eff_im,
+              n_max, fid)]]
 
 
 _CONVERGENCE_COLUMNS = ("N", "b", "r", "phi", "cutoff", "d_hs", "d_hs_times_Np1",
@@ -192,11 +201,11 @@ REGISTRY = {
     "convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "N_list"), _compute_convergence),),
-        scale=_max_b),
+        scale=_max_b, key_stack=True),
     "squeezed_convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "r_list", "phi_list", "N_list"), _compute_convergence),),
-        scale=_squeezed_b),
+        scale=_squeezed_b, shared=("r_list", "phi_list"), key_stack=True),
     "attack": Experiment(
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
@@ -221,15 +230,32 @@ REGISTRY = {
 }
 
 
-def _plan(exp: Experiment, cfg) -> list:
-    """(compute, cfg, n_max, point) for every grid point, in loop order."""
+def _plan(exp: Experiment, cfg):
+    """(tasks, order): a task (compute, cfg, n_max, point) for every
+    point of the grids other than the shared ones, in loop order, and for every
+    full grid point in loop order the (task, chunk) that holds its rows."""
     n_max = resolve_cutoff(cfg)
-    tasks = []
+    tasks, order = [], []
     for grids, compute in exp.stages:
-        names = [g[:-len("_list")] for g in grids]
-        for values in itertools.product(*(getattr(cfg, g) for g in grids)):
-            tasks.append((compute, cfg, n_max, dict(zip(names, values))))
-    return tasks
+        outer = [g for g in grids if g not in exp.shared]
+        inner = [g for g in grids if g in exp.shared]
+        task_of = {}
+        for i in _indices(cfg, outer):
+            task_of[i] = len(tasks)
+            point = {g[:-len("_list")]: getattr(cfg, g)[k] for g, k in zip(outer, i)}
+            point.update((g, getattr(cfg, g)) for g in inner)
+            tasks.append((compute, cfg, n_max, point))
+        chunk_of = {i: c for c, i in enumerate(_indices(cfg, inner))}
+        for i in _indices(cfg, grids):
+            at = dict(zip(grids, i))
+            order.append((task_of[tuple(at[g] for g in outer)],
+                          chunk_of[tuple(at[g] for g in inner)]))
+    return tasks, order
+
+
+def _indices(cfg, grids):
+    """Index tuples of the grids' product, in loop order."""
+    return itertools.product(*(range(len(getattr(cfg, g))) for g in grids))
 
 
 def _run_task(task) -> list:
@@ -244,11 +270,14 @@ def execute(cfg, workers: int = 1):
     one BLAS thread under the CLI, so more processes than CPUs only contend.
     """
     exp = REGISTRY[cfg.experiment]
-    tasks = _plan(exp, cfg)
+    tasks, order = _plan(exp, cfg)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery costs every validate and serial run
+        # tens of milliseconds of import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_task, tasks))
     else:
         chunks = [_run_task(t) for t in tasks]
-    return list(exp.columns), [row for chunk in chunks for row in chunk]
+    return list(exp.columns), [row for t, c in order for row in chunks[t][c]]

@@ -12,7 +12,9 @@ Hermiticity and positivity checks the library never runs.  The protocol
 helpers (encrypt, decrypt, the channel output), the single-ring mixtures,
 the factorized tap model and the first-order squeezer live here too: the
 acceptance criteria use them, and no experiment does.  The ancilla displacement simulated in the two-mode
-Fock space is the reference for its closed form in ``nongauss``.
+Fock space is the reference for its closed form in ``nongauss``, and
+``convergence_point``, one convergence grid point built from scratch, is the
+reference for the convergence tasks that share work across squeezings.
 """
 import cmath
 import math
@@ -25,12 +27,13 @@ from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from cvpqc.attack import _SQRT2
 from cvpqc.channel import (_NO_SQUEEZE, ConformationSpec, _key_average, _worst_key,
-                           key_count, key_displacements, key_to_ring)
+                           key_count, key_displacements, key_rows, key_to_ring,
+                           maximally_mixed, mixture_gamma, squeezed_mixture)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, DensityOperator, FockCutoff, PureState,
                         SqueezeParam, TwoModeUnitary, _finish_state, _hermite_series,
                         beam_splitter, beam_splitter_5050, coherent_amplitudes,
-                        displacement_operator, fidelity, squeeze_operator,
-                        squeezed_coherent_state, wrap_angle)
+                        displacement_operator, fidelity, hs_distance, squeeze_operator,
+                        squeezed_coherent_state, von_neumann_entropy, wrap_angle)
 
 HERMITICITY_TOL = 1e-12
 EIG_FLOOR = -1e-10
@@ -300,6 +303,21 @@ def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,
 def secret_bits(N: int) -> float:
     """log2 of the message alphabet: the M keys plus one."""
     return math.log2(key_count(N) + 1)
+
+
+def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
+                      tail_tol: float = DEFAULT_TAIL_TOL):
+    """(d_hs, triangle_bound, entropy) of one convergence grid point, built from
+    scratch: its own target, key rows and plain mixture, shared with no other
+    squeezing.  ``channel.convergence_rows`` must match it cell for cell."""
+    mm = maximally_mixed(b, cutoff, tail_tol)
+    gam = mixture_gamma(N, b, key_rows(N, b, cutoff), cutoff, tail_tol)
+    d_coh = hs_distance(mm, gam)
+    if xi.r == 0.0:
+        return d_coh, d_coh, von_neumann_entropy(gam)
+    gam_xi = squeezed_mixture(N, b, key_rows(N, b, cutoff), xi, cutoff, tail_tol)
+    return (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
+            von_neumann_entropy(gam_xi))
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ def test_tap_output_stays_normalized():
 def test_report_carries_inputs():
     # the attack row names the input kind and carries the input amplitude
     cfg = config_from_dict({"experiment": "attack"})
-    (row,) = _compute_attack(cfg, 60, alpha=0.3, r=0.2, phi=0.4)
+    ((row,),) = _compute_attack(cfg, 60, alpha=0.3, r=0.2, phi=0.4)
     assert row[:6] == ("squeezed_coherent", 0.3, 0.0, 0.2, 0.4, 60)
     assert row[6:] == attack(0.3, SqueezeParam(0.2, 0.4), C60)
-    (row,) = _compute_attack(cfg, 60, alpha=-1.5, r=0.0, phi=0.0)
+    ((row,),) = _compute_attack(cfg, 60, alpha=-1.5, r=0.0, phi=0.0)
     assert row[:3] == ("coherent", -1.5, 0.0)
 
 

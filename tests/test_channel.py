@@ -1,4 +1,5 @@
 """Ring-key channel: target state, conformations, mixtures, encryption, distances."""
+import itertools
 import json
 import math
 import time
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.integrate import simpson
 
+from cvpqc import channel
 from cvpqc.channel import (
     ConformationSpec,
-    convergence_point,
+    convergence_rows,
     k_factor,
     key_count,
     key_displacements,
+    key_rows,
     key_to_ring,
     maximally_mixed,
     mixture_gamma,
@@ -22,7 +25,7 @@ from cvpqc.channel import (
 )
 from cvpqc.cli import main
 from cvpqc.config import config_from_dict
-from cvpqc.experiments import execute
+from cvpqc.experiments import execute, resolve_cutoff
 from cvpqc.fock import (
     FockCutoff,
     SqueezeParam,
@@ -39,6 +42,7 @@ from oracles import (
     channel_output,
     check_density,
     conformation_ring,
+    convergence_point,
     decrypt,
     disk_uniform_diagonal,
     encrypt,
@@ -216,7 +220,7 @@ def test_ring_cutoff_too_small_raises_with_location():
 
 
 def test_mixture_single_ring_family_is_vacuum():
-    rho = mixture_gamma(1, 2.0, C59)
+    rho = mixture_gamma(1, 2.0, key_rows(1, 2.0, C59), C59)
     assert abs(rho.matrix[0, 0] - 1.0) < 1e-14
     assert np.max(np.abs(rho.matrix)) == pytest.approx(1.0)
 
@@ -230,7 +234,7 @@ def test_mixture_is_ring_average_weighted_by_population():
         spec = ConformationSpec(N, b, p)
         acc += p * conformation_ring(p, spec.radius, cut).matrix
     acc /= M
-    mix = mixture_gamma(N, b, cut)
+    mix = mixture_gamma(N, b, key_rows(N, b, cut), cut)
     assert np.max(np.abs(mix.matrix - acc)) < 1e-12
     assert abs(np.trace(mix.matrix).real - 1.0) < 1e-10
 
@@ -240,8 +244,9 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
     xi = SqueezeParam(0.3, 0.9)
     cut = C60
     s = squeeze_operator(xi, cut)
-    plain = mixture_gamma(N, b, cut)
-    sq = squeezed_mixture(N, b, xi, cut)
+    rows = key_rows(N, b, cut)
+    plain = mixture_gamma(N, b, rows, cut)
+    sq = squeezed_mixture(N, b, rows, xi, cut)
     assert np.max(np.abs(sq.matrix - s @ plain.matrix @ s.conj().T)) < 1e-10
 
 
@@ -261,7 +266,8 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
         assert abs(1.0 - probs.sum()) < 1e-10  # the closed form has converged
         worst = max(worst, probs[n_max + 1:].sum())
     try:
-        rho = squeezed_mixture(N, b, xi, FockCutoff(n_max), tol)
+        cut = FockCutoff(n_max)
+        rho = squeezed_mixture(N, b, key_rows(N, b, cut), xi, cut, tol)
     except TailMassError:
         return
     assert worst <= 2.0 * tol
@@ -379,7 +385,7 @@ def test_channel_output_is_key_average():
 
 def test_channel_output_trivial_message_reduces_to_mixture():
     out = channel_output(0.0, SqueezeParam(0.0), 4, 2.0, C59)
-    mix = mixture_gamma(4, 2.0, C59)
+    mix = mixture_gamma(4, 2.0, key_rows(4, 2.0, C59), C59)
     assert np.max(np.abs(out.matrix - mix.matrix)) < 1e-13
 
 
@@ -393,7 +399,7 @@ def test_channel_covariance_under_displacement():
     s = squeeze_operator(xi, cut)
     d = displacement_operator(beta, cut)
     u = s @ d
-    expect = u @ mixture_gamma(N, b, cut).matrix @ u.conj().T
+    expect = u @ mixture_gamma(N, b, key_rows(N, b, cut), cut).matrix @ u.conj().T
     assert np.max(np.abs(out.matrix - expect)) < 1e-9
 
 
@@ -410,15 +416,17 @@ def test_encrypt_tail_failure_names_key():
 def test_unsqueezed_point_has_tight_triangle_bound():
     # r = 0: d_hs is the distance to the plain mixture, and the bound adds nothing
     d_hs, bound, _ = convergence_point(2, 2.0, SqueezeParam(0.0), C59)
-    assert d_hs == hs_distance(maximally_mixed(2.0, C59), mixture_gamma(2, 2.0, C59))
+    gam = mixture_gamma(2, 2.0, key_rows(2, 2.0, C59), C59)
+    assert d_hs == hs_distance(maximally_mixed(2.0, C59), gam)
     assert bound == d_hs
 
 
 def test_squeezed_vacuum_distance_closed_form_against_numeric():
     r = 0.2
     # N=1: plain mixture is the vacuum, squeezed mixture is a squeezed vacuum
-    d_squeeze = hs_distance(squeezed_mixture(1, 2.0, SqueezeParam(r), C60),
-                            mixture_gamma(1, 2.0, C60))
+    rows = key_rows(1, 2.0, C60)
+    d_squeeze = hs_distance(squeezed_mixture(1, 2.0, rows, SqueezeParam(r), C60),
+                            mixture_gamma(1, 2.0, rows, C60))
     assert abs(d_squeeze - squeezed_vacuum_distance_closed_form(r)) < 1e-8
 
 
@@ -438,11 +446,12 @@ def test_distance_regression_values():
 def test_triangle_bound_holds():
     mm = maximally_mixed(2.0, C60)
     for N in (2, 4):
-        gam = mixture_gamma(N, 2.0, C60)
+        rows = key_rows(N, 2.0, C60)
+        gam = mixture_gamma(N, 2.0, rows, C60)
         for xi in (SqueezeParam(0.2, 0.0), SqueezeParam(0.5, np.pi / 3)):
             d_hs, bound, _ = convergence_point(N, 2.0, xi, C60)
             assert d_hs <= bound + 1e-12
-            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, xi, C60), gam)
+            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, rows, xi, C60), gam)
             assert abs(bound - (hs_distance(mm, gam) + d_squeeze)) < 1e-15
 
 
@@ -467,25 +476,28 @@ def test_convergence_sweep_row_contents():
 
 def test_holevo_proxy_pure_for_single_point():
     xi = SqueezeParam(0.4, 0.2)
-    assert von_neumann_entropy(squeezed_mixture(1, 2.0, xi, C60)) < 1e-10
-    assert von_neumann_entropy(mixture_gamma(1, 2.0, C60)) < 1e-10
+    rows = key_rows(1, 2.0, C60)
+    assert von_neumann_entropy(squeezed_mixture(1, 2.0, rows, xi, C60)) < 1e-10
+    assert von_neumann_entropy(mixture_gamma(1, 2.0, rows, C60)) < 1e-10
 
 
 def test_holevo_proxy_entropies_equal_by_unitary_invariance():
-    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, SqueezeParam(0.3, 1.1), C60))
-    s_coh = von_neumann_entropy(mixture_gamma(4, 2.0, C60))
+    rows = key_rows(4, 2.0, C60)
+    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, rows, SqueezeParam(0.3, 1.1), C60))
+    s_coh = von_neumann_entropy(mixture_gamma(4, 2.0, rows, C60))
     assert s_coh > 1.0  # genuinely mixed family
     assert abs(s_sq - s_coh) < 1e-8
 
 
 def test_mixture_entropy_matches_direct_computation():
     xi = SqueezeParam(0.3, 1.1)
-    rho = squeezed_mixture(3, 2.0, xi, C60)
+    rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, C60)
     entropy = convergence_point(3, 2.0, xi, C60)[2]
     assert abs(entropy - von_neumann_entropy(rho)) < 1e-12
 
 
 def test_squeezed_convergence_point_squeezes_once(monkeypatch):
+    # one squeeze per (b, N, xi) with r > 0; the plain mixture needs none
     calls = []
 
     def counting(xi, cutoff):
@@ -493,5 +505,52 @@ def test_squeezed_convergence_point_squeezes_once(monkeypatch):
         return squeeze_operator(xi, cutoff)
 
     monkeypatch.setattr("cvpqc.channel.squeeze_operator", counting)
-    convergence_point(4, 2.0, SqueezeParam(0.3, 1.1), C60)
-    assert len(calls) == 1
+    xis = [SqueezeParam(0.3, 1.1), SqueezeParam(0.0), SqueezeParam(0.2), SqueezeParam(0.3, 1.1)]
+    convergence_rows(4, 2.0, xis, C60)
+    assert calls == [xis[0], xis[2], xis[3]]
+
+
+def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
+    calls = {name: [] for name in ("maximally_mixed", "coherent_amplitudes",
+                                   "mixture_gamma", "squeezed_mixture")}
+
+    def counting(name):
+        fn = getattr(channel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(channel, name, counting(name))
+    b_list, r_list, phi_list, N_list = [1.0, 1.5], [0.1, 0.2], [0.0, 1.0], [1, 2, 3]
+    _, rows = execute(config_from_dict(
+        {"experiment": "squeezed_convergence", "b_list": b_list, "r_list": r_list,
+         "phi_list": phi_list, "N_list": N_list, "cutoff": 40}))
+    assert len(rows) == 24
+    pairs = sorted((b, N) for b in b_list for N in N_list)
+    assert sorted(args[0] for args in calls["maximally_mixed"]) == [b for b, _ in pairs]
+    assert len(calls["coherent_amplitudes"]) == len(pairs)
+    assert sorted((b, N) for N, b, *_ in calls["mixture_gamma"]) == pairs
+    assert sorted((b, N, xi.r, xi.phi) for N, b, _, xi, *_ in calls["squeezed_mixture"]) == \
+        sorted(itertools.product(b_list, N_list, r_list, phi_list))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])
+def test_convergence_rows_match_the_per_point_oracle(experiment, workers):
+    # unsorted and repeated grid values: every row lands at its grid position
+    cfg = config_from_dict({"experiment": experiment, "b_list": [1.5, 1.0],
+                            "r_list": [0.3, 0.0, 0.3], "phi_list": [1.0, 0.0],
+                            "N_list": [4, 1, 4]})
+    _, rows = execute(cfg, workers=workers)
+    n_max = resolve_cutoff(cfg)
+    squeezings = (itertools.product(cfg.r_list, cfg.phi_list)
+                  if experiment == "squeezed_convergence" else [(0.0, 0.0)])
+    expect = []
+    for b, (r, phi), N in itertools.product(cfg.b_list, list(squeezings), cfg.N_list):
+        xi = SqueezeParam(r, phi)
+        d_hs, bound, entropy = convergence_point(N, b, xi, FockCutoff(n_max))
+        expect.append((N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
+    assert rows == expect

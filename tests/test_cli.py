@@ -1,4 +1,5 @@
 """Command-line surface: validation reports, sweeps, formats, exit codes."""
+import concurrent.futures
 import csv
 import json
 import math
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cvpqc
-from cvpqc import experiments
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
 from cvpqc.config import ExperimentConfig, config_from_dict, validate
@@ -53,6 +53,11 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "9801 complex entries" in out
     assert "two-mode" not in out
+    # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[1000000], cutoff=20)
+    assert main(["validate", cfg]) == 0
+    assert ("key-row stack at N = 1000000 holds 10500010500000 complex entries "
+            "(~168000168.000 MB)") in capsys.readouterr().out
 
 
 def test_validate_flags_empty_grid_but_exits_zero(tmp_path, capsys):
@@ -322,12 +327,12 @@ class _SerialPool:
 
 @pytest.mark.parametrize("workers, cpus, expected", [
     (5000, 2, 2),        # one process per CPU
-    (5000, 64, 4),       # one process per grid point
+    (5000, 64, 4),       # one process per task: a (b, N) pair
     (3, 64, 3),
     (5000, None, None),  # unknown CPU count: serial
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     cfg = config_from_dict(dict(experiment="convergence", N_list=[1, 2, 3, 4],
@@ -344,6 +349,8 @@ import ctypes, glob, json, os, sys
 import cvpqc
 numpy_with_package = "numpy" in sys.modules
 import cvpqc.cli
+pool_modules = [m for m in ("multiprocessing", "concurrent.futures.process")
+                if m in sys.modules]
 import numpy, scipy
 threads = {}
 for mod in (numpy, scipy):
@@ -355,7 +362,8 @@ for mod in (numpy, scipy):
                 fn.restype, fn.argtypes = ctypes.c_int, []
                 threads[os.path.basename(lib)] = fn()
                 break
-print(json.dumps({"numpy_with_package": numpy_with_package, "threads": threads}))
+print(json.dumps({"numpy_with_package": numpy_with_package, "pool_modules": pool_modules,
+                  "threads": threads}))
 """
 
 
@@ -370,6 +378,8 @@ def _probe_threads(**thread_env):
                           capture_output=True, text=True, env=env, check=True)
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert not got["numpy_with_package"], "import cvpqc loaded numpy before the CLI's pin"
+    # the process pool is imported only by a run with workers > 1
+    assert got["pool_modules"] == [], "import cvpqc.cli loaded the process-pool machinery"
     if not got["threads"]:
         pytest.skip("no OpenBLAS thread-count symbol found")
     return set(got["threads"].values())

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from cvpqc.channel import ConformationSpec, maximally_mixed, mixture_gamma, squeezed_mixture
+from cvpqc.channel import (ConformationSpec, key_rows, maximally_mixed, mixture_gamma,
+                           squeezed_mixture)
 from cvpqc.fock import (
     DensityOperator,
     FockCutoff,
@@ -182,8 +183,9 @@ def test_squeezed_state_reports_the_mass_it_loses():
 @pytest.mark.parametrize("r, tail", [(1.0, 2.16e-2), (1.5, 0.588)])
 def test_squeezed_mixture_reports_the_mass_it_loses(r, tail):
     # b = 2 at the heuristic cutoff 59: the outer ring loses this much once squeezed
+    cut = FockCutoff(59)
     with pytest.raises(TailMassError) as err:
-        squeezed_mixture(16, 2.0, SqueezeParam(r), FockCutoff(59))
+        squeezed_mixture(16, 2.0, key_rows(16, 2.0, cut), SqueezeParam(r), cut)
     assert err.value.tail == pytest.approx(tail, rel=0.01)
 
 
@@ -543,9 +545,9 @@ _DENSITY_OUTPUTS = {
         lambda: projector(squeezed_coherent_state(SqueezeParam(0.4, 0.7), 0.0, C60)),
     "maximally_mixed": lambda: maximally_mixed(1.5, _C30),
     "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
-    "mixture_gamma": lambda: mixture_gamma(4, 1.5, _C30),
+    "mixture_gamma": lambda: mixture_gamma(4, 1.5, key_rows(4, 1.5, _C30), _C30),
     "squeezed_conformation": lambda: squeezed_conformation(_RING, _XI, _C30),
-    "squeezed_mixture": lambda: squeezed_mixture(4, 1.5, _XI, _C30),
+    "squeezed_mixture": lambda: squeezed_mixture(4, 1.5, key_rows(4, 1.5, _C30), _XI, _C30),
     "encrypt": lambda: encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30),
     "decrypt": lambda: decrypt(encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30), _XI, 7, 4, 1.5,
                                _C30),
