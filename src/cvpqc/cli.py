@@ -4,8 +4,8 @@
     cvpqc validate <config.json> dry-run check: grids, cutoffs, memory
 
 Exit codes: 0 success, 2 unusable config (also a value so large that the
-run overflows a float), 3 tail-mass violation (the message names the
-offending grid point), 4 output I/O failure.
+default cutoff or the run overflows a float), 3 tail-mass violation (the
+message names the offending grid point), 4 output I/O failure.
 
 Importing this module pins OpenBLAS to one thread unless a thread-count
 variable is already set; see ``BLAS_THREAD_VARS``.
@@ -122,8 +122,6 @@ def main(argv=None) -> int:
         print("config error: no output path; set 'out' in the config or pass --out",
               file=sys.stderr)
         return EXIT_CONFIG
-    for w in rep.warnings:
-        print(f"warning: {w}", file=sys.stderr)
 
     t0 = time.perf_counter()
     try:

@@ -2,7 +2,10 @@
 
 Unknown keys are rejected rather than ignored so that a typo in a grid
 name cannot silently run a default sweep.  ``validate`` never raises; it
-returns a report with problems, warnings, and size estimates.
+returns a report of problems, the cutoff and a memory estimate.  It does
+not judge whether a cutoff is large enough: the run's own tail checks do,
+and a cutoff that is too small makes the run exit 3 at the grid point it
+fails.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .channel import key_count
-from .experiments import REGISTRY, resolve_cutoff
+from .experiments import REGISTRY
 
 
 class ConfigError(ValueError):
@@ -123,7 +126,6 @@ def load_config(path: str) -> ExperimentConfig:
 @dataclass
 class ValidationReport:
     problems: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
     info: list = field(default_factory=list)
 
     @property
@@ -134,8 +136,6 @@ class ValidationReport:
         lines = []
         for p in self.problems:
             lines.append(f"problem: {p}")
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
         for i in self.info:
             lines.append(f"info: {i}")
         lines.append("config valid" if self.ok else "config INVALID")
@@ -165,6 +165,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("b_list entries must be > 0")
     elif any(b * b == 0.0 for b in cfg.b_list):  # the disk-uniform state divides by b^2
         bad("b_list entries must be large enough that b^2 does not underflow to 0")
+    elif any(b * b == math.inf for b in cfg.b_list):
+        bad("b_list entries must be small enough that b^2 does not overflow")
     if any(r < 0 for r in cfg.r_list):
         bad("r_list entries must be >= 0")
     if any(m < 0 for m in cfg.beta_mag_list):
@@ -173,6 +175,9 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("T_list entries must lie in (0, 1]")
     if cfg.p_list is not None and any(p < 1 for p in cfg.p_list):
         bad("p_list entries must be >= 1")
+    elif (cfg.experiment == "conformation" and cfg.p_list and cfg.N_list
+          and max(cfg.p_list) > max(cfg.N_list)):  # ring p exists only for N >= p
+        bad(f"p_list entry {max(cfg.p_list)} exceeds every N in N_list, so it selects no ring")
     if cfg.tail_tol <= 0:
         bad("tail_tol must be > 0")
     if cfg.cutoff is not None and cfg.cutoff < 1:
@@ -190,20 +195,16 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if rep.problems:
         return rep
 
-    try:
-        need = exp.heuristic_minimum(cfg)
-    except OverflowError:  # b past ~1e154, or e^r for r past ~710
-        bad(f"the amplitude scale of {cfg.experiment!r} is beyond any Fock cutoff")
-        return rep
-    n_max = resolve_cutoff(cfg)
+    n_max = cfg.cutoff
+    if n_max is None:
+        try:
+            n_max = exp.default_cutoff(cfg)
+        except OverflowError:  # b e^r past the float range
+            bad(f"the amplitude scale of {cfg.experiment!r} is beyond any Fock cutoff")
+            return rep
     d = n_max + 1
-    how = "explicit" if cfg.cutoff is not None else "heuristic default" if need else "default"
-    rep.info.append(f"cutoff n_max = {n_max} ({how})")
-
-    if n_max < need:
-        rep.warnings.append(
-            f"cutoff {n_max} is below the heuristic minimum {need} for amplitude "
-            f"scale {exp.scale(cfg):.3g}; expect tail-mass failures")
+    rep.info.append(f"cutoff n_max = {n_max} "
+                    f"({'default' if cfg.cutoff is None else 'explicit'})")
 
     if exp.two_mode:
         blocks = (2 * d ** 3 + d) // 3

@@ -2,11 +2,15 @@
 
 ``REGISTRY`` holds the one definition of each experiment: its columns, the
 config grids it loops over (outermost first) with the compute function for
-one task, its default cutoff, and whether it works on two modes.  A task is
-one point of the grids' product, except that a task covers every value of
-the experiment's ``shared`` grids at once: a convergence task is one (b, N)
-pair, and it builds the target, the key rows and the plain mixture once for
-all of its squeezings.  Tasks and their rows hold only plain values so they
+one task, the function that gives its default cutoff, and whether it works
+on two modes.  A default is either fixed or ``heuristic_cutoff`` at the
+largest amplitude the experiment truncates; an explicit cutoff is used as
+given, and the run's own tail checks judge whether it is large enough.
+
+A task is one point of the grids' product, except that a task covers every
+value of the experiment's ``shared`` grids at once: a convergence task is
+one (b, N) pair, and it builds the target, the key rows and the plain
+mixture once for all of its squeezings.  Tasks and their rows hold only plain values so they
 cross process boundaries; tasks come in a fixed order, and ``execute`` puts
 every row back at its grid position, so output is deterministic for a given
 config regardless of worker count.
@@ -23,11 +27,15 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import attack, channel, nongauss
-from .fock import (FockCutoff, SqueezeParam, heuristic_cutoff, quadrature_variance,
-                   squeezed_coherent_state)
+from .fock import FockCutoff, SqueezeParam, quadrature_variance, squeezed_coherent_state
+
+
+def heuristic_cutoff(a: float) -> int:
+    """Cutoff rule n_max = ceil((a + 4 sqrt(a))^2) for a disk radius or amplitude a > 0."""
+    return math.ceil((a + 4.0 * math.sqrt(a)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -36,16 +44,14 @@ class Experiment:
 
     ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
     later stage follow all rows of an earlier one.  One task covers every
-    value of the ``shared`` grids.  The default cutoff is
-    ``heuristic_cutoff(scale(cfg))`` when ``scale`` is given and positive,
-    otherwise ``n_max``.  ``key_stack`` marks the experiments whose tasks hold
-    the M x d stack of key rows.
+    value of the ``shared`` grids.  ``default_cutoff(cfg)`` is the cutoff a
+    config without one runs at.  ``key_stack`` marks the experiments whose
+    tasks hold the M x d stack of key rows.
     """
 
     columns: tuple
     stages: tuple
-    n_max: int = 0
-    scale: Optional[Callable] = None
+    default_cutoff: Callable
     two_mode: bool = False
     shared: tuple = ()
     key_stack: bool = False
@@ -55,19 +61,16 @@ class Experiment:
         """Every grid the experiment loops over, in order of first use."""
         return tuple(dict.fromkeys(g for grids, _ in self.stages for g in grids))
 
-    def heuristic_minimum(self, cfg) -> int:
-        """heuristic_cutoff of the amplitude scale; 0 when there is none."""
-        scale = self.scale(cfg) if self.scale else 0.0
-        return heuristic_cutoff(scale) if scale > 0 else 0
+
+def _disk_cutoff(cfg) -> int:
+    """The heuristic at the largest disk radius b."""
+    return heuristic_cutoff(max(cfg.b_list))
 
 
-def _max_b(cfg) -> float:
-    return max(cfg.b_list, default=0.0)
-
-
-def _squeezed_b(cfg) -> float:
-    """max b times e^{max r}: squeezing stretches a key's largest quadrature by e^r."""
-    return _max_b(cfg) * math.exp(max(cfg.r_list, default=0.0))
+def _squeezed_disk_cutoff(cfg) -> int:
+    """The heuristic at max b times e^{max r}: squeezing stretches a key's
+    largest quadrature by e^r."""
+    return heuristic_cutoff(max(cfg.b_list) * math.exp(max(cfg.r_list)))
 
 
 def _input_beta_mag(cfg) -> float:
@@ -75,17 +78,18 @@ def _input_beta_mag(cfg) -> float:
     return 0.0 if cfg.input_kind == "vacuum" else cfg.input_beta_mag
 
 
-def _displaced_amplitude(cfg) -> float:
-    """|eff| + |beta|: the largest amplitude a truncated displacement_bs vector holds."""
-    return math.hypot(cfg.eff_re, cfg.eff_im) + _input_beta_mag(cfg)
+def _displacement_cutoff(cfg) -> int:
+    """The heuristic at |eff| + |beta|, the largest amplitude a truncated
+    displacement_bs vector holds; 20 when that amplitude is 0."""
+    a = math.hypot(cfg.eff_re, cfg.eff_im) + _input_beta_mag(cfg)
+    return heuristic_cutoff(a) if a > 0 else 20
 
 
 def resolve_cutoff(cfg) -> int:
     """Explicit cutoff, or the experiment's default."""
     if cfg.cutoff is not None:
         return cfg.cutoff
-    exp = REGISTRY[cfg.experiment]
-    return exp.heuristic_minimum(cfg) or exp.n_max
+    return REGISTRY[cfg.experiment].default_cutoff(cfg)
 
 
 # --- mmstate ---------------------------------------------------------------
@@ -150,8 +154,7 @@ def _compute_overlap(cfg, n_max, r, phi, beta_mag, varphi):
 
 
 def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
-    return [[(kind, r, phi, bm, vp, theta, n_max, float(exact), float(closed),
-              float(approx), abs(float(exact) - float(closed)))]]
+    return [[(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx, abs(exact - closed))]]
 
 
 def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
@@ -165,10 +168,11 @@ def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
 
 def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
     param = nongauss.EvenCoherentParam(beta_mag, varphi)
-    exact, closed = nongauss.quadrature_variance_even(param, FockCutoff(n_max), theta,
-                                                      cfg.tail_tol)
+    state = nongauss.even_coherent_state(param, FockCutoff(n_max), cfg.tail_tol)
     return _variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
-                         exact, closed, nongauss.even_variance_approx(param, theta))
+                         quadrature_variance(state, theta, cfg.tail_tol),
+                         nongauss.even_variance_closed_form(param, theta),
+                         nongauss.even_variance_approx(param, theta))
 
 
 # --- displacement from a strong ancilla --------------------------------------
@@ -192,41 +196,41 @@ REGISTRY = {
     "mmstate": Experiment(
         ("b", "cutoff", "tail_tol", "n", "weight", "mass"),
         ((("b_list",), _compute_mmstate),),
-        scale=_max_b),
+        _disk_cutoff),
     "conformation": Experiment(
         ("N", "b", "r", "phi", "cutoff", "p", "q", "r_p", "theta_pq",
          "k_factor", "vacuum_weight"),
         ((("N_list", "b_list", "r_list", "phi_list"), _compute_conformation),),
-        scale=_max_b),
+        _disk_cutoff),
     "convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "N_list"), _compute_convergence),),
-        scale=_max_b, key_stack=True),
+        _disk_cutoff, key_stack=True),
     "squeezed_convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "r_list", "phi_list", "N_list"), _compute_convergence),),
-        scale=_squeezed_b, shared=("r_list", "phi_list"), key_stack=True),
+        _squeezed_disk_cutoff, shared=("r_list", "phi_list"), key_stack=True),
     "attack": Experiment(
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
         ((("alpha_list", "r_list", "phi_list"), _compute_attack),),
-        n_max=60, two_mode=True),
+        lambda cfg: 60, two_mode=True),
     "nongauss_overlap": Experiment(
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),
         ((("r_list", "phi_list", "beta_mag_list", "varphi_list"), _compute_overlap),),
-        n_max=40),
+        lambda cfg: 40),
     "nongauss_variance": Experiment(
         ("kind", "r", "phi_xi", "beta_mag", "varphi", "theta", "cutoff",
          "exact", "closed_form", "approx", "abs_err"),
         ((("r_list", "phi_list", "theta_list"), _compute_squeezed_variance),
          (("beta_mag_list", "varphi_list", "theta_list"), _compute_even_variance)),
-        n_max=40),
+        lambda cfg: 40),
     "displacement_bs": Experiment(
         ("input_kind", "input_beta_mag", "input_varphi", "T", "gamma_re",
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),
         ((("T_list",), _compute_displacement_bs),),
-        n_max=20, scale=_displaced_amplitude),
+        _displacement_cutoff),
 }
 
 

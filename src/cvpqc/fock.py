@@ -75,14 +75,6 @@ def log_factorial(n) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in n])
 
 
-def heuristic_cutoff(b: float) -> int:
-    """Cutoff rule n_max = ceil((b + 4*sqrt(b))^2) for disk-radius / amplitude scale b."""
-    b = float(b)
-    if b <= 0:
-        raise ValueError("scale must be positive")
-    return int(math.ceil((b + 4.0 * math.sqrt(b)) ** 2))
-
-
 @dataclass(frozen=True)
 class SqueezeParam:
     """Squeezing parameter xi = r e^{i phi} with r >= 0 and phi in [0, 2*pi)."""

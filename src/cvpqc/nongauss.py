@@ -22,7 +22,6 @@ from .fock import (
     coherent_amplitudes,
     displacement_operator,
     fidelity,
-    quadrature_variance,
     squeezed_coherent_state,
     wrap_angle,
 )
@@ -88,31 +87,17 @@ def squeezed_vacuum_variance_approx(xi: SqueezeParam, theta: float) -> float:
     return 0.25 * (1.0 - 2.0 * xi.r * math.cos(2.0 * theta - xi.phi))
 
 
-def even_variance_closed_form(param: EvenCoherentParam, theta) -> np.ndarray:
-    """(1/4)[1 + 2|b|^2 cos(2 theta - 2 varphi) + 2|b|^2 tanh(|b|^2)] per theta."""
-    t = np.asarray(theta, dtype=float)
+def even_variance_closed_form(param: EvenCoherentParam, theta: float) -> float:
+    """(1/4)[1 + 2|b|^2 cos(2 theta - 2 varphi) + 2|b|^2 tanh(|b|^2)], exact at every angle."""
     b2 = param.beta_mag ** 2
-    return 0.25 * (1.0 + 2.0 * b2 * np.cos(2.0 * t - 2.0 * param.varphi)
+    return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * param.varphi)
                    + 2.0 * b2 * math.tanh(b2))
 
 
-def even_variance_approx(param: EvenCoherentParam, theta) -> np.ndarray:
+def even_variance_approx(param: EvenCoherentParam, theta: float) -> float:
     """Small-amplitude form (1/4)[1 + 2|b|^2 cos(2 theta - 2 varphi)]; extremes (1 +- 2|b|^2)/4."""
-    t = np.asarray(theta, dtype=float)
     b2 = param.beta_mag ** 2
-    return 0.25 * (1.0 + 2.0 * b2 * np.cos(2.0 * t - 2.0 * param.varphi))
-
-
-def quadrature_variance_even(param: EvenCoherentParam, cutoff: FockCutoff, thetas,
-                             tail_tol: float = DEFAULT_TAIL_TOL):
-    """(exact, closed_form) variance of the even coherent state, per angle."""
-    state = even_coherent_state(param, cutoff, tail_tol)
-    t = np.atleast_1d(np.asarray(thetas, dtype=float))
-    exact = np.array([quadrature_variance(state, th, tail_tol) for th in t])
-    closed = even_variance_closed_form(param, t)
-    if np.isscalar(thetas) or np.asarray(thetas).ndim == 0:
-        return float(exact[0]), float(closed.reshape(-1)[0])
-    return exact, closed
+    return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * param.varphi))
 
 
 # ---------------------------------------------------------------------------

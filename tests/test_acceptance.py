@@ -10,13 +10,13 @@ import pytest
 
 from cvpqc.attack import attack
 from cvpqc.channel import k_factor, key_rows, mixture_gamma, vacuum_weight
+from cvpqc.experiments import heuristic_cutoff
 from cvpqc.fock import (
     DensityOperator,
     FockCutoff,
     SqueezeParam,
     coherent_amplitudes,
     displacement_operator,
-    heuristic_cutoff,
     hs_distance,
     quadrature_variance,
     squeeze_operator,
@@ -25,9 +25,10 @@ from cvpqc.fock import (
 from cvpqc.nongauss import (
     EvenCoherentParam,
     displacement_via_beamsplitter,
+    even_coherent_state,
     even_variance_approx,
+    even_variance_closed_form,
     overlap_even_vs_squeezed,
-    quadrature_variance_even,
     squeezed_vacuum_variance,
     squeezed_vacuum_variance_approx,
 )
@@ -194,9 +195,9 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
     detail.append(f"sv closed-form error {worst_sv}")
 
     param = EvenCoherentParam(0.5, 0.6)
-    exact, closed = quadrature_variance_even(param, FockCutoff(40),
-                                             np.linspace(0.0, math.pi, 9))
-    worst_ec = float(np.max(np.abs(exact - closed)))
+    ec = even_coherent_state(param, FockCutoff(40))
+    worst_ec = max(abs(quadrature_variance(ec, th) - even_variance_closed_form(param, th))
+                   for th in np.linspace(0.0, math.pi, 9))
     ok = ok and worst_ec <= 1e-8
     detail.append(f"ec closed-form error {worst_ec}")
 
@@ -212,11 +213,11 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
         ok = ok and err <= tol
         detail.append(f"sv extreme theta={th}: err {err} tol {tol}")
     p_small = EvenCoherentParam(math.sqrt(0.05), 0.0)
+    ec_small = even_coherent_state(p_small, FockCutoff(40))
     for th, sign in ((0.0, +1.0), (math.pi / 2, -1.0)):
-        approx = float(even_variance_approx(p_small, th))
+        approx = even_variance_approx(p_small, th)
         ok = ok and abs(approx - (1 + sign * u) / 4) < 1e-15
-        num, _ = quadrature_variance_even(p_small, FockCutoff(40), th)
-        err = abs(num - approx)
+        err = abs(quadrature_variance(ec_small, th) - approx)
         ok = ok and err <= tol
         detail.append(f"ec extreme theta={th}: err {err} tol {tol}")
 

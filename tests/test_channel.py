@@ -25,7 +25,7 @@ from cvpqc.channel import (
 )
 from cvpqc.cli import main
 from cvpqc.config import config_from_dict
-from cvpqc.experiments import execute, resolve_cutoff
+from cvpqc.experiments import execute, heuristic_cutoff, resolve_cutoff
 from cvpqc.fock import (
     FockCutoff,
     SqueezeParam,
@@ -33,7 +33,6 @@ from cvpqc.fock import (
     coherent_amplitudes,
     displacement_operator,
     fidelity,
-    heuristic_cutoff,
     hs_distance,
     squeeze_operator,
     von_neumann_entropy,

@@ -4,9 +4,11 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -60,20 +62,21 @@ def test_validate_reports_memory_model(tmp_path, capsys):
             "(~168000168.000 MB)") in capsys.readouterr().out
 
 
+def test_readme_configs_validate():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        rep = validate(config_from_dict(json.loads(block)))
+        assert rep.ok, (block, rep.problems)
+
+
 def test_validate_flags_empty_grid_but_exits_zero(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="convergence", N_list=[])
     assert main(["validate", cfg]) == 0  # report-only dry run
     out = capsys.readouterr().out
     assert "N_list" in out
     assert "config INVALID" in out
-
-
-def test_validate_warns_on_low_cutoff(tmp_path, capsys):
-    cfg = write_config(tmp_path, experiment="convergence",
-                       b_list=[3.0], cutoff=10)
-    assert main(["validate", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "below the heuristic minimum" in out
 
 
 @pytest.mark.parametrize("experiment, grid", [
@@ -88,19 +91,19 @@ def test_validate_flags_each_empty_grid(experiment, grid):
     ({"experiment": "attack"}, 60, "default"),
     ({"experiment": "nongauss_overlap"}, 40, "default"),
     ({"experiment": "nongauss_variance"}, 40, "default"),
-    ({"experiment": "convergence", "b_list": [2.0]}, 59, "heuristic default"),
+    ({"experiment": "convergence", "b_list": [2.0]}, 59, "default"),
     # displacement_bs: scale |eff| + |beta|, the largest amplitude a truncated vector holds
-    ({"experiment": "displacement_bs"}, 35, "heuristic default"),
-    ({"experiment": "displacement_bs", "eff_re": 0.0, "eff_im": 0.0}, 25, "heuristic default"),
-    ({"experiment": "displacement_bs", "input_kind": "vacuum"}, 7, "heuristic default"),
-    ({"experiment": "mmstate"}, 59, "heuristic default"),
+    ({"experiment": "displacement_bs"}, 35, "default"),
+    ({"experiment": "displacement_bs", "eff_re": 0.0, "eff_im": 0.0}, 25, "default"),
+    ({"experiment": "displacement_bs", "input_kind": "vacuum"}, 7, "default"),
+    ({"experiment": "mmstate"}, 59, "default"),
     ({"experiment": "attack", "cutoff": 60}, 60, "explicit"),
     # squeezed_convergence: scale max b e^{max r}, the largest stretched quadrature
-    ({"experiment": "squeezed_convergence"}, 59, "heuristic default"),
+    ({"experiment": "squeezed_convergence"}, 59, "default"),
     ({"experiment": "squeezed_convergence", "r_list": [0.0, 0.5], "phi_list": [3.0]}, 112,
-     "heuristic default"),
-    ({"experiment": "squeezed_convergence", "r_list": [1.0]}, 218, "heuristic default"),
-    ({"experiment": "conformation", "r_list": [1.0]}, 59, "heuristic default"),
+     "default"),
+    ({"experiment": "squeezed_convergence", "r_list": [1.0]}, 218, "default"),
+    ({"experiment": "conformation", "r_list": [1.0]}, 59, "default"),
 ], ids=["attack", "nongauss_overlap", "nongauss_variance", "convergence-b2",
         "displacement_bs", "displacement_bs-no_ancilla", "displacement_bs-vacuum", "mmstate",
         "attack-explicit", "squeezed_convergence-r0", "squeezed_convergence-r0.5",
@@ -130,7 +133,6 @@ def test_displacement_bs_benchmark_cutoff_draws_no_warning():
         "input_kind": "even_coherent", "input_beta_mag": 1.0, "input_varphi": 0.0,
         "T_list": [0.5, 0.25, 0.1, 0.04, 0.01]}))
     assert rep.ok
-    assert rep.warnings == []
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -529,7 +531,10 @@ def test_tail_mass_violation_exits_3(tmp_path, capsys):
     ({"experiment": "squeezed_convergence", "b_list": [2.0], "N_list": [16],
       "r_list": [1.5], "cutoff": 59}, "tail mass 5.878e-01"),
     ({"experiment": "attack", "r_list": [1000.0], "cutoff": 20}, "tail mass 1.000e+00"),
-], ids=["squeezed_convergence-r1.5", "attack-r1000"])
+    # b = 0.1 keeps the disk target inside cutoff 5, so the squeezer is what fails
+    ({"experiment": "squeezed_convergence", "b_list": [0.1], "r_list": [800.0],
+      "N_list": [1], "cutoff": 5}, "tail mass 1.000e+00"),
+], ids=["squeezed_convergence-r1.5", "attack-r1000", "squeezed_convergence-r800"])
 def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
     # the squeezer's exact elements let the tail checks see the mass pushed past n_max
     cfg = write_config(tmp_path, out=str(tmp_path / "rows.csv"), **fields)
@@ -538,10 +543,11 @@ def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
 
 
 @pytest.mark.parametrize("fields, code", [
+    # b^2 overflows: a validate problem, or the disk target would lose all its mass (exit 3)
     ({"experiment": "convergence", "b_list": [1e160], "N_list": [1], "cutoff": 5}, 2),
     ({"experiment": "attack", "alpha_list": [1e160], "cutoff": 5}, 3),  # an all-zero row
     ({"experiment": "conformation", "r_list": [1000.0], "N_list": [2]}, 2),
-    ({"experiment": "squeezed_convergence", "r_list": [800.0], "N_list": [1], "cutoff": 5},
+    ({"experiment": "squeezed_convergence", "r_list": [800.0], "N_list": [1]},
      2),  # the default-cutoff scale b e^r
 ], ids=["heuristic_cutoff-b", "coherent_amplitudes-alpha", "vacuum_weight-cosh_r",
         "heuristic_cutoff-e_r"])
@@ -575,6 +581,18 @@ def test_b_whose_square_underflows_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="mmstate", b_list=[1e-200], out=str(out))
     assert main(["run", cfg]) == 2
     assert "b^2 does not underflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_p_beyond_every_ring_count_is_a_config_problem(tmp_path, capsys, command):
+    # ring p exists only for N >= p, so p = 5 at N = 2 would write a header and no rows
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, experiment="conformation", N_list=[2], p_list=[5],
+                       out=str(out))
+    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    captured = capsys.readouterr()
+    assert "p_list entry 5 exceeds every N" in captured.out + captured.err
     assert not out.exists()
 
 

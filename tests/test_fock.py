@@ -18,7 +18,6 @@ from cvpqc.fock import (
     coherent_amplitudes,
     displacement_operator,
     fidelity,
-    heuristic_cutoff,
     hs_distance,
     mode_moments,
     purity,
@@ -29,6 +28,7 @@ from cvpqc.fock import (
     von_neumann_entropy,
 )
 from cvpqc.attack import attack
+from cvpqc.experiments import heuristic_cutoff
 from cvpqc.nongauss import EvenCoherentParam, displacement_via_beamsplitter
 from oracles import (
     annihilation,

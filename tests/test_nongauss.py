@@ -21,7 +21,6 @@ from cvpqc.nongauss import (
     even_variance_approx,
     even_variance_closed_form,
     overlap_even_vs_squeezed,
-    quadrature_variance_even,
     squeezed_vacuum_variance,
     squeezed_vacuum_variance_approx,
 )
@@ -171,17 +170,18 @@ def test_truncated_squeezer_vacuum_action():
 
 
 def test_variance_trivial_amplitude_is_vacuum_level():
-    exact, closed = quadrature_variance_even(EvenCoherentParam(0.0), C40, 0.3)
+    param = EvenCoherentParam(0.0)
+    exact = quadrature_variance(even_coherent_state(param, C40), 0.3)
     assert exact == pytest.approx(0.25, abs=1e-12)
-    assert closed == pytest.approx(0.25, abs=1e-12)
+    assert even_variance_closed_form(param, 0.3) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_variance_exact_matches_closed_form_on_grid():
     param = EvenCoherentParam(0.5, 0.6)
-    thetas = np.linspace(0.0, math.pi, 13)
-    exact, closed = quadrature_variance_even(param, C40, thetas)
-    assert exact.shape == closed.shape == thetas.shape
-    assert np.max(np.abs(exact - closed)) < 1e-8
+    state = even_coherent_state(param, C40)
+    worst = max(abs(quadrature_variance(state, th) - even_variance_closed_form(param, th))
+                for th in np.linspace(0.0, math.pi, 13))
+    assert worst < 1e-8
 
 
 def test_variance_approx_extremes():
@@ -199,9 +199,8 @@ def test_variance_approx_extremes():
 def test_variance_closed_vs_approx_next_order_bound():
     u = 0.1  # 2 |beta|^2
     param = EvenCoherentParam(math.sqrt(u / 2), 0.0)
-    worst = float(np.max(np.abs(
-        even_variance_closed_form(param, np.linspace(0, math.pi, 50))
-        - even_variance_approx(param, np.linspace(0, math.pi, 50)))))
+    worst = max(abs(even_variance_closed_form(param, th) - even_variance_approx(param, th))
+                for th in np.linspace(0, math.pi, 50))
     assert worst <= u * u / 2 * (1 + u) / 4
 
 
@@ -215,10 +214,10 @@ def test_variance_families_match_at_corresponding_parameters():
     thetas = np.linspace(0.0, math.pi, 25)
     sv_ap = np.array([squeezed_vacuum_variance_approx(SqueezeParam(r, phi), t)
                       for t in thetas])
-    ec_ap = even_variance_approx(param, thetas)
+    ec_ap = np.array([even_variance_approx(param, t) for t in thetas])
     assert np.max(np.abs(sv_ap - ec_ap)) < 1e-12
     sv_ex = np.array([squeezed_vacuum_variance(SqueezeParam(r, phi), t) for t in thetas])
-    ec_ex = even_variance_closed_form(param, thetas)
+    ec_ex = np.array([even_variance_closed_form(param, t) for t in thetas])
     assert np.max(np.abs(sv_ex - ec_ex)) <= 3e-3
 
 
