@@ -39,7 +39,7 @@ def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
     by sqrt 2 and its squeezing in half.
     """
     psi = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    psi[:, 0] = squeezed_coherent_state(xi, alpha, cutoff, tail_tol).amplitudes
+    psi[:, 0] = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
     out = beam_splitter_5050(cutoff).apply(psi)
     rho_b = DensityOperator(out @ out.conj().T, cutoff)
     rho_e = DensityOperator(out.T @ out.conj(), cutoff)

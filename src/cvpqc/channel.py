@@ -9,7 +9,6 @@ variant conjugates everything by a single-mode squeezer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,32 +26,11 @@ from .fock import (
 )
 
 
-@dataclass(frozen=True)
-class ConformationSpec:
-    """Ring p of an N-ring family bounded by radius b."""
-
-    N: int
-    b: float
-    p: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.b <= 0:
-            raise ValueError(f"boundary radius must be > 0, got {self.b}")
-        if not 1 <= self.p <= self.N:
-            raise ValueError(f"p must lie in [1, {self.N}], got {self.p}")
-
-    @property
-    def radius(self) -> float:
-        return (self.p - 1) * self.b / self.N
-
-    def angles(self) -> np.ndarray:
-        q = np.arange(1, self.p + 1)
-        return (np.pi / self.p) * (2 * q - 1)
-
-    def displacements(self) -> np.ndarray:
-        return self.radius * np.exp(1j * self.angles())
+def ring(N: int, b: float, p: int):
+    """(radius, angles) of ring p, 1 <= p <= N, of the N-ring family bounded by
+    radius b: radius (p-1) b / N, and angles pi (2q - 1) / p for q = 1..p."""
+    q = np.arange(1, p + 1)
+    return (p - 1) * b / N, (np.pi / p) * (2 * q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +52,9 @@ def key_to_ring(key_index: int, N: int):
 
 
 def key_displacements(N: int, b: float) -> np.ndarray:
-    """All M displacements in key order."""
-    return np.concatenate(
-        [ConformationSpec(N, b, p).displacements() for p in range(1, N + 1)]
-    )
+    """All M displacements radius e^{i angle} in key order."""
+    rings = [ring(N, b, p) for p in range(1, N + 1)]
+    return np.concatenate([radius * np.exp(1j * angles) for radius, angles in rings])
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Sweep configuration: a flat JSON document, strictly parsed.
 
 Unknown keys are rejected rather than ignored so that a typo in a grid
-name cannot silently run a default sweep.  ``validate`` never raises; it
-returns a report of problems, the cutoff and a memory estimate.  It does
-not judge whether a cutoff is large enough: the run's own tail checks do,
-and a cutoff that is too small makes the run exit 3 at the grid point it
-fails.
+name cannot silently run a default sweep; so is a field the experiment
+never reads, other than the run fields in ``RUN_FIELDS``.  ``validate``
+never raises; it returns a report of problems, the cutoff and a memory
+estimate, and a task whose estimate exceeds the machine's physical memory
+is a problem.  It does not judge whether a cutoff is large enough: the
+run's own tail checks do, and a cutoff that is too small makes the run
+exit 3 at the grid point it fails.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -54,6 +57,8 @@ _INT_FIELDS = {"cutoff", "workers"}
 _INT_LIST_FIELDS = {"N_list", "p_list"}
 _FLOAT_FIELDS = {"eff_re", "eff_im", "input_beta_mag", "input_varphi", "tail_tol"}
 _STR_FIELDS = {"experiment", "input_kind", "out", "format"}
+# fields every experiment accepts; the rest are grids or an experiment's ``reads``
+RUN_FIELDS = {"experiment", "cutoff", "tail_tol", "out", "format", "workers"}
 
 
 def _want_int(name, v):
@@ -105,6 +110,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 kwargs[name] = [_want_real(f"{name}[{i}]", x) for i, x in enumerate(v)]
         else:
             raise ConfigError(f"unhandled config field {name!r}")  # unreachable
+    exp = REGISTRY.get(kwargs["experiment"])  # validate reports an unknown experiment
+    if exp is not None:
+        unread = sorted(set(doc) - RUN_FIELDS - set(exp.grids) - set(exp.reads))
+        if unread:
+            raise ConfigError(f"experiment {kwargs['experiment']!r} does not read "
+                              f"field(s): {', '.join(unread)}")
     return ExperimentConfig(**kwargs)
 
 
@@ -142,8 +153,16 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _mb(entries: int) -> float:
+def _mb(entries: float) -> float:
     return entries * 16 / 1e6  # complex128
+
+
+def _physical_bytes() -> int:
+    """Physical memory of the machine, or 0 where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 0
 
 
 def validate(cfg: ExperimentConfig) -> ValidationReport:
@@ -173,11 +192,14 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("beta_mag_list entries must be >= 0")
     if any(not 0 < t <= 1 for t in cfg.T_list):
         bad("T_list entries must lie in (0, 1]")
-    if cfg.p_list is not None and any(p < 1 for p in cfg.p_list):
-        bad("p_list entries must be >= 1")
-    elif (cfg.experiment == "conformation" and cfg.p_list and cfg.N_list
-          and max(cfg.p_list) > max(cfg.N_list)):  # ring p exists only for N >= p
-        bad(f"p_list entry {max(cfg.p_list)} exceeds every N in N_list, so it selects no ring")
+    if cfg.p_list is not None:  # only conformation reads it
+        if not cfg.p_list:
+            bad("p_list must not be empty: it selects no ring (leave it out for every ring)")
+        elif any(p < 1 for p in cfg.p_list):
+            bad("p_list entries must be >= 1")
+        elif cfg.N_list and max(cfg.p_list) > max(cfg.N_list):  # ring p exists for N >= p
+            bad(f"p_list entry {max(cfg.p_list)} exceeds every N in N_list, "
+                f"so it selects no ring")
     if cfg.tail_tol <= 0:
         bad("tail_tol must be > 0")
     if cfg.cutoff is not None and cfg.cutoff < 1:
@@ -188,8 +210,7 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("workers must be >= 1")
     if cfg.input_beta_mag < 0:
         bad("input_beta_mag must be >= 0")
-    if cfg.experiment == "displacement_bs" and cfg.input_kind not in ("vacuum",
-                                                                      "even_coherent"):
+    if cfg.input_kind not in ("vacuum", "even_coherent"):
         bad(f"input_kind must be 'vacuum' or 'even_coherent', got {cfg.input_kind!r}")
 
     if rep.problems:
@@ -206,8 +227,31 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     rep.info.append(f"cutoff n_max = {n_max} "
                     f"({'default' if cfg.cutoff is None else 'explicit'})")
 
-    if exp.two_mode:
+    if exp.holds == "rows":
+        rep.info.append("rows are closed forms: a task holds no Fock-space array")
+        return rep
+    # Upper bound on a task's peak, in complex entries, from tracemalloc: at most
+    # 6 d x d matrices are live at once (measured 1.0 d^2 for nongauss_*, 2.0 for
+    # mmstate, 4 beside the key stack, 5.6 for displacement_bs and 5.95 beside the
+    # splitter blocks for attack).  Exact integers, so no cutoff overflows it.
+    peak = 6 * d * d
+    if exp.holds == "two_mode":
         blocks = (2 * d ** 3 + d) // 3
+        peak += blocks
+    elif exp.holds == "key_stack":
+        N = max(cfg.N_list)
+        stack = key_count(N) * d
+        # coherent_amplitudes holds log-magnitude, phase and product temporaries
+        # beside the stack it builds: tracemalloc peaks at 4.4 stacks (7.27 MB
+        # against 1.66 MB at N = 32, cutoff 195), and at 4.1 for larger N
+        peak += 44 * stack // 10
+    physical = _physical_bytes()
+    if physical and 16 * peak > physical:
+        bad(f"the largest task needs more than the {physical / 1e6:.0f} MB of physical "
+            f"memory; lower the cutoff{' or N' if exp.holds == 'key_stack' else ''}")
+        return rep
+
+    if exp.holds == "two_mode":
         rep.info.append(
             f"two-mode basis dimension {d * d} ({d} per mode); the beam splitter "
             f"holds {blocks} complex block entries (~{_mb(blocks):.1f} MB), "
@@ -215,10 +259,10 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     else:
         memory = (f"basis dimension {d}; density matrices hold {d * d} complex entries "
                   f"(~{_mb(d * d):.3f} MB)")
-        if exp.key_stack:
-            N = max(cfg.N_list)
-            stack = key_count(N) * d
-            memory += (f"; the key-row stack at N = {N} holds {stack} complex entries "
-                       f"(~{_mb(stack):.3f} MB)")
+        if exp.holds == "key_stack":
+            memory += (f"; the key-row stack at N = {N} holds {stack} complex entries, "
+                       f"and building it peaks at 4.4 times that (~{_mb(4.4 * stack):.3f} MB)")
         rep.info.append(memory)
+    rep.info.append(f"the largest task peaks at about {_mb(peak):.1f} MB"
+                    + (f" of {physical / 1e6:.0f} MB physical memory" if physical else ""))
     return rep

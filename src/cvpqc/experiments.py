@@ -2,10 +2,11 @@
 
 ``REGISTRY`` holds the one definition of each experiment: its columns, the
 config grids it loops over (outermost first) with the compute function for
-one task, the function that gives its default cutoff, and whether it works
-on two modes.  A default is either fixed or ``heuristic_cutoff`` at the
-largest amplitude the experiment truncates; an explicit cutoff is used as
-given, and the run's own tail checks judge whether it is large enough.
+one task, the function that gives its default cutoff, the other config
+fields it reads, and what arrays its tasks hold.  A default is either fixed
+or ``heuristic_cutoff`` at the largest amplitude the experiment truncates;
+an explicit cutoff is used as given, and the run's own tail checks judge
+whether it is large enough.
 
 A task is one point of the grids' product, except that a task covers every
 value of the experiment's ``shared`` grids at once: a convergence task is
@@ -18,7 +19,7 @@ config regardless of worker count.
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
 grid to its value under the grid's name without the ``_list`` suffix, and
 each shared grid to its whole list under its own name; they read
-``tail_tol``, ``p_list`` and the ``input_*`` fields from ``cfg``.  They
+``tail_tol`` and the experiment's ``reads`` fields from ``cfg``.  They
 return one list of rows per grid point the task covers, in loop order.
 """
 from __future__ import annotations
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import attack, channel, nongauss
-from .fock import FockCutoff, SqueezeParam, quadrature_variance, squeezed_coherent_state
+from .fock import (FockCutoff, SqueezeParam, quadrature_variance, squeezed_coherent_state,
+                   wrap_angle)
 
 
 def heuristic_cutoff(a: float) -> int:
@@ -45,16 +47,19 @@ class Experiment:
     ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
     later stage follow all rows of an earlier one.  One task covers every
     value of the ``shared`` grids.  ``default_cutoff(cfg)`` is the cutoff a
-    config without one runs at.  ``key_stack`` marks the experiments whose
-    tasks hold the M x d stack of key rows.
+    config without one runs at.  ``reads`` names the config fields other
+    than the grids and the run fields that the compute functions read.
+    ``holds`` says what the largest arrays of a task are: "matrices" (d x d),
+    "key_stack" (also the M x d stack of key rows), "two_mode" (also the
+    beam splitter's blocks) or "rows" (closed forms, no Fock-space array).
     """
 
     columns: tuple
     stages: tuple
     default_cutoff: Callable
-    two_mode: bool = False
+    reads: tuple = ()
     shared: tuple = ()
-    key_stack: bool = False
+    holds: str = "matrices"
 
     @property
     def grids(self) -> tuple:
@@ -111,10 +116,10 @@ def _compute_conformation(cfg, n_max, N, b, r, phi):
     for p in (cfg.p_list if cfg.p_list is not None else range(1, N + 1)):
         if p > N:
             continue
-        spec = channel.ConformationSpec(N, b, p)
-        for q, theta in enumerate(spec.angles(), start=1):
-            alpha = spec.radius * complex(math.cos(theta), math.sin(theta))
-            rows.append((N, b, r, phi, n_max, p, q, spec.radius, float(theta),
+        radius, angles = channel.ring(N, b, p)
+        for q, theta in enumerate(angles, start=1):
+            alpha = radius * complex(math.cos(theta), math.sin(theta))
+            rows.append((N, b, r, phi, n_max, p, q, radius, float(theta),
                          channel.k_factor(xi, float(theta)),
                          channel.vacuum_weight(xi, alpha)))
     return [rows]
@@ -145,8 +150,7 @@ def _compute_attack(cfg, n_max, alpha, r, phi):
 
 def _compute_overlap(cfg, n_max, r, phi, beta_mag, varphi):
     exact, approx = nongauss.overlap_even_vs_squeezed(
-        nongauss.EvenCoherentParam(beta_mag, varphi), SqueezeParam(r, phi),
-        FockCutoff(n_max), cfg.tail_tol)
+        beta_mag, wrap_angle(varphi), SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol)
     return [[(r, phi, beta_mag, varphi, n_max, exact, approx, abs(exact - approx))]]
 
 
@@ -161,18 +165,18 @@ def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
     xi = SqueezeParam(r, phi)
     state = squeezed_coherent_state(xi, 0.0, FockCutoff(n_max), cfg.tail_tol)
     return _variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
-                         quadrature_variance(state, theta, cfg.tail_tol),
+                         quadrature_variance(state, theta),
                          nongauss.squeezed_vacuum_variance(xi, theta),
                          nongauss.squeezed_vacuum_variance_approx(xi, theta))
 
 
 def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
-    param = nongauss.EvenCoherentParam(beta_mag, varphi)
-    state = nongauss.even_coherent_state(param, FockCutoff(n_max), cfg.tail_tol)
+    vp = wrap_angle(varphi)
+    state = nongauss.even_coherent_state(beta_mag, vp, FockCutoff(n_max), cfg.tail_tol)
     return _variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
-                         quadrature_variance(state, theta, cfg.tail_tol),
-                         nongauss.even_variance_closed_form(param, theta),
-                         nongauss.even_variance_approx(param, theta))
+                         quadrature_variance(state, theta),
+                         nongauss.even_variance_closed_form(beta_mag, vp, theta),
+                         nongauss.even_variance_approx(beta_mag, vp, theta))
 
 
 # --- displacement from a strong ancilla --------------------------------------
@@ -183,8 +187,7 @@ def _compute_displacement_bs(cfg, n_max, T):
     eff = complex(cfg.eff_re, cfg.eff_im)
     gamma = eff / math.sqrt(T)
     _, fid = nongauss.displacement_via_beamsplitter(
-        T, eff, nongauss.EvenCoherentParam(_input_beta_mag(cfg), vp), FockCutoff(n_max),
-        cfg.tail_tol)
+        T, eff, _input_beta_mag(cfg), wrap_angle(vp), FockCutoff(n_max), cfg.tail_tol)
     return [[(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re, cfg.eff_im,
               n_max, fid)]]
 
@@ -201,20 +204,20 @@ REGISTRY = {
         ("N", "b", "r", "phi", "cutoff", "p", "q", "r_p", "theta_pq",
          "k_factor", "vacuum_weight"),
         ((("N_list", "b_list", "r_list", "phi_list"), _compute_conformation),),
-        _disk_cutoff),
+        _disk_cutoff, reads=("p_list",), holds="rows"),
     "convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "N_list"), _compute_convergence),),
-        _disk_cutoff, key_stack=True),
+        _disk_cutoff, holds="key_stack"),
     "squeezed_convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "r_list", "phi_list", "N_list"), _compute_convergence),),
-        _squeezed_disk_cutoff, shared=("r_list", "phi_list"), key_stack=True),
+        _squeezed_disk_cutoff, shared=("r_list", "phi_list"), holds="key_stack"),
     "attack": Experiment(
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
         ((("alpha_list", "r_list", "phi_list"), _compute_attack),),
-        lambda cfg: 60, two_mode=True),
+        lambda cfg: 60, holds="two_mode"),
     "nongauss_overlap": Experiment(
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),
@@ -230,7 +233,8 @@ REGISTRY = {
         ("input_kind", "input_beta_mag", "input_varphi", "T", "gamma_re",
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),
         ((("T_list",), _compute_displacement_bs),),
-        _displacement_cutoff),
+        _displacement_cutoff,
+        reads=("eff_re", "eff_im", "input_kind", "input_beta_mag", "input_varphi")),
 }
 
 

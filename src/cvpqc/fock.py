@@ -2,11 +2,13 @@
 splitter that mixes two.
 
 Everything is a dense complex array over the number basis |0>..|n_max>.  A
-two-mode pure state is its d x d amplitude matrix psi[i, j] = <i, j|psi>,
-and the reduced state of either mode is a product of psi with its adjoint.
-Truncation is the dominant numerical hazard, so state constructors measure
-the probability weight they lose (the tail mass) and refuse to proceed when
-it exceeds a caller-supplied budget.
+single-mode pure state is its normalized 1-D amplitude vector; a two-mode
+pure state is its d x d amplitude matrix psi[i, j] = <i, j|psi>, and the
+reduced state of either mode is a product of psi with its adjoint.
+Truncation is the dominant numerical hazard, so a state constructor checks
+the probability weight its raw amplitudes lose (the tail mass) against a
+caller-supplied budget, raises TailMassError past it, and otherwise returns
+the amplitudes renormalized.
 
 Conventions used throughout:
     D(alpha) = exp(alpha a+ - conj(alpha) a)
@@ -91,37 +93,13 @@ class SqueezeParam:
         return SqueezeParam(self.r / 2.0, self.phi)
 
 
-@dataclass
-class PureState:
-    """Normalized single-mode state vector in the truncated basis.
-
-    ``tail_mass`` records the probability weight lost to truncation at
-    construction time (before renormalization).  Treated as immutable;
-    the amplitude buffer is write-locked.
-    """
-
-    amplitudes: np.ndarray
-    cutoff: FockCutoff
-    tail_mass: float = 0.0
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.cutoff.dim,):
-            raise ValueError(f"amplitude vector must have shape ({self.cutoff.dim},), "
-                             f"got {amp.shape}")
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-
-def _finish_state(raw: np.ndarray, cutoff: FockCutoff, tail_tol: float,
-                  what: str) -> PureState:
-    """Tail-check raw amplitudes, then normalize."""
+def _finish_state(raw: np.ndarray, tail_tol: float, what: str) -> np.ndarray:
+    """Tail-check raw amplitudes, then return them normalized."""
     nrm2 = float(np.vdot(raw, raw).real)
     tail = max(0.0, 1.0 - nrm2)
     if tail > tail_tol:
         raise TailMassError(tail, tail_tol, what)
-    return PureState(raw / math.sqrt(nrm2), cutoff, tail_mass=tail)
+    return raw / math.sqrt(nrm2)
 
 
 def check_row_tails(rows: np.ndarray, tail_tol: float, what) -> None:
@@ -251,12 +229,12 @@ def squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
 
 
 def squeezed_coherent_state(xi: SqueezeParam, alpha: complex, cutoff: FockCutoff,
-                            tail_tol: float = DEFAULT_TAIL_TOL) -> PureState:
-    """S(xi) D(alpha) |0> from the exact truncated matrix elements of both factors;
-    alpha = 0 gives the squeezed vacuum.  The tail check sees the mass that the
-    coherent row and the squeezing both lose at the cutoff."""
+                            tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+    """Normalized amplitudes of S(xi) D(alpha) |0> from the exact truncated matrix
+    elements of both factors; alpha = 0 gives the squeezed vacuum.  The tail check
+    sees the mass that the coherent row and the squeezing both lose at the cutoff."""
     raw = squeeze_operator(xi, cutoff) @ coherent_amplitudes(alpha, cutoff)
-    return _finish_state(raw, cutoff, tail_tol,
+    return _finish_state(raw, tail_tol,
                          f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={alpha}")
 
 
@@ -358,10 +336,9 @@ def hs_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:
     return float(np.linalg.norm(rho1.matrix - rho2.matrix))
 
 
-def fidelity(state: PureState, rho: DensityOperator) -> float:
-    """<psi| rho |psi> of a pure state against a density operator."""
-    v = state.amplitudes
-    return float((v.conj() @ rho.matrix @ v).real)
+def fidelity(psi: np.ndarray, rho: DensityOperator) -> float:
+    """<psi| rho |psi> of normalized amplitudes against a density operator."""
+    return float((psi.conj() @ rho.matrix @ psi).real)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -375,9 +352,8 @@ def purity(rho: DensityOperator) -> float:
     return float(np.linalg.norm(rho.matrix) ** 2)  # tr rho^2 for Hermitian rho
 
 
-def mode_moments(state: PureState):
-    """(<a>, <a^2>, <a+ a>) of a pure state, from amplitude shifts."""
-    c = state.amplitudes
+def mode_moments(c: np.ndarray):
+    """(<a>, <a^2>, <a+ a>) of normalized amplitudes c, from amplitude shifts."""
     n = np.arange(c.shape[0], dtype=float)
     ea = complex(np.sum(np.conj(c[:-1]) * np.sqrt(n[1:]) * c[1:]))
     ea2 = complex(np.sum(np.conj(c[:-2]) * np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) * c[2:]))
@@ -385,12 +361,9 @@ def mode_moments(state: PureState):
     return ea, ea2, en
 
 
-def quadrature_variance(state: PureState, theta: float,
-                        tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Var X_theta from <a>, <a^2>, <a+ a>; vacuum gives 1/4."""
-    if state.tail_mass > tail_tol:
-        raise TailMassError(state.tail_mass, tail_tol, "quadrature variance input")
-    ea, ea2, en = mode_moments(state)
+def quadrature_variance(psi: np.ndarray, theta: float) -> float:
+    """Var X_theta of normalized amplitudes, from <a>, <a^2>, <a+ a>; vacuum gives 1/4."""
+    ea, ea2, en = mode_moments(psi)
     ex = (ea * np.exp(-1j * theta)).real
     ex2 = (2.0 * (ea2 * np.exp(-2j * theta)).real + 2.0 * en + 1.0) / 4.0
     return float(ex2 - ex * ex)

@@ -3,11 +3,13 @@
 Covers the small-parameter overlap between the two families,
 quadrature-variance closed forms, and the realization of a displacement by
 mixing with a strong coherent ancilla on a highly reflective beam splitter.
+An even coherent state is given by its amplitude beta = beta_mag e^{i varphi}
+as the two numbers (beta_mag >= 0, varphi); callers pass varphi already
+wrapped into [0, 2 pi), and each function forms beta where it uses it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +17,6 @@ from .fock import (
     DEFAULT_TAIL_TOL,
     DensityOperator,
     FockCutoff,
-    PureState,
     SqueezeParam,
     _finish_state,
     check_row_tails,
@@ -23,41 +24,23 @@ from .fock import (
     displacement_operator,
     fidelity,
     squeezed_coherent_state,
-    wrap_angle,
 )
 
 
-@dataclass(frozen=True)
-class EvenCoherentParam:
-    """Amplitude of the symmetric superposition: beta = beta_mag e^{i varphi}."""
-
-    beta_mag: float
-    varphi: float = 0.0
-
-    def __post_init__(self):
-        if self.beta_mag < 0:
-            raise ValueError(f"amplitude magnitude must be >= 0, got {self.beta_mag}")
-        object.__setattr__(self, "varphi", wrap_angle(self.varphi))
-
-    @property
-    def beta(self) -> complex:
-        return self.beta_mag * np.exp(1j * self.varphi)
-
-
-def even_coherent_state(param: EvenCoherentParam, cutoff: FockCutoff,
-                        tail_tol: float = DEFAULT_TAIL_TOL) -> PureState:
-    """(|beta> + |-beta>) / sqrt(2 (1 + e^{-2|beta|^2})); odd levels exactly zero."""
-    b2 = param.beta_mag ** 2
-    raw = coherent_amplitudes(param.beta, cutoff).copy()
+def even_coherent_state(beta_mag: float, varphi: float, cutoff: FockCutoff,
+                        tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+    """Normalized amplitudes of (|beta> + |-beta>) / sqrt(2 (1 + e^{-2|beta|^2}));
+    odd levels exactly zero."""
+    b2 = beta_mag ** 2
+    raw = coherent_amplitudes(beta_mag * np.exp(1j * varphi), cutoff).copy()
     raw[1::2] = 0.0  # enforce parity exactly instead of relying on cancellation
     raw[0::2] *= 2.0
     raw /= math.sqrt(2.0 * (1.0 + math.exp(-2.0 * b2)))
-    return _finish_state(raw, cutoff, tail_tol, f"even coherent state |beta|={param.beta_mag}")
+    return _finish_state(raw, tail_tol, f"even coherent state |beta|={beta_mag}")
 
 
-def overlap_even_vs_squeezed(param: EvenCoherentParam, xi: SqueezeParam,
-                             cutoff: FockCutoff,
-                             tail_tol: float = DEFAULT_TAIL_TOL):
+def overlap_even_vs_squeezed(beta_mag: float, varphi: float, xi: SqueezeParam,
+                             cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
     """(exact, approx) squared overlap between the even coherent state and the
     squeezed vacuum.
 
@@ -65,10 +48,10 @@ def overlap_even_vs_squeezed(param: EvenCoherentParam, xi: SqueezeParam,
     small-parameter form 1 - |beta|^2 r cos(2 varphi - phi).  The two agree
     to the neglected O(r^2, |beta|^4) terms near the matching angles.
     """
-    ec = even_coherent_state(param, cutoff, tail_tol)
+    ec = even_coherent_state(beta_mag, varphi, cutoff, tail_tol)
     sv = squeezed_coherent_state(xi, 0.0, cutoff, tail_tol)
-    exact = float(abs(np.vdot(ec.amplitudes, sv.amplitudes)) ** 2)
-    approx = 1.0 - param.beta_mag ** 2 * xi.r * math.cos(2.0 * param.varphi - xi.phi)
+    exact = float(abs(np.vdot(ec, sv)) ** 2)
+    approx = 1.0 - beta_mag ** 2 * xi.r * math.cos(2.0 * varphi - xi.phi)
     return exact, approx
 
 
@@ -87,24 +70,24 @@ def squeezed_vacuum_variance_approx(xi: SqueezeParam, theta: float) -> float:
     return 0.25 * (1.0 - 2.0 * xi.r * math.cos(2.0 * theta - xi.phi))
 
 
-def even_variance_closed_form(param: EvenCoherentParam, theta: float) -> float:
+def even_variance_closed_form(beta_mag: float, varphi: float, theta: float) -> float:
     """(1/4)[1 + 2|b|^2 cos(2 theta - 2 varphi) + 2|b|^2 tanh(|b|^2)], exact at every angle."""
-    b2 = param.beta_mag ** 2
-    return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * param.varphi)
+    b2 = beta_mag ** 2
+    return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * varphi)
                    + 2.0 * b2 * math.tanh(b2))
 
 
-def even_variance_approx(param: EvenCoherentParam, theta: float) -> float:
+def even_variance_approx(beta_mag: float, varphi: float, theta: float) -> float:
     """Small-amplitude form (1/4)[1 + 2|b|^2 cos(2 theta - 2 varphi)]; extremes (1 +- 2|b|^2)/4."""
-    b2 = param.beta_mag ** 2
-    return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * param.varphi))
+    b2 = beta_mag ** 2
+    return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * varphi))
 
 
 # ---------------------------------------------------------------------------
 # displacement from a strong ancilla
 
 
-def displacement_via_beamsplitter(T: float, eff: complex, param: EvenCoherentParam,
+def displacement_via_beamsplitter(T: float, eff: complex, beta_mag: float, varphi: float,
                                   cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
     """Mix the even coherent input (beta = 0 is the vacuum) with a coherent
     ancilla gamma on a splitter of transmission T for the ancilla arm; returns
@@ -119,15 +102,16 @@ def displacement_via_beamsplitter(T: float, eff: complex, param: EvenCoherentPar
     if not 0.0 < T <= 1.0:
         raise ValueError(f"transmission must lie in (0, 1], got {T}")
     t = math.sqrt(1.0 - T)
-    sig = t * param.beta * np.array([1.0, -1.0]) + eff
+    beta = beta_mag * np.exp(1j * varphi)
+    sig = t * beta * np.array([1.0, -1.0]) + eff
     rows = coherent_amplitudes(sig, cutoff)
     check_row_tails(rows, tail_tol, lambda k: f"signal amplitude {sig[k]} at T={T}")
     # <s beta + t gamma|-s beta + t gamma> in terms of eff = s gamma: no |gamma|^2 to cancel
-    w = np.exp(-2.0 * T * param.beta_mag ** 2 + 2j * t * (eff * np.conj(param.beta)).imag)
+    w = np.exp(-2.0 * T * beta_mag ** 2 + 2j * t * (eff * np.conj(beta)).imag)
     gram = np.array([[1.0, w], [np.conj(w), 1.0]])
-    norm = 2.0 * (1.0 + math.exp(-2.0 * param.beta_mag ** 2))
+    norm = 2.0 * (1.0 + math.exp(-2.0 * beta_mag ** 2))
     signal = DensityOperator(rows.T @ gram @ rows.conj() / norm, cutoff)
-    psi = even_coherent_state(param, cutoff, tail_tol).amplitudes
-    ideal = _finish_state(displacement_operator(eff, cutoff) @ psi, cutoff, tail_tol,
+    psi = even_coherent_state(beta_mag, varphi, cutoff, tail_tol)
+    ideal = _finish_state(displacement_operator(eff, cutoff) @ psi, tail_tol,
                           f"displaced target eff={eff}")
     return signal, fidelity(ideal, signal) / signal.mass

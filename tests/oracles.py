@@ -26,10 +26,10 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from cvpqc.attack import _SQRT2
-from cvpqc.channel import (_NO_SQUEEZE, ConformationSpec, _key_average, _worst_key,
-                           key_count, key_displacements, key_rows, key_to_ring,
-                           maximally_mixed, mixture_gamma, squeezed_mixture)
-from cvpqc.fock import (DEFAULT_TAIL_TOL, DensityOperator, FockCutoff, PureState,
+from cvpqc.channel import (_NO_SQUEEZE, _key_average, _worst_key, key_count,
+                           key_displacements, key_rows, key_to_ring, maximally_mixed,
+                           mixture_gamma, ring, squeezed_mixture)
+from cvpqc.fock import (DEFAULT_TAIL_TOL, DensityOperator, FockCutoff,
                         SqueezeParam, TwoModeUnitary, _finish_state, _hermite_series,
                         beam_splitter, beam_splitter_5050, coherent_amplitudes,
                         displacement_operator, fidelity, hs_distance, squeeze_operator,
@@ -204,19 +204,19 @@ def check_density(rho: DensityOperator) -> None:
 # single-mode states and two-mode operators no experiment builds
 
 
-def vacuum(cutoff: FockCutoff) -> PureState:
-    return PureState(np.eye(cutoff.dim, dtype=complex)[0], cutoff)
+def vacuum(cutoff: FockCutoff) -> np.ndarray:
+    return np.eye(cutoff.dim, dtype=complex)[0]
 
 
-def projector(state: PureState) -> DensityOperator:
-    """|psi><psi| of a pure state."""
-    return DensityOperator(np.outer(state.amplitudes, state.amplitudes.conj()), state.cutoff)
+def projector(psi: np.ndarray) -> DensityOperator:
+    """|psi><psi| of normalized amplitudes, at the cutoff their length gives."""
+    return DensityOperator(np.outer(psi, psi.conj()), FockCutoff(psi.shape[0] - 1))
 
 
 def coherent_state(alpha: complex, cutoff: FockCutoff,
-                   tail_tol: float = DEFAULT_TAIL_TOL) -> PureState:
+                   tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     raw = coherent_amplitudes(alpha, cutoff)
-    return _finish_state(raw, cutoff, tail_tol, f"coherent state alpha={alpha}")
+    return _finish_state(raw, tail_tol, f"coherent state alpha={alpha}")
 
 
 def apply_mode_operator(op: np.ndarray, psi: np.ndarray, mode: int) -> np.ndarray:
@@ -337,11 +337,17 @@ def conformation_ring(p: int, radius: float, cutoff: FockCutoff,
                         lambda k: f"ring p={p}, radius={radius}, q={k + 1}")
 
 
-def squeezed_conformation(spec: ConformationSpec, xi: SqueezeParam, cutoff: FockCutoff,
+def ring_displacements(N: int, b: float, p: int) -> np.ndarray:
+    """The p displacements radius e^{i angle} of ring p of the N-ring family."""
+    radius, angles = ring(N, b, p)
+    return radius * np.exp(1j * angles)
+
+
+def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: FockCutoff,
                           tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
-    """Ring average of squeezed displaced vacua, built operationally."""
-    return _key_average(coherent_amplitudes(spec.displacements(), cutoff), xi, cutoff,
-                        tail_tol, lambda k: f"squeezed ring p={spec.p}, r={xi.r}, q={k + 1}")
+    """Ring average of squeezed displaced vacua on ring p, built operationally."""
+    return _key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff), xi, cutoff,
+                        tail_tol, lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
 
 
 def squeezed_projector_prefactor(xi: SqueezeParam, alpha: complex,
@@ -406,15 +412,14 @@ def tap_output(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
                tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Amplitude matrix of the 50:50 tap's output for S(xi) D(alpha)|0> (x) |0>."""
     signal = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
-    return beam_splitter_5050(cutoff).apply(
-        np.outer(signal.amplitudes, vacuum(cutoff).amplitudes))
+    return beam_splitter_5050(cutoff).apply(np.outer(signal, vacuum(cutoff)))
 
 
 def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,
                       tail_tol: float) -> np.ndarray:
     """Local-squeeze(half) x2 . two-mode-squeeze(half) . displace(each arm)."""
     half = xi.half()
-    c = coherent_state(alpha_each, cutoff, tail_tol).amplitudes
+    c = coherent_state(alpha_each, cutoff, tail_tol)
     state = two_mode_squeezer(half, cutoff).apply(np.outer(c, c))
     s = squeeze_operator(half, cutoff)
     state = apply_mode_operator(s, state, 0)
@@ -443,31 +448,32 @@ def verify_decomposition(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
 # displacement from a strong ancilla, simulated in the two-mode Fock space
 
 
-def displacement_via_beamsplitter_fock(T: float, eff: complex, input_state: PureState,
+def displacement_via_beamsplitter_fock(T: float, eff: complex, psi: np.ndarray,
                                        cutoff: FockCutoff,
                                        tail_tol: float = DEFAULT_TAIL_TOL):
     """Mix the input with the coherent ancilla gamma = eff / sqrt(T) and keep the
     signal arm.
 
-    Returns (signal-arm reduced state, fidelity against the input displaced by
-    eff).  With the effective displacement held fixed, the fidelity climbs
-    toward 1 as the transmission shrinks, because the signal amplitude
-    sqrt(1-T) approaches unity.
+    ``psi`` holds the input's normalized amplitudes at ``cutoff``.  Returns
+    (signal-arm reduced state, fidelity against the input displaced by eff).
+    With the effective displacement held fixed, the fidelity climbs toward 1
+    as the transmission shrinks, because the signal amplitude sqrt(1-T)
+    approaches unity.
     """
-    if input_state.cutoff != cutoff:
+    if psi.shape != (cutoff.dim,):
         raise ValueError("input must be a state at the given cutoff")
     gamma = complex(eff) / math.sqrt(T)
 
-    ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), cutoff, tail_tol,
+    ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), tail_tol,
                             f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
 
     # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla
     mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(
-        np.outer(input_state.amplitudes, ancilla.amplitudes))
+        np.outer(psi, ancilla))
     signal = DensityOperator(mixed @ mixed.conj().T, cutoff)
 
-    ideal = displacement_operator(eff, cutoff) @ input_state.amplitudes
-    ideal = PureState(ideal / np.linalg.norm(ideal), cutoff)
+    ideal = displacement_operator(eff, cutoff) @ psi
+    ideal = ideal / np.linalg.norm(ideal)
     return signal, fidelity(ideal, signal) / signal.mass
 
 

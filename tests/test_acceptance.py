@@ -23,7 +23,6 @@ from cvpqc.fock import (
     squeezed_coherent_state,
 )
 from cvpqc.nongauss import (
-    EvenCoherentParam,
     displacement_via_beamsplitter,
     even_coherent_state,
     even_variance_approx,
@@ -194,9 +193,8 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
     ok = ok and worst_sv <= 1e-8
     detail.append(f"sv closed-form error {worst_sv}")
 
-    param = EvenCoherentParam(0.5, 0.6)
-    ec = even_coherent_state(param, FockCutoff(40))
-    worst_ec = max(abs(quadrature_variance(ec, th) - even_variance_closed_form(param, th))
+    ec = even_coherent_state(0.5, 0.6, FockCutoff(40))
+    worst_ec = max(abs(quadrature_variance(ec, th) - even_variance_closed_form(0.5, 0.6, th))
                    for th in np.linspace(0.0, math.pi, 9))
     ok = ok and worst_ec <= 1e-8
     detail.append(f"ec closed-form error {worst_ec}")
@@ -212,10 +210,10 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
         err = abs(quadrature_variance(sv_small, th) - approx)
         ok = ok and err <= tol
         detail.append(f"sv extreme theta={th}: err {err} tol {tol}")
-    p_small = EvenCoherentParam(math.sqrt(0.05), 0.0)
-    ec_small = even_coherent_state(p_small, FockCutoff(40))
+    bm_small = math.sqrt(0.05)
+    ec_small = even_coherent_state(bm_small, 0.0, FockCutoff(40))
     for th, sign in ((0.0, +1.0), (math.pi / 2, -1.0)):
-        approx = even_variance_approx(p_small, th)
+        approx = even_variance_approx(bm_small, 0.0, th)
         ok = ok and abs(approx - (1 + sign * u) / 4) < 1e-15
         err = abs(quadrature_variance(ec_small, th) - approx)
         ok = ok and err <= tol
@@ -231,7 +229,7 @@ def test_criterion_09_overlap_small_parameter_scaling(report):
 
     def err(r, b2):
         exact, approx = overlap_even_vs_squeezed(
-            EvenCoherentParam(math.sqrt(b2), vp), SqueezeParam(r, phi_xi), cut)
+            math.sqrt(b2), vp, SqueezeParam(r, phi_xi), cut)
         return abs(exact - approx)
 
     e1 = err(0.05, 0.05)
@@ -248,7 +246,7 @@ def test_criterion_10_displacement_by_reflective_mixing(report):
     fids = []
     for T in Ts:
         # the effective displacement sqrt(T) gamma = 0.3 held fixed
-        _, fid = displacement_via_beamsplitter(T, 0.3, EvenCoherentParam(1.0), cut)
+        _, fid = displacement_via_beamsplitter(T, 0.3, 1.0, 0.0, cut)
         fids.append(fid)
     increasing = all(a < b for a, b in zip(fids, fids[1:]))
     ok = increasing and fids[-1] >= 0.99

@@ -11,7 +11,6 @@ from scipy.integrate import simpson
 
 from cvpqc import channel
 from cvpqc.channel import (
-    ConformationSpec,
     convergence_rows,
     k_factor,
     key_count,
@@ -20,11 +19,12 @@ from cvpqc.channel import (
     key_to_ring,
     maximally_mixed,
     mixture_gamma,
+    ring,
     squeezed_mixture,
     vacuum_weight,
 )
 from cvpqc.cli import main
-from cvpqc.config import config_from_dict
+from cvpqc.config import config_from_dict, validate
 from cvpqc.experiments import execute, heuristic_cutoff, resolve_cutoff
 from cvpqc.fock import (
     FockCutoff,
@@ -47,6 +47,7 @@ from oracles import (
     encrypt,
     projector,
     ring_analytic_matrix,
+    ring_displacements,
     secret_bits,
     squeezed_coherent_amplitudes,
     squeezed_conformation,
@@ -127,19 +128,17 @@ def test_mm_cutoff_too_small_raises():
 
 
 def test_conformation_spec_schedule():
-    spec = ConformationSpec(4, 2.0, 3)
-    assert spec.radius == pytest.approx(1.0)
-    assert np.allclose(spec.angles(), np.pi / 3 * np.array([1, 3, 5]))
-    assert len(spec.displacements()) == 3
+    radius, angles = ring(4, 2.0, 3)
+    assert radius == pytest.approx(1.0)
+    assert np.allclose(angles, np.pi / 3 * np.array([1, 3, 5]))
+    assert len(ring_displacements(4, 2.0, 3)) == 3
 
 
 def test_conformation_spec_validation():
-    with pytest.raises(ValueError):
-        ConformationSpec(0, 2.0, 1)
-    with pytest.raises(ValueError):
-        ConformationSpec(4, -1.0, 1)
-    with pytest.raises(ValueError):
-        ConformationSpec(4, 2.0, 5)
+    # N, b and p are checked where a config enters: N >= 1, b > 0, p <= max N
+    for fields in ({"N_list": [0]}, {"b_list": [-1.0]}, {"N_list": [4], "p_list": [5]}):
+        rep = validate(config_from_dict(dict(fields, experiment="conformation")))
+        assert not rep.ok, fields
 
 
 @pytest.mark.parametrize("N", [1, 7, 64, 300])
@@ -184,8 +183,7 @@ def test_secret_bits_identity():
 
 
 def test_innermost_ring_is_vacuum_projector():
-    spec = ConformationSpec(4, 2.0, 1)
-    rho = conformation_ring(spec.p, spec.radius, C59)
+    rho = conformation_ring(1, ring(4, 2.0, 1)[0], C59)
     expect = np.zeros((60, 60), dtype=complex)
     expect[0, 0] = 1.0
     assert np.max(np.abs(rho.matrix - expect)) < 1e-14
@@ -230,8 +228,7 @@ def test_mixture_is_ring_average_weighted_by_population():
     M = key_count(N)
     acc = np.zeros((60, 60), dtype=complex)
     for p in range(1, N + 1):
-        spec = ConformationSpec(N, b, p)
-        acc += p * conformation_ring(p, spec.radius, cut).matrix
+        acc += p * conformation_ring(p, ring(N, b, p)[0], cut).matrix
     acc /= M
     mix = mixture_gamma(N, b, key_rows(N, b, cut), cut)
     assert np.max(np.abs(mix.matrix - acc)) < 1e-12
@@ -275,9 +272,8 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
 
 
 def test_squeezed_conformation_at_zero_squeezing_reduces():
-    spec = ConformationSpec(4, 2.0, 3)
-    a = squeezed_conformation(spec, SqueezeParam(0.0), C59)
-    b = conformation_ring(spec.p, spec.radius, C59)
+    a = squeezed_conformation(4, 2.0, 3, SqueezeParam(0.0), C59)
+    b = conformation_ring(3, ring(4, 2.0, 3)[0], C59)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-14
 
 
@@ -290,7 +286,7 @@ def test_vacuum_weight_matches_operational_first_amplitude():
     for phi in (0.0, np.pi / 3):
         xi = SqueezeParam(0.5, phi)
         s = squeeze_operator(xi, cut)
-        for alpha in ConformationSpec(4, 2.0, 4).displacements():
+        for alpha in ring_displacements(4, 2.0, 4):
             row = s @ coherent_amplitudes(alpha, cut)
             w = abs(row[0]) ** 2
             assert abs(w / vacuum_weight(xi, alpha) - 1.0) < 1e-8
@@ -540,9 +536,10 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
 @pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])
 def test_convergence_rows_match_the_per_point_oracle(experiment, workers):
     # unsorted and repeated grid values: every row lands at its grid position
-    cfg = config_from_dict({"experiment": experiment, "b_list": [1.5, 1.0],
-                            "r_list": [0.3, 0.0, 0.3], "phi_list": [1.0, 0.0],
-                            "N_list": [4, 1, 4]})
+    doc = {"experiment": experiment, "b_list": [1.5, 1.0], "N_list": [4, 1, 4]}
+    if experiment == "squeezed_convergence":
+        doc.update(r_list=[0.3, 0.0, 0.3], phi_list=[1.0, 0.0])
+    cfg = config_from_dict(doc)
     _, rows = execute(cfg, workers=workers)
     n_max = resolve_cutoff(cfg)
     squeezings = (itertools.product(cfg.r_list, cfg.phi_list)

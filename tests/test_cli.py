@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cvpqc
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
-from cvpqc.config import ExperimentConfig, config_from_dict, validate
+from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
 from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
 from oracles import projector, vacuum
@@ -55,11 +55,40 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "9801 complex entries" in out
     assert "two-mode" not in out
-    # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N
-    cfg = write_config(tmp_path, experiment="convergence", N_list=[1000000], cutoff=20)
+    # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N, and
+    # building them peaks at 4.4 times that: 7.27 MB under tracemalloc at N = 32, cutoff 195
+    cfg = write_config(tmp_path, experiment="convergence", b_list=[5.0], cutoff=195)
     assert main(["validate", cfg]) == 0
-    assert ("key-row stack at N = 1000000 holds 10500010500000 complex entries "
-            "(~168000168.000 MB)") in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert ("key-row stack at N = 32 holds 103488 complex entries, and building it peaks "
+            "at 4.4 times that (~7.286 MB)") in out
+    assert "the largest task peaks at about 11.0 MB" in out  # plus 6 d x d matrices
+    # conformation's rows are closed forms
+    cfg = write_config(tmp_path, experiment="conformation", cutoff=100000)
+    assert main(["validate", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "a task holds no Fock-space array" in out
+    assert "config valid" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("fields", [
+    {"experiment": "convergence", "cutoff": 10 ** 10},
+    {"experiment": "convergence", "b_list": [1000.0]},  # default cutoff 1268983
+    {"experiment": "convergence", "N_list": [1000000], "cutoff": 20},  # the key stack
+    {"experiment": "attack", "cutoff": 100000},  # the splitter's (2 d^3 + d)/3 entries
+], ids=["cutoff", "default_cutoff", "key_stack", "two_mode"])
+def test_task_beyond_physical_memory_is_a_config_problem(monkeypatch, tmp_path, capsys,
+                                                         command, fields):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr("cvpqc.cli.execute", refuse)
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out=str(out), **fields)
+    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    captured = capsys.readouterr()
+    assert "MB of physical memory" in captured.out + captured.err
+    assert not out.exists()
 
 
 def test_readme_configs_validate():
@@ -423,6 +452,28 @@ print(json.dumps(codes))
 """
 
 
+# every experiment with no field but its name: the default cutoff and grids
+_DEFAULT_ROWS = {
+    "mmstate": 60,                 # levels 0..59 at b = 2
+    "conformation": 713,           # N(N+1)/2 keys summed over N = 2, 4, 8, 16, 32
+    "convergence": 5,              # one row per N
+    "squeezed_convergence": 5,
+    "attack": 1,
+    "nongauss_overlap": 1,
+    "nongauss_variance": 2,        # a squeezed-vacuum row and an even-coherent row
+    "displacement_bs": 5,          # one row per transmission
+}
+
+
+def test_every_experiment_runs_on_its_defaults(tmp_path, capsys):
+    assert set(_DEFAULT_ROWS) == set(REGISTRY)
+    for name, count in _DEFAULT_ROWS.items():
+        out = tmp_path / f"{name}.csv"
+        cfg = write_config(tmp_path, f"{name}.json", experiment=name)
+        assert main(["run", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+        assert len(read_csv(out)[1]) == count, name
+
+
 def test_every_experiment_runs_without_scipy(tmp_path):
     assert set(_SMALL_RUNS) == set(REGISTRY)
     paths = {name: write_config(tmp_path, f"{name}.json", experiment=name,
@@ -594,6 +645,44 @@ def test_p_beyond_every_ring_count_is_a_config_problem(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert "p_list entry 5 exceeds every N" in captured.out + captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_empty_p_list_is_a_config_problem(tmp_path, capsys, command):
+    # an empty p_list selects no ring, so the run would write a header and no rows
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, experiment="conformation", N_list=[4], p_list=[],
+                       out=str(out))
+    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    captured = capsys.readouterr()
+    assert "p_list must not be empty" in captured.out + captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("fields, unread", [
+    ({"experiment": "convergence", "N_list": [2], "p_list": [3], "cutoff": 30}, "p_list"),
+    ({"experiment": "mmstate", "eff_re": 0.5, "input_kind": "vacuum"},
+     "eff_re, input_kind"),
+], ids=["convergence-p_list", "mmstate-displacement_bs_fields"])
+def test_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, command, fields,
+                                                    unread):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out=str(out), **fields)
+    assert main([command, cfg]) == 2
+    assert f"does not read field(s): {unread}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_experiment_accepts_its_grids_reads_and_the_run_fields():
+    defaults = ExperimentConfig("").to_dict()
+    for name, exp in REGISTRY.items():
+        accepted = set(exp.grids) | set(exp.reads) | RUN_FIELDS
+        doc = {f: defaults[f] for f in accepted if defaults[f] is not None}
+        assert config_from_dict(dict(doc, experiment=name)).experiment == name
+        for field in set(defaults) - accepted:
+            with pytest.raises(ConfigError, match=field):
+                config_from_dict({"experiment": name, field: defaults[field]})
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from cvpqc.config import config_from_dict, validate
+from cvpqc.experiments import execute
 from cvpqc.fock import (
     FockCutoff,
-    PureState,
     SqueezeParam,
     TailMassError,
+    coherent_amplitudes,
     fidelity,
     quadrature_variance,
     squeeze_operator,
+    wrap_angle,
 )
 from cvpqc.nongauss import (
-    EvenCoherentParam,
     displacement_via_beamsplitter,
     even_coherent_state,
     even_variance_approx,
@@ -50,36 +52,47 @@ def overlap_closed_form(beta_mag: float, varphi: float, xi: SqueezeParam) -> flo
 
 
 def test_even_state_small_amplitude_is_nearly_vacuum():
-    st = even_coherent_state(EvenCoherentParam(1e-4), C40)
-    assert abs(np.vdot(st.amplitudes, vacuum(C40).amplitudes)) ** 2 > 1 - 1e-8
+    st = even_coherent_state(1e-4, 0.0, C40)
+    assert abs(np.vdot(st, vacuum(C40))) ** 2 > 1 - 1e-8
 
 
 def test_even_state_odd_levels_exactly_zero():
-    st = even_coherent_state(EvenCoherentParam(0.9, 0.7), C40)
-    assert np.all(st.amplitudes[1::2] == 0.0)
-    assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+    st = even_coherent_state(0.9, 0.7, C40)
+    assert np.all(st[1::2] == 0.0)
+    assert abs(np.linalg.norm(st) - 1.0) < 1e-12
 
 
 def test_even_state_matches_direct_superposition():
-    param = EvenCoherentParam(0.8, 1.2)
-    st = even_coherent_state(param, C40)
-    plus = coherent_state(param.beta, C40).amplitudes
-    minus = coherent_state(-param.beta, C40).amplitudes
-    direct = plus + minus
+    st = even_coherent_state(0.8, 1.2, C40)
+    beta = 0.8 * np.exp(1.2j)
+    direct = coherent_state(beta, C40) + coherent_state(-beta, C40)
     direct = direct / np.linalg.norm(direct)
-    assert np.max(np.abs(st.amplitudes - direct)) < 1e-12
+    assert np.max(np.abs(st - direct)) < 1e-12
 
 
 def test_even_param_validation_and_wrap():
-    with pytest.raises(ValueError):
-        EvenCoherentParam(-0.1)
-    p = EvenCoherentParam(0.5, 2 * math.pi + 0.3)
-    assert abs(p.varphi - 0.3) < 1e-12
+    # a negative |beta| is a config problem, and every even-coherent experiment
+    # wraps varphi into [0, 2 pi) before it forms beta
+    for doc in ({"experiment": "nongauss_overlap", "beta_mag_list": [-0.1]},
+                {"experiment": "nongauss_variance", "beta_mag_list": [-0.1]},
+                {"experiment": "displacement_bs", "input_beta_mag": -0.1}):
+        assert not validate(config_from_dict(doc)).ok
+    # (config, angle field, first computed column); rows equal bit for bit
+    for doc, angle, first in (({"experiment": "nongauss_overlap", "r_list": [0.1]},
+                               "varphi_list", 5),
+                              ({"experiment": "nongauss_variance"}, "varphi_list", 7),
+                              ({"experiment": "displacement_bs"}, "input_varphi", 9)):
+        computed = []
+        for vp in (-100.1, wrap_angle(-100.1)):
+            _, rows = execute(config_from_dict(
+                dict(doc, **{angle: [vp] if angle.endswith("_list") else vp})))
+            computed.append([row[first:] for row in rows])
+        assert computed[0] == computed[1]
 
 
 def test_even_state_tail_guard():
     with pytest.raises(TailMassError):
-        even_coherent_state(EvenCoherentParam(3.5), FockCutoff(10))
+        even_coherent_state(3.5, 0.0, FockCutoff(10))
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +100,7 @@ def test_even_state_tail_guard():
 
 
 def test_overlap_trivial_parameters():
-    exact, approx = overlap_even_vs_squeezed(
-        EvenCoherentParam(0.0), SqueezeParam(0.0), C40)
+    exact, approx = overlap_even_vs_squeezed(0.0, 0.0, SqueezeParam(0.0), C40)
     assert exact == pytest.approx(1.0, abs=1e-12)
     assert approx == 1.0
 
@@ -100,8 +112,7 @@ def test_overlap_exact_matches_closed_form():
         (0.4, 0.3, 0.2, 1.0),
         (0.7, -1.0, 0.1, 2.5),
     ):
-        exact, _ = overlap_even_vs_squeezed(
-            EvenCoherentParam(bm, vp), SqueezeParam(r, phi), C40)
+        exact, _ = overlap_even_vs_squeezed(bm, vp, SqueezeParam(r, phi), C40)
         assert abs(exact - overlap_closed_form(bm, vp, SqueezeParam(r, phi))) < 1e-12
 
 
@@ -111,8 +122,7 @@ def test_overlap_approx_tracks_exact_over_angles():
     exact = np.empty_like(vps)
     approx = np.empty_like(vps)
     for i, vp in enumerate(vps):
-        exact[i], approx[i] = overlap_even_vs_squeezed(
-            EvenCoherentParam(bm, vp), SqueezeParam(r, 0.0), C40)
+        exact[i], approx[i] = overlap_even_vs_squeezed(bm, vp, SqueezeParam(r, 0.0), C40)
     assert np.max(np.abs(exact - approx)) < 5e-3
     corr = np.corrcoef(exact, approx)[0, 1]
     assert corr > 0.99
@@ -121,11 +131,10 @@ def test_overlap_approx_tracks_exact_over_angles():
 def test_overlap_joint_phase_covariance():
     # shifting varphi by delta and phi by 2 delta leaves the overlap fixed
     bm, r = 0.5, 0.1
-    base, _ = overlap_even_vs_squeezed(
-        EvenCoherentParam(bm, 0.4), SqueezeParam(r, 0.9), C40)
+    base, _ = overlap_even_vs_squeezed(bm, 0.4, SqueezeParam(r, 0.9), C40)
     for delta in (0.3, 1.0, -2.0):
-        moved, _ = overlap_even_vs_squeezed(
-            EvenCoherentParam(bm, 0.4 + delta), SqueezeParam(r, 0.9 + 2 * delta), C40)
+        moved, _ = overlap_even_vs_squeezed(bm, 0.4 + delta,
+                                            SqueezeParam(r, 0.9 + 2 * delta), C40)
         assert abs(moved - base) < 1e-12
 
 
@@ -135,10 +144,8 @@ def test_matching_angles_maximize_overlap():
     assert abs(math.cos(2 * v1 - phi) + 1.0) < 1e-12  # cos = -1 at the match
     assert abs(math.cos(2 * v2 - phi) + 1.0) < 1e-12
     bm, r = 0.3, 0.05
-    at_match, _ = overlap_even_vs_squeezed(
-        EvenCoherentParam(bm, v1), SqueezeParam(r, phi), C40)
-    off, _ = overlap_even_vs_squeezed(
-        EvenCoherentParam(bm, v1 + 0.7), SqueezeParam(r, phi), C40)
+    at_match, _ = overlap_even_vs_squeezed(bm, v1, SqueezeParam(r, phi), C40)
+    off, _ = overlap_even_vs_squeezed(bm, v1 + 0.7, SqueezeParam(r, phi), C40)
     assert at_match > off
 
 
@@ -170,25 +177,22 @@ def test_truncated_squeezer_vacuum_action():
 
 
 def test_variance_trivial_amplitude_is_vacuum_level():
-    param = EvenCoherentParam(0.0)
-    exact = quadrature_variance(even_coherent_state(param, C40), 0.3)
+    exact = quadrature_variance(even_coherent_state(0.0, 0.0, C40), 0.3)
     assert exact == pytest.approx(0.25, abs=1e-12)
-    assert even_variance_closed_form(param, 0.3) == pytest.approx(0.25, abs=1e-12)
+    assert even_variance_closed_form(0.0, 0.0, 0.3) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_variance_exact_matches_closed_form_on_grid():
-    param = EvenCoherentParam(0.5, 0.6)
-    state = even_coherent_state(param, C40)
-    worst = max(abs(quadrature_variance(state, th) - even_variance_closed_form(param, th))
+    state = even_coherent_state(0.5, 0.6, C40)
+    worst = max(abs(quadrature_variance(state, th) - even_variance_closed_form(0.5, 0.6, th))
                 for th in np.linspace(0.0, math.pi, 13))
     assert worst < 1e-8
 
 
 def test_variance_approx_extremes():
     b2 = 0.05
-    param = EvenCoherentParam(math.sqrt(b2), 0.0)
-    hi = even_variance_approx(param, 0.0)
-    lo = even_variance_approx(param, math.pi / 2)
+    hi = even_variance_approx(math.sqrt(b2), 0.0, 0.0)
+    lo = even_variance_approx(math.sqrt(b2), 0.0, math.pi / 2)
     assert hi == pytest.approx((1 + 2 * b2) / 4)
     assert lo == pytest.approx((1 - 2 * b2) / 4)
     xi = SqueezeParam(b2, 0.0)
@@ -198,8 +202,8 @@ def test_variance_approx_extremes():
 
 def test_variance_closed_vs_approx_next_order_bound():
     u = 0.1  # 2 |beta|^2
-    param = EvenCoherentParam(math.sqrt(u / 2), 0.0)
-    worst = max(abs(even_variance_closed_form(param, th) - even_variance_approx(param, th))
+    bm = math.sqrt(u / 2)
+    worst = max(abs(even_variance_closed_form(bm, 0.0, th) - even_variance_approx(bm, 0.0, th))
                 for th in np.linspace(0, math.pi, 50))
     assert worst <= u * u / 2 * (1 + u) / 4
 
@@ -210,14 +214,13 @@ def test_variance_families_match_at_corresponding_parameters():
     r = 0.05
     phi = 0.0
     vp = matching_varphi(phi)[0]
-    param = EvenCoherentParam(math.sqrt(r), vp)
     thetas = np.linspace(0.0, math.pi, 25)
     sv_ap = np.array([squeezed_vacuum_variance_approx(SqueezeParam(r, phi), t)
                       for t in thetas])
-    ec_ap = np.array([even_variance_approx(param, t) for t in thetas])
+    ec_ap = np.array([even_variance_approx(math.sqrt(r), vp, t) for t in thetas])
     assert np.max(np.abs(sv_ap - ec_ap)) < 1e-12
     sv_ex = np.array([squeezed_vacuum_variance(SqueezeParam(r, phi), t) for t in thetas])
-    ec_ex = np.array([even_variance_closed_form(param, t) for t in thetas])
+    ec_ex = np.array([even_variance_closed_form(math.sqrt(r), vp, t) for t in thetas])
     assert np.max(np.abs(sv_ex - ec_ex)) <= 3e-3
 
 
@@ -226,7 +229,7 @@ def test_variance_exact_against_general_machinery():
     xi = SqueezeParam(0.3, 1.0)
     cut = FockCutoff(60)
     sv = squeeze_operator(xi, cut)[:, 0]
-    st = PureState(sv / np.linalg.norm(sv), cut)
+    st = sv / np.linalg.norm(sv)
     for th in (0.0, 0.7, math.pi / 2):
         assert abs(quadrature_variance(st, th)
                    - squeezed_vacuum_variance(xi, th)) < 1e-8
@@ -236,24 +239,24 @@ def test_variance_exact_against_general_machinery():
 # displacement via a strong ancilla
 
 
-VACUUM = EvenCoherentParam(0.0)
+VACUUM = (0.0, 0.0)  # |beta|, varphi
 
 
 def test_bs_realization_validation():
     for T in (0.0, -0.5, 1.2, math.nan):
         with pytest.raises(ValueError, match="transmission must lie in"):
-            displacement_via_beamsplitter(T, 0.3, VACUUM, C40)
-    _, fid = displacement_via_beamsplitter(1.0, 0.3, VACUUM, C40)
+            displacement_via_beamsplitter(T, 0.3, *VACUUM, C40)
+    _, fid = displacement_via_beamsplitter(1.0, 0.3, *VACUUM, C40)
     assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_displacement_bs_full_swap_replaces_vacuum():
-    rho, fid = displacement_via_beamsplitter(1.0, 0.0, VACUUM, C40)
+    rho, fid = displacement_via_beamsplitter(1.0, 0.0, *VACUUM, C40)
     assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_displacement_bs_vacuum_input_high_reflectivity():
-    rho, fid = displacement_via_beamsplitter(0.01, 0.3, VACUUM, C40)
+    rho, fid = displacement_via_beamsplitter(0.01, 0.3, *VACUUM, C40)
     assert fid >= 0.99
     target = coherent_state(0.3, C40)
     assert fidelity(target, rho) >= 0.99
@@ -263,7 +266,7 @@ def test_displacement_bs_vacuum_input_fidelity_is_exactly_one():
     # mixing two coherent beams yields coherent outputs; the signal arm IS
     # the ideal displaced state whenever the input is itself coherent
     for T in (0.5, 0.1, 0.01):
-        _, fid = displacement_via_beamsplitter(T, 0.3, VACUUM, C40)
+        _, fid = displacement_via_beamsplitter(T, 0.3, *VACUUM, C40)
         assert fid == pytest.approx(1.0, abs=1e-9)
 
 
@@ -281,7 +284,7 @@ def test_displacement_bs_fidelity_improves_as_T_drops():
     cut = FockCutoff(45)
     fids = []
     for T in (0.5, 0.25, 0.1, 0.04, 0.01):
-        _, fid = displacement_via_beamsplitter(T, 0.3, EvenCoherentParam(1.0), cut)
+        _, fid = displacement_via_beamsplitter(T, 0.3, 1.0, 0.0, cut)
         fids.append(fid)
     assert all(a < b for a, b in zip(fids, fids[1:]))
     assert fids[-1] >= 0.99
@@ -290,11 +293,11 @@ def test_displacement_bs_fidelity_improves_as_T_drops():
 def test_displacement_bs_ancilla_tail_guard():
     # the ancilla (mean 81 photons at cutoff 40) is never truncated: only the
     # signal rows and the target are, and here both sit at amplitude 0.9
-    _, fid = displacement_via_beamsplitter(0.01, 0.9, VACUUM, C40)
+    _, fid = displacement_via_beamsplitter(0.01, 0.9, *VACUUM, C40)
     assert fid == pytest.approx(1.0, abs=1e-9)
     # a signal row at amplitude sqrt(0.5) * 12.7 ~ 9 loses more than tail_tol
     with pytest.raises(TailMassError) as exc:
-        displacement_via_beamsplitter(0.5, math.sqrt(0.5) * 12.7, VACUUM, C40)
+        displacement_via_beamsplitter(0.5, math.sqrt(0.5) * 12.7, *VACUUM, C40)
     assert "signal" in str(exc.value)
 
 
@@ -306,15 +309,14 @@ def test_displacement_bs_rejects_mismatched_input():
 @pytest.mark.parametrize("T", [1.0, 0.5, 0.1, 0.01])
 def test_displacement_bs_closed_form_matches_fock_oracle(T):
     for beta_mag in (0.0, 0.8, 1.5):
-        param = EvenCoherentParam(beta_mag, 0.9)
         for eff in (0.3, 0.2 + 0.25j):
-            rho, fid = displacement_via_beamsplitter(T, eff, param, C40)
+            rho, fid = displacement_via_beamsplitter(T, eff, beta_mag, 0.9, C40)
             rho_fock, fid_fock = displacement_via_beamsplitter_fock(
-                T, eff, even_coherent_state(param, C40), C40)
+                T, eff, even_coherent_state(beta_mag, 0.9, C40), C40)
             # the oracle renormalizes a truncated ancilla and is off by a few
             # times its tail (3.8e-13 for |gamma| = 3.2); the closed form truncates none
-            anc = coherent_state(eff / math.sqrt(T), C40)
-            tol = 1e-12 + 10.0 * anc.tail_mass
+            anc = coherent_amplitudes(eff / math.sqrt(T), C40)
+            tol = 1e-12 + 10.0 * (1.0 - np.vdot(anc, anc).real)
             assert abs(fid - fid_fock) <= tol
             assert np.max(np.abs(rho.matrix - rho_fock.matrix)) <= tol
 
@@ -329,15 +331,14 @@ def test_displacement_bs_closed_form_raises_or_meets_tail_tol(T, beta_mag, varph
     # 4e-6 in rho at cutoff 30, and by 3.5e-8 in fidelity at cutoff 60 (T = 0.0664,
     # |beta| = 1, |eff| = 1.31), while its input and ancilla pass their tail checks
     cut, big, tol = FockCutoff(30), FockCutoff(80), 1e-8
-    param = EvenCoherentParam(beta_mag, varphi)
     eff = eff_mag * complex(math.cos(eff_arg), math.sin(eff_arg))
     try:
-        rho, fid = displacement_via_beamsplitter(T, eff, param, cut, tol)
+        rho, fid = displacement_via_beamsplitter(T, eff, beta_mag, varphi, cut, tol)
     except TailMassError:
         return
     try:
         rho_fock, fid_fock = displacement_via_beamsplitter_fock(
-            T, eff, even_coherent_state(param, big, tol), big, tol)
+            T, eff, even_coherent_state(beta_mag, varphi, big, tol), big, tol)
     except TailMassError:  # a gamma past ~1e154 has an all-zero row, a tail of 1
         return
     assert abs(fid - fid_fock) <= tol
