@@ -14,10 +14,9 @@ import numpy as np
 
 from .fock import (
     DEFAULT_TAIL_TOL,
-    DensityOperator,
     FockCutoff,
     SqueezeParam,
-    beam_splitter_5050,
+    beam_splitter,
     fidelity,
     purity,
     squeezed_coherent_state,
@@ -40,9 +39,9 @@ def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
     """
     psi = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     psi[:, 0] = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
-    out = beam_splitter_5050(cutoff).apply(psi)
-    rho_b = DensityOperator(out @ out.conj().T, cutoff)
-    rho_e = DensityOperator(out.T @ out.conj(), cutoff)
-    expected = squeezed_coherent_state(xi.half(), alpha / _SQRT2, cutoff, tail_tol)
-    return (purity(rho_b), purity(rho_e), von_neumann_entropy(rho_b),
+    out = beam_splitter(np.pi / 4, cutoff).apply(psi)
+    rho_b = out @ out.conj().T
+    expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / _SQRT2,
+                                       cutoff, tail_tol)
+    return (purity(rho_b), purity(out.T @ out.conj()), von_neumann_entropy(rho_b),
             fidelity(expected, rho_b))

@@ -4,10 +4,10 @@ Unknown keys are rejected rather than ignored so that a typo in a grid
 name cannot silently run a default sweep; so is a field the experiment
 never reads, other than the run fields in ``RUN_FIELDS``.  ``validate``
 never raises; it returns a report of problems, the cutoff and a memory
-estimate, and a task whose estimate exceeds the machine's physical memory
-is a problem.  It does not judge whether a cutoff is large enough: the
-run's own tail checks do, and a cutoff that is too small makes the run
-exit 3 at the grid point it fails.
+estimate, and a task (for ``conformation``, the run's rows) whose estimate
+exceeds the machine's physical memory is a problem.  It does not judge
+whether a cutoff is large enough: the run's own tail checks do, and a cutoff
+that is too small makes the run exit 3 at the grid point it fails.
 """
 from __future__ import annotations
 
@@ -227,8 +227,20 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     rep.info.append(f"cutoff n_max = {n_max} "
                     f"({'default' if cfg.cutoff is None else 'explicit'})")
 
+    physical = _physical_bytes()
     if exp.holds == "rows":
-        rep.info.append("rows are closed forms: a task holds no Fock-space array")
+        rows = (len(cfg.b_list) * len(cfg.r_list) * len(cfg.phi_list)
+                * sum(key_count(N) for N in cfg.N_list))
+        # the run holds every row until it writes them: under tracemalloc, execute
+        # peaks at 216-224 bytes a row (45150 to 201200 rows), and the JSON
+        # writer's row lists add 160-162 more
+        need = 400 * rows
+        if physical and need > physical:
+            bad(f"the run's {rows} rows need more than the {physical / 1e6:.0f} MB of "
+                f"physical memory; lower N")
+            return rep
+        rep.info.append(f"rows are closed forms: a task holds no Fock-space array; the run "
+                        f"holds its {rows} rows (~{need / 1e6:.1f} MB) until it writes them")
         return rep
     # Upper bound on a task's peak, in complex entries, from tracemalloc: at most
     # 6 d x d matrices are live at once (measured 1.0 d^2 for nongauss_*, 2.0 for
@@ -245,7 +257,6 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         # beside the stack it builds: tracemalloc peaks at 4.4 stacks (7.27 MB
         # against 1.66 MB at N = 32, cutoff 195), and at 4.1 for larger N
         peak += 44 * stack // 10
-    physical = _physical_bytes()
     if physical and 16 * peak > physical:
         bad(f"the largest task needs more than the {physical / 1e6:.0f} MB of physical "
             f"memory; lower the cutoff{' or N' if exp.holds == 'key_stack' else ''}")

@@ -102,8 +102,8 @@ def resolve_cutoff(cfg) -> int:
 
 def _compute_mmstate(cfg, n_max, b):
     mm = channel.maximally_mixed(b, FockCutoff(n_max), cfg.tail_tol)
-    diag = mm.matrix.diagonal().real
-    return [[(b, n_max, cfg.tail_tol, n, float(diag[n]), mm.mass)
+    diag, mass = mm.diagonal().real, float(mm.trace().real)
+    return [[(b, n_max, cfg.tail_tol, n, float(diag[n]), mass)
              for n in range(n_max + 1)]]
 
 

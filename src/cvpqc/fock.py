@@ -5,10 +5,12 @@ Everything is a dense complex array over the number basis |0>..|n_max>.  A
 single-mode pure state is its normalized 1-D amplitude vector; a two-mode
 pure state is its d x d amplitude matrix psi[i, j] = <i, j|psi>, and the
 reduced state of either mode is a product of psi with its adjoint.
-Truncation is the dominant numerical hazard, so a state constructor checks
-the probability weight its raw amplitudes lose (the tail mass) against a
-caller-supplied budget, raises TailMassError past it, and otherwise returns
-the amplitudes renormalized.
+A density matrix is a plain d x d array.  Truncation is the dominant
+numerical hazard, so every construction computes the probability weight its
+raw amplitudes or matrix lose (the tail mass) and hands it to ``check_tails``,
+the one judge of the caller-supplied budget: it raises TailMassError past the
+budget, on a NaN tail, and on a tail below -1e-9 (more than unit mass).  A
+state constructor then returns the amplitudes renormalized.
 
 Conventions used throughout:
     D(alpha) = exp(alpha a+ - conj(alpha) a)
@@ -89,52 +91,30 @@ class SqueezeParam:
             raise ValueError(f"squeezing magnitude must be >= 0, got {self.r}")
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
-    def half(self) -> "SqueezeParam":
-        return SqueezeParam(self.r / 2.0, self.phi)
+
+def check_tails(tails: np.ndarray, tail_tol: float, what) -> None:
+    """Raise TailMassError unless every entry of the 1-D array ``tails`` lies in
+    [-1e-9, tail_tol]; ``what(k)`` names the worst entry k in the message.
+
+    The comparisons are negated, so that a NaN tail fails them; a tail below
+    -1e-9 is a mass above one, which no truncation of a state can hold.
+    """
+    outside = np.maximum(tails - tail_tol, -1e-9 - tails)
+    if not np.all(outside <= 0.0):
+        k = int(np.argmax(outside))  # the first NaN, if there is one
+        raise TailMassError(float(tails[k]), tail_tol, what(k))
 
 
 def _finish_state(raw: np.ndarray, tail_tol: float, what: str) -> np.ndarray:
     """Tail-check raw amplitudes, then return them normalized."""
     nrm2 = float(np.vdot(raw, raw).real)
-    tail = max(0.0, 1.0 - nrm2)
-    if tail > tail_tol:
-        raise TailMassError(tail, tail_tol, what)
+    check_tails(np.array([1.0 - nrm2]), tail_tol, lambda k: what)
     return raw / math.sqrt(nrm2)
 
 
 def check_row_tails(rows: np.ndarray, tail_tol: float, what) -> None:
-    """Raise TailMassError when a row of truncated amplitudes has lost more than
-    ``tail_tol``; ``what(k)`` names the worst row k in the message."""
-    tails = 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
-    k = int(np.argmax(tails))
-    if tails[k] > tail_tol:
-        raise TailMassError(float(tails[k]), tail_tol, what(k))
-
-
-class DensityOperator:
-    """Single-mode density matrix with recorded mass (trace; < 1 quantifies truncation loss).
-
-    Only the shape and the trace are checked here.  Every library matrix is
-    Hermitian and positive semidefinite by construction (an average of
-    projectors, a conjugation, or a partial trace of a pure state).
-    """
-
-    def __init__(self, matrix, cutoff: FockCutoff):
-        m = np.asarray(matrix, dtype=complex)
-        d = cutoff.dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must be {d}x{d} for this cutoff, got {m.shape}")
-        tr = complex(np.trace(m))
-        # negated comparisons, so that a NaN trace fails them too
-        if not abs(tr.imag) <= 1e-10:
-            raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
-        if not 0.0 < tr.real <= 1.0 + 1e-9:
-            raise ValueError(f"trace {tr.real!r} outside (0, 1]")
-        m = m.copy()
-        m.setflags(write=False)
-        self.matrix = m
-        self.cutoff = cutoff
-        self.mass = tr.real
+    """check_tails on the mass each row of truncated amplitudes has lost."""
+    check_tails(1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real, tail_tol, what)
 
 
 # ---------------------------------------------------------------------------
@@ -317,39 +297,34 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
     return TwoModeUnitary(blocks)
 
 
-def beam_splitter_5050(cutoff: FockCutoff) -> TwoModeUnitary:
-    """50:50 mixer: |alpha> (x) |0>  ->  |alpha/sqrt2> (x) |alpha/sqrt2>."""
-    return beam_splitter(math.pi / 4.0, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
 
-def hs_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:
+def hs_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """sqrt(tr (rho1 - rho2)^2); equals the Frobenius norm for Hermitian arguments.
 
     Orthogonal pure states are at distance sqrt(2).
     """
-    if rho1.cutoff != rho2.cutoff:
-        raise ValueError(f"cross-cutoff operation rejected: {rho1.cutoff} vs {rho2.cutoff}")
-    return float(np.linalg.norm(rho1.matrix - rho2.matrix))
+    if rho1.shape != rho2.shape:
+        raise ValueError(f"cross-cutoff operation rejected: {rho1.shape} vs {rho2.shape}")
+    return float(np.linalg.norm(rho1 - rho2))
 
 
-def fidelity(psi: np.ndarray, rho: DensityOperator) -> float:
-    """<psi| rho |psi> of normalized amplitudes against a density operator."""
-    return float((psi.conj() @ rho.matrix @ psi).real)
+def fidelity(psi: np.ndarray, rho: np.ndarray) -> float:
+    """<psi| rho |psi> of normalized amplitudes against a density matrix."""
+    return float((psi.conj() @ rho @ psi).real)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """-tr rho log2 rho with eigenvalues below the clip treated as exact zeros."""
-    w = np.linalg.eigvalsh(rho.matrix)
+    w = np.linalg.eigvalsh(rho)
     w = w[w > ENTROPY_CLIP]
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
-def purity(rho: DensityOperator) -> float:
-    return float(np.linalg.norm(rho.matrix) ** 2)  # tr rho^2 for Hermitian rho
+def purity(rho: np.ndarray) -> float:
+    return float(np.linalg.norm(rho) ** 2)  # tr rho^2 for Hermitian rho
 
 
 def mode_moments(c: np.ndarray):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .fock import (
     DEFAULT_TAIL_TOL,
-    DensityOperator,
     FockCutoff,
     SqueezeParam,
     _finish_state,
@@ -110,8 +109,8 @@ def displacement_via_beamsplitter(T: float, eff: complex, beta_mag: float, varph
     w = np.exp(-2.0 * T * beta_mag ** 2 + 2j * t * (eff * np.conj(beta)).imag)
     gram = np.array([[1.0, w], [np.conj(w), 1.0]])
     norm = 2.0 * (1.0 + math.exp(-2.0 * beta_mag ** 2))
-    signal = DensityOperator(rows.T @ gram @ rows.conj() / norm, cutoff)
+    signal = rows.T @ gram @ rows.conj() / norm
     psi = even_coherent_state(beta_mag, varphi, cutoff, tail_tol)
     ideal = _finish_state(displacement_operator(eff, cutoff) @ psi, tail_tol,
                           f"displaced target eff={eff}")
-    return signal, fidelity(ideal, signal) / signal.mass
+    return signal, fidelity(ideal, signal) / float(np.trace(signal).real)

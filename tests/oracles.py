@@ -8,7 +8,7 @@ closed form or a series (the squeezed-vacuum term ratio), or by
 materializing a block-structured operator or a two-mode density matrix
 densely.  A two-mode pure state is its amplitude matrix
 psi[i, j] = <i, j|psi>, as in the library.  ``check_density`` holds the
-Hermiticity and positivity checks the library never runs.  The protocol
+trace, Hermiticity and positivity checks the library never runs.  The protocol
 helpers (encrypt, decrypt, the channel output), the single-ring mixtures,
 the factorized tap model and the first-order squeezer live here too: the
 acceptance criteria use them, and no experiment does.  The ancilla displacement simulated in the two-mode
@@ -29,9 +29,9 @@ from cvpqc.attack import _SQRT2
 from cvpqc.channel import (_NO_SQUEEZE, _key_average, _worst_key, key_count,
                            key_displacements, key_rows, key_to_ring, maximally_mixed,
                            mixture_gamma, ring, squeezed_mixture)
-from cvpqc.fock import (DEFAULT_TAIL_TOL, DensityOperator, FockCutoff,
+from cvpqc.fock import (DEFAULT_TAIL_TOL, FockCutoff,
                         SqueezeParam, TwoModeUnitary, _finish_state, _hermite_series,
-                        beam_splitter, beam_splitter_5050, coherent_amplitudes,
+                        beam_splitter, coherent_amplitudes,
                         displacement_operator, fidelity, hs_distance, squeeze_operator,
                         squeezed_coherent_state, von_neumann_entropy, wrap_angle)
 
@@ -188,10 +188,16 @@ def partial_trace_dense(psi: np.ndarray, mode: int) -> np.ndarray:
     return np.trace(rho, axis1=1, axis2=3) if mode == 0 else np.trace(rho, axis1=0, axis2=2)
 
 
-def check_density(rho: DensityOperator) -> None:
-    """Raise ValueError unless the matrix is Hermitian and positive semidefinite
-    (DensityOperator itself checks only the shape and a trace in (0, 1])."""
-    m = rho.matrix
+def check_density(m: np.ndarray) -> None:
+    """Raise ValueError unless the density matrix has a real trace in (0, 1] and
+    is Hermitian and positive semidefinite (the library checks only the mass
+    its constructions lose to truncation, through ``fock.check_tails``)."""
+    tr = complex(np.trace(m))
+    # negated comparisons, so that a NaN trace fails them too
+    if not abs(tr.imag) <= 1e-10:
+        raise ValueError(f"trace has imaginary part {tr.imag:.3e}")
+    if not 0.0 < tr.real <= 1.0 + 1e-9:
+        raise ValueError(f"trace {tr.real!r} outside (0, 1]")
     herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"matrix not Hermitian: max |M - M+| = {herm:.3e}")
@@ -208,9 +214,9 @@ def vacuum(cutoff: FockCutoff) -> np.ndarray:
     return np.eye(cutoff.dim, dtype=complex)[0]
 
 
-def projector(psi: np.ndarray) -> DensityOperator:
-    """|psi><psi| of normalized amplitudes, at the cutoff their length gives."""
-    return DensityOperator(np.outer(psi, psi.conj()), FockCutoff(psi.shape[0] - 1))
+def projector(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of normalized amplitudes."""
+    return np.outer(psi, psi.conj())
 
 
 def coherent_state(alpha: complex, cutoff: FockCutoff,
@@ -274,7 +280,7 @@ def _displaced_coherent(alpha: complex, beta: complex, cutoff: FockCutoff) -> np
 
 
 def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
-            cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
+            cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """One key branch: squeeze(displace_key(|beta>)) as a projector."""
     p, q = key_to_ring(key_index, N)
     row = _displaced_coherent(key_displacements(N, b)[key_index], beta, cutoff)
@@ -282,18 +288,17 @@ def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
                         lambda k: f"encrypt beta={beta}, key p={p}, q={q}, r={xi.r}")
 
 
-def decrypt(rho: DensityOperator, xi: SqueezeParam, key_index: int, N: int, b: float,
-            cutoff: FockCutoff) -> DensityOperator:
+def decrypt(rho: np.ndarray, xi: SqueezeParam, key_index: int, N: int, b: float,
+            cutoff: FockCutoff) -> np.ndarray:
     """Undo one key branch: conjugate by (squeeze . displace_key)^dagger."""
     key_to_ring(key_index, N)  # range check
     alpha = key_displacements(N, b)[key_index]
     u = squeeze_operator(xi, cutoff) @ displacement_operator(alpha, cutoff)
-    mat = u.conj().T @ rho.matrix @ u
-    return DensityOperator(mat, cutoff)
+    return u.conj().T @ rho @ u
 
 
 def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,
-                   cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
+                   cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Key-averaged encryption of |beta>."""
     rows = np.vstack([_displaced_coherent(a, beta, cutoff) for a in key_displacements(N, b)])
     return _key_average(rows, xi, cutoff, tail_tol,
@@ -325,7 +330,7 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
 
 
 def conformation_ring(p: int, radius: float, cutoff: FockCutoff,
-                      tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
+                      tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """p-point ring mixture at an explicit radius (decoupled from the N schedule),
     through the library's key-average pipeline."""
     if p < 1:
@@ -344,7 +349,7 @@ def ring_displacements(N: int, b: float, p: int) -> np.ndarray:
 
 
 def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: FockCutoff,
-                          tail_tol: float = DEFAULT_TAIL_TOL) -> DensityOperator:
+                          tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Ring average of squeezed displaced vacua on ring p, built operationally."""
     return _key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff), xi, cutoff,
                         tail_tol, lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
@@ -412,13 +417,13 @@ def tap_output(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
                tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Amplitude matrix of the 50:50 tap's output for S(xi) D(alpha)|0> (x) |0>."""
     signal = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
-    return beam_splitter_5050(cutoff).apply(np.outer(signal, vacuum(cutoff)))
+    return beam_splitter(math.pi / 4, cutoff).apply(np.outer(signal, vacuum(cutoff)))
 
 
 def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,
                       tail_tol: float) -> np.ndarray:
     """Local-squeeze(half) x2 . two-mode-squeeze(half) . displace(each arm)."""
-    half = xi.half()
+    half = SqueezeParam(xi.r / 2, xi.phi)
     c = coherent_state(alpha_each, cutoff, tail_tol)
     state = two_mode_squeezer(half, cutoff).apply(np.outer(c, c))
     s = squeeze_operator(half, cutoff)
@@ -470,11 +475,11 @@ def displacement_via_beamsplitter_fock(T: float, eff: complex, psi: np.ndarray,
     # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla
     mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(
         np.outer(psi, ancilla))
-    signal = DensityOperator(mixed @ mixed.conj().T, cutoff)
+    signal = mixed @ mixed.conj().T
 
     ideal = displacement_operator(eff, cutoff) @ psi
     ideal = ideal / np.linalg.norm(ideal)
-    return signal, fidelity(ideal, signal) / signal.mass
+    return signal, fidelity(ideal, signal) / np.trace(signal).real
 
 
 # ---------------------------------------------------------------------------

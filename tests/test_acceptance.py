@@ -12,7 +12,6 @@ from cvpqc.attack import attack
 from cvpqc.channel import k_factor, key_rows, mixture_gamma, vacuum_weight
 from cvpqc.experiments import heuristic_cutoff
 from cvpqc.fock import (
-    DensityOperator,
     FockCutoff,
     SqueezeParam,
     coherent_amplitudes,
@@ -75,7 +74,7 @@ def test_criterion_02_squeezed_vacuum_distance_closed_form(report):
     for r in (0.1, 0.2, 0.5, 1.0):
         cut = FockCutoff(120 if r >= 1.0 else 60)
         col = squeeze_operator(SqueezeParam(r), cut)[:, 0]
-        sv = DensityOperator(np.outer(col, col.conj()), cut)
+        sv = projector(col)
         vac = projector(vacuum(cut))
         numeric = hs_distance(sv, vac)
         worst = max(worst, abs(numeric - squeezed_vacuum_distance_closed_form(r)))
@@ -91,12 +90,12 @@ def test_criterion_03_ring_forms_agree_and_selection_rule(report):
         for radius in (0.5, 1.0, 2.0):
             a = ring_analytic_matrix(p, radius, cut)
             o = conformation_ring(p, radius, cut)
-            worst_form = max(worst_form, float(np.max(np.abs(a - o.matrix))))
+            worst_form = max(worst_form, float(np.max(np.abs(a - o))))
             m, n = np.meshgrid(np.arange(60), np.arange(60), indexing="ij")
             off = (m - n) % p != 0
             if off.any():  # p=1 has no off-pattern cells
                 worst_pattern = max(worst_pattern,
-                                    float(np.max(np.abs(o.matrix[off]))))
+                                    float(np.max(np.abs(o[off]))))
     ok = worst_form < 1e-10 and worst_pattern < 1e-10
     assert report(3, "ring forms agree and selection rule holds", ok), (
         f"form diff {worst_form}, off-pattern {worst_pattern}")
@@ -108,7 +107,7 @@ def test_criterion_04_channel_covariance(report):
     # tail within tail_tol from cutoff 64 on; at 60 it loses 3.0e-8
     cut = FockCutoff(64)
     rng = np.random.default_rng(20260822)
-    gamma = mixture_gamma(N, b, key_rows(N, b, cut), cut).matrix
+    gamma = mixture_gamma(N, b, key_rows(N, b, cut), cut)
     worst = 0.0
     for _ in range(10):
         beta = complex(rng.uniform(-0.55, 0.55), rng.uniform(-0.55, 0.55))
@@ -116,7 +115,7 @@ def test_criterion_04_channel_covariance(report):
                           float(rng.uniform(0.0, 2 * math.pi)))
         out = channel_output(beta, xi, N, b, cut)
         u = squeeze_operator(xi, cut) @ displacement_operator(beta, cut)
-        worst = max(worst, float(np.max(np.abs(out.matrix - u @ gamma @ u.conj().T))))
+        worst = max(worst, float(np.max(np.abs(out - u @ gamma @ u.conj().T))))
     ok = worst < 1e-9
     assert report(4, "channel output is a displaced squeezed mixture", ok), (
         f"worst element deviation {worst}")

@@ -8,7 +8,7 @@ import pytest
 from cvpqc.attack import attack
 from cvpqc.config import config_from_dict
 from cvpqc.experiments import _compute_attack
-from cvpqc.fock import DensityOperator, FockCutoff, SqueezeParam, von_neumann_entropy
+from cvpqc.fock import FockCutoff, SqueezeParam, von_neumann_entropy
 from oracles import partial_trace_dense, tap_output, verify_decomposition
 
 C60 = FockCutoff(60)
@@ -59,8 +59,8 @@ def test_both_arms_equally_mixed():
     # global output stays pure, so the reported entropy is the exact
     # entanglement entropy; recompute it from an independent reduction
     out = tap_output(0.8, SqueezeParam(0.5, 1.3), cut)
-    rho_b = DensityOperator(partial_trace_dense(out, 0), cut)
-    rho_e = DensityOperator(partial_trace_dense(out, 1), cut)
+    rho_b = partial_trace_dense(out, 0)
+    rho_e = partial_trace_dense(out, 1)
     assert abs(von_neumann_entropy(rho_b) - ent) < 1e-8
     assert abs(von_neumann_entropy(rho_e) - ent) < 1e-8
 

@@ -32,7 +32,6 @@ from cvpqc.fock import (
     TailMassError,
     coherent_amplitudes,
     displacement_operator,
-    fidelity,
     hs_distance,
     squeeze_operator,
     von_neumann_entropy,
@@ -66,8 +65,8 @@ C60 = FockCutoff(60)
 
 def test_mm_is_fock_diagonal_with_decreasing_entries():
     rho = maximally_mixed(2.0, C59)
-    diag = np.diag(rho.matrix).real
-    off = rho.matrix - np.diag(np.diag(rho.matrix))
+    diag = np.diag(rho).real
+    off = rho - np.diag(np.diag(rho))
     assert np.max(np.abs(off)) == 0.0
     assert np.all(diag > 0)
     assert np.all(np.diff(diag) < 0)
@@ -77,14 +76,14 @@ def test_mm_mass_at_heuristic_cutoff():
     for b in (1.0, 2.0, 3.0):
         cut = FockCutoff(heuristic_cutoff(b))
         rho = maximally_mixed(b, cut)
-        assert rho.mass >= 1 - 1e-6
+        assert np.trace(rho).real >= 1 - 1e-6
 
 
 def test_mm_entries_match_radial_integral():
     # entry_n = (2/b^2) int_0^b e^{-s^2} s^{2n+1} / n! ds, by direct quadrature
     b = 2.0
     s = np.linspace(0.0, b, 4001)
-    diag = np.diag(maximally_mixed(b, C59).matrix).real
+    diag = np.diag(maximally_mixed(b, C59)).real
     for n in range(11):
         f = np.exp(-s * s) * s ** (2 * n + 1) / math.factorial(n)
         val = 2.0 / (b * b) * simpson(f, x=s)
@@ -95,7 +94,7 @@ def test_mm_entries_match_radial_integral():
 def test_mm_matches_incomplete_gamma_oracle(b):
     for n_max in (heuristic_cutoff(b), heuristic_cutoff(b) // 2, 3):
         cut = FockCutoff(n_max)
-        diag = np.diag(maximally_mixed(b, cut, tail_tol=1.0).matrix).real
+        diag = np.diag(maximally_mixed(b, cut, tail_tol=1.0)).real
         ref = disk_uniform_diagonal(b, cut)
         assert np.max(np.abs(diag - ref) / ref) <= 1e-12
 
@@ -186,7 +185,7 @@ def test_innermost_ring_is_vacuum_projector():
     rho = conformation_ring(1, ring(4, 2.0, 1)[0], C59)
     expect = np.zeros((60, 60), dtype=complex)
     expect[0, 0] = 1.0
-    assert np.max(np.abs(rho.matrix - expect)) < 1e-14
+    assert np.max(np.abs(rho - expect)) < 1e-14
 
 
 def test_ring_off_pattern_entries_vanish():
@@ -195,7 +194,7 @@ def test_ring_off_pattern_entries_vanish():
         rho = conformation_ring(p, 1.2, cut)
         m, n = np.meshgrid(np.arange(60), np.arange(60), indexing="ij")
         off_pattern = (m - n) % p != 0
-        assert np.max(np.abs(rho.matrix[off_pattern])) < 1e-10
+        assert np.max(np.abs(rho[off_pattern])) < 1e-10
 
 
 def test_ring_analytic_matches_operational():
@@ -203,7 +202,7 @@ def test_ring_analytic_matches_operational():
     for p, radius in ((2, 0.5), (4, 1.0), (5, 1.6), (8, 2.0)):
         a = ring_analytic_matrix(p, radius, cut)
         o = conformation_ring(p, radius, cut)
-        assert np.max(np.abs(a - o.matrix)) < 1e-10
+        assert np.max(np.abs(a - o)) < 1e-10
 
 
 def test_ring_cutoff_too_small_raises_with_location():
@@ -218,8 +217,8 @@ def test_ring_cutoff_too_small_raises_with_location():
 
 def test_mixture_single_ring_family_is_vacuum():
     rho = mixture_gamma(1, 2.0, key_rows(1, 2.0, C59), C59)
-    assert abs(rho.matrix[0, 0] - 1.0) < 1e-14
-    assert np.max(np.abs(rho.matrix)) == pytest.approx(1.0)
+    assert abs(rho[0, 0] - 1.0) < 1e-14
+    assert np.max(np.abs(rho)) == pytest.approx(1.0)
 
 
 def test_mixture_is_ring_average_weighted_by_population():
@@ -228,11 +227,11 @@ def test_mixture_is_ring_average_weighted_by_population():
     M = key_count(N)
     acc = np.zeros((60, 60), dtype=complex)
     for p in range(1, N + 1):
-        acc += p * conformation_ring(p, ring(N, b, p)[0], cut).matrix
+        acc += p * conformation_ring(p, ring(N, b, p)[0], cut)
     acc /= M
     mix = mixture_gamma(N, b, key_rows(N, b, cut), cut)
-    assert np.max(np.abs(mix.matrix - acc)) < 1e-12
-    assert abs(np.trace(mix.matrix).real - 1.0) < 1e-10
+    assert np.max(np.abs(mix - acc)) < 1e-12
+    assert abs(np.trace(mix).real - 1.0) < 1e-10
 
 
 def test_squeezed_mixture_is_unitary_conjugation_of_plain():
@@ -243,7 +242,7 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
     rows = key_rows(N, b, cut)
     plain = mixture_gamma(N, b, rows, cut)
     sq = squeezed_mixture(N, b, rows, xi, cut)
-    assert np.max(np.abs(sq.matrix - s @ plain.matrix @ s.conj().T)) < 1e-10
+    assert np.max(np.abs(sq - s @ plain @ s.conj().T)) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -268,13 +267,13 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
         return
     assert worst <= 2.0 * tol
     check_density(rho)
-    assert rho.mass >= 1.0 - tol
+    assert np.trace(rho).real >= 1.0 - tol
 
 
 def test_squeezed_conformation_at_zero_squeezing_reduces():
     a = squeezed_conformation(4, 2.0, 3, SqueezeParam(0.0), C59)
     b = conformation_ring(3, ring(4, 2.0, 3)[0], C59)
-    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-14
+    assert np.max(np.abs(a - b)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def test_encrypt_zero_message_zero_squeeze_is_key_projector():
     N, b, k = 4, 2.0, 7
     rho = encrypt(0.0, SqueezeParam(0.0), k, N, b, C59)
     col = coherent_amplitudes(key_displacements(N, b)[k], C59)
-    assert np.max(np.abs(rho.matrix - np.outer(col, col.conj()))) < 1e-12
+    assert np.max(np.abs(rho - np.outer(col, col.conj()))) < 1e-12
 
 
 def test_decrypt_recovers_message():
@@ -355,14 +354,14 @@ def test_decrypt_recovers_message():
     branch = encrypt(beta, xi, k, N, b, C60)
     rho = decrypt(branch, xi, k, N, b, C60)
     msg = coherent_amplitudes(beta, C60)
-    overlap = (msg.conj() @ rho.matrix @ msg).real
+    overlap = (msg.conj() @ rho @ msg).real
     assert overlap >= 1 - 1e-8
     # the branch against S D(alpha)|beta> from the Laguerre matrix, at a key where
     # the closed form's phase e^{i Im(alpha conj(beta))} is not 1
     alpha = key_displacements(N, b)[k]
     assert abs((alpha * np.conj(beta)).imag) > 0.1
     row = squeeze_operator(xi, C60) @ displacement_operator(alpha, C60) @ msg
-    assert np.max(np.abs(branch.matrix - np.outer(row, row.conj()))[:40, :40]) < 1e-12
+    assert np.max(np.abs(branch - np.outer(row, row.conj()))[:40, :40]) < 1e-12
 
 
 def test_channel_output_is_key_average():
@@ -372,16 +371,16 @@ def test_channel_output_is_key_average():
     cut = C60
     acc = np.zeros((61, 61), dtype=complex)
     for k in range(key_count(N)):
-        acc += encrypt(beta, xi, k, N, b, cut).matrix
+        acc += encrypt(beta, xi, k, N, b, cut)
     acc /= key_count(N)
     out = channel_output(beta, xi, N, b, cut)
-    assert np.max(np.abs(out.matrix - acc)) < 1e-12
+    assert np.max(np.abs(out - acc)) < 1e-12
 
 
 def test_channel_output_trivial_message_reduces_to_mixture():
     out = channel_output(0.0, SqueezeParam(0.0), 4, 2.0, C59)
     mix = mixture_gamma(4, 2.0, key_rows(4, 2.0, C59), C59)
-    assert np.max(np.abs(out.matrix - mix.matrix)) < 1e-13
+    assert np.max(np.abs(out - mix)) < 1e-13
 
 
 def test_channel_covariance_under_displacement():
@@ -394,8 +393,8 @@ def test_channel_covariance_under_displacement():
     s = squeeze_operator(xi, cut)
     d = displacement_operator(beta, cut)
     u = s @ d
-    expect = u @ mixture_gamma(N, b, key_rows(N, b, cut), cut).matrix @ u.conj().T
-    assert np.max(np.abs(out.matrix - expect)) < 1e-9
+    expect = u @ mixture_gamma(N, b, key_rows(N, b, cut), cut) @ u.conj().T
+    assert np.max(np.abs(out - expect)) < 1e-9
 
 
 def test_encrypt_tail_failure_names_key():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cvpqc
+from cvpqc import channel, fock, nongauss
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
@@ -68,7 +69,17 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "a task holds no Fock-space array" in out
+    assert "the run holds its 713 rows (~0.3 MB)" in out  # 3 + 10 + 36 + 136 + 528
     assert "config valid" in out
+
+
+@pytest.mark.parametrize("physical, ok", [(400 * 713, True), (400 * 713 - 1, False)],
+                         ids=["at_the_bound", "a_byte_short"])
+def test_conformation_rows_are_bounded_by_physical_memory(monkeypatch, tmp_path, physical, ok):
+    # the default grids give 713 rows, at 400 bytes a row
+    monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: physical)
+    rep = validate(config_from_dict({"experiment": "conformation"}))
+    assert rep.ok == ok
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -77,7 +88,8 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     {"experiment": "convergence", "b_list": [1000.0]},  # default cutoff 1268983
     {"experiment": "convergence", "N_list": [1000000], "cutoff": 20},  # the key stack
     {"experiment": "attack", "cutoff": 100000},  # the splitter's (2 d^3 + d)/3 entries
-], ids=["cutoff", "default_cutoff", "key_stack", "two_mode"])
+    {"experiment": "conformation", "N_list": [1000000]},  # 5e11 closed-form rows
+], ids=["cutoff", "default_cutoff", "key_stack", "two_mode", "rows"])
 def test_task_beyond_physical_memory_is_a_config_problem(monkeypatch, tmp_path, capsys,
                                                          command, fields):
     def refuse(*args, **kwargs):
@@ -578,6 +590,24 @@ def test_tail_mass_violation_exits_3(tmp_path, capsys):
     assert "b=3.0" in err  # the offending grid point is named
 
 
+@pytest.mark.parametrize("experiment, what", [
+    ("convergence", "mixture N=2, b=2.0, worst key p=1, q=1"),
+    ("nongauss_overlap", "even coherent state |beta|=0.25"),
+], ids=["convergence", "nongauss_overlap"])
+def test_nan_amplitudes_exit_3(monkeypatch, tmp_path, capsys, experiment, what):
+    # a NaN row has a NaN tail, which the one tail check fails on every path
+    real = fock.coherent_amplitudes
+    for module in (fock, channel, nongauss):
+        monkeypatch.setattr(module, "coherent_amplitudes",
+                            lambda alpha, cutoff: real(alpha, cutoff) * math.nan)
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, experiment=experiment, cutoff=30, out=str(out))
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert f"tail mass nan exceeds tolerance 1.000e-08 for {what}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fields, what", [
     ({"experiment": "squeezed_convergence", "b_list": [2.0], "N_list": [16],
       "r_list": [1.5], "cutoff": 59}, "tail mass 5.878e-01"),
@@ -737,31 +767,46 @@ def _ill_formed(name):
 
 
 def _field(name):
-    """Ill formed one time in eight, so that many configs pass validation and run."""
+    """Ill formed one time in eight, so that many configs pass validation and run.
+
+    Here and below, the rare branch is the top value of the drawn integer:
+    hypothesis draws 0, its simplest value, far more often than its share."""
     return st.integers(0, 7).flatmap(
-        lambda k: _ill_formed(name) if k == 0 else _well_typed(name))
+        lambda k: _ill_formed(name) if k == 7 else _well_typed(name))
 
 
 # workers is left out so that no process pool starts, out is set by --out, and
 # the cutoff is always present
-_FUZZED_FIELDS = sorted(f for f in ExperimentConfig.__dataclass_fields__
-                        if f not in ("workers", "out", "cutoff"))
+_UNFUZZED = ("workers", "out", "cutoff")
+_FUZZED_FIELDS = sorted(f for f in ExperimentConfig.__dataclass_fields__ if f not in _UNFUZZED)
+
+
+def _fields_read_by(experiment):
+    """The grids, reads and run fields of a registered experiment, but not the
+    experiment itself, or every field."""
+    exp = REGISTRY.get(experiment) if isinstance(experiment, str) else None
+    if exp is None:
+        return _FUZZED_FIELDS
+    return sorted((set(exp.grids) | set(exp.reads) | RUN_FIELDS) - {"experiment", *_UNFUZZED})
 
 
 @st.composite
 def _config_docs(draw):
+    """Fields the experiment reads seven times in eight, so that most configs
+    run; any field otherwise, so that unread fields exit 2."""
     doc = {"experiment": draw(_field("experiment")), "cutoff": draw(_field("cutoff"))}
-    for name in draw(st.lists(st.sampled_from(_FUZZED_FIELDS), max_size=5, unique=True)):
+    names = _FUZZED_FIELDS if draw(st.integers(0, 7)) == 7 else _fields_read_by(doc["experiment"])
+    for name in draw(st.lists(st.sampled_from(names), max_size=5, unique=True)):
         doc[name] = draw(_field(name))
-    if draw(st.integers(0, 9)) == 0:
+    if draw(st.integers(0, 9)) == 9:
         del doc["experiment"]  # a missing required field
-    if draw(st.integers(0, 9)) == 0:
+    if draw(st.integers(0, 9)) == 9:
         doc[draw(st.sampled_from(["seed", "n_list", "b"]))] = draw(_NASTY)  # unknown
     return doc
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(doc=st.integers(0, 9).flatmap(lambda k: st.one_of(_NASTY, _JUNK) if k == 0
+@given(doc=st.integers(0, 9).flatmap(lambda k: st.one_of(_NASTY, _JUNK) if k == 9
                                      else _config_docs()))
 def test_fuzzed_configs_end_in_an_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies
 
 from cvpqc.channel import key_rows, maximally_mixed, mixture_gamma, squeezed_mixture
 from cvpqc.fock import (
-    DensityOperator,
+    DEFAULT_TAIL_TOL,
     FockCutoff,
     SqueezeParam,
     TailMassError,
+    _finish_state,
     beam_splitter,
-    beam_splitter_5050,
+    check_row_tails,
+    check_tails,
     coherent_amplitudes,
     displacement_operator,
     fidelity,
@@ -271,7 +273,7 @@ def test_tail_mass_recorded_and_small():
 
 
 def test_beam_splitter_preserves_vacuum():
-    bs = beam_splitter_5050(FockCutoff(10))
+    bs = beam_splitter(math.pi / 4, FockCutoff(10))
     vac = vacuum(FockCutoff(10))
     out = bs.apply(np.outer(vac, vac))
     assert abs(out[0, 0]) > 1 - 1e-12
@@ -279,7 +281,7 @@ def test_beam_splitter_preserves_vacuum():
 
 def test_beam_splitter_splits_coherent_state():
     cut = FockCutoff(25)
-    out = beam_splitter_5050(cut).apply(
+    out = beam_splitter(math.pi / 4, cut).apply(
         np.outer(coherent_state(1.0, cut), vacuum(cut)))
     half = coherent_state(1.0 / math.sqrt(2.0), cut)
     assert abs(np.vdot(out, np.outer(half, half))) ** 2 >= 1 - 1e-6
@@ -287,7 +289,7 @@ def test_beam_splitter_splits_coherent_state():
 
 def test_beam_splitter_dense_is_unitary():
     cut = FockCutoff(12)
-    B = two_mode_dense(beam_splitter_5050(cut))
+    B = two_mode_dense(beam_splitter(math.pi / 4, cut))
     assert np.max(np.abs(B.conj().T @ B - np.eye(13 * 13))) < 1e-8
 
 
@@ -395,12 +397,12 @@ def test_hs_distance_unitary_invariance():
         return full
 
     def moved_by(u, m):
-        return DensityOperator(u @ m @ u.conj().T, cut)
+        return u @ m @ u.conj().T
 
     u = displacement_operator(0.5 + 0.2j, cut) @ squeeze_operator(SqueezeParam(0.3, 1.0), cut)
     for _ in range(5):
         r1, r2 = random_density(), random_density()
-        base = hs_distance(DensityOperator(r1, cut), DensityOperator(r2, cut))
+        base = hs_distance(r1, r2)
         moved = hs_distance(moved_by(u, r1), moved_by(u, r2))
         assert abs(moved - base) < 1e-8
 
@@ -413,7 +415,7 @@ def test_entropy_and_purity_of_pure_state():
 
 def test_entropy_of_flat_diagonal_state():
     d = 8
-    rho = DensityOperator(np.eye(d, dtype=complex) / d, FockCutoff(d - 1))
+    rho = np.eye(d, dtype=complex) / d
     assert abs(von_neumann_entropy(rho) - 3.0) < 1e-12
     assert abs(purity(rho) - 1.0 / d) < 1e-12
 
@@ -425,7 +427,7 @@ def test_partial_trace_of_product_state_is_pure():
     half = coherent_state(1.0 / math.sqrt(2.0), cut)
     out = tap_output(1.0, SqueezeParam(0.0), cut)
     for mode in (0, 1):
-        red = DensityOperator(partial_trace_dense(out, mode), cut)
+        red = partial_trace_dense(out, mode)
         assert abs(fidelity(half, red) - 1.0) < 1e-8
     bob, eve, ent, fid = attack(1.0, SqueezeParam(0.0), cut)
     assert min(bob, eve, fid) >= 1 - 1e-8
@@ -439,7 +441,7 @@ def test_entanglement_entropy_of_product_state_is_zero():
     both = np.outer(coherent_state(0.7, cut), coherent_state(-0.2, cut))
     out = beam_splitter(0.6, cut).apply(both)
     for red in (out @ out.conj().T, out.T @ out.conj()):
-        assert von_neumann_entropy(DensityOperator(red, cut)) < 1e-10
+        assert von_neumann_entropy(red) < 1e-10
 
 
 def test_partial_trace_of_tap_matches_dense_oracle():
@@ -448,8 +450,9 @@ def test_partial_trace_of_tap_matches_dense_oracle():
     cut = FockCutoff(23)
     xi, alpha = SqueezeParam(0.4, 0.9), 0.6 - 0.3j
     out = tap_output(alpha, xi, cut)
-    rho_b, rho_e = (DensityOperator(partial_trace_dense(out, mode), cut) for mode in (0, 1))
-    expected = squeezed_coherent_state(xi.half(), alpha / math.sqrt(2.0), cut)
+    rho_b, rho_e = (partial_trace_dense(out, mode) for mode in (0, 1))
+    expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / math.sqrt(2.0),
+                                       cut)
     dense = (purity(rho_b), purity(rho_e), von_neumann_entropy(rho_b),
              fidelity(expected, rho_b))
     assert np.max(np.abs(np.subtract(attack(alpha, xi, cut), dense))) < 1e-13
@@ -488,7 +491,7 @@ def test_mode_moments_of_coherent_state():
 
 
 # ---------------------------------------------------------------------------
-# density-operator validation
+# density-matrix and tail validation
 
 
 def test_density_validation_rejects_non_hermitian():
@@ -496,7 +499,7 @@ def test_density_validation_rejects_non_hermitian():
     m[0, 0] = 1.0
     m[0, 1] = 1e-6
     with pytest.raises(ValueError):
-        check_density(DensityOperator(m, C40))
+        check_density(m)
 
 
 def test_density_validation_rejects_negative_eigenvalue():
@@ -504,20 +507,60 @@ def test_density_validation_rejects_negative_eigenvalue():
     m[0, 0] = 1.1
     m[1, 1] = -0.1
     with pytest.raises(ValueError):
-        check_density(DensityOperator(m, C40))
+        check_density(m)
 
 
 def test_density_validation_rejects_excess_trace():
-    with pytest.raises(ValueError):
-        DensityOperator(np.eye(41, dtype=complex), C40)
+    # the one tail check fails a mass above one: the identity's trace, 41, and
+    # amplitudes of that norm
+    with pytest.raises(TailMassError):
+        check_tails(np.array([1.0 - np.trace(np.eye(41)).real]), 1e-8, lambda k: "identity")
+    with pytest.raises(TailMassError):
+        _finish_state(np.ones(41, dtype=complex), DEFAULT_TAIL_TOL, "excess amplitudes")
+    with pytest.raises(ValueError, match="trace"):
+        check_density(np.eye(41, dtype=complex))  # the oracle's check of a whole matrix
+
+
+def _with_entry(entry):
+    raw = coherent_amplitudes(0.5, C40)
+    raw[0] = entry
+    return raw
 
 
 @pytest.mark.parametrize("entry", [math.nan, complex(0.5, math.nan)])
 def test_density_rejects_a_trace_that_is_not_finite(entry):
+    # NaN raw amplitudes have a NaN norm, so a NaN tail
+    with pytest.raises(TailMassError, match="tail mass nan"):
+        _finish_state(_with_entry(entry), DEFAULT_TAIL_TOL, "NaN amplitudes")
     m = np.zeros((41, 41), dtype=complex)
     m[0, 0] = entry
     with pytest.raises(ValueError, match="trace"):
-        DensityOperator(m, C40)
+        check_density(m)
+
+
+@pytest.mark.parametrize("entry", [math.nan, complex(0.5, math.nan)])
+def test_check_row_tails_rejects_a_nan_row(entry):
+    rows = np.vstack([coherent_amplitudes(0.3, C40), _with_entry(entry)])
+    with pytest.raises(TailMassError, match="tail mass nan") as err:
+        check_row_tails(rows, DEFAULT_TAIL_TOL, lambda k: f"row {k}")
+    assert err.value.what == "row 1"
+
+
+@pytest.mark.parametrize("tails, worst", [
+    ([0.0, -2e-9, 0.0], 1),             # a mass above one by more than rounding
+    ([0.0, 2e-8, math.nan, 1.0], 2),    # NaN fails the check and is named first
+    ([1e-9, 3e-8, 5e-8, -1e-3], 3),     # the entry furthest outside [-1e-9, tol]
+    ([1e-9, 3e-8, 5e-8, 0.0], 2),
+], ids=["mass_above_one", "nan", "furthest_outside", "largest_tail"])
+def test_check_tails_names_the_worst_entry_outside_its_bounds(tails, worst):
+    with pytest.raises(TailMassError) as err:
+        check_tails(np.array(tails), 1e-8, lambda k: f"entry {k}")
+    assert err.value.what == f"entry {worst}"
+    assert err.value.tail == tails[worst] or math.isnan(tails[worst])
+
+
+def test_check_tails_accepts_its_bounds():
+    check_tails(np.array([-1e-9, 0.0, 1e-8]), 1e-8, lambda k: f"entry {k}")
 
 
 _C30 = FockCutoff(30)
@@ -527,10 +570,10 @@ _XI = SqueezeParam(0.3, 0.7)
 def _tap_arm(mode):
     # the receiver's and the eavesdropper's reduced states, as attack forms them
     out = tap_output(0.8, SqueezeParam(0.5, 1.3), _C30)
-    return DensityOperator(out @ out.conj().T if mode == 0 else out.T @ out.conj(), _C30)
+    return out @ out.conj().T if mode == 0 else out.T @ out.conj()
 
 
-# every library call that returns a DensityOperator, and the oracles built on its key average
+# every library call that returns a density matrix, and the oracles built on its key average
 _DENSITY_OUTPUTS = {
     "coherent_projector": lambda: projector(coherent_state(0.5, C40)),
     "squeezed_vacuum_projector":

@@ -10,7 +10,9 @@ resolves through `from . import module`.  Methods ride along with their class
 in that walk; a second check asks of every public method and property that
 its name is read as an attribute somewhere in `src` outside its own body.
 That check goes by name only, so it can miss an unused member whose name
-another object's attribute shares, but it never flags a used one.
+another object's attribute shares, but it never flags a used one.  A third
+check asks of every name an import binds, in `src/cvpqc` and in `tests/`,
+that its module reads it somewhere.
 """
 import ast
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import cvpqc
 
 PACKAGE = Path(cvpqc.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 ROOT_MODULES = ("cli", "config", "experiments")
 EXTRA_ROOTS = ("fock.squeezed_coherent_closed_form",)
 
@@ -111,3 +114,25 @@ def unread_members():
 
 def test_every_public_member_is_read_in_src():
     assert unread_members() == []
+
+
+def unused_imports():
+    """`dir/file:line name` for every name an import binds (`from __future__`
+    aside) that no expression of its module reads."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Import) or (isinstance(stmt, ast.ImportFrom)
+                                                and stmt.module != "__future__"):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.parent.name}/{path.name}:{stmt.lineno} {bound}")
+    return unused
+
+
+def test_every_imported_name_is_read():
+    assert unused_imports() == []

@@ -318,7 +318,7 @@ def test_displacement_bs_closed_form_matches_fock_oracle(T):
             anc = coherent_amplitudes(eff / math.sqrt(T), C40)
             tol = 1e-12 + 10.0 * (1.0 - np.vdot(anc, anc).real)
             assert abs(fid - fid_fock) <= tol
-            assert np.max(np.abs(rho.matrix - rho_fock.matrix)) <= tol
+            assert np.max(np.abs(rho - rho_fock)) <= tol
 
 
 @settings(max_examples=30, deadline=None)
@@ -342,4 +342,4 @@ def test_displacement_bs_closed_form_raises_or_meets_tail_tol(T, beta_mag, varph
     except TailMassError:  # a gamma past ~1e154 has an all-zero row, a tail of 1
         return
     assert abs(fid - fid_fock) <= tol
-    assert np.max(np.abs(rho.matrix - rho_fock.matrix[:cut.dim, :cut.dim])) <= tol
+    assert np.max(np.abs(rho - rho_fock[:cut.dim, :cut.dim])) <= tol
