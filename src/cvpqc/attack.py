@@ -6,7 +6,8 @@ no correlation trace; squeezing the input changes that, and the reduced
 states of both arms become mixed.  The two-mode output is pure, held as its
 amplitude matrix psi[i, j] = <i, j|out> (receiver i, eavesdropper j), so the
 entropy of either arm is an exact entanglement measure rather than a proxy
-bound.
+bound.  The input sits in column 0, inside the triangle i + j <= n_max that
+the beam splitter covers, so the gate itself truncates nothing.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
     """
     psi = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     psi[:, 0] = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
-    out = beam_splitter(np.pi / 4, cutoff).apply(psi)
+    out = beam_splitter(np.pi / 4, cutoff).apply(psi, tail_tol)
     rho_b = out @ out.conj().T
     expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / _SQRT2,
                                        cutoff, tail_tol)

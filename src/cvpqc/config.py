@@ -200,8 +200,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         elif cfg.N_list and max(cfg.p_list) > max(cfg.N_list):  # ring p exists for N >= p
             bad(f"p_list entry {max(cfg.p_list)} exceeds every N in N_list, "
                 f"so it selects no ring")
-    if cfg.tail_tol <= 0:
-        bad("tail_tol must be > 0")
+    if not 0 < cfg.tail_tol < 1:  # at 1 a row that lost all its mass would pass
+        bad("tail_tol must lie in (0, 1)")
     if cfg.cutoff is not None and cfg.cutoff < 1:
         bad("cutoff must be >= 1")
     if cfg.format not in ("csv", "json"):
@@ -244,12 +244,15 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         return rep
     # Upper bound on a task's peak, in complex entries, from tracemalloc: at most
     # 6 d x d matrices are live at once (measured 1.0 d^2 for nongauss_*, 2.0 for
-    # mmstate, 4 beside the key stack, 5.6 for displacement_bs and 5.95 beside the
-    # splitter blocks for attack).  Exact integers, so no cutoff overflows it.
+    # mmstate, 4 beside the key stack, 3.6 beside the signal states, one per
+    # transmission, for displacement_bs and 5.55 beside the splitter blocks for
+    # attack).  Exact integers, so no cutoff overflows it.
     peak = 6 * d * d
     if exp.holds == "two_mode":
-        blocks = (2 * d ** 3 + d) // 3
+        blocks = d * (d + 1) * (2 * d + 1) // 6  # sectors s = 0..n_max, (s + 1)^2 each
         peak += blocks
+    elif exp.holds == "signals":
+        peak += len(cfg.T_list) * d * d
     elif exp.holds == "key_stack":
         N = max(cfg.N_list)
         stack = key_count(N) * d
@@ -258,8 +261,9 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         # against 1.66 MB at N = 32, cutoff 195), and at 4.1 for larger N
         peak += 44 * stack // 10
     if physical and 16 * peak > physical:
+        lower = {"key_stack": " or N", "signals": " or shorten T_list"}.get(exp.holds, "")
         bad(f"the largest task needs more than the {physical / 1e6:.0f} MB of physical "
-            f"memory; lower the cutoff{' or N' if exp.holds == 'key_stack' else ''}")
+            f"memory; lower the cutoff{lower}")
         return rep
 
     if exp.holds == "two_mode":
@@ -273,6 +277,9 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         if exp.holds == "key_stack":
             memory += (f"; the key-row stack at N = {N} holds {stack} complex entries, "
                        f"and building it peaks at 4.4 times that (~{_mb(4.4 * stack):.3f} MB)")
+        elif exp.holds == "signals":
+            memory += (f"; the task holds one signal state per transmission, "
+                       f"{len(cfg.T_list)} in all")
         rep.info.append(memory)
     rep.info.append(f"the largest task peaks at about {_mb(peak):.1f} MB"
                     + (f" of {physical / 1e6:.0f} MB physical memory" if physical else ""))

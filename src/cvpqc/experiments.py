@@ -11,10 +11,12 @@ whether it is large enough.
 A task is one point of the grids' product, except that a task covers every
 value of the experiment's ``shared`` grids at once: a convergence task is
 one (b, N) pair, and it builds the target, the key rows and the plain
-mixture once for all of its squeezings.  Tasks and their rows hold only plain values so they
-cross process boundaries; tasks come in a fixed order, and ``execute`` puts
-every row back at its grid position, so output is deterministic for a given
-config regardless of worker count.
+mixture once for all of its squeezings; a displacement_bs config is one
+task, which builds its input and target once for all of its transmissions.
+Tasks and their rows hold only plain values so they cross process
+boundaries; tasks come in a fixed order, and ``execute`` puts every row back
+at its grid position, so output is deterministic for a given config
+regardless of worker count.
 
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
 grid to its value under the grid's name without the ``_list`` suffix, and
@@ -51,7 +53,8 @@ class Experiment:
     than the grids and the run fields that the compute functions read.
     ``holds`` says what the largest arrays of a task are: "matrices" (d x d),
     "key_stack" (also the M x d stack of key rows), "two_mode" (also the
-    beam splitter's blocks) or "rows" (closed forms, no Fock-space array).
+    beam splitter's blocks), "signals" (also one d x d signal state per
+    transmission) or "rows" (closed forms, no Fock-space array).
     """
 
     columns: tuple
@@ -182,14 +185,17 @@ def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
 # --- displacement from a strong ancilla --------------------------------------
 
 
-def _compute_displacement_bs(cfg, n_max, T):
+def _compute_displacement_bs(cfg, n_max, T_list):
     bm, vp = cfg.input_beta_mag, cfg.input_varphi
     eff = complex(cfg.eff_re, cfg.eff_im)
-    gamma = eff / math.sqrt(T)
-    _, fid = nongauss.displacement_via_beamsplitter(
-        T, eff, _input_beta_mag(cfg), wrap_angle(vp), FockCutoff(n_max), cfg.tail_tol)
-    return [[(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re, cfg.eff_im,
-              n_max, fid)]]
+    pairs = nongauss.displacement_via_beamsplitter(
+        T_list, eff, _input_beta_mag(cfg), wrap_angle(vp), FockCutoff(n_max), cfg.tail_tol)
+    rows = []
+    for T, (_, fid) in zip(T_list, pairs):
+        gamma = eff / math.sqrt(T)
+        rows.append([(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re,
+                      cfg.eff_im, n_max, fid)])
+    return rows
 
 
 _CONVERGENCE_COLUMNS = ("N", "b", "r", "phi", "cutoff", "d_hs", "d_hs_times_Np1",
@@ -234,7 +240,8 @@ REGISTRY = {
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),
         ((("T_list",), _compute_displacement_bs),),
         _displacement_cutoff,
-        reads=("eff_re", "eff_im", "input_kind", "input_beta_mag", "input_varphi")),
+        reads=("eff_re", "eff_im", "input_kind", "input_beta_mag", "input_varphi"),
+        shared=("T_list",), holds="signals"),
 }
 
 

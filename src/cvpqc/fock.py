@@ -4,7 +4,10 @@ splitter that mixes two.
 Everything is a dense complex array over the number basis |0>..|n_max>.  A
 single-mode pure state is its normalized 1-D amplitude vector; a two-mode
 pure state is its d x d amplitude matrix psi[i, j] = <i, j|psi>, and the
-reduced state of either mode is a product of psi with its adjoint.
+reduced state of either mode is a product of psi with its adjoint.  A
+two-mode gate conserves the total photon number and covers the triangle
+i + j <= n_max, the sectors the cutoff holds whole; a state's mass beyond it
+is a truncation tail like any other.
 A density matrix is a plain d x d array.  Truncation is the dominant
 numerical hazard, so every construction computes the probability weight its
 raw amplitudes or matrix lose (the tail mass) and hands it to ``check_tails``,
@@ -257,17 +260,26 @@ def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
 
 
 class TwoModeUnitary:
-    """Photon-number-conserving two-mode unitary, stored block-diagonally over
-    the total photon number s = i + j.
+    """Photon-number-conserving two-mode unitary on the triangle i + j <= n_max
+    of the d x d amplitude matrix, stored block-diagonally over the total
+    photon number s = i + j.
 
-    Each block is exactly unitary, so the whole operator is.
+    Sector s <= n_max lies whole inside the cutoff, so each block is the exact
+    gate on its sector, and the operator is exactly unitary on the triangle.
+    A state's mass beyond the triangle is its truncation tail.
     """
 
     def __init__(self, blocks):
-        self.blocks = blocks  # s -> (i-index array, block matrix)
+        self.blocks = blocks  # s -> (i-index array, block matrix), s = 0..n_max
+        n = np.arange(len(blocks))
+        self.beyond = n[:, None] + n[None, :] >= len(blocks)  # i + j > n_max
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """U psi for the d x d amplitude matrix psi[i, j] = <i, j|psi>."""
+    def apply(self, psi: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+        """U psi for the d x d amplitude matrix psi[i, j] = <i, j|psi>; the mass
+        of psi beyond i + j <= n_max is dropped and judged by check_tails."""
+        lost = psi[self.beyond]
+        check_tails(np.array([np.vdot(lost, lost).real]), tail_tol,
+                    lambda k: f"two-mode state beyond i + j <= {len(self.blocks) - 1}")
         out = np.zeros_like(psi)
         for s, (idx, blk) in self.blocks.items():
             out[idx, s - idx] = blk @ psi[idx, s - idx]
@@ -278,18 +290,18 @@ class TwoModeUnitary:
 def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
     """exp[theta (a0 a1+ - a0+ a1)]; mode-0 annihilation maps to a0 cos + a1 sin.
 
-    Conserves total photon number, so it is built block by block.  In sector
-    s the generator G is real, antisymmetric and tridiagonal, with
-    off-diagonal sqrt(i (s-i+1)); i G is Hermitian, and from its eigenvectors V
-    and eigenvalues w the block is exp(theta G) = V e^{-i theta w} V+, real and
-    orthogonal to rounding.  Its (2d^3 + d)/3 block entries are cached
-    for the last angle only, which the tap reuses across its grid.
-    Treat the result as read-only.
+    Conserves total photon number, so it is built block by block over the
+    sectors s = 0..n_max that the cutoff holds whole (Campos, Saleh & Teich,
+    Phys. Rev. A 40, 1371 (1989)).  In sector s the generator G is real,
+    antisymmetric and tridiagonal, with off-diagonal sqrt(i (s-i+1)); i G is
+    Hermitian, and from its eigenvectors V and eigenvalues w the block is
+    exp(theta G) = V e^{-i theta w} V+, real and orthogonal to rounding.  Its
+    d (d+1) (2d+1) / 6 block entries are cached for the last angle only, which
+    the tap reuses across its grid.  Treat the result as read-only.
     """
-    d = cutoff.dim
     blocks = {}
-    for s in range(2 * d - 1):
-        idx = np.arange(max(0, s - (d - 1)), min(s, d - 1) + 1)
+    for s in range(cutoff.dim):
+        idx = np.arange(s + 1)
         off = np.sqrt(idx[1:] * (s - idx[1:] + 1.0))  # <i-1, j+1| a0 a1+ |i, j>
         w, v = np.linalg.eigh(1j * (np.diag(off, 1) - np.diag(off, -1)))
         blk = (v * np.exp(-1j * theta * w)) @ v.conj().T

@@ -75,9 +75,11 @@ def displacement_laguerre(alpha: complex, cutoff: FockCutoff) -> np.ndarray:
     return base * lag * power
 
 
-def beam_splitter_expm(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
-    """The library's beam splitter with each photon-number-sum block as expm
-    of its truncated generator."""
+def beam_splitter_expm(theta: float, cutoff: FockCutoff) -> "BoxUnitary":
+    """The beam splitter over the whole d x d box, each photon-number-sum block
+    expm of its generator truncated to the box.  Blocks s <= n_max are the
+    library's; the sectors s > n_max are cut short by the box, so their blocks
+    approximate the gate, which the library never applies there."""
     d = cutoff.dim
     blocks = {}
     for s in range(2 * d - 1):
@@ -91,7 +93,7 @@ def beam_splitter_expm(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
             if i + 1 <= hi:
                 gen[a_ + 1, a_] -= math.sqrt(i + 1) * math.sqrt(j)  # -a0+ a1
         blocks[s] = (idx, expm(theta * gen).astype(complex))
-    return TwoModeUnitary(blocks)
+    return BoxUnitary(blocks)
 
 
 def disk_uniform_diagonal(b: float, cutoff: FockCutoff) -> np.ndarray:
@@ -163,9 +165,11 @@ def ring_analytic_matrix(p: int, radius: float, cutoff: FockCutoff) -> np.ndarra
     return np.where(onpat, np.exp(logmag), 0.0) * sign + 0j
 
 
-def two_mode_dense(u: TwoModeUnitary) -> np.ndarray:
-    """Full (dim^2 x dim^2) matrix of a block-stored two-mode unitary."""
-    d = (len(u.blocks) + 1) // 2  # one block per photon-number sum 0 .. 2 (d - 1)
+def two_mode_dense(u) -> np.ndarray:
+    """Full (dim^2 x dim^2) matrix of a block-stored two-mode unitary, keyed by
+    photon-number sum: the library's triangle or the box of ``BoxUnitary``.
+    Rows and columns outside the blocks are zero."""
+    d = 1 + max(int(idx[-1]) for idx, _ in u.blocks.values())
     out = np.zeros((d * d, d * d), dtype=complex)
     for label, (idx, blk) in u.blocks.items():
         rows = idx * d + (label - idx)
@@ -230,6 +234,21 @@ def apply_mode_operator(op: np.ndarray, psi: np.ndarray, mode: int) -> np.ndarra
     if op.shape != psi.shape:
         raise ValueError("operator dimension does not match the cutoff")
     return op @ psi if mode == 0 else psi @ op.T
+
+
+class BoxUnitary:
+    """Two-mode operator over the whole d x d box, stored block-diagonally over
+    the photon-number sum s = i + j = 0..2 n_max; unlike the library's
+    ``TwoModeUnitary`` it keeps the sectors s > n_max and judges no tail."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks  # i + j -> (i-index array, block matrix)
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(psi)
+        for s, (idx, blk) in self.blocks.items():
+            out[idx, s - idx] = blk @ psi[idx, s - idx]
+        return out
 
 
 class PairUnitary:
@@ -472,9 +491,12 @@ def displacement_via_beamsplitter_fock(T: float, eff: complex, psi: np.ndarray,
     ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), tail_tol,
                             f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
 
-    # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla
+    # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla; the
+    # splitter drops the two-mode mass beyond i + j <= n_max, which moves an
+    # element of the signal state by up to twice its square root, so that mass
+    # is held to (tail_tol / 2)^2
     mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(
-        np.outer(psi, ancilla))
+        np.outer(psi, ancilla), (tail_tol / 2.0) ** 2)
     signal = mixed @ mixed.conj().T
 
     ideal = displacement_operator(eff, cutoff) @ psi

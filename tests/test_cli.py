@@ -44,17 +44,18 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "961" in out       # two-mode basis dimension 31^2
-    assert "19871" in out     # beam-splitter block entries (2*31^3 + 31)/3
+    assert "10416" in out     # beam-splitter block entries 31 * 32 * 63 / 6
     assert "config valid" in out
-    # the attack benchmark cutoff: (2*101^3 + 101)/3 entries of 16 bytes
+    # the attack benchmark cutoff: 101 * 102 * 203 / 6 entries of 16 bytes
     cfg = write_config(tmp_path, experiment="attack", cutoff=100)
     assert main(["validate", cfg]) == 0
-    assert "holds 686901 complex block entries (~11.0 MB)" in capsys.readouterr().out
-    # displacement_bs stays in one mode: a d x d density matrix
+    assert "holds 348551 complex block entries (~5.6 MB)" in capsys.readouterr().out
+    # displacement_bs stays in one mode: d x d matrices, one signal state per T
     cfg = write_config(tmp_path, experiment="displacement_bs", cutoff=98)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "9801 complex entries" in out
+    assert "one signal state per transmission, 5 in all" in out
     assert "two-mode" not in out
     # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N, and
     # building them peaks at 4.4 times that: 7.27 MB under tracemalloc at N = 32, cutoff 195
@@ -87,7 +88,7 @@ def test_conformation_rows_are_bounded_by_physical_memory(monkeypatch, tmp_path,
     {"experiment": "convergence", "cutoff": 10 ** 10},
     {"experiment": "convergence", "b_list": [1000.0]},  # default cutoff 1268983
     {"experiment": "convergence", "N_list": [1000000], "cutoff": 20},  # the key stack
-    {"experiment": "attack", "cutoff": 100000},  # the splitter's (2 d^3 + d)/3 entries
+    {"experiment": "attack", "cutoff": 100000},  # the splitter's d (d+1) (2d+1) / 6 entries
     {"experiment": "conformation", "N_list": [1000000]},  # 5e11 closed-form rows
 ], ids=["cutoff", "default_cutoff", "key_stack", "two_mode", "rows"])
 def test_task_beyond_physical_memory_is_a_config_problem(monkeypatch, tmp_path, capsys,
@@ -101,6 +102,27 @@ def test_task_beyond_physical_memory_is_a_config_problem(monkeypatch, tmp_path, 
     captured = capsys.readouterr()
     assert "MB of physical memory" in captured.out + captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_max", [1, 30, 100])
+def test_validate_counts_the_block_entries_of_the_gate(n_max):
+    rep = validate(config_from_dict({"experiment": "attack", "cutoff": n_max}))
+    count = re.search(r"holds (\d+) complex block entries", "\n".join(rep.info))
+    gate = fock.beam_splitter(math.pi / 4, FockCutoff(n_max))
+    assert int(count.group(1)) == sum(blk.size for _, blk in gate.blocks.values())
+
+
+@pytest.mark.parametrize("extra, ok", [(0, True), (-1, False)],
+                         ids=["at_the_bound", "a_byte_short"])
+def test_displacement_bs_signal_states_count_toward_physical_memory(monkeypatch, extra, ok):
+    # its one task holds a d x d signal state per transmission beside 6 d x d matrices
+    d, count = 41, 7
+    monkeypatch.setattr("cvpqc.config._physical_bytes",
+                        lambda: 16 * (6 + count) * d * d + extra)
+    rep = validate(config_from_dict({"experiment": "displacement_bs", "cutoff": d - 1,
+                                     "T_list": [0.5] * count}))
+    assert rep.ok == ok
+    assert ok or "lower the cutoff or shorten T_list" in rep.problems[0]
 
 
 def test_readme_configs_validate():
@@ -639,6 +661,24 @@ def test_overflowing_values_exit_without_traceback(tmp_path, capsys, fields, cod
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("fields", [
+    # a tail of 1 passed a tolerance of 2, and the run divided by a zero norm
+    {"experiment": "displacement_bs", "tail_tol": 2.0, "cutoff": 3, "eff_re": 40.0,
+     "T_list": [1.0], "input_kind": "vacuum"},
+    # the all-zero row of alpha = 1e160 passed, and eigh met its NaN state
+    {"experiment": "attack", "tail_tol": 2.0, "cutoff": 3, "alpha_list": [1e160]},
+    {"experiment": "mmstate", "tail_tol": 1.0},
+], ids=["displacement_bs-ZeroDivisionError", "attack-LinAlgError", "mmstate-one"])
+def test_tail_tol_of_one_or_more_is_a_config_problem(tmp_path, capsys, command, fields):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, out=str(out), **fields)
+    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    captured = capsys.readouterr()
+    assert "tail_tol must lie in (0, 1)" in captured.out + captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_negative_input_beta_mag_is_a_config_problem(tmp_path, capsys, command):
     cfg = write_config(tmp_path, experiment="displacement_bs", input_beta_mag=-1.0,
                        T_list=[0.5], cutoff=20, out=str(tmp_path / "rows.csv"))
@@ -746,6 +786,8 @@ def _well_typed(name):
         return st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3)
     if name.endswith("_list"):
         return st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3)
+    if name == "tail_tol":  # 1 and above are config problems: draw them often
+        return st.one_of(st.floats(0.0, 3.0), st.sampled_from([1.0, 2.0]))
     if name == "input_kind":
         return st.sampled_from(["vacuum", "even_coherent"])
     if name == "format":

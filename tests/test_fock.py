@@ -287,44 +287,89 @@ def test_beam_splitter_splits_coherent_state():
     assert abs(np.vdot(out, np.outer(half, half))) ** 2 >= 1 - 1e-6
 
 
+def _inside_triangle(n_max: int, seed: int) -> np.ndarray:
+    """A random normalized amplitude matrix with no mass beyond i + j <= n_max."""
+    rng = np.random.default_rng(seed)
+    d = n_max + 1
+    psi = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    psi[np.add.outer(np.arange(d), np.arange(d)) > n_max] = 0.0
+    return psi / np.linalg.norm(psi)
+
+
 def test_beam_splitter_dense_is_unitary():
+    # unitary on the triangle i + j <= n_max it covers, and zero outside it
     cut = FockCutoff(12)
     B = two_mode_dense(beam_splitter(math.pi / 4, cut))
-    assert np.max(np.abs(B.conj().T @ B - np.eye(13 * 13))) < 1e-8
+    i, j = np.divmod(np.arange(13 * 13), 13)
+    tri = i + j <= 12
+    on = B[np.ix_(tri, tri)]
+    assert np.max(np.abs(on.conj().T @ on - np.eye(int(tri.sum())))) < 1e-8
+    assert not B[~tri].any() and not B[:, ~tri].any()
 
 
 @pytest.mark.parametrize("n_max", [12, 40, 100])
 @pytest.mark.parametrize("theta", [math.pi / 4, 0.6, math.asin(math.sqrt(0.01))])
 def test_beam_splitter_blocks_match_expm_and_are_orthonormal(theta, n_max):
+    # the sectors s <= n_max, which the cutoff holds whole, and no others
     cut = FockCutoff(n_max)
     blocks = beam_splitter(theta, cut).blocks
     oracle = beam_splitter_expm(theta, cut).blocks
-    assert blocks.keys() == oracle.keys() == set(range(2 * n_max + 1))
+    assert blocks.keys() == set(range(n_max + 1))
     for s, (idx, blk) in blocks.items():
+        assert np.array_equal(idx, np.arange(s + 1))
         assert np.array_equal(idx, oracle[s][0])
         assert np.max(np.abs(blk - oracle[s][1])) <= 1e-11
         assert np.max(np.abs(blk.conj().T @ blk - np.eye(len(idx)))) <= 1e-13
 
 
 def test_beam_splitter_dense_and_apply_agree():
-    cut = FockCutoff(8)
-    rng = np.random.default_rng(7)
-    amps = rng.normal(size=81) + 1j * rng.normal(size=81)
-    amps /= np.linalg.norm(amps)
-    bs = beam_splitter(0.6, cut)
-    direct = two_mode_dense(bs) @ amps
-    assert np.max(np.abs(direct - bs.apply(amps.reshape(9, 9)).reshape(-1))) < 1e-12
+    psi = _inside_triangle(8, seed=7)
+    bs = beam_splitter(0.6, FockCutoff(8))
+    direct = two_mode_dense(bs) @ psi.reshape(-1)
+    assert np.max(np.abs(direct - bs.apply(psi).reshape(-1))) < 1e-12
 
 
 def test_beam_splitter_inverse_roundtrip():
-    cut = FockCutoff(10)
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=121) + 1j * rng.normal(size=121)
-    amps /= np.linalg.norm(amps)
-    psi = amps.reshape(11, 11)
-    bs = beam_splitter(0.9, cut)
+    psi = _inside_triangle(10, seed=3)
+    bs = beam_splitter(0.9, FockCutoff(10))
     back = two_mode_inverse(bs).apply(bs.apply(psi))
     assert np.max(np.abs(back - psi)) < 1e-12
+
+
+def test_apply_judges_the_mass_beyond_the_triangle():
+    # 2^-20 beyond i + j <= 6, exact in binary: a tail at the tolerance passes
+    # and is dropped, a tail past it raises
+    cut = FockCutoff(6)
+    bs = beam_splitter(0.6, cut)
+    inside = _inside_triangle(6, seed=5) * math.sqrt(1.0 - 2.0 ** -20)
+    psi = inside.copy()
+    psi[4, 5] = 2.0 ** -10
+    with pytest.raises(TailMassError) as exc:
+        bs.apply(psi, 2.0 ** -21)
+    assert exc.value.tail == 2.0 ** -20
+    assert "beyond i + j <= 6" in str(exc.value)
+    assert np.array_equal(bs.apply(psi, 2.0 ** -20), bs.apply(inside, 2.0 ** -20))
+    assert bs.apply(psi, 2.0 ** -19)[4, 5] == 0.0
+    with pytest.raises(TailMassError):
+        bs.apply(psi)  # the default tolerance, 1e-8
+
+
+@pytest.mark.parametrize("alpha, xi", [
+    (0.5, SqueezeParam(0.0)), (1.0 + 0.5j, SqueezeParam(0.3, 1.0)),
+    (2.0, SqueezeParam(0.3))])
+def test_attack_matches_the_box_wide_expm_oracle(alpha, xi):
+    # the tap's input sits in column 0, so the sectors s > n_max that the
+    # library drops only ever multiply zeros
+    cut = FockCutoff(30)
+    psi = np.zeros((31, 31), dtype=complex)
+    psi[:, 0] = squeezed_coherent_state(xi, alpha, cut)
+    out = beam_splitter_expm(math.pi / 4, cut).apply(psi)
+    rho_b = out @ out.conj().T
+    expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / math.sqrt(2.0),
+                                       cut)
+    box = (purity(rho_b), purity(out.T @ out.conj()), von_neumann_entropy(rho_b),
+           fidelity(expected, rho_b))
+    assert np.max(np.abs(np.subtract(attack(alpha, xi, cut), box))) <= 1e-12
 
 
 def test_two_mode_squeezer_vacuum_series():
@@ -590,7 +635,7 @@ _DENSITY_OUTPUTS = {
     "tap_receiver_arm": lambda: _tap_arm(0),
     "tap_eavesdropper_arm": lambda: _tap_arm(1),
     "displacement_bs_signal": lambda: displacement_via_beamsplitter(
-        0.1, math.sqrt(0.1) * 0.9, 0.8, 0.3, C40)[0],
+        [0.1], math.sqrt(0.1) * 0.9, 0.8, 0.3, C40)[0][0],
 }
 
 

@@ -12,9 +12,11 @@ its name is read as an attribute somewhere in `src` outside its own body.
 That check goes by name only, so it can miss an unused member whose name
 another object's attribute shares, but it never flags a used one.  A third
 check asks of every name an import binds, in `src/cvpqc` and in `tests/`,
-that its module reads it somewhere.
+that its module reads it somewhere.  A fourth asks that `src/cvpqc` import
+nothing beyond numpy, the standard library and its own modules.
 """
 import ast
+import sys
 from pathlib import Path
 
 import cvpqc
@@ -136,3 +138,26 @@ def unused_imports():
 
 def test_every_imported_name_is_read():
     assert unused_imports() == []
+
+
+def foreign_imports():
+    """`file:line module` for every absolute import in `src/cvpqc` of a module
+    that is neither numpy nor in the standard library."""
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(stmt, ast.Import):
+                names = [alias.name for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0:
+                names = [stmt.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{stmt.lineno} {name}")
+    return foreign
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    assert foreign_imports() == []
