@@ -329,10 +329,10 @@ def test_displacement_bs_closed_form_matches_fock_oracle(T):
     for beta_mag in (0.0, 0.8, 1.5):
         for eff in (0.3, 0.2 + 0.25j):
             [(rho, fid)] = displacement_via_beamsplitter([T], eff, beta_mag, 0.9, C40)
-            # the oracle runs at cutoff 60: at 40 its splitter drops the two-mode
-            # mass beyond i + j <= 40, which moves rho by up to 1.1e-8 at
-            # |gamma| = 3.2, and it renormalizes a truncated ancilla; the closed
-            # form truncates neither, and its C40 block is exact
+            # the oracle runs at cutoff 60: at 40 the two-mode mass its splitter
+            # drops beyond i + j <= 40 reaches 1.5e-10 at T = 0.01 (its check
+            # fails; it moved rho by 1.1e-8), and its ancilla is truncated; the
+            # closed form truncates neither, and its C40 block is exact
             rho_fock, fid_fock = displacement_via_beamsplitter_fock(
                 T, eff, even_coherent_state(beta_mag, 0.9, C60), C60)
             assert abs(fid - fid_fock) <= 1e-12
