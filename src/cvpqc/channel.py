@@ -167,23 +167,20 @@ def convergence_rows(N: int, b: float, xis, cutoff: FockCutoff,
     from the target to the plain mixture plus the distance between the two
     mixtures; entropy is that of the mixture d_hs measures.  The target, the
     key rows, the plain mixture and its distance to the target are built once
-    and shared by every squeezing; each distinct squeezing (r, wrapped phi)
-    builds its mixture once, and every r = 0 entry reuses the plain mixture's
-    triple.
+    and shared by every squeezing; each squeezed mixture is built once, and
+    the r = 0 entries share the plain mixture's entropy.
     """
     mm = maximally_mixed(b, cutoff, tail_tol)
     rows = key_rows(N, b, cutoff)
     gam = mixture_gamma(N, b, rows, cutoff, tail_tol)
     d_coh = hs_distance(mm, gam)
-    keys = [xi if xi.r != 0.0 else _NO_SQUEEZE for xi in xis]
-    triples = {}
-    for xi in keys:
-        if xi in triples:
-            continue
+    s_coh = von_neumann_entropy(gam) if any(xi.r == 0.0 for xi in xis) else None
+    out = []
+    for xi in xis:
         if xi.r == 0.0:
-            triples[xi] = (d_coh, d_coh, von_neumann_entropy(gam))
+            out.append((d_coh, d_coh, s_coh))
         else:
             gam_xi = squeezed_mixture(N, b, rows, xi, cutoff, tail_tol)
-            triples[xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
-                           von_neumann_entropy(gam_xi))
-    return [triples[xi] for xi in keys]
+            out.append((hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
+                        von_neumann_entropy(gam_xi)))
+    return out

@@ -244,15 +244,12 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         return rep
     # Upper bound on a task's peak, in complex entries, from tracemalloc: at most
     # 6 d x d matrices are live at once (measured 1.0 d^2 for nongauss_*, 2.0 for
-    # mmstate, 4 beside the key stack, 3.6 beside the signal states, one per
-    # transmission, for displacement_bs and 5.55 beside the splitter blocks for
-    # attack).  Exact integers, so no cutoff overflows it.
+    # mmstate, 4 beside the key stack, 5.7 for displacement_bs and 5.55 beside the
+    # splitter blocks for attack).  Exact integers, so no cutoff overflows it.
     peak = 6 * d * d
     if exp.holds == "two_mode":
         blocks = d * (d + 1) * (2 * d + 1) // 6  # sectors s = 0..n_max, (s + 1)^2 each
         peak += blocks
-    elif exp.holds == "signals":
-        peak += len(cfg.T_list) * d * d
     elif exp.holds == "key_stack":
         N = max(cfg.N_list)
         stack = key_count(N) * d
@@ -261,9 +258,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         # against 1.66 MB at N = 32, cutoff 195), and at 4.1 for larger N
         peak += 44 * stack // 10
     if physical and 16 * peak > physical:
-        lower = {"key_stack": " or N", "signals": " or shorten T_list"}.get(exp.holds, "")
         bad(f"the largest task needs more than the {physical / 1e6:.0f} MB of physical "
-            f"memory; lower the cutoff{lower}")
+            f"memory; lower the cutoff{' or N' if exp.holds == 'key_stack' else ''}")
         return rep
 
     if exp.holds == "two_mode":
@@ -277,9 +273,6 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         if exp.holds == "key_stack":
             memory += (f"; the key-row stack at N = {N} holds {stack} complex entries, "
                        f"and building it peaks at 4.4 times that (~{_mb(4.4 * stack):.3f} MB)")
-        elif exp.holds == "signals":
-            memory += (f"; the task holds one signal state per transmission, "
-                       f"{len(cfg.T_list)} in all")
         rep.info.append(memory)
     rep.info.append(f"the largest task peaks at about {_mb(peak):.1f} MB"
                     + (f" of {physical / 1e6:.0f} MB physical memory" if physical else ""))

@@ -53,8 +53,7 @@ class Experiment:
     than the grids and the run fields that the compute functions read.
     ``holds`` says what the largest arrays of a task are: "matrices" (d x d),
     "key_stack" (also the M x d stack of key rows), "two_mode" (also the
-    beam splitter's blocks), "signals" (also one d x d signal state per
-    transmission) or "rows" (closed forms, no Fock-space array).
+    beam splitter's blocks) or "rows" (closed forms, no Fock-space array).
     """
 
     columns: tuple
@@ -188,10 +187,10 @@ def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
 def _compute_displacement_bs(cfg, n_max, T_list):
     bm, vp = cfg.input_beta_mag, cfg.input_varphi
     eff = complex(cfg.eff_re, cfg.eff_im)
-    pairs = nongauss.displacement_via_beamsplitter(
+    fids = nongauss.displacement_via_beamsplitter(
         T_list, eff, _input_beta_mag(cfg), wrap_angle(vp), FockCutoff(n_max), cfg.tail_tol)
     rows = []
-    for T, (_, fid) in zip(T_list, pairs):
+    for T, fid in zip(T_list, fids):
         gamma = eff / math.sqrt(T)
         rows.append([(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re,
                       cfg.eff_im, n_max, fid)])
@@ -241,7 +240,7 @@ REGISTRY = {
         ((("T_list",), _compute_displacement_bs),),
         _displacement_cutoff,
         reads=("eff_re", "eff_im", "input_kind", "input_beta_mag", "input_varphi"),
-        shared=("T_list",), holds="signals"),
+        shared=("T_list",)),
 }
 
 

@@ -86,39 +86,47 @@ def even_variance_approx(beta_mag: float, varphi: float, theta: float) -> float:
 # displacement from a strong ancilla
 
 
-def displacement_via_beamsplitter(Ts, eff: complex, beta_mag: float, varphi: float,
-                                  cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
+def beamsplitter_signal(T: float, eff: complex, beta_mag: float, varphi: float,
+                        cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Mix the even coherent input (beta = 0 is the vacuum) with a coherent
     ancilla gamma on a splitter of transmission T for the ancilla arm; returns
-    one (signal-arm state, fidelity against the input displaced by
-    eff = sqrt(T) gamma) pair per transmission T in ``Ts``.
+    the signal-arm state, with eff = sqrt(T) gamma the displacement it mimics.
 
     With t = sqrt(1-T) and s = sqrt(T) the splitter sends |+-beta>|gamma> to
     |+-t beta + s gamma>|-+s beta + t gamma>, so the signal is a 2x2 mixture of
     coherent dyads weighted by the overlaps of the two eavesdropper states.
-    With the effective displacement s gamma held fixed, the fidelity climbs
-    toward 1 as T shrinks, because t approaches unity.  The input and the
-    target D(eff)|input>, which do not depend on T, are built once, after
-    every signal row has passed its tail check.
     """
-    for T in Ts:
-        if not 0.0 < T <= 1.0:
-            raise ValueError(f"transmission must lie in (0, 1], got {T}")
-    ts = [math.sqrt(1.0 - T) for T in Ts]
+    if not 0.0 < T <= 1.0:
+        raise ValueError(f"transmission must lie in (0, 1], got {T}")
+    t = math.sqrt(1.0 - T)
     beta = beta_mag * np.exp(1j * varphi)
-    sig = np.concatenate([t * beta * np.array([1.0, -1.0]) + eff for t in ts])
-    rows = coherent_amplitudes(sig, cutoff)  # rows 2k, 2k + 1 belong to Ts[k]
-    check_row_tails(rows, tail_tol, lambda k: f"signal amplitude {sig[k]} at T={Ts[k // 2]}")
-    psi = even_coherent_state(beta_mag, varphi, cutoff, tail_tol)
-    ideal = _finish_state(displacement_operator(eff, cutoff) @ psi, tail_tol,
-                          f"displaced target eff={eff}")
+    sig = t * beta * np.array([1.0, -1.0]) + eff
+    rows = coherent_amplitudes(sig, cutoff)
+    check_row_tails(rows, tail_tol, lambda k: f"signal amplitude {sig[k]} at T={T}")
+    # <s beta + t gamma|-s beta + t gamma> in terms of eff = s gamma: no |gamma|^2 to cancel
+    w = np.exp(-2.0 * T * beta_mag ** 2 + 2j * t * (eff * np.conj(beta)).imag)
+    gram = np.array([[1.0, w], [np.conj(w), 1.0]])
     norm = 2.0 * (1.0 + math.exp(-2.0 * beta_mag ** 2))
-    out = []
-    for k, (T, t) in enumerate(zip(Ts, ts)):
-        # <s beta + t gamma|-s beta + t gamma> in terms of eff = s gamma: no |gamma|^2 to cancel
-        w = np.exp(-2.0 * T * beta_mag ** 2 + 2j * t * (eff * np.conj(beta)).imag)
-        gram = np.array([[1.0, w], [np.conj(w), 1.0]])
-        pair = rows[2 * k:2 * k + 2]
-        signal = pair.T @ gram @ pair.conj() / norm
-        out.append((signal, fidelity(ideal, signal) / float(np.trace(signal).real)))
-    return out
+    return rows.T @ gram @ rows.conj() / norm
+
+
+def displacement_via_beamsplitter(Ts, eff: complex, beta_mag: float, varphi: float,
+                                  cutoff: FockCutoff,
+                                  tail_tol: float = DEFAULT_TAIL_TOL) -> list:
+    """Fidelity of each transmission T's ``beamsplitter_signal`` against the
+    input displaced by eff, one per T in ``Ts``.
+
+    With the effective displacement held fixed, the fidelity climbs toward 1
+    as T shrinks, because t approaches unity.  The input and the target
+    D(eff)|input>, which do not depend on T, are built once, after the first
+    signal has passed its tail check; a task holds one signal at a time.
+    """
+    fids, ideal = [], None
+    for T in Ts:
+        signal = beamsplitter_signal(T, eff, beta_mag, varphi, cutoff, tail_tol)
+        if ideal is None:
+            psi = even_coherent_state(beta_mag, varphi, cutoff, tail_tol)
+            ideal = _finish_state(displacement_operator(eff, cutoff) @ psi, tail_tol,
+                                  f"displaced target eff={eff}")
+        fids.append(fidelity(ideal, signal) / float(np.trace(signal).real))
+    return fids

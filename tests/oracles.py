@@ -491,12 +491,10 @@ def displacement_via_beamsplitter_fock(T: float, eff: complex, psi: np.ndarray,
     ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), tail_tol,
                             f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
 
-    # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla; the
-    # splitter drops the two-mode mass beyond i + j <= n_max, which moves an
-    # element of the signal state by up to twice its square root, so that mass
-    # is held to (tail_tol / 2)^2
-    mixed = beam_splitter(-math.asin(math.sqrt(T)), cutoff).apply(
-        np.outer(psi, ancilla), (tail_tol / 2.0) ** 2)
+    # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla, on the
+    # box-wide splitter: independent of the library's, and it judges no tail
+    mixed = beam_splitter_expm(-math.asin(math.sqrt(T)), cutoff).apply(
+        np.outer(psi, ancilla))
     signal = mixed @ mixed.conj().T
 
     ideal = displacement_operator(eff, cutoff) @ psi

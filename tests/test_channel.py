@@ -491,7 +491,7 @@ def test_mixture_entropy_matches_direct_computation():
 
 
 def test_squeezed_convergence_point_squeezes_once(monkeypatch):
-    # one squeeze per distinct xi with r > 0 at a (b, N); the plain mixture needs none
+    # one squeeze per (b, N, xi) with r > 0; the plain mixture needs none
     calls = []
 
     def counting(xi, cutoff):
@@ -501,12 +501,12 @@ def test_squeezed_convergence_point_squeezes_once(monkeypatch):
     monkeypatch.setattr("cvpqc.channel.squeeze_operator", counting)
     xis = [SqueezeParam(0.3, 1.1), SqueezeParam(0.0), SqueezeParam(0.2), SqueezeParam(0.3, 1.1)]
     convergence_rows(4, 2.0, xis, C60)
-    assert calls == [xis[0], xis[2]]
+    assert calls == [xis[0], xis[2], xis[3]]
 
 
-def test_convergence_task_builds_each_distinct_squeezing_once(monkeypatch):
-    # 3 (b, N) tasks of 6 squeezings each: 2 distinct with r > 0, and the r = 0
-    # ones, which share the plain mixture's entropy
+def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
+    # 3 (b, N) tasks of 6 squeezings each: 4 with r > 0, and 2 with r = 0 that
+    # share the plain mixture's entropy
     calls = {"squeezed_mixture": 0, "von_neumann_entropy": 0}
 
     def counting(name):
@@ -523,13 +523,11 @@ def test_convergence_task_builds_each_distinct_squeezing_once(monkeypatch):
            "phi_list": [0.0, 1.0], "N_list": [4, 1, 4], "cutoff": 30}
     _, rows = execute(config_from_dict(doc))
     assert len(rows) == 18
-    assert calls == {"squeezed_mixture": 6, "von_neumann_entropy": 9}
-    # phi is compared wrapped: 2 pi is the squeezing of 0
+    assert calls == {"squeezed_mixture": 12, "von_neumann_entropy": 15}
+    # with no r = 0 entry the plain mixture's entropy is not computed
     calls.update(dict.fromkeys(calls, 0))
-    _, wrapped = execute(config_from_dict(dict(doc, r_list=[0.3], phi_list=[0.0, 2 * math.pi],
-                                               N_list=[4])))
-    assert calls == {"squeezed_mixture": 1, "von_neumann_entropy": 1}
-    assert wrapped[0] == wrapped[1] == rows[0]
+    execute(config_from_dict(dict(doc, r_list=[0.3])))
+    assert calls == {"squeezed_mixture": 6, "von_neumann_entropy": 6}
 
 
 def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):

@@ -50,12 +50,11 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="attack", cutoff=100)
     assert main(["validate", cfg]) == 0
     assert "holds 348551 complex block entries (~5.6 MB)" in capsys.readouterr().out
-    # displacement_bs stays in one mode: d x d matrices, one signal state per T
+    # displacement_bs stays in one mode: a d x d density matrix
     cfg = write_config(tmp_path, experiment="displacement_bs", cutoff=98)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "9801 complex entries" in out
-    assert "one signal state per transmission, 5 in all" in out
     assert "two-mode" not in out
     # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N, and
     # building them peaks at 4.4 times that: 7.27 MB under tracemalloc at N = 32, cutoff 195
@@ -110,19 +109,6 @@ def test_validate_counts_the_block_entries_of_the_gate(n_max):
     count = re.search(r"holds (\d+) complex block entries", "\n".join(rep.info))
     gate = fock.beam_splitter(math.pi / 4, FockCutoff(n_max))
     assert int(count.group(1)) == sum(blk.size for _, blk in gate.blocks.values())
-
-
-@pytest.mark.parametrize("extra, ok", [(0, True), (-1, False)],
-                         ids=["at_the_bound", "a_byte_short"])
-def test_displacement_bs_signal_states_count_toward_physical_memory(monkeypatch, extra, ok):
-    # its one task holds a d x d signal state per transmission beside 6 d x d matrices
-    d, count = 41, 7
-    monkeypatch.setattr("cvpqc.config._physical_bytes",
-                        lambda: 16 * (6 + count) * d * d + extra)
-    rep = validate(config_from_dict({"experiment": "displacement_bs", "cutoff": d - 1,
-                                     "T_list": [0.5] * count}))
-    assert rep.ok == ok
-    assert ok or "lower the cutoff or shorten T_list" in rep.problems[0]
 
 
 def test_readme_configs_validate():

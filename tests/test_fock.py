@@ -29,7 +29,7 @@ from cvpqc.fock import (
 )
 from cvpqc.attack import attack
 from cvpqc.experiments import heuristic_cutoff
-from cvpqc.nongauss import displacement_via_beamsplitter
+from cvpqc.nongauss import beamsplitter_signal
 from oracles import (
     annihilation,
     apply_mode_operator,
@@ -634,8 +634,8 @@ _DENSITY_OUTPUTS = {
     "channel_output": lambda: channel_output(0.4 + 0.2j, _XI, 4, 1.5, _C30),
     "tap_receiver_arm": lambda: _tap_arm(0),
     "tap_eavesdropper_arm": lambda: _tap_arm(1),
-    "displacement_bs_signal": lambda: displacement_via_beamsplitter(
-        [0.1], math.sqrt(0.1) * 0.9, 0.8, 0.3, C40)[0][0],
+    "displacement_bs_signal": lambda: beamsplitter_signal(
+        0.1, math.sqrt(0.1) * 0.9, 0.8, 0.3, C40),
 }
 
 
