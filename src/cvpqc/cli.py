@@ -1,11 +1,16 @@
 """Command-line front end.
 
-    cvpqc run <config.json>      execute a sweep, write rows plus a sidecar
+    cvpqc run <config.json> --out PATH [--workers K]
+                                 execute a sweep, write CSV rows plus a sidecar
     cvpqc validate <config.json> dry-run check: grids, cutoffs, memory
 
+The config describes the sweep; the output path and the process count are
+flags only, and the rows do not depend on the process count.
+
 Exit codes: 0 success, 2 unusable config (also a value so large that the
-default cutoff or the run overflows a float), 3 tail-mass violation (the
-message names the offending grid point), 4 output I/O failure.
+default cutoff or the run overflows a float) or flags (no --out, or a
+--workers below 1 or not an integer), 3 tail-mass violation (the message
+names the offending grid point), 4 output I/O failure.
 
 Importing this module pins OpenBLAS to one thread unless a thread-count
 variable is already set; see ``BLAS_THREAD_VARS``.
@@ -54,16 +59,11 @@ def _write_csv(path: str, columns, rows) -> None:
             w.writerow([_cell(x) for x in row])
 
 
-def _write_json(path: str, columns, rows) -> None:
-    doc = {"columns": list(columns), "rows": [list(r) for r in rows]}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-
-
-def _write_sidecar(path: str, cfg, columns, row_count: int, wall: float) -> None:
+def _write_sidecar(path: str, cfg, workers: int, columns, row_count: int,
+                   wall: float) -> None:
     doc = {
         "config": cfg.to_dict(),
+        "workers": workers,
         "library_version": __version__,
         "columns": list(columns),
         "row_count": row_count,
@@ -76,6 +76,17 @@ def _write_sidecar(path: str, cfg, columns, row_count: int, wall: float) -> None
         f.write("\n")
 
 
+def _workers(text: str) -> int:
+    """The --workers value; argparse turns the error into exit 2 and a usage line."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cvpqc",
@@ -84,11 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a sweep described by a JSON config")
     run_p.add_argument("config", help="path to a flat JSON config document")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="evaluate the grid's tasks in up to K processes")
-    run_p.add_argument("--out", default=None, help="output file path")
-    run_p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default csv)")
+    run_p.add_argument("--out", metavar="PATH",
+                       help="output CSV path; the sidecar goes to PATH.meta.json")
+    run_p.add_argument("--workers", type=_workers, default=1, metavar="K",
+                       help="evaluate the grid's tasks in up to K processes (default 1)")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config", help="path to a flat JSON config document")
@@ -103,12 +113,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.command == "run":
-        for name in ("workers", "out", "format"):
-            v = getattr(args, name)
-            if v is not None:
-                setattr(cfg, name, v)
     rep = validate(cfg)
 
     if args.command == "validate":
@@ -118,14 +122,13 @@ def main(argv=None) -> int:
     if not rep.ok:
         print(rep.render(), file=sys.stderr)
         return EXIT_CONFIG
-    if not cfg.out:
-        print("config error: no output path; set 'out' in the config or pass --out",
-              file=sys.stderr)
+    if not args.out:
+        print("config error: no output path; pass --out PATH", file=sys.stderr)
         return EXIT_CONFIG
 
     t0 = time.perf_counter()
     try:
-        columns, rows = execute(cfg, workers=cfg.workers)
+        columns, rows = execute(cfg, workers=args.workers)
     except TailMassError as e:
         print(f"tail-mass violation: {e}", file=sys.stderr)
         return EXIT_TAIL
@@ -135,16 +138,13 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - t0
 
     try:
-        if cfg.format == "json":
-            _write_json(cfg.out, columns, rows)
-        else:
-            _write_csv(cfg.out, columns, rows)
-        _write_sidecar(cfg.out, cfg, columns, len(rows), wall)
+        _write_csv(args.out, columns, rows)
+        _write_sidecar(args.out, cfg, args.workers, columns, len(rows), wall)
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
 
-    print(f"wrote {len(rows)} rows to {cfg.out} ({cfg.format}) in {wall:.2f}s")
+    print(f"wrote {len(rows)} rows to {args.out} in {wall:.2f}s")
     return EXIT_OK
 
 

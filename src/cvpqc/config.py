@@ -1,8 +1,10 @@
 """Sweep configuration: a flat JSON document, strictly parsed.
 
-Unknown keys are rejected rather than ignored so that a typo in a grid
-name cannot silently run a default sweep; so is a field the experiment
-never reads, other than the run fields in ``RUN_FIELDS``.  ``validate``
+A config describes the sweep and nothing else, so it alone determines the
+rows; where they go and how many processes compute them are `cvpqc run`
+flags.  Unknown keys are rejected rather than ignored so that a typo in a
+grid name cannot silently run a default sweep; so is a field the experiment
+never reads, other than the fields in ``RUN_FIELDS``.  ``validate``
 never raises; it returns a report of problems, the cutoff and a memory
 estimate, and a task (for ``conformation``, the run's rows) whose estimate
 exceeds the machine's physical memory is a problem.  It does not judge
@@ -45,20 +47,17 @@ class ExperimentConfig:
     input_varphi: float = 0.0
     cutoff: Optional[int] = None           # n_max; None = per-experiment default
     tail_tol: float = 1e-8
-    out: Optional[str] = None
-    format: str = "csv"
-    workers: int = 1
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_INT_FIELDS = {"cutoff", "workers"}
+_INT_FIELDS = {"cutoff"}
 _INT_LIST_FIELDS = {"N_list", "p_list"}
 _FLOAT_FIELDS = {"eff_re", "eff_im", "input_beta_mag", "input_varphi", "tail_tol"}
-_STR_FIELDS = {"experiment", "input_kind", "out", "format"}
+_STR_FIELDS = {"experiment", "input_kind"}
 # fields every experiment accepts; the rest are grids or an experiment's ``reads``
-RUN_FIELDS = {"experiment", "cutoff", "tail_tol", "out", "format", "workers"}
+RUN_FIELDS = {"experiment", "cutoff", "tail_tol"}
 
 
 def _want_int(name, v):
@@ -91,7 +90,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     kwargs = {}
     for name, v in doc.items():
-        if v is None and name in ("p_list", "cutoff", "out"):
+        if v is None and name in ("p_list", "cutoff"):
             continue
         if name in _STR_FIELDS:
             if not isinstance(v, str):
@@ -204,10 +203,6 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("tail_tol must lie in (0, 1)")
     if cfg.cutoff is not None and cfg.cutoff < 1:
         bad("cutoff must be >= 1")
-    if cfg.format not in ("csv", "json"):
-        bad(f"format must be 'csv' or 'json', got {cfg.format!r}")
-    if cfg.workers < 1:
-        bad("workers must be >= 1")
     if cfg.input_beta_mag < 0:
         bad("input_beta_mag must be >= 0")
     if cfg.input_kind not in ("vacuum", "even_coherent"):
@@ -232,9 +227,10 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         rows = (len(cfg.b_list) * len(cfg.r_list) * len(cfg.phi_list)
                 * sum(key_count(N) for N in cfg.N_list))
         # the run holds every row until it writes them: under tracemalloc, execute
-        # peaks at 216-224 bytes a row (45150 to 201200 rows), and the JSON
-        # writer's row lists add 160-162 more
-        need = 400 * rows
+        # peaks at 218-226 bytes a row (45150 to 201295 rows) and at 245 where
+        # every q passes 256, the ints CPython caches; the CSV writer, one row at
+        # a time, adds nothing to that peak
+        need = 256 * rows
         if physical and need > physical:
             bad(f"the run's {rows} rows need more than the {physical / 1e6:.0f} MB of "
                 f"physical memory; lower N")

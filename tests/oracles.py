@@ -4,7 +4,8 @@ Each one computes a library quantity a second, independent way: by
 exponentiating a truncated generator (displacement, squeezing, the beam
 splitter's blocks), through scipy's special functions (the Laguerre
 displacement matrix, the incomplete-gamma disk-uniform diagonal), from a
-closed form or a series (the squeezed-vacuum term ratio), or by
+closed form or a series (the squeezed-vacuum term ratio, the Hermite form
+of the squeezed coherent amplitudes), or by
 materializing a block-structured operator or a two-mode density matrix
 densely.  A two-mode pure state is its amplitude matrix
 psi[i, j] = <i, j|psi>, as in the library.  ``check_density`` holds the
@@ -16,7 +17,6 @@ Fock space is the reference for its closed form in ``nongauss``, and
 ``convergence_point``, one convergence grid point built from scratch, is the
 reference for the convergence tasks that share work across squeezings.
 """
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +30,7 @@ from cvpqc.channel import (_NO_SQUEEZE, _key_average, _worst_key, key_count,
                            key_displacements, key_rows, key_to_ring, maximally_mixed,
                            mixture_gamma, ring, squeezed_mixture)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, FockCutoff,
-                        SqueezeParam, TwoModeUnitary, _finish_state, _hermite_series,
+                        SqueezeParam, TwoModeUnitary, _finish_state,
                         beam_splitter, coherent_amplitudes,
                         displacement_operator, fidelity, hs_distance, squeeze_operator,
                         squeezed_coherent_state, von_neumann_entropy, wrap_angle)
@@ -123,25 +123,39 @@ def squeezed_vacuum_amplitudes(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarr
     return c
 
 
-def squeezed_coherent_amplitudes(xi: SqueezeParam, alpha: complex, m_max: int) -> np.ndarray:
-    """<m|S(xi) D(alpha)|0> for m = 0..m_max, from the Hermite closed form.
+def hermite_series(x: complex, dim: int) -> np.ndarray:
+    """Physicists' Hermite polynomials H_0(x) .. H_{dim-1}(x) at a complex argument,
+    by the three-term recurrence H_{m+1} = 2x H_m - 2m H_{m-1}."""
+    herm = np.zeros(dim, dtype=complex)
+    herm[0] = 1.0
+    if dim > 1:
+        herm[1] = 2.0 * x
+    for m in range(1, dim - 1):
+        herm[m + 1] = 2.0 * x * herm[m] - 2.0 * m * herm[m - 1]
+    return herm
 
-    Its recurrence, rewritten for the amplitudes themselves,
-    c_{m+1} = (alpha c_m - nu sqrt(m) c_{m-1}) / (cosh r sqrt(m+1)) with
-    nu = e^{i phi} sinh r, carries only numbers of modulus <= 1, so it reaches
-    the levels far past any cutoff where H_m alone overflows.
+
+def squeezed_coherent_hermite(xi: SqueezeParam, alpha: complex,
+                              cutoff: FockCutoff) -> np.ndarray:
+    """<m|S(xi) D(alpha)|0> for m = 0..n_max via complex-argument Hermite polynomials:
+
+        <m| . > = (nu/(2 cosh r))^{m/2} / sqrt(cosh r * m!)
+                  * exp[-(|alpha|^2 - conj(nu) alpha^2 / cosh r)/2]
+                  * H_m(alpha / sqrt(2 nu cosh r)),      nu = e^{i phi} sinh r.
+
+    The H_m branch ambiguity cancels against (nu)^{m/2} since H_m(-x) = (-1)^m H_m(x).
+    H_m alone overflows at large m, so this reference serves only at modest
+    cutoffs; the tests use it at 60.
     """
+    if xi.r == 0.0:
+        return coherent_amplitudes(alpha, cutoff)
+    nu = np.exp(1j * xi.phi) * math.sinh(xi.r)
     ch = math.cosh(xi.r)
-    nu = complex(math.cos(xi.phi), math.sin(xi.phi)) * math.sinh(xi.r)
-    alpha = complex(alpha)
-    amps = np.empty(m_max + 1, dtype=complex)
-    amps[0] = cmath.exp(-0.5 * (abs(alpha) ** 2 - nu.conjugate() * alpha ** 2 / ch)) \
-        / math.sqrt(ch)
-    prev = 0j
-    for m in range(m_max):
-        prev, amps[m + 1] = amps[m], (alpha * amps[m] - nu * math.sqrt(m) * prev) \
-            / (ch * math.sqrt(m + 1))
-    return amps
+    pref = np.exp(-0.5 * (abs(alpha) ** 2 - np.conj(nu) * alpha ** 2 / ch))
+    herm = hermite_series(alpha / np.sqrt(2.0 * nu * ch), cutoff.dim)
+    m = cutoff.levels()
+    scale = (nu / (2.0 * ch)) ** (m / 2.0) / math.sqrt(ch) * np.exp(-0.5 * gammaln(m + 1))
+    return scale * pref * herm
 
 
 def ring_analytic_matrix(p: int, radius: float, cutoff: FockCutoff) -> np.ndarray:
@@ -395,7 +409,7 @@ def squeezed_projector_prefactor(xi: SqueezeParam, alpha: complex,
         return np.outer(col, col.conj())
     theta = float(np.angle(alpha)) if alpha != 0 else 0.0
     x = abs(alpha) * np.exp(1j * (theta - xi.phi / 2.0)) / math.sqrt(math.sinh(2.0 * xi.r))
-    herm = _hermite_series(x, d)
+    herm = hermite_series(x, d)
     col = (math.tanh(xi.r) / 2.0) ** (m / 2.0) * fact * np.exp(1j * xi.phi * m / 2.0) * herm
     return np.outer(col, col.conj()) / math.cosh(xi.r)
 

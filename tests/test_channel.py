@@ -34,6 +34,7 @@ from cvpqc.fock import (
     displacement_operator,
     hs_distance,
     squeeze_operator,
+    squeezed_coherent_closed_form,
     von_neumann_entropy,
 )
 from oracles import (
@@ -48,7 +49,6 @@ from oracles import (
     ring_analytic_matrix,
     ring_displacements,
     secret_bits,
-    squeezed_coherent_amplitudes,
     squeezed_conformation,
     squeezed_projector_prefactor,
     squeezed_vacuum_distance_closed_form,
@@ -102,12 +102,12 @@ def test_mm_matches_incomplete_gamma_oracle(b):
 def test_mm_at_a_huge_radius_raises_at_once(tmp_path, capsys):
     # the pmf spans the levels below 2 d + 64, not b^2 = 1e10 of them
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "mmstate", "b_list": [1e5], "cutoff": 10,
-                               "out": str(tmp_path / "rows.csv")}), encoding="utf-8")
+    cfg.write_text(json.dumps({"experiment": "mmstate", "b_list": [1e5], "cutoff": 10}),
+                   encoding="utf-8")
     t0 = time.perf_counter()
     with pytest.raises(TailMassError):
         maximally_mixed(1e5, FockCutoff(10))
-    assert main(["run", str(cfg)]) == 3
+    assert main(["run", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert "disk-uniform state b=100000.0" in capsys.readouterr().err
 
@@ -257,7 +257,7 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
     xi, tol = SqueezeParam(r, phi), 1e-8
     worst = 0.0
     for alpha in key_displacements(N, b):
-        probs = np.abs(squeezed_coherent_amplitudes(xi, alpha, 1500)) ** 2
+        probs = np.abs(squeezed_coherent_closed_form(xi, alpha, FockCutoff(1500))) ** 2
         assert abs(1.0 - probs.sum()) < 1e-10  # the closed form has converged
         worst = max(worst, probs[n_max + 1:].sum())
     try:

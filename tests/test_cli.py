@@ -1,4 +1,4 @@
-"""Command-line surface: validation reports, sweeps, formats, exit codes."""
+"""Command-line surface: validation reports, sweeps, flags, the sidecar, exit codes."""
 import concurrent.futures
 import csv
 import json
@@ -18,7 +18,7 @@ from cvpqc import channel, fock, nongauss
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
-from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
+from cvpqc.experiments import REGISTRY, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
 from oracles import projector, vacuum
 
@@ -27,6 +27,11 @@ def write_config(tmp_path, name="cfg.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields), encoding="utf-8")
     return str(path)
+
+
+def argv(command, cfg, out):
+    """`cvpqc validate CFG`, or `cvpqc run CFG --out OUT`."""
+    return [command, cfg] + (["--out", str(out)] if command == "run" else [])
 
 
 def read_csv(path):
@@ -69,14 +74,14 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "a task holds no Fock-space array" in out
-    assert "the run holds its 713 rows (~0.3 MB)" in out  # 3 + 10 + 36 + 136 + 528
+    assert "the run holds its 713 rows (~0.2 MB)" in out  # 3 + 10 + 36 + 136 + 528
     assert "config valid" in out
 
 
-@pytest.mark.parametrize("physical, ok", [(400 * 713, True), (400 * 713 - 1, False)],
+@pytest.mark.parametrize("physical, ok", [(256 * 713, True), (256 * 713 - 1, False)],
                          ids=["at_the_bound", "a_byte_short"])
 def test_conformation_rows_are_bounded_by_physical_memory(monkeypatch, tmp_path, physical, ok):
-    # the default grids give 713 rows, at 400 bytes a row
+    # the default grids give 713 rows, at 256 bytes a row
     monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: physical)
     rep = validate(config_from_dict({"experiment": "conformation"}))
     assert rep.ok == ok
@@ -96,8 +101,8 @@ def test_task_beyond_physical_memory_is_a_config_problem(monkeypatch, tmp_path, 
         raise AssertionError("the run started")
     monkeypatch.setattr("cvpqc.cli.execute", refuse)
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, out=str(out), **fields)
-    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    cfg = write_config(tmp_path, **fields)
+    assert main(argv(command, cfg, out)) == (0 if command == "validate" else 2)
     captured = capsys.readouterr()
     assert "MB of physical memory" in captured.out + captured.err
     assert not out.exists()
@@ -169,9 +174,8 @@ def test_default_cutoffs(doc, n_max, how):
 ], ids=["r0.5", "r1"])
 def test_squeezed_default_cutoff_holds_the_squeezed_keys(tmp_path, fields):
     # with the unsqueezed default 59 both runs exit 3 (tail 1.11e-8 at r = 0.5)
-    cfg = write_config(tmp_path, experiment="squeezed_convergence",
-                       out=str(tmp_path / "rows.csv"), **fields)
-    assert main(["run", cfg]) == 0
+    cfg = write_config(tmp_path, experiment="squeezed_convergence", **fields)
+    assert main(["run", cfg, "--out", str(tmp_path / "rows.csv")]) == 0
 
 
 def test_displacement_bs_benchmark_cutoff_draws_no_warning():
@@ -197,8 +201,8 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
 def test_run_convergence_single_ring(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
-                       N_list=[1], b_list=[2.0], cutoff=59, out=out)
-    assert main(["run", cfg]) == 0
+                       N_list=[1], b_list=[2.0], cutoff=59)
+    assert main(["run", cfg, "--out", out]) == 0
     cols, rows = read_csv(out)
     assert cols[:5] == ["N", "b", "r", "phi", "cutoff"]
     assert len(rows) == 1
@@ -215,10 +219,9 @@ def test_run_reruns_byte_identical(tmp_path):
     out1 = str(tmp_path / "a.csv")
     out2 = str(tmp_path / "b.csv")
     base = dict(experiment="convergence", N_list=[1, 2], b_list=[2.0], cutoff=40)
-    cfg1 = write_config(tmp_path, "c1.json", out=out1, **base)
-    cfg2 = write_config(tmp_path, "c2.json", out=out2, **base)
-    assert main(["run", cfg1]) == 0
-    assert main(["run", cfg2]) == 0
+    cfg = write_config(tmp_path, **base)
+    assert main(["run", cfg, "--out", out1]) == 0
+    assert main(["run", cfg, "--out", out2]) == 0
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
 
@@ -227,21 +230,32 @@ def test_squeezed_convergence_at_zero_squeezing_matches_plain(tmp_path):
     out1 = str(tmp_path / "plain.csv")
     out2 = str(tmp_path / "squeezed.csv")
     cfg1 = write_config(tmp_path, "c1.json", experiment="convergence",
-                        N_list=[1, 2], b_list=[2.0], cutoff=40, out=out1)
+                        N_list=[1, 2], b_list=[2.0], cutoff=40)
     cfg2 = write_config(tmp_path, "c2.json", experiment="squeezed_convergence",
-                        N_list=[1, 2], b_list=[2.0], r_list=[0.0], cutoff=40, out=out2)
-    assert main(["run", cfg1]) == 0
-    assert main(["run", cfg2]) == 0
+                        N_list=[1, 2], b_list=[2.0], r_list=[0.0], cutoff=40)
+    assert main(["run", cfg1, "--out", out1]) == 0
+    assert main(["run", cfg2, "--out", out2]) == 0
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_an_angle_just_below_zero_runs_as_zero(tmp_path):
+    # -1e-20 + 2 pi rounds to 2 pi itself, which used to print as phi = 6.2831853071795862
+    out = str(tmp_path / "rows.csv")
+    cfg = write_config(tmp_path, experiment="squeezed_convergence", N_list=[2],
+                       b_list=[1.0], r_list=[0.3], phi_list=[-1e-20, 0.0, -0.0], cutoff=40)
+    assert main(["run", cfg, "--out", out]) == 0
+    cols, rows = read_csv(out)
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0][cols.index("phi")] == "0"
 
 
 def test_run_conformation_rows(tmp_path):
     out = str(tmp_path / "rings.csv")
     cfg = write_config(tmp_path, experiment="conformation",
                        N_list=[4], b_list=[2.0], r_list=[0.0, 0.3],
-                       phi_list=[0.0], cutoff=59, out=out)
-    assert main(["run", cfg]) == 0
+                       phi_list=[0.0], cutoff=59)
+    assert main(["run", cfg, "--out", out]) == 0
     cols, rows = read_csv(out)
     recs = [dict(zip(cols, r)) for r in rows]
     assert len(recs) == 2 * 10  # two r values x sum(p for p in 1..4)
@@ -261,8 +275,8 @@ def test_run_conformation_rows(tmp_path):
 def test_run_mmstate_weights(tmp_path):
     out = str(tmp_path / "mm.csv")
     cfg = write_config(tmp_path, experiment="mmstate",
-                       b_list=[2.0], cutoff=59, out=out)
-    assert main(["run", cfg]) == 0
+                       b_list=[2.0], cutoff=59)
+    assert main(["run", cfg, "--out", out]) == 0
     cols, rows = read_csv(out)
     recs = [dict(zip(cols, r)) for r in rows]
     assert len(recs) == 60
@@ -275,8 +289,8 @@ def test_run_mmstate_weights(tmp_path):
 def test_float_cells_round_trip_exactly(tmp_path):
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
-                       N_list=[1], b_list=[2.0], cutoff=59, out=out)
-    assert main(["run", cfg]) == 0
+                       N_list=[1], b_list=[2.0], cutoff=59)
+    assert main(["run", cfg, "--out", out]) == 0
     cols, rows = read_csv(out)
     row = dict(zip(cols, rows[0]))
     cut = FockCutoff(59)
@@ -287,37 +301,19 @@ def test_float_cells_round_trip_exactly(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# formats and sidecar
-
-
-def test_json_format_matches_csv_content(tmp_path):
-    out_c = str(tmp_path / "rows.csv")
-    out_j = str(tmp_path / "rows.json")
-    base = dict(experiment="convergence", N_list=[1], b_list=[2.0], cutoff=40)
-    cfg_c = write_config(tmp_path, "c.json", out=out_c, **base)
-    cfg_j = write_config(tmp_path, "j.json", out=out_j, format="json", **base)
-    assert main(["run", cfg_c]) == 0
-    assert main(["run", cfg_j]) == 0
-    cols, rows = read_csv(out_c)
-    with open(out_j, encoding="utf-8") as f:
-        doc = json.load(f)
-    assert doc["columns"] == cols
-    assert len(doc["rows"]) == len(rows)
-    for jrow, crow in zip(doc["rows"], rows):
-        for jval, cval in zip(jrow, crow):
-            if isinstance(jval, float):
-                assert jval == float(cval)
+# sidecar
 
 
 def test_sidecar_records_run(tmp_path):
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
-                       N_list=[1, 2], b_list=[2.0], cutoff=40, out=out)
-    assert main(["run", cfg]) == 0
+                       N_list=[1, 2], b_list=[2.0], cutoff=40)
+    assert main(["run", cfg, "--out", out]) == 0
     with open(out + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
     assert meta["row_count"] == 2
     assert meta["config"]["experiment"] == "convergence"
+    assert meta["workers"] == 1
     assert meta["columns"][0] == "N"
     assert meta["wall_time_s"] >= 0
     assert "library_version" in meta
@@ -330,15 +326,16 @@ def test_sidecar_records_run(tmp_path):
         assert threads["OMP_NUM_THREADS"] == threads["MKL_NUM_THREADS"] == "1"
 
 
-def test_cli_overrides_reach_sidecar(tmp_path):
+def test_sidecar_records_the_workers_beside_the_sweep(tmp_path):
+    # one task runs serially whatever --workers asks for, so no pool starts here
     out = str(tmp_path / "rows.csv")
-    cfg = write_config(tmp_path, experiment="convergence",
-                       N_list=[1], b_list=[2.0], cutoff=40)
-    assert main(["run", cfg, "--out", out, "--format", "json"]) == 0
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[1], cutoff=40)
+    assert main(["run", cfg, "--out", out, "--workers", "2"]) == 0
     with open(out + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
-    assert meta["config"]["format"] == "json"
-    assert meta["config"]["out"] == out
+    assert meta["workers"] == 2
+    assert set(meta["config"]) == set(ExperimentConfig.__dataclass_fields__)
+    assert not {"out", "format", "workers"} & set(meta["config"])
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +343,12 @@ def test_cli_overrides_reach_sidecar(tmp_path):
 
 
 def test_workers_do_not_change_output(tmp_path):
-    base = dict(experiment="attack", alpha_list=[0.5, 1.0], r_list=[0.0, 0.3],
-                phi_list=[0.0], cutoff=25)
+    cfg = write_config(tmp_path, experiment="attack", alpha_list=[0.5, 1.0],
+                       r_list=[0.0, 0.3], phi_list=[0.0], cutoff=25)
     out1 = str(tmp_path / "serial.csv")
     out2 = str(tmp_path / "parallel.csv")
-    cfg1 = write_config(tmp_path, "s.json", out=out1, workers=1, **base)
-    cfg2 = write_config(tmp_path, "p.json", out=out2, workers=2, **base)
-    assert main(["run", cfg1]) == 0
-    assert main(["run", cfg2]) == 0
+    assert main(["run", cfg, "--out", out1, "--workers", "1"]) == 0
+    assert main(["run", cfg, "--out", out2, "--workers", "2"]) == 0
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
 
@@ -382,13 +377,16 @@ class _SerialPool:
     (3, 64, 3),
     (5000, None, None),  # unknown CPU count: serial
 ])
-def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
+def test_pool_size_is_capped(monkeypatch, tmp_path, workers, cpus, expected):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    cfg = config_from_dict(dict(experiment="convergence", N_list=[1, 2, 3, 4],
-                                b_list=[2.0], cutoff=30))
-    assert execute(cfg, workers=workers) == execute(cfg, workers=1)
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[1, 2, 3, 4],
+                       b_list=[2.0], cutoff=30)
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert main(["run", cfg, "--out", str(serial)]) == 0
+    assert main(["run", cfg, "--out", str(pooled), "--workers", str(workers)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
     assert _SerialPool.sizes == ([] if expected is None else [expected])
 
 
@@ -466,8 +464,9 @@ _WITHOUT_SCIPY = r"""
 import json, sys
 sys.modules["scipy"] = None  # any scipy import, lazy ones too, raises ImportError
 from cvpqc.cli import main
-codes = {name: [main([command, path]) for command in ("validate", "run")]
-         for name, path in json.loads(sys.argv[1]).items()}
+codes = {name: [main([command, path] + (["--out", out] if command == "run" else []))
+                for command in ("validate", "run")]
+         for name, (path, out) in json.loads(sys.argv[1]).items()}
 print(json.dumps(codes))
 """
 
@@ -496,8 +495,8 @@ def test_every_experiment_runs_on_its_defaults(tmp_path, capsys):
 
 def test_every_experiment_runs_without_scipy(tmp_path):
     assert set(_SMALL_RUNS) == set(REGISTRY)
-    paths = {name: write_config(tmp_path, f"{name}.json", experiment=name,
-                                out=str(tmp_path / f"{name}.csv"), **fields)
+    paths = {name: (write_config(tmp_path, f"{name}.json", experiment=name, **fields),
+                    str(tmp_path / f"{name}.csv"))
              for name, fields in _SMALL_RUNS.items()}
     src = os.path.dirname(os.path.dirname(cvpqc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -526,8 +525,8 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     assert "n_list" in capsys.readouterr().err
     # no experiment draws random numbers, so there is no seed field
     cfg = write_config(tmp_path, "seed.json", experiment="convergence", N_list=[1],
-                       cutoff=40, out=str(tmp_path / "rows.csv"), seed=0)
-    assert main(["run", cfg]) == 2
+                       cutoff=40, seed=0)
+    assert main(["run", cfg, "--out", str(tmp_path / "rows.csv")]) == 2
     assert "unknown config field(s): seed" in capsys.readouterr().err
 
 
@@ -543,8 +542,8 @@ def test_unknown_field_exits_2(tmp_path, capsys):
         "input_beta_mag-huge_int"])
 def test_non_finite_number_exits_2(tmp_path, capsys, command, field, value):
     out = str(tmp_path / "rows.csv")
-    cfg = write_config(tmp_path, experiment="attack", cutoff=20, out=out, **{field: value})
-    assert main([command, cfg]) == 2
+    cfg = write_config(tmp_path, experiment="attack", cutoff=20, **{field: value})
+    assert main(argv(command, cfg, out)) == 2
     assert f"field '{field}" in capsys.readouterr().err
 
 
@@ -567,23 +566,54 @@ def test_wrong_type_exits_2(tmp_path, capsys):
 
 def test_run_invalid_grid_exits_2(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
-    cfg = write_config(tmp_path, experiment="convergence", N_list=[], out=out)
-    assert main(["run", cfg]) == 2
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[])
+    assert main(["run", cfg, "--out", out]) == 2
     assert "N_list" in capsys.readouterr().err
 
 
 def test_run_without_output_path_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="convergence", N_list=[1], cutoff=40)
-    assert main(["run", cfg]) == 2
-    assert "output path" in capsys.readouterr().err
+    for flags in ([], ["--out", ""]):
+        assert main(["run", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "no output path; pass --out PATH" in err
+        assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "x", "1.5"])
+def test_workers_below_one_or_not_an_integer_exit_2(tmp_path, capsys, workers):
+    # argparse's usage error: exit 2 before the config is read
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[1], cutoff=40)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", cfg, "--out", str(tmp_path / "rows.csv"), "--workers", workers])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --workers: must be an integer >= 1, got '{workers}'" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field, value", [("out", "rows.csv"), ("format", "csv"),
+                                          ("workers", 2)])
+def test_run_settings_in_the_config_exit_2(tmp_path, capsys, command, field, value):
+    # the output path, the format and the process count are not part of a sweep
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[1], cutoff=40,
+                       **{field: value})
+    assert main(argv(command, cfg, tmp_path / "rows.csv")) == 2
+    err = capsys.readouterr().err
+    assert f"config error: unknown config field(s): {field}" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_variance_uses_the_config_tail_tol(tmp_path):
     # the squeezed vacuum loses ~4.8e-6 at cutoff 24: inside tail_tol, so it must run
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="nongauss_variance", r_list=[0.8],
-                       beta_mag_list=[0.1], cutoff=24, tail_tol=1e-5, out=out)
-    assert main(["run", cfg]) == 0
+                       beta_mag_list=[0.1], cutoff=24, tail_tol=1e-5)
+    assert main(["run", cfg, "--out", out]) == 0
     cols, rows = read_csv(out)
     assert [row[0] for row in rows] == ["squeezed_vacuum", "even_coherent"]
 
@@ -591,8 +621,8 @@ def test_variance_uses_the_config_tail_tol(tmp_path):
 def test_tail_mass_violation_exits_3(tmp_path, capsys):
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
-                       N_list=[1], b_list=[3.0], cutoff=12, out=out)
-    assert main(["run", cfg]) == 3
+                       N_list=[1], b_list=[3.0], cutoff=12)
+    assert main(["run", cfg, "--out", out]) == 3
     err = capsys.readouterr().err
     assert "tail-mass violation" in err
     assert "b=3.0" in err  # the offending grid point is named
@@ -609,8 +639,8 @@ def test_nan_amplitudes_exit_3(monkeypatch, tmp_path, capsys, experiment, what):
         monkeypatch.setattr(module, "coherent_amplitudes",
                             lambda alpha, cutoff: real(alpha, cutoff) * math.nan)
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, experiment=experiment, cutoff=30, out=str(out))
-    assert main(["run", cfg]) == 3
+    cfg = write_config(tmp_path, experiment=experiment, cutoff=30)
+    assert main(["run", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"tail mass nan exceeds tolerance 1.000e-08 for {what}" in err
     assert not out.exists()
@@ -626,8 +656,8 @@ def test_nan_amplitudes_exit_3(monkeypatch, tmp_path, capsys, experiment, what):
 ], ids=["squeezed_convergence-r1.5", "attack-r1000", "squeezed_convergence-r800"])
 def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
     # the squeezer's exact elements let the tail checks see the mass pushed past n_max
-    cfg = write_config(tmp_path, out=str(tmp_path / "rows.csv"), **fields)
-    assert main(["run", cfg]) == 3
+    cfg = write_config(tmp_path, **fields)
+    assert main(["run", cfg, "--out", str(tmp_path / "rows.csv")]) == 3
     assert what in capsys.readouterr().err
 
 
@@ -641,8 +671,8 @@ def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
 ], ids=["heuristic_cutoff-b", "coherent_amplitudes-alpha", "vacuum_weight-cosh_r",
         "heuristic_cutoff-e_r"])
 def test_overflowing_values_exit_without_traceback(tmp_path, capsys, fields, code):
-    cfg = write_config(tmp_path, out=str(tmp_path / "rows.csv"), **fields)
-    assert main(["run", cfg]) == code
+    cfg = write_config(tmp_path, **fields)
+    assert main(["run", cfg, "--out", str(tmp_path / "rows.csv")]) == code
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -657,8 +687,8 @@ def test_overflowing_values_exit_without_traceback(tmp_path, capsys, fields, cod
 ], ids=["displacement_bs-ZeroDivisionError", "attack-LinAlgError", "mmstate-one"])
 def test_tail_tol_of_one_or_more_is_a_config_problem(tmp_path, capsys, command, fields):
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, out=str(out), **fields)
-    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    cfg = write_config(tmp_path, **fields)
+    assert main(argv(command, cfg, out)) == (0 if command == "validate" else 2)
     captured = capsys.readouterr()
     assert "tail_tol must lie in (0, 1)" in captured.out + captured.err
     assert not out.exists()
@@ -667,8 +697,8 @@ def test_tail_tol_of_one_or_more_is_a_config_problem(tmp_path, capsys, command, 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_negative_input_beta_mag_is_a_config_problem(tmp_path, capsys, command):
     cfg = write_config(tmp_path, experiment="displacement_bs", input_beta_mag=-1.0,
-                       T_list=[0.5], cutoff=20, out=str(tmp_path / "rows.csv"))
-    assert main([command, cfg]) == (0 if command == "validate" else 2)
+                       T_list=[0.5], cutoff=20)
+    assert main(argv(command, cfg, tmp_path / "rows.csv")) == (0 if command == "validate" else 2)
     captured = capsys.readouterr()
     assert "input_beta_mag must be >= 0" in captured.out + captured.err
 
@@ -677,16 +707,16 @@ def test_displacement_bs_target_tail_exits_3(tmp_path, capsys):
     # D(2.5)|+-2.5> reaches amplitude 5 and loses 6.8e-2 at cutoff 30
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="displacement_bs", input_beta_mag=2.5,
-                       eff_re=2.5, T_list=[1.0], cutoff=30, out=out)
-    assert main(["run", cfg]) == 3
+                       eff_re=2.5, T_list=[1.0], cutoff=30)
+    assert main(["run", cfg, "--out", out]) == 3
     assert "displaced target" in capsys.readouterr().err
 
 
 def test_b_whose_square_underflows_exits_2(tmp_path, capsys):
     # b^2 = 0 would make every disk-uniform weight 0/0
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, experiment="mmstate", b_list=[1e-200], out=str(out))
-    assert main(["run", cfg]) == 2
+    cfg = write_config(tmp_path, experiment="mmstate", b_list=[1e-200])
+    assert main(["run", cfg, "--out", str(out)]) == 2
     assert "b^2 does not underflow" in capsys.readouterr().err
     assert not out.exists()
 
@@ -695,9 +725,8 @@ def test_b_whose_square_underflows_exits_2(tmp_path, capsys):
 def test_p_beyond_every_ring_count_is_a_config_problem(tmp_path, capsys, command):
     # ring p exists only for N >= p, so p = 5 at N = 2 would write a header and no rows
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, experiment="conformation", N_list=[2], p_list=[5],
-                       out=str(out))
-    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    cfg = write_config(tmp_path, experiment="conformation", N_list=[2], p_list=[5])
+    assert main(argv(command, cfg, out)) == (0 if command == "validate" else 2)
     captured = capsys.readouterr()
     assert "p_list entry 5 exceeds every N" in captured.out + captured.err
     assert not out.exists()
@@ -707,9 +736,8 @@ def test_p_beyond_every_ring_count_is_a_config_problem(tmp_path, capsys, command
 def test_empty_p_list_is_a_config_problem(tmp_path, capsys, command):
     # an empty p_list selects no ring, so the run would write a header and no rows
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, experiment="conformation", N_list=[4], p_list=[],
-                       out=str(out))
-    assert main([command, cfg]) == (0 if command == "validate" else 2)
+    cfg = write_config(tmp_path, experiment="conformation", N_list=[4], p_list=[])
+    assert main(argv(command, cfg, out)) == (0 if command == "validate" else 2)
     captured = capsys.readouterr()
     assert "p_list must not be empty" in captured.out + captured.err
     assert not out.exists()
@@ -724,8 +752,8 @@ def test_empty_p_list_is_a_config_problem(tmp_path, capsys, command):
 def test_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, command, fields,
                                                     unread):
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, out=str(out), **fields)
-    assert main([command, cfg]) == 2
+    cfg = write_config(tmp_path, **fields)
+    assert main(argv(command, cfg, out)) == 2
     assert f"does not read field(s): {unread}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -744,8 +772,8 @@ def test_every_experiment_accepts_its_grids_reads_and_the_run_fields():
 def test_unwritable_output_exits_4(tmp_path, capsys):
     out = str(tmp_path / "no_such_dir" / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence",
-                       N_list=[1], b_list=[2.0], cutoff=40, out=out)
-    assert main(["run", cfg]) == 4
+                       N_list=[1], b_list=[2.0], cutoff=40)
+    assert main(["run", cfg, "--out", out]) == 4
     assert "i/o error" in capsys.readouterr().err
 
 
@@ -776,8 +804,6 @@ def _well_typed(name):
         return st.one_of(st.floats(0.0, 3.0), st.sampled_from([1.0, 2.0]))
     if name == "input_kind":
         return st.sampled_from(["vacuum", "even_coherent"])
-    if name == "format":
-        return st.sampled_from(["csv", "json"])
     return st.floats(0.0, 3.0)
 
 
@@ -803,9 +829,8 @@ def _field(name):
         lambda k: _ill_formed(name) if k == 7 else _well_typed(name))
 
 
-# workers is left out so that no process pool starts, out is set by --out, and
-# the cutoff is always present
-_UNFUZZED = ("workers", "out", "cutoff")
+# the cutoff is always present, so it is drawn apart from the other fields
+_UNFUZZED = ("cutoff",)
 _FUZZED_FIELDS = sorted(f for f in ExperimentConfig.__dataclass_fields__ if f not in _UNFUZZED)
 
 
@@ -829,7 +854,9 @@ def _config_docs(draw):
     if draw(st.integers(0, 9)) == 9:
         del doc["experiment"]  # a missing required field
     if draw(st.integers(0, 9)) == 9:
-        doc[draw(st.sampled_from(["seed", "n_list", "b"]))] = draw(_NASTY)  # unknown
+        # unknown, the run settings that are flags among them
+        doc[draw(st.sampled_from(["seed", "n_list", "b", "out", "format", "workers"]))] = \
+            draw(_NASTY)
     return doc
 
 

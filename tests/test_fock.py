@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from cvpqc.channel import key_rows, maximally_mixed, mixture_gamma, squeezed_mixture
 from cvpqc.fock import (
@@ -26,6 +26,7 @@ from cvpqc.fock import (
     squeezed_coherent_closed_form,
     squeezed_coherent_state,
     von_neumann_entropy,
+    wrap_angle,
 )
 from cvpqc.attack import attack
 from cvpqc.experiments import heuristic_cutoff
@@ -45,7 +46,7 @@ from oracles import (
     partial_trace_dense,
     projector,
     squeeze_expm,
-    squeezed_coherent_amplitudes,
+    squeezed_coherent_hermite,
     squeezed_conformation,
     squeezed_vacuum_amplitudes,
     tap_output,
@@ -206,7 +207,7 @@ def test_squeezed_coherent_state_raises_or_matches_closed_form(r, phi, alpha_mag
     # order in that amplitude, so the comparison is in the norm the contract bounds.
     xi, tol = SqueezeParam(r, phi), 1e-8
     alpha = alpha_mag * complex(math.cos(alpha_arg), math.sin(alpha_arg))
-    closed = squeezed_coherent_amplitudes(xi, alpha, 4000)
+    closed = squeezed_coherent_closed_form(xi, alpha, FockCutoff(4000))
     probs = np.abs(closed) ** 2
     assert abs(1.0 - probs.sum()) < 1e-10  # the closed form has converged
     cut = FockCutoff(n_max)
@@ -244,6 +245,36 @@ def test_squeezed_coherent_matches_closed_form():
 def test_closed_form_reduces_to_coherent_at_zero_squeezing():
     cf = squeezed_coherent_closed_form(SqueezeParam(0.0), 0.8 + 0.2j, C40)
     assert np.max(np.abs(cf - coherent_amplitudes(0.8 + 0.2j, C40))) < 1e-14
+
+
+@pytest.mark.parametrize("alpha, r, phi", [
+    (1 + 0.5j, 0.3, 1.0), (2.0, 0.6, math.pi / 2), (0.5j, 0.1, 0.0), (0.0, 0.4, 0.3),
+    (-3.0 + 4.0j, 1.0, 5.0), (10.0, 0.5, 1.0)])
+def test_closed_form_matches_the_hermite_form(alpha, r, phi):
+    xi = SqueezeParam(r, phi)
+    got = squeezed_coherent_closed_form(xi, alpha, C60)
+    assert np.max(np.abs(got - squeezed_coherent_hermite(xi, alpha, C60))) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha, r, phi", [
+    (3.0 - 1.0j, 1e-9, 2.0),  # the Hermite form gave 136 non-finite levels at cutoff 195
+    (0.001, 0.2, 0.0), (10.0, 0.5, 1.0), (5.0j, 1.0, 4.0), (-2.0, 0.0, 0.0)])
+def test_closed_form_stays_finite_at_large_cutoffs(alpha, r, phi):
+    amps = squeezed_coherent_closed_form(SqueezeParam(r, phi), alpha, FockCutoff(600))
+    assert np.all(np.isfinite(amps))
+    assert abs(1.0 - np.sum(np.abs(amps) ** 2)) <= 1e-12
+
+
+# -1e-20 + 2 pi rounds to 2 pi itself, and fmod keeps the sign of -0.0 and -2 pi
+@example(x=-1e-20)
+@example(x=-1e-17)
+@example(x=-0.0)
+@example(x=-2.0 * math.pi)
+@given(x=strategies.floats(allow_nan=False, allow_infinity=False))
+def test_wrap_angle_lands_in_the_half_open_circle(x):
+    y = wrap_angle(x)
+    assert 0.0 <= y < 2.0 * math.pi
+    assert math.copysign(1.0, y) == 1.0  # never -0.0
 
 
 def test_operator_ordering_displacement_after_squeeze():
