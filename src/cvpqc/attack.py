@@ -27,8 +27,7 @@ from .fock import (
 _SQRT2 = np.sqrt(2.0)
 
 
-def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
-           tail_tol: float = DEFAULT_TAIL_TOL):
+def attack(alpha, xi: SqueezeParam, cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
     """Send S(xi) D(alpha)|0> through the 50:50 tap, the vacuum in the other port.
 
     Returns (bob_purity, eve_purity, ent_proxy, fidelity): the purities of the
@@ -37,12 +36,24 @@ def attack(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
     the arms because the output is pure, and the fidelity of the receiver's
     state with the undisturbed local target, the input with its amplitude cut
     by sqrt 2 and its squeezing in half.
+
+    ``alpha`` is one amplitude, or a 1-D array of them for a list of those
+    tuples, each the same as its own call.  The squeezers S(xi) and S(xi/2) are
+    built once for the stacks of inputs and targets, and one two-mode state
+    is held at a time.
     """
+    scalar = np.ndim(alpha) == 0
+    alphas = [alpha] if scalar else list(alpha)
+    inputs = squeezed_coherent_state(xi, alphas, cutoff, tail_tol)
+    targets = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi),
+                                      [a / _SQRT2 for a in alphas], cutoff, tail_tol)
+    tap = beam_splitter(np.pi / 4, cutoff)
     psi = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    psi[:, 0] = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
-    out = beam_splitter(np.pi / 4, cutoff).apply(psi, tail_tol)
-    rho_b = out @ out.conj().T
-    expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / _SQRT2,
-                                       cutoff, tail_tol)
-    return (purity(rho_b), purity(out.T @ out.conj()), von_neumann_entropy(rho_b),
-            fidelity(expected, rho_b))
+    rows = []
+    for signal, expected in zip(inputs, targets):
+        psi[:, 0] = signal
+        out = tap.apply(psi, tail_tol)
+        rho_b = out @ out.conj().T
+        rows.append((purity(rho_b), purity(out.T @ out.conj()), von_neumann_entropy(rho_b),
+                     fidelity(expected, rho_b)))
+    return rows[0] if scalar else rows

@@ -62,7 +62,7 @@ def _write_csv(path: str, columns, rows) -> None:
 def _write_sidecar(path: str, cfg, workers: int, columns, row_count: int,
                    wall: float) -> None:
     doc = {
-        "config": cfg.to_dict(),
+        "config": cfg.echo(),  # a config that runs again to the same rows
         "workers": workers,
         "library_version": __version__,
         "columns": list(columns),

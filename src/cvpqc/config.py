@@ -51,6 +51,12 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def echo(self) -> dict:
+        """The fields the experiment accepts: ``config_from_dict`` takes the
+        result back, and the run it describes gives the same rows."""
+        keep = _accepted_fields(REGISTRY[self.experiment])
+        return {k: v for k, v in self.to_dict().items() if k in keep}
+
 
 _INT_FIELDS = {"cutoff"}
 _INT_LIST_FIELDS = {"N_list", "p_list"}
@@ -58,6 +64,11 @@ _FLOAT_FIELDS = {"eff_re", "eff_im", "input_beta_mag", "input_varphi", "tail_tol
 _STR_FIELDS = {"experiment", "input_kind"}
 # fields every experiment accepts; the rest are grids or an experiment's ``reads``
 RUN_FIELDS = {"experiment", "cutoff", "tail_tol"}
+
+
+def _accepted_fields(exp) -> set:
+    """The config fields experiment ``exp`` accepts."""
+    return RUN_FIELDS | set(exp.grids) | set(exp.reads)
 
 
 def _want_int(name, v):
@@ -111,7 +122,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"unhandled config field {name!r}")  # unreachable
     exp = REGISTRY.get(kwargs["experiment"])  # validate reports an unknown experiment
     if exp is not None:
-        unread = sorted(set(doc) - RUN_FIELDS - set(exp.grids) - set(exp.reads))
+        unread = sorted(set(doc) - _accepted_fields(exp))
         if unread:
             raise ConfigError(f"experiment {kwargs['experiment']!r} does not read "
                               f"field(s): {', '.join(unread)}")
@@ -240,12 +251,19 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         return rep
     # Upper bound on a task's peak, in complex entries, from tracemalloc: at most
     # 6 d x d matrices are live at once (measured 1.0 d^2 for nongauss_*, 2.0 for
-    # mmstate, 4 beside the key stack, 5.7 for displacement_bs and 5.55 beside the
-    # splitter blocks for attack).  Exact integers, so no cutoff overflows it.
+    # mmstate, 4 beside the key stack, 5.7 for displacement_bs and 5.6 beside the
+    # splitter blocks for attack at cutoff 100).  Exact integers, so no cutoff
+    # overflows it.
     peak = 6 * d * d
     if exp.holds == "two_mode":
         blocks = d * (d + 1) * (2 * d + 1) // 6  # sectors s = 0..n_max, (s + 1)^2 each
-        peak += blocks
+        # an attack task stacks its input and its target row for every alpha, and
+        # builds the target stack beside the input stack: coherent_amplitudes'
+        # 4.4 stacks of temporaries (as for the key rows) beside one stack, 2.7
+        # times the two (tracemalloc measured at most 2.5 above the rest, at
+        # cutoff 20 and 64 alphas, and 1.0 from cutoff 60 on)
+        stacks = 2 * len(cfg.alpha_list) * d
+        peak += blocks + 27 * stacks // 10
     elif exp.holds == "key_stack":
         N = max(cfg.N_list)
         stack = key_count(N) * d
@@ -262,7 +280,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         rep.info.append(
             f"two-mode basis dimension {d * d} ({d} per mode); the beam splitter "
             f"holds {blocks} complex block entries (~{_mb(blocks):.1f} MB), "
-            f"built once and reused across the grid")
+            f"built once and reused across the grid; a task's input and target "
+            f"stacks hold {stacks} complex entries, one row per alpha each")
     else:
         memory = (f"basis dimension {d}; density matrices hold {d * d} complex entries "
                   f"(~{_mb(d * d):.3f} MB)")

@@ -11,12 +11,16 @@ whether it is large enough.
 A task is one point of the grids' product, except that a task covers every
 value of the experiment's ``shared`` grids at once: a convergence task is
 one (b, N) pair, and it builds the target, the key rows and the plain
-mixture once for all of its squeezings; a displacement_bs config is one
-task, which builds its input and target once for all of its transmissions.
-Tasks and their rows hold only plain values so they cross process
-boundaries; tasks come in a fixed order, and ``execute`` puts every row back
-at its grid position, so output is deterministic for a given config
-regardless of worker count.
+mixture once for all of its squeezings; an attack task is one (r, phi)
+pair, and it builds the squeezers S(xi) and S(xi/2) once for all of its
+alphas; a displacement_bs config is one task, which builds its input and
+target once for all of its transmissions.  Tasks and their rows hold only
+plain values so they cross process boundaries; tasks come in a fixed order,
+the order of the grids other than the shared ones, and ``execute`` puts
+every row back at its grid position, so output is deterministic for a given
+config regardless of worker count.  A task that fails raises in that order,
+so a failing run names a point of the first failing task, which need not be
+the first failing point in row order.
 
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
 grid to its value under the grid's name without the ``_list`` suffix, and
@@ -48,12 +52,15 @@ class Experiment:
 
     ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
     later stage follow all rows of an earlier one.  One task covers every
-    value of the ``shared`` grids.  ``default_cutoff(cfg)`` is the cutoff a
-    config without one runs at.  ``reads`` names the config fields other
-    than the grids and the run fields that the compute functions read.
+    value of the ``shared`` grids (the squeezings of a convergence sweep, the
+    alphas of attack, the transmissions of displacement_bs).
+    ``default_cutoff(cfg)`` is the cutoff a config without one runs at.
+    ``reads`` names the config fields other than the grids and the run
+    fields that the compute functions read.
     ``holds`` says what the largest arrays of a task are: "matrices" (d x d),
     "key_stack" (also the M x d stack of key rows), "two_mode" (also the
-    beam splitter's blocks) or "rows" (closed forms, no Fock-space array).
+    beam splitter's blocks and the task's stacks of input and target rows, one
+    per alpha each) or "rows" (closed forms, no Fock-space array).
     """
 
     columns: tuple
@@ -140,11 +147,11 @@ def _compute_convergence(cfg, n_max, N, b, r_list=(0.0,), phi_list=(0.0,)):
 # --- beam-splitter tap -------------------------------------------------------
 
 
-def _compute_attack(cfg, n_max, alpha, r, phi):
-    alpha = complex(alpha)
+def _compute_attack(cfg, n_max, r, phi, alpha_list):
+    alphas = [complex(a) for a in alpha_list]
     kind = "coherent" if r == 0.0 else "squeezed_coherent"
-    return [[(kind, alpha.real, alpha.imag, r, phi, n_max,
-              *attack.attack(alpha, SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol))]]
+    results = attack.attack(alphas, SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol)
+    return [[(kind, a.real, a.imag, r, phi, n_max, *res)] for a, res in zip(alphas, results)]
 
 
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
@@ -222,7 +229,7 @@ REGISTRY = {
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
         ((("alpha_list", "r_list", "phi_list"), _compute_attack),),
-        lambda cfg: 60, holds="two_mode"),
+        lambda cfg: 60, shared=("alpha_list",), holds="two_mode"),
     "nongauss_overlap": Experiment(
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),

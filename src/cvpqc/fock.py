@@ -35,6 +35,7 @@ DEFAULT_TAIL_TOL = 1e-8
 ENTROPY_CLIP = 1e-14
 
 _TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 
 
 class TailMassError(ValueError):
@@ -213,14 +214,24 @@ def squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
     return s
 
 
-def squeezed_coherent_state(xi: SqueezeParam, alpha: complex, cutoff: FockCutoff,
+def squeezed_coherent_state(xi: SqueezeParam, alpha, cutoff: FockCutoff,
                             tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Normalized amplitudes of S(xi) D(alpha) |0> from the exact truncated matrix
     elements of both factors; alpha = 0 gives the squeezed vacuum.  The tail check
-    sees the mass that the coherent row and the squeezing both lose at the cutoff."""
-    raw = squeeze_operator(xi, cutoff) @ coherent_amplitudes(alpha, cutoff)
-    return _finish_state(raw, tail_tol,
-                         f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={alpha}")
+    sees the mass that the coherent row and the squeezing both lose at the cutoff.
+
+    ``alpha`` is one amplitude, or a 1-D array of them for one row per alpha,
+    each the same as its own call: S(xi) is built once, and the rows are checked
+    in order, so the first that fails names its alpha.
+    """
+    scalar = np.ndim(alpha) == 0
+    alphas = [alpha] if scalar else alpha
+    s = squeeze_operator(xi, cutoff)
+    rows = coherent_amplitudes(alphas, cutoff)
+    for k, a in enumerate(alphas):
+        rows[k] = _finish_state(s @ rows[k], tail_tol,
+                                f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={a}")
+    return rows[0] if scalar else rows
 
 
 def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
@@ -236,18 +247,27 @@ def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
         c_{m+1} = (alpha c_m - nu sqrt(m) c_{m-1}) / (cosh r sqrt(m+1)),
 
     which carries only numbers of modulus <= 1, so no level overflows where
-    H_m alone would.  It shares no code with ``squeeze_operator``, so the
-    tests and the benchmark's honesty screen read it as the untruncated state.
+    H_m alone would.  c_0 itself underflows for |alpha| near 40 and above,
+    where the levels near |alpha|^2 are still of order 1, so the recurrence
+    carries c_m = cur 2^e from a c_0 started in log space and moves whole
+    powers of two, exactly, from cur into e whenever |cur| passes 1; where
+    c_0 is normal, e stays 0.  It shares no code with ``squeeze_operator``, so
+    the tests and the benchmark's honesty screen read it as the untruncated
+    state.
     """
     ch = math.cosh(xi.r)
     nu = complex(math.cos(xi.phi), math.sin(xi.phi)) * math.sinh(xi.r)
     alpha = complex(alpha)
+    arg = -0.5 * (abs(alpha) ** 2 - nu.conjugate() * alpha ** 2 / ch)  # c_0 = e^arg / sqrt(cosh r)
+    e = min(0, math.floor(arg.real / _LN2))
+    cur, prev = np.exp(arg - e * _LN2) / math.sqrt(ch), 0j
     amps = np.empty(cutoff.dim, dtype=complex)
-    amps[0] = np.exp(-0.5 * (abs(alpha) ** 2 - nu.conjugate() * alpha ** 2 / ch)) / math.sqrt(ch)
-    prev = 0j
-    for m in range(cutoff.n_max):
-        prev, amps[m + 1] = amps[m], (alpha * amps[m] - nu * math.sqrt(m) * prev) \
-            / (ch * math.sqrt(m + 1))
+    for m in range(cutoff.dim):
+        amps[m] = complex(math.ldexp(cur.real, e), math.ldexp(cur.imag, e))
+        prev, cur = cur, (alpha * cur - nu * math.sqrt(m) * prev) / (ch * math.sqrt(m + 1))
+        if e < 0 and abs(cur) > 1.0:
+            k = min(-e, math.frexp(abs(cur))[1])
+            prev, cur, e = prev * 2.0 ** -k, cur * 2.0 ** -k, e + k
     return amps
 
 
@@ -267,8 +287,13 @@ class TwoModeUnitary:
 
     def __init__(self, blocks):
         self.blocks = blocks  # s -> (i-index array, block matrix), s = 0..n_max
-        n = np.arange(len(blocks))
-        self.beyond = n[:, None] + n[None, :] >= len(blocks)  # i + j > n_max
+        d = len(blocks)
+        n = np.arange(d)
+        self.beyond = n[:, None] + n[None, :] >= d  # i + j > n_max
+        # sector s of the flattened d x d matrix: i * d + (s - i), i = 0..s, a slice
+        # (of step 1 at d = 1, where it holds the one entry 0)
+        step = max(d - 1, 1)
+        self._sectors = [(slice(s, s * d + 1, step), blk) for s, (_, blk) in blocks.items()]
 
     def apply(self, psi: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
         """U psi for the d x d amplitude matrix psi[i, j] = <i, j|psi>; the mass
@@ -276,9 +301,10 @@ class TwoModeUnitary:
         lost = psi[self.beyond]
         check_tails(np.array([np.vdot(lost, lost).real]), tail_tol,
                     lambda k: f"two-mode state beyond i + j <= {len(self.blocks) - 1}")
-        out = np.zeros_like(psi)
-        for s, (idx, blk) in self.blocks.items():
-            out[idx, s - idx] = blk @ psi[idx, s - idx]
+        flat, out = psi.reshape(-1), np.zeros_like(psi)
+        out_flat = out.reshape(-1)
+        for at, blk in self._sectors:
+            out_flat[at] = blk @ flat[at]
         return out
 
 
@@ -288,20 +314,42 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
 
     Conserves total photon number, so it is built block by block over the
     sectors s = 0..n_max that the cutoff holds whole (Campos, Saleh & Teich,
-    Phys. Rev. A 40, 1371 (1989)).  In sector s the generator G is real,
-    antisymmetric and tridiagonal, with off-diagonal sqrt(i (s-i+1)); i G is
-    Hermitian, and from its eigenvectors V and eigenvalues w the block is
-    exp(theta G) = V e^{-i theta w} V+, real and orthogonal to rounding.  Its
-    d (d+1) (2d+1) / 6 block entries are cached for the last angle only, which
-    the tap reuses across its grid.  Treat the result as read-only.
+    Phys. Rev. A 40, 1371 (1989)).  Column i of block s is U|i, s-i>, and since
+    U a0+ U+ = A = c a0+ + sn a1+ and U a1+ U+ = B = -sn a0+ + c a1+
+    (c = cos theta, sn = sin theta) it follows exactly from block s - 1:
+
+        U|i, j> = [sqrt(i) A U|i-1, j> + sqrt(j) B U|i, j-1>] / (i + j),
+
+    four real elementwise updates per sector and no exponential of a truncated
+    generator (the Fock form of Risbo's recursion for the Wigner d-matrix).  Its
+    d (d+1) (2d+1) / 6 block entries, held in one array, are cached for the
+    last angle only, which the tap reuses across its grid.  Treat the result
+    as read-only.
     """
-    blocks = {}
-    for s in range(cutoff.dim):
-        idx = np.arange(s + 1)
-        off = np.sqrt(idx[1:] * (s - idx[1:] + 1.0))  # <i-1, j+1| a0 a1+ |i, j>
-        w, v = np.linalg.eigh(1j * (np.diag(off, 1) - np.diag(off, -1)))
-        blk = (v * np.exp(-1j * theta * w)) @ v.conj().T
-        blocks[s] = (idx, blk.real.astype(complex))
+    c, sn = math.cos(theta), math.sin(theta)
+    d = cutoff.dim
+    root = np.sqrt(np.arange(d))
+    # the blocks are views of one array: a block per allocation left the freed
+    # temporaries of each sector as holes between kept blocks, 1.2 MB of peak
+    # RSS at cutoff 100
+    store = np.empty(d * (d + 1) * (2 * d + 1) // 6, dtype=complex)
+    blocks, prev = {}, np.ones((1, 1))
+    for s in range(d):
+        at = s * (s + 1) * (2 * s + 1) // 6  # the entries of blocks 0..s-1
+        if s:
+            # a0+ and a1+ on the columns of block s - 1: row k - 1 -> k with
+            # factor sqrt(k), and row k -> k with sqrt(s - k)
+            up, stay = root[1:s + 1, None] * prev, root[s:0:-1, None] * prev
+            # sqrt(i) / s for columns i = 1..s, and sqrt(j) / s for j = s - i, i = 0..s-1
+            w, v = root[1:s + 1] / s, root[s:0:-1] / s
+            prev = np.zeros((s + 1, s + 1))
+            prev[1:, 1:] = (c * w) * up
+            prev[:-1, 1:] += (sn * w) * stay
+            prev[1:, :-1] -= (sn * v) * up
+            prev[:-1, :-1] += (c * v) * stay
+        blk = store[at:at + (s + 1) ** 2].reshape(s + 1, s + 1)
+        blk[...] = prev
+        blocks[s] = (np.arange(s + 1), blk)
     return TwoModeUnitary(blocks)
 
 

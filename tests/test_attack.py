@@ -76,13 +76,26 @@ def test_tap_output_stays_normalized():
 
 
 def test_report_carries_inputs():
-    # the attack row names the input kind and carries the input amplitude
+    # one task is one (r, phi) with every alpha: a row per alpha, in alpha_list order,
+    # naming the input kind and carrying the input amplitude
     cfg = config_from_dict({"experiment": "attack"})
-    ((row,),) = _compute_attack(cfg, 60, alpha=0.3, r=0.2, phi=0.4)
-    assert row[:6] == ("squeezed_coherent", 0.3, 0.0, 0.2, 0.4, 60)
-    assert row[6:] == attack(0.3, SqueezeParam(0.2, 0.4), C60)
-    ((row,),) = _compute_attack(cfg, 60, alpha=-1.5, r=0.0, phi=0.0)
+    (row_a,), (row_b,) = _compute_attack(cfg, 60, r=0.2, phi=0.4, alpha_list=[0.3, -1.5])
+    assert row_a[:6] == ("squeezed_coherent", 0.3, 0.0, 0.2, 0.4, 60)
+    assert row_a[6:] == attack(0.3, SqueezeParam(0.2, 0.4), C60)
+    assert row_b[:6] == ("squeezed_coherent", -1.5, 0.0, 0.2, 0.4, 60)
+    assert row_b[6:] == attack(-1.5, SqueezeParam(0.2, 0.4), C60)
+    ((row,),) = _compute_attack(cfg, 60, r=0.0, phi=0.0, alpha_list=[-1.5])
     assert row[:3] == ("coherent", -1.5, 0.0)
+
+
+@pytest.mark.parametrize("xi", [SqueezeParam(0.0), SqueezeParam(0.6, math.pi / 2)])
+def test_attack_over_an_alpha_array_is_the_scalar_calls(xi):
+    # S(xi) and S(xi/2) are built once for the whole array; every number is
+    # bit for bit the one its own call gives
+    alphas = np.array([0.0, 0.5, 1.0 - 0.7j, -2.0, 1.5j])
+    got = attack(alphas, xi, C60)
+    assert got == [attack(complex(a), xi, C60) for a in alphas]
+    assert got == [attack(a, xi, C60) for a in alphas.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from cvpqc import channel, fock, nongauss
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
-from cvpqc.experiments import REGISTRY, resolve_cutoff
+from cvpqc.experiments import REGISTRY, _plan, _run_task, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
 from oracles import projector, vacuum
 
@@ -114,6 +116,28 @@ def test_validate_counts_the_block_entries_of_the_gate(n_max):
     count = re.search(r"holds (\d+) complex block entries", "\n".join(rep.info))
     gate = fock.beam_splitter(math.pi / 4, FockCutoff(n_max))
     assert int(count.group(1)) == sum(blk.size for _, blk in gate.blocks.values())
+
+
+@pytest.mark.parametrize("n_alpha", [1, 4, 64])
+@pytest.mark.parametrize("n_max", [60, 100])
+def test_validate_bounds_the_peak_of_an_attack_task(monkeypatch, n_max, n_alpha):
+    # one task is one (r, phi) with the input and target stacks of every alpha; it
+    # builds the gate, as the first task of a process does
+    cfg = config_from_dict({"experiment": "attack", "cutoff": n_max, "r_list": [0.3],
+                            "phi_list": [0.5],
+                            "alpha_list": np.linspace(0.1, 1.0, n_alpha).tolist()})
+    (task,), _ = _plan(REGISTRY["attack"], cfg)
+    fock.beam_splitter.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(_run_task(task)) == n_alpha
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a task whose bound exceeds physical memory is a problem: the bound covers
+    # the measured peak if it exceeds a byte less
+    monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
+    assert any("MB of physical memory" in p for p in validate(cfg).problems)
 
 
 def test_readme_configs_validate():
@@ -334,8 +358,22 @@ def test_sidecar_records_the_workers_beside_the_sweep(tmp_path):
     with open(out + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
     assert meta["workers"] == 2
-    assert set(meta["config"]) == set(ExperimentConfig.__dataclass_fields__)
+    # the config echo holds the fields convergence accepts, and no run setting
+    assert set(meta["config"]) == {"experiment", "cutoff", "tail_tol", "b_list", "N_list"}
     assert not {"out", "format", "workers"} & set(meta["config"])
+
+
+@pytest.mark.parametrize("experiment", sorted(REGISTRY))
+def test_sidecar_config_echo_runs_again_to_the_same_rows(tmp_path, experiment):
+    # the echo holds the run fields, the experiment's grids and its reads, so it
+    # parses back, and its defaults are spelled out, so it reruns the same sweep
+    first = str(tmp_path / "first.csv")
+    assert main(["run", write_config(tmp_path, experiment=experiment), "--out", first]) == 0
+    with open(first + ".meta.json", encoding="utf-8") as f:
+        echo = json.load(f)["config"]
+    again = str(tmp_path / "again.csv")
+    assert main(["run", write_config(tmp_path, "echo.json", **echo), "--out", again]) == 0
+    assert Path(first).read_bytes() == Path(again).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +381,9 @@ def test_sidecar_records_the_workers_beside_the_sweep(tmp_path):
 
 
 def test_workers_do_not_change_output(tmp_path):
+    # an attack task is one (r, phi) with every alpha: four tasks over two processes
     cfg = write_config(tmp_path, experiment="attack", alpha_list=[0.5, 1.0],
-                       r_list=[0.0, 0.3], phi_list=[0.0], cutoff=25)
+                       r_list=[0.0, 0.3], phi_list=[0.0, 1.0], cutoff=25)
     out1 = str(tmp_path / "serial.csv")
     out2 = str(tmp_path / "parallel.csv")
     assert main(["run", cfg, "--out", out1, "--workers", "1"]) == 0
@@ -626,6 +665,21 @@ def test_tail_mass_violation_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tail-mass violation" in err
     assert "b=3.0" in err  # the offending grid point is named
+
+
+def test_failing_attack_config_names_the_first_failing_alpha_of_the_first_failing_task(
+        tmp_path, capsys):
+    # tasks run in (r, phi) order, each over every alpha: r = 0 fails at alpha = 4
+    # (a coherent row that loses 0.13 at cutoff 20) before r = 1.5 is reached,
+    # although alpha = 1, r = 1.5 comes first in the row order
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, experiment="attack", alpha_list=[1.0, 4.0],
+                       r_list=[0.0, 1.5], cutoff=20)
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "tail mass 1.318e-01" in err
+    assert "for squeezed coherent r=0.0, phi=0.0, alpha=(4+0j)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, what", [

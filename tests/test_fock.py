@@ -242,6 +242,19 @@ def test_squeezed_coherent_matches_closed_form():
     assert abs(np.vdot(cf, sc)) ** 2 >= 1 - 1e-8
 
 
+@pytest.mark.parametrize("alpha", [38.0, 40.0, 45.0, 30.0 - 30.0j])
+def test_closed_form_starts_below_the_smallest_double(alpha):
+    # c_0 = e^{-|alpha|^2 / 2} is subnormal at |alpha| = 38 and zero from about 38.6
+    # on, while the levels near |alpha|^2 are of order 0.1
+    cut = FockCutoff(int(abs(alpha) ** 2 + 10 * abs(alpha) + 100))
+    cf = squeezed_coherent_closed_form(SqueezeParam(0.0), alpha, cut)
+    assert np.max(np.abs(cf - coherent_amplitudes(alpha, cut))) <= 1e-12
+    wider = FockCutoff(int(abs(alpha) ** 2 * 1.25 + 12 * abs(alpha) + 200))
+    for phi in (0.0, 1.0):
+        squeezed = squeezed_coherent_closed_form(SqueezeParam(0.1, phi), alpha, wider)
+        assert abs(1.0 - np.sum(np.abs(squeezed) ** 2)) <= 1e-12
+
+
 def test_closed_form_reduces_to_coherent_at_zero_squeezing():
     cf = squeezed_coherent_closed_form(SqueezeParam(0.0), 0.8 + 0.2j, C40)
     assert np.max(np.abs(cf - coherent_amplitudes(0.8 + 0.2j, C40))) < 1e-14
@@ -339,7 +352,8 @@ def test_beam_splitter_dense_is_unitary():
 
 
 @pytest.mark.parametrize("n_max", [12, 40, 100])
-@pytest.mark.parametrize("theta", [math.pi / 4, 0.6, math.asin(math.sqrt(0.01))])
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.6, math.asin(math.sqrt(0.01)),
+                                   math.asin(math.sqrt(0.99))])
 def test_beam_splitter_blocks_match_expm_and_are_orthonormal(theta, n_max):
     # the sectors s <= n_max, which the cutoff holds whole, and no others
     cut = FockCutoff(n_max)
@@ -350,6 +364,16 @@ def test_beam_splitter_blocks_match_expm_and_are_orthonormal(theta, n_max):
         assert np.array_equal(idx, np.arange(s + 1))
         assert np.array_equal(idx, oracle[s][0])
         assert np.max(np.abs(blk - oracle[s][1])) <= 1e-11
+        assert np.max(np.abs(blk.conj().T @ blk - np.eye(len(idx)))) <= 1e-13
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.1, 1.2, math.asin(math.sqrt(0.99))])
+def test_beam_splitter_recurrence_stays_orthonormal_at_large_cutoffs(theta):
+    # the sector recurrence builds block s from block s - 1, so its rounding could
+    # pile up with s; at the large-mixture cutoff it does not
+    blocks = beam_splitter(theta, FockCutoff(195)).blocks
+    assert len(blocks) == 196
+    for idx, blk in blocks.values():
         assert np.max(np.abs(blk.conj().T @ blk - np.eye(len(idx)))) <= 1e-13
 
 
