@@ -165,22 +165,19 @@ def convergence_rows(N: int, b: float, xis, cutoff: FockCutoff,
     d_hs is the distance from the disk-uniform target to the key-averaged
     mixture, squeezed when xi.r > 0; triangle_bound >= d_hs is the distance
     from the target to the plain mixture plus the distance between the two
-    mixtures; entropy is that of the mixture d_hs measures.  The target, the
-    key rows, the plain mixture and its distance to the target are built once
-    and shared by every squeezing; each squeezed mixture is built once, and
-    the r = 0 entries share the plain mixture's entropy.
+    mixtures.  entropy is the plain mixture's: S(xi) is unitary, so it is every
+    squeezed mixture's too, free of the squeezed rows' truncation error.  Only
+    the squeezed mixtures are built per squeezing; the rest is built once.
     """
     mm = maximally_mixed(b, cutoff, tail_tol)
     rows = key_rows(N, b, cutoff)
     gam = mixture_gamma(N, b, rows, cutoff, tail_tol)
-    d_coh = hs_distance(mm, gam)
-    s_coh = von_neumann_entropy(gam) if any(xi.r == 0.0 for xi in xis) else None
+    d_coh, entropy = hs_distance(mm, gam), von_neumann_entropy(gam)
     out = []
     for xi in xis:
         if xi.r == 0.0:
-            out.append((d_coh, d_coh, s_coh))
+            out.append((d_coh, d_coh, entropy))
         else:
             gam_xi = squeezed_mixture(N, b, rows, xi, cutoff, tail_tol)
-            out.append((hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
-                        von_neumann_entropy(gam_xi)))
+            out.append((hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam), entropy))
     return out

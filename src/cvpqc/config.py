@@ -257,13 +257,14 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     peak = 6 * d * d
     if exp.holds == "two_mode":
         blocks = d * (d + 1) * (2 * d + 1) // 6  # sectors s = 0..n_max, (s + 1)^2 each
-        # an attack task stacks its input and its target row for every alpha, and
-        # builds the target stack beside the input stack: coherent_amplitudes'
-        # 4.4 stacks of temporaries (as for the key rows) beside one stack, 2.7
-        # times the two (tracemalloc measured at most 2.5 above the rest, at
-        # cutoff 20 and 64 alphas, and 1.0 from cutoff 60 on)
+        # an attack task builds its target stack beside its input stack, a row per
+        # alpha each, with coherent_amplitudes' 4.4 stacks of temporaries: 2.7 times
+        # the two (tracemalloc: at most 2.5 above the rest).  The Python objects the
+        # entry counts leave out add 24 entries a sector and an alpha, and 512 more
+        # (tracemalloc: 290 bytes a sector, at most 300 an alpha, and 7.9 KB at
+        # cutoff 1 in a fresh process), so the bound holds from cutoff 1 on
         stacks = 2 * len(cfg.alpha_list) * d
-        peak += blocks + 27 * stacks // 10
+        peak += blocks + 27 * stacks // 10 + 512 + 24 * (d + len(cfg.alpha_list))
     elif exp.holds == "key_stack":
         N = max(cfg.N_list)
         stack = key_count(N) * d

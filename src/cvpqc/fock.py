@@ -286,14 +286,14 @@ class TwoModeUnitary:
     """
 
     def __init__(self, blocks):
-        self.blocks = blocks  # s -> (i-index array, block matrix), s = 0..n_max
+        self.blocks = blocks  # blocks[s]: the gate on sector s, basis |i, s-i>, i = 0..s
         d = len(blocks)
         n = np.arange(d)
         self.beyond = n[:, None] + n[None, :] >= d  # i + j > n_max
         # sector s of the flattened d x d matrix: i * d + (s - i), i = 0..s, a slice
         # (of step 1 at d = 1, where it holds the one entry 0)
         step = max(d - 1, 1)
-        self._sectors = [(slice(s, s * d + 1, step), blk) for s, (_, blk) in blocks.items()]
+        self._sectors = [(slice(s, s * d + 1, step), blk) for s, blk in enumerate(blocks)]
 
     def apply(self, psi: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
         """U psi for the d x d amplitude matrix psi[i, j] = <i, j|psi>; the mass
@@ -333,7 +333,7 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
     # temporaries of each sector as holes between kept blocks, 1.2 MB of peak
     # RSS at cutoff 100
     store = np.empty(d * (d + 1) * (2 * d + 1) // 6, dtype=complex)
-    blocks, prev = {}, np.ones((1, 1))
+    blocks, prev = [], np.ones((1, 1))
     for s in range(d):
         at = s * (s + 1) * (2 * s + 1) // 6  # the entries of blocks 0..s-1
         if s:
@@ -349,7 +349,7 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
             prev[:-1, :-1] += (c * v) * stay
         blk = store[at:at + (s + 1) ** 2].reshape(s + 1, s + 1)
         blk[...] = prev
-        blocks[s] = (np.arange(s + 1), blk)
+        blocks.append(blk)
     return TwoModeUnitary(blocks)
 
 

@@ -179,22 +179,21 @@ def ring_analytic_matrix(p: int, radius: float, cutoff: FockCutoff) -> np.ndarra
     return np.where(onpat, np.exp(logmag), 0.0) * sign + 0j
 
 
-def two_mode_dense(u) -> np.ndarray:
-    """Full (dim^2 x dim^2) matrix of a block-stored two-mode unitary, keyed by
-    photon-number sum: the library's triangle or the box of ``BoxUnitary``.
-    Rows and columns outside the blocks are zero."""
-    d = 1 + max(int(idx[-1]) for idx, _ in u.blocks.values())
+def two_mode_dense(u: TwoModeUnitary) -> np.ndarray:
+    """Full (dim^2 x dim^2) matrix of the library's two-mode unitary on the
+    triangle i + j <= n_max; rows and columns outside it are zero."""
+    d = len(u.blocks)
     out = np.zeros((d * d, d * d), dtype=complex)
-    for label, (idx, blk) in u.blocks.items():
-        rows = idx * d + (label - idx)
+    for s, blk in enumerate(u.blocks):
+        idx = np.arange(s + 1)
+        rows = idx * d + (s - idx)
         out[np.ix_(rows, rows)] = blk
     return out
 
 
 def two_mode_inverse(u: TwoModeUnitary) -> TwoModeUnitary:
     """The adjoint, block by block."""
-    inv = {label: (idx, blk.conj().T) for label, (idx, blk) in u.blocks.items()}
-    return TwoModeUnitary(inv)
+    return TwoModeUnitary([blk.conj().T for blk in u.blocks])
 
 
 def partial_trace_dense(psi: np.ndarray, mode: int) -> np.ndarray:
@@ -347,15 +346,17 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
                       tail_tol: float = DEFAULT_TAIL_TOL):
     """(d_hs, triangle_bound, entropy) of one convergence grid point, built from
     scratch: its own target, key rows and plain mixture, shared with no other
-    squeezing.  ``channel.convergence_rows`` must match it cell for cell."""
+    squeezing.  The entropy is the plain mixture's, which S(xi) leaves
+    unchanged (``test_squeezed_mixture_entropy_is_the_plain_mixtures`` checks
+    that identity).  ``channel.convergence_rows`` must match it cell for cell."""
     mm = maximally_mixed(b, cutoff, tail_tol)
     gam = mixture_gamma(N, b, key_rows(N, b, cutoff), cutoff, tail_tol)
     d_coh = hs_distance(mm, gam)
+    entropy = von_neumann_entropy(gam)
     if xi.r == 0.0:
-        return d_coh, d_coh, von_neumann_entropy(gam)
+        return d_coh, d_coh, entropy
     gam_xi = squeezed_mixture(N, b, key_rows(N, b, cutoff), xi, cutoff, tail_tol)
-    return (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
-            von_neumann_entropy(gam_xi))
+    return hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam), entropy
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from cvpqc.attack import attack
 from cvpqc.config import config_from_dict
 from cvpqc.experiments import _compute_attack
-from cvpqc.fock import FockCutoff, SqueezeParam, von_neumann_entropy
+from cvpqc.fock import FockCutoff, SqueezeParam, purity, von_neumann_entropy
 from oracles import partial_trace_dense, tap_output, verify_decomposition
 
 C60 = FockCutoff(60)
@@ -55,14 +55,28 @@ def test_both_arms_equally_mixed():
     # cutoff 30: the dense reduction holds 31^4 entries per mode (15 MB; 221 MB at 60)
     cut = FockCutoff(30)
     bob, eve, ent, _ = attack(0.8, SqueezeParam(0.5, 1.3), cut)
-    assert abs(bob - eve) < 1e-10
-    # global output stays pure, so the reported entropy is the exact
-    # entanglement entropy; recompute it from an independent reduction
+    # global output stays pure, so the reported purity and entropy are those
+    # of either arm; recompute them from independent reductions
     out = tap_output(0.8, SqueezeParam(0.5, 1.3), cut)
     rho_b = partial_trace_dense(out, 0)
     rho_e = partial_trace_dense(out, 1)
+    assert abs(purity(rho_b) - bob) < 1e-10
+    assert abs(purity(rho_e) - eve) < 1e-10
     assert abs(von_neumann_entropy(rho_b) - ent) < 1e-8
     assert abs(von_neumann_entropy(rho_e) - ent) < 1e-8
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("phi", [0.0, math.pi / 2])
+def test_eve_purity_is_the_receivers_on_the_tap_grid(r, phi):
+    # the output is pure, so both arms share one Schmidt spectrum: attack prints
+    # the receiver's purity for both, and the eavesdropper's own reduction agrees
+    cut, xi = FockCutoff(100), SqueezeParam(r, phi)
+    for alpha in (0.5, 1.0, 2.0, 3.0):
+        out = tap_output(alpha, xi, cut)
+        bob, eve = purity(out @ out.conj().T), purity(out.T @ out.conj())
+        assert abs(eve - bob) <= 1e-14
+        assert attack(alpha, xi, cut)[:2] == (bob, bob)
 
 
 def test_tap_output_stays_normalized():

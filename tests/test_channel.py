@@ -483,6 +483,42 @@ def test_holevo_proxy_entropies_equal_by_unitary_invariance():
     assert abs(s_sq - s_coh) < 1e-8
 
 
+# S(xi) is unitary, so a squeezed mixture has the plain mixture's entropy, which
+# is what convergence_rows prints for every squeezing.  The identity holds to
+# rounding at the default and the benchmark cutoffs; at the smallest cutoff
+# that accepts the squeezed rows, truncation moves the squeezed entropy by at
+# most 1.01e-8 (N = 4, b = 2, r = 0.3, phi = 0), within twice tail_tol.
+_ENTROPY_GRID = list(itertools.product([2.0, 5.0], [4, 32], [0.1, 0.3, 0.5], [0.0, 1.0]))
+# the smallest cutoff whose tail check accepts the squeezed mixture, per grid point
+_SMALLEST_CUTOFF = dict(zip(_ENTROPY_GRID, [17, 19, 26, 31, 40, 48, 25, 25, 39, 39, 60, 60,
+                                            42, 49, 57, 74, 82, 111, 69, 69, 104, 105, 157, 158]))
+
+
+def _entropy_gap(N, b, xi, cut):
+    rows = key_rows(N, b, cut)
+    return abs(von_neumann_entropy(squeezed_mixture(N, b, rows, xi, cut))
+               - von_neumann_entropy(mixture_gamma(N, b, rows, cut)))
+
+
+@pytest.mark.parametrize("b, N, r, phi", _ENTROPY_GRID)
+def test_squeezed_mixture_entropy_is_the_plain_mixtures(b, N, r, phi):
+    cutoffs = [resolve_cutoff(config_from_dict(
+        {"experiment": "squeezed_convergence", "b_list": [b], "r_list": [r]}))]
+    if r <= 0.3:
+        cutoffs.append(59 if b == 2.0 else 195)  # the benchmark's squeezed_convergence cutoffs
+    for n_max in cutoffs:
+        assert _entropy_gap(N, b, SqueezeParam(r, phi), FockCutoff(n_max)) <= 1e-13
+
+
+@pytest.mark.parametrize("b, N, r, phi", _ENTROPY_GRID)
+def test_squeezed_mixture_entropy_at_the_smallest_accepted_cutoff(b, N, r, phi):
+    xi, n_max = SqueezeParam(r, phi), _SMALLEST_CUTOFF[b, N, r, phi]
+    below = FockCutoff(n_max - 1)
+    with pytest.raises(TailMassError):
+        squeezed_mixture(N, b, key_rows(N, b, below), xi, below)
+    assert _entropy_gap(N, b, xi, FockCutoff(n_max)) <= 2e-8
+
+
 def test_mixture_entropy_matches_direct_computation():
     xi = SqueezeParam(0.3, 1.1)
     rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, C60)
@@ -505,8 +541,8 @@ def test_squeezed_convergence_point_squeezes_once(monkeypatch):
 
 
 def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
-    # 3 (b, N) tasks of 6 squeezings each: 4 with r > 0, and 2 with r = 0 that
-    # share the plain mixture's entropy
+    # 3 (b, N) tasks of 6 squeezings each: 4 with r > 0, and every squeezing
+    # prints the plain mixture's entropy, computed once per task
     calls = {"squeezed_mixture": 0, "von_neumann_entropy": 0}
 
     def counting(name):
@@ -523,11 +559,11 @@ def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
            "phi_list": [0.0, 1.0], "N_list": [4, 1, 4], "cutoff": 30}
     _, rows = execute(config_from_dict(doc))
     assert len(rows) == 18
-    assert calls == {"squeezed_mixture": 12, "von_neumann_entropy": 15}
-    # with no r = 0 entry the plain mixture's entropy is not computed
+    assert calls == {"squeezed_mixture": 12, "von_neumann_entropy": 3}
+    # with no r = 0 entry it is still the one entropy of each task
     calls.update(dict.fromkeys(calls, 0))
     execute(config_from_dict(dict(doc, r_list=[0.3])))
-    assert calls == {"squeezed_mixture": 6, "von_neumann_entropy": 6}
+    assert calls == {"squeezed_mixture": 6, "von_neumann_entropy": 3}
 
 
 def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
