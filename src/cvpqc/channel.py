@@ -22,6 +22,7 @@ from .fock import (
     check_tails,
     coherent_amplitudes,
     hs_distance,
+    row_tails,
     squeeze_operator,
     von_neumann_entropy,
 )
@@ -91,21 +92,32 @@ def maximally_mixed(b: float, cutoff: FockCutoff,
     return mm
 
 
-_NO_SQUEEZE = SqueezeParam(0.0)
+# keys per block of squeezed rows: at cutoff 195 a block's product with S(xi)
+# holds 200 KB, where the whole stack's would hold 1.7 MB at N = 32
+_KEY_BLOCK = 64
 
 
-def _key_average(rows: np.ndarray, xi: SqueezeParam, cutoff: FockCutoff,
-                 tail_tol: float, what) -> np.ndarray:
-    """Mean of the projectors on the rows v_k of ``rows``, each squeezed by S(xi).
+def _key_average(rows: np.ndarray, squeezer: np.ndarray, tail_tol: float,
+                 what) -> np.ndarray:
+    """Mean of the projectors on the rows v_k of ``rows``, each squeezed by the
+    matrix ``squeezer``, summed over blocks of keys.
 
     The squeezer holds the exact truncated matrix elements, so a squeezed row
     keeps only the mass inside the cutoff; ``what(k)`` names row k in the
     TailMassError raised when any row has lost more than ``tail_tol``.
     """
-    if xi.r != 0:
-        rows = rows @ squeeze_operator(xi, cutoff).T
-    check_row_tails(rows, tail_tol, what)
-    return rows.T @ rows.conj() / rows.shape[0]
+    tails, gram = np.empty(rows.shape[0]), None
+    for k in range(0, rows.shape[0], _KEY_BLOCK):
+        block = rows[k:k + _KEY_BLOCK] @ squeezer.T
+        tails[k:k + _KEY_BLOCK] = row_tails(block)
+        part = block.T @ block.conj()
+        if gram is None:  # no d x d pass over zeros: it would double a small mixture's time
+            gram = part
+        else:
+            gram += part
+    check_tails(tails, tail_tol, what)
+    gram /= rows.shape[0]
+    return gram
 
 
 def _worst_key(N: int, what: str):
@@ -123,19 +135,25 @@ def key_rows(N: int, b: float, cutoff: FockCutoff) -> np.ndarray:
 
 def mixture_gamma(N: int, b: float, rows: np.ndarray, cutoff: FockCutoff,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Flat average over all M displaced vacua of the key space.
+    """Flat average over all M displaced vacua of the key space, a real array.
 
     ``rows`` is ``key_rows(N, b, cutoff)``, which the squeezed mixtures of
-    the same (b, N) share.
+    the same (b, N) share.  Ring p's angles pi (2q - 1) / p are closed under
+    conjugation, so the mixture is real: it is the Gram matrix x^T x / M of
+    the real stack x = [Re rows; Im rows], which numpy forms as a symmetric
+    rank-k update.
     """
-    return _key_average(rows, _NO_SQUEEZE, cutoff, tail_tol,
-                        _worst_key(N, f"mixture N={N}, b={b}"))
+    check_row_tails(rows, tail_tol, _worst_key(N, f"mixture N={N}, b={b}"))
+    x = np.concatenate((rows.real, rows.imag))
+    return x.T @ x / rows.shape[0]
 
 
 def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
-                     cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Flat average over all M squeezed displaced vacua; ``rows`` as for mixture_gamma."""
-    return _key_average(rows, xi, cutoff, tail_tol,
+                     squeezer: np.ndarray, cutoff: FockCutoff,
+                     tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+    """Flat average over all M squeezed displaced vacua; ``rows`` as for
+    mixture_gamma, and ``squeezer`` is ``squeeze_operator(xi, cutoff)``."""
+    return _key_average(rows, squeezer, tail_tol,
                         _worst_key(N, f"squeezed mixture N={N}, b={b}, r={xi.r}"))
 
 
@@ -158,26 +176,34 @@ def vacuum_weight(xi: SqueezeParam, alpha: complex) -> float:
 # convergence experiments
 
 
-def convergence_rows(N: int, b: float, xis, cutoff: FockCutoff,
-                     tail_tol: float = DEFAULT_TAIL_TOL) -> list:
-    """(d_hs, triangle_bound, entropy) at one (b, N), one triple per squeezing in ``xis``.
+def convergence_rows(N_list, b: float, xis, cutoff: FockCutoff,
+                     tail_tol: float = DEFAULT_TAIL_TOL) -> dict:
+    """{(N, xi): (d_hs, triangle_bound, entropy)} at radius b for every N in
+    ``N_list`` and every squeezing xi in ``xis``.
 
     d_hs is the distance from the disk-uniform target to the key-averaged
     mixture, squeezed when xi.r > 0; triangle_bound >= d_hs is the distance
     from the target to the plain mixture plus the distance between the two
     mixtures.  entropy is the plain mixture's: S(xi) is unitary, so it is every
-    squeezed mixture's too, free of the squeezed rows' truncation error.  Only
-    the squeezed mixtures are built per squeezing; the rest is built once.
+    squeezed mixture's too, free of the squeezed rows' truncation error.
+
+    The target is built once, each distinct S(xi) once, and the key rows, the
+    plain mixture and its entropy once per distinct N.  N is the outer loop,
+    so the task never holds the key rows of every N at once.
     """
+    xis = list(dict.fromkeys(xis))
     mm = maximally_mixed(b, cutoff, tail_tol)
-    rows = key_rows(N, b, cutoff)
-    gam = mixture_gamma(N, b, rows, cutoff, tail_tol)
-    d_coh, entropy = hs_distance(mm, gam), von_neumann_entropy(gam)
-    out = []
-    for xi in xis:
-        if xi.r == 0.0:
-            out.append((d_coh, d_coh, entropy))
-        else:
-            gam_xi = squeezed_mixture(N, b, rows, xi, cutoff, tail_tol)
-            out.append((hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam), entropy))
+    squeezers = {xi: squeeze_operator(xi, cutoff) for xi in xis if xi.r != 0.0}
+    out = {}
+    for N in dict.fromkeys(N_list):
+        rows = key_rows(N, b, cutoff)
+        gam = mixture_gamma(N, b, rows, cutoff, tail_tol)
+        d_coh, entropy = hs_distance(mm, gam), von_neumann_entropy(gam)
+        for xi in xis:
+            if xi.r == 0.0:
+                out[N, xi] = (d_coh, d_coh, entropy)
+            else:
+                gam_xi = squeezed_mixture(N, b, rows, xi, squeezers[xi], cutoff, tail_tol)
+                out[N, xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
+                              entropy)
     return out

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .channel import key_count
 from .experiments import REGISTRY
+from .fock import SqueezeParam
 
 
 class ConfigError(ValueError):
@@ -258,8 +259,8 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if exp.holds == "two_mode":
         blocks = d * (d + 1) * (2 * d + 1) // 6  # sectors s = 0..n_max, (s + 1)^2 each
         # an attack task builds its target stack beside its input stack, a row per
-        # alpha each, with coherent_amplitudes' 4.4 stacks of temporaries: 2.7 times
-        # the two (tracemalloc: at most 2.5 above the rest).  The Python objects the
+        # alpha each, with coherent_amplitudes' temporaries: 2.7 times the two
+        # (tracemalloc: at most 0.4 above the rest).  The Python objects the
         # entry counts leave out add 24 entries a sector and an alpha, and 512 more
         # (tracemalloc: 290 bytes a sector, at most 300 an alpha, and 7.9 KB at
         # cutoff 1 in a fresh process), so the bound holds from cutoff 1 on
@@ -268,10 +269,16 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     elif exp.holds == "key_stack":
         N = max(cfg.N_list)
         stack = key_count(N) * d
-        # coherent_amplitudes holds log-magnitude, phase and product temporaries
-        # beside the stack it builds: tracemalloc peaks at 4.4 stacks (7.27 MB
-        # against 1.66 MB at N = 32, cutoff 195), and at 4.1 for larger N
-        peak += 44 * stack // 10
+        # a task is one b: it holds the squeezer of each distinct squeezing with
+        # r > 0 for all of its N
+        squeezers = len({SqueezeParam(r, phi) for r in cfg.r_list if r > 0
+                         for phi in cfg.phi_list}) if "r_list" in exp.grids else 0
+        # mixture_gamma holds the real stack [Re; Im] beside the rows, two stacks
+        # (tracemalloc: 2.19 stacks with the mixture at N = 32, cutoff 195, where
+        # building the rows peaks at 1.6).  The per-key Python objects of the
+        # build add 16 entries a key, and 1024 more cover a fresh process at
+        # cutoff 1 (tracemalloc: 10.3 KB), so the bound holds from cutoff 1 on
+        peak += 2 * stack + squeezers * d * d + 16 * key_count(N) + 1024
     if physical and 16 * peak > physical:
         bad(f"the largest task needs more than the {physical / 1e6:.0f} MB of physical "
             f"memory; lower the cutoff{' or N' if exp.holds == 'key_stack' else ''}")
@@ -288,7 +295,11 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
                   f"(~{_mb(d * d):.3f} MB)")
         if exp.holds == "key_stack":
             memory += (f"; the key-row stack at N = {N} holds {stack} complex entries, "
-                       f"and building it peaks at 4.4 times that (~{_mb(4.4 * stack):.3f} MB)")
+                       f"and the plain mixture holds twice that (~{_mb(2 * stack):.3f} MB)")
+            if squeezers:
+                memory += (f"; a task holds its {squeezers} squeezers S(xi) side by side, "
+                           f"{squeezers * d * d} complex entries "
+                           f"(~{_mb(squeezers * d * d):.3f} MB)")
         rep.info.append(memory)
     rep.info.append(f"the largest task peaks at about {_mb(peak):.1f} MB"
                     + (f" of {physical / 1e6:.0f} MB physical memory" if physical else ""))

@@ -10,17 +10,18 @@ whether it is large enough.
 
 A task is one point of the grids' product, except that a task covers every
 value of the experiment's ``shared`` grids at once: a convergence task is
-one (b, N) pair, and it builds the target, the key rows and the plain
-mixture once for all of its squeezings; an attack task is one (r, phi)
-pair, and it builds the squeezers S(xi) and S(xi/2) once for all of its
-alphas; a displacement_bs config is one task, which builds its input and
-target once for all of its transmissions.  Tasks and their rows hold only
-plain values so they cross process boundaries; tasks come in a fixed order,
-the order of the grids other than the shared ones, and ``execute`` puts
-every row back at its grid position, so output is deterministic for a given
-config regardless of worker count.  A task that fails raises in that order,
-so a failing run names a point of the first failing task, which need not be
-the first failing point in row order.
+one b, and it builds the target once, each distinct squeezer once, and the
+key rows and the plain mixture once per distinct N for all of its
+squeezings; an attack task is one (r, phi) pair, and it builds the
+squeezers S(xi) and S(xi/2) once for all of its alphas; a displacement_bs
+config is one task, which builds its input and target once for all of its
+transmissions.  Tasks and their rows hold only plain values so they cross
+process boundaries; tasks come in a fixed order, the order of the grids
+other than the shared ones, and ``execute`` puts every row back at its grid
+position, so output is deterministic for a given config regardless of
+worker count.  A task that fails raises in that order, so a failing run
+names a point of the first failing task, which need not be the first failing
+point in row order.
 
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
 grid to its value under the grid's name without the ``_list`` suffix, and
@@ -52,15 +53,16 @@ class Experiment:
 
     ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
     later stage follow all rows of an earlier one.  One task covers every
-    value of the ``shared`` grids (the squeezings of a convergence sweep, the
-    alphas of attack, the transmissions of displacement_bs).
+    value of the ``shared`` grids (the N and the squeezings of a convergence
+    sweep, the alphas of attack, the transmissions of displacement_bs).
     ``default_cutoff(cfg)`` is the cutoff a config without one runs at.
     ``reads`` names the config fields other than the grids and the run
     fields that the compute functions read.
     ``holds`` says what the largest arrays of a task are: "matrices" (d x d),
-    "key_stack" (also the M x d stack of key rows), "two_mode" (also the
-    beam splitter's blocks and the task's stacks of input and target rows, one
-    per alpha each) or "rows" (closed forms, no Fock-space array).
+    "key_stack" (also the M x d stack of key rows and the squeezers),
+    "two_mode" (also the beam splitter's blocks and the task's stacks of input
+    and target rows, one per alpha each) or "rows" (closed forms, no
+    Fock-space array).
     """
 
     columns: tuple
@@ -137,11 +139,15 @@ def _compute_conformation(cfg, n_max, N, b, r, phi):
 # --- convergence sweeps ------------------------------------------------------
 
 
-def _compute_convergence(cfg, n_max, N, b, r_list=(0.0,), phi_list=(0.0,)):
+def _compute_convergence(cfg, n_max, b, N_list, r_list=(0.0,), phi_list=(0.0,)):
     xis = [SqueezeParam(r, phi) for r in r_list for phi in phi_list]
-    triples = channel.convergence_rows(N, b, xis, FockCutoff(n_max), cfg.tail_tol)
-    return [[(N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)]
-            for xi, (d_hs, bound, entropy) in zip(xis, triples)]
+    at = channel.convergence_rows(N_list, b, xis, FockCutoff(n_max), cfg.tail_tol)
+    rows = []
+    for xi in xis:
+        for N in N_list:
+            d_hs, bound, entropy = at[N, xi]
+            rows.append([(N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)])
+    return rows
 
 
 # --- beam-splitter tap -------------------------------------------------------
@@ -220,11 +226,11 @@ REGISTRY = {
     "convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "N_list"), _compute_convergence),),
-        _disk_cutoff, holds="key_stack"),
+        _disk_cutoff, shared=("N_list",), holds="key_stack"),
     "squeezed_convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "r_list", "phi_list", "N_list"), _compute_convergence),),
-        _squeezed_disk_cutoff, shared=("r_list", "phi_list"), holds="key_stack"),
+        _squeezed_disk_cutoff, shared=("r_list", "phi_list", "N_list"), holds="key_stack"),
     "attack": Experiment(
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),

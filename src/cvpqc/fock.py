@@ -118,9 +118,14 @@ def _finish_state(raw: np.ndarray, tail_tol: float, what: str) -> np.ndarray:
     return raw / math.sqrt(nrm2)
 
 
+def row_tails(rows: np.ndarray) -> np.ndarray:
+    """The mass each row of truncated amplitudes has lost."""
+    return 1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real
+
+
 def check_row_tails(rows: np.ndarray, tail_tol: float, what) -> None:
     """check_tails on the mass each row of truncated amplitudes has lost."""
-    check_tails(1.0 - np.einsum("ij,ij->i", rows, rows.conj()).real, tail_tol, what)
+    check_tails(row_tails(rows), tail_tol, what)
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +140,26 @@ def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
     scalar = np.ndim(alpha) == 0
     alphas = [alpha] if scalar else alpha
     n = cutoff.levels()
-    rows = np.zeros((len(alphas), cutoff.dim), dtype=complex)
-    rows[:, 0] = 1.0  # alpha = 0 keeps this vacuum row exactly
-    nonzero = [k for k, a in enumerate(alphas) if a != 0]
-    if nonzero:
-        # per-alpha scalars in scalar arithmetic: np.log and np.angle over an array
-        # can differ in the last bit, and a row must not depend on its batch
-        log_abs, half_sq, angle = np.array(
-            [(math.log(abs(alphas[k])), abs(alphas[k]) * abs(alphas[k]) / 2.0,
-              np.angle(alphas[k])) for k in nonzero]).T[:, :, None]
-        # log-space magnitudes keep large |alpha| from overflowing the factorial ratio;
-        # beyond |alpha| ~ 1e154 the square is inf and the row is zero, a tail of 1
-        logmag = n * log_abs - 0.5 * log_factorial(n) - half_sq
-        rows[nonzero] = np.exp(logmag) * np.exp(1j * n * angle)
+    # per-alpha scalars in scalar arithmetic: np.log and np.angle over an array
+    # can differ in the last bit, and a row must not depend on its batch.  An
+    # alpha of 0 takes zeros here and gets the exact vacuum row below.
+    log_abs, half_sq, angle = np.array(
+        [(math.log(abs(a)), abs(a) * abs(a) / 2.0, np.angle(a)) if a != 0 else (0.0, 0.0, 0.0)
+         for a in alphas]).reshape(-1, 3).T[:, :, None]
+    # the phases e^{i n angle}, then the magnitudes multiplied in place: the
+    # rows and a half-stack of reals are all that is live
+    rows = np.multiply(1j * n, angle)
+    np.exp(rows, out=rows)
+    # log-space magnitudes keep large |alpha| from overflowing the factorial ratio;
+    # beyond |alpha| ~ 1e154 the square is inf and the row is zero, a tail of 1
+    mag = n * log_abs
+    mag -= 0.5 * log_factorial(n)
+    mag -= half_sq
+    np.exp(mag, out=mag)
+    np.multiply(mag, rows, out=rows)
+    vacuum = [k for k, a in enumerate(alphas) if a == 0]
+    rows[vacuum] = 0.0
+    rows[vacuum, 0] = 1.0
     return rows[0] if scalar else rows
 
 

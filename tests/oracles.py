@@ -26,7 +26,7 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from cvpqc.attack import _SQRT2
-from cvpqc.channel import (_NO_SQUEEZE, _key_average, _worst_key, key_count,
+from cvpqc.channel import (_key_average, _worst_key, key_count,
                            key_displacements, key_rows, key_to_ring, maximally_mixed,
                            mixture_gamma, ring, squeezed_mixture)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, FockCutoff,
@@ -316,7 +316,7 @@ def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
     """One key branch: squeeze(displace_key(|beta>)) as a projector."""
     p, q = key_to_ring(key_index, N)
     row = _displaced_coherent(key_displacements(N, b)[key_index], beta, cutoff)
-    return _key_average(row[None, :], xi, cutoff, tail_tol,
+    return _key_average(row[None, :], squeeze_operator(xi, cutoff), tail_tol,
                         lambda k: f"encrypt beta={beta}, key p={p}, q={q}, r={xi.r}")
 
 
@@ -333,7 +333,7 @@ def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,
                    cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Key-averaged encryption of |beta>."""
     rows = np.vstack([_displaced_coherent(a, beta, cutoff) for a in key_displacements(N, b)])
-    return _key_average(rows, xi, cutoff, tail_tol,
+    return _key_average(rows, squeeze_operator(xi, cutoff), tail_tol,
                         _worst_key(N, f"channel output beta={beta}, N={N}"))
 
 
@@ -355,7 +355,8 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
     entropy = von_neumann_entropy(gam)
     if xi.r == 0.0:
         return d_coh, d_coh, entropy
-    gam_xi = squeezed_mixture(N, b, key_rows(N, b, cutoff), xi, cutoff, tail_tol)
+    gam_xi = squeezed_mixture(N, b, key_rows(N, b, cutoff), xi,
+                              squeeze_operator(xi, cutoff), cutoff, tail_tol)
     return hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam), entropy
 
 
@@ -372,7 +373,7 @@ def conformation_ring(p: int, radius: float, cutoff: FockCutoff,
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     alphas = radius * np.exp(1j * (np.pi / p) * (2 * np.arange(1, p + 1) - 1))
-    return _key_average(coherent_amplitudes(alphas, cutoff), _NO_SQUEEZE, cutoff, tail_tol,
+    return _key_average(coherent_amplitudes(alphas, cutoff), np.eye(cutoff.dim), tail_tol,
                         lambda k: f"ring p={p}, radius={radius}, q={k + 1}")
 
 
@@ -385,8 +386,9 @@ def ring_displacements(N: int, b: float, p: int) -> np.ndarray:
 def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: FockCutoff,
                           tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Ring average of squeezed displaced vacua on ring p, built operationally."""
-    return _key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff), xi, cutoff,
-                        tail_tol, lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
+    return _key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff),
+                        squeeze_operator(xi, cutoff), tail_tol,
+                        lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
 
 
 def squeezed_projector_prefactor(xi: SqueezeParam, alpha: complex,

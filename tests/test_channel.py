@@ -241,7 +241,7 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
     s = squeeze_operator(xi, cut)
     rows = key_rows(N, b, cut)
     plain = mixture_gamma(N, b, rows, cut)
-    sq = squeezed_mixture(N, b, rows, xi, cut)
+    sq = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut), cut)
     assert np.max(np.abs(sq - s @ plain @ s.conj().T)) < 1e-10
 
 
@@ -262,7 +262,8 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
         worst = max(worst, probs[n_max + 1:].sum())
     try:
         cut = FockCutoff(n_max)
-        rho = squeezed_mixture(N, b, key_rows(N, b, cut), xi, cut, tol)
+        rho = squeezed_mixture(N, b, key_rows(N, b, cut), xi, squeeze_operator(xi, cut), cut,
+                               tol)
     except TailMassError:
         return
     assert worst <= 2.0 * tol
@@ -419,7 +420,8 @@ def test_squeezed_vacuum_distance_closed_form_against_numeric():
     r = 0.2
     # N=1: plain mixture is the vacuum, squeezed mixture is a squeezed vacuum
     rows = key_rows(1, 2.0, C60)
-    d_squeeze = hs_distance(squeezed_mixture(1, 2.0, rows, SqueezeParam(r), C60),
+    d_squeeze = hs_distance(squeezed_mixture(1, 2.0, rows, SqueezeParam(r),
+                                             squeeze_operator(SqueezeParam(r), C60), C60),
                             mixture_gamma(1, 2.0, rows, C60))
     assert abs(d_squeeze - squeezed_vacuum_distance_closed_form(r)) < 1e-8
 
@@ -445,7 +447,8 @@ def test_triangle_bound_holds():
         for xi in (SqueezeParam(0.2, 0.0), SqueezeParam(0.5, np.pi / 3)):
             d_hs, bound, _ = convergence_point(N, 2.0, xi, C60)
             assert d_hs <= bound + 1e-12
-            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, rows, xi, C60), gam)
+            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, rows, xi, squeeze_operator(xi, C60),
+                                                     C60), gam)
             assert abs(bound - (hs_distance(mm, gam) + d_squeeze)) < 1e-15
 
 
@@ -468,16 +471,52 @@ def test_convergence_sweep_row_contents():
 # Holevo quantity of its uniform-key ensemble.
 
 
+# Ring p's angles pi (2q - 1) / p are closed under conjugation, so the plain
+# mixture is real, and mixture_gamma returns it as a real array.
+_REAL_MIXTURE_GRID = list(itertools.product([2.0, 5.0], [1, 2, 3, 8, 32, 64]))
+
+
+def _complex_gram(N, b, cut):
+    rows = key_rows(N, b, cut)
+    return rows.T @ rows.conj() / rows.shape[0]
+
+
+def _cutoff_for(b):
+    return FockCutoff(heuristic_cutoff(b))
+
+
+@pytest.mark.parametrize("b, N", _REAL_MIXTURE_GRID)
+def test_mixture_gamma_is_the_real_part_of_the_complex_gram(b, N):
+    cut = _cutoff_for(b)
+    gam, gram = mixture_gamma(N, b, key_rows(N, b, cut), cut), _complex_gram(N, b, cut)
+    assert gam.dtype == np.float64
+    assert np.array_equal(gam, gam.T)
+    assert np.abs(gram.imag).max() <= 1e-15  # rounding only
+    assert np.abs(gam - gram.real).max() <= 1e-14  # summed in another order
+
+
+@pytest.mark.parametrize("b, N", _REAL_MIXTURE_GRID)
+def test_real_mixture_entropy_is_the_complex_grams(b, N):
+    cut = _cutoff_for(b)
+    w = np.linalg.eigvalsh(_complex_gram(N, b, cut))
+    w = w[w > 1e-14]
+    expect = float(-(w * np.log2(w)).sum())
+    gam = mixture_gamma(N, b, key_rows(N, b, cut), cut)
+    assert abs(von_neumann_entropy(gam) - expect) <= 1e-13
+
+
 def test_holevo_proxy_pure_for_single_point():
     xi = SqueezeParam(0.4, 0.2)
     rows = key_rows(1, 2.0, C60)
-    assert von_neumann_entropy(squeezed_mixture(1, 2.0, rows, xi, C60)) < 1e-10
+    assert von_neumann_entropy(squeezed_mixture(1, 2.0, rows, xi, squeeze_operator(xi, C60),
+                                                C60)) < 1e-10
     assert von_neumann_entropy(mixture_gamma(1, 2.0, rows, C60)) < 1e-10
 
 
 def test_holevo_proxy_entropies_equal_by_unitary_invariance():
     rows = key_rows(4, 2.0, C60)
-    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, rows, SqueezeParam(0.3, 1.1), C60))
+    xi = SqueezeParam(0.3, 1.1)
+    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, rows, xi, squeeze_operator(xi, C60), C60))
     s_coh = von_neumann_entropy(mixture_gamma(4, 2.0, rows, C60))
     assert s_coh > 1.0  # genuinely mixed family
     assert abs(s_sq - s_coh) < 1e-8
@@ -496,8 +535,8 @@ _SMALLEST_CUTOFF = dict(zip(_ENTROPY_GRID, [17, 19, 26, 31, 40, 48, 25, 25, 39, 
 
 def _entropy_gap(N, b, xi, cut):
     rows = key_rows(N, b, cut)
-    return abs(von_neumann_entropy(squeezed_mixture(N, b, rows, xi, cut))
-               - von_neumann_entropy(mixture_gamma(N, b, rows, cut)))
+    gam_xi = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut), cut)
+    return abs(von_neumann_entropy(gam_xi) - von_neumann_entropy(mixture_gamma(N, b, rows, cut)))
 
 
 @pytest.mark.parametrize("b, N, r, phi", _ENTROPY_GRID)
@@ -515,19 +554,20 @@ def test_squeezed_mixture_entropy_at_the_smallest_accepted_cutoff(b, N, r, phi):
     xi, n_max = SqueezeParam(r, phi), _SMALLEST_CUTOFF[b, N, r, phi]
     below = FockCutoff(n_max - 1)
     with pytest.raises(TailMassError):
-        squeezed_mixture(N, b, key_rows(N, b, below), xi, below)
+        squeezed_mixture(N, b, key_rows(N, b, below), xi, squeeze_operator(xi, below), below)
     assert _entropy_gap(N, b, xi, FockCutoff(n_max)) <= 2e-8
 
 
 def test_mixture_entropy_matches_direct_computation():
     xi = SqueezeParam(0.3, 1.1)
-    rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, C60)
+    rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, squeeze_operator(xi, C60), C60)
     entropy = convergence_point(3, 2.0, xi, C60)[2]
     assert abs(entropy - von_neumann_entropy(rho)) < 1e-12
 
 
 def test_squeezed_convergence_point_squeezes_once(monkeypatch):
-    # one squeeze per (b, N, xi) with r > 0; the plain mixture needs none
+    # one squeeze per distinct xi with r > 0, for every N of the task; the plain
+    # mixture needs none
     calls = []
 
     def counting(xi, cutoff):
@@ -536,39 +576,15 @@ def test_squeezed_convergence_point_squeezes_once(monkeypatch):
 
     monkeypatch.setattr("cvpqc.channel.squeeze_operator", counting)
     xis = [SqueezeParam(0.3, 1.1), SqueezeParam(0.0), SqueezeParam(0.2), SqueezeParam(0.3, 1.1)]
-    convergence_rows(4, 2.0, xis, C60)
-    assert calls == [xis[0], xis[2], xis[3]]
+    at = convergence_rows([4, 2], 2.0, xis, C60)
+    assert calls == [xis[0], xis[2]]
+    assert set(at) == set(itertools.product([4, 2], xis))
 
 
-def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
-    # 3 (b, N) tasks of 6 squeezings each: 4 with r > 0, and every squeezing
-    # prints the plain mixture's entropy, computed once per task
-    calls = {"squeezed_mixture": 0, "von_neumann_entropy": 0}
-
-    def counting(name):
-        fn = getattr(channel, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(channel, name, counting(name))
-    doc = {"experiment": "squeezed_convergence", "b_list": [1.0], "r_list": [0.3, 0.0, 0.3],
-           "phi_list": [0.0, 1.0], "N_list": [4, 1, 4], "cutoff": 30}
-    _, rows = execute(config_from_dict(doc))
-    assert len(rows) == 18
-    assert calls == {"squeezed_mixture": 12, "von_neumann_entropy": 3}
-    # with no r = 0 entry it is still the one entropy of each task
-    calls.update(dict.fromkeys(calls, 0))
-    execute(config_from_dict(dict(doc, r_list=[0.3])))
-    assert calls == {"squeezed_mixture": 6, "von_neumann_entropy": 3}
-
-
-def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
-    calls = {name: [] for name in ("maximally_mixed", "coherent_amplitudes",
-                                   "mixture_gamma", "squeezed_mixture")}
+def _count_channel_calls(monkeypatch, names):
+    """Replaces each channel function in ``names`` by one that records its
+    positional arguments in the returned {name: [args, ...]}."""
+    calls = {name: [] for name in names}
 
     def counting(name):
         fn = getattr(channel, name)
@@ -578,15 +594,50 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(channel, name, counting(name))
+    return calls
+
+
+def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
+    # one b task of 18 grid points: 3 N values, 2 of them distinct, and 6
+    # squeezings, 4 of them distinct and 2 of those with r > 0.  Every squeezing
+    # prints the plain mixture's entropy, computed once per distinct N; each
+    # distinct squeezer is built once, and each distinct squeezed mixture once
+    calls = _count_channel_calls(
+        monkeypatch, ("squeezed_mixture", "von_neumann_entropy", "squeeze_operator"))
+
+    def counts():
+        return {name: len(args) for name, args in calls.items()}
+
+    doc = {"experiment": "squeezed_convergence", "b_list": [1.0], "r_list": [0.3, 0.0, 0.3],
+           "phi_list": [0.0, 1.0], "N_list": [4, 1, 4], "cutoff": 30}
+    _, rows = execute(config_from_dict(doc))
+    assert len(rows) == 18
+    assert counts() == {"squeezed_mixture": 4, "von_neumann_entropy": 2, "squeeze_operator": 2}
+    # with no r = 0 entry it is still the one entropy of each distinct N
+    for args in calls.values():
+        args.clear()
+    _, rows = execute(config_from_dict(dict(doc, r_list=[0.3])))
+    assert len(rows) == 6
+    assert counts() == {"squeezed_mixture": 4, "von_neumann_entropy": 2, "squeeze_operator": 2}
+
+
+def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
+    # a task is one b: the target once per b, each squeezer once per b, and the
+    # key rows and the plain mixture once per (b, N)
+    calls = _count_channel_calls(monkeypatch, (
+        "maximally_mixed", "squeeze_operator", "coherent_amplitudes", "mixture_gamma",
+        "squeezed_mixture"))
     b_list, r_list, phi_list, N_list = [1.0, 1.5], [0.1, 0.2], [0.0, 1.0], [1, 2, 3]
     _, rows = execute(config_from_dict(
         {"experiment": "squeezed_convergence", "b_list": b_list, "r_list": r_list,
          "phi_list": phi_list, "N_list": N_list, "cutoff": 40}))
     assert len(rows) == 24
     pairs = sorted((b, N) for b in b_list for N in N_list)
-    assert sorted(args[0] for args in calls["maximally_mixed"]) == [b for b, _ in pairs]
+    assert sorted(args[0] for args in calls["maximally_mixed"]) == b_list
+    assert sorted((xi.r, xi.phi) for xi, _ in calls["squeeze_operator"]) == \
+        sorted(list(itertools.product(r_list, phi_list)) * len(b_list))
     assert len(calls["coherent_amplitudes"]) == len(pairs)
     assert sorted((b, N) for N, b, *_ in calls["mixture_gamma"]) == pairs
     assert sorted((b, N, xi.r, xi.phi) for N, b, _, xi, *_ in calls["squeezed_mixture"]) == \

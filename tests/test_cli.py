@@ -64,13 +64,25 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert "9801 complex entries" in out
     assert "two-mode" not in out
     # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N, and
-    # building them peaks at 4.4 times that: 7.27 MB under tracemalloc at N = 32, cutoff 195
+    # the plain mixture's real stack [Re; Im] beside them: 3.63 MB under tracemalloc
+    # with the mixture at N = 32, cutoff 195
     cfg = write_config(tmp_path, experiment="convergence", b_list=[5.0], cutoff=195)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
-    assert ("key-row stack at N = 32 holds 103488 complex entries, and building it peaks "
-            "at 4.4 times that (~7.286 MB)") in out
-    assert "the largest task peaks at about 11.0 MB" in out  # plus 6 d x d matrices
+    assert ("key-row stack at N = 32 holds 103488 complex entries, and the plain mixture "
+            "holds twice that (~3.312 MB)") in out
+    # plus 6 d x d matrices, and 16 entries a key and 1024 more for Python objects
+    assert "the largest task peaks at about 7.2 MB" in out
+    assert "squeezers" not in out
+    # a squeezed_convergence task is one b and holds the squeezer of each of its
+    # distinct squeezings with r > 0 side by side: here (0.1, 0), (0.1, 1), (0.3, 0), (0.3, 1)
+    cfg = write_config(tmp_path, experiment="squeezed_convergence", b_list=[5.0], cutoff=195,
+                       r_list=[0.0, 0.1, 0.3, 0.1], phi_list=[0.0, 1.0])
+    assert main(["validate", cfg]) == 0
+    out = capsys.readouterr().out
+    assert ("a task holds its 4 squeezers S(xi) side by side, 153664 complex entries "
+            "(~2.459 MB)") in out
+    assert "the largest task peaks at about 9.6 MB" in out
     # conformation's rows are closed forms
     cfg = write_config(tmp_path, experiment="conformation", cutoff=100000)
     assert main(["validate", cfg]) == 0
@@ -137,6 +149,33 @@ def test_validate_bounds_the_peak_of_an_attack_task(monkeypatch, n_max, n_alpha)
         tracemalloc.stop()
     # a task whose bound exceeds physical memory is a problem: the bound covers
     # the measured peak if it exceeds a byte less
+    monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
+    assert any("MB of physical memory" in p for p in validate(cfg).problems)
+
+
+@pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])
+@pytest.mark.parametrize("b, n_max, N_list", [
+    (0.5, 1, [1, 2]),
+    (1.0, 10, [1, 3]),
+    (2.0, 60, [1, 2, 4, 8]),
+    (5.0, 195, [2, 4, 8, 16, 32]),
+], ids=["cutoff1", "cutoff10", "paper", "large"])
+def test_validate_bounds_the_peak_of_a_convergence_task(monkeypatch, experiment, b, n_max,
+                                                        N_list):
+    # one task is one b, with the key rows of every N and, for squeezed_convergence,
+    # the squeezers of four squeezings; the loose tail_tol lets the small cutoffs run
+    doc = {"experiment": experiment, "b_list": [b], "cutoff": n_max, "N_list": N_list,
+           "tail_tol": 0.5}
+    if experiment == "squeezed_convergence":
+        doc.update(r_list=[0.1, 0.3], phi_list=[0.0, 1.0])
+    cfg = config_from_dict(doc)
+    (task,), _ = _plan(REGISTRY[experiment], cfg)
+    tracemalloc.start()
+    try:
+        assert len(_run_task(task)) == len(cfg.r_list) * len(cfg.phi_list) * len(N_list)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
     assert any("MB of physical memory" in p for p in validate(cfg).problems)
 
@@ -413,7 +452,7 @@ class _SerialPool:
 
 @pytest.mark.parametrize("workers, cpus, expected", [
     (5000, 2, 2),        # one process per CPU
-    (5000, 64, 4),       # one process per task: a (b, N) pair
+    (5000, 64, 4),       # one process per task: a convergence task is one b
     (3, 64, 3),
     (5000, None, None),  # unknown CPU count: serial
 ])
@@ -422,7 +461,7 @@ def test_pool_size_is_capped(monkeypatch, tmp_path, workers, cpus, expected):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     cfg = write_config(tmp_path, experiment="convergence", N_list=[1, 2, 3, 4],
-                       b_list=[2.0], cutoff=30)
+                       b_list=[1.0, 1.5, 2.0, 2.5], cutoff=30)
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
     assert main(["run", cfg, "--out", str(serial)]) == 0
     assert main(["run", cfg, "--out", str(pooled), "--workers", str(workers)]) == 0
@@ -934,13 +973,46 @@ def test_fuzzed_configs_end_in_an_exit_code(doc):
 # console entry point
 
 
-def test_console_script_runs():
-    # the child imports the same package the tests do, installed or not
+def _console(*args):
+    """`python -m cvpqc.cli ARGS` with stdout and stderr piped; the child imports
+    the same package the tests do, installed or not."""
     src = os.path.dirname(os.path.dirname(cvpqc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cvpqc.cli", "validate", "/nonexistent.json"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "cvpqc.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_console_script_runs():
+    proc = _console("validate", "/nonexistent.json")
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_console_run_exits_cleanly_through_pipes(tmp_path):
+    # the entry skips the interpreter's teardown: its line must still arrive
+    # through the pipe, and its rows must be those of an in-process main()
+    cfg = write_config(tmp_path, experiment="squeezed_convergence", N_list=[1, 2],
+                       r_list=[0.0, 0.3], cutoff=40)
+    child, here = tmp_path / "child.csv", tmp_path / "here.csv"
+    proc = _console("run", cfg, "--out", child)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"wrote 4 rows to {child} in ")
+    assert main(["run", cfg, "--out", str(here)]) == 0
+    assert child.read_bytes() == here.read_bytes()
+    assert Path(str(child) + ".meta.json").stat().st_size > 0
+
+
+def test_console_error_exits_keep_their_messages(tmp_path):
+    # exit 3: cutoff 12 holds too little of the disk-uniform state at b = 3
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[1], b_list=[3.0],
+                       cutoff=12)
+    proc = _console("run", cfg, "--out", tmp_path / "rows.csv")
+    assert proc.returncode == 3
+    assert "tail-mass violation" in proc.stderr and "b=3.0" in proc.stderr
+    # exit 4: the output directory does not exist
+    cfg = write_config(tmp_path, experiment="convergence", N_list=[1], b_list=[2.0],
+                       cutoff=40)
+    proc = _console("run", cfg, "--out", tmp_path / "no_such_dir" / "rows.csv")
+    assert proc.returncode == 4
+    assert "i/o error" in proc.stderr

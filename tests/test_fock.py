@@ -186,7 +186,8 @@ def test_squeezed_mixture_reports_the_mass_it_loses(r, tail):
     # b = 2 at the heuristic cutoff 59: the outer ring loses this much once squeezed
     cut = FockCutoff(59)
     with pytest.raises(TailMassError) as err:
-        squeezed_mixture(16, 2.0, key_rows(16, 2.0, cut), SqueezeParam(r), cut)
+        squeezed_mixture(16, 2.0, key_rows(16, 2.0, cut), SqueezeParam(r),
+                         squeeze_operator(SqueezeParam(r), cut), cut)
     assert err.value.tail == pytest.approx(tail, rel=0.01)
 
 
@@ -681,7 +682,8 @@ _DENSITY_OUTPUTS = {
     "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
     "mixture_gamma": lambda: mixture_gamma(4, 1.5, key_rows(4, 1.5, _C30), _C30),
     "squeezed_conformation": lambda: squeezed_conformation(4, 1.5, 3, _XI, _C30),
-    "squeezed_mixture": lambda: squeezed_mixture(4, 1.5, key_rows(4, 1.5, _C30), _XI, _C30),
+    "squeezed_mixture": lambda: squeezed_mixture(4, 1.5, key_rows(4, 1.5, _C30), _XI,
+                                                  squeeze_operator(_XI, _C30), _C30),
     "encrypt": lambda: encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30),
     "decrypt": lambda: decrypt(encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30), _XI, 7, 4, 1.5,
                                _C30),
