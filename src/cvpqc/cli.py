@@ -4,8 +4,9 @@
                                  execute a sweep, write CSV rows plus a sidecar
     cvpqc validate <config.json> dry-run check: grids, cutoffs, memory
 
-The config describes the sweep; the output path and the process count are
-flags only, and the rows do not depend on the process count.
+The config describes the sweep; the output path is a flag only.  A sweep
+runs in one process; ``--workers K`` is accepted and checked for scripts that
+pass it, and is otherwise ignored.
 
 Exit codes: 0 success, 2 unusable config (also a value so large that the
 default cutoff or the run overflows a float) or flags (no --out, or a
@@ -26,8 +27,8 @@ import time
 
 # The matrices here are at most a few hundred rows wide, where BLAS threads
 # cost more than they save.  numpy reads these variables when it loads its
-# OpenBLAS, so this runs before numpy is imported; pool workers inherit
-# os.environ.  A user who sets any of them keeps control.
+# OpenBLAS, so this runs before numpy is imported.  A user who sets any of
+# them keeps control.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_PINNED_BY_CLI = not any(os.environ.get(k) for k in BLAS_THREAD_VARS + ("GOTO_NUM_THREADS",))
 if BLAS_PINNED_BY_CLI:
@@ -59,11 +60,9 @@ def _write_csv(path: str, columns, rows) -> None:
             w.writerow([_cell(x) for x in row])
 
 
-def _write_sidecar(path: str, cfg, workers: int, columns, row_count: int,
-                   wall: float) -> None:
+def _write_sidecar(path: str, cfg, columns, row_count: int, wall: float) -> None:
     doc = {
         "config": cfg.echo(),  # a config that runs again to the same rows
-        "workers": workers,
         "library_version": __version__,
         "columns": list(columns),
         "row_count": row_count,
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", metavar="PATH",
                        help="output CSV path; the sidecar goes to PATH.meta.json")
     run_p.add_argument("--workers", type=_workers, default=1, metavar="K",
-                       help="evaluate the grid's tasks in up to K processes (default 1)")
+                       help="accepted and ignored: a sweep runs in one process")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config", help="path to a flat JSON config document")
@@ -128,7 +127,7 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        columns, rows = execute(cfg, workers=args.workers)
+        columns, rows = execute(cfg)
     except TailMassError as e:
         print(f"tail-mass violation: {e}", file=sys.stderr)
         return EXIT_TAIL
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
 
     try:
         _write_csv(args.out, columns, rows)
-        _write_sidecar(args.out, cfg, args.workers, columns, len(rows), wall)
+        _write_sidecar(args.out, cfg, columns, len(rows), wall)
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
@@ -150,9 +149,9 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     """The console script: ``main``, then an exit that skips the interpreter's
-    teardown.  The CSV and the sidecar are closed and any pool is shut down
-    when ``main`` returns; what is left, freeing numpy's objects one by one,
-    costs a run tens of milliseconds."""
+    teardown.  The CSV and the sidecar are closed when ``main`` returns; what
+    is left, freeing numpy's objects one by one, costs a run tens of
+    milliseconds."""
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

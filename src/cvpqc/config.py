@@ -1,15 +1,15 @@
 """Sweep configuration: a flat JSON document, strictly parsed.
 
 A config describes the sweep and nothing else, so it alone determines the
-rows; where they go and how many processes compute them are `cvpqc run`
-flags.  Unknown keys are rejected rather than ignored so that a typo in a
-grid name cannot silently run a default sweep; so is a field the experiment
-never reads, other than the fields in ``RUN_FIELDS``.  ``validate``
-never raises; it returns a report of problems, the cutoff and a memory
-estimate, and a task (for ``conformation``, the run's rows) whose estimate
-exceeds the machine's physical memory is a problem.  It does not judge
-whether a cutoff is large enough: the run's own tail checks do, and a cutoff
-that is too small makes the run exit 3 at the grid point it fails.
+rows; where they go is a `cvpqc run` flag.  Unknown keys are rejected rather
+than ignored so that a typo in a grid name cannot silently run a default
+sweep; so is a field the experiment never reads, other than the fields in
+``RUN_FIELDS``.  ``validate`` never raises; it returns a report of problems,
+the cutoff and a memory estimate, and a task (for ``conformation``, the
+run's rows) whose estimate exceeds the machine's physical memory is a
+problem.  It does not judge whether a cutoff is large enough: the run's own
+tail checks do, and a cutoff that is too small makes the run exit 3 at the
+grid point it fails.
 """
 from __future__ import annotations
 

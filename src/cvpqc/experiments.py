@@ -15,13 +15,11 @@ key rows and the plain mixture once per distinct N for all of its
 squeezings; an attack task is one (r, phi) pair, and it builds the
 squeezers S(xi) and S(xi/2) once for all of its alphas; a displacement_bs
 config is one task, which builds its input and target once for all of its
-transmissions.  Tasks and their rows hold only plain values so they cross
-process boundaries; tasks come in a fixed order, the order of the grids
-other than the shared ones, and ``execute`` puts every row back at its grid
-position, so output is deterministic for a given config regardless of
-worker count.  A task that fails raises in that order, so a failing run
-names a point of the first failing task, which need not be the first failing
-point in row order.
+transmissions.  ``execute`` runs the tasks one after another in one
+process, in the order in which the rows first need them: the order of the
+grids other than the shared ones; points whose values agree on those grids
+share one task.  A failing run names a point of the first failing task,
+which need not be the first failing point in row order.
 
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
 grid to its value under the grid's name without the ``_list`` suffix, and
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -257,54 +254,32 @@ REGISTRY = {
 }
 
 
-def _plan(exp: Experiment, cfg):
-    """(tasks, order): a task (compute, cfg, n_max, point) for every
-    point of the grids other than the shared ones, in loop order, and for every
-    full grid point in loop order the (task, chunk) that holds its rows."""
-    n_max = resolve_cutoff(cfg)
-    tasks, order = [], []
-    for grids, compute in exp.stages:
-        outer = [g for g in grids if g not in exp.shared]
-        inner = [g for g in grids if g in exp.shared]
-        task_of = {}
-        for i in _indices(cfg, outer):
-            task_of[i] = len(tasks)
-            point = {g[:-len("_list")]: getattr(cfg, g)[k] for g, k in zip(outer, i)}
-            point.update((g, getattr(cfg, g)) for g in inner)
-            tasks.append((compute, cfg, n_max, point))
-        chunk_of = {i: c for c, i in enumerate(_indices(cfg, inner))}
-        for i in _indices(cfg, grids):
-            at = dict(zip(grids, i))
-            order.append((task_of[tuple(at[g] for g in outer)],
-                          chunk_of[tuple(at[g] for g in inner)]))
-    return tasks, order
-
-
-def _indices(cfg, grids):
-    """Index tuples of the grids' product, in loop order."""
-    return itertools.product(*(range(len(getattr(cfg, g))) for g in grids))
-
-
-def _run_task(task) -> list:
-    compute, cfg, n_max, point = task
-    return compute(cfg, n_max, **point)
-
-
-def execute(cfg, workers: int = 1):
+def execute(cfg):
     """Expand the grid and evaluate it; returns (columns, rows) in grid order.
 
-    At most one worker process per task and per CPU is started: each runs
-    one BLAS thread under the CLI, so more processes than CPUs only contend.
+    Each stage walks its grids' index product in loop order.  A row's task is
+    computed the first time a row needs it and is looked up by the values of
+    the grids other than the shared ones, so a repeated value is computed
+    once; the sign of a zero is part of the value, so a -0.0 row still prints
+    -0.0.  The row's chunk is its position in the shared grids' product.
     """
     exp = REGISTRY[cfg.experiment]
-    tasks, order = _plan(exp, cfg)
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the pool machinery costs every validate and serial run
-        # tens of milliseconds of import time
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_task, tasks))
-    else:
-        chunks = [_run_task(t) for t in tasks]
-    return list(exp.columns), [row for t, c in order for row in chunks[t][c]]
+    n_max = resolve_cutoff(cfg)
+    rows = []
+    for grids, compute in exp.stages:
+        lists = [getattr(cfg, g) for g in grids]
+        shared = {g: v for g, v in zip(grids, lists) if g in exp.shared}
+        chunks = {}
+        for i in itertools.product(*(range(len(v)) for v in lists)):
+            point, key, chunk = {}, [], 0
+            for g, v, k in zip(grids, lists, i):
+                if g in shared:
+                    chunk = chunk * len(v) + k
+                else:
+                    point[g[:-len("_list")]] = v[k]
+                    key.append((v[k], math.copysign(1.0, v[k])))
+            key = tuple(key)
+            if key not in chunks:
+                chunks[key] = compute(cfg, n_max, **point, **shared)
+            rows += chunks[key][chunk]
+    return list(exp.columns), rows

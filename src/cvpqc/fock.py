@@ -49,10 +49,6 @@ class TailMassError(ValueError):
             f"truncation tail mass {tail:.3e} exceeds tolerance {tol:.3e} for {what}"
         )
 
-    def __reduce__(self):
-        # survives pickling through worker pools
-        return (TailMassError, (self.tail, self.tol, self.what))
-
 
 def wrap_angle(x: float) -> float:
     """Map an angle into [0, 2*pi); the zero angle comes back as +0.0."""

@@ -644,15 +644,24 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
         sorted(itertools.product(b_list, N_list, r_list, phi_list))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def test_repeated_b_builds_the_key_rows_once_per_distinct_b_and_N(monkeypatch):
+    # grid points with equal values share one task: the second b = 2 reuses the
+    # first one's rows
+    calls = _count_channel_calls(monkeypatch, ("key_rows",))
+    _, rows = execute(config_from_dict({"experiment": "convergence", "b_list": [2.0, 2.0],
+                                        "N_list": [8, 16], "cutoff": 59}))
+    assert sorted((N, b) for N, b, _ in calls["key_rows"]) == [(8, 2.0), (16, 2.0)]
+    assert len(rows) == 4 and rows[:2] == rows[2:]
+
+
 @pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])
-def test_convergence_rows_match_the_per_point_oracle(experiment, workers):
+def test_convergence_rows_match_the_per_point_oracle(experiment):
     # unsorted and repeated grid values: every row lands at its grid position
     doc = {"experiment": experiment, "b_list": [1.5, 1.0], "N_list": [4, 1, 4]}
     if experiment == "squeezed_convergence":
         doc.update(r_list=[0.3, 0.0, 0.3], phi_list=[1.0, 0.0])
     cfg = config_from_dict(doc)
-    _, rows = execute(cfg, workers=workers)
+    _, rows = execute(cfg)
     n_max = resolve_cutoff(cfg)
     squeezings = (itertools.product(cfg.r_list, cfg.phi_list)
                   if experiment == "squeezed_convergence" else [(0.0, 0.0)])

@@ -1,5 +1,4 @@
 """Command-line surface: validation reports, sweeps, flags, the sidecar, exit codes."""
-import concurrent.futures
 import csv
 import json
 import math
@@ -16,11 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cvpqc
-from cvpqc import channel, fock, nongauss
+from cvpqc import attack, channel, fock, nongauss
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
-from cvpqc.experiments import REGISTRY, _plan, _run_task, resolve_cutoff
+from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
 from oracles import projector, vacuum
 
@@ -134,16 +133,16 @@ def test_validate_counts_the_block_entries_of_the_gate(n_max):
 @pytest.mark.parametrize("n_max", [1, 10, 20, 30, 60, 100])
 def test_validate_bounds_the_peak_of_an_attack_task(monkeypatch, n_max, n_alpha):
     # one task is one (r, phi) with the input and target stacks of every alpha; it
-    # builds the gate, as the first task of a process does.  The loose tail_tol
+    # builds the gate, as the first task of a run does.  The loose tail_tol
     # lets it run at every cutoff; it changes no allocation.
     cfg = config_from_dict({"experiment": "attack", "cutoff": n_max, "r_list": [0.3],
                             "phi_list": [0.5], "tail_tol": 0.5,
                             "alpha_list": np.linspace(0.1, 1.0, n_alpha).tolist()})
-    (task,), _ = _plan(REGISTRY["attack"], cfg)
+    ((_, compute),) = REGISTRY["attack"].stages
     fock.beam_splitter.cache_clear()
     tracemalloc.start()
     try:
-        assert len(_run_task(task)) == n_alpha
+        assert len(compute(cfg, n_max, r=0.3, phi=0.5, alpha_list=cfg.alpha_list)) == n_alpha
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -169,10 +168,13 @@ def test_validate_bounds_the_peak_of_a_convergence_task(monkeypatch, experiment,
     if experiment == "squeezed_convergence":
         doc.update(r_list=[0.1, 0.3], phi_list=[0.0, 1.0])
     cfg = config_from_dict(doc)
-    (task,), _ = _plan(REGISTRY[experiment], cfg)
+    exp = REGISTRY[experiment]
+    ((_, compute),) = exp.stages
+    shared = {g: getattr(cfg, g) for g in exp.shared}
     tracemalloc.start()
     try:
-        assert len(_run_task(task)) == len(cfg.r_list) * len(cfg.phi_list) * len(N_list)
+        assert len(compute(cfg, n_max, b=b, **shared)) == \
+            len(cfg.r_list) * len(cfg.phi_list) * len(N_list)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -377,7 +379,6 @@ def test_sidecar_records_run(tmp_path):
         meta = json.load(f)
     assert meta["row_count"] == 2
     assert meta["config"]["experiment"] == "convergence"
-    assert meta["workers"] == 1
     assert meta["columns"][0] == "N"
     assert meta["wall_time_s"] >= 0
     assert "library_version" in meta
@@ -390,14 +391,14 @@ def test_sidecar_records_run(tmp_path):
         assert threads["OMP_NUM_THREADS"] == threads["MKL_NUM_THREADS"] == "1"
 
 
-def test_sidecar_records_the_workers_beside_the_sweep(tmp_path):
-    # one task runs serially whatever --workers asks for, so no pool starts here
+def test_sidecar_holds_no_run_setting(tmp_path):
+    # --workers is accepted and ignored: the sidecar has no workers entry
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="convergence", N_list=[1], cutoff=40)
     assert main(["run", cfg, "--out", out, "--workers", "2"]) == 0
     with open(out + ".meta.json", encoding="utf-8") as f:
         meta = json.load(f)
-    assert meta["workers"] == 2
+    assert "workers" not in meta
     # the config echo holds the fields convergence accepts, and no run setting
     assert set(meta["config"]) == {"experiment", "cutoff", "tail_tol", "b_list", "N_list"}
     assert not {"out", "format", "workers"} & set(meta["config"])
@@ -417,11 +418,48 @@ def test_sidecar_config_echo_runs_again_to_the_same_rows(tmp_path, experiment):
 
 
 # ---------------------------------------------------------------------------
-# parallel execution
+# the task loop
+
+
+def test_repeated_r_phi_pair_runs_the_tap_once(monkeypatch):
+    xis, real = [], attack.attack
+    monkeypatch.setattr(attack, "attack",
+                        lambda alphas, xi, *rest: xis.append(xi) or real(alphas, xi, *rest))
+    cfg = config_from_dict({"experiment": "attack", "alpha_list": [0.5, 1.0],
+                            "r_list": [0.3, 0.0, 0.3], "phi_list": [1.0, 1.0],
+                            "cutoff": 20})
+    _, rows = execute(cfg)
+    assert len(rows) == 12
+    assert sorted((xi.r, xi.phi) for xi in xis) == [(0.0, 1.0), (0.3, 1.0)]
+    # each alpha's rows: r = 0.3 twice, r = 0 twice, then r = 0.3 twice again
+    for first in (0, 6):
+        squeezed, coherent = rows[first], rows[first + 2]
+        assert rows[first:first + 6] == [squeezed, squeezed, coherent, coherent,
+                                         squeezed, squeezed]
+
+
+def test_negative_zero_phi_prints_in_exactly_its_own_rows(tmp_path):
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, experiment="attack", alpha_list=[0.5, 1.0], r_list=[0.3],
+                       phi_list=[0.0, -0.0], cutoff=20)
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [row[4] for row in rows] == ["0", "-0", "0", "-0"]
+
+
+def test_failing_second_task_names_its_grid_point(tmp_path, capsys):
+    # cutoff 12 holds the b = 1 disk but not the b = 3 one
+    out = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, experiment="convergence", b_list=[1.0, 3.0], N_list=[1],
+                       cutoff=12)
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "b=3.0" in err and "b=1.0" not in err
+    assert not out.exists()
 
 
 def test_workers_do_not_change_output(tmp_path):
-    # an attack task is one (r, phi) with every alpha: four tasks over two processes
+    # --workers is accepted and ignored: any K gives the same rows
     cfg = write_config(tmp_path, experiment="attack", alpha_list=[0.5, 1.0],
                        r_list=[0.0, 0.3], phi_list=[0.0, 1.0], cutoff=25)
     out1 = str(tmp_path / "serial.csv")
@@ -430,43 +468,6 @@ def test_workers_do_not_change_output(tmp_path):
     assert main(["run", cfg, "--out", out2, "--workers", "2"]) == 0
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("workers, cpus, expected", [
-    (5000, 2, 2),        # one process per CPU
-    (5000, 64, 4),       # one process per task: a convergence task is one b
-    (3, 64, 3),
-    (5000, None, None),  # unknown CPU count: serial
-])
-def test_pool_size_is_capped(monkeypatch, tmp_path, workers, cpus, expected):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    cfg = write_config(tmp_path, experiment="convergence", N_list=[1, 2, 3, 4],
-                       b_list=[1.0, 1.5, 2.0, 2.5], cutoff=30)
-    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    assert main(["run", cfg, "--out", str(serial)]) == 0
-    assert main(["run", cfg, "--out", str(pooled), "--workers", str(workers)]) == 0
-    assert pooled.read_bytes() == serial.read_bytes()
-    assert _SerialPool.sizes == ([] if expected is None else [expected])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +507,7 @@ def _probe_threads(**thread_env):
                           capture_output=True, text=True, env=env, check=True)
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert not got["numpy_with_package"], "import cvpqc loaded numpy before the CLI's pin"
-    # the process pool is imported only by a run with workers > 1
+    # a sweep runs in one process, so no module loads the process-pool machinery
     assert got["pool_modules"] == [], "import cvpqc.cli loaded the process-pool machinery"
     if not got["threads"]:
         pytest.skip("no OpenBLAS thread-count symbol found")
