@@ -133,7 +133,7 @@ def key_rows(N: int, b: float, cutoff: FockCutoff) -> np.ndarray:
     return coherent_amplitudes(key_displacements(N, b), cutoff)
 
 
-def mixture_gamma(N: int, b: float, rows: np.ndarray, cutoff: FockCutoff,
+def mixture_gamma(N: int, b: float, rows: np.ndarray,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Flat average over all M displaced vacua of the key space, a real array.
 
@@ -149,8 +149,7 @@ def mixture_gamma(N: int, b: float, rows: np.ndarray, cutoff: FockCutoff,
 
 
 def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
-                     squeezer: np.ndarray, cutoff: FockCutoff,
-                     tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+                     squeezer: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Flat average over all M squeezed displaced vacua; ``rows`` as for
     mixture_gamma, and ``squeezer`` is ``squeeze_operator(xi, cutoff)``."""
     return _key_average(rows, squeezer, tail_tol,
@@ -164,12 +163,6 @@ def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
 def k_factor(xi: SqueezeParam, theta: float) -> float:
     """Angular weight factor 1 - tanh(r) cos(2 theta - phi); range [1-tanh r, 1+tanh r]."""
     return float(1.0 - math.tanh(xi.r) * math.cos(2.0 * theta - xi.phi))
-
-
-def vacuum_weight(xi: SqueezeParam, alpha: complex) -> float:
-    """|<0| squeeze(displace(|0>)) |0>|^2 = e^{-|alpha|^2 K} / cosh r, exactly."""
-    theta = float(np.angle(alpha)) if alpha != 0 else 0.0
-    return math.exp(-abs(alpha) ** 2 * k_factor(xi, theta)) / math.cosh(xi.r)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +190,13 @@ def convergence_rows(N_list, b: float, xis, cutoff: FockCutoff,
     out = {}
     for N in dict.fromkeys(N_list):
         rows = key_rows(N, b, cutoff)
-        gam = mixture_gamma(N, b, rows, cutoff, tail_tol)
+        gam = mixture_gamma(N, b, rows, tail_tol)
         d_coh, entropy = hs_distance(mm, gam), von_neumann_entropy(gam)
         for xi in xis:
             if xi.r == 0.0:
                 out[N, xi] = (d_coh, d_coh, entropy)
             else:
-                gam_xi = squeezed_mixture(N, b, rows, xi, squeezers[xi], cutoff, tail_tol)
+                gam_xi = squeezed_mixture(N, b, rows, xi, squeezers[xi], tail_tol)
                 out[N, xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
                               entropy)
     return out

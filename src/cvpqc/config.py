@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .channel import key_count
-from .experiments import REGISTRY
+from .experiments import REGISTRY, resolve_cutoff
 from .fock import SqueezeParam
 
 
@@ -40,7 +40,6 @@ class ExperimentConfig:
     varphi_list: list = field(default_factory=lambda: [0.0])
     theta_list: list = field(default_factory=lambda: [0.0])
     T_list: list = field(default_factory=lambda: [0.5, 0.25, 0.1, 0.04, 0.01])
-    p_list: Optional[list] = None          # conformation: default = all rings 1..N
     eff_re: float = 0.3                    # displacement_bs: fixed sqrt(T)*gamma
     eff_im: float = 0.0
     input_kind: str = "even_coherent"      # displacement_bs input: vacuum | even_coherent
@@ -60,7 +59,7 @@ class ExperimentConfig:
 
 
 _INT_FIELDS = {"cutoff"}
-_INT_LIST_FIELDS = {"N_list", "p_list"}
+_INT_LIST_FIELDS = {"N_list"}
 _FLOAT_FIELDS = {"eff_re", "eff_im", "input_beta_mag", "input_varphi", "tail_tol"}
 _STR_FIELDS = {"experiment", "input_kind"}
 # fields every experiment accepts; the rest are grids or an experiment's ``reads``
@@ -102,7 +101,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     kwargs = {}
     for name, v in doc.items():
-        if v is None and name in ("p_list", "cutoff"):
+        if v is None and name == "cutoff":
             continue
         if name in _STR_FIELDS:
             if not isinstance(v, str):
@@ -203,14 +202,6 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("beta_mag_list entries must be >= 0")
     if any(not 0 < t <= 1 for t in cfg.T_list):
         bad("T_list entries must lie in (0, 1]")
-    if cfg.p_list is not None:  # only conformation reads it
-        if not cfg.p_list:
-            bad("p_list must not be empty: it selects no ring (leave it out for every ring)")
-        elif any(p < 1 for p in cfg.p_list):
-            bad("p_list entries must be >= 1")
-        elif cfg.N_list and max(cfg.p_list) > max(cfg.N_list):  # ring p exists for N >= p
-            bad(f"p_list entry {max(cfg.p_list)} exceeds every N in N_list, "
-                f"so it selects no ring")
     if not 0 < cfg.tail_tol < 1:  # at 1 a row that lost all its mass would pass
         bad("tail_tol must lie in (0, 1)")
     if cfg.cutoff is not None and cfg.cutoff < 1:
@@ -223,13 +214,11 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
     if rep.problems:
         return rep
 
-    n_max = cfg.cutoff
-    if n_max is None:
-        try:
-            n_max = exp.default_cutoff(cfg)
-        except OverflowError:  # b e^r past the float range
-            bad(f"the amplitude scale of {cfg.experiment!r} is beyond any Fock cutoff")
-            return rep
+    try:
+        n_max = resolve_cutoff(cfg)
+    except OverflowError:  # b e^r past the float range
+        bad(f"the amplitude scale of {cfg.experiment!r} is beyond any Fock cutoff")
+        return rep
     d = n_max + 1
     rep.info.append(f"cutoff n_max = {n_max} "
                     f"({'default' if cfg.cutoff is None else 'explicit'})")

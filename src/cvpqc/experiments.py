@@ -24,8 +24,9 @@ which need not be the first failing point in row order.
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
 grid to its value under the grid's name without the ``_list`` suffix, and
 each shared grid to its whole list under its own name; they read
-``tail_tol`` and the experiment's ``reads`` fields from ``cfg``.  They
-return one list of rows per grid point the task covers, in loop order.
+``tail_tol`` and the experiment's ``reads`` fields from ``cfg``, which is
+``_cfg`` where a function reads neither.  They return one list of rows per
+grid point the task covers, in loop order.
 """
 from __future__ import annotations
 
@@ -118,18 +119,17 @@ def _compute_mmstate(cfg, n_max, b):
 # --- conformation (ring geometry / angular weights) -------------------------
 
 
-def _compute_conformation(cfg, n_max, N, b, r, phi):
-    xi = SqueezeParam(r, phi)
+def _compute_conformation(_cfg, n_max, N, b, r, phi):
+    """Every ring p = 1..N.  The vacuum weight |<0|S(xi) D(alpha)|0>|^2 of a key
+    alpha = r_p e^{i theta} is e^{-r_p^2 K} / cosh r, with K the row's k-factor."""
+    xi, cosh_r = SqueezeParam(r, phi), math.cosh(r)
     rows = []
-    for p in (cfg.p_list if cfg.p_list is not None else range(1, N + 1)):
-        if p > N:
-            continue
+    for p in range(1, N + 1):
         radius, angles = channel.ring(N, b, p)
-        for q, theta in enumerate(angles, start=1):
-            alpha = radius * complex(math.cos(theta), math.sin(theta))
-            rows.append((N, b, r, phi, n_max, p, q, radius, float(theta),
-                         channel.k_factor(xi, float(theta)),
-                         channel.vacuum_weight(xi, alpha)))
+        for q, theta in enumerate(angles.tolist(), start=1):
+            k = channel.k_factor(xi, theta)
+            rows.append((N, b, r, phi, n_max, p, q, radius, theta, k,
+                         math.exp(-radius * radius * k) / cosh_r))
     return [rows]
 
 
@@ -137,13 +137,15 @@ def _compute_conformation(cfg, n_max, N, b, r, phi):
 
 
 def _compute_convergence(cfg, n_max, b, N_list, r_list=(0.0,), phi_list=(0.0,)):
-    xis = [SqueezeParam(r, phi) for r in r_list for phi in phi_list]
+    # a row prints r and phi as configured; SqueezeParam keys the squeezers
+    squeezings = [(r, phi) for r in r_list for phi in phi_list]
+    xis = [SqueezeParam(r, phi) for r, phi in squeezings]
     at = channel.convergence_rows(N_list, b, xis, FockCutoff(n_max), cfg.tail_tol)
     rows = []
-    for xi in xis:
+    for (r, phi), xi in zip(squeezings, xis):
         for N in N_list:
             d_hs, bound, entropy = at[N, xi]
-            rows.append([(N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)])
+            rows.append([(N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)])
     return rows
 
 
@@ -174,21 +176,21 @@ def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
 
 
 def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
-    xi = SqueezeParam(r, phi)
+    xi, th = SqueezeParam(r, phi), wrap_angle(theta)
     state = squeezed_coherent_state(xi, 0.0, FockCutoff(n_max), cfg.tail_tol)
     return _variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
-                         quadrature_variance(state, theta),
-                         nongauss.squeezed_vacuum_variance(xi, theta),
-                         nongauss.squeezed_vacuum_variance_approx(xi, theta))
+                         quadrature_variance(state, th),
+                         nongauss.squeezed_vacuum_variance(xi, th),
+                         nongauss.squeezed_vacuum_variance_approx(xi, th))
 
 
 def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
-    vp = wrap_angle(varphi)
+    vp, th = wrap_angle(varphi), wrap_angle(theta)
     state = nongauss.even_coherent_state(beta_mag, vp, FockCutoff(n_max), cfg.tail_tol)
     return _variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
-                         quadrature_variance(state, theta),
-                         nongauss.even_variance_closed_form(beta_mag, vp, theta),
-                         nongauss.even_variance_approx(beta_mag, vp, theta))
+                         quadrature_variance(state, th),
+                         nongauss.even_variance_closed_form(beta_mag, vp, th),
+                         nongauss.even_variance_approx(beta_mag, vp, th))
 
 
 # --- displacement from a strong ancilla --------------------------------------
@@ -219,7 +221,7 @@ REGISTRY = {
         ("N", "b", "r", "phi", "cutoff", "p", "q", "r_p", "theta_pq",
          "k_factor", "vacuum_weight"),
         ((("N_list", "b_list", "r_list", "phi_list"), _compute_conformation),),
-        _disk_cutoff, reads=("p_list",), holds="rows"),
+        _disk_cutoff, holds="rows"),
     "convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "N_list"), _compute_convergence),),

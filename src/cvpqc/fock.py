@@ -134,10 +134,11 @@ def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
     ``alpha`` is one amplitude, or a 1-D array of them for one row per alpha.
     """
     scalar = np.ndim(alpha) == 0
-    alphas = [alpha] if scalar else alpha
+    alphas = np.ravel(alpha).tolist()
     n = cutoff.levels()
-    # per-alpha scalars in scalar arithmetic: np.log and np.angle over an array
-    # can differ in the last bit, and a row must not depend on its batch.  An
+    # per-alpha scalars in Python floats: np.log and np.angle over an array can
+    # differ in the last bit, and a row must not depend on its batch; a Python
+    # square past the float range is inf without numpy's overflow warning.  An
     # alpha of 0 takes zeros here and gets the exact vacuum row below.
     log_abs, half_sq, angle = np.array(
         [(math.log(abs(a)), abs(a) * abs(a) / 2.0, np.angle(a)) if a != 0 else (0.0, 0.0, 0.0)

@@ -5,7 +5,8 @@ exponentiating a truncated generator (displacement, squeezing, the beam
 splitter's blocks), through scipy's special functions (the Laguerre
 displacement matrix, the incomplete-gamma disk-uniform diagonal), from a
 closed form or a series (the squeezed-vacuum term ratio, the Hermite form
-of the squeezed coherent amplitudes), or by
+of the squeezed coherent amplitudes, the vacuum weight of a squeezed key
+from its amplitude α), or by
 materializing a block-structured operator or a two-mode density matrix
 densely.  A two-mode pure state is its amplitude matrix
 psi[i, j] = <i, j|psi>, as in the library.  ``check_density`` holds the
@@ -26,7 +27,7 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from cvpqc.attack import _SQRT2
-from cvpqc.channel import (_key_average, _worst_key, key_count,
+from cvpqc.channel import (_key_average, _worst_key, k_factor, key_count,
                            key_displacements, key_rows, key_to_ring, maximally_mixed,
                            mixture_gamma, ring, squeezed_mixture)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, FockCutoff,
@@ -350,13 +351,13 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
     unchanged (``test_squeezed_mixture_entropy_is_the_plain_mixtures`` checks
     that identity).  ``channel.convergence_rows`` must match it cell for cell."""
     mm = maximally_mixed(b, cutoff, tail_tol)
-    gam = mixture_gamma(N, b, key_rows(N, b, cutoff), cutoff, tail_tol)
+    gam = mixture_gamma(N, b, key_rows(N, b, cutoff), tail_tol)
     d_coh = hs_distance(mm, gam)
     entropy = von_neumann_entropy(gam)
     if xi.r == 0.0:
         return d_coh, d_coh, entropy
     gam_xi = squeezed_mixture(N, b, key_rows(N, b, cutoff), xi,
-                              squeeze_operator(xi, cutoff), cutoff, tail_tol)
+                              squeeze_operator(xi, cutoff), tail_tol)
     return hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam), entropy
 
 
@@ -389,6 +390,12 @@ def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: Fo
     return _key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff),
                         squeeze_operator(xi, cutoff), tail_tol,
                         lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
+
+
+def vacuum_weight(xi: SqueezeParam, alpha: complex) -> float:
+    """|<0| squeeze(displace(|0>)) |0>|^2 = e^{-|alpha|^2 K} / cosh r, exactly."""
+    theta = float(np.angle(alpha)) if alpha != 0 else 0.0
+    return math.exp(-abs(alpha) ** 2 * k_factor(xi, theta)) / math.cosh(xi.r)
 
 
 def squeezed_projector_prefactor(xi: SqueezeParam, alpha: complex,

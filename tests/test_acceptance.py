@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cvpqc.attack import attack
-from cvpqc.channel import k_factor, key_rows, mixture_gamma, vacuum_weight
+from cvpqc.channel import k_factor, key_rows, mixture_gamma
 from cvpqc.experiments import heuristic_cutoff
 from cvpqc.fock import (
     FockCutoff,
@@ -40,6 +40,7 @@ from oracles import (
     secret_bits,
     squeezed_vacuum_distance_closed_form,
     vacuum,
+    vacuum_weight,
 )
 
 
@@ -107,7 +108,7 @@ def test_criterion_04_channel_covariance(report):
     # tail within tail_tol from cutoff 64 on; at 60 it loses 3.0e-8
     cut = FockCutoff(64)
     rng = np.random.default_rng(20260822)
-    gamma = mixture_gamma(N, b, key_rows(N, b, cut), cut)
+    gamma = mixture_gamma(N, b, key_rows(N, b, cut))
     worst = 0.0
     for _ in range(10):
         beta = complex(rng.uniform(-0.55, 0.55), rng.uniform(-0.55, 0.55))

@@ -21,7 +21,6 @@ from cvpqc.channel import (
     mixture_gamma,
     ring,
     squeezed_mixture,
-    vacuum_weight,
 )
 from cvpqc.cli import main
 from cvpqc.config import config_from_dict, validate
@@ -53,6 +52,7 @@ from oracles import (
     squeezed_projector_prefactor,
     squeezed_vacuum_distance_closed_form,
     vacuum,
+    vacuum_weight,
 )
 
 C59 = FockCutoff(59)
@@ -134,8 +134,8 @@ def test_conformation_spec_schedule():
 
 
 def test_conformation_spec_validation():
-    # N, b and p are checked where a config enters: N >= 1, b > 0, p <= max N
-    for fields in ({"N_list": [0]}, {"b_list": [-1.0]}, {"N_list": [4], "p_list": [5]}):
+    # N and b are checked where a config enters: N >= 1, b > 0
+    for fields in ({"N_list": [0]}, {"b_list": [-1.0]}):
         rep = validate(config_from_dict(dict(fields, experiment="conformation")))
         assert not rep.ok, fields
 
@@ -216,7 +216,7 @@ def test_ring_cutoff_too_small_raises_with_location():
 
 
 def test_mixture_single_ring_family_is_vacuum():
-    rho = mixture_gamma(1, 2.0, key_rows(1, 2.0, C59), C59)
+    rho = mixture_gamma(1, 2.0, key_rows(1, 2.0, C59))
     assert abs(rho[0, 0] - 1.0) < 1e-14
     assert np.max(np.abs(rho)) == pytest.approx(1.0)
 
@@ -229,7 +229,7 @@ def test_mixture_is_ring_average_weighted_by_population():
     for p in range(1, N + 1):
         acc += p * conformation_ring(p, ring(N, b, p)[0], cut)
     acc /= M
-    mix = mixture_gamma(N, b, key_rows(N, b, cut), cut)
+    mix = mixture_gamma(N, b, key_rows(N, b, cut))
     assert np.max(np.abs(mix - acc)) < 1e-12
     assert abs(np.trace(mix).real - 1.0) < 1e-10
 
@@ -240,8 +240,8 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
     cut = C60
     s = squeeze_operator(xi, cut)
     rows = key_rows(N, b, cut)
-    plain = mixture_gamma(N, b, rows, cut)
-    sq = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut), cut)
+    plain = mixture_gamma(N, b, rows)
+    sq = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut))
     assert np.max(np.abs(sq - s @ plain @ s.conj().T)) < 1e-10
 
 
@@ -262,8 +262,7 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
         worst = max(worst, probs[n_max + 1:].sum())
     try:
         cut = FockCutoff(n_max)
-        rho = squeezed_mixture(N, b, key_rows(N, b, cut), xi, squeeze_operator(xi, cut), cut,
-                               tol)
+        rho = squeezed_mixture(N, b, key_rows(N, b, cut), xi, squeeze_operator(xi, cut), tol)
     except TailMassError:
         return
     assert worst <= 2.0 * tol
@@ -380,7 +379,7 @@ def test_channel_output_is_key_average():
 
 def test_channel_output_trivial_message_reduces_to_mixture():
     out = channel_output(0.0, SqueezeParam(0.0), 4, 2.0, C59)
-    mix = mixture_gamma(4, 2.0, key_rows(4, 2.0, C59), C59)
+    mix = mixture_gamma(4, 2.0, key_rows(4, 2.0, C59))
     assert np.max(np.abs(out - mix)) < 1e-13
 
 
@@ -394,7 +393,7 @@ def test_channel_covariance_under_displacement():
     s = squeeze_operator(xi, cut)
     d = displacement_operator(beta, cut)
     u = s @ d
-    expect = u @ mixture_gamma(N, b, key_rows(N, b, cut), cut) @ u.conj().T
+    expect = u @ mixture_gamma(N, b, key_rows(N, b, cut)) @ u.conj().T
     assert np.max(np.abs(out - expect)) < 1e-9
 
 
@@ -411,7 +410,7 @@ def test_encrypt_tail_failure_names_key():
 def test_unsqueezed_point_has_tight_triangle_bound():
     # r = 0: d_hs is the distance to the plain mixture, and the bound adds nothing
     d_hs, bound, _ = convergence_point(2, 2.0, SqueezeParam(0.0), C59)
-    gam = mixture_gamma(2, 2.0, key_rows(2, 2.0, C59), C59)
+    gam = mixture_gamma(2, 2.0, key_rows(2, 2.0, C59))
     assert d_hs == hs_distance(maximally_mixed(2.0, C59), gam)
     assert bound == d_hs
 
@@ -421,8 +420,8 @@ def test_squeezed_vacuum_distance_closed_form_against_numeric():
     # N=1: plain mixture is the vacuum, squeezed mixture is a squeezed vacuum
     rows = key_rows(1, 2.0, C60)
     d_squeeze = hs_distance(squeezed_mixture(1, 2.0, rows, SqueezeParam(r),
-                                             squeeze_operator(SqueezeParam(r), C60), C60),
-                            mixture_gamma(1, 2.0, rows, C60))
+                                             squeeze_operator(SqueezeParam(r), C60)),
+                            mixture_gamma(1, 2.0, rows))
     assert abs(d_squeeze - squeezed_vacuum_distance_closed_form(r)) < 1e-8
 
 
@@ -443,12 +442,12 @@ def test_triangle_bound_holds():
     mm = maximally_mixed(2.0, C60)
     for N in (2, 4):
         rows = key_rows(N, 2.0, C60)
-        gam = mixture_gamma(N, 2.0, rows, C60)
+        gam = mixture_gamma(N, 2.0, rows)
         for xi in (SqueezeParam(0.2, 0.0), SqueezeParam(0.5, np.pi / 3)):
             d_hs, bound, _ = convergence_point(N, 2.0, xi, C60)
             assert d_hs <= bound + 1e-12
-            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, rows, xi, squeeze_operator(xi, C60),
-                                                     C60), gam)
+            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, rows, xi, squeeze_operator(xi, C60)),
+                                    gam)
             assert abs(bound - (hs_distance(mm, gam) + d_squeeze)) < 1e-15
 
 
@@ -488,7 +487,7 @@ def _cutoff_for(b):
 @pytest.mark.parametrize("b, N", _REAL_MIXTURE_GRID)
 def test_mixture_gamma_is_the_real_part_of_the_complex_gram(b, N):
     cut = _cutoff_for(b)
-    gam, gram = mixture_gamma(N, b, key_rows(N, b, cut), cut), _complex_gram(N, b, cut)
+    gam, gram = mixture_gamma(N, b, key_rows(N, b, cut)), _complex_gram(N, b, cut)
     assert gam.dtype == np.float64
     assert np.array_equal(gam, gam.T)
     assert np.abs(gram.imag).max() <= 1e-15  # rounding only
@@ -501,23 +500,23 @@ def test_real_mixture_entropy_is_the_complex_grams(b, N):
     w = np.linalg.eigvalsh(_complex_gram(N, b, cut))
     w = w[w > 1e-14]
     expect = float(-(w * np.log2(w)).sum())
-    gam = mixture_gamma(N, b, key_rows(N, b, cut), cut)
+    gam = mixture_gamma(N, b, key_rows(N, b, cut))
     assert abs(von_neumann_entropy(gam) - expect) <= 1e-13
 
 
 def test_holevo_proxy_pure_for_single_point():
     xi = SqueezeParam(0.4, 0.2)
     rows = key_rows(1, 2.0, C60)
-    assert von_neumann_entropy(squeezed_mixture(1, 2.0, rows, xi, squeeze_operator(xi, C60),
-                                                C60)) < 1e-10
-    assert von_neumann_entropy(mixture_gamma(1, 2.0, rows, C60)) < 1e-10
+    assert von_neumann_entropy(squeezed_mixture(1, 2.0, rows, xi,
+                                                squeeze_operator(xi, C60))) < 1e-10
+    assert von_neumann_entropy(mixture_gamma(1, 2.0, rows)) < 1e-10
 
 
 def test_holevo_proxy_entropies_equal_by_unitary_invariance():
     rows = key_rows(4, 2.0, C60)
     xi = SqueezeParam(0.3, 1.1)
-    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, rows, xi, squeeze_operator(xi, C60), C60))
-    s_coh = von_neumann_entropy(mixture_gamma(4, 2.0, rows, C60))
+    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, rows, xi, squeeze_operator(xi, C60)))
+    s_coh = von_neumann_entropy(mixture_gamma(4, 2.0, rows))
     assert s_coh > 1.0  # genuinely mixed family
     assert abs(s_sq - s_coh) < 1e-8
 
@@ -535,8 +534,8 @@ _SMALLEST_CUTOFF = dict(zip(_ENTROPY_GRID, [17, 19, 26, 31, 40, 48, 25, 25, 39, 
 
 def _entropy_gap(N, b, xi, cut):
     rows = key_rows(N, b, cut)
-    gam_xi = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut), cut)
-    return abs(von_neumann_entropy(gam_xi) - von_neumann_entropy(mixture_gamma(N, b, rows, cut)))
+    gam_xi = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut))
+    return abs(von_neumann_entropy(gam_xi) - von_neumann_entropy(mixture_gamma(N, b, rows)))
 
 
 @pytest.mark.parametrize("b, N, r, phi", _ENTROPY_GRID)
@@ -554,13 +553,13 @@ def test_squeezed_mixture_entropy_at_the_smallest_accepted_cutoff(b, N, r, phi):
     xi, n_max = SqueezeParam(r, phi), _SMALLEST_CUTOFF[b, N, r, phi]
     below = FockCutoff(n_max - 1)
     with pytest.raises(TailMassError):
-        squeezed_mixture(N, b, key_rows(N, b, below), xi, squeeze_operator(xi, below), below)
+        squeezed_mixture(N, b, key_rows(N, b, below), xi, squeeze_operator(xi, below))
     assert _entropy_gap(N, b, xi, FockCutoff(n_max)) <= 2e-8
 
 
 def test_mixture_entropy_matches_direct_computation():
     xi = SqueezeParam(0.3, 1.1)
-    rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, squeeze_operator(xi, C60), C60)
+    rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, squeeze_operator(xi, C60))
     entropy = convergence_point(3, 2.0, xi, C60)[2]
     assert abs(entropy - von_neumann_entropy(rho)) < 1e-12
 

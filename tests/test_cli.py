@@ -306,14 +306,24 @@ def test_squeezed_convergence_at_zero_squeezing_matches_plain(tmp_path):
 
 
 def test_an_angle_just_below_zero_runs_as_zero(tmp_path):
-    # -1e-20 + 2 pi rounds to 2 pi itself, which used to print as phi = 6.2831853071795862
-    out = str(tmp_path / "rows.csv")
-    cfg = write_config(tmp_path, experiment="squeezed_convergence", N_list=[2],
-                       b_list=[1.0], r_list=[0.3], phi_list=[-1e-20, 0.0, -0.0], cutoff=40)
+    # -1e-20 + 2 pi rounds to 2 pi itself, which SqueezeParam wraps to 0.  Each
+    # squeezing computes the rows of its wrapped angle, and each row prints phi
+    # as configured, as every other experiment's grid columns do
+    phis = [-1e-20, 0.0, -0.0, -1.0, 7.0]
+    out, wrapped = str(tmp_path / "rows.csv"), str(tmp_path / "wrapped.csv")
+    fields = dict(experiment="squeezed_convergence", N_list=[2], b_list=[1.0], r_list=[0.3],
+                  cutoff=40)
+    cfg = write_config(tmp_path, "rows.json", phi_list=phis, **fields)
     assert main(["run", cfg, "--out", out]) == 0
+    cfg = write_config(tmp_path, "wrapped.json", phi_list=[fock.wrap_angle(p) for p in phis],
+                       **fields)
+    assert main(["run", cfg, "--out", wrapped]) == 0
     cols, rows = read_csv(out)
-    assert rows[0] == rows[1] == rows[2]
-    assert rows[0][cols.index("phi")] == "0"
+    first = cols.index("cutoff")
+    assert [row[first:] for row in rows] == [row[first:] for row in read_csv(wrapped)[1]]
+    assert rows[0][first:] == rows[1][first:] == rows[2][first:]
+    assert [row[cols.index("phi")] for row in rows] == ["-9.9999999999999995e-21", "0", "-0",
+                                                        "-1", "7"]
 
 
 def test_run_conformation_rows(tmp_path):
@@ -336,6 +346,40 @@ def test_run_conformation_rows(tmp_path):
         p, q = int(rec["p"]), int(rec["q"])
         assert float(rec["theta_pq"]) == pytest.approx(math.pi / p * (2 * q - 1))
         assert float(rec["r_p"]) == pytest.approx((p - 1) * 2.0 / 4)
+    assert [(int(rec["p"]), int(rec["q"])) for rec in recs[:10]] == \
+        [(p, q) for p in range(1, 5) for q in range(1, p + 1)]
+
+
+def test_conformation_vacuum_weight_is_computed_from_the_rows_own_cells(tmp_path):
+    # e^{-r_p^2 K} / cosh r from the printed radius, k-factor and r, bit for bit
+    out = str(tmp_path / "rings.csv")
+    cfg = write_config(tmp_path, experiment="conformation", N_list=[3, 8], b_list=[2.0, 0.7],
+                       r_list=[0.0, 0.4, 1.3], phi_list=[0.0, -1.0, 2.5])
+    assert main(["run", cfg, "--out", out]) == 0
+    cols, rows = read_csv(out)
+    assert len(rows) == 2 * 3 * 3 * (6 + 36)
+    for row in rows:
+        rec = dict(zip(cols, row))
+        r_p, k, r = float(rec["r_p"]), float(rec["k_factor"]), float(rec["r"])
+        assert rec["vacuum_weight"] == f"{math.exp(-r_p * r_p * k) / math.cosh(r):.17g}"
+
+
+def test_conformation_vacuum_weight_is_the_squeezed_vacuum_amplitude(tmp_path):
+    # |<0|S(xi) D(alpha)|0>|^2 from the exact truncated squeezer and coherent row
+    out = str(tmp_path / "rings.csv")
+    cfg = write_config(tmp_path, experiment="conformation", N_list=[6], b_list=[2.0],
+                       r_list=[0.2, 0.7], phi_list=[0.0, 1.1, -2.0])
+    assert main(["run", cfg, "--out", out]) == 0
+    cols, rows = read_csv(out)
+    cut = FockCutoff(120)
+    worst = 0.0
+    for row in rows:
+        rec = dict(zip(cols, row))
+        xi = fock.SqueezeParam(float(rec["r"]), float(rec["phi"]))
+        alpha = float(rec["r_p"]) * np.exp(1j * float(rec["theta_pq"]))
+        amp = (fock.squeeze_operator(xi, cut) @ fock.coherent_amplitudes(alpha, cut))[0]
+        worst = max(worst, abs(float(rec["vacuum_weight"]) - abs(amp) ** 2))
+    assert worst < 1e-12
 
 
 def test_run_mmstate_weights(tmp_path):
@@ -771,6 +815,23 @@ def test_overflowing_values_exit_without_traceback(tmp_path, capsys, fields, cod
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_huge_theta_runs_as_its_wrapped_angle(tmp_path):
+    # 2 theta overflowed to inf, and cos(inf) raised a math domain error
+    huge = [1e308, -1e308, 9e307]
+    out, wrapped = tmp_path / "huge.csv", tmp_path / "wrapped.csv"
+    fields = dict(experiment="nongauss_variance", r_list=[0.5], beta_mag_list=[0.8])
+    cfg = write_config(tmp_path, "huge.json", theta_list=huge, **fields)
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, "wrapped.json", theta_list=[fock.wrap_angle(t) for t in huge],
+                       **fields)
+    assert main(["run", cfg, "--out", str(wrapped)]) == 0
+    cols, rows = read_csv(out)
+    first = cols.index("cutoff")
+    assert [row[first:] for row in rows] == [row[first:] for row in read_csv(wrapped)[1]]
+    assert [row[cols.index("theta")] for row in rows] == ["1e+308", "-1e+308",
+                                                          "9.0000000000000005e+307"] * 2
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("fields", [
     # a tail of 1 passed a tolerance of 2, and the run divided by a zero norm
@@ -817,33 +878,24 @@ def test_b_whose_square_underflows_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-def test_p_beyond_every_ring_count_is_a_config_problem(tmp_path, capsys, command):
-    # ring p exists only for N >= p, so p = 5 at N = 2 would write a header and no rows
+def test_a_p_list_in_the_config_exits_2(tmp_path, capsys, command):
+    # conformation lists every ring 1..N; the ring filter it once read is gone
     out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, experiment="conformation", N_list=[2], p_list=[5])
-    assert main(argv(command, cfg, out)) == (0 if command == "validate" else 2)
-    captured = capsys.readouterr()
-    assert "p_list entry 5 exceeds every N" in captured.out + captured.err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_empty_p_list_is_a_config_problem(tmp_path, capsys, command):
-    # an empty p_list selects no ring, so the run would write a header and no rows
-    out = tmp_path / "rows.csv"
-    cfg = write_config(tmp_path, experiment="conformation", N_list=[4], p_list=[])
-    assert main(argv(command, cfg, out)) == (0 if command == "validate" else 2)
-    captured = capsys.readouterr()
-    assert "p_list must not be empty" in captured.out + captured.err
+    cfg = write_config(tmp_path, experiment="conformation", N_list=[4], p_list=[1, 2])
+    assert main(argv(command, cfg, out)) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown config field(s): p_list" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("fields, unread", [
-    ({"experiment": "convergence", "N_list": [2], "p_list": [3], "cutoff": 30}, "p_list"),
+    ({"experiment": "convergence", "N_list": [2], "theta_list": [0.5], "cutoff": 30},
+     "theta_list"),
     ({"experiment": "mmstate", "eff_re": 0.5, "input_kind": "vacuum"},
      "eff_re, input_kind"),
-], ids=["convergence-p_list", "mmstate-displacement_bs_fields"])
+], ids=["convergence-theta_list", "mmstate-displacement_bs_fields"])
 def test_field_the_experiment_does_not_read_exits_2(tmp_path, capsys, command, fields,
                                                     unread):
     out = tmp_path / "rows.csv"
@@ -878,7 +930,7 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}), st.just([]))
 _NASTY = st.one_of(
     st.floats(),  # NaN, +-inf, huge, subnormal and negative values included
-    st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-200, 1e300, 10 ** 400]),
+    st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-200, 1e300, 1e308, -1e308, 10 ** 400]),
 )
 _SMALL_INT = st.integers(-3, 0)  # no large integers where they set a size
 
@@ -889,7 +941,7 @@ def _well_typed(name):
         return st.sampled_from(sorted(REGISTRY))
     if name == "cutoff":
         return st.integers(1, 30)
-    if name in ("N_list", "p_list"):
+    if name == "N_list":
         return st.lists(st.integers(1, 8), min_size=1, max_size=3)
     if name == "T_list":
         return st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3)
@@ -904,11 +956,11 @@ def _well_typed(name):
 
 def _ill_formed(name):
     """Wrong types, non-finite, huge, tiny, negative and empty values.  The cutoff
-    is never null, which would take the default, nor N or p large: both set the
-    size of a run."""
+    is never null, which would take the default, nor N large, which sets the size
+    of a run."""
     if name == "cutoff":
         return st.one_of(_SMALL_INT, st.floats(), st.booleans(), st.text(max_size=3))
-    if name in ("N_list", "p_list"):
+    if name == "N_list":
         number = st.one_of(_SMALL_INT, st.floats())
     else:
         number = st.one_of(_NASTY, st.integers(-3, 3))
@@ -1002,6 +1054,18 @@ def test_console_run_exits_cleanly_through_pipes(tmp_path):
     assert main(["run", cfg, "--out", str(here)]) == 0
     assert child.read_bytes() == here.read_bytes()
     assert Path(str(child) + ".meta.json").stat().st_size > 0
+
+
+def test_a_huge_signal_amplitude_exits_3_with_only_the_tail_line(tmp_path):
+    # |alpha| = 1e200 squares past the float range: its row is zero, a tail of 1,
+    # and no overflow warning reaches stderr beside the tail-mass line
+    cfg = write_config(tmp_path, experiment="displacement_bs", eff_re=1e200, cutoff=12)
+    proc = _console("run", cfg, "--out", tmp_path / "rows.csv")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "tail-mass violation: truncation tail mass 1.000e+00 exceeds tolerance 1.000e-08 "
+        "for signal amplitude (1e+200+0j) at T=0.5"]
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_console_error_exits_keep_their_messages(tmp_path):

@@ -1,5 +1,6 @@
 """Core Fock-space layer: states, operators, metrics, truncation control."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_coherent_rows_equal_one_call_per_alpha():
     for a, row in zip(alphas, rows):
         assert np.array_equal(row, coherent_amplitudes(a, C40))
     assert np.array_equal(rows[1], np.eye(41)[0])
+
+
+def test_an_amplitude_whose_square_overflows_is_a_zero_row():
+    # |alpha|^2 past the float range: the row is zero, a tail of 1 for the caller
+    # to report, and no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (np.array([1e200]), np.array([1e200j, 0.5]), 1e200):
+            rows = np.atleast_2d(coherent_amplitudes(alpha, FockCutoff(5)))
+            assert np.array_equal(rows[0], np.zeros(6))
 
 
 def test_displacement_column_zero_is_coherent_amplitudes():
@@ -187,7 +198,7 @@ def test_squeezed_mixture_reports_the_mass_it_loses(r, tail):
     cut = FockCutoff(59)
     with pytest.raises(TailMassError) as err:
         squeezed_mixture(16, 2.0, key_rows(16, 2.0, cut), SqueezeParam(r),
-                         squeeze_operator(SqueezeParam(r), cut), cut)
+                         squeeze_operator(SqueezeParam(r), cut))
     assert err.value.tail == pytest.approx(tail, rel=0.01)
 
 
@@ -680,10 +691,10 @@ _DENSITY_OUTPUTS = {
         lambda: projector(squeezed_coherent_state(SqueezeParam(0.4, 0.7), 0.0, C60)),
     "maximally_mixed": lambda: maximally_mixed(1.5, _C30),
     "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
-    "mixture_gamma": lambda: mixture_gamma(4, 1.5, key_rows(4, 1.5, _C30), _C30),
+    "mixture_gamma": lambda: mixture_gamma(4, 1.5, key_rows(4, 1.5, _C30)),
     "squeezed_conformation": lambda: squeezed_conformation(4, 1.5, 3, _XI, _C30),
     "squeezed_mixture": lambda: squeezed_mixture(4, 1.5, key_rows(4, 1.5, _C30), _XI,
-                                                  squeeze_operator(_XI, _C30), _C30),
+                                                  squeeze_operator(_XI, _C30)),
     "encrypt": lambda: encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30),
     "decrypt": lambda: decrypt(encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30), _XI, 7, 4, 1.5,
                                _C30),

@@ -13,7 +13,10 @@ That check goes by name only, so it can miss an unused member whose name
 another object's attribute shares, but it never flags a used one.  A third
 check asks of every name an import binds, in `src/cvpqc` and in `tests/`,
 that its module reads it somewhere.  A fourth asks that `src/cvpqc` import
-nothing beyond numpy, the standard library and its own modules.
+nothing beyond numpy, the standard library and its own modules, and a fifth
+that every parameter of a `src/cvpqc` function is read in its body, unless its
+name starts with an underscore: a parameter that a calling convention passes
+and this function does not need.
 """
 import ast
 import sys
@@ -161,3 +164,25 @@ def foreign_imports():
 
 def test_src_imports_only_numpy_and_the_standard_library():
     assert foreign_imports() == []
+
+
+def unread_parameters():
+    """`module.function(parameter)` for every parameter of a `src/cvpqc` function,
+    nested ones included, that its body never reads and whose name does not
+    start with an underscore."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                a = fn.args
+                params = (a.posonlyargs + a.args + a.kwonlyargs
+                          + [p for p in (a.vararg, a.kwarg) if p])
+                read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread += [f"{path.stem}.{fn.name}({p.arg})" for p in params
+                           if p.arg not in read and not p.arg.startswith("_")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
