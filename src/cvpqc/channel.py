@@ -182,7 +182,7 @@ def convergence_rows(N_list, b: float, xis, cutoff: FockCutoff,
 
     The target is built once, each distinct S(xi) once, and the key rows, the
     plain mixture and its entropy once per distinct N.  N is the outer loop,
-    so the task never holds the key rows of every N at once.
+    and one N's rows and mixture are dropped before the next N's are built.
     """
     xis = list(dict.fromkeys(xis))
     mm = maximally_mixed(b, cutoff, tail_tol)
@@ -199,4 +199,5 @@ def convergence_rows(N_list, b: float, xis, cutoff: FockCutoff,
                 gam_xi = squeezed_mixture(N, b, rows, xi, squeezers[xi], tail_tol)
                 out[N, xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
                               entropy)
+        del rows, gam  # the next N's rows are built without these beside them
     return out

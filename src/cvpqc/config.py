@@ -5,9 +5,9 @@ rows; where they go is a `cvpqc run` flag.  Unknown keys are rejected rather
 than ignored so that a typo in a grid name cannot silently run a default
 sweep; so is a field the experiment never reads, other than the fields in
 ``RUN_FIELDS``.  ``validate`` never raises; it returns a report of problems,
-the cutoff and a memory estimate, and a task (for ``conformation``, the
-run's rows) whose estimate exceeds the machine's physical memory is a
-problem.  It does not judge whether a cutoff is large enough: the run's own
+the cutoff, and the largest task's memory: the terms its experiment's
+``memory`` lists and their sum, which must not exceed the machine's physical
+memory.  It does not judge whether a cutoff is large enough: the run's own
 tail checks do, and a cutoff that is too small makes the run exit 3 at the
 grid point it fails.
 """
@@ -19,9 +19,7 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .channel import key_count
 from .experiments import REGISTRY, resolve_cutoff
-from .fock import SqueezeParam
 
 
 class ConfigError(ValueError):
@@ -154,17 +152,9 @@ class ValidationReport:
         return not self.problems
 
     def render(self) -> str:
-        lines = []
-        for p in self.problems:
-            lines.append(f"problem: {p}")
-        for i in self.info:
-            lines.append(f"info: {i}")
-        lines.append("config valid" if self.ok else "config INVALID")
-        return "\n".join(lines)
-
-
-def _mb(entries: float) -> float:
-    return entries * 16 / 1e6  # complex128
+        return "\n".join([f"problem: {p}" for p in self.problems]
+                         + [f"info: {i}" for i in self.info]
+                         + ["config valid" if self.ok else "config INVALID"])
 
 
 def _physical_bytes() -> int:
@@ -173,6 +163,12 @@ def _physical_bytes() -> int:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return 0
+
+
+def _megabytes(entries: int, places: int) -> str:
+    """MB of ``entries`` complex128 entries, in integers: a peak can pass the float range."""
+    whole, part = divmod((16 * entries * 10 ** places + 500_000) // 10 ** 6, 10 ** places)
+    return f"{whole}.{part:0{places}d}"
 
 
 def validate(cfg: ExperimentConfig) -> ValidationReport:
@@ -220,76 +216,23 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad(f"the amplitude scale of {cfg.experiment!r} is beyond any Fock cutoff")
         return rep
     d = n_max + 1
-    rep.info.append(f"cutoff n_max = {n_max} "
-                    f"({'default' if cfg.cutoff is None else 'explicit'})")
+    rep.info.append(f"cutoff n_max = {n_max} ({'explicit' if cfg.cutoff else 'default'})")
 
-    physical = _physical_bytes()
-    if exp.holds == "rows":
-        rows = (len(cfg.b_list) * len(cfg.r_list) * len(cfg.phi_list)
-                * sum(key_count(N) for N in cfg.N_list))
-        # the run holds every row until it writes them: under tracemalloc, execute
-        # peaks at 218-226 bytes a row (45150 to 201295 rows) and at 245 where
-        # every q passes 256, the ints CPython caches; the CSV writer, one row at
-        # a time, adds nothing to that peak
-        need = 256 * rows
-        if physical and need > physical:
-            bad(f"the run's {rows} rows need more than the {physical / 1e6:.0f} MB of "
-                f"physical memory; lower N")
+    try:  # str raises ValueError past 4300 digits: a count that long fits no memory
+        terms = exp.memory(cfg, d)
+        peak = sum(entries for _, entries in terms)  # complex128 entries, 16 bytes each
+        physical = _physical_bytes()
+        if physical and 16 * peak > physical:
+            what, entries = max(terms, key=lambda t: t[1])
+            bad(f"the largest task needs about {_megabytes(peak, 1)} MB, more than the "
+                f"{physical / 1e6:.0f} MB of physical memory; its largest part is {what} "
+                f"(~{_megabytes(entries, 1)} MB)")
             return rep
-        rep.info.append(f"rows are closed forms: a task holds no Fock-space array; the run "
-                        f"holds its {rows} rows (~{need / 1e6:.1f} MB) until it writes them")
-        return rep
-    # Upper bound on a task's peak, in complex entries, from tracemalloc: at most
-    # 6 d x d matrices are live at once (measured 1.0 d^2 for nongauss_*, 2.0 for
-    # mmstate, 4 beside the key stack, 5.7 for displacement_bs and 5.6 beside the
-    # splitter blocks for attack at cutoff 100).  Exact integers, so no cutoff
-    # overflows it.
-    peak = 6 * d * d
-    if exp.holds == "two_mode":
-        blocks = d * (d + 1) * (2 * d + 1) // 6  # sectors s = 0..n_max, (s + 1)^2 each
-        # an attack task builds its target stack beside its input stack, a row per
-        # alpha each, with coherent_amplitudes' temporaries: 2.7 times the two
-        # (tracemalloc: at most 0.4 above the rest).  The Python objects the
-        # entry counts leave out add 24 entries a sector and an alpha, and 512 more
-        # (tracemalloc: 290 bytes a sector, at most 300 an alpha, and 7.9 KB at
-        # cutoff 1 in a fresh process), so the bound holds from cutoff 1 on
-        stacks = 2 * len(cfg.alpha_list) * d
-        peak += blocks + 27 * stacks // 10 + 512 + 24 * (d + len(cfg.alpha_list))
-    elif exp.holds == "key_stack":
-        N = max(cfg.N_list)
-        stack = key_count(N) * d
-        # a task is one b: it holds the squeezer of each distinct squeezing with
-        # r > 0 for all of its N
-        squeezers = len({SqueezeParam(r, phi) for r in cfg.r_list if r > 0
-                         for phi in cfg.phi_list}) if "r_list" in exp.grids else 0
-        # mixture_gamma holds the real stack [Re; Im] beside the rows, two stacks
-        # (tracemalloc: 2.19 stacks with the mixture at N = 32, cutoff 195, where
-        # building the rows peaks at 1.6).  The per-key Python objects of the
-        # build add 16 entries a key, and 1024 more cover a fresh process at
-        # cutoff 1 (tracemalloc: 10.3 KB), so the bound holds from cutoff 1 on
-        peak += 2 * stack + squeezers * d * d + 16 * key_count(N) + 1024
-    if physical and 16 * peak > physical:
-        bad(f"the largest task needs more than the {physical / 1e6:.0f} MB of physical "
-            f"memory; lower the cutoff{' or N' if exp.holds == 'key_stack' else ''}")
-        return rep
-
-    if exp.holds == "two_mode":
-        rep.info.append(
-            f"two-mode basis dimension {d * d} ({d} per mode); the beam splitter "
-            f"holds {blocks} complex block entries (~{_mb(blocks):.1f} MB), "
-            f"built once and reused across the grid; a task's input and target "
-            f"stacks hold {stacks} complex entries, one row per alpha each")
-    else:
-        memory = (f"basis dimension {d}; density matrices hold {d * d} complex entries "
-                  f"(~{_mb(d * d):.3f} MB)")
-        if exp.holds == "key_stack":
-            memory += (f"; the key-row stack at N = {N} holds {stack} complex entries, "
-                       f"and the plain mixture holds twice that (~{_mb(2 * stack):.3f} MB)")
-            if squeezers:
-                memory += (f"; a task holds its {squeezers} squeezers S(xi) side by side, "
-                           f"{squeezers * d * d} complex entries "
-                           f"(~{_mb(squeezers * d * d):.3f} MB)")
-        rep.info.append(memory)
-    rep.info.append(f"the largest task peaks at about {_mb(peak):.1f} MB"
-                    + (f" of {physical / 1e6:.0f} MB physical memory" if physical else ""))
+        of = f" of {physical / 1e6:.0f} MB physical memory" if physical else ""
+        rep.info.append(f"the largest task peaks at about {_megabytes(peak, 1)} MB "
+                        f"({peak} complex entries){of}, the sum of:")
+        rep.info += [f"  {entries} complex entries (~{_megabytes(entries, 3)} MB): {what}"
+                     for what, entries in terms]
+    except ValueError:
+        bad("the largest task's count of entries is too long to print: beyond any memory")
     return rep

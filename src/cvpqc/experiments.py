@@ -2,11 +2,11 @@
 
 ``REGISTRY`` holds the one definition of each experiment: its columns, the
 config grids it loops over (outermost first) with the compute function for
-one task, the function that gives its default cutoff, the other config
-fields it reads, and what arrays its tasks hold.  A default is either fixed
-or ``heuristic_cutoff`` at the largest amplitude the experiment truncates;
-an explicit cutoff is used as given, and the run's own tail checks judge
-whether it is large enough.
+one task, the function that gives its default cutoff, the function that
+lists what its largest task holds, and the other config fields it reads.  A
+default is either fixed or ``heuristic_cutoff`` at the largest amplitude the
+experiment truncates; an explicit cutoff is used as given, and the run's
+own tail checks judge whether it is large enough.
 
 A task is one point of the grids' product, except that a task covers every
 value of the experiment's ``shared`` grids at once: a convergence task is
@@ -54,21 +54,19 @@ class Experiment:
     value of the ``shared`` grids (the N and the squeezings of a convergence
     sweep, the alphas of attack, the transmissions of displacement_bs).
     ``default_cutoff(cfg)`` is the cutoff a config without one runs at.
+    ``memory(cfg, d)`` lists what the largest task holds at d = cutoff + 1,
+    as (what, complex entries) pairs whose sum bounds the task's tracemalloc
+    peak from cutoff 1 on; it sits beside the compute function.
     ``reads`` names the config fields other than the grids and the run
     fields that the compute functions read.
-    ``holds`` says what the largest arrays of a task are: "matrices" (d x d),
-    "key_stack" (also the M x d stack of key rows and the squeezers),
-    "two_mode" (also the beam splitter's blocks and the task's stacks of input
-    and target rows, one per alpha each) or "rows" (closed forms, no
-    Fock-space array).
     """
 
     columns: tuple
     stages: tuple
     default_cutoff: Callable
+    memory: Callable
     reads: tuple = ()
     shared: tuple = ()
-    holds: str = "matrices"
 
     @property
     def grids(self) -> tuple:
@@ -116,6 +114,19 @@ def _compute_mmstate(cfg, n_max, b):
              for n in range(n_max + 1)]]
 
 
+def _matrices(d):
+    # at most 6 d x d matrices are live at once (tracemalloc at cutoff 100: 1.0 d^2
+    # for nongauss_*, 2.0 for mmstate, 4 beside the key stack, 5.7 for
+    # displacement_bs and 5.6 beside the splitter blocks for attack)
+    return (f"6 d x d matrices, d = {d} ({d * d} entries each)", 6 * d * d)
+
+
+def _single_mode_memory(_cfg, d):
+    # also the nongauss and displacement_bs memory.  Python objects: tracemalloc
+    # peaks 7.5-10 KB above the matrices at cutoff 1 in a fresh process
+    return [_matrices(d), ("Python objects", 1024)]
+
+
 # --- conformation (ring geometry / angular weights) -------------------------
 
 
@@ -131,6 +142,17 @@ def _compute_conformation(_cfg, n_max, N, b, r, phi):
             rows.append((N, b, r, phi, n_max, p, q, radius, theta, k,
                          math.exp(-radius * radius * k) / cosh_r))
     return [rows]
+
+
+def _conformation_memory(cfg, _d):
+    # no Fock-space array; the run holds every row until it writes them: execute
+    # peaks at 218-226 bytes a row (45150 to 201295 rows), 245 where every q
+    # passes 256, the ints CPython caches, and 2.3 KB for a one-row run (1.7 in a
+    # fresh process); the CSV writer, one row at a time, adds nothing to that peak
+    rows = (len(cfg.b_list) * len(cfg.r_list) * len(cfg.phi_list)
+            * sum(channel.key_count(N) for N in cfg.N_list))
+    return [(f"the run's {rows} closed-form rows, 256 bytes each", 16 * rows),
+            ("Python objects", 256)]
 
 
 # --- convergence sweeps ------------------------------------------------------
@@ -149,6 +171,23 @@ def _compute_convergence(cfg, n_max, b, N_list, r_list=(0.0,), phi_list=(0.0,)):
     return rows
 
 
+def _convergence_memory(cfg, d):
+    # a task is one b: mixture_gamma holds the real stack [Re; Im] beside the key
+    # rows of the largest N, two stacks (2.19 with the mixture at N = 32, cutoff
+    # 195), and the squeezer of each distinct squeezing with r > 0.  Python
+    # objects: 20 entries a key (at most 17 above the rest, at cutoff 15), and
+    # 1024 more for a fresh process at cutoff 1 (10.3 KB)
+    N = max(cfg.N_list)
+    keys = channel.key_count(N)
+    squeezers = len({SqueezeParam(r, phi) for r in cfg.r_list if r > 0 for phi in cfg.phi_list})
+    terms = [_matrices(d),
+             (f"the key-row stack at N = {N} ({keys * d} entries) and the plain "
+              f"mixture's real stack [Re; Im] beside it", 2 * keys * d)]
+    if squeezers:
+        terms.append((f"{squeezers} squeezers S(xi) side by side", squeezers * d * d))
+    return terms + [("Python objects, 20 entries a key and 1024 more", 20 * keys + 1024)]
+
+
 # --- beam-splitter tap -------------------------------------------------------
 
 
@@ -157,6 +196,22 @@ def _compute_attack(cfg, n_max, r, phi, alpha_list):
     kind = "coherent" if r == 0.0 else "squeezed_coherent"
     results = attack.attack(alphas, SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol)
     return [[(kind, a.real, a.imag, r, phi, n_max, *res)] for a, res in zip(alphas, results)]
+
+
+def _attack_memory(cfg, d):
+    # a task builds its target stack beside its input stack, a row per alpha
+    # each, with coherent_amplitudes' temporaries: 2.7 times the two (at most 0.4
+    # above the rest).  Python objects: 24 entries a sector and an alpha (290 and
+    # at most 300 bytes), and 512 more for a fresh process at cutoff 1 (7.9 KB)
+    n_alpha = len(cfg.alpha_list)
+    stacks = 2 * n_alpha * d
+    return [_matrices(d),
+            (f"the beam splitter's blocks, sectors s = 0..{d - 1} of the "
+             f"{d * d}-dimensional two-mode basis", d * (d + 1) * (2 * d + 1) // 6),
+            (f"2.7 times the input and target stacks ({stacks} entries, a row per "
+             f"alpha each)", 27 * stacks // 10),
+            ("Python objects, 24 entries a sector and an alpha and 512 more",
+             512 + 24 * (d + n_alpha))]
 
 
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
@@ -216,41 +271,41 @@ REGISTRY = {
     "mmstate": Experiment(
         ("b", "cutoff", "tail_tol", "n", "weight", "mass"),
         ((("b_list",), _compute_mmstate),),
-        _disk_cutoff),
+        _disk_cutoff, _single_mode_memory),
     "conformation": Experiment(
         ("N", "b", "r", "phi", "cutoff", "p", "q", "r_p", "theta_pq",
          "k_factor", "vacuum_weight"),
         ((("N_list", "b_list", "r_list", "phi_list"), _compute_conformation),),
-        _disk_cutoff, holds="rows"),
+        lambda cfg: 1, _conformation_memory),
     "convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "N_list"), _compute_convergence),),
-        _disk_cutoff, shared=("N_list",), holds="key_stack"),
+        _disk_cutoff, _convergence_memory, shared=("N_list",)),
     "squeezed_convergence": Experiment(
         _CONVERGENCE_COLUMNS,
         ((("b_list", "r_list", "phi_list", "N_list"), _compute_convergence),),
-        _squeezed_disk_cutoff, shared=("r_list", "phi_list", "N_list"), holds="key_stack"),
+        _squeezed_disk_cutoff, _convergence_memory, shared=("r_list", "phi_list", "N_list")),
     "attack": Experiment(
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
         ((("alpha_list", "r_list", "phi_list"), _compute_attack),),
-        lambda cfg: 60, shared=("alpha_list",), holds="two_mode"),
+        lambda cfg: 60, _attack_memory, shared=("alpha_list",)),
     "nongauss_overlap": Experiment(
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),
         ((("r_list", "phi_list", "beta_mag_list", "varphi_list"), _compute_overlap),),
-        lambda cfg: 40),
+        lambda cfg: 40, _single_mode_memory),
     "nongauss_variance": Experiment(
         ("kind", "r", "phi_xi", "beta_mag", "varphi", "theta", "cutoff",
          "exact", "closed_form", "approx", "abs_err"),
         ((("r_list", "phi_list", "theta_list"), _compute_squeezed_variance),
          (("beta_mag_list", "varphi_list", "theta_list"), _compute_even_variance)),
-        lambda cfg: 40),
+        lambda cfg: 40, _single_mode_memory),
     "displacement_bs": Experiment(
         ("input_kind", "input_beta_mag", "input_varphi", "T", "gamma_re",
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),
         ((("T_list",), _compute_displacement_bs),),
-        _displacement_cutoff,
+        _displacement_cutoff, _single_mode_memory,
         reads=("eff_re", "eff_im", "input_kind", "input_beta_mag", "input_varphi"),
         shared=("T_list",)),
 }

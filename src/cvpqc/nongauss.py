@@ -30,7 +30,7 @@ def even_coherent_state(beta_mag: float, varphi: float, cutoff: FockCutoff,
                         tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Normalized amplitudes of (|beta> + |-beta>) / sqrt(2 (1 + e^{-2|beta|^2}));
     odd levels exactly zero."""
-    b2 = beta_mag ** 2
+    b2 = beta_mag * beta_mag
     raw = coherent_amplitudes(beta_mag * np.exp(1j * varphi), cutoff).copy()
     raw[1::2] = 0.0  # enforce parity exactly instead of relying on cancellation
     raw[0::2] *= 2.0
@@ -50,7 +50,7 @@ def overlap_even_vs_squeezed(beta_mag: float, varphi: float, xi: SqueezeParam,
     ec = even_coherent_state(beta_mag, varphi, cutoff, tail_tol)
     sv = squeezed_coherent_state(xi, 0.0, cutoff, tail_tol)
     exact = float(abs(np.vdot(ec, sv)) ** 2)
-    approx = 1.0 - beta_mag ** 2 * xi.r * math.cos(2.0 * varphi - xi.phi)
+    approx = 1.0 - beta_mag * beta_mag * xi.r * math.cos(2.0 * varphi - xi.phi)
     return exact, approx
 
 
@@ -71,14 +71,14 @@ def squeezed_vacuum_variance_approx(xi: SqueezeParam, theta: float) -> float:
 
 def even_variance_closed_form(beta_mag: float, varphi: float, theta: float) -> float:
     """(1/4)[1 + 2|b|^2 cos(2 theta - 2 varphi) + 2|b|^2 tanh(|b|^2)], exact at every angle."""
-    b2 = beta_mag ** 2
+    b2 = beta_mag * beta_mag
     return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * varphi)
                    + 2.0 * b2 * math.tanh(b2))
 
 
 def even_variance_approx(beta_mag: float, varphi: float, theta: float) -> float:
     """Small-amplitude form (1/4)[1 + 2|b|^2 cos(2 theta - 2 varphi)]; extremes (1 +- 2|b|^2)/4."""
-    b2 = beta_mag ** 2
+    b2 = beta_mag * beta_mag
     return 0.25 * (1.0 + 2.0 * b2 * math.cos(2.0 * theta - 2.0 * varphi))
 
 
@@ -98,15 +98,15 @@ def beamsplitter_signal(T: float, eff: complex, beta_mag: float, varphi: float,
     """
     if not 0.0 < T <= 1.0:
         raise ValueError(f"transmission must lie in (0, 1], got {T}")
-    t = math.sqrt(1.0 - T)
+    t, b2 = math.sqrt(1.0 - T), beta_mag * beta_mag
     beta = beta_mag * np.exp(1j * varphi)
     sig = t * beta * np.array([1.0, -1.0]) + eff
     rows = coherent_amplitudes(sig, cutoff)
     check_row_tails(rows, tail_tol, lambda k: f"signal amplitude {sig[k]} at T={T}")
     # <s beta + t gamma|-s beta + t gamma> in terms of eff = s gamma: no |gamma|^2 to cancel
-    w = np.exp(-2.0 * T * beta_mag ** 2 + 2j * t * (eff * np.conj(beta)).imag)
+    w = np.exp(-2.0 * T * b2 + 2j * t * (eff * np.conj(beta)).imag)
     gram = np.array([[1.0, w], [np.conj(w), 1.0]])
-    norm = 2.0 * (1.0 + math.exp(-2.0 * beta_mag ** 2))
+    norm = 2.0 * (1.0 + math.exp(-2.0 * b2))
     return rows.T @ gram @ rows.conj() / norm
 
 

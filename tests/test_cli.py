@@ -49,18 +49,20 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="attack", cutoff=30)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
-    assert "961" in out       # two-mode basis dimension 31^2
-    assert "10416" in out     # beam-splitter block entries 31 * 32 * 63 / 6
+    # beam-splitter block entries 31 * 32 * 63 / 6 over the two-mode basis of dimension 31^2
+    assert ("10416 complex entries (~0.167 MB): the beam splitter's blocks, sectors "
+            "s = 0..30 of the 961-dimensional two-mode basis") in out
     assert "config valid" in out
     # the attack benchmark cutoff: 101 * 102 * 203 / 6 entries of 16 bytes
     cfg = write_config(tmp_path, experiment="attack", cutoff=100)
     assert main(["validate", cfg]) == 0
-    assert "holds 348551 complex block entries (~5.6 MB)" in capsys.readouterr().out
-    # displacement_bs stays in one mode: a d x d density matrix
+    assert "348551 complex entries (~5.577 MB): the beam splitter's blocks" in \
+        capsys.readouterr().out
+    # displacement_bs stays in one mode: d x d density matrices
     cfg = write_config(tmp_path, experiment="displacement_bs", cutoff=98)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
-    assert "9801 complex entries" in out
+    assert "6 d x d matrices, d = 99 (9801 entries each)" in out
     assert "two-mode" not in out
     # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N, and
     # the plain mixture's real stack [Re; Im] beside them: 3.63 MB under tracemalloc
@@ -68,9 +70,9 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="convergence", b_list=[5.0], cutoff=195)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
-    assert ("key-row stack at N = 32 holds 103488 complex entries, and the plain mixture "
-            "holds twice that (~3.312 MB)") in out
-    # plus 6 d x d matrices, and 16 entries a key and 1024 more for Python objects
+    assert ("206976 complex entries (~3.312 MB): the key-row stack at N = 32 "
+            "(103488 entries) and the plain mixture's real stack") in out
+    # plus 6 d x d matrices, and 20 entries a key and 1024 more for Python objects
     assert "the largest task peaks at about 7.2 MB" in out
     assert "squeezers" not in out
     # a squeezed_convergence task is one b and holds the squeezer of each of its
@@ -79,37 +81,52 @@ def test_validate_reports_memory_model(tmp_path, capsys):
                        r_list=[0.0, 0.1, 0.3, 0.1], phi_list=[0.0, 1.0])
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
-    assert ("a task holds its 4 squeezers S(xi) side by side, 153664 complex entries "
-            "(~2.459 MB)") in out
+    assert "153664 complex entries (~2.459 MB): 4 squeezers S(xi) side by side" in out
     assert "the largest task peaks at about 9.6 MB" in out
-    # conformation's rows are closed forms
+    # conformation's rows are closed forms: no cutoff term
     cfg = write_config(tmp_path, experiment="conformation", cutoff=100000)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
-    assert "a task holds no Fock-space array" in out
-    assert "the run holds its 713 rows (~0.2 MB)" in out  # 3 + 10 + 36 + 136 + 528
+    assert "d x d" not in out
+    # 3 + 10 + 36 + 136 + 528 rows of 16 entries each
+    assert "11408 complex entries (~0.183 MB): the run's 713 closed-form rows" in out
     assert "config valid" in out
 
 
-@pytest.mark.parametrize("physical, ok", [(256 * 713, True), (256 * 713 - 1, False)],
+@pytest.mark.parametrize("physical, ok", [(256 * 713 + 4096, True), (256 * 713 + 4095, False)],
                          ids=["at_the_bound", "a_byte_short"])
 def test_conformation_rows_are_bounded_by_physical_memory(monkeypatch, tmp_path, physical, ok):
-    # the default grids give 713 rows, at 256 bytes a row
+    # the default grids give 713 rows, at 256 bytes a row, and 4 KB of Python objects
     monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: physical)
     rep = validate(config_from_dict({"experiment": "conformation"}))
     assert rep.ok == ok
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("fields", [
-    {"experiment": "convergence", "cutoff": 10 ** 10},
-    {"experiment": "convergence", "b_list": [1000.0]},  # default cutoff 1268983
-    {"experiment": "convergence", "N_list": [1000000], "cutoff": 20},  # the key stack
-    {"experiment": "attack", "cutoff": 100000},  # the splitter's d (d+1) (2d+1) / 6 entries
-    {"experiment": "conformation", "N_list": [1000000]},  # 5e11 closed-form rows
-], ids=["cutoff", "default_cutoff", "key_stack", "two_mode", "rows"])
+@pytest.mark.parametrize("fields, says", [
+    ({"experiment": "convergence", "cutoff": 10 ** 10}, "MB of physical memory"),
+    # default cutoff 1268983
+    ({"experiment": "convergence", "b_list": [1000.0]}, "MB of physical memory"),
+    # the key stack
+    ({"experiment": "convergence", "N_list": [1000000], "cutoff": 20}, "MB of physical memory"),
+    # the splitter's d (d+1) (2d+1) / 6 entries
+    ({"experiment": "attack", "cutoff": 100000}, "MB of physical memory"),
+    # 5e11 closed-form rows
+    ({"experiment": "conformation", "N_list": [1000000]}, "MB of physical memory"),
+    # peaks past the float range, which validate prints in integers: a default
+    # cutoff near 1e200, an explicit one of 161 digits and 5e319 rows
+    ({"experiment": "mmstate", "b_list": [1e100]}, "MB of physical memory"),
+    ({"experiment": "convergence", "b_list": [1e100]}, "MB of physical memory"),
+    ({"experiment": "attack", "cutoff": 10 ** 160}, "MB of physical memory"),
+    ({"experiment": "conformation", "N_list": [10 ** 160]}, "MB of physical memory"),
+    # counts past the 4300 digits str prints of an int
+    ({"experiment": "attack", "cutoff": 10 ** 2500}, "too long to print"),
+    ({"experiment": "conformation", "N_list": [10 ** 4000]}, "too long to print"),
+], ids=["cutoff", "default_cutoff", "key_stack", "two_mode", "rows", "mmstate_1e100",
+        "convergence_1e100", "cutoff_161_digits", "rows_5e319", "cutoff_2501_digits",
+        "rows_8000_digits"])
 def test_task_beyond_physical_memory_is_a_config_problem(monkeypatch, tmp_path, capsys,
-                                                         command, fields):
+                                                         command, fields, says):
     def refuse(*args, **kwargs):
         raise AssertionError("the run started")
     monkeypatch.setattr("cvpqc.cli.execute", refuse)
@@ -117,39 +134,84 @@ def test_task_beyond_physical_memory_is_a_config_problem(monkeypatch, tmp_path, 
     cfg = write_config(tmp_path, **fields)
     assert main(argv(command, cfg, out)) == (0 if command == "validate" else 2)
     captured = capsys.readouterr()
-    assert "MB of physical memory" in captured.out + captured.err
+    assert says in captured.out + captured.err
     assert not out.exists()
+
+
+def test_validate_prints_a_peak_past_the_float_range(monkeypatch):
+    # where the platform gives no physical memory nothing is capped, and the
+    # report prints a peak of about d^3 / 3 = 3e479 entries
+    monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: 0)
+    rep = validate(config_from_dict({"experiment": "attack", "cutoff": 10 ** 160}))
+    assert rep.ok
+    peak = re.search(r"peaks at about (\d+)\.\d MB \((\d+) complex entries\)",
+                     "\n".join(rep.info))
+    assert int(peak.group(1)) == 16 * int(peak.group(2)) // 10 ** 6 > 10 ** 474
 
 
 @pytest.mark.parametrize("n_max", [1, 30, 100])
 def test_validate_counts_the_block_entries_of_the_gate(n_max):
     rep = validate(config_from_dict({"experiment": "attack", "cutoff": n_max}))
-    count = re.search(r"holds (\d+) complex block entries", "\n".join(rep.info))
+    count = re.search(r"(\d+) complex entries \(~[0-9.]+ MB\): the beam splitter's blocks",
+                      "\n".join(rep.info))
     gate = fock.beam_splitter(math.pi / 4, FockCutoff(n_max))
     assert int(count.group(1)) == sum(blk.size for blk in gate.blocks)
+
+
+def _assert_validate_bounds_the_run(monkeypatch, cfg):
+    """Run ``cfg``, one task a stage, as a run starts: the tracemalloc peak stays
+    within the bound validate prints, the sum of the terms it prints."""
+    fock.beam_splitter.cache_clear()  # attack builds its gate in its first task
+    tracemalloc.start()
+    try:
+        execute(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    info = "\n".join(validate(cfg).info)
+    bound = re.search(r"peaks at about [0-9.]+ MB \((\d+) complex entries\)", info)
+    assert int(bound.group(1)) == sum(map(int, re.findall(r"^  (\d+) complex entries", info,
+                                                            flags=re.M)))
+    # a task whose bound exceeds physical memory is a problem: the bound covers
+    # the measured peak if it exceeds a byte less
+    monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
+    assert any("MB of physical memory" in p for p in validate(cfg).problems)
+
+
+# A config per experiment whose first task holds every term its memory lists.
+# Every grid but the shared ones holds one value, so a run is one task a stage.
+# The loose tail_tol lets each run at cutoff 1; it changes no allocation.
+_BOUND_CONFIGS = {
+    "mmstate": {},
+    "conformation": {"r_list": [0.3]},
+    "convergence": {"N_list": [2, 8, 31, 32]},
+    "squeezed_convergence": {"b_list": [1.0], "N_list": [1, 7, 8],
+                             "r_list": [0.1, 0.3], "phi_list": [0.0, 1.0]},
+    "attack": {"r_list": [0.3], "phi_list": [0.5],
+               "alpha_list": np.linspace(0.1, 1.0, 16).tolist()},
+    "nongauss_overlap": {"r_list": [0.3]},
+    "nongauss_variance": {"r_list": [0.3]},
+    "displacement_bs": {},
+}
+
+
+@pytest.mark.parametrize("experiment, size", [
+    (name, size) for name in REGISTRY
+    for size in ([1, 2, 8, 32] if name == "conformation" else [1, 10, 20, 40, 100])])
+def test_validate_bounds_the_peak_of_a_task(monkeypatch, experiment, size):
+    # size is the cutoff, or N for conformation, whose rows ignore the cutoff
+    doc = dict(_BOUND_CONFIGS[experiment], experiment=experiment, tail_tol=0.99)
+    doc.update({"N_list": [size]} if experiment == "conformation" else {"cutoff": size})
+    _assert_validate_bounds_the_run(monkeypatch, config_from_dict(doc))
 
 
 @pytest.mark.parametrize("n_alpha", [1, 4, 64])
 @pytest.mark.parametrize("n_max", [1, 10, 20, 30, 60, 100])
 def test_validate_bounds_the_peak_of_an_attack_task(monkeypatch, n_max, n_alpha):
-    # one task is one (r, phi) with the input and target stacks of every alpha; it
-    # builds the gate, as the first task of a run does.  The loose tail_tol
-    # lets it run at every cutoff; it changes no allocation.
-    cfg = config_from_dict({"experiment": "attack", "cutoff": n_max, "r_list": [0.3],
-                            "phi_list": [0.5], "tail_tol": 0.5,
-                            "alpha_list": np.linspace(0.1, 1.0, n_alpha).tolist()})
-    ((_, compute),) = REGISTRY["attack"].stages
-    fock.beam_splitter.cache_clear()
-    tracemalloc.start()
-    try:
-        assert len(compute(cfg, n_max, r=0.3, phi=0.5, alpha_list=cfg.alpha_list)) == n_alpha
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a task whose bound exceeds physical memory is a problem: the bound covers
-    # the measured peak if it exceeds a byte less
-    monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
-    assert any("MB of physical memory" in p for p in validate(cfg).problems)
+    # the input and target stacks of up to 64 alphas
+    _assert_validate_bounds_the_run(monkeypatch, config_from_dict(
+        {"experiment": "attack", "cutoff": n_max, "r_list": [0.3], "phi_list": [0.5],
+         "tail_tol": 0.5, "alpha_list": np.linspace(0.1, 1.0, n_alpha).tolist()}))
 
 
 @pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])
@@ -161,25 +223,13 @@ def test_validate_bounds_the_peak_of_an_attack_task(monkeypatch, n_max, n_alpha)
 ], ids=["cutoff1", "cutoff10", "paper", "large"])
 def test_validate_bounds_the_peak_of_a_convergence_task(monkeypatch, experiment, b, n_max,
                                                         N_list):
-    # one task is one b, with the key rows of every N and, for squeezed_convergence,
-    # the squeezers of four squeezings; the loose tail_tol lets the small cutoffs run
+    # the key rows of N up to 32 at cutoff 195 and, for squeezed_convergence, the
+    # squeezers of four squeezings
     doc = {"experiment": experiment, "b_list": [b], "cutoff": n_max, "N_list": N_list,
            "tail_tol": 0.5}
     if experiment == "squeezed_convergence":
         doc.update(r_list=[0.1, 0.3], phi_list=[0.0, 1.0])
-    cfg = config_from_dict(doc)
-    exp = REGISTRY[experiment]
-    ((_, compute),) = exp.stages
-    shared = {g: getattr(cfg, g) for g in exp.shared}
-    tracemalloc.start()
-    try:
-        assert len(compute(cfg, n_max, b=b, **shared)) == \
-            len(cfg.r_list) * len(cfg.phi_list) * len(N_list)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
-    assert any("MB of physical memory" in p for p in validate(cfg).problems)
+    _assert_validate_bounds_the_run(monkeypatch, config_from_dict(doc))
 
 
 def test_readme_configs_validate():
@@ -223,7 +273,7 @@ def test_validate_flags_each_empty_grid(experiment, grid):
     ({"experiment": "squeezed_convergence", "r_list": [0.0, 0.5], "phi_list": [3.0]}, 112,
      "default"),
     ({"experiment": "squeezed_convergence", "r_list": [1.0]}, 218, "default"),
-    ({"experiment": "conformation", "r_list": [1.0]}, 59, "default"),
+    ({"experiment": "conformation", "r_list": [1.0]}, 1, "default"),
 ], ids=["attack", "nongauss_overlap", "nongauss_variance", "convergence-b2",
         "displacement_bs", "displacement_bs-no_ancilla", "displacement_bs-vacuum", "mmstate",
         "attack-explicit", "squeezed_convergence-r0", "squeezed_convergence-r0.5",
@@ -1065,6 +1115,23 @@ def test_a_huge_signal_amplitude_exits_3_with_only_the_tail_line(tmp_path):
     assert proc.stderr.splitlines() == [
         "tail-mass violation: truncation tail mass 1.000e+00 exceeds tolerance 1.000e-08 "
         "for signal amplitude (1e+200+0j) at T=0.5"]
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("fields, beta", [
+    ({"experiment": "nongauss_overlap", "beta_mag_list": [1e308], "cutoff": 5}, "1e+308"),
+    ({"experiment": "nongauss_variance", "beta_mag_list": [1e308], "cutoff": 5}, "1e+308"),
+    ({"experiment": "displacement_bs", "input_beta_mag": 1e200, "T_list": [1.0], "cutoff": 5},
+     "1e+200"),
+], ids=["nongauss_overlap", "nongauss_variance", "displacement_bs"])
+def test_a_huge_beta_exits_3_naming_the_even_coherent_state(tmp_path, fields, beta):
+    # |beta|^2 is inf, not an OverflowError: the even coherent row is zero, a tail of 1
+    cfg = write_config(tmp_path, **fields)
+    proc = _console("run", cfg, "--out", tmp_path / "rows.csv")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "tail-mass violation: truncation tail mass 1.000e+00 exceeds tolerance 1.000e-08 "
+        f"for even coherent state |beta|={beta}"]
     assert not (tmp_path / "rows.csv").exists()
 
 

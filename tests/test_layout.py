@@ -13,10 +13,11 @@ That check goes by name only, so it can miss an unused member whose name
 another object's attribute shares, but it never flags a used one.  A third
 check asks of every name an import binds, in `src/cvpqc` and in `tests/`,
 that its module reads it somewhere.  A fourth asks that `src/cvpqc` import
-nothing beyond numpy, the standard library and its own modules, and a fifth
+nothing beyond numpy, the standard library and its own modules, a fifth
 that every parameter of a `src/cvpqc` function is read in its body, unless its
 name starts with an underscore: a parameter that a calling convention passes
-and this function does not need.
+and this function does not need, and a sixth that `config` imports no package
+module but `experiments`, where every per-experiment rule lives.
 """
 import ast
 import sys
@@ -186,3 +187,17 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def package_imports(module):
+    """The `src/cvpqc` modules that ``module`` imports (relatively: the fourth check
+    rejects an absolute import of the package)."""
+    found = set()
+    for stmt in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+            found.update([stmt.module] if stmt.module else [a.name for a in stmt.names])
+    return sorted(found)
+
+
+def test_config_imports_only_experiments():
+    assert package_imports("config") == ["experiments"]
