@@ -5,11 +5,11 @@ rows; where they go is a `cvpqc run` flag.  Unknown keys are rejected rather
 than ignored so that a typo in a grid name cannot silently run a default
 sweep; so is a field the experiment never reads, other than the fields in
 ``RUN_FIELDS``.  ``validate`` never raises; it returns a report of problems,
-the cutoff, and the largest task's memory: the terms its experiment's
-``memory`` lists and their sum, which must not exceed the machine's physical
-memory.  It does not judge whether a cutoff is large enough: the run's own
-tail checks do, and a cutoff that is too small makes the run exit 3 at the
-grid point it fails.
+the cutoff, and the run's memory: the terms its experiment's ``memory``
+lists for its largest task and its rows, and their sum, which must not
+exceed the machine's physical memory.  It does not judge whether a cutoff is
+large enough: the run's own tail checks do, and a cutoff that is too small
+makes the run exit 3 at the grid point it fails.
 """
 from __future__ import annotations
 
@@ -224,15 +224,15 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         physical = _physical_bytes()
         if physical and 16 * peak > physical:
             what, entries = max(terms, key=lambda t: t[1])
-            bad(f"the largest task needs about {_megabytes(peak, 1)} MB, more than the "
+            bad(f"the run needs about {_megabytes(peak, 1)} MB, more than the "
                 f"{physical / 1e6:.0f} MB of physical memory; its largest part is {what} "
                 f"(~{_megabytes(entries, 1)} MB)")
             return rep
         of = f" of {physical / 1e6:.0f} MB physical memory" if physical else ""
-        rep.info.append(f"the largest task peaks at about {_megabytes(peak, 1)} MB "
+        rep.info.append(f"the run peaks at about {_megabytes(peak, 1)} MB "
                         f"({peak} complex entries){of}, the sum of:")
         rep.info += [f"  {entries} complex entries (~{_megabytes(entries, 3)} MB): {what}"
                      for what, entries in terms]
     except ValueError:
-        bad("the largest task's count of entries is too long to print: beyond any memory")
+        bad("the run's count of entries is too long to print: beyond any memory")
     return rep

@@ -3,22 +3,24 @@
 ``REGISTRY`` holds the one definition of each experiment: its columns, the
 config grids it loops over (outermost first) with the compute function for
 one task, the function that gives its default cutoff, the function that
-lists what its largest task holds, and the other config fields it reads.  A
-default is either fixed or ``heuristic_cutoff`` at the largest amplitude the
-experiment truncates; an explicit cutoff is used as given, and the run's
-own tail checks judge whether it is large enough.
+lists what its largest task and its rows hold, and the other config fields
+it reads.  A default is either fixed or ``heuristic_cutoff`` at the largest
+amplitude the experiment truncates; an explicit cutoff is used as given, and
+the run's own tail checks judge whether it is large enough.
 
 A task is one point of the grids' product, except that a task covers every
 value of the experiment's ``shared`` grids at once: a convergence task is
 one b, and it builds the target once, each distinct squeezer once, and the
 key rows and the plain mixture once per distinct N for all of its
 squeezings; an attack task is one (r, phi) pair, and it builds the
-squeezers S(xi) and S(xi/2) once for all of its alphas; a displacement_bs
-config is one task, which builds its input and target once for all of its
-transmissions.  ``execute`` runs the tasks one after another in one
-process, in the order in which the rows first need them: the order of the
-grids other than the shared ones; points whose values agree on those grids
-share one task.  A failing run names a point of the first failing task,
+squeezers S(xi) and S(xi/2) once for all of its alphas; a nongauss_overlap
+task is one (r, phi), which builds its squeezed vacuum once for all of its
+(beta, varphi); a nongauss_variance task builds its state once for all of
+its thetas; a displacement_bs config is one task, which builds its input and
+target once for all of its transmissions.  ``execute`` runs the tasks one
+after another in one process, in the order in which the rows first need
+them: the order of the grids other than the shared ones; points whose values
+agree on those grids share one task.  A failing run names a point of the first failing task,
 which need not be the first failing point in row order.
 
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
@@ -52,11 +54,13 @@ class Experiment:
     ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
     later stage follow all rows of an earlier one.  One task covers every
     value of the ``shared`` grids (the N and the squeezings of a convergence
-    sweep, the alphas of attack, the transmissions of displacement_bs).
+    sweep, the alphas of attack, the (beta, varphi) of nongauss_overlap, the
+    thetas of nongauss_variance, the transmissions of displacement_bs).
     ``default_cutoff(cfg)`` is the cutoff a config without one runs at.
     ``memory(cfg, d)`` lists what the largest task holds at d = cutoff + 1,
-    as (what, complex entries) pairs whose sum bounds the task's tracemalloc
-    peak from cutoff 1 on; it sits beside the compute function.
+    and the run's rows, which ``execute`` holds until they are written, as
+    (what, complex entries) pairs whose sum bounds the run's tracemalloc peak
+    from cutoff 1 on; it sits beside the compute function.
     ``reads`` names the config fields other than the grids and the run
     fields that the compute functions read.
     """
@@ -114,17 +118,32 @@ def _compute_mmstate(cfg, n_max, b):
              for n in range(n_max + 1)]]
 
 
-def _matrices(d):
+def _matrices(d, count=6):
     # at most 6 d x d matrices are live at once (tracemalloc at cutoff 100: 1.0 d^2
     # for nongauss_*, 2.0 for mmstate, 4 beside the key stack, 5.7 for
-    # displacement_bs and 5.6 beside the splitter blocks for attack)
-    return (f"6 d x d matrices, d = {d} ({d * d} entries each)", 6 * d * d)
+    # displacement_bs); attack counts its own
+    return (f"{count} d x d matrices, d = {d} ({d * d} entries each)", count * d * d)
 
 
-def _single_mode_memory(_cfg, d):
-    # also the nongauss and displacement_bs memory.  Python objects: tracemalloc
+def _rows(cfg, row_bytes, per_point=1):
+    """The run's rows, which ``execute`` holds until the CSV is written:
+    ``per_point`` rows at each point of each stage's grids, ``row_bytes`` (a
+    multiple of 16) each."""
+    count = per_point * sum(math.prod(len(getattr(cfg, g)) for g in grids)
+                            for grids, _ in REGISTRY[cfg.experiment].stages)
+    return (f"the run's {count} rows, {row_bytes} bytes each", row_bytes * count // 16)
+
+
+def _single_mode_memory(cfg, d, row_bytes, per_point=1):
+    # the mmstate, nongauss and displacement_bs memory.  Python objects: tracemalloc
     # peaks 7.5-10 KB above the matrices at cutoff 1 in a fresh process
-    return [_matrices(d), ("Python objects", 1024)]
+    return [_matrices(d), ("Python objects", 1024), _rows(cfg, row_bytes, per_point)]
+
+
+def _mmstate_memory(cfg, d):
+    # d rows a b: 122-133 bytes a row under tracemalloc (2020 to 202000 rows at
+    # cutoff 100), and 28 more where n passes 256, the ints CPython caches
+    return _single_mode_memory(cfg, d, 176, per_point=d)
 
 
 # --- conformation (ring geometry / angular weights) -------------------------
@@ -185,7 +204,9 @@ def _convergence_memory(cfg, d):
               f"mixture's real stack [Re; Im] beside it", 2 * keys * d)]
     if squeezers:
         terms.append((f"{squeezers} squeezers S(xi) side by side", squeezers * d * d))
-    return terms + [("Python objects, 20 entries a key and 1024 more", 20 * keys + 1024)]
+    # the rows: 205-218 bytes a row (200 to 10000 rows)
+    return terms + [("Python objects, 20 entries a key and 1024 more", 20 * keys + 1024),
+                    _rows(cfg, 256)]
 
 
 # --- beam-splitter tap -------------------------------------------------------
@@ -201,26 +222,40 @@ def _compute_attack(cfg, n_max, r, phi, alpha_list):
 def _attack_memory(cfg, d):
     # a task builds its target stack beside its input stack, a row per alpha
     # each, with coherent_amplitudes' temporaries: 2.7 times the two (at most 0.4
-    # above the rest).  Python objects: 24 entries a sector and an alpha (290 and
-    # at most 300 bytes), and 512 more for a fresh process at cutoff 1 (7.9 KB)
+    # above the rest).  Beside the splitter's blocks, the stacks and the objects
+    # it holds the two-mode state and apply's output, or a squeezer before the
+    # blocks are built: tracemalloc peaks 2.9 d^2 above the blocks and the
+    # stacks at cutoff 100 and 2.7 d^2 at 150, objects included.  Python
+    # objects: 24 entries a sector and an alpha (290 and at most 300 bytes), and
+    # 512 more for a fresh process at cutoff 1 (7.9 KB).  The rows: 346 bytes a
+    # row (40 to 10000 rows)
     n_alpha = len(cfg.alpha_list)
     stacks = 2 * n_alpha * d
-    return [_matrices(d),
+    return [_matrices(d, 3),
             (f"the beam splitter's blocks, sectors s = 0..{d - 1} of the "
              f"{d * d}-dimensional two-mode basis", d * (d + 1) * (2 * d + 1) // 6),
             (f"2.7 times the input and target stacks ({stacks} entries, a row per "
              f"alpha each)", 27 * stacks // 10),
             ("Python objects, 24 entries a sector and an alpha and 512 more",
-             512 + 24 * (d + n_alpha))]
+             512 + 24 * (d + n_alpha)),
+            _rows(cfg, 400)]
 
 
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
 
 
-def _compute_overlap(cfg, n_max, r, phi, beta_mag, varphi):
-    exact, approx = nongauss.overlap_even_vs_squeezed(
-        beta_mag, wrap_angle(varphi), SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol)
-    return [[(r, phi, beta_mag, varphi, n_max, exact, approx, abs(exact - approx))]]
+def _compute_overlap(cfg, n_max, r, phi, beta_mag_list, varphi_list):
+    pairs = [(bm, vp) for bm in beta_mag_list for vp in varphi_list]
+    results = nongauss.overlap_even_vs_squeezed(
+        [bm for bm, _ in pairs], [wrap_angle(vp) for _, vp in pairs], SqueezeParam(r, phi),
+        FockCutoff(n_max), cfg.tail_tol)
+    return [[(r, phi, bm, vp, n_max, exact, approx, abs(exact - approx))]
+            for (bm, vp), (exact, approx) in zip(pairs, results)]
+
+
+def _overlap_memory(cfg, d):
+    # the rows: 248-250 bytes a row (1000 to 10000 rows at cutoff 10)
+    return _single_mode_memory(cfg, d, 288)
 
 
 # --- quadrature variances ----------------------------------------------------
@@ -230,22 +265,33 @@ def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
     return [[(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx, abs(exact - closed))]]
 
 
-def _compute_squeezed_variance(cfg, n_max, r, phi, theta):
-    xi, th = SqueezeParam(r, phi), wrap_angle(theta)
+def _compute_squeezed_variance(cfg, n_max, r, phi, theta_list):
+    xi, rows = SqueezeParam(r, phi), []
     state = squeezed_coherent_state(xi, 0.0, FockCutoff(n_max), cfg.tail_tol)
-    return _variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
-                         quadrature_variance(state, th),
-                         nongauss.squeezed_vacuum_variance(xi, th),
-                         nongauss.squeezed_vacuum_variance_approx(xi, th))
+    for theta in theta_list:
+        th = wrap_angle(theta)
+        rows += _variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
+                              quadrature_variance(state, th),
+                              nongauss.squeezed_vacuum_variance(xi, th),
+                              nongauss.squeezed_vacuum_variance_approx(xi, th))
+    return rows
 
 
-def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta):
-    vp, th = wrap_angle(varphi), wrap_angle(theta)
+def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta_list):
+    vp, rows = wrap_angle(varphi), []
     state = nongauss.even_coherent_state(beta_mag, vp, FockCutoff(n_max), cfg.tail_tol)
-    return _variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
-                         quadrature_variance(state, th),
-                         nongauss.even_variance_closed_form(beta_mag, vp, th),
-                         nongauss.even_variance_approx(beta_mag, vp, th))
+    for theta in theta_list:
+        th = wrap_angle(theta)
+        rows += _variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
+                              quadrature_variance(state, th),
+                              nongauss.even_variance_closed_form(beta_mag, vp, th),
+                              nongauss.even_variance_approx(beta_mag, vp, th))
+    return rows
+
+
+def _variance_memory(cfg, d):
+    # the rows: 256-258 bytes a row (2000 to 20000 rows at cutoff 10)
+    return _single_mode_memory(cfg, d, 288)
 
 
 # --- displacement from a strong ancilla --------------------------------------
@@ -264,6 +310,11 @@ def _compute_displacement_bs(cfg, n_max, T_list):
     return rows
 
 
+def _displacement_memory(cfg, d):
+    # the rows: 309-311 bytes a row (10 to 5000 transmissions at cutoff 5)
+    return _single_mode_memory(cfg, d, 352)
+
+
 _CONVERGENCE_COLUMNS = ("N", "b", "r", "phi", "cutoff", "d_hs", "d_hs_times_Np1",
                         "triangle_bound", "entropy")
 
@@ -271,7 +322,7 @@ REGISTRY = {
     "mmstate": Experiment(
         ("b", "cutoff", "tail_tol", "n", "weight", "mass"),
         ((("b_list",), _compute_mmstate),),
-        _disk_cutoff, _single_mode_memory),
+        _disk_cutoff, _mmstate_memory),
     "conformation": Experiment(
         ("N", "b", "r", "phi", "cutoff", "p", "q", "r_p", "theta_pq",
          "k_factor", "vacuum_weight"),
@@ -294,18 +345,18 @@ REGISTRY = {
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),
         ((("r_list", "phi_list", "beta_mag_list", "varphi_list"), _compute_overlap),),
-        lambda cfg: 40, _single_mode_memory),
+        lambda cfg: 40, _overlap_memory, shared=("beta_mag_list", "varphi_list")),
     "nongauss_variance": Experiment(
         ("kind", "r", "phi_xi", "beta_mag", "varphi", "theta", "cutoff",
          "exact", "closed_form", "approx", "abs_err"),
         ((("r_list", "phi_list", "theta_list"), _compute_squeezed_variance),
          (("beta_mag_list", "varphi_list", "theta_list"), _compute_even_variance)),
-        lambda cfg: 40, _single_mode_memory),
+        lambda cfg: 40, _variance_memory, shared=("theta_list",)),
     "displacement_bs": Experiment(
         ("input_kind", "input_beta_mag", "input_varphi", "T", "gamma_re",
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),
         ((("T_list",), _compute_displacement_bs),),
-        _displacement_cutoff, _single_mode_memory,
+        _displacement_cutoff, _displacement_memory,
         reads=("eff_re", "eff_im", "input_kind", "input_beta_mag", "input_varphi"),
         shared=("T_list",)),
 }

@@ -230,15 +230,16 @@ def squeezed_coherent_state(xi: SqueezeParam, alpha, cutoff: FockCutoff,
     sees the mass that the coherent row and the squeezing both lose at the cutoff.
 
     ``alpha`` is one amplitude, or a 1-D array of them for one row per alpha,
-    each the same as its own call: S(xi) is built once, and the rows are checked
-    in order, so the first that fails names its alpha.
+    each the same as its own call: S(xi) is built once, and none at r = 0, where
+    it is the identity; the rows are checked in order, so the first that fails
+    names its alpha.
     """
     scalar = np.ndim(alpha) == 0
     alphas = [alpha] if scalar else alpha
-    s = squeeze_operator(xi, cutoff)
+    s = squeeze_operator(xi, cutoff) if xi.r != 0.0 else None
     rows = coherent_amplitudes(alphas, cutoff)
     for k, a in enumerate(alphas):
-        rows[k] = _finish_state(s @ rows[k], tail_tol,
+        rows[k] = _finish_state(rows[k] if s is None else s @ rows[k], tail_tol,
                                 f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={a}")
     return rows[0] if scalar else rows
 
@@ -386,10 +387,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     w = np.linalg.eigvalsh(rho)
     w = w[w > ENTROPY_CLIP]
     return float(-(w * np.log2(w)).sum() + 0.0)
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.linalg.norm(rho) ** 2)  # tr rho^2 for Hermitian rho
 
 
 def mode_moments(c: np.ndarray):

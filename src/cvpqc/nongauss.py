@@ -38,7 +38,7 @@ def even_coherent_state(beta_mag: float, varphi: float, cutoff: FockCutoff,
     return _finish_state(raw, tail_tol, f"even coherent state |beta|={beta_mag}")
 
 
-def overlap_even_vs_squeezed(beta_mag: float, varphi: float, xi: SqueezeParam,
+def overlap_even_vs_squeezed(beta_mag, varphi, xi: SqueezeParam,
                              cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
     """(exact, approx) squared overlap between the even coherent state and the
     squeezed vacuum.
@@ -46,12 +46,22 @@ def overlap_even_vs_squeezed(beta_mag: float, varphi: float, xi: SqueezeParam,
     ``exact`` sums the truncated Fock series; ``approx`` is the first-order
     small-parameter form 1 - |beta|^2 r cos(2 varphi - phi).  The two agree
     to the neglected O(r^2, |beta|^4) terms near the matching angles.
+
+    ``beta_mag`` and ``varphi`` are one amplitude, or two lists of equal length
+    for a list of those pairs, each the same as its own call: the squeezed
+    vacuum is built once, after the first even coherent state has passed its
+    tail check.
     """
-    ec = even_coherent_state(beta_mag, varphi, cutoff, tail_tol)
-    sv = squeezed_coherent_state(xi, 0.0, cutoff, tail_tol)
-    exact = float(abs(np.vdot(ec, sv)) ** 2)
-    approx = 1.0 - beta_mag * beta_mag * xi.r * math.cos(2.0 * varphi - xi.phi)
-    return exact, approx
+    scalar = np.ndim(beta_mag) == 0
+    pairs = [(beta_mag, varphi)] if scalar else list(zip(beta_mag, varphi))
+    sv, results = None, []
+    for bm, vp in pairs:
+        ec = even_coherent_state(bm, vp, cutoff, tail_tol)
+        if sv is None:
+            sv = squeezed_coherent_state(xi, 0.0, cutoff, tail_tol)
+        results.append((float(abs(np.vdot(ec, sv)) ** 2),
+                        1.0 - bm * bm * xi.r * math.cos(2.0 * vp - xi.phi)))
+    return results[0] if scalar else results
 
 
 # ---------------------------------------------------------------------------

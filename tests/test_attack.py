@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
-from cvpqc.attack import attack
+from cvpqc.attack import attack, thermal_entropy
 from cvpqc.config import config_from_dict
 from cvpqc.experiments import _compute_attack
-from cvpqc.fock import FockCutoff, SqueezeParam, purity, von_neumann_entropy
-from oracles import partial_trace_dense, tap_output, verify_decomposition
+from cvpqc.fock import (FockCutoff, SqueezeParam, TailMassError, fidelity,
+                        squeezed_coherent_state, von_neumann_entropy)
+from oracles import (TAP_CLOSED_FORM_TOL, partial_trace_dense, purity, tap_output,
+                     verify_decomposition)
 
 C60 = FockCutoff(60)
 
@@ -53,30 +56,83 @@ def test_entanglement_independent_of_displacement():
 
 def test_both_arms_equally_mixed():
     # cutoff 30: the dense reduction holds 31^4 entries per mode (15 MB; 221 MB at 60)
-    cut = FockCutoff(30)
-    bob, eve, ent, _ = attack(0.8, SqueezeParam(0.5, 1.3), cut)
-    # global output stays pure, so the reported purity and entropy are those
-    # of either arm; recompute them from independent reductions
-    out = tap_output(0.8, SqueezeParam(0.5, 1.3), cut)
-    rho_b = partial_trace_dense(out, 0)
-    rho_e = partial_trace_dense(out, 1)
-    assert abs(purity(rho_b) - bob) < 1e-10
-    assert abs(purity(rho_e) - eve) < 1e-10
-    assert abs(von_neumann_entropy(rho_b) - ent) < 1e-8
-    assert abs(von_neumann_entropy(rho_e) - ent) < 1e-8
+    cut, xi = FockCutoff(30), SqueezeParam(0.5, 1.3)
+    bob, eve, ent, _ = attack(0.8, xi, cut)
+    # the global output stays pure, so both arms are one thermal state of
+    # nbar = sinh^2(r/2): purity sech r and entropy g(nbar), whatever alpha is
+    assert bob == eve == 1.0 / (2.0 * math.sinh(0.25) ** 2 + 1.0)
+    assert abs(bob - 1.0 / math.cosh(0.5)) <= 1e-15
+    assert ent == thermal_entropy(math.sinh(0.25) ** 2)
+    # independent reductions of the Fock tap agree with the closed forms
+    out = tap_output(0.8, xi, cut)
+    for mode in (0, 1):
+        rho = partial_trace_dense(out, mode)
+        assert abs(purity(rho) - bob) <= TAP_CLOSED_FORM_TOL
+        assert abs(von_neumann_entropy(rho) - ent) <= TAP_CLOSED_FORM_TOL
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.6])
 @pytest.mark.parametrize("phi", [0.0, math.pi / 2])
 def test_eve_purity_is_the_receivers_on_the_tap_grid(r, phi):
     # the output is pure, so both arms share one Schmidt spectrum: attack prints
-    # the receiver's purity for both, and the eavesdropper's own reduction agrees
+    # its closed-form purity for both, and each arm's own Fock reduction agrees.
+    # At cutoff 100 every input's tail is far below tail_tol: the two sit 1.1e-11
+    # apart at most on this grid
     cut, xi = FockCutoff(100), SqueezeParam(r, phi)
     for alpha in (0.5, 1.0, 2.0, 3.0):
         out = tap_output(alpha, xi, cut)
         bob, eve = purity(out @ out.conj().T), purity(out.T @ out.conj())
         assert abs(eve - bob) <= 1e-14
-        assert attack(alpha, xi, cut)[:2] == (bob, bob)
+        printed = attack(alpha, xi, cut)
+        assert printed[0] == printed[1]
+        assert abs(printed[0] - 1.0 / math.cosh(r)) <= 1e-15
+        assert abs(printed[0] - bob) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=strategies.floats(0.0, 1.0), phi=strategies.floats(0.0, 2.0 * math.pi),
+       alpha_mag=strategies.floats(0.0, 2.0), alpha_arg=strategies.floats(0.0, 2.0 * math.pi),
+       n_max=strategies.integers(1, 30))
+@example(r=0.4, phi=0.9, alpha_mag=0.67, alpha_arg=5.8, n_max=23)
+@example(r=1.0, phi=0.0, alpha_mag=0.0, alpha_arg=0.0, n_max=30)
+@example(r=0.0, phi=0.0, alpha_mag=2.0, alpha_arg=1.0, n_max=30)
+@example(r=4.759477527738737e-162, phi=0.0, alpha_mag=0.0, alpha_arg=0.0, n_max=1)
+def test_closed_forms_match_the_fock_tap(r, phi, alpha_mag, alpha_arg, n_max):
+    # every draw whose tails pass: purity and entropy of both arms, reduced from
+    # the Fock tap's output, sit within TAP_CLOSED_FORM_TOL of the printed closed
+    # forms, and the fidelity is the receiver's reduced state read against the
+    # target; purity and entanglement depend on r alone, not on alpha, phi or
+    # the cutoff
+    xi, cut = SqueezeParam(r, phi), FockCutoff(n_max)
+    alpha = alpha_mag * complex(math.cos(alpha_arg), math.sin(alpha_arg))
+    try:
+        bob, eve, ent, fid = attack(alpha, xi, cut)
+    except TailMassError:
+        return
+    out = tap_output(alpha, xi, cut)
+    for mode in (0, 1):
+        rho = partial_trace_dense(out, mode)
+        assert abs(purity(rho) - bob) <= TAP_CLOSED_FORM_TOL
+        assert abs(von_neumann_entropy(rho) - ent) <= TAP_CLOSED_FORM_TOL
+    target = squeezed_coherent_state(SqueezeParam(r / 2, phi), alpha / math.sqrt(2.0), cut)
+    assert abs(fidelity(target, partial_trace_dense(out, 0)) - fid) <= 1e-13
+    assert bob == eve and ent >= 0.0
+    assert attack(0.0, SqueezeParam(r), FockCutoff(80))[:3] == (bob, eve, ent)
+
+
+def test_thermal_entropy_is_the_symplectic_form():
+    # g(nbar) against ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2) at the
+    # symplectic eigenvalue nu = 2 nbar + 1 = cosh r, where that form cancels
+    # little; g(0) = 0, g is finite at the smallest nbar, where 1/nbar is inf,
+    # and g grows without a sign change
+    assert thermal_entropy(0.0) == 0.0
+    assert 0.0 < thermal_entropy(5e-324) < 1e-320
+    for r in (0.5, 1.0, 2.0, 5.0):
+        nu = math.cosh(r)
+        g = (nu + 1) / 2 * math.log2((nu + 1) / 2) - (nu - 1) / 2 * math.log2((nu - 1) / 2)
+        assert abs(thermal_entropy(math.sinh(r / 2) ** 2) - g) <= 1e-14 * max(1.0, g)
+    tiny = [thermal_entropy(math.sinh(r / 2) ** 2) for r in (1e-150, 1e-8, 1e-3, 0.1)]
+    assert all(0.0 < a < b for a, b in zip(tiny, tiny[1:]))
 
 
 def test_tap_output_stays_normalized():

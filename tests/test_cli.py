@@ -73,7 +73,7 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert ("206976 complex entries (~3.312 MB): the key-row stack at N = 32 "
             "(103488 entries) and the plain mixture's real stack") in out
     # plus 6 d x d matrices, and 20 entries a key and 1024 more for Python objects
-    assert "the largest task peaks at about 7.2 MB" in out
+    assert "the run peaks at about 7.2 MB" in out
     assert "squeezers" not in out
     # a squeezed_convergence task is one b and holds the squeezer of each of its
     # distinct squeezings with r > 0 side by side: here (0.1, 0), (0.1, 1), (0.3, 0), (0.3, 1)
@@ -82,7 +82,9 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "153664 complex entries (~2.459 MB): 4 squeezers S(xi) side by side" in out
-    assert "the largest task peaks at about 9.6 MB" in out
+    # and the run's 4 x 2 x 5 rows of 256 bytes each
+    assert "640 complex entries (~0.010 MB): the run's 40 rows, 256 bytes each" in out
+    assert "the run peaks at about 9.7 MB" in out
     # conformation's rows are closed forms: no cutoff term
     cfg = write_config(tmp_path, experiment="conformation", cutoff=100000)
     assert main(["validate", cfg]) == 0
@@ -229,6 +231,36 @@ def test_validate_bounds_the_peak_of_a_convergence_task(monkeypatch, experiment,
            "tail_tol": 0.5}
     if experiment == "squeezed_convergence":
         doc.update(r_list=[0.1, 0.3], phi_list=[0.0, 1.0])
+    _assert_validate_bounds_the_run(monkeypatch, config_from_dict(doc))
+
+
+def _spread(n, lo=0.1, hi=0.9):
+    return np.linspace(lo, hi, n).tolist()
+
+
+# A config per experiment whose rows outweigh its largest task: execute holds
+# every row until the CSV is written.  mmstate's is 2000 b at cutoff 100, whose
+# 202000 rows peak at 26.9 MB under tracemalloc.
+_LONG_RUNS = {
+    "mmstate": {"cutoff": 100, "b_list": _spread(2000, 0.5, 2.0)},
+    "conformation": {"N_list": [32], "b_list": _spread(10), "r_list": [0.3]},
+    "convergence": {"cutoff": 5, "b_list": _spread(10), "N_list": [1, 2] * 100},
+    "squeezed_convergence": {"cutoff": 5, "b_list": _spread(4), "N_list": [1, 2] * 10,
+                             "r_list": _spread(5, 0.0, 0.3), "phi_list": [0.0, 1.0]},
+    "attack": {"cutoff": 5, "alpha_list": _spread(1000), "r_list": [0.0, 0.3],
+               "phi_list": [0.0, 1.0]},
+    "nongauss_overlap": {"cutoff": 10, "r_list": _spread(4), "phi_list": _spread(5),
+                         "beta_mag_list": _spread(10), "varphi_list": _spread(10)},
+    "nongauss_variance": {"cutoff": 10, "r_list": _spread(4), "phi_list": _spread(5),
+                          "beta_mag_list": _spread(4), "varphi_list": _spread(5),
+                          "theta_list": _spread(100)},
+    "displacement_bs": {"cutoff": 5, "T_list": _spread(2000, 0.05, 1.0)},
+}
+
+
+@pytest.mark.parametrize("experiment", list(REGISTRY))
+def test_validate_bounds_the_rows_of_a_long_run(monkeypatch, experiment):
+    doc = dict(_LONG_RUNS[experiment], experiment=experiment, tail_tol=0.5)
     _assert_validate_bounds_the_run(monkeypatch, config_from_dict(doc))
 
 
@@ -530,6 +562,36 @@ def test_repeated_r_phi_pair_runs_the_tap_once(monkeypatch):
         squeezed, coherent = rows[first], rows[first + 2]
         assert rows[first:first + 6] == [squeezed, squeezed, coherent, coherent,
                                          squeezed, squeezed]
+
+
+@pytest.mark.parametrize("doc, squeezers, even_states, n_rows", [
+    # the benchmark's seed-0 grids: 3 r x 2 phi tasks, each with 3 x 2 (beta, varphi)
+    ({"experiment": "nongauss_overlap", "cutoff": 40, "r_list": [0.05, 0.1, 0.2],
+      "phi_list": [0.0, 1.0], "beta_mag_list": [0.1, 0.25, 0.5],
+      "varphi_list": [0.0, math.pi / 2]}, 6, 36, 36),
+    # 2 squeezed and 2 even coherent states, each read at 4 thetas
+    ({"experiment": "nongauss_variance", "cutoff": 40, "r_list": [0.05, 0.1],
+      "phi_list": [0.0], "beta_mag_list": [0.1, 0.25], "varphi_list": [0.0],
+      "theta_list": [0.0, 0.5, 1.0, math.pi / 2]}, 2, 2, 16),
+], ids=["overlap", "variance"])
+def test_each_nongauss_state_is_built_once_a_task(monkeypatch, doc, squeezers, even_states,
+                                                  n_rows):
+    # a nongauss_overlap task is one (r, phi) and builds its squeezed vacuum once
+    # for every (beta, varphi); a nongauss_variance task builds its state once for
+    # every theta
+    calls = {"squeeze": 0, "even": 0}
+    real_squeeze, real_even = fock.squeeze_operator, nongauss.even_coherent_state
+
+    def count(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+    monkeypatch.setattr(fock, "squeeze_operator", count("squeeze", real_squeeze))
+    monkeypatch.setattr(nongauss, "even_coherent_state", count("even", real_even))
+    _, rows = execute(config_from_dict(doc))
+    assert calls == {"squeeze": squeezers, "even": even_states}
+    assert len(rows) == n_rows
 
 
 def test_negative_zero_phi_prints_in_exactly_its_own_rows(tmp_path):

@@ -21,7 +21,6 @@ from cvpqc.fock import (
     fidelity,
     hs_distance,
     mode_moments,
-    purity,
     quadrature_variance,
     squeeze_operator,
     squeezed_coherent_closed_form,
@@ -33,6 +32,7 @@ from cvpqc.attack import attack
 from cvpqc.experiments import heuristic_cutoff
 from cvpqc.nongauss import beamsplitter_signal
 from oracles import (
+    TAP_CLOSED_FORM_TOL,
     annihilation,
     apply_mode_operator,
     beam_splitter_expm,
@@ -46,6 +46,7 @@ from oracles import (
     encrypt,
     partial_trace_dense,
     projector,
+    purity,
     squeeze_expm,
     squeezed_coherent_hermite,
     squeezed_conformation,
@@ -557,16 +558,19 @@ def test_entanglement_entropy_of_product_state_is_zero():
 
 def test_partial_trace_of_tap_matches_dense_oracle():
     # the input's closed-form tail is within tail_tol from cutoff 23 on (5.9e-5 at 12);
-    # every number attack reports is read off its two reduced states
+    # the fidelity attack reports is read off the receiver's reduced state, and its
+    # closed-form purities and entropy agree with both reductions to within the
+    # Fock input's truncation error (1.4e-8 and 6.2e-8 here)
     cut = FockCutoff(23)
     xi, alpha = SqueezeParam(0.4, 0.9), 0.6 - 0.3j
     out = tap_output(alpha, xi, cut)
     rho_b, rho_e = (partial_trace_dense(out, mode) for mode in (0, 1))
     expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / math.sqrt(2.0),
                                        cut)
-    dense = (purity(rho_b), purity(rho_e), von_neumann_entropy(rho_b),
-             fidelity(expected, rho_b))
-    assert np.max(np.abs(np.subtract(attack(alpha, xi, cut), dense))) < 1e-13
+    bob, eve, ent, fid = attack(alpha, xi, cut)
+    assert abs(fid - fidelity(expected, rho_b)) < 1e-13
+    dense = (purity(rho_b) - bob, purity(rho_e) - eve, von_neumann_entropy(rho_b) - ent)
+    assert np.max(np.abs(dense)) <= TAP_CLOSED_FORM_TOL
 
 
 # ---------------------------------------------------------------------------
