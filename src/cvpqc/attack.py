@@ -44,22 +44,19 @@ def thermal_entropy(nbar: float) -> float:
     return (math.log1p(nbar) + rest) / math.log(2.0)
 
 
-def attack(alpha, xi: SqueezeParam, cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
-    """Send S(xi) D(alpha)|0> through the 50:50 tap, the vacuum in the other port.
+def attack(alphas, xi: SqueezeParam, cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
+    """Send S(xi) D(alpha)|0> through the 50:50 tap, the vacuum in the other port,
+    for each alpha of the list ``alphas``.
 
-    Returns (bob_purity, eve_purity, ent_proxy, fidelity): the purity of the
-    receiver's reduced state, twice, since the eavesdropper's is the same; its
-    von Neumann entropy (bits), the exact entanglement entropy of the arms;
-    and the fidelity of the receiver's state with the undisturbed local
-    target, the input with its amplitude cut by sqrt 2 and its squeezing in half.
-
-    ``alpha`` is one amplitude, or a 1-D array of them for a list of those
-    tuples, each the same as its own call.  The squeezers S(xi) and S(xi/2) are
-    built once for the stacks of inputs and targets, whose tail checks come
-    before the closed forms, and one two-mode state is held at a time.
+    Returns a (bob_purity, eve_purity, ent_proxy, fidelity) tuple per alpha, each
+    the same as from a one-element list: the purity of the receiver's reduced
+    state, twice, since the eavesdropper's is the same; its von Neumann entropy
+    (bits), the exact entanglement entropy of the arms; and the fidelity of the
+    receiver's state with the undisturbed local target, the input with its
+    amplitude cut by sqrt 2 and its squeezing in half.  The squeezers S(xi) and
+    S(xi/2) are built once for the stacks of inputs and targets, whose tail
+    checks come before the closed forms, and one two-mode state is held at a time.
     """
-    scalar = np.ndim(alpha) == 0
-    alphas = [alpha] if scalar else list(alpha)
     inputs = squeezed_coherent_state(xi, alphas, cutoff, tail_tol)
     targets = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi),
                                       [a / _SQRT2 for a in alphas], cutoff, tail_tol)
@@ -73,4 +70,4 @@ def attack(alpha, xi: SqueezeParam, cutoff: FockCutoff, tail_tol: float = DEFAUL
         # <e| rho_B |e> = || (<e| x 1) out ||^2, with rho_B = out out+
         v = expected.conj() @ tap.apply(psi, tail_tol)
         rows.append((p, p, ent, float(np.vdot(v, v).real)))
-    return rows[0] if scalar else rows
+    return rows

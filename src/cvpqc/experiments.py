@@ -8,27 +8,28 @@ it reads.  A default is either fixed or ``heuristic_cutoff`` at the largest
 amplitude the experiment truncates; an explicit cutoff is used as given, and
 the run's own tail checks judge whether it is large enough.
 
-A task is one point of the grids' product, except that a task covers every
-value of the experiment's ``shared`` grids at once: a convergence task is
-one b, and it builds the target once, each distinct squeezer once, and the
-key rows and the plain mixture once per distinct N for all of its
-squeezings; an attack task is one (r, phi) pair, and it builds the
-squeezers S(xi) and S(xi/2) once for all of its alphas; a nongauss_overlap
-task is one (r, phi), which builds its squeezed vacuum once for all of its
-(beta, varphi); a nongauss_variance task builds its state once for all of
-its thetas; a displacement_bs config is one task, which builds its input and
+A task is one point of the product of the grids other than the experiment's
+``shared`` grids, which come last in its loop order: a task covers every
+value of them at once, so its rows are contiguous.  A convergence task is one
+b, and it builds the target once, each distinct squeezer once, and the key
+rows and the plain mixture once per distinct N for all of its squeezings; an
+attack config is one task, which builds the squeezers S(xi) and S(xi/2) once
+per distinct squeezing for all of its alphas; a nongauss_overlap task is one
+(r, phi), which builds its squeezed vacuum once for all of its (beta,
+varphi); a nongauss_variance task builds its state once for all of its
+thetas; a displacement_bs config is one task, which builds its input and
 target once for all of its transmissions.  ``execute`` runs the tasks one
-after another in one process, in the order in which the rows first need
-them: the order of the grids other than the shared ones; points whose values
-agree on those grids share one task.  A failing run names a point of the first failing task,
-which need not be the first failing point in row order.
+after another in one process, in row order; points whose values agree on the
+grids other than the shared ones share one task.  A failing run names a point
+of the first failing task, which need not be the first failing point in row
+order.
 
 Compute functions take ``(cfg, n_max, **point)``, where ``point`` maps each
 grid to its value under the grid's name without the ``_list`` suffix, and
 each shared grid to its whole list under its own name; they read
 ``tail_tol`` and the experiment's ``reads`` fields from ``cfg``, which is
-``_cfg`` where a function reads neither.  They return one list of rows per
-grid point the task covers, in loop order.
+``_cfg`` where a function reads neither.  They return the task's rows as one
+list, in loop order.
 """
 from __future__ import annotations
 
@@ -53,9 +54,10 @@ class Experiment:
 
     ``stages`` is a tuple of (grids in loop order, compute) pairs; rows of a
     later stage follow all rows of an earlier one.  One task covers every
-    value of the ``shared`` grids (the N and the squeezings of a convergence
-    sweep, the alphas of attack, the (beta, varphi) of nongauss_overlap, the
-    thetas of nongauss_variance, the transmissions of displacement_bs).
+    value of the ``shared`` grids, which come last in a stage's loop order (the
+    N and the squeezings of a convergence sweep, the whole grid of attack, the
+    (beta, varphi) of nongauss_overlap, the thetas of nongauss_variance, the
+    transmissions of displacement_bs), and returns their rows in that order.
     ``default_cutoff(cfg)`` is the cutoff a config without one runs at.
     ``memory(cfg, d)`` lists what the largest task holds at d = cutoff + 1,
     and the run's rows, which ``execute`` holds until they are written, as
@@ -114,8 +116,7 @@ def resolve_cutoff(cfg) -> int:
 def _compute_mmstate(cfg, n_max, b):
     mm = channel.maximally_mixed(b, FockCutoff(n_max), cfg.tail_tol)
     diag, mass = mm.diagonal().real, float(mm.trace().real)
-    return [[(b, n_max, cfg.tail_tol, n, float(diag[n]), mass)
-             for n in range(n_max + 1)]]
+    return [(b, n_max, cfg.tail_tol, n, float(diag[n]), mass) for n in range(n_max + 1)]
 
 
 def _matrices(d, count=6):
@@ -160,7 +161,7 @@ def _compute_conformation(_cfg, n_max, N, b, r, phi):
             k = channel.k_factor(xi, theta)
             rows.append((N, b, r, phi, n_max, p, q, radius, theta, k,
                          math.exp(-radius * radius * k) / cosh_r))
-    return [rows]
+    return rows
 
 
 def _conformation_memory(cfg, _d):
@@ -186,7 +187,7 @@ def _compute_convergence(cfg, n_max, b, N_list, r_list=(0.0,), phi_list=(0.0,)):
     for (r, phi), xi in zip(squeezings, xis):
         for N in N_list:
             d_hs, bound, entropy = at[N, xi]
-            rows.append([(N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy)])
+            rows.append((N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
     return rows
 
 
@@ -204,7 +205,7 @@ def _convergence_memory(cfg, d):
               f"mixture's real stack [Re; Im] beside it", 2 * keys * d)]
     if squeezers:
         terms.append((f"{squeezers} squeezers S(xi) side by side", squeezers * d * d))
-    # the rows: 205-218 bytes a row (200 to 10000 rows)
+    # the rows: 138-183 bytes a row (400 to 4000 rows)
     return terms + [("Python objects, 20 entries a key and 1024 more", 20 * keys + 1024),
                     _rows(cfg, 256)]
 
@@ -212,23 +213,31 @@ def _convergence_memory(cfg, d):
 # --- beam-splitter tap -------------------------------------------------------
 
 
-def _compute_attack(cfg, n_max, r, phi, alpha_list):
+def _compute_attack(cfg, n_max, alpha_list, r_list, phi_list):
+    """The whole grid, alpha-major: the tap runs once per distinct squeezer, for
+    every alpha, in (r, phi) order; a row prints r and phi as configured."""
     alphas = [complex(a) for a in alpha_list]
-    kind = "coherent" if r == 0.0 else "squeezed_coherent"
-    results = attack.attack(alphas, SqueezeParam(r, phi), FockCutoff(n_max), cfg.tail_tol)
-    return [[(kind, a.real, a.imag, r, phi, n_max, *res)] for a, res in zip(alphas, results)]
+    squeezings = [(r, phi, SqueezeParam(r, phi)) for r in r_list for phi in phi_list]
+    taps = {}
+    for _, _, xi in squeezings:
+        if xi not in taps:
+            taps[xi] = attack.attack(alphas, xi, FockCutoff(n_max), cfg.tail_tol)
+    return [("coherent" if r == 0.0 else "squeezed_coherent", a.real, a.imag, r, phi, n_max,
+             *taps[xi][i]) for i, a in enumerate(alphas) for r, phi, xi in squeezings]
 
 
 def _attack_memory(cfg, d):
-    # a task builds its target stack beside its input stack, a row per alpha
-    # each, with coherent_amplitudes' temporaries: 2.7 times the two (at most 0.4
-    # above the rest).  Beside the splitter's blocks, the stacks and the objects
-    # it holds the two-mode state and apply's output, or a squeezer before the
-    # blocks are built: tracemalloc peaks 2.9 d^2 above the blocks and the
-    # stacks at cutoff 100 and 2.7 d^2 at 150, objects included.  Python
+    # a run is one task, which taps every alpha at one distinct squeezing at a
+    # time: each tap builds its target stack beside its input stack, a row per
+    # alpha each, with coherent_amplitudes' temporaries: 2.7 times the two (at
+    # most 0.4 above the rest).  Beside the splitter's blocks, the stacks and the
+    # objects it holds the two-mode state and apply's output, or a squeezer
+    # before the blocks are built: tracemalloc peaks 2.9 d^2 above the blocks
+    # and the stacks at cutoff 100 and 2.7 d^2 at 150, objects included.  Python
     # objects: 24 entries a sector and an alpha (290 and at most 300 bytes), and
-    # 512 more for a fresh process at cutoff 1 (7.9 KB).  The rows: 346 bytes a
-    # row (40 to 10000 rows)
+    # 512 more for a fresh process at cutoff 1 (7.9 KB).  The task holds each
+    # tap's tuples, a point each, until it lays out the rows, which share their
+    # floats: 283-318 bytes a row with its tuple (800 to 8000 rows)
     n_alpha = len(cfg.alpha_list)
     stacks = 2 * n_alpha * d
     return [_matrices(d, 3),
@@ -249,12 +258,12 @@ def _compute_overlap(cfg, n_max, r, phi, beta_mag_list, varphi_list):
     results = nongauss.overlap_even_vs_squeezed(
         [bm for bm, _ in pairs], [wrap_angle(vp) for _, vp in pairs], SqueezeParam(r, phi),
         FockCutoff(n_max), cfg.tail_tol)
-    return [[(r, phi, bm, vp, n_max, exact, approx, abs(exact - approx))]
+    return [(r, phi, bm, vp, n_max, exact, approx, abs(exact - approx))
             for (bm, vp), (exact, approx) in zip(pairs, results)]
 
 
 def _overlap_memory(cfg, d):
-    # the rows: 248-250 bytes a row (1000 to 10000 rows at cutoff 10)
+    # the rows: 193-201 bytes a row (4000 to 40000 rows at cutoff 10)
     return _single_mode_memory(cfg, d, 288)
 
 
@@ -262,18 +271,18 @@ def _overlap_memory(cfg, d):
 
 
 def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
-    return [[(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx, abs(exact - closed))]]
+    return (kind, r, phi, bm, vp, theta, n_max, exact, closed, approx, abs(exact - closed))
 
 
 def _compute_squeezed_variance(cfg, n_max, r, phi, theta_list):
     xi, rows = SqueezeParam(r, phi), []
-    state = squeezed_coherent_state(xi, 0.0, FockCutoff(n_max), cfg.tail_tol)
+    (state,) = squeezed_coherent_state(xi, [0.0], FockCutoff(n_max), cfg.tail_tol)
     for theta in theta_list:
         th = wrap_angle(theta)
-        rows += _variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
-                              quadrature_variance(state, th),
-                              nongauss.squeezed_vacuum_variance(xi, th),
-                              nongauss.squeezed_vacuum_variance_approx(xi, th))
+        rows.append(_variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
+                                  quadrature_variance(state, th),
+                                  nongauss.squeezed_vacuum_variance(xi, th),
+                                  nongauss.squeezed_vacuum_variance_approx(xi, th)))
     return rows
 
 
@@ -282,15 +291,15 @@ def _compute_even_variance(cfg, n_max, beta_mag, varphi, theta_list):
     state = nongauss.even_coherent_state(beta_mag, vp, FockCutoff(n_max), cfg.tail_tol)
     for theta in theta_list:
         th = wrap_angle(theta)
-        rows += _variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
-                              quadrature_variance(state, th),
-                              nongauss.even_variance_closed_form(beta_mag, vp, th),
-                              nongauss.even_variance_approx(beta_mag, vp, th))
+        rows.append(_variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
+                                  quadrature_variance(state, th),
+                                  nongauss.even_variance_closed_form(beta_mag, vp, th),
+                                  nongauss.even_variance_approx(beta_mag, vp, th)))
     return rows
 
 
 def _variance_memory(cfg, d):
-    # the rows: 256-258 bytes a row (2000 to 20000 rows at cutoff 10)
+    # the rows: 222-248 bytes a row (800 to 8000 rows at cutoff 10)
     return _single_mode_memory(cfg, d, 288)
 
 
@@ -305,13 +314,14 @@ def _compute_displacement_bs(cfg, n_max, T_list):
     rows = []
     for T, fid in zip(T_list, fids):
         gamma = eff / math.sqrt(T)
-        rows.append([(cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re,
-                      cfg.eff_im, n_max, fid)])
+        rows.append((cfg.input_kind, bm, vp, T, gamma.real, gamma.imag, cfg.eff_re,
+                     cfg.eff_im, n_max, fid))
     return rows
 
 
 def _displacement_memory(cfg, d):
-    # the rows: 309-311 bytes a row (10 to 5000 transmissions at cutoff 5)
+    # the rows: 86-135 bytes a row (100 to 1000 transmissions at cutoff 5), which
+    # share every cell but T, gamma and the fidelity
     return _single_mode_memory(cfg, d, 352)
 
 
@@ -340,7 +350,7 @@ REGISTRY = {
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
         ((("alpha_list", "r_list", "phi_list"), _compute_attack),),
-        lambda cfg: 60, _attack_memory, shared=("alpha_list",)),
+        lambda cfg: 60, _attack_memory, shared=("alpha_list", "r_list", "phi_list")),
     "nongauss_overlap": Experiment(
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),
@@ -363,31 +373,24 @@ REGISTRY = {
 
 
 def execute(cfg):
-    """Expand the grid and evaluate it; returns (columns, rows) in grid order.
+    """Expand the grids and evaluate them; returns (columns, rows) in grid order.
 
-    Each stage walks its grids' index product in loop order.  A row's task is
-    computed the first time a row needs it and is looked up by the values of
-    the grids other than the shared ones, so a repeated value is computed
-    once; the sign of a zero is part of the value, so a -0.0 row still prints
-    -0.0.  The row's chunk is its position in the shared grids' product.
+    Each stage walks the product of its grids other than the shared ones, in
+    loop order, and appends the rows of each point's task.  A task is looked up
+    by its point's values, so a repeated value is computed once; the sign of a
+    zero is part of the value, so a -0.0 row still prints -0.0.
     """
     exp = REGISTRY[cfg.experiment]
     n_max = resolve_cutoff(cfg)
     rows = []
     for grids, compute in exp.stages:
-        lists = [getattr(cfg, g) for g in grids]
-        shared = {g: v for g, v in zip(grids, lists) if g in exp.shared}
-        chunks = {}
-        for i in itertools.product(*(range(len(v)) for v in lists)):
-            point, key, chunk = {}, [], 0
-            for g, v, k in zip(grids, lists, i):
-                if g in shared:
-                    chunk = chunk * len(v) + k
-                else:
-                    point[g[:-len("_list")]] = v[k]
-                    key.append((v[k], math.copysign(1.0, v[k])))
-            key = tuple(key)
-            if key not in chunks:
-                chunks[key] = compute(cfg, n_max, **point, **shared)
-            rows += chunks[key][chunk]
+        own = [g for g in grids if g not in exp.shared]
+        shared = {g: getattr(cfg, g) for g in grids if g in exp.shared}
+        tasks = {}
+        for values in itertools.product(*(getattr(cfg, g) for g in own)):
+            key = tuple((v, math.copysign(1.0, v)) for v in values)
+            if key not in tasks:
+                point = {g[:-len("_list")]: v for g, v in zip(own, values)}
+                tasks[key] = compute(cfg, n_max, **point, **shared)
+            rows += tasks[key]
     return list(exp.columns), rows

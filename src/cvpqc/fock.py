@@ -128,13 +128,10 @@ def check_row_tails(rows: np.ndarray, tail_tol: float, what) -> None:
 # elementary states
 
 
-def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
-    """Exact amplitudes e^{-|a|^2/2} a^n / sqrt(n!), truncated (not renormalized).
-
-    ``alpha`` is one amplitude, or a 1-D array of them for one row per alpha.
-    """
-    scalar = np.ndim(alpha) == 0
-    alphas = np.ravel(alpha).tolist()
+def coherent_amplitudes(alphas, cutoff: FockCutoff) -> np.ndarray:
+    """Exact amplitudes e^{-|a|^2/2} a^n / sqrt(n!), truncated (not renormalized),
+    one row per amplitude a of the list ``alphas``."""
+    alphas = np.asarray(alphas).tolist()
     n = cutoff.levels()
     # per-alpha scalars in Python floats: np.log and np.angle over an array can
     # differ in the last bit, and a row must not depend on its batch; a Python
@@ -157,7 +154,7 @@ def coherent_amplitudes(alpha, cutoff: FockCutoff) -> np.ndarray:
     vacuum = [k for k, a in enumerate(alphas) if a == 0]
     rows[vacuum] = 0.0
     rows[vacuum, 0] = 1.0
-    return rows[0] if scalar else rows
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +220,23 @@ def squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
     return s
 
 
-def squeezed_coherent_state(xi: SqueezeParam, alpha, cutoff: FockCutoff,
+def squeezed_coherent_state(xi: SqueezeParam, alphas, cutoff: FockCutoff,
                             tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Normalized amplitudes of S(xi) D(alpha) |0> from the exact truncated matrix
-    elements of both factors; alpha = 0 gives the squeezed vacuum.  The tail check
-    sees the mass that the coherent row and the squeezing both lose at the cutoff.
+    """Normalized amplitudes of S(xi) D(alpha) |0>, one row per alpha of the list
+    ``alphas``, from the exact truncated matrix elements of both factors; alpha = 0
+    gives the squeezed vacuum.  The tail check sees the mass that the coherent row
+    and the squeezing both lose at the cutoff.
 
-    ``alpha`` is one amplitude, or a 1-D array of them for one row per alpha,
-    each the same as its own call: S(xi) is built once, and none at r = 0, where
-    it is the identity; the rows are checked in order, so the first that fails
-    names its alpha.
+    Each row is the same as from a one-element list: S(xi) is built once, and
+    none at r = 0, where it is the identity; the rows are checked in order, so
+    the first that fails names its alpha.
     """
-    scalar = np.ndim(alpha) == 0
-    alphas = [alpha] if scalar else alpha
     s = squeeze_operator(xi, cutoff) if xi.r != 0.0 else None
     rows = coherent_amplitudes(alphas, cutoff)
     for k, a in enumerate(alphas):
         rows[k] = _finish_state(rows[k] if s is None else s @ rows[k], tail_tol,
                                 f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={a}")
-    return rows[0] if scalar else rows
+    return rows
 
 
 def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,

@@ -31,37 +31,33 @@ def even_coherent_state(beta_mag: float, varphi: float, cutoff: FockCutoff,
     """Normalized amplitudes of (|beta> + |-beta>) / sqrt(2 (1 + e^{-2|beta|^2}));
     odd levels exactly zero."""
     b2 = beta_mag * beta_mag
-    raw = coherent_amplitudes(beta_mag * np.exp(1j * varphi), cutoff).copy()
+    (raw,) = coherent_amplitudes([beta_mag * np.exp(1j * varphi)], cutoff)
     raw[1::2] = 0.0  # enforce parity exactly instead of relying on cancellation
     raw[0::2] *= 2.0
     raw /= math.sqrt(2.0 * (1.0 + math.exp(-2.0 * b2)))
     return _finish_state(raw, tail_tol, f"even coherent state |beta|={beta_mag}")
 
 
-def overlap_even_vs_squeezed(beta_mag, varphi, xi: SqueezeParam,
+def overlap_even_vs_squeezed(beta_mags, varphis, xi: SqueezeParam,
                              cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
-    """(exact, approx) squared overlap between the even coherent state and the
-    squeezed vacuum.
+    """(exact, approx) squared overlap between the squeezed vacuum and the even
+    coherent state of each pair of the equal-length lists ``beta_mags`` and
+    ``varphis``, one tuple per pair, each the same as its own call.
 
     ``exact`` sums the truncated Fock series; ``approx`` is the first-order
     small-parameter form 1 - |beta|^2 r cos(2 varphi - phi).  The two agree
-    to the neglected O(r^2, |beta|^4) terms near the matching angles.
-
-    ``beta_mag`` and ``varphi`` are one amplitude, or two lists of equal length
-    for a list of those pairs, each the same as its own call: the squeezed
-    vacuum is built once, after the first even coherent state has passed its
-    tail check.
+    to the neglected O(r^2, |beta|^4) terms near the matching angles.  The
+    squeezed vacuum is built once, after the first even coherent state has
+    passed its tail check.
     """
-    scalar = np.ndim(beta_mag) == 0
-    pairs = [(beta_mag, varphi)] if scalar else list(zip(beta_mag, varphi))
     sv, results = None, []
-    for bm, vp in pairs:
+    for bm, vp in zip(beta_mags, varphis):
         ec = even_coherent_state(bm, vp, cutoff, tail_tol)
         if sv is None:
-            sv = squeezed_coherent_state(xi, 0.0, cutoff, tail_tol)
+            (sv,) = squeezed_coherent_state(xi, [0.0], cutoff, tail_tol)
         results.append((float(abs(np.vdot(ec, sv)) ** 2),
                         1.0 - bm * bm * xi.r * math.cos(2.0 * vp - xi.phi)))
-    return results[0] if scalar else results
+    return results
 
 
 # ---------------------------------------------------------------------------

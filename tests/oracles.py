@@ -156,7 +156,7 @@ def squeezed_coherent_hermite(xi: SqueezeParam, alpha: complex,
     cutoffs; the tests use it at 60.
     """
     if xi.r == 0.0:
-        return coherent_amplitudes(alpha, cutoff)
+        return coherent_amplitudes([alpha], cutoff)[0]
     nu = np.exp(1j * xi.phi) * math.sinh(xi.r)
     ch = math.cosh(xi.r)
     pref = np.exp(-0.5 * (abs(alpha) ** 2 - np.conj(nu) * alpha ** 2 / ch))
@@ -251,7 +251,7 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 def coherent_state(alpha: complex, cutoff: FockCutoff,
                    tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    raw = coherent_amplitudes(alpha, cutoff)
+    (raw,) = coherent_amplitudes([alpha], cutoff)
     return _finish_state(raw, tail_tol, f"coherent state alpha={alpha}")
 
 
@@ -321,7 +321,7 @@ def two_mode_squeezer(zeta: SqueezeParam, cutoff: FockCutoff) -> PairUnitary:
 def _displaced_coherent(alpha: complex, beta: complex, cutoff: FockCutoff) -> np.ndarray:
     """Amplitudes of D(alpha)|beta> = e^{i Im(alpha conj(beta))} |alpha + beta>."""
     phase = np.exp(1j * (alpha * np.conj(beta)).imag)
-    return phase * coherent_amplitudes(alpha + beta, cutoff)
+    return phase * coherent_amplitudes([alpha + beta], cutoff)[0]
 
 
 def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
@@ -471,7 +471,7 @@ class DecompositionReport:
 def tap_output(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
                tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Amplitude matrix of the 50:50 tap's output for S(xi) D(alpha)|0> (x) |0>."""
-    signal = squeezed_coherent_state(xi, alpha, cutoff, tail_tol)
+    (signal,) = squeezed_coherent_state(xi, [alpha], cutoff, tail_tol)
     return beam_splitter(math.pi / 4, cutoff).apply(np.outer(signal, vacuum(cutoff)))
 
 
@@ -524,7 +524,7 @@ def displacement_via_beamsplitter_fock(T: float, eff: complex, psi: np.ndarray,
         raise ValueError("input must be a state at the given cutoff")
     gamma = complex(eff) / math.sqrt(T)
 
-    ancilla = _finish_state(coherent_amplitudes(gamma, cutoff), tail_tol,
+    ancilla = _finish_state(coherent_amplitudes([gamma], cutoff)[0], tail_tol,
                             f"ancilla gamma={gamma} at T={T} (raise the cutoff)")
 
     # signal arm picks up sqrt(1-T) of itself and sqrt(T) of the ancilla, on the

@@ -149,18 +149,18 @@ def test_criterion_06_angular_weight_factor(report):
         ratios = []
         for th in angles:
             alpha = radius * np.exp(1j * th)
-            w = abs((s @ coherent_amplitudes(alpha, cut))[0]) ** 2
+            w = abs((s @ coherent_amplitudes([alpha], cut)[0])[0]) ** 2
             ratios.append(w / math.exp(-radius ** 2 * k_factor(xi, th)))
         ratios = np.array(ratios)
         worst = max(worst, float(np.max(np.abs(ratios / ratios.mean() - 1.0))))
         # and the module's own closed form carries the same constant
         for th in angles:
             alpha = radius * np.exp(1j * th)
-            w = abs((s @ coherent_amplitudes(alpha, cut))[0]) ** 2
+            w = abs((s @ coherent_amplitudes([alpha], cut)[0])[0]) ** 2
             worst = max(worst, abs(w / vacuum_weight(xi, alpha) - 1.0))
     # zero squeezing: weights flat around the ring
     s0 = squeeze_operator(SqueezeParam(0.0), cut)
-    w0 = [abs((s0 @ coherent_amplitudes(radius * np.exp(1j * th), cut))[0]) ** 2
+    w0 = [abs((s0 @ coherent_amplitudes([radius * np.exp(1j * th)], cut)[0])[0]) ** 2
           for th in angles]
     worst = max(worst, float(np.max(np.abs(np.array(w0) / np.mean(w0) - 1.0))))
     ok = worst < 1e-6
@@ -170,9 +170,9 @@ def test_criterion_06_angular_weight_factor(report):
 
 def test_criterion_07_tap_entanglement_contrast(report):
     cut = FockCutoff(60)
-    coh = attack(1.0, SqueezeParam(0.0), cut)[2]  # the entanglement proxy
+    coh = attack([1.0], SqueezeParam(0.0), cut)[0][2]  # the entanglement proxy
     rs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
-    proxies = [attack(1.0, SqueezeParam(r), cut)[2] for r in rs]
+    proxies = [attack([1.0], SqueezeParam(r), cut)[0][2] for r in rs]
     at_half = proxies[rs.index(0.5)]
     monotone = all(a < b for a, b in zip(proxies, proxies[1:]))
     ok = coh < 1e-10 and at_half > 0.05 and monotone
@@ -187,7 +187,7 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
     # closed forms vs numeric moments
     cut = FockCutoff(60)
     xi = SqueezeParam(0.3, 0.7)
-    sv = squeezed_coherent_state(xi, 0.0, cut)
+    (sv,) = squeezed_coherent_state(xi, [0.0], cut)
     worst_sv = max(abs(quadrature_variance(sv, th) - squeezed_vacuum_variance(xi, th))
                    for th in np.linspace(0.0, math.pi, 9))
     ok = ok and worst_sv <= 1e-8
@@ -203,7 +203,7 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
     u = 0.1  # 2r and 2|beta|^2
     tol = u * u / 2 * (1 + u) / 4
     xi_s = SqueezeParam(0.05, 0.0)
-    sv_small = squeezed_coherent_state(xi_s, 0.0, FockCutoff(40))
+    (sv_small,) = squeezed_coherent_state(xi_s, [0.0], FockCutoff(40))
     for th, sign in ((0.0, -1.0), (math.pi / 2, +1.0)):
         approx = squeezed_vacuum_variance_approx(xi_s, th)
         ok = ok and abs(approx - (1 + sign * u) / 4) < 1e-15
@@ -228,8 +228,8 @@ def test_criterion_09_overlap_small_parameter_scaling(report):
     vp = matching_varphi(phi_xi)[0]  # pi/2 for phi_xi = 0
 
     def err(r, b2):
-        exact, approx = overlap_even_vs_squeezed(
-            math.sqrt(b2), vp, SqueezeParam(r, phi_xi), cut)
+        ((exact, approx),) = overlap_even_vs_squeezed(
+            [math.sqrt(b2)], [vp], SqueezeParam(r, phi_xi), cut)
         return abs(exact - approx)
 
     e1 = err(0.05, 0.05)

@@ -23,14 +23,14 @@ C60 = FockCutoff(60)
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0j])
 def test_coherent_input_splits_into_product(alpha):
-    bob, eve, ent, _ = attack(alpha, SqueezeParam(0.0), C60)
+    ((bob, eve, ent, _),) = attack([alpha], SqueezeParam(0.0), C60)
     assert bob >= 1 - 1e-10
     assert eve >= 1 - 1e-10
     assert ent < 1e-10
 
 
 def test_coherent_input_receiver_state_is_attenuated_copy():
-    _, _, _, fid = attack(1.0, SqueezeParam(0.0), C60)
+    ((_, _, _, fid),) = attack([1.0], SqueezeParam(0.0), C60)
     assert fid >= 1 - 1e-6
 
 
@@ -40,7 +40,7 @@ def test_coherent_input_receiver_state_is_attenuated_copy():
 
 def test_entanglement_grows_with_squeezing():
     rs = (0.1, 0.3, 0.5, 0.8)
-    proxies = [attack(1.0, SqueezeParam(r), C60)[2] for r in rs]
+    proxies = [attack([1.0], SqueezeParam(r), C60)[0][2] for r in rs]
     assert all(a < b for a, b in zip(proxies, proxies[1:]))
     frozen = {0.1: 0.0252, 0.3: 0.1569, 0.5: 0.3483, 0.8: 0.6960}
     for r, proxy in zip(rs, proxies):
@@ -49,15 +49,14 @@ def test_entanglement_grows_with_squeezing():
 
 def test_entanglement_independent_of_displacement():
     # displacement is local once split; only squeezing entangles
-    base = attack(0.0, SqueezeParam(0.4, 0.9), C60)[2]
-    moved = attack(1.0, SqueezeParam(0.4, 0.9), C60)[2]
+    base, moved = (res[2] for res in attack([0.0, 1.0], SqueezeParam(0.4, 0.9), C60))
     assert abs(base - moved) < 1e-6
 
 
 def test_both_arms_equally_mixed():
     # cutoff 30: the dense reduction holds 31^4 entries per mode (15 MB; 221 MB at 60)
     cut, xi = FockCutoff(30), SqueezeParam(0.5, 1.3)
-    bob, eve, ent, _ = attack(0.8, xi, cut)
+    ((bob, eve, ent, _),) = attack([0.8], xi, cut)
     # the global output stays pure, so both arms are one thermal state of
     # nbar = sinh^2(r/2): purity sech r and entropy g(nbar), whatever alpha is
     assert bob == eve == 1.0 / (2.0 * math.sinh(0.25) ** 2 + 1.0)
@@ -83,7 +82,7 @@ def test_eve_purity_is_the_receivers_on_the_tap_grid(r, phi):
         out = tap_output(alpha, xi, cut)
         bob, eve = purity(out @ out.conj().T), purity(out.T @ out.conj())
         assert abs(eve - bob) <= 1e-14
-        printed = attack(alpha, xi, cut)
+        (printed,) = attack([alpha], xi, cut)
         assert printed[0] == printed[1]
         assert abs(printed[0] - 1.0 / math.cosh(r)) <= 1e-15
         assert abs(printed[0] - bob) <= 1e-10
@@ -106,7 +105,7 @@ def test_closed_forms_match_the_fock_tap(r, phi, alpha_mag, alpha_arg, n_max):
     xi, cut = SqueezeParam(r, phi), FockCutoff(n_max)
     alpha = alpha_mag * complex(math.cos(alpha_arg), math.sin(alpha_arg))
     try:
-        bob, eve, ent, fid = attack(alpha, xi, cut)
+        ((bob, eve, ent, fid),) = attack([alpha], xi, cut)
     except TailMassError:
         return
     out = tap_output(alpha, xi, cut)
@@ -114,10 +113,10 @@ def test_closed_forms_match_the_fock_tap(r, phi, alpha_mag, alpha_arg, n_max):
         rho = partial_trace_dense(out, mode)
         assert abs(purity(rho) - bob) <= TAP_CLOSED_FORM_TOL
         assert abs(von_neumann_entropy(rho) - ent) <= TAP_CLOSED_FORM_TOL
-    target = squeezed_coherent_state(SqueezeParam(r / 2, phi), alpha / math.sqrt(2.0), cut)
+    (target,) = squeezed_coherent_state(SqueezeParam(r / 2, phi), [alpha / math.sqrt(2.0)], cut)
     assert abs(fidelity(target, partial_trace_dense(out, 0)) - fid) <= 1e-13
     assert bob == eve and ent >= 0.0
-    assert attack(0.0, SqueezeParam(r), FockCutoff(80))[:3] == (bob, eve, ent)
+    assert attack([0.0], SqueezeParam(r), FockCutoff(80))[0][:3] == (bob, eve, ent)
 
 
 def test_thermal_entropy_is_the_symplectic_form():
@@ -140,32 +139,32 @@ def test_tap_output_stays_normalized():
     # reduced state has the full trace, so purities stay at most 1
     out = tap_output(1.0, SqueezeParam(0.5), C60)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-    bob, eve, _, _ = attack(1.0, SqueezeParam(0.5), C60)
+    ((bob, eve, _, _),) = attack([1.0], SqueezeParam(0.5), C60)
     assert bob <= 1 + 1e-10
     assert eve <= 1 + 1e-10
 
 
 def test_report_carries_inputs():
-    # one task is one (r, phi) with every alpha: a row per alpha, in alpha_list order,
-    # naming the input kind and carrying the input amplitude
+    # one task is the whole grid: a row per (alpha, r, phi), alpha-major, naming the
+    # input kind and carrying the input amplitude and the squeezing as configured
     cfg = config_from_dict({"experiment": "attack"})
-    (row_a,), (row_b,) = _compute_attack(cfg, 60, r=0.2, phi=0.4, alpha_list=[0.3, -1.5])
-    assert row_a[:6] == ("squeezed_coherent", 0.3, 0.0, 0.2, 0.4, 60)
-    assert row_a[6:] == attack(0.3, SqueezeParam(0.2, 0.4), C60)
-    assert row_b[:6] == ("squeezed_coherent", -1.5, 0.0, 0.2, 0.4, 60)
-    assert row_b[6:] == attack(-1.5, SqueezeParam(0.2, 0.4), C60)
-    ((row,),) = _compute_attack(cfg, 60, r=0.0, phi=0.0, alpha_list=[-1.5])
-    assert row[:3] == ("coherent", -1.5, 0.0)
+    rows = _compute_attack(cfg, 60, alpha_list=[0.3, -1.5], r_list=[0.2, 0.0], phi_list=[0.4])
+    assert [row[:6] for row in rows] == [("squeezed_coherent", 0.3, 0.0, 0.2, 0.4, 60),
+                                         ("coherent", 0.3, 0.0, 0.0, 0.4, 60),
+                                         ("squeezed_coherent", -1.5, 0.0, 0.2, 0.4, 60),
+                                         ("coherent", -1.5, 0.0, 0.0, 0.4, 60)]
+    squeezed, coherent = (attack([0.3, -1.5], SqueezeParam(r, 0.4), C60) for r in (0.2, 0.0))
+    assert [row[6:] for row in rows] == [squeezed[0], coherent[0], squeezed[1], coherent[1]]
 
 
 @pytest.mark.parametrize("xi", [SqueezeParam(0.0), SqueezeParam(0.6, math.pi / 2)])
 def test_attack_over_an_alpha_array_is_the_scalar_calls(xi):
-    # S(xi) and S(xi/2) are built once for the whole array; every number is
-    # bit for bit the one its own call gives
-    alphas = np.array([0.0, 0.5, 1.0 - 0.7j, -2.0, 1.5j])
+    # S(xi) and S(xi/2) are built once for the whole list; every number is
+    # bit for bit the one a one-element list gives
+    alphas = [0.0, 0.5, 1.0 - 0.7j, -2.0, 1.5j]
     got = attack(alphas, xi, C60)
-    assert got == [attack(complex(a), xi, C60) for a in alphas]
-    assert got == [attack(a, xi, C60) for a in alphas.tolist()]
+    assert got == [attack([a], xi, C60)[0] for a in alphas]
+    assert got == [attack([complex(a)], xi, C60)[0] for a in alphas]
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,7 @@ def test_vacuum_weight_matches_operational_first_amplitude():
         xi = SqueezeParam(0.5, phi)
         s = squeeze_operator(xi, cut)
         for alpha in ring_displacements(4, 2.0, 4):
-            row = s @ coherent_amplitudes(alpha, cut)
+            row = s @ coherent_amplitudes([alpha], cut)[0]
             w = abs(row[0]) ** 2
             assert abs(w / vacuum_weight(xi, alpha) - 1.0) < 1e-8
 
@@ -305,7 +305,7 @@ def test_projector_prefactor_reconstructs_squeezed_projector():
     cut = C60
     xi = SqueezeParam(0.5, 0.8)
     alpha = 1.2 * np.exp(0.9j)
-    row = squeeze_operator(xi, cut) @ coherent_amplitudes(alpha, cut)
+    row = squeeze_operator(xi, cut) @ coherent_amplitudes([alpha], cut)[0]
     proj = np.outer(row, row.conj())
     kap = squeezed_projector_prefactor(xi, alpha, cut)
     weight = math.exp(-abs(alpha) ** 2 * k_factor(xi, float(np.angle(alpha))))
@@ -343,7 +343,7 @@ def test_projector_prefactor_converges_linearly_in_r():
 def test_encrypt_zero_message_zero_squeeze_is_key_projector():
     N, b, k = 4, 2.0, 7
     rho = encrypt(0.0, SqueezeParam(0.0), k, N, b, C59)
-    col = coherent_amplitudes(key_displacements(N, b)[k], C59)
+    col = coherent_amplitudes(key_displacements(N, b)[k:k + 1], C59)[0]
     assert np.max(np.abs(rho - np.outer(col, col.conj()))) < 1e-12
 
 
@@ -353,7 +353,7 @@ def test_decrypt_recovers_message():
     beta = 0.3 + 0.2j
     branch = encrypt(beta, xi, k, N, b, C60)
     rho = decrypt(branch, xi, k, N, b, C60)
-    msg = coherent_amplitudes(beta, C60)
+    (msg,) = coherent_amplitudes([beta], C60)
     overlap = (msg.conj() @ rho @ msg).real
     assert overlap >= 1 - 1e-8
     # the branch against S D(alpha)|beta> from the Laguerre matrix, at a key where

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cvpqc
 from cvpqc import attack, channel, fock, nongauss
 from cvpqc.channel import maximally_mixed
-from cvpqc.cli import main
+from cvpqc.cli import _cell, main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
 from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
@@ -214,6 +214,17 @@ def test_validate_bounds_the_peak_of_an_attack_task(monkeypatch, n_max, n_alpha)
     _assert_validate_bounds_the_run(monkeypatch, config_from_dict(
         {"experiment": "attack", "cutoff": n_max, "r_list": [0.3], "phi_list": [0.5],
          "tail_tol": 0.5, "alpha_list": np.linspace(0.1, 1.0, n_alpha).tolist()}))
+
+
+@pytest.mark.parametrize("n_max", [1, 10, 20, 40, 60, 100])
+def test_validate_bounds_the_peak_of_an_attack_task_over_several_squeezings(monkeypatch,
+                                                                            n_max):
+    # an attack run is one task: it taps 64 alphas at each of 6 squeezings, one
+    # squeezing at a time, and holds every tap's tuples until its rows are laid out
+    _assert_validate_bounds_the_run(monkeypatch, config_from_dict(
+        {"experiment": "attack", "cutoff": n_max, "r_list": [0.0, 0.3, 0.6],
+         "phi_list": [0.5, 1.0], "tail_tol": 0.99,
+         "alpha_list": np.linspace(0.1, 1.0, 64).tolist()}))
 
 
 @pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])
@@ -459,7 +470,7 @@ def test_conformation_vacuum_weight_is_the_squeezed_vacuum_amplitude(tmp_path):
         rec = dict(zip(cols, row))
         xi = fock.SqueezeParam(float(rec["r"]), float(rec["phi"]))
         alpha = float(rec["r_p"]) * np.exp(1j * float(rec["theta_pq"]))
-        amp = (fock.squeeze_operator(xi, cut) @ fock.coherent_amplitudes(alpha, cut))[0]
+        amp = (fock.squeeze_operator(xi, cut) @ fock.coherent_amplitudes([alpha], cut)[0])[0]
         worst = max(worst, abs(float(rec["vacuum_weight"]) - abs(amp) ** 2))
     assert worst < 1e-12
 
@@ -562,6 +573,45 @@ def test_repeated_r_phi_pair_runs_the_tap_once(monkeypatch):
         squeezed, coherent = rows[first], rows[first + 2]
         assert rows[first:first + 6] == [squeezed, squeezed, coherent, coherent,
                                          squeezed, squeezed]
+
+
+@pytest.mark.parametrize("experiment", list(REGISTRY))
+def test_shared_grids_come_last_in_each_stage(experiment):
+    # a task returns the rows of every value of its shared grids, which execute
+    # appends as one run: they are contiguous only if those grids are innermost
+    exp = REGISTRY[experiment]
+    for grids, _ in exp.stages:
+        shared = [g in exp.shared for g in grids]
+        assert shared == sorted(shared)
+
+
+_WRAPPED_TAP = {"experiment": "attack", "alpha_list": [0.5, -1.0, 0.5],
+                "r_list": [0.3, 0.0, -0.0, 0.3], "phi_list": [0.0, 2.0 * math.pi, -0.0],
+                "cutoff": 40}
+
+
+def test_an_attack_run_taps_once_per_distinct_squeezing(monkeypatch, tmp_path):
+    # r = 0 and -0, and phi = 0, 2 pi and -0, are one SqueezeParam each: the 12
+    # (r, phi) pairs are 2 squeezers, so the tap runs twice for all 36 rows
+    xis, real = [], attack.attack
+    monkeypatch.setattr(attack, "attack",
+                        lambda alphas, xi, *rest: xis.append(xi) or real(alphas, xi, *rest))
+    out = tmp_path / "rows.csv"
+    assert main(["run", write_config(tmp_path, **_WRAPPED_TAP), "--out", str(out)]) == 0
+    assert xis == [fock.SqueezeParam(0.3), fock.SqueezeParam(0.0)]
+    # alpha-major rows, each byte for byte the run of its own point; r and phi
+    # print as configured, -0 included
+    _, rows = read_csv(out)
+    points = [(a, r, phi) for a in _WRAPPED_TAP["alpha_list"] for r in _WRAPPED_TAP["r_list"]
+              for phi in _WRAPPED_TAP["phi_list"]]
+    assert len(rows) == len(points) == 36
+    assert [row[3:5] for row in rows[:12]] == [[_cell(r), _cell(phi)]
+                                               for _, r, phi in points[:12]]
+    assert rows[6][3:5] == ["-0", "0"] and rows[8][3:5] == ["-0", "-0"]
+    for row, (a, r, phi) in zip(rows, points):
+        _, (one,) = execute(config_from_dict(
+            dict(_WRAPPED_TAP, alpha_list=[a], r_list=[r], phi_list=[phi])))
+        assert row == [_cell(v) for v in one]
 
 
 @pytest.mark.parametrize("doc, squeezers, even_states, n_rows", [
@@ -699,7 +749,7 @@ _SMALL_RUNS = {
 _WITHOUT_SCIPY = r"""
 import json, sys
 sys.modules["scipy"] = None  # any scipy import, lazy ones too, raises ImportError
-from cvpqc.cli import main
+from cvpqc.cli import _cell, main
 codes = {name: [main([command, path] + (["--out", out] if command == "run" else []))
                 for command in ("validate", "run")]
          for name, (path, out) in json.loads(sys.argv[1]).items()}

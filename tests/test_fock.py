@@ -87,11 +87,12 @@ def test_displacement_zero_is_identity():
 
 def test_coherent_rows_equal_one_call_per_alpha():
     # one batched call must give each row bit for bit, and alpha = 0 the vacuum row
-    alphas = np.array([0.7 - 0.4j, 0.0, -2.5 + 1e-3j, 1e-9j, 5.0])
-    rows = coherent_amplitudes(alphas, C40)
-    assert rows.shape == (5, 41)
-    for a, row in zip(alphas, rows):
-        assert np.array_equal(row, coherent_amplitudes(a, C40))
+    alphas = [0.7 - 0.4j, 0.0, -2.5 + 1e-3j, 1e-9j, 5.0]
+    for batch in (alphas, np.array(alphas)):
+        rows = coherent_amplitudes(batch, C40)
+        assert rows.shape == (5, 41)
+        for a, row in zip(alphas, rows):
+            assert np.array_equal(row, coherent_amplitudes([a], C40)[0])
     assert np.array_equal(rows[1], np.eye(41)[0])
 
 
@@ -100,15 +101,15 @@ def test_an_amplitude_whose_square_overflows_is_a_zero_row():
     # to report, and no overflow warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for alpha in (np.array([1e200]), np.array([1e200j, 0.5]), 1e200):
-            rows = np.atleast_2d(coherent_amplitudes(alpha, FockCutoff(5)))
+        for alphas in ([1e200], [1e200j, 0.5], np.array([1e200])):
+            rows = coherent_amplitudes(alphas, FockCutoff(5))
             assert np.array_equal(rows[0], np.zeros(6))
 
 
 def test_displacement_column_zero_is_coherent_amplitudes():
     alpha = 0.7 - 0.4j
     D = displacement_operator(alpha, C40)
-    assert np.max(np.abs(D[:, 0] - coherent_amplitudes(alpha, C40))) < 1e-14
+    assert np.max(np.abs(D[:, 0] - coherent_amplitudes([alpha], C40)[0])) < 1e-14
 
 
 def test_displacement_methods_agree_on_interior():
@@ -182,14 +183,14 @@ def test_squeeze_operator_is_unitary():
 def test_squeeze_operator_times_coherent_row_is_the_closed_form(r):
     xi = SqueezeParam(r, 1.2)
     for alpha in (1.0, 0.5 - 0.7j):
-        got = squeeze_operator(xi, C60) @ coherent_amplitudes(alpha, C60)
+        got = squeeze_operator(xi, C60) @ coherent_amplitudes([alpha], C60)[0]
         assert np.max(np.abs(got - squeezed_coherent_closed_form(xi, alpha, C60))) <= 1e-14
 
 
 def test_squeezed_state_reports_the_mass_it_loses():
     # the squeezed vacuum at r = 2 keeps only 79% of its mass below level 21
     with pytest.raises(TailMassError) as err:
-        squeezed_coherent_state(SqueezeParam(2.0), 0, FockCutoff(20))
+        squeezed_coherent_state(SqueezeParam(2.0), [0], FockCutoff(20))
     assert err.value.tail == pytest.approx(0.2093, rel=0.01)
 
 
@@ -225,31 +226,31 @@ def test_squeezed_coherent_state_raises_or_matches_closed_form(r, phi, alpha_mag
     assert abs(1.0 - probs.sum()) < 1e-10  # the closed form has converged
     cut = FockCutoff(n_max)
     try:
-        state = squeezed_coherent_state(xi, alpha, cut, tol)
+        (state,) = squeezed_coherent_state(xi, [alpha], cut, tol)
     except TailMassError:
         return
     assert probs[n_max + 1:].sum() <= 2.0 * tol
-    raw = squeeze_operator(xi, cut) @ coherent_amplitudes(alpha, cut)
+    raw = squeeze_operator(xi, cut) @ coherent_amplitudes([alpha], cut)[0]
     assert np.array_equal(state, raw / math.sqrt(np.vdot(raw, raw).real))
     assert np.sum(np.abs(raw - closed[:n_max + 1]) ** 2) <= tol
 
 
 def test_squeezed_coherent_with_zero_displacement_is_squeezed_vacuum():
     xi = SqueezeParam(0.4, 0.9)
-    sc = squeezed_coherent_state(xi, 0.0, C60)
+    (sc,) = squeezed_coherent_state(xi, [0.0], C60)
     sv = squeezed_vacuum_amplitudes(xi, C60)
     assert abs(np.vdot(sv / np.linalg.norm(sv), sc)) ** 2 > 1 - 1e-12
 
 
 def test_squeezed_coherent_without_squeezing_is_coherent():
-    sc = squeezed_coherent_state(SqueezeParam(0.0), 1.3, C60)
+    (sc,) = squeezed_coherent_state(SqueezeParam(0.0), [1.3], C60)
     c = coherent_state(1.3, C60)
     assert abs(np.vdot(sc, c)) ** 2 > 1 - 1e-12
 
 
 def test_squeezed_coherent_matches_closed_form():
     xi = SqueezeParam(0.3, math.pi / 2)
-    sc = squeezed_coherent_state(xi, 1.0, C60)
+    (sc,) = squeezed_coherent_state(xi, [1.0], C60)
     cf = squeezed_coherent_closed_form(xi, 1.0, C60)
     cf = cf / np.linalg.norm(cf)
     assert abs(np.vdot(cf, sc)) ** 2 >= 1 - 1e-8
@@ -261,7 +262,7 @@ def test_closed_form_starts_below_the_smallest_double(alpha):
     # on, while the levels near |alpha|^2 are of order 0.1
     cut = FockCutoff(int(abs(alpha) ** 2 + 10 * abs(alpha) + 100))
     cf = squeezed_coherent_closed_form(SqueezeParam(0.0), alpha, cut)
-    assert np.max(np.abs(cf - coherent_amplitudes(alpha, cut))) <= 1e-12
+    assert np.max(np.abs(cf - coherent_amplitudes([alpha], cut)[0])) <= 1e-12
     wider = FockCutoff(int(abs(alpha) ** 2 * 1.25 + 12 * abs(alpha) + 200))
     for phi in (0.0, 1.0):
         squeezed = squeezed_coherent_closed_form(SqueezeParam(0.1, phi), alpha, wider)
@@ -270,7 +271,7 @@ def test_closed_form_starts_below_the_smallest_double(alpha):
 
 def test_closed_form_reduces_to_coherent_at_zero_squeezing():
     cf = squeezed_coherent_closed_form(SqueezeParam(0.0), 0.8 + 0.2j, C40)
-    assert np.max(np.abs(cf - coherent_amplitudes(0.8 + 0.2j, C40))) < 1e-14
+    assert np.max(np.abs(cf - coherent_amplitudes([0.8 + 0.2j], C40)[0])) < 1e-14
 
 
 @pytest.mark.parametrize("alpha, r, phi", [
@@ -307,7 +308,7 @@ def test_operator_ordering_displacement_after_squeeze():
     # squeeze(displace(vac, a)) == displace(squeeze(vac), a cosh r - conj(a) e^{i phi} sinh r)
     xi = SqueezeParam(0.35, 1.3)
     alpha = 0.9 - 0.5j
-    lhs = squeezed_coherent_state(xi, alpha, C60)
+    (lhs,) = squeezed_coherent_state(xi, [alpha], C60)
     moved = alpha * math.cosh(xi.r) - np.conj(alpha) * np.exp(1j * xi.phi) * math.sinh(xi.r)
     rhs_raw = displacement_operator(moved, C60) @ squeezed_vacuum_amplitudes(xi, C60)
     rhs_raw = rhs_raw / np.linalg.norm(rhs_raw)
@@ -321,7 +322,7 @@ def test_coherent_state_tail_failure_raises():
 
 def test_tail_mass_recorded_and_small():
     coherent_state(1.0, C40)  # accepted
-    raw = coherent_amplitudes(1.0, C40)
+    (raw,) = coherent_amplitudes([1.0], C40)
     assert 0.0 <= 1.0 - np.vdot(raw, raw).real < 1e-12
 
 
@@ -429,14 +430,14 @@ def test_attack_matches_the_box_wide_expm_oracle(alpha, xi):
     # library drops only ever multiply zeros
     cut = FockCutoff(30)
     psi = np.zeros((31, 31), dtype=complex)
-    psi[:, 0] = squeezed_coherent_state(xi, alpha, cut)
+    psi[:, 0] = squeezed_coherent_state(xi, [alpha], cut)[0]
     out = beam_splitter_expm(math.pi / 4, cut).apply(psi)
     rho_b = out @ out.conj().T
-    expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / math.sqrt(2.0),
-                                       cut)
+    (expected,) = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi),
+                                          [alpha / math.sqrt(2.0)], cut)
     box = (purity(rho_b), purity(out.T @ out.conj()), von_neumann_entropy(rho_b),
            fidelity(expected, rho_b))
-    assert np.max(np.abs(np.subtract(attack(alpha, xi, cut), box))) <= 1e-12
+    assert np.max(np.abs(np.subtract(attack([alpha], xi, cut)[0], box))) <= 1e-12
 
 
 def test_two_mode_squeezer_vacuum_series():
@@ -491,7 +492,7 @@ def test_hs_distance_orthogonal_pure_states():
 
 def test_hs_distance_squeezed_vacuum_closed_form():
     r = 0.2
-    sv = projector(squeezed_coherent_state(SqueezeParam(r), 0.0, C60))
+    sv = projector(squeezed_coherent_state(SqueezeParam(r), [0.0], C60)[0])
     vac = projector(vacuum(C60))
     closed = 2.0 * math.sinh(r / 2.0) / math.sqrt(math.cosh(r))
     assert abs(hs_distance(sv, vac) - closed) < 1e-10
@@ -541,7 +542,7 @@ def test_partial_trace_of_product_state_is_pure():
     for mode in (0, 1):
         red = partial_trace_dense(out, mode)
         assert abs(fidelity(half, red) - 1.0) < 1e-8
-    bob, eve, ent, fid = attack(1.0, SqueezeParam(0.0), cut)
+    ((bob, eve, ent, fid),) = attack([1.0], SqueezeParam(0.0), cut)
     assert min(bob, eve, fid) >= 1 - 1e-8
     assert ent < 1e-10
 
@@ -565,9 +566,9 @@ def test_partial_trace_of_tap_matches_dense_oracle():
     xi, alpha = SqueezeParam(0.4, 0.9), 0.6 - 0.3j
     out = tap_output(alpha, xi, cut)
     rho_b, rho_e = (partial_trace_dense(out, mode) for mode in (0, 1))
-    expected = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi), alpha / math.sqrt(2.0),
-                                       cut)
-    bob, eve, ent, fid = attack(alpha, xi, cut)
+    (expected,) = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi),
+                                          [alpha / math.sqrt(2.0)], cut)
+    ((bob, eve, ent, fid),) = attack([alpha], xi, cut)
     assert abs(fid - fidelity(expected, rho_b)) < 1e-13
     dense = (purity(rho_b) - bob, purity(rho_e) - eve, von_neumann_entropy(rho_b) - ent)
     assert np.max(np.abs(dense)) <= TAP_CLOSED_FORM_TOL
@@ -591,7 +592,7 @@ def test_coherent_variance_quarter_at_all_angles():
 
 def test_squeezed_vacuum_variance_closed_form():
     xi = SqueezeParam(0.45, 1.7)
-    sv = squeezed_coherent_state(xi, 0.0, C60)
+    (sv,) = squeezed_coherent_state(xi, [0.0], C60)
     for th in np.linspace(0, math.pi, 7):
         expect = 0.25 * (math.cosh(2 * xi.r) - math.sinh(2 * xi.r) * math.cos(2 * th - xi.phi))
         assert abs(quadrature_variance(sv, th) - expect) < 1e-8
@@ -637,7 +638,7 @@ def test_density_validation_rejects_excess_trace():
 
 
 def _with_entry(entry):
-    raw = coherent_amplitudes(0.5, C40)
+    (raw,) = coherent_amplitudes([0.5], C40)
     raw[0] = entry
     return raw
 
@@ -655,7 +656,7 @@ def test_density_rejects_a_trace_that_is_not_finite(entry):
 
 @pytest.mark.parametrize("entry", [math.nan, complex(0.5, math.nan)])
 def test_check_row_tails_rejects_a_nan_row(entry):
-    rows = np.vstack([coherent_amplitudes(0.3, C40), _with_entry(entry)])
+    rows = np.vstack([coherent_amplitudes([0.3], C40), _with_entry(entry)])
     with pytest.raises(TailMassError, match="tail mass nan") as err:
         check_row_tails(rows, DEFAULT_TAIL_TOL, lambda k: f"row {k}")
     assert err.value.what == "row 1"
@@ -692,7 +693,7 @@ def _tap_arm(mode):
 _DENSITY_OUTPUTS = {
     "coherent_projector": lambda: projector(coherent_state(0.5, C40)),
     "squeezed_vacuum_projector":
-        lambda: projector(squeezed_coherent_state(SqueezeParam(0.4, 0.7), 0.0, C60)),
+        lambda: projector(squeezed_coherent_state(SqueezeParam(0.4, 0.7), [0.0], C60)[0]),
     "maximally_mixed": lambda: maximally_mixed(1.5, _C30),
     "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
     "mixture_gamma": lambda: mixture_gamma(4, 1.5, key_rows(4, 1.5, _C30)),
@@ -765,7 +766,7 @@ def test_heuristic_cutoff_controls_coherent_tail():
     for b in (1.0, 2.0, 3.0):
         cut = FockCutoff(heuristic_cutoff(b))
         coherent_state(b, cut)  # no TailMassError at the boundary amplitude
-        raw = coherent_amplitudes(b, cut)
+        (raw,) = coherent_amplitudes([b], cut)
         assert 1.0 - np.vdot(raw, raw).real < 1e-8
 
 

@@ -103,7 +103,7 @@ def test_even_state_tail_guard():
 
 
 def test_overlap_trivial_parameters():
-    exact, approx = overlap_even_vs_squeezed(0.0, 0.0, SqueezeParam(0.0), C40)
+    ((exact, approx),) = overlap_even_vs_squeezed([0.0], [0.0], SqueezeParam(0.0), C40)
     assert exact == pytest.approx(1.0, abs=1e-12)
     assert approx == 1.0
 
@@ -115,7 +115,7 @@ def test_overlap_exact_matches_closed_form():
         (0.4, 0.3, 0.2, 1.0),
         (0.7, -1.0, 0.1, 2.5),
     ):
-        exact, _ = overlap_even_vs_squeezed(bm, vp, SqueezeParam(r, phi), C40)
+        ((exact, _),) = overlap_even_vs_squeezed([bm], [vp], SqueezeParam(r, phi), C40)
         assert abs(exact - overlap_closed_form(bm, vp, SqueezeParam(r, phi))) < 1e-12
 
 
@@ -125,7 +125,8 @@ def test_overlap_approx_tracks_exact_over_angles():
     exact = np.empty_like(vps)
     approx = np.empty_like(vps)
     for i, vp in enumerate(vps):
-        exact[i], approx[i] = overlap_even_vs_squeezed(bm, vp, SqueezeParam(r, 0.0), C40)
+        ((exact[i], approx[i]),) = overlap_even_vs_squeezed([bm], [vp], SqueezeParam(r, 0.0),
+                                                            C40)
     assert np.max(np.abs(exact - approx)) < 5e-3
     corr = np.corrcoef(exact, approx)[0, 1]
     assert corr > 0.99
@@ -134,10 +135,10 @@ def test_overlap_approx_tracks_exact_over_angles():
 def test_overlap_joint_phase_covariance():
     # shifting varphi by delta and phi by 2 delta leaves the overlap fixed
     bm, r = 0.5, 0.1
-    base, _ = overlap_even_vs_squeezed(bm, 0.4, SqueezeParam(r, 0.9), C40)
+    ((base, _),) = overlap_even_vs_squeezed([bm], [0.4], SqueezeParam(r, 0.9), C40)
     for delta in (0.3, 1.0, -2.0):
-        moved, _ = overlap_even_vs_squeezed(bm, 0.4 + delta,
-                                            SqueezeParam(r, 0.9 + 2 * delta), C40)
+        ((moved, _),) = overlap_even_vs_squeezed([bm], [0.4 + delta],
+                                                 SqueezeParam(r, 0.9 + 2 * delta), C40)
         assert abs(moved - base) < 1e-12
 
 
@@ -147,8 +148,8 @@ def test_matching_angles_maximize_overlap():
     assert abs(math.cos(2 * v1 - phi) + 1.0) < 1e-12  # cos = -1 at the match
     assert abs(math.cos(2 * v2 - phi) + 1.0) < 1e-12
     bm, r = 0.3, 0.05
-    at_match, _ = overlap_even_vs_squeezed(bm, v1, SqueezeParam(r, phi), C40)
-    off, _ = overlap_even_vs_squeezed(bm, v1 + 0.7, SqueezeParam(r, phi), C40)
+    (at_match, _), (off, _) = overlap_even_vs_squeezed([bm, bm], [v1, v1 + 0.7],
+                                                       SqueezeParam(r, phi), C40)
     assert at_match > off
 
 
@@ -325,10 +326,11 @@ def test_displacement_bs_config_is_one_task_that_builds_its_target_once(monkeypa
 
 def test_overlap_over_pair_lists_is_the_scalar_calls():
     # the squeezed vacuum is built once for the whole list; every number is bit
-    # for bit the one its own call gives
+    # for bit the one a one-pair list gives
     bms, vps, xi = [0.1, 0.5, 0.0, 0.25], [0.0, 1.3, 2.0, 5.9], SqueezeParam(0.2, 1.0)
     got = overlap_even_vs_squeezed(bms, vps, xi, C40)
-    assert got == [overlap_even_vs_squeezed(bm, vp, xi, C40) for bm, vp in zip(bms, vps)]
+    assert got == [overlap_even_vs_squeezed([bm], [vp], xi, C40)[0]
+                   for bm, vp in zip(bms, vps)]
 
 
 def test_displacement_bs_rejects_mismatched_input():
@@ -346,7 +348,7 @@ def test_displacement_bs_closed_form_matches_fock_oracle(T):
                 T, eff, even_coherent_state(beta_mag, 0.9, C40), C40)
             # the oracle renormalizes a truncated ancilla and is off by a few
             # times its tail (3.8e-13 for |gamma| = 3.2); the closed form truncates none
-            anc = coherent_amplitudes(eff / math.sqrt(T), C40)
+            (anc,) = coherent_amplitudes([eff / math.sqrt(T)], C40)
             tol = 1e-12 + 10.0 * (1.0 - np.vdot(anc, anc).real)
             assert abs(fid - fid_fock) <= tol
             assert np.max(np.abs(rho - rho_fock)) <= tol
