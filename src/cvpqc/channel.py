@@ -92,34 +92,6 @@ def maximally_mixed(b: float, cutoff: FockCutoff,
     return mm
 
 
-# keys per block of squeezed rows: at cutoff 195 a block's product with S(xi)
-# holds 200 KB, where the whole stack's would hold 1.7 MB at N = 32
-_KEY_BLOCK = 64
-
-
-def _key_average(rows: np.ndarray, squeezer: np.ndarray, tail_tol: float,
-                 what) -> np.ndarray:
-    """Mean of the projectors on the rows v_k of ``rows``, each squeezed by the
-    matrix ``squeezer``, summed over blocks of keys.
-
-    The squeezer holds the exact truncated matrix elements, so a squeezed row
-    keeps only the mass inside the cutoff; ``what(k)`` names row k in the
-    TailMassError raised when any row has lost more than ``tail_tol``.
-    """
-    tails, gram = np.empty(rows.shape[0]), None
-    for k in range(0, rows.shape[0], _KEY_BLOCK):
-        block = rows[k:k + _KEY_BLOCK] @ squeezer.T
-        tails[k:k + _KEY_BLOCK] = row_tails(block)
-        part = block.T @ block.conj()
-        if gram is None:  # no d x d pass over zeros: it would double a small mixture's time
-            gram = part
-        else:
-            gram += part
-    check_tails(tails, tail_tol, what)
-    gram /= rows.shape[0]
-    return gram
-
-
 def _worst_key(N: int, what: str):
     """Names key row k by its ring coordinates, for a TailMassError."""
     def name(k):
@@ -148,12 +120,33 @@ def mixture_gamma(N: int, b: float, rows: np.ndarray,
     return x.T @ x / rows.shape[0]
 
 
+# keys per block of squeezed rows: at cutoff 195 a block's product with S(xi)
+# holds 200 KB, where the whole stack's would hold 1.7 MB at N = 32
+_KEY_BLOCK = 64
+
+
 def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
                      squeezer: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Flat average over all M squeezed displaced vacua; ``rows`` as for
-    mixture_gamma, and ``squeezer`` is ``squeeze_operator(xi, cutoff)``."""
-    return _key_average(rows, squeezer, tail_tol,
-                        _worst_key(N, f"squeezed mixture N={N}, b={b}, r={xi.r}"))
+    """Flat average over all M squeezed displaced vacua, summed over blocks of
+    keys; ``rows`` as for mixture_gamma, and ``squeezer`` is
+    ``squeeze_operator(xi, cutoff)``.
+
+    The squeezer holds the exact truncated matrix elements, so a squeezed row
+    keeps only the mass inside the cutoff; a TailMassError names the worst key
+    when any row has lost more than ``tail_tol``.
+    """
+    tails, gram = np.empty(rows.shape[0]), None
+    for k in range(0, rows.shape[0], _KEY_BLOCK):
+        block = rows[k:k + _KEY_BLOCK] @ squeezer.T
+        tails[k:k + _KEY_BLOCK] = row_tails(block)
+        part = block.T @ block.conj()
+        if gram is None:  # no d x d pass over zeros: it would double a small mixture's time
+            gram = part
+        else:
+            gram += part
+    check_tails(tails, tail_tol, _worst_key(N, f"squeezed mixture N={N}, b={b}, r={xi.r}"))
+    gram /= rows.shape[0]
+    return gram
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ than ignored so that a typo in a grid name cannot silently run a default
 sweep; so is a field the experiment never reads, other than the fields in
 ``RUN_FIELDS``.  ``validate`` never raises; it returns a report of problems,
 the cutoff, and the run's memory: the terms its experiment's ``memory``
-lists for its largest task and its rows, and their sum, which must not
-exceed the machine's physical memory.  It does not judge whether a cutoff is
-large enough: the run's own tail checks do, and a cutoff that is too small
-makes the run exit 3 at the grid point it fails.
+lists for what the run holds at once and its rows, and their sum, which
+must not exceed the machine's physical memory.  It does not judge whether a
+cutoff is large enough: the run's own tail checks do, and a cutoff that is
+too small makes the run exit 3 at the grid point it fails.
 """
 from __future__ import annotations
 

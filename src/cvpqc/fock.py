@@ -83,7 +83,8 @@ def log_factorial(n) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SqueezeParam:
-    """Squeezing parameter xi = r e^{i phi} with r >= 0 and phi in [0, 2*pi)."""
+    """Squeezing parameter xi = r e^{i phi} with r >= 0 and phi in [0, 2*pi);
+    phi is 0 at r = 0, where S(xi) is the identity for every phi."""
 
     r: float
     phi: float = 0.0
@@ -91,7 +92,7 @@ class SqueezeParam:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError(f"squeezing magnitude must be >= 0, got {self.r}")
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+        object.__setattr__(self, "phi", wrap_angle(self.phi) if self.r else 0.0)
 
 
 def check_tails(tails: np.ndarray, tail_tol: float, what) -> None:

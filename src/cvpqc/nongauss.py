@@ -125,7 +125,7 @@ def displacement_via_beamsplitter(Ts, eff: complex, beta_mag: float, varphi: flo
     With the effective displacement held fixed, the fidelity climbs toward 1
     as T shrinks, because t approaches unity.  The input and the target
     D(eff)|input>, which do not depend on T, are built once, after the first
-    signal has passed its tail check; a task holds one signal at a time.
+    signal has passed its tail check; one signal is held at a time.
     """
     fids, ideal = [], None
     for T in Ts:

@@ -16,7 +16,7 @@ the factorized tap model and the first-order squeezer live here too: the
 acceptance criteria use them, and no experiment does.  The ancilla displacement simulated in the two-mode
 Fock space is the reference for its closed form in ``nongauss``, and
 ``convergence_point``, one convergence grid point built from scratch, is the
-reference for the convergence tasks that share work across squeezings.
+reference for the convergence sweeps that share work across squeezings.
 """
 import math
 from dataclasses import dataclass
@@ -27,12 +27,12 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from cvpqc.attack import _SQRT2
-from cvpqc.channel import (_key_average, _worst_key, k_factor, key_count,
-                           key_displacements, key_rows, key_to_ring, maximally_mixed,
-                           mixture_gamma, ring, squeezed_mixture)
+from cvpqc.channel import (_worst_key, k_factor, key_count, key_displacements, key_rows,
+                           key_to_ring, maximally_mixed, mixture_gamma, ring,
+                           squeezed_mixture)
 from cvpqc.fock import (DEFAULT_TAIL_TOL, FockCutoff,
                         SqueezeParam, TwoModeUnitary, _finish_state,
-                        beam_splitter, coherent_amplitudes,
+                        beam_splitter, check_tails, coherent_amplitudes, row_tails,
                         displacement_operator, fidelity, hs_distance, squeeze_operator,
                         squeezed_coherent_state, von_neumann_entropy, wrap_angle)
 
@@ -324,12 +324,23 @@ def _displaced_coherent(alpha: complex, beta: complex, cutoff: FockCutoff) -> np
     return phase * coherent_amplitudes([alpha + beta], cutoff)[0]
 
 
+def key_average(rows: np.ndarray, squeezer: np.ndarray, tail_tol: float,
+                what) -> np.ndarray:
+    """Mean of the projectors on the rows v_k of ``rows``, each squeezed by the
+    matrix ``squeezer``: the whole stack at once, where
+    ``channel.squeezed_mixture`` sums blocks of keys.  ``what(k)`` names row k
+    in the TailMassError raised when any row has lost more than ``tail_tol``."""
+    squeezed = rows @ squeezer.T
+    check_tails(row_tails(squeezed), tail_tol, what)
+    return squeezed.T @ squeezed.conj() / rows.shape[0]
+
+
 def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
             cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """One key branch: squeeze(displace_key(|beta>)) as a projector."""
     p, q = key_to_ring(key_index, N)
     row = _displaced_coherent(key_displacements(N, b)[key_index], beta, cutoff)
-    return _key_average(row[None, :], squeeze_operator(xi, cutoff), tail_tol,
+    return key_average(row[None, :], squeeze_operator(xi, cutoff), tail_tol,
                         lambda k: f"encrypt beta={beta}, key p={p}, q={q}, r={xi.r}")
 
 
@@ -346,7 +357,7 @@ def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,
                    cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Key-averaged encryption of |beta>."""
     rows = np.vstack([_displaced_coherent(a, beta, cutoff) for a in key_displacements(N, b)])
-    return _key_average(rows, squeeze_operator(xi, cutoff), tail_tol,
+    return key_average(rows, squeeze_operator(xi, cutoff), tail_tol,
                         _worst_key(N, f"channel output beta={beta}, N={N}"))
 
 
@@ -380,13 +391,13 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
 def conformation_ring(p: int, radius: float, cutoff: FockCutoff,
                       tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """p-point ring mixture at an explicit radius (decoupled from the N schedule),
-    through the library's key-average pipeline."""
+    through the oracles' key average."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     alphas = radius * np.exp(1j * (np.pi / p) * (2 * np.arange(1, p + 1) - 1))
-    return _key_average(coherent_amplitudes(alphas, cutoff), np.eye(cutoff.dim), tail_tol,
+    return key_average(coherent_amplitudes(alphas, cutoff), np.eye(cutoff.dim), tail_tol,
                         lambda k: f"ring p={p}, radius={radius}, q={k + 1}")
 
 
@@ -399,7 +410,7 @@ def ring_displacements(N: int, b: float, p: int) -> np.ndarray:
 def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: FockCutoff,
                           tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Ring average of squeezed displaced vacua on ring p, built operationally."""
-    return _key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff),
+    return key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff),
                         squeeze_operator(xi, cutoff), tail_tol,
                         lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
 

@@ -145,10 +145,11 @@ def test_tap_output_stays_normalized():
 
 
 def test_report_carries_inputs():
-    # one task is the whole grid: a row per (alpha, r, phi), alpha-major, naming the
-    # input kind and carrying the input amplitude and the squeezing as configured
-    cfg = config_from_dict({"experiment": "attack"})
-    rows = _compute_attack(cfg, 60, alpha_list=[0.3, -1.5], r_list=[0.2, 0.0], phi_list=[0.4])
+    # a row per (alpha, r, phi), alpha-major, naming the input kind and carrying
+    # the input amplitude and the squeezing as configured
+    cfg = config_from_dict({"experiment": "attack", "alpha_list": [0.3, -1.5],
+                            "r_list": [0.2, 0.0], "phi_list": [0.4]})
+    rows = _compute_attack(cfg, 60)
     assert [row[:6] for row in rows] == [("squeezed_coherent", 0.3, 0.0, 0.2, 0.4, 60),
                                          ("coherent", 0.3, 0.0, 0.0, 0.4, 60),
                                          ("squeezed_coherent", -1.5, 0.0, 0.2, 0.4, 60),

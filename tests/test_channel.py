@@ -565,7 +565,7 @@ def test_mixture_entropy_matches_direct_computation():
 
 
 def test_squeezed_convergence_point_squeezes_once(monkeypatch):
-    # one squeeze per distinct xi with r > 0, for every N of the task; the plain
+    # one squeeze per distinct xi with r > 0, for every N; the plain
     # mixture needs none
     calls = []
 
@@ -599,7 +599,7 @@ def _count_channel_calls(monkeypatch, names):
 
 
 def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
-    # one b task of 18 grid points: 3 N values, 2 of them distinct, and 6
+    # one b and 18 grid points: 3 N values, 2 of them distinct, and 6
     # squeezings, 4 of them distinct and 2 of those with r > 0.  Every squeezing
     # prints the plain mixture's entropy, computed once per distinct N; each
     # distinct squeezer is built once, and each distinct squeezed mixture once
@@ -623,7 +623,7 @@ def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
 
 
 def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
-    # a task is one b: the target once per b, each squeezer once per b, and the
+    # each b is swept on its own: the target and each squeezer once per b, and the
     # key rows and the plain mixture once per (b, N)
     calls = _count_channel_calls(monkeypatch, (
         "maximally_mixed", "squeeze_operator", "coherent_amplitudes", "mixture_gamma",
@@ -644,8 +644,7 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
 
 
 def test_repeated_b_builds_the_key_rows_once_per_distinct_b_and_N(monkeypatch):
-    # grid points with equal values share one task: the second b = 2 reuses the
-    # first one's rows
+    # a repeated b is swept once: the second b = 2 takes the first one's rows
     calls = _count_channel_calls(monkeypatch, ("key_rows",))
     _, rows = execute(config_from_dict({"experiment": "convergence", "b_list": [2.0, 2.0],
                                         "N_list": [8, 16], "cutoff": 59}))
@@ -666,7 +665,6 @@ def test_convergence_rows_match_the_per_point_oracle(experiment):
                   if experiment == "squeezed_convergence" else [(0.0, 0.0)])
     expect = []
     for b, (r, phi), N in itertools.product(cfg.b_list, list(squeezings), cfg.N_list):
-        xi = SqueezeParam(r, phi)
-        d_hs, bound, entropy = convergence_point(N, b, xi, FockCutoff(n_max))
-        expect.append((N, b, xi.r, xi.phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
+        d_hs, bound, entropy = convergence_point(N, b, SqueezeParam(r, phi), FockCutoff(n_max))
+        expect.append((N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
     assert rows == expect

@@ -1,5 +1,7 @@
 """Command-line surface: validation reports, sweeps, flags, the sidecar, exit codes."""
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -161,9 +163,9 @@ def test_validate_counts_the_block_entries_of_the_gate(n_max):
 
 
 def _assert_validate_bounds_the_run(monkeypatch, cfg):
-    """Run ``cfg``, one task a stage, as a run starts: the tracemalloc peak stays
-    within the bound validate prints, the sum of the terms it prints."""
-    fock.beam_splitter.cache_clear()  # attack builds its gate in its first task
+    """Run ``cfg`` as a run starts: the tracemalloc peak stays within the bound
+    validate prints, the sum of the terms it prints."""
+    fock.beam_splitter.cache_clear()  # attack builds its gate in its first tap
     tracemalloc.start()
     try:
         execute(cfg)
@@ -174,14 +176,13 @@ def _assert_validate_bounds_the_run(monkeypatch, cfg):
     bound = re.search(r"peaks at about [0-9.]+ MB \((\d+) complex entries\)", info)
     assert int(bound.group(1)) == sum(map(int, re.findall(r"^  (\d+) complex entries", info,
                                                             flags=re.M)))
-    # a task whose bound exceeds physical memory is a problem: the bound covers
+    # a run whose bound exceeds physical memory is a problem: the bound covers
     # the measured peak if it exceeds a byte less
     monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
     assert any("MB of physical memory" in p for p in validate(cfg).problems)
 
 
-# A config per experiment whose first task holds every term its memory lists.
-# Every grid but the shared ones holds one value, so a run is one task a stage.
+# A config per experiment whose run holds every term its memory lists at once.
 # The loose tail_tol lets each run at cutoff 1; it changes no allocation.
 _BOUND_CONFIGS = {
     "mmstate": {},
@@ -219,7 +220,7 @@ def test_validate_bounds_the_peak_of_an_attack_task(monkeypatch, n_max, n_alpha)
 @pytest.mark.parametrize("n_max", [1, 10, 20, 40, 60, 100])
 def test_validate_bounds_the_peak_of_an_attack_task_over_several_squeezings(monkeypatch,
                                                                             n_max):
-    # an attack run is one task: it taps 64 alphas at each of 6 squeezings, one
+    # an attack run taps 64 alphas at each of 6 squeezings, one
     # squeezing at a time, and holds every tap's tuples until its rows are laid out
     _assert_validate_bounds_the_run(monkeypatch, config_from_dict(
         {"experiment": "attack", "cutoff": n_max, "r_list": [0.0, 0.3, 0.6],
@@ -249,7 +250,7 @@ def _spread(n, lo=0.1, hi=0.9):
     return np.linspace(lo, hi, n).tolist()
 
 
-# A config per experiment whose rows outweigh its largest task: execute holds
+# A config per experiment whose rows outweigh its states: execute holds
 # every row until the CSV is written.  mmstate's is 2000 b at cutoff 100, whose
 # 202000 rows peak at 26.9 MB under tracemalloc.
 _LONG_RUNS = {
@@ -555,7 +556,7 @@ def test_sidecar_config_echo_runs_again_to_the_same_rows(tmp_path, experiment):
 
 
 # ---------------------------------------------------------------------------
-# the task loop
+# the sweep
 
 
 def test_repeated_r_phi_pair_runs_the_tap_once(monkeypatch):
@@ -567,22 +568,12 @@ def test_repeated_r_phi_pair_runs_the_tap_once(monkeypatch):
                             "cutoff": 20})
     _, rows = execute(cfg)
     assert len(rows) == 12
-    assert sorted((xi.r, xi.phi) for xi in xis) == [(0.0, 1.0), (0.3, 1.0)]
+    assert sorted((xi.r, xi.phi) for xi in xis) == [(0.0, 0.0), (0.3, 1.0)]
     # each alpha's rows: r = 0.3 twice, r = 0 twice, then r = 0.3 twice again
     for first in (0, 6):
         squeezed, coherent = rows[first], rows[first + 2]
         assert rows[first:first + 6] == [squeezed, squeezed, coherent, coherent,
                                          squeezed, squeezed]
-
-
-@pytest.mark.parametrize("experiment", list(REGISTRY))
-def test_shared_grids_come_last_in_each_stage(experiment):
-    # a task returns the rows of every value of its shared grids, which execute
-    # appends as one run: they are contiguous only if those grids are innermost
-    exp = REGISTRY[experiment]
-    for grids, _ in exp.stages:
-        shared = [g in exp.shared for g in grids]
-        assert shared == sorted(shared)
 
 
 _WRAPPED_TAP = {"experiment": "attack", "alpha_list": [0.5, -1.0, 0.5],
@@ -614,8 +605,79 @@ def test_an_attack_run_taps_once_per_distinct_squeezing(monkeypatch, tmp_path):
         assert row == [_cell(v) for v in one]
 
 
+_TWO_PI = 2.0 * math.pi
+
+# every grid holds a repeat, every grid that admits it a -0.0, and every angle
+# grid a 2 pi that wraps onto 0
+_REPEATED_GRIDS = {
+    "N_list": [3, 1, 3], "b_list": [1.0, 1.5, 1.0], "T_list": [0.5, 0.1, 0.5],
+    "r_list": [0.2, 0.0, -0.0, 0.2], "alpha_list": [0.5, -0.0, 0.5],
+    "beta_mag_list": [0.25, -0.0, 0.25], "phi_list": [1.0, _TWO_PI, -0.0, 1.0],
+    "varphi_list": [0.5, _TWO_PI, -0.0, 0.5], "theta_list": [0.3, _TWO_PI, -0.0, 0.3],
+}
+
+# nongauss_variance lists its squeezed vacua, then its even coherent states: a
+# one-point run gives one row of each, so each section picks its own
+_SECTIONS = {"nongauss_variance": [(("r_list", "phi_list", "theta_list"), 0),
+                                   (("beta_mag_list", "varphi_list", "theta_list"), -1)]}
+
+
+def _builds(cfg):
+    """How often each Fock-state builder runs in a run of ``cfg``: once per
+    distinct physical value, an (r, wrapped phi) with every phi one at r = 0, a
+    b or an (|beta|, wrapped varphi).  A convergence sweep builds the squeezers
+    of each distinct b, and an overlap builds the even coherent states of each
+    distinct squeezed vacuum."""
+    xis = {(r, fock.wrap_angle(phi) if r else 0.0) for r in cfg.r_list for phi in cfg.phi_list}
+    squeezed = len({(r, phi) for r, phi in xis if r})
+    evens = len({(bm, fock.wrap_angle(vp)) for bm in cfg.beta_mag_list
+                 for vp in cfg.varphi_list})
+    disks = len(set(cfg.b_list))
+    return {
+        "mmstate": {"maximally_mixed": disks},
+        "conformation": {},
+        "convergence": {"maximally_mixed": disks},
+        "squeezed_convergence": {"maximally_mixed": disks, "squeeze_operator": disks * squeezed},
+        "attack": {"attack": len(xis), "squeeze_operator": 2 * squeezed},
+        "nongauss_overlap": {"squeeze_operator": squeezed,
+                             "even_coherent_state": len(xis) * evens},
+        "nongauss_variance": {"squeeze_operator": squeezed, "even_coherent_state": evens},
+        "displacement_bs": {"even_coherent_state": 1},
+    }[cfg.experiment]
+
+
+@pytest.mark.parametrize("experiment", list(REGISTRY))
+def test_each_row_is_its_own_points_and_each_state_is_built_once(monkeypatch, experiment):
+    exp = REGISTRY[experiment]
+    cfg = config_from_dict(dict({g: _REPEATED_GRIDS[g] for g in exp.grids},
+                                experiment=experiment, cutoff=30, tail_tol=1e-6))
+    calls = dict.fromkeys(("squeeze_operator", "even_coherent_state", "maximally_mixed",
+                           "attack"), 0)
+
+    def count(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+    for module, name in ((fock, "squeeze_operator"), (channel, "squeeze_operator"),
+                         (nongauss, "even_coherent_state"), (channel, "maximally_mixed"),
+                         (attack, "attack")):
+        monkeypatch.setattr(module, name, count(name, getattr(module, name)))
+    _, rows = execute(cfg)
+    assert {k: v for k, v in calls.items() if v} == _builds(cfg)
+    # byte for byte the rows of a run of each point alone, in grid order
+    expect = []
+    for grids, pick in _SECTIONS.get(experiment, [(exp.grids, None)]):
+        for values in itertools.product(*(getattr(cfg, g) for g in grids)):
+            _, one = execute(dataclasses.replace(cfg, **{g: [v] for g, v in zip(grids, values)}))
+            expect += one if pick is None else [one[pick]]
+    assert [[_cell(v) for v in row] for row in rows] == \
+        [[_cell(v) for v in row] for row in expect]
+
+
 @pytest.mark.parametrize("doc, squeezers, even_states, n_rows", [
-    # the benchmark's seed-0 grids: 3 r x 2 phi tasks, each with 3 x 2 (beta, varphi)
+    # the benchmark's seed-0 grids: 3 r x 2 phi squeezed vacua, each overlapped with
+    # 3 x 2 (beta, varphi)
     ({"experiment": "nongauss_overlap", "cutoff": 40, "r_list": [0.05, 0.1, 0.2],
       "phi_list": [0.0, 1.0], "beta_mag_list": [0.1, 0.25, 0.5],
       "varphi_list": [0.0, math.pi / 2]}, 6, 36, 36),
@@ -626,9 +688,8 @@ def test_an_attack_run_taps_once_per_distinct_squeezing(monkeypatch, tmp_path):
 ], ids=["overlap", "variance"])
 def test_each_nongauss_state_is_built_once_a_task(monkeypatch, doc, squeezers, even_states,
                                                   n_rows):
-    # a nongauss_overlap task is one (r, phi) and builds its squeezed vacuum once
-    # for every (beta, varphi); a nongauss_variance task builds its state once for
-    # every theta
+    # nongauss_overlap builds each squeezed vacuum once for every (beta, varphi);
+    # nongauss_variance builds each state once for every theta
     calls = {"squeeze": 0, "even": 0}
     real_squeeze, real_even = fock.squeeze_operator, nongauss.even_coherent_state
 
@@ -916,7 +977,7 @@ def test_tail_mass_violation_exits_3(tmp_path, capsys):
 
 def test_failing_attack_config_names_the_first_failing_alpha_of_the_first_failing_task(
         tmp_path, capsys):
-    # tasks run in (r, phi) order, each over every alpha: r = 0 fails at alpha = 4
+    # the taps run in (r, phi) order, each over every alpha: r = 0 fails at alpha = 4
     # (a coherent row that loses 0.13 at cutoff 20) before r = 1.5 is reached,
     # although alpha = 1, r = 1.5 comes first in the row order
     out = tmp_path / "rows.csv"

@@ -689,7 +689,7 @@ def _tap_arm(mode):
     return out @ out.conj().T if mode == 0 else out.T @ out.conj()
 
 
-# every library call that returns a density matrix, and the oracles built on its key average
+# every library call that returns a density matrix, and the oracles built on a key average
 _DENSITY_OUTPUTS = {
     "coherent_projector": lambda: projector(coherent_state(0.5, C40)),
     "squeezed_vacuum_projector":
