@@ -23,7 +23,6 @@ from .fock import (
     coherent_amplitudes,
     hs_distance,
     row_tails,
-    squeeze_operator,
     von_neumann_entropy,
 )
 
@@ -162,10 +161,11 @@ def k_factor(xi: SqueezeParam, theta: float) -> float:
 # convergence experiments
 
 
-def convergence_rows(N_list, b: float, xis, cutoff: FockCutoff,
+def convergence_rows(N_list, b: float, squeezers: dict, cutoff: FockCutoff,
                      tail_tol: float = DEFAULT_TAIL_TOL) -> dict:
     """{(N, xi): (d_hs, triangle_bound, entropy)} at radius b for every N in
-    ``N_list`` and every squeezing xi in ``xis``.
+    ``N_list`` and every squeezing xi of ``squeezers``, which maps each xi to
+    ``squeeze_operator(xi, cutoff)``, or to None where xi.r is 0.
 
     d_hs is the distance from the disk-uniform target to the key-averaged
     mixture, squeezed when xi.r > 0; triangle_bound >= d_hs is the distance
@@ -173,23 +173,22 @@ def convergence_rows(N_list, b: float, xis, cutoff: FockCutoff,
     mixtures.  entropy is the plain mixture's: S(xi) is unitary, so it is every
     squeezed mixture's too, free of the squeezed rows' truncation error.
 
-    The target is built once, each distinct S(xi) once, and the key rows, the
-    plain mixture and its entropy once per distinct N.  N is the outer loop,
-    and one N's rows and mixture are dropped before the next N's are built.
+    The target is built once, and the key rows, the plain mixture and its
+    entropy once per N of ``N_list``, whose entries are distinct.  N is the
+    outer loop, and one N's rows and mixture are dropped before the next N's
+    are built.
     """
-    xis = list(dict.fromkeys(xis))
     mm = maximally_mixed(b, cutoff, tail_tol)
-    squeezers = {xi: squeeze_operator(xi, cutoff) for xi in xis if xi.r != 0.0}
     out = {}
-    for N in dict.fromkeys(N_list):
+    for N in N_list:
         rows = key_rows(N, b, cutoff)
         gam = mixture_gamma(N, b, rows, tail_tol)
         d_coh, entropy = hs_distance(mm, gam), von_neumann_entropy(gam)
-        for xi in xis:
-            if xi.r == 0.0:
+        for xi, squeezer in squeezers.items():
+            if squeezer is None:
                 out[N, xi] = (d_coh, d_coh, entropy)
             else:
-                gam_xi = squeezed_mixture(N, b, rows, xi, squeezers[xi], tail_tol)
+                gam_xi = squeezed_mixture(N, b, rows, xi, squeezer, tail_tol)
                 out[N, xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
                               entropy)
         del rows, gam  # the next N's rows are built without these beside them

@@ -109,15 +109,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             kwargs[name] = _want_int(name, v)
         elif name in _FLOAT_FIELDS:
             kwargs[name] = _want_real(name, v)
-        elif name.endswith("_list"):
+        else:  # every other known field is a _list grid
             if not isinstance(v, list):
                 raise ConfigError(f"field {name!r} must be a list, got {v!r}")
             if name in _INT_LIST_FIELDS:
                 kwargs[name] = [_want_int(f"{name}[{i}]", x) for i, x in enumerate(v)]
             else:
                 kwargs[name] = [_want_real(f"{name}[{i}]", x) for i, x in enumerate(v)]
-        else:
-            raise ConfigError(f"unhandled config field {name!r}")  # unreachable
     exp = REGISTRY.get(kwargs["experiment"])  # validate reports an unknown experiment
     if exp is not None:
         unread = sorted(set(doc) - _accepted_fields(exp))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import attack, channel, nongauss
-from .fock import (FockCutoff, SqueezeParam, quadrature_variance, squeezed_coherent_state,
-                   wrap_angle)
+from .fock import (FockCutoff, SqueezeParam, quadrature_variance, squeeze_operator,
+                   squeezed_coherent_state, wrap_angle)
 
 
 def heuristic_cutoff(a: float) -> int:
@@ -128,22 +128,19 @@ def _points(cfg, *grids):
     return math.prod(len(getattr(cfg, g)) for g in grids or REGISTRY[cfg.experiment].grids)
 
 
-def _rows(count, row_bytes):
-    """The run's ``count`` rows, which ``execute`` holds until the CSV is
-    written, ``row_bytes`` (a multiple of 16) each."""
-    return (f"the run's {count} rows, {row_bytes} bytes each", row_bytes * count // 16)
-
-
-def _single_mode_memory(d, rows):
-    # the mmstate, nongauss and displacement_bs memory.  Python objects: tracemalloc
-    # peaks 7.5-10 KB above the matrices at cutoff 1 in a fresh process
-    return [_matrices(d), ("Python objects", 1024), rows]
+def _held(cfg, rows, keys):
+    """What a run holds beside its arrays: its ``rows`` rows, which ``execute``
+    holds until the CSV is written, each a tuple, its list slot and at most one
+    fresh object of up to 32 bytes a cell; 512 bytes for each of the ``keys``
+    grid points whose values a compute keys its states by; and 16 KB for a
+    fresh interpreter."""
+    row_bytes = 64 + 40 * len(REGISTRY[cfg.experiment].columns)
+    return (f"Python objects: {rows} rows of {row_bytes} bytes, {keys} keyed values of "
+            f"512 bytes and 16 KB", -(-(row_bytes * rows + 512 * keys) // 16) + 1024)
 
 
 def _mmstate_memory(cfg, d):
-    # d rows a b: 122-133 bytes a row under tracemalloc (2020 to 202000 rows at
-    # cutoff 100), and 28 more where n passes 256, the ints CPython caches
-    return _single_mode_memory(d, _rows(d * _points(cfg), 176))
+    return [_matrices(d), _held(cfg, d * _points(cfg), _points(cfg))]
 
 
 # --- conformation (ring geometry / angular weights) -------------------------
@@ -166,31 +163,31 @@ def _compute_conformation(cfg, n_max):
 
 
 def _conformation_memory(cfg, _d):
-    # no Fock-space array; the run holds every row until it writes them: execute
-    # peaks at 218-226 bytes a row (45150 to 201295 rows), 245 where every q
-    # passes 256, the ints CPython caches, and 2.3 KB for a one-row run (1.7 in a
-    # fresh process); the CSV writer, one row at a time, adds nothing to that peak
-    rows = (len(cfg.b_list) * len(cfg.r_list) * len(cfg.phi_list)
-            * sum(channel.key_count(N) for N in cfg.N_list))
-    return [(f"the run's {rows} closed-form rows, 256 bytes each", 16 * rows),
-            ("Python objects", 256)]
+    # no Fock-space array and no keyed state: its rows are all it holds; the CSV
+    # writer, one row at a time, adds nothing to that peak
+    return [_held(cfg, _points(cfg, "b_list", "r_list", "phi_list")
+                  * sum(channel.key_count(N) for N in cfg.N_list), 0)]
 
 
 # --- convergence sweeps ------------------------------------------------------
 
 
 def _compute_convergence(cfg, n_max):
-    """b-major, then (r, phi), then N.  Each distinct b is one
-    ``convergence_rows`` call over every N and squeezing; a row prints r and
-    phi as configured, and SqueezeParam keys the squeezers.  ``convergence``
-    accepts no r_list or phi_list, so it sweeps their default, [0.0] each."""
-    squeezings = [(r, phi) for r in cfg.r_list for phi in cfg.phi_list]
-    xis = [SqueezeParam(r, phi) for r, phi in squeezings]
+    """b-major, then (r, phi), then N.  Each distinct S(xi) with r > 0 is built
+    once, before the first b, and each distinct b is one ``convergence_rows``
+    call over every distinct N and squeezing; a row prints r and phi as
+    configured, and SqueezeParam keys the squeezers.  ``convergence`` accepts
+    no r_list or phi_list, so it sweeps their default, [0.0] each."""
+    cutoff = FockCutoff(n_max)
+    squeezings = [(r, phi, SqueezeParam(r, phi)) for r in cfg.r_list for phi in cfg.phi_list]
+    squeezers = {xi: squeeze_operator(xi, cutoff) if xi.r != 0.0 else None
+                 for xi in dict.fromkeys(xi for _, _, xi in squeezings)}
+    Ns = list(dict.fromkeys(cfg.N_list))
 
     def rows_of(b):
-        results = channel.convergence_rows(cfg.N_list, b, xis, FockCutoff(n_max), cfg.tail_tol)
+        results = channel.convergence_rows(Ns, b, squeezers, cutoff, cfg.tail_tol)
         rows = []
-        for (r, phi), xi in zip(squeezings, xis):
+        for r, phi, xi in squeezings:
             for N in cfg.N_list:
                 d_hs, bound, entropy = results[N, xi]
                 rows.append((N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
@@ -201,9 +198,8 @@ def _compute_convergence(cfg, n_max):
 def _convergence_memory(cfg, d):
     # one b at a time: mixture_gamma holds the real stack [Re; Im] beside the key
     # rows of the largest N, two stacks (2.19 with the mixture at N = 32, cutoff
-    # 195), and the squeezer of each distinct squeezing with r > 0.  Python
-    # objects: 20 entries a key (at most 17 above the rest, at cutoff 15), and
-    # 1024 more for a fresh process at cutoff 1 (10.3 KB)
+    # 195), and the squeezer of each distinct squeezing with r > 0.  The key
+    # rows' temporaries: 20 entries a key (at most 17 above the rest, at cutoff 15)
     N = max(cfg.N_list)
     keys = channel.key_count(N)
     squeezers = len({SqueezeParam(r, phi) for r in cfg.r_list if r > 0 for phi in cfg.phi_list})
@@ -212,9 +208,9 @@ def _convergence_memory(cfg, d):
               f"mixture's real stack [Re; Im] beside it", 2 * keys * d)]
     if squeezers:
         terms.append((f"{squeezers} squeezers S(xi) side by side", squeezers * d * d))
-    # the rows: 138-183 bytes a row (400 to 4000 rows)
-    return terms + [("Python objects, 20 entries a key and 1024 more", 20 * keys + 1024),
-                    _rows(_points(cfg), 256)]
+    return terms + [("the key rows' temporaries, 20 entries a key", 20 * keys),
+                    _held(cfg, _points(cfg), _points(cfg, "b_list")
+                          + _points(cfg, "r_list", "phi_list"))]
 
 
 # --- beam-splitter tap -------------------------------------------------------
@@ -238,11 +234,10 @@ def _attack_memory(cfg, d):
     # rest).  Beside the splitter's blocks, the stacks and the objects it holds
     # the two-mode state and apply's output, or a squeezer before the blocks are
     # built: tracemalloc peaks 2.9 d^2 above the blocks and the stacks at cutoff
-    # 100 and 2.7 d^2 at 150, objects included.  Python objects: 24 entries a
-    # sector and an alpha (290 and at most 300 bytes), and 512 more for a fresh
-    # process at cutoff 1 (7.9 KB).  The run holds each tap's tuples, a point
-    # each, until it lays out the rows, which share their floats: 283-318 bytes
-    # a row with its tuple (800 to 8000 rows)
+    # 100 and 2.7 d^2 at 150, objects included.  Per-sector and per-alpha
+    # objects: 24 entries each (290 and at most 300 bytes).  The run holds each
+    # tap's tuples, a point each, until it lays out the rows, which share their
+    # floats: a row's cells cover them
     n_alpha = len(cfg.alpha_list)
     stacks = 2 * n_alpha * d
     return [_matrices(d, 3),
@@ -250,9 +245,8 @@ def _attack_memory(cfg, d):
              f"{d * d}-dimensional two-mode basis", d * (d + 1) * (2 * d + 1) // 6),
             (f"2.7 times the input and target stacks ({stacks} entries, a row per "
              f"alpha each)", 27 * stacks // 10),
-            ("Python objects, 24 entries a sector and an alpha and 512 more",
-             512 + 24 * (d + n_alpha)),
-            _rows(_points(cfg), 400)]
+            ("per-sector and per-alpha objects, 24 entries each", 24 * (d + n_alpha)),
+            _held(cfg, _points(cfg), _points(cfg, "r_list", "phi_list"))]
 
 
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
@@ -279,8 +273,8 @@ def _compute_overlap(cfg, n_max):
 
 
 def _overlap_memory(cfg, d):
-    # the rows: 193-201 bytes a row (4000 to 40000 rows at cutoff 10)
-    return _single_mode_memory(d, _rows(_points(cfg), 288))
+    return [_matrices(d), _held(cfg, _points(cfg), _points(cfg, "r_list", "phi_list")
+                                + _points(cfg, "beta_mag_list", "varphi_list"))]
 
 
 # --- quadrature variances ----------------------------------------------------
@@ -322,10 +316,8 @@ def _compute_variance(cfg, n_max):
 
 
 def _variance_memory(cfg, d):
-    # the rows: 222-248 bytes a row (800 to 8000 rows at cutoff 10)
-    squeezed = _points(cfg, "r_list", "phi_list", "theta_list")
-    return _single_mode_memory(d, _rows(squeezed + _points(cfg, "beta_mag_list", "varphi_list",
-                                                           "theta_list"), 288))
+    states = _points(cfg, "r_list", "phi_list") + _points(cfg, "beta_mag_list", "varphi_list")
+    return [_matrices(d), _held(cfg, states * len(cfg.theta_list), states)]
 
 
 # --- displacement from a strong ancilla --------------------------------------
@@ -347,9 +339,7 @@ def _compute_displacement_bs(cfg, n_max):
 
 
 def _displacement_memory(cfg, d):
-    # the rows: 86-135 bytes a row (100 to 1000 transmissions at cutoff 5), which
-    # share every cell but T, gamma and the fidelity
-    return _single_mode_memory(d, _rows(_points(cfg), 352))
+    return [_matrices(d), _held(cfg, _points(cfg), _points(cfg))]
 
 
 _CONVERGENCE_COLUMNS = ("N", "b", "r", "phi", "cutoff", "d_hs", "d_hs_times_Np1",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.integrate import simpson
 
-from cvpqc import channel
+from cvpqc import channel, experiments
 from cvpqc.channel import (
     convergence_rows,
     k_factor,
@@ -565,28 +565,34 @@ def test_mixture_entropy_matches_direct_computation():
 
 
 def test_squeezed_convergence_point_squeezes_once(monkeypatch):
-    # one squeeze per distinct xi with r > 0, for every N; the plain
-    # mixture needs none
+    # one squeeze per distinct xi with r > 0, for every b and N, before the
+    # first b; the plain mixture needs none
     calls = []
 
     def counting(xi, cutoff):
         calls.append(xi)
         return squeeze_operator(xi, cutoff)
 
-    monkeypatch.setattr("cvpqc.channel.squeeze_operator", counting)
-    xis = [SqueezeParam(0.3, 1.1), SqueezeParam(0.0), SqueezeParam(0.2), SqueezeParam(0.3, 1.1)]
-    at = convergence_rows([4, 2], 2.0, xis, C60)
+    monkeypatch.setattr(experiments, "squeeze_operator", counting)
+    xis = [SqueezeParam(r, 1.1) for r in (0.3, 0.0, 0.2, 0.3)]
+    _, rows = execute(config_from_dict(
+        {"experiment": "squeezed_convergence", "b_list": [2.0, 1.5], "N_list": [4, 2],
+         "r_list": [xi.r for xi in xis], "phi_list": [1.1], "cutoff": 60}))
     assert calls == [xis[0], xis[2]]
+    assert len(rows) == 16
+    # convergence_rows takes the squeezers, None for the plain mixture
+    at = convergence_rows([4, 2], 2.0, {xi: squeeze_operator(xi, C60) if xi.r else None
+                                        for xi in xis}, C60)
     assert set(at) == set(itertools.product([4, 2], xis))
 
 
-def _count_channel_calls(monkeypatch, names):
-    """Replaces each channel function in ``names`` by one that records its
-    positional arguments in the returned {name: [args, ...]}."""
+def _count_calls(monkeypatch, module, names):
+    """Replaces each function of ``module`` in ``names`` by one that records
+    its positional arguments in the returned {name: [args, ...]}."""
     calls = {name: [] for name in names}
 
     def counting(name):
-        fn = getattr(channel, name)
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name].append(args)
@@ -594,7 +600,7 @@ def _count_channel_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(channel, name, counting(name))
+        monkeypatch.setattr(module, name, counting(name))
     return calls
 
 
@@ -603,8 +609,8 @@ def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
     # squeezings, 4 of them distinct and 2 of those with r > 0.  Every squeezing
     # prints the plain mixture's entropy, computed once per distinct N; each
     # distinct squeezer is built once, and each distinct squeezed mixture once
-    calls = _count_channel_calls(
-        monkeypatch, ("squeezed_mixture", "von_neumann_entropy", "squeeze_operator"))
+    calls = _count_calls(monkeypatch, channel, ("squeezed_mixture", "von_neumann_entropy"))
+    calls.update(_count_calls(monkeypatch, experiments, ("squeeze_operator",)))
 
     def counts():
         return {name: len(args) for name, args in calls.items()}
@@ -623,11 +629,11 @@ def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
 
 
 def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
-    # each b is swept on its own: the target and each squeezer once per b, and the
-    # key rows and the plain mixture once per (b, N)
-    calls = _count_channel_calls(monkeypatch, (
-        "maximally_mixed", "squeeze_operator", "coherent_amplitudes", "mixture_gamma",
-        "squeezed_mixture"))
+    # each squeezer once per run; each b is swept on its own: the target once
+    # per b, and the key rows and the plain mixture once per (b, N)
+    calls = _count_calls(monkeypatch, channel, (
+        "maximally_mixed", "coherent_amplitudes", "mixture_gamma", "squeezed_mixture"))
+    calls.update(_count_calls(monkeypatch, experiments, ("squeeze_operator",)))
     b_list, r_list, phi_list, N_list = [1.0, 1.5], [0.1, 0.2], [0.0, 1.0], [1, 2, 3]
     _, rows = execute(config_from_dict(
         {"experiment": "squeezed_convergence", "b_list": b_list, "r_list": r_list,
@@ -636,7 +642,7 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
     pairs = sorted((b, N) for b in b_list for N in N_list)
     assert sorted(args[0] for args in calls["maximally_mixed"]) == b_list
     assert sorted((xi.r, xi.phi) for xi, _ in calls["squeeze_operator"]) == \
-        sorted(list(itertools.product(r_list, phi_list)) * len(b_list))
+        sorted(itertools.product(r_list, phi_list))
     assert len(calls["coherent_amplitudes"]) == len(pairs)
     assert sorted((b, N) for N, b, *_ in calls["mixture_gamma"]) == pairs
     assert sorted((b, N, xi.r, xi.phi) for N, b, _, xi, *_ in calls["squeezed_mixture"]) == \
@@ -645,7 +651,7 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
 
 def test_repeated_b_builds_the_key_rows_once_per_distinct_b_and_N(monkeypatch):
     # a repeated b is swept once: the second b = 2 takes the first one's rows
-    calls = _count_channel_calls(monkeypatch, ("key_rows",))
+    calls = _count_calls(monkeypatch, channel, ("key_rows",))
     _, rows = execute(config_from_dict({"experiment": "convergence", "b_list": [2.0, 2.0],
                                         "N_list": [8, 16], "cutoff": 59}))
     assert sorted((N, b) for N, b, _ in calls["key_rows"]) == [(8, 2.0), (16, 2.0)]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cvpqc
-from cvpqc import attack, channel, fock, nongauss
+from cvpqc import attack, channel, experiments, fock, nongauss
 from cvpqc.channel import maximally_mixed
 from cvpqc.cli import _cell, main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
@@ -74,7 +74,7 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert ("206976 complex entries (~3.312 MB): the key-row stack at N = 32 "
             "(103488 entries) and the plain mixture's real stack") in out
-    # plus 6 d x d matrices, and 20 entries a key and 1024 more for Python objects
+    # plus 6 d x d matrices, 20 entries a key and the Python objects
     assert "the run peaks at about 7.2 MB" in out
     assert "squeezers" not in out
     # a squeezed_convergence task is one b and holds the squeezer of each of its
@@ -84,23 +84,27 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "153664 complex entries (~2.459 MB): 4 squeezers S(xi) side by side" in out
-    # and the run's 4 x 2 x 5 rows of 256 bytes each
-    assert "640 complex entries (~0.010 MB): the run's 40 rows, 256 bytes each" in out
+    # and the Python objects: the run's 4 x 2 x 5 rows of 64 + 40 x 9 bytes each, a
+    # b and 4 x 2 (r, phi) keyed values, and 16 KB
+    assert ("2372 complex entries (~0.038 MB): Python objects: 40 rows of 424 bytes, "
+            "9 keyed values of 512 bytes and 16 KB") in out
     assert "the run peaks at about 9.7 MB" in out
     # conformation's rows are closed forms: no cutoff term
     cfg = write_config(tmp_path, experiment="conformation", cutoff=100000)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
     assert "d x d" not in out
-    # 3 + 10 + 36 + 136 + 528 rows of 16 entries each
-    assert "11408 complex entries (~0.183 MB): the run's 713 closed-form rows" in out
+    # 3 + 10 + 36 + 136 + 528 rows of 64 + 40 x 11 bytes each, and 16 KB
+    assert ("23484 complex entries (~0.376 MB): Python objects: 713 rows of 504 bytes, "
+            "0 keyed values") in out
     assert "config valid" in out
 
 
-@pytest.mark.parametrize("physical, ok", [(256 * 713 + 4096, True), (256 * 713 + 4095, False)],
+@pytest.mark.parametrize("physical, ok", [(375744, True), (375743, False)],
                          ids=["at_the_bound", "a_byte_short"])
 def test_conformation_rows_are_bounded_by_physical_memory(monkeypatch, tmp_path, physical, ok):
-    # the default grids give 713 rows, at 256 bytes a row, and 4 KB of Python objects
+    # the default grids give 713 rows, at 504 bytes a row, and 16 KB for the
+    # interpreter: 375736 bytes, rounded up to whole complex entries of 16 bytes
     monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: physical)
     rep = validate(config_from_dict({"experiment": "conformation"}))
     assert rep.ok == ok
@@ -176,6 +180,8 @@ def _assert_validate_bounds_the_run(monkeypatch, cfg):
     bound = re.search(r"peaks at about [0-9.]+ MB \((\d+) complex entries\)", info)
     assert int(bound.group(1)) == sum(map(int, re.findall(r"^  (\d+) complex entries", info,
                                                             flags=re.M)))
+    # and where the run holds more than 1 MB, the bound stays within 4 times its peak
+    assert peak <= 10 ** 6 or 16 * int(bound.group(1)) <= 4 * peak
     # a run whose bound exceeds physical memory is a problem: the bound covers
     # the measured peak if it exceeds a byte less
     monkeypatch.setattr("cvpqc.config._physical_bytes", lambda: peak - 1)
@@ -273,6 +279,21 @@ _LONG_RUNS = {
 @pytest.mark.parametrize("experiment", list(REGISTRY))
 def test_validate_bounds_the_rows_of_a_long_run(monkeypatch, experiment):
     doc = dict(_LONG_RUNS[experiment], experiment=experiment, tail_tol=0.5)
+    _assert_validate_bounds_the_run(monkeypatch, config_from_dict(doc))
+
+
+# One grid at 400 distinct values: each adds rows and, where a compute keys its
+# states by it, a keyed value.  The other grids keep their defaults but N_list,
+# which is [1]: the default's key rows would make each point a sweep of its own.
+@pytest.mark.parametrize("n_max", [1, 10])
+@pytest.mark.parametrize("experiment, grid", [
+    (name, grid) for name, exp in REGISTRY.items() for grid in exp.grids if grid != "N_list"])
+def test_validate_bounds_a_run_over_many_distinct_values(monkeypatch, experiment, grid, n_max):
+    doc = {"experiment": experiment, "cutoff": n_max, "tail_tol": 0.99, grid: _spread(400)}
+    if "N_list" in REGISTRY[experiment].grids:
+        doc["N_list"] = [1]
+    if experiment == "squeezed_convergence":
+        doc.setdefault("r_list", [0.1])
     _assert_validate_bounds_the_run(monkeypatch, config_from_dict(doc))
 
 
@@ -625,9 +646,8 @@ _SECTIONS = {"nongauss_variance": [(("r_list", "phi_list", "theta_list"), 0),
 def _builds(cfg):
     """How often each Fock-state builder runs in a run of ``cfg``: once per
     distinct physical value, an (r, wrapped phi) with every phi one at r = 0, a
-    b or an (|beta|, wrapped varphi).  A convergence sweep builds the squeezers
-    of each distinct b, and an overlap builds the even coherent states of each
-    distinct squeezed vacuum."""
+    b or an (|beta|, wrapped varphi).  An overlap builds the even coherent
+    states of each distinct squeezed vacuum."""
     xis = {(r, fock.wrap_angle(phi) if r else 0.0) for r in cfg.r_list for phi in cfg.phi_list}
     squeezed = len({(r, phi) for r, phi in xis if r})
     evens = len({(bm, fock.wrap_angle(vp)) for bm in cfg.beta_mag_list
@@ -637,7 +657,7 @@ def _builds(cfg):
         "mmstate": {"maximally_mixed": disks},
         "conformation": {},
         "convergence": {"maximally_mixed": disks},
-        "squeezed_convergence": {"maximally_mixed": disks, "squeeze_operator": disks * squeezed},
+        "squeezed_convergence": {"maximally_mixed": disks, "squeeze_operator": squeezed},
         "attack": {"attack": len(xis), "squeeze_operator": 2 * squeezed},
         "nongauss_overlap": {"squeeze_operator": squeezed,
                              "even_coherent_state": len(xis) * evens},
@@ -659,7 +679,7 @@ def test_each_row_is_its_own_points_and_each_state_is_built_once(monkeypatch, ex
             calls[name] += 1
             return real(*args, **kwargs)
         return counted
-    for module, name in ((fock, "squeeze_operator"), (channel, "squeeze_operator"),
+    for module, name in ((fock, "squeeze_operator"), (experiments, "squeeze_operator"),
                          (nongauss, "even_coherent_state"), (channel, "maximally_mixed"),
                          (attack, "attack")):
         monkeypatch.setattr(module, name, count(name, getattr(module, name)))
