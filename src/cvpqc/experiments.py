@@ -233,16 +233,17 @@ def _attack_memory(cfg, d):
     # coherent_amplitudes' temporaries: 2.7 times the two (at most 0.4 above the
     # rest).  Beside the splitter's blocks, the stacks and the objects it holds
     # the two-mode state and apply's output, or a squeezer before the blocks are
-    # built: tracemalloc peaks 2.9 d^2 above the blocks and the stacks at cutoff
+    # built: tracemalloc peaks 3.0 d^2 above the blocks and the stacks at cutoff
     # 100 and 2.7 d^2 at 150, objects included.  Per-sector and per-alpha
     # objects: 24 entries each (290 and at most 300 bytes).  The run holds each
     # tap's tuples, a point each, until it lays out the rows, which share their
     # floats: a row's cells cover them
     n_alpha = len(cfg.alpha_list)
     stacks = 2 * n_alpha * d
+    blocks = d * (d + 1) * (2 * d + 1) // 6
     return [_matrices(d, 3),
-            (f"the beam splitter's blocks, sectors s = 0..{d - 1} of the "
-             f"{d * d}-dimensional two-mode basis", d * (d + 1) * (2 * d + 1) // 6),
+            (f"the beam splitter's blocks, {blocks} real entries (8 bytes each)",
+             -(-blocks // 2)),
             (f"2.7 times the input and target stacks ({stacks} entries, a row per "
              f"alpha each)", 27 * stacks // 10),
             ("per-sector and per-alpha objects, 24 entries each", 24 * (d + n_alpha)),

@@ -51,15 +51,15 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="attack", cutoff=30)
     assert main(["validate", cfg]) == 0
     out = capsys.readouterr().out
-    # beam-splitter block entries 31 * 32 * 63 / 6 over the two-mode basis of dimension 31^2
-    assert ("10416 complex entries (~0.167 MB): the beam splitter's blocks, sectors "
-            "s = 0..30 of the 961-dimensional two-mode basis") in out
+    # beam-splitter block entries 31 * 32 * 63 / 6, real, two to a complex entry
+    assert ("5208 complex entries (~0.083 MB): the beam splitter's blocks, "
+            "10416 real entries (8 bytes each)") in out
     assert "config valid" in out
-    # the attack benchmark cutoff: 101 * 102 * 203 / 6 entries of 16 bytes
+    # the attack benchmark cutoff: 101 * 102 * 203 / 6 entries of 8 bytes
     cfg = write_config(tmp_path, experiment="attack", cutoff=100)
     assert main(["validate", cfg]) == 0
-    assert "348551 complex entries (~5.577 MB): the beam splitter's blocks" in \
-        capsys.readouterr().out
+    assert ("174276 complex entries (~2.788 MB): the beam splitter's blocks, "
+            "348551 real entries") in capsys.readouterr().out
     # displacement_bs stays in one mode: d x d density matrices
     cfg = write_config(tmp_path, experiment="displacement_bs", cutoff=98)
     assert main(["validate", cfg]) == 0
@@ -163,7 +163,9 @@ def test_validate_counts_the_block_entries_of_the_gate(n_max):
     count = re.search(r"(\d+) complex entries \(~[0-9.]+ MB\): the beam splitter's blocks",
                       "\n".join(rep.info))
     gate = fock.beam_splitter(math.pi / 4, FockCutoff(n_max))
-    assert int(count.group(1)) == sum(blk.size for blk in gate.blocks)
+    # real blocks, two of their 8-byte entries to a complex entry of 16 bytes
+    assert all(blk.dtype == np.float64 for blk in gate.blocks)
+    assert int(count.group(1)) == -(-sum(blk.size for blk in gate.blocks) // 2)
 
 
 def _assert_validate_bounds_the_run(monkeypatch, cfg):

@@ -1,5 +1,6 @@
 """Core Fock-space layer: states, operators, metrics, truncation control."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from cvpqc.fock import (
     FockCutoff,
     SqueezeParam,
     TailMassError,
+    TwoModeUnitary,
     _finish_state,
     beam_splitter,
     check_row_tails,
@@ -402,6 +404,38 @@ def test_beam_splitter_inverse_roundtrip():
     bs = beam_splitter(0.9, FockCutoff(10))
     back = two_mode_inverse(bs).apply(bs.apply(psi))
     assert np.max(np.abs(back - psi)) < 1e-12
+
+
+def test_apply_of_a_real_state_is_apply_of_it_cast_to_complex():
+    # apply multiplies (re, im) pairs of a float view: a float psi viewed as
+    # pairs would mix neighbouring entries, so it must be cast first
+    psi = _inside_triangle(9, seed=11).real.copy()
+    bs = beam_splitter(0.6, FockCutoff(9))
+    out = bs.apply(psi)
+    assert out.dtype == complex
+    assert np.array_equal(out, bs.apply(psi.astype(complex)))
+    assert np.array_equal(bs.apply(psi.T), bs.apply(np.ascontiguousarray(psi.T)))
+
+
+def test_two_mode_unitary_refuses_a_complex_block():
+    # its imaginary part would be dropped, not applied
+    blocks = list(beam_splitter(0.6, FockCutoff(4)).blocks)
+    blocks[2] = blocks[2] * 1j
+    with pytest.raises(TypeError, match="must be real"):
+        TwoModeUnitary(blocks)
+
+
+def test_an_attack_task_at_cutoff_100_holds_less_than_a_complex_gate():
+    # the real blocks take 8 bytes an entry: the whole task, gate built inside it,
+    # peaks below what its 348,551 block entries took alone at 16 bytes
+    beam_splitter.cache_clear()
+    tracemalloc.start()
+    try:
+        attack([0.5, 1.0 + 0.5j], SqueezeParam(0.3, 1.0), FockCutoff(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 348551 * 16
 
 
 def test_apply_judges_the_mass_beyond_the_triangle():
