@@ -112,15 +112,19 @@ def mixture_gamma(N: int, b: float, rows: np.ndarray,
     the same (b, N) share.  Ring p's angles pi (2q - 1) / p are closed under
     conjugation, so the mixture is real: it is the Gram matrix x^T x / M of
     the real stack x = [Re rows; Im rows], which numpy forms as a symmetric
-    rank-k update.
+    rank-k update, and then divides by M in place, so no second d x d array
+    is built beside it.
     """
     check_row_tails(rows, tail_tol, _worst_key(N, f"mixture N={N}, b={b}"))
     x = np.concatenate((rows.real, rows.imag))
-    return x.T @ x / rows.shape[0]
+    gram = x.T @ x
+    gram /= rows.shape[0]
+    return gram
 
 
 # keys per block of squeezed rows: at cutoff 195 a block's product with S(xi)
-# holds 200 KB, where the whole stack's would hold 1.7 MB at N = 32
+# holds 200 KB, where the whole stack's would hold 1.7 MB at N = 32.  Beside
+# the running sum, one block and its d x d Gram product are live at a time
 _KEY_BLOCK = 64
 
 
@@ -133,16 +137,18 @@ def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
     The squeezer holds the exact truncated matrix elements, so a squeezed row
     keeps only the mass inside the cutoff; a TailMassError names the worst key
     when any row has lost more than ``tail_tol``.
+
+    Beside the running sum, one block and its d x d product are live at a
+    time: each product is added into the sum as soon as it is formed.
     """
     tails, gram = np.empty(rows.shape[0]), None
     for k in range(0, rows.shape[0], _KEY_BLOCK):
         block = rows[k:k + _KEY_BLOCK] @ squeezer.T
         tails[k:k + _KEY_BLOCK] = row_tails(block)
-        part = block.T @ block.conj()
         if gram is None:  # no d x d pass over zeros: it would double a small mixture's time
-            gram = part
+            gram = block.T @ block.conj()
         else:
-            gram += part
+            gram += block.T @ block.conj()
     check_tails(tails, tail_tol, _worst_key(N, f"squeezed mixture N={N}, b={b}, r={xi.r}"))
     gram /= rows.shape[0]
     return gram
@@ -176,7 +182,8 @@ def convergence_rows(N_list, b: float, squeezers: dict, cutoff: FockCutoff,
     The target is built once, and the key rows, the plain mixture and its
     entropy once per N of ``N_list``, whose entries are distinct.  N is the
     outer loop, and one N's rows and mixture are dropped before the next N's
-    are built.
+    are built; within one N, one squeezed mixture is live at a time, dropped
+    once its two distances are taken.
     """
     mm = maximally_mixed(b, cutoff, tail_tol)
     out = {}
@@ -191,5 +198,6 @@ def convergence_rows(N_list, b: float, squeezers: dict, cutoff: FockCutoff,
                 gam_xi = squeezed_mixture(N, b, rows, xi, squeezer, tail_tol)
                 out[N, xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
                               entropy)
+                del gam_xi  # the next squeezed mixture is summed without this beside it
         del rows, gam  # the next N's rows are built without these beside them
     return out

@@ -197,9 +197,14 @@ def _compute_convergence(cfg, n_max):
 
 def _convergence_memory(cfg, d):
     # one b at a time: mixture_gamma holds the real stack [Re; Im] beside the key
-    # rows of the largest N, two stacks (2.19 with the mixture at N = 32, cutoff
-    # 195), and the squeezer of each distinct squeezing with r > 0.  The key
-    # rows' temporaries: 20 entries a key (at most 17 above the rest, at cutoff 15)
+    # rows of the largest N, two stacks (3.62 MB with the mixture against a 1.66 MB
+    # stack at N = 32, cutoff 195), and the squeezer of each distinct squeezing
+    # with r > 0.  convergence_rows holds one squeezed mixture, and
+    # squeezed_mixture one block product, at a time: at N <= 32, cutoff 195 and
+    # four squeezings the run peaks at 6.74 MB, 1.6 d^2 above the squeezers and
+    # the two stacks (7.95 MB while each product and mixture outlived its use),
+    # under a bound of 9.7 MB.  The key rows' temporaries: 20 entries a key (at
+    # most 17 above the rest, at cutoff 15)
     N = max(cfg.N_list)
     keys = channel.key_count(N)
     squeezers = len({SqueezeParam(r, phi) for r in cfg.r_list if r > 0 for phi in cfg.phi_list})

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -656,6 +657,33 @@ def test_repeated_b_builds_the_key_rows_once_per_distinct_b_and_N(monkeypatch):
                                         "N_list": [8, 16], "cutoff": 59}))
     assert sorted((N, b) for N, b, _ in calls["key_rows"]) == [(8, 2.0), (16, 2.0)]
     assert len(rows) == 4 and rows[:2] == rows[2:]
+
+
+def _execute_peak(doc):
+    """The tracemalloc peak, in bytes, of ``execute`` on the config ``doc``."""
+    cfg = config_from_dict(doc)
+    tracemalloc.start()
+    try:
+        execute(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_large_squeezed_sweep_holds_one_product_and_one_mixture_at_a_time():
+    # b = 5, cutoff 195 and four squeezings: one block product and one squeezed
+    # mixture are live at a time, so beyond its four squeezers and its key
+    # stack the run holds what the plain sweep holds, 4.3 d^2 complex entries; a
+    # block product or a squeezed mixture kept past its use raises that to 6.2
+    d, keys = 196, key_count(32)
+    doc = {"experiment": "convergence", "b_list": [5.0], "cutoff": 195,
+           "N_list": [2, 4, 8, 16, 32]}
+    plain = _execute_peak(doc)
+    squeezed = _execute_peak(dict(doc, experiment="squeezed_convergence", r_list=[0.1, 0.3],
+                                  phi_list=[0.0, math.pi / 2]))
+    squeezers = 4 * d * d
+    assert squeezed / 16 - squeezers - keys * d <= 5 * d * d
+    assert squeezed / 16 - plain / 16 <= squeezers + d * d / 2
 
 
 @pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])

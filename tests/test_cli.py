@@ -67,7 +67,7 @@ def test_validate_reports_memory_model(tmp_path, capsys):
     assert "6 d x d matrices, d = 99 (9801 entries each)" in out
     assert "two-mode" not in out
     # a convergence task holds its M x d key rows, M = N(N+1)/2 at the largest N, and
-    # the plain mixture's real stack [Re; Im] beside them: 3.63 MB under tracemalloc
+    # the plain mixture's real stack [Re; Im] beside them: 3.62 MB under tracemalloc
     # with the mixture at N = 32, cutoff 195
     cfg = write_config(tmp_path, experiment="convergence", b_list=[5.0], cutoff=195)
     assert main(["validate", cfg]) == 0
