@@ -198,6 +198,22 @@ def validate(cfg: ExperimentConfig) -> ValidationReport:
         bad("T_list entries must lie in (0, 1]")
     if not 0 < cfg.tail_tol < 1:  # at 1 a row that lost all its mass would pass
         bad("tail_tol must lie in (0, 1)")
+    elif cfg.experiment in ("nongauss_overlap", "nongauss_variance"):
+        # The closed forms cancel terms of size |beta|^2 and, in the squeezed vacuum's
+        # variance, of size e^{2r}/8 down to e^{-2r}/4: relative to the value they
+        # round by up to about 5 eps |beta|^2 and 5 eps (e^{4r} - 1)/2.  At 64 eps a
+        # unit, these bounds keep every exact and closed_form cell within tail_tol of
+        # its value; the overlap shares the r bound, which keeps |beta|^2 r finite.
+        unit = 2.0 ** -46  # 64 eps
+        if any(m * m * unit > cfg.tail_tol for m in cfg.beta_mag_list):
+            bad(f"beta_mag_list entries must be at most {math.sqrt(cfg.tail_tol / unit):.4g}: "
+                "past it the closed forms, which cancel terms of size |beta|^2, "
+                "round by more than tail_tol")
+        r_max = 0.25 * math.log1p(2.0 * cfg.tail_tol / unit)
+        if any(r > r_max for r in cfg.r_list):
+            bad(f"r_list entries must be at most {r_max:.4g}: past it the squeezed "
+                "vacuum's variance, which cancels terms of size e^{2r} to reach "
+                "e^{-2r}/4, rounds by more than tail_tol")
     if cfg.cutoff is not None and cfg.cutoff < 1:
         bad("cutoff must be >= 1")
     if cfg.input_beta_mag < 0:

@@ -13,11 +13,15 @@ the sweep in grid order (``nongauss_variance`` lists its squeezed vacua, then
 its even coherent states).  A row prints its grid values as configured, -0
 included.  A compute keys each state it builds by its physical value, so
 that a repeat, the sign of a zero or a 2 pi wrap builds no Fock-space state
-twice: a ``SqueezeParam`` for each squeezer, tap and squeezed vacuum, b for
-each disk target and its key mixtures, and (|beta|, wrapped varphi) for each
-even coherent state; ``conformation``'s closed-form rows are recomputed at
-every point.  A failing run names the first point whose state fails its tail
-check, in the order the compute builds them.
+twice: a ``SqueezeParam`` for each squeezer and tap, and b for each disk
+target and its key mixtures.  ``conformation``, ``nongauss_overlap`` and
+``nongauss_variance`` print closed forms, recomputed at every point: they
+build no Fock-space state, so no tail check fails them, and their ``cutoff``
+column prints the configured or default cutoff, which truncates nothing;
+``validate`` bounds the two non-Gaussian ones' r and |beta| instead, below
+where their closed forms round by more than tail_tol.  A failing run names
+the first point whose state fails its tail check, in the order the compute
+builds them.
 """
 from __future__ import annotations
 
@@ -27,8 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import attack, channel, nongauss
-from .fock import (FockCutoff, SqueezeParam, quadrature_variance, squeeze_operator,
-                   squeezed_coherent_state, wrap_angle)
+from .fock import FockCutoff, SqueezeParam, quadrature_variance, squeeze_operator, wrap_angle
 
 
 def heuristic_cutoff(a: float) -> int:
@@ -89,19 +92,17 @@ def resolve_cutoff(cfg) -> int:
     return REGISTRY[cfg.experiment].default_cutoff(cfg)
 
 
-def _first_computes(points, compute, cells, key=None):
-    """The rows of every point of ``points``, in order.  The first point of
-    each key, ``key(*point)`` or the point itself, computes its rows; a later
-    point of that key takes them with its own grid values, as configured, in
-    the slice ``cells`` of each row."""
+def _first_computes(points, compute, cells):
+    """The rows of every point of ``points``, in order.  The first copy of each
+    point computes its rows; a later copy takes them with its own grid values,
+    as configured, in the slice ``cells`` of each row."""
     first, rows = {}, []
     for point in points:
-        k = point if key is None else key(*point)
-        if k in first:
-            rows += [row[:cells.start] + point + row[cells.stop:] for row in first[k]]
+        if point in first:
+            rows += [row[:cells.start] + point + row[cells.stop:] for row in first[point]]
         else:
-            first[k] = compute(*point)
-            rows += first[k]
+            first[point] = compute(*point)
+            rows += first[point]
     return rows
 
 
@@ -117,9 +118,9 @@ def _compute_mmstate(cfg, n_max):
 
 
 def _matrices(d, count=6):
-    # at most 6 d x d matrices are live at once (tracemalloc at cutoff 100: 1.0 d^2
-    # for nongauss_*, 2.0 for mmstate, 4 beside the key stack, 5.7 for
-    # displacement_bs); attack counts its own
+    # at most 6 d x d matrices are live at once (tracemalloc at cutoff 100: 2.0 d^2
+    # for mmstate, 4 beside the key stack, 5.7 for displacement_bs); attack counts
+    # its own
     return (f"{count} d x d matrices, d = {d} ({d * d} entries each)", count * d * d)
 
 
@@ -258,29 +259,19 @@ def _attack_memory(cfg, d):
 # --- even-coherent vs squeezed-vacuum overlap --------------------------------
 
 
-def _even_key(beta_mag, varphi):
-    return beta_mag, wrap_angle(varphi)
-
-
 def _compute_overlap(cfg, n_max):
-    """(r, phi)-major.  Each distinct squeezed vacuum is built once, in one call
-    that builds and overlaps each distinct even coherent state once."""
-    pairs = [(bm, vp) for bm in cfg.beta_mag_list for vp in cfg.varphi_list]
-    evens = list(dict.fromkeys(_even_key(bm, vp) for bm, vp in pairs))
-
-    def rows_of(r, phi):
-        results = {key: (exact, approx, abs(exact - approx)) for key, (exact, approx) in zip(
-            evens, nongauss.overlap_even_vs_squeezed(
-                [bm for bm, _ in evens], [vp for _, vp in evens], SqueezeParam(r, phi),
-                FockCutoff(n_max), cfg.tail_tol))}
-        return [(r, phi, bm, vp, n_max, *results[_even_key(bm, vp)]) for bm, vp in pairs]
-    return _first_computes([(r, phi) for r in cfg.r_list for phi in cfg.phi_list], rows_of,
-                           slice(0, 2), SqueezeParam)
+    """(r, phi)-major; each row is its closed form."""
+    rows = []
+    for r, phi, bm, vp in itertools.product(cfg.r_list, cfg.phi_list, cfg.beta_mag_list,
+                                            cfg.varphi_list):
+        exact, approx = nongauss.overlap_even_vs_squeezed(bm, wrap_angle(vp),
+                                                          SqueezeParam(r, phi))
+        rows.append((r, phi, bm, vp, n_max, exact, approx, abs(exact - approx)))
+    return rows
 
 
-def _overlap_memory(cfg, d):
-    return [_matrices(d), _held(cfg, _points(cfg), _points(cfg, "r_list", "phi_list")
-                                + _points(cfg, "beta_mag_list", "varphi_list"))]
+def _overlap_memory(cfg, _d):
+    return [_held(cfg, _points(cfg), 0)]
 
 
 # --- quadrature variances ----------------------------------------------------
@@ -292,38 +283,36 @@ def _variance_row(kind, r, phi, bm, vp, theta, n_max, exact, closed, approx):
 
 def _compute_variance(cfg, n_max):
     """Every squeezed vacuum, (r, phi)-major, then every even coherent state,
-    (|beta|, varphi)-major, each read at every theta; each distinct state is
-    built once."""
+    (|beta|, varphi)-major, each read at every theta.  ``exact`` is the moment
+    formula on the state's closed-form moments, ``closed_form`` the paper's
+    variance."""
     thetas = [(theta, wrap_angle(theta)) for theta in cfg.theta_list]
-
-    def squeezed(r, phi):
+    rows = []
+    for r, phi in itertools.product(cfg.r_list, cfg.phi_list):
         xi = SqueezeParam(r, phi)
-        (state,) = squeezed_coherent_state(xi, [0.0], FockCutoff(n_max), cfg.tail_tol)
-        return [_variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
-                              quadrature_variance(state, th),
-                              nongauss.squeezed_vacuum_variance(xi, th),
-                              nongauss.squeezed_vacuum_variance_approx(xi, th))
-                for theta, th in thetas]
-
-    def even(beta_mag, varphi):
-        vp = wrap_angle(varphi)
-        state = nongauss.even_coherent_state(beta_mag, vp, FockCutoff(n_max), cfg.tail_tol)
-        return [_variance_row("even_coherent", 0.0, 0.0, beta_mag, varphi, theta, n_max,
-                              quadrature_variance(state, th),
-                              nongauss.even_variance_closed_form(beta_mag, vp, th),
-                              nongauss.even_variance_approx(beta_mag, vp, th))
-                for theta, th in thetas]
-
-    rows = _first_computes([(r, phi) for r in cfg.r_list for phi in cfg.phi_list], squeezed,
-                           slice(1, 3), SqueezeParam)
-    rows += _first_computes([(bm, vp) for bm in cfg.beta_mag_list for vp in cfg.varphi_list],
-                            even, slice(3, 5), _even_key)
+        # <a> = 0, <a^2> = -e^{i phi} sinh r cosh r, <a+ a> = sinh^2 r
+        sh = math.sinh(xi.r)
+        ea2 = complex(math.cos(xi.phi), math.sin(xi.phi)) * (-sh * math.cosh(xi.r))
+        rows += [_variance_row("squeezed_vacuum", r, phi, 0.0, 0.0, theta, n_max,
+                               quadrature_variance(0j, ea2, sh * sh, th),
+                               nongauss.squeezed_vacuum_variance(xi, th),
+                               nongauss.squeezed_vacuum_variance_approx(xi, th))
+                 for theta, th in thetas]
+    for bm, varphi in itertools.product(cfg.beta_mag_list, cfg.varphi_list):
+        vp, b2 = wrap_angle(varphi), bm * bm
+        # <a> = 0, <a^2> = beta^2, <a+ a> = |beta|^2 tanh |beta|^2
+        ea2 = complex(math.cos(2.0 * vp), math.sin(2.0 * vp)) * b2
+        rows += [_variance_row("even_coherent", 0.0, 0.0, bm, varphi, theta, n_max,
+                               quadrature_variance(0j, ea2, b2 * math.tanh(b2), th),
+                               nongauss.even_variance_closed_form(bm, vp, th),
+                               nongauss.even_variance_approx(bm, vp, th))
+                 for theta, th in thetas]
     return rows
 
 
-def _variance_memory(cfg, d):
+def _variance_memory(cfg, _d):
     states = _points(cfg, "r_list", "phi_list") + _points(cfg, "beta_mag_list", "varphi_list")
-    return [_matrices(d), _held(cfg, states * len(cfg.theta_list), states)]
+    return [_held(cfg, states * len(cfg.theta_list), 0)]
 
 
 # --- displacement from a strong ancilla --------------------------------------

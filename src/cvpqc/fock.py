@@ -395,18 +395,12 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-(w * np.log2(w)).sum() + 0.0)
 
 
-def mode_moments(c: np.ndarray):
-    """(<a>, <a^2>, <a+ a>) of normalized amplitudes c, from amplitude shifts."""
-    n = np.arange(c.shape[0], dtype=float)
-    ea = complex(np.sum(np.conj(c[:-1]) * np.sqrt(n[1:]) * c[1:]))
-    ea2 = complex(np.sum(np.conj(c[:-2]) * np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) * c[2:]))
-    en = float(np.sum(n * np.abs(c) ** 2))
-    return ea, ea2, en
-
-
-def quadrature_variance(psi: np.ndarray, theta: float) -> float:
-    """Var X_theta of normalized amplitudes, from <a>, <a^2>, <a+ a>; vacuum gives 1/4."""
-    ea, ea2, en = mode_moments(psi)
-    ex = (ea * np.exp(-1j * theta)).real
-    ex2 = (2.0 * (ea2 * np.exp(-2j * theta)).real + 2.0 * en + 1.0) / 4.0
-    return float(ex2 - ex * ex)
+def quadrature_variance(ea: complex, ea2: complex, en: float, theta: float) -> float:
+    """Var X_theta of a state with moments <a> = ea, <a^2> = ea2 and <a+ a> = en:
+    <X_theta^2> - <X_theta>^2, with <X_theta> = Re(ea e^{-i theta}) and
+    <X_theta^2> = (2 Re(ea2 e^{-2 i theta}) + 2 en + 1) / 4, summed a quarter at a
+    time, so that it is finite wherever its terms are; the vacuum gives 1/4."""
+    ex = ea.real * math.cos(theta) + ea.imag * math.sin(theta)
+    ex2 = (0.5 * (ea2.real * math.cos(2.0 * theta) + ea2.imag * math.sin(2.0 * theta))
+           + 0.5 * en + 0.25)
+    return ex2 - ex * ex

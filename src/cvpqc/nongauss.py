@@ -1,8 +1,10 @@
 """Even coherent states and how well they mimic weakly squeezed vacua.
 
-Covers the small-parameter overlap between the two families,
+Covers the overlap between the two families and its small-parameter form,
 quadrature-variance closed forms, and the realization of a displacement by
 mixing with a strong coherent ancilla on a highly reflective beam splitter.
+The overlap and the variances are closed forms in <alpha|beta> and
+<beta|S(xi)|0>, with no Fock-space state; only the displacement builds one.
 An even coherent state is given by its amplitude beta = beta_mag e^{i varphi}
 as the two numbers (beta_mag >= 0, varphi); callers pass varphi already
 wrapped into [0, 2 pi), and each function forms beta where it uses it.
@@ -22,7 +24,6 @@ from .fock import (
     coherent_amplitudes,
     displacement_operator,
     fidelity,
-    squeezed_coherent_state,
 )
 
 
@@ -38,26 +39,21 @@ def even_coherent_state(beta_mag: float, varphi: float, cutoff: FockCutoff,
     return _finish_state(raw, tail_tol, f"even coherent state |beta|={beta_mag}")
 
 
-def overlap_even_vs_squeezed(beta_mags, varphis, xi: SqueezeParam,
-                             cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
+def overlap_even_vs_squeezed(beta_mag: float, varphi: float, xi: SqueezeParam):
     """(exact, approx) squared overlap between the squeezed vacuum and the even
-    coherent state of each pair of the equal-length lists ``beta_mags`` and
-    ``varphis``, one tuple per pair, each the same as its own call.
+    coherent state of amplitude beta_mag e^{i varphi}.
 
-    ``exact`` sums the truncated Fock series; ``approx`` is the first-order
-    small-parameter form 1 - |beta|^2 r cos(2 varphi - phi).  The two agree
-    to the neglected O(r^2, |beta|^4) terms near the matching angles.  The
-    squeezed vacuum is built once, after the first even coherent state has
-    passed its tail check.
+    ``exact`` is the closed form exp(-|beta|^2 tanh r cos(2 varphi - phi)) /
+    (cosh r cosh |beta|^2), with each cosh written through e^{-r} and
+    e^{-|beta|^2}, so that no factor overflows; ``approx`` is its first order
+    in the small parameters, 1 - |beta|^2 r cos(2 varphi - phi).  The two agree
+    to the neglected O(r^2, |beta|^4) terms near the matching angles.
     """
-    sv, results = None, []
-    for bm, vp in zip(beta_mags, varphis):
-        ec = even_coherent_state(bm, vp, cutoff, tail_tol)
-        if sv is None:
-            (sv,) = squeezed_coherent_state(xi, [0.0], cutoff, tail_tol)
-        results.append((float(abs(np.vdot(ec, sv)) ** 2),
-                        1.0 - bm * bm * xi.r * math.cos(2.0 * vp - xi.phi)))
-    return results
+    b2, c = beta_mag * beta_mag, math.cos(2.0 * varphi - xi.phi)
+    e = math.exp(-xi.r)
+    exact = (4.0 * e * math.exp(-b2 * (1.0 + math.tanh(xi.r) * c))
+             / ((1.0 + e * e) * (1.0 + math.exp(-2.0 * b2))))
+    return exact, 1.0 - b2 * xi.r * c
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +61,10 @@ def overlap_even_vs_squeezed(beta_mags, varphis, xi: SqueezeParam,
 
 
 def squeezed_vacuum_variance(xi: SqueezeParam, theta: float) -> float:
-    """(1/4)[cosh 2r - sinh 2r cos(2 theta - phi)], exact at every angle."""
-    return 0.25 * (math.cosh(2.0 * xi.r)
-                   - math.sinh(2.0 * xi.r) * math.cos(2.0 * theta - xi.phi))
+    """(1/4)[cosh 2r - sinh 2r cos(2 theta - phi)], exact at every angle; each
+    term is quartered first, so the difference is finite wherever cosh 2r is."""
+    return (0.25 * math.cosh(2.0 * xi.r)
+            - 0.25 * math.sinh(2.0 * xi.r) * math.cos(2.0 * theta - xi.phi))
 
 
 def squeezed_vacuum_variance_approx(xi: SqueezeParam, theta: float) -> float:

@@ -13,10 +13,14 @@ psi[i, j] = <i, j|psi>, as in the library.  ``check_density`` holds the
 trace, Hermiticity and positivity checks the library never runs.  The protocol
 helpers (encrypt, decrypt, the channel output), the single-ring mixtures,
 the factorized tap model and the first-order squeezer live here too: the
-acceptance criteria use them, and no experiment does.  The ancilla displacement simulated in the two-mode
-Fock space is the reference for its closed form in ``nongauss``, and
-``convergence_point``, one convergence grid point built from scratch, is the
-reference for the convergence sweeps that share work across squeezings.
+acceptance criteria use them, and no experiment does.  The ancilla
+displacement simulated in the two-mode Fock space is the reference for its
+closed form in ``nongauss``; the even coherent state and the squeezed vacuum
+in the Fock basis, with their moments, are the reference for the overlap and
+variance closed forms at small r and |beta|, and cancellation-free forms of the
+same closed forms are their reference at any r and |beta|; and ``convergence_point``, one convergence grid point
+built from scratch, is the reference for the convergence sweeps that share
+work across squeezings.
 """
 import math
 from dataclasses import dataclass
@@ -35,6 +39,7 @@ from cvpqc.fock import (DEFAULT_TAIL_TOL, FockCutoff,
                         beam_splitter, check_tails, coherent_amplitudes, row_tails,
                         displacement_operator, fidelity, hs_distance, squeeze_operator,
                         squeezed_coherent_state, von_neumann_entropy, wrap_angle)
+from cvpqc.nongauss import even_coherent_state
 
 HERMITICITY_TOL = 1e-12
 EIG_FLOOR = -1e-10
@@ -547,6 +552,56 @@ def displacement_via_beamsplitter_fock(T: float, eff: complex, psi: np.ndarray,
     ideal = displacement_operator(eff, cutoff) @ psi
     ideal = ideal / np.linalg.norm(ideal)
     return signal, fidelity(ideal, signal) / np.trace(signal).real
+
+
+# ---------------------------------------------------------------------------
+# the non-Gaussian experiments' states in the Fock basis
+
+
+def mode_moments(c: np.ndarray):
+    """(<a>, <a^2>, <a+ a>) of normalized amplitudes c, from amplitude shifts."""
+    n = np.arange(c.shape[0], dtype=float)
+    ea = complex(np.sum(np.conj(c[:-1]) * np.sqrt(n[1:]) * c[1:]))
+    ea2 = complex(np.sum(np.conj(c[:-2]) * np.sqrt((n[:-2] + 1) * (n[:-2] + 2)) * c[2:]))
+    en = float(np.sum(n * np.abs(c) ** 2))
+    return ea, ea2, en
+
+
+def overlap_even_vs_squeezed_fock(beta_mag: float, varphi: float, xi: SqueezeParam,
+                                  cutoff: FockCutoff) -> float:
+    """|<even beta|S(xi)|0>|^2 as the truncated Fock sum: the even coherent state
+    from ``coherent_amplitudes`` against the squeezed vacuum from ``squeeze_operator``."""
+    even = even_coherent_state(beta_mag, varphi, cutoff)
+    (squeezed,) = squeezed_coherent_state(xi, [0.0], cutoff)
+    return float(abs(np.vdot(even, squeezed)) ** 2)
+
+
+# Cancellation-free forms of the same closed forms: every term they add is
+# non-negative, or, in the even state's variance, takes away less than 0.56 of
+# 1, so they round by a few eps relative to the value at any r and |beta|.
+
+
+def squeezed_vacuum_variance_stable(r: float, phi: float, theta: float) -> float:
+    """(1/4)(e^{-2r} cos^2(theta - phi/2) + e^{2r} sin^2(theta - phi/2))."""
+    half = theta - 0.5 * phi
+    return 0.25 * (math.exp(-2.0 * r) * math.cos(half) ** 2
+                   + math.exp(2.0 * r) * math.sin(half) ** 2)
+
+
+def even_variance_stable(beta_mag: float, varphi: float, theta: float) -> float:
+    """(1/4)(1 + 4|b|^2 cos^2(theta - varphi) - 4|b|^2 / (e^{2|b|^2} + 1))."""
+    b2 = beta_mag * beta_mag
+    return 0.25 * (1.0 + 4.0 * b2 * math.cos(theta - varphi) ** 2
+                   - 4.0 * b2 * math.exp(-2.0 * b2) / (1.0 + math.exp(-2.0 * b2)))
+
+
+def overlap_stable(beta_mag: float, varphi: float, xi: SqueezeParam) -> float:
+    """exp(-|b|^2 tanh r cos(2 varphi - phi)) / (cosh r cosh |b|^2), with
+    1 + tanh r cos(2 varphi - phi) = 2 / (e^{2r} + 1) + 2 tanh r cos^2(varphi - phi/2)."""
+    b2, e = beta_mag * beta_mag, math.exp(-xi.r)
+    bracket = (2.0 * e * e / (1.0 + e * e)
+               + 2.0 * math.tanh(xi.r) * math.cos(varphi - 0.5 * xi.phi) ** 2)
+    return 4.0 * e * math.exp(-b2 * bracket) / ((1.0 + e * e) * (1.0 + math.exp(-2.0 * b2)))
 
 
 # ---------------------------------------------------------------------------

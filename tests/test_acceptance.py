@@ -35,6 +35,7 @@ from oracles import (
     conformation_ring,
     convergence_point,
     matching_varphi,
+    mode_moments,
     projector,
     ring_analytic_matrix,
     secret_bits,
@@ -188,13 +189,15 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
     cut = FockCutoff(60)
     xi = SqueezeParam(0.3, 0.7)
     (sv,) = squeezed_coherent_state(xi, [0.0], cut)
-    worst_sv = max(abs(quadrature_variance(sv, th) - squeezed_vacuum_variance(xi, th))
+    worst_sv = max(abs(quadrature_variance(*mode_moments(sv), th)
+                       - squeezed_vacuum_variance(xi, th))
                    for th in np.linspace(0.0, math.pi, 9))
     ok = ok and worst_sv <= 1e-8
     detail.append(f"sv closed-form error {worst_sv}")
 
     ec = even_coherent_state(0.5, 0.6, FockCutoff(40))
-    worst_ec = max(abs(quadrature_variance(ec, th) - even_variance_closed_form(0.5, 0.6, th))
+    worst_ec = max(abs(quadrature_variance(*mode_moments(ec), th)
+                       - even_variance_closed_form(0.5, 0.6, th))
                    for th in np.linspace(0.0, math.pi, 9))
     ok = ok and worst_ec <= 1e-8
     detail.append(f"ec closed-form error {worst_ec}")
@@ -207,7 +210,7 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
     for th, sign in ((0.0, -1.0), (math.pi / 2, +1.0)):
         approx = squeezed_vacuum_variance_approx(xi_s, th)
         ok = ok and abs(approx - (1 + sign * u) / 4) < 1e-15
-        err = abs(quadrature_variance(sv_small, th) - approx)
+        err = abs(quadrature_variance(*mode_moments(sv_small), th) - approx)
         ok = ok and err <= tol
         detail.append(f"sv extreme theta={th}: err {err} tol {tol}")
     bm_small = math.sqrt(0.05)
@@ -215,7 +218,7 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
     for th, sign in ((0.0, +1.0), (math.pi / 2, -1.0)):
         approx = even_variance_approx(bm_small, 0.0, th)
         ok = ok and abs(approx - (1 + sign * u) / 4) < 1e-15
-        err = abs(quadrature_variance(ec_small, th) - approx)
+        err = abs(quadrature_variance(*mode_moments(ec_small), th) - approx)
         ok = ok and err <= tol
         detail.append(f"ec extreme theta={th}: err {err} tol {tol}")
 
@@ -223,13 +226,11 @@ def test_criterion_08_variance_closed_forms_and_bounds(report):
 
 
 def test_criterion_09_overlap_small_parameter_scaling(report):
-    cut = FockCutoff(40)
     phi_xi = 0.0
     vp = matching_varphi(phi_xi)[0]  # pi/2 for phi_xi = 0
 
     def err(r, b2):
-        ((exact, approx),) = overlap_even_vs_squeezed(
-            [math.sqrt(b2)], [vp], SqueezeParam(r, phi_xi), cut)
+        exact, approx = overlap_even_vs_squeezed(math.sqrt(b2), vp, SqueezeParam(r, phi_xi))
         return abs(exact - approx)
 
     e1 = err(0.05, 0.05)

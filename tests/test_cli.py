@@ -23,7 +23,8 @@ from cvpqc.cli import _cell, main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
 from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
-from oracles import projector, vacuum
+from oracles import (even_variance_stable, overlap_stable, projector,
+                     squeezed_vacuum_variance_stable, vacuum)
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -647,13 +648,10 @@ _SECTIONS = {"nongauss_variance": [(("r_list", "phi_list", "theta_list"), 0),
 
 def _builds(cfg):
     """How often each Fock-state builder runs in a run of ``cfg``: once per
-    distinct physical value, an (r, wrapped phi) with every phi one at r = 0, a
-    b or an (|beta|, wrapped varphi).  An overlap builds the even coherent
-    states of each distinct squeezed vacuum."""
+    distinct physical value, an (r, wrapped phi) with every phi one at r = 0 or
+    a b.  The non-Gaussian closed forms build none."""
     xis = {(r, fock.wrap_angle(phi) if r else 0.0) for r in cfg.r_list for phi in cfg.phi_list}
     squeezed = len({(r, phi) for r, phi in xis if r})
-    evens = len({(bm, fock.wrap_angle(vp)) for bm in cfg.beta_mag_list
-                 for vp in cfg.varphi_list})
     disks = len(set(cfg.b_list))
     return {
         "mmstate": {"maximally_mixed": disks},
@@ -661,9 +659,8 @@ def _builds(cfg):
         "convergence": {"maximally_mixed": disks},
         "squeezed_convergence": {"maximally_mixed": disks, "squeeze_operator": squeezed},
         "attack": {"attack": len(xis), "squeeze_operator": 2 * squeezed},
-        "nongauss_overlap": {"squeeze_operator": squeezed,
-                             "even_coherent_state": len(xis) * evens},
-        "nongauss_variance": {"squeeze_operator": squeezed, "even_coherent_state": evens},
+        "nongauss_overlap": {},
+        "nongauss_variance": {},
         "displacement_bs": {"even_coherent_state": 1},
     }[cfg.experiment]
 
@@ -697,33 +694,26 @@ def test_each_row_is_its_own_points_and_each_state_is_built_once(monkeypatch, ex
         [[_cell(v) for v in row] for row in expect]
 
 
-@pytest.mark.parametrize("doc, squeezers, even_states, n_rows", [
-    # the benchmark's seed-0 grids: 3 r x 2 phi squeezed vacua, each overlapped with
-    # 3 x 2 (beta, varphi)
+@pytest.mark.parametrize("doc, n_rows", [
+    # the benchmark's seed-0 grids: 6 squeezed vacua and 6 (|beta|, varphi)
     ({"experiment": "nongauss_overlap", "cutoff": 40, "r_list": [0.05, 0.1, 0.2],
       "phi_list": [0.0, 1.0], "beta_mag_list": [0.1, 0.25, 0.5],
-      "varphi_list": [0.0, math.pi / 2]}, 6, 36, 36),
+      "varphi_list": [0.0, math.pi / 2]}, 36),
     # 2 squeezed and 2 even coherent states, each read at 4 thetas
     ({"experiment": "nongauss_variance", "cutoff": 40, "r_list": [0.05, 0.1],
       "phi_list": [0.0], "beta_mag_list": [0.1, 0.25], "varphi_list": [0.0],
-      "theta_list": [0.0, 0.5, 1.0, math.pi / 2]}, 2, 2, 16),
+      "theta_list": [0.0, 0.5, 1.0, math.pi / 2]}, 16),
 ], ids=["overlap", "variance"])
-def test_each_nongauss_state_is_built_once_a_task(monkeypatch, doc, squeezers, even_states,
-                                                  n_rows):
-    # nongauss_overlap builds each squeezed vacuum once for every (beta, varphi);
-    # nongauss_variance builds each state once for every theta
-    calls = {"squeeze": 0, "even": 0}
-    real_squeeze, real_even = fock.squeeze_operator, nongauss.even_coherent_state
-
-    def count(name, real):
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-        return counted
-    monkeypatch.setattr(fock, "squeeze_operator", count("squeeze", real_squeeze))
-    monkeypatch.setattr(nongauss, "even_coherent_state", count("even", real_even))
+def test_each_nongauss_state_is_built_once_a_task(monkeypatch, doc, n_rows):
+    # every row is a closed form, so no task builds a Fock-space row, squeezer
+    # or even state: each state is built not once a task but never
+    def refuse(*_):
+        raise AssertionError("a Fock-space state was built")
+    for module, name in ((fock, "coherent_amplitudes"), (nongauss, "coherent_amplitudes"),
+                         (fock, "squeeze_operator"), (experiments, "squeeze_operator"),
+                         (nongauss, "even_coherent_state")):
+        monkeypatch.setattr(module, name, refuse)
     _, rows = execute(config_from_dict(doc))
-    assert calls == {"squeeze": squeezers, "even": even_states}
     assert len(rows) == n_rows
 
 
@@ -978,7 +968,9 @@ def test_run_settings_in_the_config_exit_2(tmp_path, capsys, command, field, val
 
 
 def test_variance_uses_the_config_tail_tol(tmp_path):
-    # the squeezed vacuum loses ~4.8e-6 at cutoff 24: inside tail_tol, so it must run
+    # nongauss_variance accepts tail_tol, as every experiment does, though its closed
+    # forms have no tail to judge: r = 0.8 at cutoff 24, where a Fock-space squeezed
+    # vacuum would lose ~4.8e-6, runs
     out = str(tmp_path / "rows.csv")
     cfg = write_config(tmp_path, experiment="nongauss_variance", r_list=[0.8],
                        beta_mag_list=[0.1], cutoff=24, tail_tol=1e-5)
@@ -1014,8 +1006,8 @@ def test_failing_attack_config_names_the_first_failing_alpha_of_the_first_failin
 
 @pytest.mark.parametrize("experiment, what", [
     ("convergence", "mixture N=2, b=2.0, worst key p=1, q=1"),
-    ("nongauss_overlap", "even coherent state |beta|=0.25"),
-], ids=["convergence", "nongauss_overlap"])
+    ("displacement_bs", "signal amplitude (1.0071067811865475+0j) at T=0.5"),
+], ids=["convergence", "displacement_bs"])
 def test_nan_amplitudes_exit_3(monkeypatch, tmp_path, capsys, experiment, what):
     # a NaN row has a NaN tail, which the one tail check fails on every path
     real = fock.coherent_amplitudes
@@ -1313,21 +1305,77 @@ def test_a_huge_signal_amplitude_exits_3_with_only_the_tail_line(tmp_path):
     assert not (tmp_path / "rows.csv").exists()
 
 
-@pytest.mark.parametrize("fields, beta", [
-    ({"experiment": "nongauss_overlap", "beta_mag_list": [1e308], "cutoff": 5}, "1e+308"),
-    ({"experiment": "nongauss_variance", "beta_mag_list": [1e308], "cutoff": 5}, "1e+308"),
-    ({"experiment": "displacement_bs", "input_beta_mag": 1e200, "T_list": [1.0], "cutoff": 5},
-     "1e+200"),
-], ids=["nongauss_overlap", "nongauss_variance", "displacement_bs"])
-def test_a_huge_beta_exits_3_naming_the_even_coherent_state(tmp_path, fields, beta):
+_PAST_BETA = ("problem: beta_mag_list entries must be at most 838.9: past it the closed "
+              "forms, which cancel terms of size |beta|^2, round by more than tail_tol")
+
+
+@pytest.mark.parametrize("fields, code, lines", [
+    # the closed forms would print NaN: beta_mag_list is a config problem
+    ({"experiment": "nongauss_overlap", "beta_mag_list": [1e308], "cutoff": 5}, 2,
+     [_PAST_BETA, "config INVALID"]),
+    ({"experiment": "nongauss_variance", "beta_mag_list": [1e308], "cutoff": 5}, 2,
+     [_PAST_BETA, "config INVALID"]),
     # |beta|^2 is inf, not an OverflowError: the even coherent row is zero, a tail of 1
+    ({"experiment": "displacement_bs", "input_beta_mag": 1e200, "T_list": [1.0], "cutoff": 5},
+     3, ["tail-mass violation: truncation tail mass 1.000e+00 exceeds tolerance 1.000e-08 "
+         "for even coherent state |beta|=1e+200"]),
+], ids=["nongauss_overlap", "nongauss_variance", "displacement_bs"])
+def test_a_huge_beta_exits_3_naming_the_even_coherent_state(tmp_path, fields, code, lines):
+    # only displacement_bs builds the even coherent state; the non-Gaussian closed
+    # forms exit 2 naming the field
     cfg = write_config(tmp_path, **fields)
     proc = _console("run", cfg, "--out", tmp_path / "rows.csv")
-    assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [
-        "tail-mass violation: truncation tail mass 1.000e+00 exceeds tolerance 1.000e-08 "
-        f"for even coherent state |beta|={beta}"]
+    assert proc.returncode == code
+    assert proc.stderr.splitlines() == lines
     assert not (tmp_path / "rows.csv").exists()
+
+
+_HUGE = st.one_of(st.floats(0.0, 1e308), st.floats(0.0, 10.0), st.sampled_from(
+    [0.0, 1.0, 3.5, 8.0, 20.0, 354.9, 355.3, 710.0, 838.0, 1e4, 1e154, 1.35e154, 1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(experiment=st.sampled_from(["nongauss_overlap", "nongauss_variance"]),
+       beta_mag=_HUGE, r=_HUGE,
+       angle=st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.0, 2.0 * math.pi - 1e-9]),
+       tail_tol=st.sampled_from([1e-12, 1e-8, 1e-3, 0.5]))
+def test_huge_beta_and_r_print_finite_cells_or_exit_2(experiment, beta_mag, r, angle,
+                                                       tail_tol):
+    # every cos(2 varphi - phi) or cos(2 theta - 2 varphi) of +-1 and 0 included.  A
+    # run that is let through prints finite cells, and its exact and closed_form lie
+    # within tail_tol (relative) of the cancellation-free forms, so no variance is
+    # negative however far r squeezes one quadrature
+    doc = {"experiment": experiment, "beta_mag_list": [beta_mag], "r_list": [r],
+           "phi_list": [angle], "varphi_list": [0.0, angle], "tail_tol": tail_tol}
+    if experiment == "nongauss_variance":
+        doc["theta_list"] = [0.0, angle, 0.5 * angle]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "rows.csv")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        rc = main(["run", path, "--out", out])
+        assert rc in (0, 2)
+        if rc == 2:
+            return
+        _, rows = read_csv(out)
+    cols = REGISTRY[experiment].columns
+    for row in rows:
+        cell = {c: v if c == "kind" else float(v) for c, v in zip(cols, row)}
+        assert all(math.isfinite(v) for c, v in cell.items() if c != "kind"), row
+        xi = fock.SqueezeParam(cell["r"], cell["phi_xi"])
+        vp = fock.wrap_angle(cell["varphi"])
+        if experiment == "nongauss_overlap":
+            printed = [cell["exact"]]
+            ref = overlap_stable(cell["beta_mag"], vp, xi)
+        else:
+            printed = [cell["exact"], cell["closed_form"]]
+            th = fock.wrap_angle(cell["theta"])
+            ref = (squeezed_vacuum_variance_stable(xi.r, xi.phi, th)
+                   if cell["kind"] == "squeezed_vacuum"
+                   else even_variance_stable(cell["beta_mag"], vp, th))
+            assert min(printed) >= 0.0, row
+        for v in printed:  # a cell below the smallest normal float holds fewer digits
+            assert abs(v - ref) <= tail_tol * ref + sys.float_info.min, (row, ref)
 
 
 def test_console_error_exits_keep_their_messages(tmp_path):

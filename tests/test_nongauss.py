@@ -17,6 +17,7 @@ from cvpqc.fock import (
     fidelity,
     quadrature_variance,
     squeeze_operator,
+    squeezed_coherent_state,
     wrap_angle,
 )
 from cvpqc.nongauss import (
@@ -33,6 +34,8 @@ from oracles import (
     coherent_state,
     displacement_via_beamsplitter_fock,
     matching_varphi,
+    mode_moments,
+    overlap_even_vs_squeezed_fock,
     truncated_squeeze_check,
     truncated_squeeze_operator,
     vacuum,
@@ -103,7 +106,7 @@ def test_even_state_tail_guard():
 
 
 def test_overlap_trivial_parameters():
-    ((exact, approx),) = overlap_even_vs_squeezed([0.0], [0.0], SqueezeParam(0.0), C40)
+    exact, approx = overlap_even_vs_squeezed(0.0, 0.0, SqueezeParam(0.0))
     assert exact == pytest.approx(1.0, abs=1e-12)
     assert approx == 1.0
 
@@ -115,8 +118,10 @@ def test_overlap_exact_matches_closed_form():
         (0.4, 0.3, 0.2, 1.0),
         (0.7, -1.0, 0.1, 2.5),
     ):
-        ((exact, _),) = overlap_even_vs_squeezed([bm], [vp], SqueezeParam(r, phi), C40)
+        exact, _ = overlap_even_vs_squeezed(bm, wrap_angle(vp), SqueezeParam(r, phi))
         assert abs(exact - overlap_closed_form(bm, vp, SqueezeParam(r, phi))) < 1e-12
+        fock = overlap_even_vs_squeezed_fock(bm, wrap_angle(vp), SqueezeParam(r, phi), C40)
+        assert abs(exact - fock) < 1e-12
 
 
 def test_overlap_approx_tracks_exact_over_angles():
@@ -125,8 +130,7 @@ def test_overlap_approx_tracks_exact_over_angles():
     exact = np.empty_like(vps)
     approx = np.empty_like(vps)
     for i, vp in enumerate(vps):
-        ((exact[i], approx[i]),) = overlap_even_vs_squeezed([bm], [vp], SqueezeParam(r, 0.0),
-                                                            C40)
+        exact[i], approx[i] = overlap_even_vs_squeezed(bm, wrap_angle(vp), SqueezeParam(r, 0.0))
     assert np.max(np.abs(exact - approx)) < 5e-3
     corr = np.corrcoef(exact, approx)[0, 1]
     assert corr > 0.99
@@ -135,10 +139,10 @@ def test_overlap_approx_tracks_exact_over_angles():
 def test_overlap_joint_phase_covariance():
     # shifting varphi by delta and phi by 2 delta leaves the overlap fixed
     bm, r = 0.5, 0.1
-    ((base, _),) = overlap_even_vs_squeezed([bm], [0.4], SqueezeParam(r, 0.9), C40)
+    base, _ = overlap_even_vs_squeezed(bm, 0.4, SqueezeParam(r, 0.9))
     for delta in (0.3, 1.0, -2.0):
-        ((moved, _),) = overlap_even_vs_squeezed([bm], [0.4 + delta],
-                                                 SqueezeParam(r, 0.9 + 2 * delta), C40)
+        moved, _ = overlap_even_vs_squeezed(bm, wrap_angle(0.4 + delta),
+                                            SqueezeParam(r, 0.9 + 2 * delta))
         assert abs(moved - base) < 1e-12
 
 
@@ -148,8 +152,8 @@ def test_matching_angles_maximize_overlap():
     assert abs(math.cos(2 * v1 - phi) + 1.0) < 1e-12  # cos = -1 at the match
     assert abs(math.cos(2 * v2 - phi) + 1.0) < 1e-12
     bm, r = 0.3, 0.05
-    (at_match, _), (off, _) = overlap_even_vs_squeezed([bm, bm], [v1, v1 + 0.7],
-                                                       SqueezeParam(r, phi), C40)
+    at_match, _ = overlap_even_vs_squeezed(bm, v1, SqueezeParam(r, phi))
+    off, _ = overlap_even_vs_squeezed(bm, wrap_angle(v1 + 0.7), SqueezeParam(r, phi))
     assert at_match > off
 
 
@@ -181,14 +185,15 @@ def test_truncated_squeezer_vacuum_action():
 
 
 def test_variance_trivial_amplitude_is_vacuum_level():
-    exact = quadrature_variance(even_coherent_state(0.0, 0.0, C40), 0.3)
+    exact = quadrature_variance(*mode_moments(even_coherent_state(0.0, 0.0, C40)), 0.3)
     assert exact == pytest.approx(0.25, abs=1e-12)
     assert even_variance_closed_form(0.0, 0.0, 0.3) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_variance_exact_matches_closed_form_on_grid():
     state = even_coherent_state(0.5, 0.6, C40)
-    worst = max(abs(quadrature_variance(state, th) - even_variance_closed_form(0.5, 0.6, th))
+    worst = max(abs(quadrature_variance(*mode_moments(state), th)
+                    - even_variance_closed_form(0.5, 0.6, th))
                 for th in np.linspace(0.0, math.pi, 13))
     assert worst < 1e-8
 
@@ -235,7 +240,7 @@ def test_variance_exact_against_general_machinery():
     sv = squeeze_operator(xi, cut)[:, 0]
     st = sv / np.linalg.norm(sv)
     for th in (0.0, 0.7, math.pi / 2):
-        assert abs(quadrature_variance(st, th)
+        assert abs(quadrature_variance(*mode_moments(st), th)
                    - squeezed_vacuum_variance(xi, th)) < 1e-8
 
 
@@ -325,12 +330,34 @@ def test_displacement_bs_config_is_one_task_that_builds_its_target_once(monkeypa
 
 
 def test_overlap_over_pair_lists_is_the_scalar_calls():
-    # the squeezed vacuum is built once for the whole list; every number is bit
-    # for bit the one a one-pair list gives
-    bms, vps, xi = [0.1, 0.5, 0.0, 0.25], [0.0, 1.3, 2.0, 5.9], SqueezeParam(0.2, 1.0)
-    got = overlap_even_vs_squeezed(bms, vps, xi, C40)
-    assert got == [overlap_even_vs_squeezed([bm], [vp], xi, C40)[0]
-                   for bm, vp in zip(bms, vps)]
+    # a run over lists of (|beta|, varphi) prints, bit for bit, the closed form of
+    # each pair, its varphi wrapped
+    bms, vps, xi = [0.1, 0.5, 0.0, 0.25], [0.0, 1.3, 2.0, -5.9], SqueezeParam(0.2, 1.0)
+    _, rows = execute(config_from_dict({"experiment": "nongauss_overlap", "r_list": [0.2],
+                                        "phi_list": [1.0], "beta_mag_list": bms,
+                                        "varphi_list": vps}))
+    assert [row[5:7] for row in rows] == [overlap_even_vs_squeezed(bm, wrap_angle(vp), xi)
+                                          for bm in bms for vp in vps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=strategies.floats(0.0, 0.5), phi=strategies.floats(-10.0, 10.0),
+       beta_mag=strategies.floats(0.0, 1.0), varphi=strategies.floats(-10.0, 10.0),
+       theta=strategies.floats(-10.0, 10.0))
+def test_nongauss_exact_matches_the_fock_oracle(r, phi, beta_mag, varphi, theta):
+    # both experiments' closed forms against the truncated Fock states they
+    # replaced, at a cutoff that holds these states to far below 1e-10
+    cut, xi, vp, th = FockCutoff(80), SqueezeParam(r, phi), wrap_angle(varphi), wrap_angle(theta)
+    fields = {"r_list": [r], "phi_list": [phi], "beta_mag_list": [beta_mag],
+              "varphi_list": [varphi], "cutoff": 80}
+    _, (row,) = execute(config_from_dict(dict(fields, experiment="nongauss_overlap")))
+    assert abs(row[5] - overlap_even_vs_squeezed_fock(beta_mag, vp, xi, cut)) <= 1e-10
+    _, (squeezed, even) = execute(config_from_dict(
+        dict(fields, experiment="nongauss_variance", theta_list=[theta])))
+    (sv,) = squeezed_coherent_state(xi, [0.0], cut)
+    assert abs(squeezed[7] - quadrature_variance(*mode_moments(sv), th)) <= 1e-10
+    ec = even_coherent_state(beta_mag, vp, cut)
+    assert abs(even[7] - quadrature_variance(*mode_moments(ec), th)) <= 1e-10
 
 
 def test_displacement_bs_rejects_mismatched_input():
