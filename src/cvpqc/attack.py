@@ -17,17 +17,16 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
     SqueezeParam,
     beam_splitter,
+    np,
     squeezed_coherent_state,
 )
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 def thermal_entropy(nbar: float) -> float:

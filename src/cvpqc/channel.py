@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
@@ -22,6 +20,7 @@ from .fock import (
     check_tails,
     coherent_amplitudes,
     hs_distance,
+    np,
     row_tails,
     von_neumann_entropy,
 )
@@ -29,9 +28,9 @@ from .fock import (
 
 def ring(N: int, b: float, p: int):
     """(radius, angles) of ring p, 1 <= p <= N, of the N-ring family bounded by
-    radius b: radius (p-1) b / N, and angles pi (2q - 1) / p for q = 1..p."""
-    q = np.arange(1, p + 1)
-    return (p - 1) * b / N, (np.pi / p) * (2 * q - 1)
+    radius b: radius (p-1) b / N, and the list of angles pi (2q - 1) / p for
+    q = 1..p, each the same double as numpy's (pi / p) * (2q - 1)."""
+    return (p - 1) * b / N, [math.pi / p * (2 * q - 1) for q in range(1, p + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +54,7 @@ def key_to_ring(key_index: int, N: int):
 def key_displacements(N: int, b: float) -> np.ndarray:
     """All M displacements radius e^{i angle} in key order."""
     rings = [ring(N, b, p) for p in range(1, N + 1)]
-    return np.concatenate([radius * np.exp(1j * angles) for radius, angles in rings])
+    return np.concatenate([radius * np.exp(1j * np.array(angles)) for radius, angles in rings])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ default cutoff or the run overflows a float) or flags (no --out, or a
 names the offending grid point), 4 output I/O failure.
 
 Importing this module pins OpenBLAS to one thread unless a thread-count
-variable is already set; see ``BLAS_THREAD_VARS``.
+variable is already set; see ``BLAS_THREAD_VARS``.  It imports every package
+module, but numpy loads only when a run first uses it (see ``fock.np``), so
+``validate``, and a ``run`` whose rows are closed forms, never load it.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ import time
 
 # The matrices here are at most a few hundred rows wide, where BLAS threads
 # cost more than they save.  numpy reads these variables when it loads its
-# OpenBLAS, so this runs before numpy is imported.  A user who sets any of
-# them keeps control.
+# OpenBLAS, at its first use, which comes after this pin.  A user who sets any
+# of them keeps control.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_PINNED_BY_CLI = not any(os.environ.get(k) for k in BLAS_THREAD_VARS + ("GOTO_NUM_THREADS",))
 if BLAS_PINNED_BY_CLI:

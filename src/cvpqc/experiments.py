@@ -156,7 +156,7 @@ def _compute_conformation(cfg, n_max):
         xi, cosh_r = SqueezeParam(r, phi), math.cosh(r)
         for p in range(1, N + 1):
             radius, angles = channel.ring(N, b, p)
-            for q, theta in enumerate(angles.tolist(), start=1):
+            for q, theta in enumerate(angles, start=1):
                 k = channel.k_factor(xi, theta)
                 rows.append((N, b, r, phi, n_max, p, q, radius, theta, k,
                              math.exp(-radius * radius * k) / cosh_r))

@@ -23,11 +23,33 @@ Entropies are in bits (log base 2).
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy, loaded at its first attribute access rather than here, so that a
+    run that builds no array (``validate``, and the closed-form experiments)
+    never pays for its import.  A numpy that is already loaded is returned as
+    is; a missing one raises ModuleNotFoundError now.  The module stands in
+    ``sys.modules``, so a later ``import numpy`` anywhere gets it and loads it."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# channel, attack and nongauss take ``np`` from here
+np = _lazy_numpy()
 
 DEFAULT_TAIL_TOL = 1e-8
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
@@ -24,6 +22,7 @@ from .fock import (
     coherent_amplitudes,
     displacement_operator,
     fidelity,
+    np,
 )
 
 

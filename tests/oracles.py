@@ -409,7 +409,7 @@ def conformation_ring(p: int, radius: float, cutoff: FockCutoff,
 def ring_displacements(N: int, b: float, p: int) -> np.ndarray:
     """The p displacements radius e^{i angle} of ring p of the N-ring family."""
     radius, angles = ring(N, b, p)
-    return radius * np.exp(1j * angles)
+    return radius * np.exp(1j * np.array(angles))
 
 
 def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: FockCutoff,

@@ -134,6 +134,15 @@ def test_conformation_spec_schedule():
     assert len(ring_displacements(4, 2.0, 3)) == 3
 
 
+def test_ring_angles_are_the_doubles_of_numpys_expression():
+    # ring lists its angles in plain floats, so that conformation needs no numpy
+    for p in range(1, 65):
+        _, angles = ring(64, 2.0, p)
+        assert type(angles) is list
+        expected = (np.pi / p) * (2 * np.arange(1, p + 1) - 1)
+        assert np.array(angles).tobytes() == expected.tobytes(), p
+
+
 def test_conformation_spec_validation():
     # N and b are checked where a config enters: N >= 1, b > 0
     for fields in ({"N_list": [0]}, {"b_list": [-1.0]}):

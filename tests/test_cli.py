@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -865,6 +866,46 @@ def test_every_experiment_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.strip().splitlines()[-1])
     assert codes == {name: [0, 0] for name in REGISTRY}, proc.stderr
+
+
+# the experiments whose rows are closed forms, with no array
+_CLOSED_FORMS = ("conformation", "nongauss_overlap", "nongauss_variance")
+
+_NUMPY_ON_FIRST_USE = r"""
+import json, sys
+from cvpqc.cli import main
+modules, paths, closed_forms = json.loads(sys.argv[1])
+missing = [m for m in modules if f"cvpqc.{m}" not in sys.modules]
+codes = [main(["validate", path]) for path, _ in paths.values()]
+codes += [main(["run", paths[name][0], "--out", paths[name][1]]) for name in closed_forms]
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+codes.append(main(["run", paths["mmstate"][0], "--out", paths["mmstate"][1]]))
+print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded,
+                  "loaded_by_mmstate": any(m.startswith("numpy.") for m in sys.modules)}))
+"""
+
+
+def test_numpy_loads_only_when_a_run_builds_an_array(tmp_path):
+    # bench/trace_run.py looks each of these modules up in sys.modules after
+    # `import cvpqc.cli`, so the CLI imports them all, numpy or not
+    trace_run = Path(__file__).resolve().parents[1] / "bench" / "trace_run.py"
+    modules = runpy.run_path(str(trace_run))["MODULES"]
+    paths = {name: (write_config(tmp_path, f"{name}.json", experiment=name, **fields),
+                    str(tmp_path / f"{name}.csv"))
+             for name, fields in _SMALL_RUNS.items()}
+    src = os.path.dirname(os.path.dirname(cvpqc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_FIRST_USE, json.dumps([modules, paths, _CLOSED_FORMS])],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["missing"] == []
+    assert got["codes"] == [0] * (len(_SMALL_RUNS) + len(_CLOSED_FORMS) + 1), proc.stderr
+    # validate, and a run whose rows are closed forms, never run numpy's __init__
+    assert got["loaded"] == []
+    assert got["loaded_by_mmstate"]
 
 
 # ---------------------------------------------------------------------------
