@@ -4,19 +4,23 @@ The key space is a family of rings: ring p carries p coherent states,
 equally spaced with a half-step angular offset, at radius (p-1)b/N.
 Averaging the key projectors over the whole key space gives a mixture
 that approaches the disk-uniform target state as N grows; the squeezed
-variant conjugates everything by a single-mode squeezer.  Every state here
-is a plain d x d density matrix, and every tail is judged by
-``fock.check_tails``.
+variant conjugates everything by a single-mode squeezer.  The target is
+phase-invariant, so it is its Fock diagonal, a list of floats, which builds
+no array; every mixture is a plain d x d density matrix.  Every tail is
+judged by ``fock.check_tail``.
 """
 from __future__ import annotations
 
 import math
+import operator
+from itertools import accumulate
 
 from .fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
     SqueezeParam,
     check_row_tails,
+    check_tail,
     check_tails,
     coherent_amplitudes,
     hs_distance,
@@ -62,32 +66,31 @@ def key_displacements(N: int, b: float) -> np.ndarray:
 
 
 def maximally_mixed(b: float, cutoff: FockCutoff,
-                    tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Disk-uniform average of coherent projectors up to radius b.
+                    tail_tol: float = DEFAULT_TAIL_TOL) -> list:
+    """The disk-uniform average of coherent projectors up to radius b, which is
+    phase-invariant and so Fock-diagonal, as its d diagonal entries, floats.
 
-    Fock-diagonal with entries equal to the Poisson(b^2) upper-tail
-    probability beyond level n, divided by b^2.  The pmf over levels
-    k < 2 d + 64 runs outward from its mode by the ratio b^2 / k, so no entry
-    overflows and each carries a few roundings, whatever b is.  Each tail is
-    summed on its smaller side: one minus the running sum while that is below
-    1/2, otherwise from the top down, where past the median the levels beyond
-    2 d + 64 hold a negligible share.
+    Entry n is the Poisson(b^2) upper-tail probability beyond level n, over
+    b^2.  The pmf over levels k < 2 d + 64 runs outward from its mode by the
+    ratio b^2 / k, so no entry overflows and each carries a few roundings,
+    whatever b is.  Each tail is summed on its smaller side, in sequence: one
+    minus the running sum while that is below 1/2, otherwise from the top down,
+    where past the median the levels beyond 2 d + 64 hold a negligible share.
     """
     if b <= 0:
         raise ValueError(f"radius must be > 0, got {b}")
-    n = cutoff.levels()
-    x = b * b
-    k = np.arange(2 * cutoff.dim + 64)
-    mode = int(min(x, k[-1]))
+    x, top = b * b, 2 * cutoff.dim + 64
+    mode = int(min(x, top - 1))
     peak = math.exp(2.0 * mode * math.log(b) - x - math.lgamma(mode + 1.0))
-    pmf = peak * np.concatenate((np.cumprod(k[mode:0:-1] / x)[::-1], [1.0],
-                                 np.cumprod(x / k[mode + 1:])))
-    cdf = np.cumsum(pmf)[n]
-    diag = np.where(cdf < 0.5, 1.0 - cdf, np.cumsum(pmf[::-1])[::-1][n + 1]) / x
-    mm = np.diag(diag.astype(complex))
-    check_tails(np.array([1.0 - np.trace(mm).real]), tail_tol,
-                lambda k: f"disk-uniform state b={b}")
-    return mm
+    down = list(accumulate((k / x for k in range(mode, 0, -1)), operator.mul))
+    up = accumulate((x / k for k in range(mode + 1, top)), operator.mul)
+    pmf = [peak * p for p in down[::-1]] + [peak] + [peak * p for p in up]
+    cdf = list(accumulate(pmf))
+    above = list(accumulate(reversed(pmf)))  # above[j]: the sum of the top j + 1 levels
+    diag = [(1.0 - c if c < 0.5 else above[top - n - 2]) / x
+            for n, c in enumerate(cdf[:cutoff.dim])]
+    check_tail(1.0 - math.fsum(diag), tail_tol, f"disk-uniform state b={b}")
+    return diag
 
 
 def _worst_key(N: int, what: str):
@@ -178,13 +181,14 @@ def convergence_rows(N_list, b: float, squeezers: dict, cutoff: FockCutoff,
     mixtures.  entropy is the plain mixture's: S(xi) is unitary, so it is every
     squeezed mixture's too, free of the squeezed rows' truncation error.
 
-    The target is built once, and the key rows, the plain mixture and its
-    entropy once per N of ``N_list``, whose entries are distinct.  N is the
-    outer loop, and one N's rows and mixture are dropped before the next N's
-    are built; within one N, one squeezed mixture is live at a time, dropped
-    once its two distances are taken.
+    The target, the complex diagonal matrix of ``maximally_mixed``, is built
+    once, and the key rows, the plain mixture and its entropy once per N of
+    ``N_list``, whose entries are distinct.  N is the outer loop, and one N's
+    rows and mixture are dropped before the next N's are built; within one N,
+    one squeezed mixture is live at a time, dropped once its two distances are
+    taken.
     """
-    mm = maximally_mixed(b, cutoff, tail_tol)
+    mm = np.diag(np.array(maximally_mixed(b, cutoff, tail_tol), dtype=complex))
     out = {}
     for N in N_list:
         rows = key_rows(N, b, cutoff)

@@ -16,7 +16,8 @@ names the offending grid point), 4 output I/O failure.
 Importing this module pins OpenBLAS to one thread unless a thread-count
 variable is already set; see ``BLAS_THREAD_VARS``.  It imports every package
 module, but numpy loads only when a run first uses it (see ``fock.np``), so
-``validate``, and a ``run`` whose rows are closed forms, never load it.
+``validate``, and a ``run`` that builds no array (``mmstate``, whose disk
+state is a list of floats, and the closed forms), never load it.
 """
 from __future__ import annotations
 

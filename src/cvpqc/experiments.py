@@ -13,8 +13,9 @@ the sweep in grid order (``nongauss_variance`` lists its squeezed vacua, then
 its even coherent states).  A row prints its grid values as configured, -0
 included.  A compute keys each state it builds by its physical value, so
 that a repeat, the sign of a zero or a 2 pi wrap builds no Fock-space state
-twice: a ``SqueezeParam`` for each squeezer and tap, and b for each disk
-target and its key mixtures.  ``conformation``, ``nongauss_overlap`` and
+twice: a ``SqueezeParam`` for each squeezer and tap, b for each disk target
+and its key mixtures, and T for each transmission, each distinct value found
+with ``dict.fromkeys``.  ``conformation``, ``nongauss_overlap`` and
 ``nongauss_variance`` print closed forms, recomputed at every point: they
 build no Fock-space state, so no tail check fails them, and their ``cutoff``
 column prints the configured or default cutoff, which truncates nothing;
@@ -92,35 +93,23 @@ def resolve_cutoff(cfg) -> int:
     return REGISTRY[cfg.experiment].default_cutoff(cfg)
 
 
-def _first_computes(points, compute, cells):
-    """The rows of every point of ``points``, in order.  The first copy of each
-    point computes its rows; a later copy takes them with its own grid values,
-    as configured, in the slice ``cells`` of each row."""
-    first, rows = {}, []
-    for point in points:
-        if point in first:
-            rows += [row[:cells.start] + point + row[cells.stop:] for row in first[point]]
-        else:
-            first[point] = compute(*point)
-            rows += first[point]
-    return rows
-
-
 # --- mmstate ---------------------------------------------------------------
 
 
 def _compute_mmstate(cfg, n_max):
-    def rows_of(b):
-        mm = channel.maximally_mixed(b, FockCutoff(n_max), cfg.tail_tol)
-        diag, mass = mm.diagonal().real, float(mm.trace().real)
-        return [(b, n_max, cfg.tail_tol, n, float(diag[n]), mass) for n in range(n_max + 1)]
-    return _first_computes([(b,) for b in cfg.b_list], rows_of, slice(0, 1))
+    """b-major: each distinct b is one disk state, a list of floats, and its
+    ``mass`` the correctly rounded sum of that list."""
+    cutoff = FockCutoff(n_max)
+    disks = {b: channel.maximally_mixed(b, cutoff, cfg.tail_tol)
+             for b in dict.fromkeys(cfg.b_list)}
+    masses = {b: math.fsum(diag) for b, diag in disks.items()}
+    return [(b, n_max, cfg.tail_tol, n, w, masses[b])
+            for b in cfg.b_list for n, w in enumerate(disks[b])]
 
 
 def _matrices(d, count=6):
-    # at most 6 d x d matrices are live at once (tracemalloc at cutoff 100: 2.0 d^2
-    # for mmstate, 4 beside the key stack, 5.7 for displacement_bs); attack counts
-    # its own
+    # at most 6 d x d matrices are live at once (tracemalloc at cutoff 100: 4
+    # beside the key stack, 5.7 for displacement_bs); attack counts its own
     return (f"{count} d x d matrices, d = {d} ({d * d} entries each)", count * d * d)
 
 
@@ -141,7 +130,9 @@ def _held(cfg, rows, keys):
 
 
 def _mmstate_memory(cfg, d):
-    return [_matrices(d), _held(cfg, d * _points(cfg), _points(cfg))]
+    return [(f"the disk state's pmf walk, lists of floats over {2 * d + 64} levels, "
+             f"10 entries a level", 10 * (2 * d + 64)),
+            _held(cfg, d * _points(cfg), _points(cfg))]
 
 
 # --- conformation (ring geometry / angular weights) -------------------------
@@ -184,16 +175,13 @@ def _compute_convergence(cfg, n_max):
     squeezers = {xi: squeeze_operator(xi, cutoff) if xi.r != 0.0 else None
                  for xi in dict.fromkeys(xi for _, _, xi in squeezings)}
     Ns = list(dict.fromkeys(cfg.N_list))
-
-    def rows_of(b):
-        results = channel.convergence_rows(Ns, b, squeezers, cutoff, cfg.tail_tol)
-        rows = []
-        for r, phi, xi in squeezings:
-            for N in cfg.N_list:
-                d_hs, bound, entropy = results[N, xi]
-                rows.append((N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
-        return rows
-    return _first_computes([(b,) for b in cfg.b_list], rows_of, slice(1, 2))
+    results = {b: channel.convergence_rows(Ns, b, squeezers, cutoff, cfg.tail_tol)
+               for b in dict.fromkeys(cfg.b_list)}
+    rows = []
+    for b, (r, phi, xi), N in itertools.product(cfg.b_list, squeezings, cfg.N_list):
+        d_hs, bound, entropy = results[b][N, xi]
+        rows.append((N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
+    return rows
 
 
 def _convergence_memory(cfg, d):

@@ -10,10 +10,11 @@ photon number and covers the triangle i + j <= n_max, the sectors the cutoff
 holds whole; a state's mass beyond it is a truncation tail like any other.
 A density matrix is a plain d x d array.  Truncation is the dominant
 numerical hazard, so every construction computes the probability weight its
-raw amplitudes or matrix lose (the tail mass) and hands it to ``check_tails``,
+raw amplitudes or matrix lose (the tail mass) and hands it to ``check_tail``,
 the one judge of the caller-supplied budget: it raises TailMassError past the
-budget, on a NaN tail, and on a tail below -1e-9 (more than unit mass).  A
-state constructor then returns the amplitudes renormalized.
+budget, on a NaN tail, and on a tail below -1e-9 (more than unit mass);
+``check_tails`` hands it the worst of many.  A state constructor then returns
+the amplitudes renormalized.
 
 Conventions used throughout:
     D(alpha) = exp(alpha a+ - conj(alpha) a)
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,7 +89,7 @@ class FockCutoff:
     n_max: int
 
     def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
+        if not isinstance(self.n_max, numbers.Integral) or self.n_max < 0:
             raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
 
     @property
@@ -117,23 +119,27 @@ class SqueezeParam:
         object.__setattr__(self, "phi", wrap_angle(self.phi) if self.r else 0.0)
 
 
-def check_tails(tails: np.ndarray, tail_tol: float, what) -> None:
-    """Raise TailMassError unless every entry of the 1-D array ``tails`` lies in
-    [-1e-9, tail_tol]; ``what(k)`` names the worst entry k in the message.
+def check_tail(tail: float, tail_tol: float, what: str) -> None:
+    """Raise TailMassError, naming ``what``, unless ``tail`` lies in [-1e-9, tail_tol].
 
-    The comparisons are negated, so that a NaN tail fails them; a tail below
+    The comparison is negated, so that a NaN tail fails it; a tail below
     -1e-9 is a mass above one, which no truncation of a state can hold.
     """
-    outside = np.maximum(tails - tail_tol, -1e-9 - tails)
-    if not np.all(outside <= 0.0):
-        k = int(np.argmax(outside))  # the first NaN, if there is one
-        raise TailMassError(float(tails[k]), tail_tol, what(k))
+    if not -1e-9 <= tail <= tail_tol:
+        raise TailMassError(tail, tail_tol, what)
+
+
+def check_tails(tails: np.ndarray, tail_tol: float, what) -> None:
+    """check_tail on the entry k of the 1-D array ``tails`` furthest outside
+    [-1e-9, tail_tol], or on its first NaN, named ``what(k)``."""
+    k = int(np.argmax(np.maximum(tails - tail_tol, -1e-9 - tails)))
+    check_tail(float(tails[k]), tail_tol, what(k))
 
 
 def _finish_state(raw: np.ndarray, tail_tol: float, what: str) -> np.ndarray:
     """Tail-check raw amplitudes, then return them normalized."""
     nrm2 = float(np.vdot(raw, raw).real)
-    check_tails(np.array([1.0 - nrm2]), tail_tol, lambda k: what)
+    check_tail(1.0 - nrm2, tail_tol, what)
     return raw / math.sqrt(nrm2)
 
 
@@ -329,10 +335,10 @@ class TwoModeUnitary:
 
     def apply(self, psi: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
         """U psi for the d x d amplitude matrix psi[i, j] = <i, j|psi>; the mass
-        of psi beyond i + j <= n_max is dropped and judged by check_tails."""
+        of psi beyond i + j <= n_max is dropped and judged by check_tail."""
         lost = psi[self.beyond]
-        check_tails(np.array([np.vdot(lost, lost).real]), tail_tol,
-                    lambda k: f"two-mode state beyond i + j <= {len(self.blocks) - 1}")
+        check_tail(float(np.vdot(lost, lost).real), tail_tol,
+                   f"two-mode state beyond i + j <= {len(self.blocks) - 1}")
         # each real block multiplies its sector's (re, im) pairs, rows of a
         # (d^2, 2) float view; a real psi is cast first, or the view would pair
         # neighbouring entries

@@ -20,7 +20,10 @@ in the Fock basis, with their moments, are the reference for the overlap and
 variance closed forms at small r and |beta|, and cancellation-free forms of the
 same closed forms are their reference at any r and |beta|; and ``convergence_point``, one convergence grid point
 built from scratch, is the reference for the convergence sweeps that share
-work across squeezings.
+work across squeezings.  The disk-uniform diagonal's pmf walk written with
+numpy's cumprod and cumsum is the bit-for-bit reference for the library's
+walk in Python floats, and ``disk_state`` is that diagonal as the complex
+matrix the tests compare density matrices with.
 """
 import math
 from dataclasses import dataclass
@@ -113,6 +116,28 @@ def disk_uniform_diagonal(b: float, cutoff: FockCutoff) -> np.ndarray:
     """Diagonal of the disk-uniform state: the regularized lower incomplete gamma
     function P(n+1, b^2), which is the Poisson(b^2) tail beyond level n, over b^2."""
     return gammainc(cutoff.levels() + 1, b * b) / (b * b)
+
+
+def disk_diagonal_numpy(b: float, cutoff: FockCutoff) -> np.ndarray:
+    """The disk-uniform diagonal by the library's pmf walk written with numpy's
+    cumprod and cumsum, with no tail check: ``channel.maximally_mixed`` runs the
+    same walk in Python floats and must give the same doubles."""
+    n = cutoff.levels()
+    x = b * b
+    k = np.arange(2 * cutoff.dim + 64)
+    mode = int(min(x, k[-1]))
+    peak = math.exp(2.0 * mode * math.log(b) - x - math.lgamma(mode + 1.0))
+    pmf = peak * np.concatenate((np.cumprod(k[mode:0:-1] / x)[::-1], [1.0],
+                                 np.cumprod(x / k[mode + 1:])))
+    cdf = np.cumsum(pmf)[n]
+    return np.where(cdf < 0.5, 1.0 - cdf, np.cumsum(pmf[::-1])[::-1][n + 1]) / x
+
+
+def disk_state(b: float, cutoff: FockCutoff,
+               tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
+    """The disk-uniform state as a complex d x d density matrix, the diagonal
+    matrix of ``channel.maximally_mixed``, as ``convergence_rows`` builds it."""
+    return np.diag(np.array(maximally_mixed(b, cutoff, tail_tol), dtype=complex))
 
 
 def squeeze_expm(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
@@ -378,7 +403,7 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
     squeezing.  The entropy is the plain mixture's, which S(xi) leaves
     unchanged (``test_squeezed_mixture_entropy_is_the_plain_mixtures`` checks
     that identity).  ``channel.convergence_rows`` must match it cell for cell."""
-    mm = maximally_mixed(b, cutoff, tail_tol)
+    mm = disk_state(b, cutoff, tail_tol)
     gam = mixture_gamma(N, b, key_rows(N, b, cutoff), tail_tol)
     d_coh = hs_distance(mm, gam)
     entropy = von_neumann_entropy(gam)

@@ -43,6 +43,8 @@ from oracles import (
     conformation_ring,
     convergence_point,
     decrypt,
+    disk_diagonal_numpy,
+    disk_state,
     disk_uniform_diagonal,
     encrypt,
     projector,
@@ -65,18 +67,17 @@ C60 = FockCutoff(60)
 
 
 def test_mm_is_fock_diagonal_with_decreasing_entries():
-    rho = maximally_mixed(2.0, C59)
-    diag = np.diag(rho).real
-    off = rho - np.diag(np.diag(rho))
-    assert np.max(np.abs(off)) == 0.0
-    assert np.all(diag > 0)
-    assert np.all(np.diff(diag) < 0)
+    # the state is phase-invariant, so it is its Fock diagonal: a list of floats
+    diag = maximally_mixed(2.0, C59)
+    assert isinstance(diag, list) and len(diag) == C59.dim
+    assert all(type(w) is float and w > 0 for w in diag)
+    assert all(a > b for a, b in zip(diag, diag[1:]))
 
 
 def test_mm_mass_at_heuristic_cutoff():
     for b in (1.0, 2.0, 3.0):
         cut = FockCutoff(heuristic_cutoff(b))
-        rho = maximally_mixed(b, cut)
+        rho = disk_state(b, cut)
         assert np.trace(rho).real >= 1 - 1e-6
 
 
@@ -84,7 +85,7 @@ def test_mm_entries_match_radial_integral():
     # entry_n = (2/b^2) int_0^b e^{-s^2} s^{2n+1} / n! ds, by direct quadrature
     b = 2.0
     s = np.linspace(0.0, b, 4001)
-    diag = np.diag(maximally_mixed(b, C59)).real
+    diag = maximally_mixed(b, C59)
     for n in range(11):
         f = np.exp(-s * s) * s ** (2 * n + 1) / math.factorial(n)
         val = 2.0 / (b * b) * simpson(f, x=s)
@@ -95,9 +96,18 @@ def test_mm_entries_match_radial_integral():
 def test_mm_matches_incomplete_gamma_oracle(b):
     for n_max in (heuristic_cutoff(b), heuristic_cutoff(b) // 2, 3):
         cut = FockCutoff(n_max)
-        diag = np.diag(maximally_mixed(b, cut, tail_tol=1.0)).real
+        diag = np.array(maximally_mixed(b, cut, tail_tol=1.0))
         ref = disk_uniform_diagonal(b, cut)
         assert np.max(np.abs(diag - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [1e-3, 0.3, 1.0, 2.0, 5.0, 10.0])
+@pytest.mark.parametrize("n_max", [1, 3, 10, 59, 60, 127, 128, 195, 300])
+def test_mm_walk_matches_the_numpy_walk_bit_for_bit(b, n_max):
+    # the sequential products and sums of the Python walk are numpy's cumprod and
+    # cumsum; tail_tol 1.0 lets a small cutoff at a large b through
+    cut = FockCutoff(n_max)
+    assert maximally_mixed(b, cut, tail_tol=1.0) == disk_diagonal_numpy(b, cut).tolist()
 
 
 def test_mm_at_a_huge_radius_raises_at_once(tmp_path, capsys):
@@ -421,7 +431,7 @@ def test_unsqueezed_point_has_tight_triangle_bound():
     # r = 0: d_hs is the distance to the plain mixture, and the bound adds nothing
     d_hs, bound, _ = convergence_point(2, 2.0, SqueezeParam(0.0), C59)
     gam = mixture_gamma(2, 2.0, key_rows(2, 2.0, C59))
-    assert d_hs == hs_distance(maximally_mixed(2.0, C59), gam)
+    assert d_hs == hs_distance(disk_state(2.0, C59), gam)
     assert bound == d_hs
 
 
@@ -449,7 +459,7 @@ def test_distance_regression_values():
 
 
 def test_triangle_bound_holds():
-    mm = maximally_mixed(2.0, C60)
+    mm = disk_state(2.0, C60)
     for N in (2, 4):
         rows = key_rows(N, 2.0, C60)
         gam = mixture_gamma(N, 2.0, rows)
@@ -472,7 +482,7 @@ def test_convergence_sweep_row_contents():
     # single ring family is a pure vacuum: zero entropy, known distance
     assert rows[0]["entropy"] < 1e-10
     vac = projector(vacuum(C59))
-    mm = maximally_mixed(2.0, C59)
+    mm = disk_state(2.0, C59)
     assert rows[0]["d_hs"] == pytest.approx(hs_distance(mm, vac))
 
 

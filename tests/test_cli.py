@@ -19,12 +19,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cvpqc
 from cvpqc import attack, channel, experiments, fock, nongauss
-from cvpqc.channel import maximally_mixed
 from cvpqc.cli import _cell, main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
 from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
-from oracles import (even_variance_stable, overlap_stable, projector,
+from oracles import (disk_state, even_variance_stable, overlap_stable, projector,
                      squeezed_vacuum_variance_stable, vacuum)
 
 
@@ -262,7 +261,7 @@ def _spread(n, lo=0.1, hi=0.9):
 
 # A config per experiment whose rows outweigh its states: execute holds
 # every row until the CSV is written.  mmstate's is 2000 b at cutoff 100, whose
-# 202000 rows peak at 26.9 MB under tracemalloc.
+# 202000 rows peak at 26.3 MB under tracemalloc.
 _LONG_RUNS = {
     "mmstate": {"cutoff": 100, "b_list": _spread(2000, 0.5, 2.0)},
     "conformation": {"N_list": [32], "b_list": _spread(10), "r_list": [0.3]},
@@ -393,7 +392,7 @@ def test_run_convergence_single_ring(tmp_path, capsys):
     assert len(rows) == 1
     row = dict(zip(cols, rows[0]))
     cut = FockCutoff(59)
-    expect = hs_distance(maximally_mixed(2.0, cut),
+    expect = hs_distance(disk_state(2.0, cut),
                          projector(vacuum(cut)))
     assert float(row["d_hs"]) == pytest.approx(expect, abs=1e-12)
     assert float(row["d_hs_times_Np1"]) == pytest.approx(2 * expect, abs=1e-12)
@@ -523,7 +522,7 @@ def test_float_cells_round_trip_exactly(tmp_path):
     cols, rows = read_csv(out)
     row = dict(zip(cols, rows[0]))
     cut = FockCutoff(59)
-    expect = hs_distance(maximally_mixed(2.0, cut),
+    expect = hs_distance(disk_state(2.0, cut),
                          projector(vacuum(cut)))
     # 17 significant digits reproduce the double bit-for-bit
     assert float(row["d_hs"]) == expect
@@ -868,20 +867,21 @@ def test_every_experiment_runs_without_scipy(tmp_path):
     assert codes == {name: [0, 0] for name in REGISTRY}, proc.stderr
 
 
-# the experiments whose rows are closed forms, with no array
-_CLOSED_FORMS = ("conformation", "nongauss_overlap", "nongauss_variance")
+# the experiments that build no array: the closed forms, and mmstate, whose disk
+# state is a list of floats
+_NUMPY_FREE = ("mmstate", "conformation", "nongauss_overlap", "nongauss_variance")
 
 _NUMPY_ON_FIRST_USE = r"""
 import json, sys
 from cvpqc.cli import main
-modules, paths, closed_forms = json.loads(sys.argv[1])
+modules, paths, numpy_free = json.loads(sys.argv[1])
 missing = [m for m in modules if f"cvpqc.{m}" not in sys.modules]
 codes = [main(["validate", path]) for path, _ in paths.values()]
-codes += [main(["run", paths[name][0], "--out", paths[name][1]]) for name in closed_forms]
+codes += [main(["run", paths[name][0], "--out", paths[name][1]]) for name in numpy_free]
 loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
-codes.append(main(["run", paths["mmstate"][0], "--out", paths["mmstate"][1]]))
+codes.append(main(["run", paths["convergence"][0], "--out", paths["convergence"][1]]))
 print(json.dumps({"missing": missing, "codes": codes, "loaded": loaded,
-                  "loaded_by_mmstate": any(m.startswith("numpy.") for m in sys.modules)}))
+                  "loaded_by_convergence": any(m.startswith("numpy.") for m in sys.modules)}))
 """
 
 
@@ -897,15 +897,15 @@ def test_numpy_loads_only_when_a_run_builds_an_array(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_ON_FIRST_USE, json.dumps([modules, paths, _CLOSED_FORMS])],
+        [sys.executable, "-c", _NUMPY_ON_FIRST_USE, json.dumps([modules, paths, _NUMPY_FREE])],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["missing"] == []
-    assert got["codes"] == [0] * (len(_SMALL_RUNS) + len(_CLOSED_FORMS) + 1), proc.stderr
-    # validate, and a run whose rows are closed forms, never run numpy's __init__
+    assert got["codes"] == [0] * (len(_SMALL_RUNS) + len(_NUMPY_FREE) + 1), proc.stderr
+    # validate, and a run that builds no array, never run numpy's __init__
     assert got["loaded"] == []
-    assert got["loaded_by_mmstate"]
+    assert got["loaded_by_convergence"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
-from cvpqc.channel import key_rows, maximally_mixed, mixture_gamma, squeezed_mixture
+from cvpqc.channel import key_rows, mixture_gamma, squeezed_mixture
 from cvpqc.fock import (
     DEFAULT_TAIL_TOL,
     FockCutoff,
@@ -17,6 +17,7 @@ from cvpqc.fock import (
     _finish_state,
     beam_splitter,
     check_row_tails,
+    check_tail,
     check_tails,
     coherent_amplitudes,
     displacement_operator,
@@ -42,6 +43,7 @@ from oracles import (
     coherent_state,
     conformation_ring,
     decrypt,
+    disk_state,
     displacement_expm,
     displacement_laguerre,
     encrypt,
@@ -502,6 +504,12 @@ def test_apply_mode_operator_matches_kron():
     assert np.allclose(via1, np.kron(np.eye(7), op) @ amps)
 
 
+def test_cutoff_accepts_a_numpy_integer_and_rejects_a_float():
+    assert FockCutoff(np.int64(5)).dim == 6
+    with pytest.raises(ValueError):
+        FockCutoff(5.0)
+
+
 def test_cross_cutoff_operations_rejected():
     a = vacuum(FockCutoff(5))
     b = vacuum(FockCutoff(6))
@@ -713,6 +721,20 @@ def test_check_tails_accepts_its_bounds():
     check_tails(np.array([-1e-9, 0.0, 1e-8]), 1e-8, lambda k: f"entry {k}")
 
 
+@pytest.mark.parametrize("tail", [-1e-9, 0.0, 1e-8])
+def test_check_tail_accepts_its_bounds(tail):
+    check_tail(tail, 1e-8, "state")
+
+
+@pytest.mark.parametrize("tail", [math.nan, -2e-9, math.nextafter(1e-8, 1.0)],
+                         ids=["nan", "mass_above_one", "next_double_above_tol"])
+def test_check_tail_raises_outside_its_bounds(tail):
+    with pytest.raises(TailMassError, match="for the named state$") as err:
+        check_tail(tail, 1e-8, "the named state")
+    assert err.value.what == "the named state"
+    assert err.value.tail == tail or math.isnan(tail)
+
+
 _C30 = FockCutoff(30)
 _XI = SqueezeParam(0.3, 0.7)
 
@@ -728,7 +750,7 @@ _DENSITY_OUTPUTS = {
     "coherent_projector": lambda: projector(coherent_state(0.5, C40)),
     "squeezed_vacuum_projector":
         lambda: projector(squeezed_coherent_state(SqueezeParam(0.4, 0.7), [0.0], C60)[0]),
-    "maximally_mixed": lambda: maximally_mixed(1.5, _C30),
+    "maximally_mixed": lambda: disk_state(1.5, _C30),
     "conformation_ring": lambda: conformation_ring(5, 1.2, _C30),
     "mixture_gamma": lambda: mixture_gamma(4, 1.5, key_rows(4, 1.5, _C30)),
     "squeezed_conformation": lambda: squeezed_conformation(4, 1.5, 3, _XI, _C30),
