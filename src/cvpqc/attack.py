@@ -43,30 +43,34 @@ def thermal_entropy(nbar: float) -> float:
     return (math.log1p(nbar) + rest) / math.log(2.0)
 
 
-def attack(alphas, xi: SqueezeParam, cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
+def attack(alphas, xis, cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL):
     """Send S(xi) D(alpha)|0> through the 50:50 tap, the vacuum in the other port,
-    for each alpha of the list ``alphas``.
+    for each squeezing xi of the list ``xis`` and each alpha of the list ``alphas``.
 
-    Returns a (bob_purity, eve_purity, ent_proxy, fidelity) tuple per alpha, each
-    the same as from a one-element list: the purity of the receiver's reduced
-    state, twice, since the eavesdropper's is the same; its von Neumann entropy
-    (bits), the exact entanglement entropy of the arms; and the fidelity of the
-    receiver's state with the undisturbed local target, the input with its
-    amplitude cut by sqrt 2 and its squeezing in half.  The squeezers S(xi) and
-    S(xi/2) are built once for the stacks of inputs and targets, whose tail
-    checks come before the closed forms, and one two-mode state is held at a time.
+    Returns a list per xi of a (bob_purity, eve_purity, ent_proxy, fidelity) tuple
+    per alpha, each the same as from one-element lists: the purity of the
+    receiver's reduced state, twice, since the eavesdropper's is the same; its von
+    Neumann entropy (bits), the exact entanglement entropy of the arms; and the
+    fidelity of the receiver's state with the undisturbed local target, the input
+    with its amplitude cut by sqrt 2 and its squeezing in half.  The gate is built
+    once; one xi's stacks of inputs and targets and one two-mode state are held
+    at a time.
     """
-    inputs = squeezed_coherent_state(xi, alphas, cutoff, tail_tol)
-    targets = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi),
-                                      [a / _SQRT2 for a in alphas], cutoff, tail_tol)
-    nbar = math.sinh(xi.r / 2.0) ** 2
-    p, ent = 1.0 / (2.0 * nbar + 1.0), thermal_entropy(nbar)
     tap = beam_splitter(np.pi / 4, cutoff)
     psi = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
-    rows = []
-    for signal, expected in zip(inputs, targets):
-        psi[:, 0] = signal
-        # <e| rho_B |e> = || (<e| x 1) out ||^2, with rho_B = out out+
-        v = expected.conj() @ tap.apply(psi, tail_tol)
-        rows.append((p, p, ent, float(np.vdot(v, v).real)))
-    return rows
+    out = []
+    for xi in xis:
+        inputs = squeezed_coherent_state(xi, alphas, cutoff, tail_tol)
+        targets = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi),
+                                          [a / _SQRT2 for a in alphas], cutoff, tail_tol)
+        nbar = math.sinh(xi.r / 2.0) ** 2
+        p, ent = 1.0 / (2.0 * nbar + 1.0), thermal_entropy(nbar)
+        rows = []
+        for signal, expected in zip(inputs, targets):
+            psi[:, 0] = signal
+            # <e| rho_B |e> = || (<e| x 1) out ||^2, with rho_B = out out+
+            v = expected.conj() @ tap.apply(psi, tail_tol)
+            rows.append((p, p, ent, float(np.vdot(v, v).real)))
+        out.append(rows)
+        del inputs, targets  # the next xi's are built without these beside them
+    return out

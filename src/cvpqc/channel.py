@@ -25,7 +25,9 @@ from .fock import (
     coherent_amplitudes,
     hs_distance,
     np,
+    padded_dim,
     row_tails,
+    squeeze_operator,
     von_neumann_entropy,
 )
 
@@ -133,12 +135,13 @@ _KEY_BLOCK = 64
 def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
                      squeezer: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Flat average over all M squeezed displaced vacua, summed over blocks of
-    keys; ``rows`` as for mixture_gamma, and ``squeezer`` is
-    ``squeeze_operator(xi, cutoff)``.
+    keys; ``rows`` as for mixture_gamma, and ``squeezer`` the d x d' block of
+    ``squeeze_operator(xi, c)`` that maps the rows' d' levels to the d of the
+    mixture, for any c past both.
 
-    The squeezer holds the exact truncated matrix elements, so a squeezed row
-    keeps only the mass inside the cutoff; a TailMassError names the worst key
-    when any row has lost more than ``tail_tol``.
+    The squeezer holds exact matrix elements, so a squeezed row keeps only the
+    mass inside the cutoff; a TailMassError names the worst key when any row
+    has lost more than ``tail_tol``.
 
     Beside the running sum, one block and its d x d product are live at a
     time: each product is added into the sum as soon as it is formed.
@@ -169,11 +172,10 @@ def k_factor(xi: SqueezeParam, theta: float) -> float:
 # convergence experiments
 
 
-def convergence_rows(N_list, b: float, squeezers: dict, cutoff: FockCutoff,
+def convergence_rows(b_list, N_list, xis, cutoff: FockCutoff,
                      tail_tol: float = DEFAULT_TAIL_TOL) -> dict:
-    """{(N, xi): (d_hs, triangle_bound, entropy)} at radius b for every N in
-    ``N_list`` and every squeezing xi of ``squeezers``, which maps each xi to
-    ``squeeze_operator(xi, cutoff)``, or to None where xi.r is 0.
+    """{(b, N, xi): (d_hs, triangle_bound, entropy)} for every distinct b, N and
+    squeezing xi of ``b_list``, ``N_list`` and ``xis``.
 
     d_hs is the distance from the disk-uniform target to the key-averaged
     mixture, squeezed when xi.r > 0; triangle_bound >= d_hs is the distance
@@ -181,26 +183,30 @@ def convergence_rows(N_list, b: float, squeezers: dict, cutoff: FockCutoff,
     mixtures.  entropy is the plain mixture's: S(xi) is unitary, so it is every
     squeezed mixture's too, free of the squeezed rows' truncation error.
 
-    The target, the complex diagonal matrix of ``maximally_mixed``, is built
-    once, and the key rows, the plain mixture and its entropy once per N of
-    ``N_list``, whose entries are distinct.  N is the outer loop, and one N's
-    rows and mixture are dropped before the next N's are built; within one N,
-    one squeezed mixture is live at a time, dropped once its two distances are
-    taken.
+    Each S(xi) with r > 0 is built once, before the first b, at the
+    ``padded_dim`` of the largest b; r = 0 needs none.  Per b, the target (the
+    complex diagonal matrix of ``maximally_mixed``) is built once, and the key
+    rows, plain mixture and entropy once per N, one N at a time; with a
+    squeezer, the key rows are padded to b's ``padded_dim``, and the plain
+    mixture takes their first d levels.  One squeezed mixture is live at a time.
     """
-    mm = np.diag(np.array(maximally_mixed(b, cutoff, tail_tol), dtype=complex))
+    b_list, N_list, xis = (list(dict.fromkeys(v)) for v in (b_list, N_list, xis))
+    d = cutoff.dim
+    wide = FockCutoff(padded_dim(max(b_list), d) - 1)
+    squeezers = {xi: squeeze_operator(xi, wide)[:d] for xi in xis if xi.r != 0.0}
     out = {}
-    for N in N_list:
-        rows = key_rows(N, b, cutoff)
-        gam = mixture_gamma(N, b, rows, tail_tol)
-        d_coh, entropy = hs_distance(mm, gam), von_neumann_entropy(gam)
-        for xi, squeezer in squeezers.items():
-            if squeezer is None:
-                out[N, xi] = (d_coh, d_coh, entropy)
-            else:
-                gam_xi = squeezed_mixture(N, b, rows, xi, squeezer, tail_tol)
-                out[N, xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
-                              entropy)
+    for b in b_list:
+        mm = np.diag(np.array(maximally_mixed(b, cutoff, tail_tol), dtype=complex))
+        width = padded_dim(b, d) if squeezers else d
+        for N in N_list:
+            rows = key_rows(N, b, FockCutoff(width - 1))
+            gam = mixture_gamma(N, b, rows[:, :d], tail_tol)
+            d_coh, entropy = hs_distance(mm, gam), von_neumann_entropy(gam)
+            out.update({(b, N, xi): (d_coh, d_coh, entropy) for xi in xis if xi.r == 0.0})
+            for xi, squeezer in squeezers.items():
+                gam_xi = squeezed_mixture(N, b, rows, xi, squeezer[:, :width], tail_tol)
+                out[b, N, xi] = (hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam),
+                                 entropy)
                 del gam_xi  # the next squeezed mixture is summed without this beside it
-        del rows, gam  # the next N's rows are built without these beside them
+            del rows, gam  # the next N's rows are built without these beside them
     return out

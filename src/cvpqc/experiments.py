@@ -13,16 +13,17 @@ the sweep in grid order (``nongauss_variance`` lists its squeezed vacua, then
 its even coherent states).  A row prints its grid values as configured, -0
 included.  A compute keys each state it builds by its physical value, so
 that a repeat, the sign of a zero or a 2 pi wrap builds no Fock-space state
-twice: a ``SqueezeParam`` for each squeezer and tap, b for each disk target
-and its key mixtures, and T for each transmission, each distinct value found
-with ``dict.fromkeys``.  ``conformation``, ``nongauss_overlap`` and
-``nongauss_variance`` print closed forms, recomputed at every point: they
-build no Fock-space state, so no tail check fails them, and their ``cutoff``
-column prints the configured or default cutoff, which truncates nothing;
-``validate`` bounds the two non-Gaussian ones' r and |beta| instead, below
-where their closed forms round by more than tail_tol.  A failing run names
-the first point whose state fails its tail check, in the order the compute
-builds them.
+twice: a ``SqueezeParam`` for each squeezing, b for each disk target and its
+key mixtures, and T for each transmission, each distinct value found with
+``dict.fromkeys``; ``attack.attack`` and ``channel.convergence_rows`` each
+take a run's distinct values in one call.  ``conformation``,
+``nongauss_overlap`` and ``nongauss_variance`` print closed forms, recomputed
+at every point: they build no Fock-space state, so no tail check fails them,
+and their ``cutoff`` column prints the configured or default cutoff, which
+truncates nothing; ``validate`` bounds the two non-Gaussian ones' r and
+|beta| instead, below where their closed forms round by more than tail_tol.
+A failing run names the first point whose state fails its tail check, in the
+order the compute builds them.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import attack, channel, nongauss
-from .fock import FockCutoff, SqueezeParam, quadrature_variance, squeeze_operator, wrap_angle
+from .fock import FockCutoff, SqueezeParam, padded_dim, quadrature_variance, wrap_angle
 
 
 def heuristic_cutoff(a: float) -> int:
@@ -107,10 +108,11 @@ def _compute_mmstate(cfg, n_max):
             for b in cfg.b_list for n, w in enumerate(disks[b])]
 
 
-def _matrices(d, count=6):
+def _matrices(d, count=6, name="d"):
     # at most 6 d x d matrices are live at once (tracemalloc at cutoff 100: 4
     # beside the key stack, 5.7 for displacement_bs); attack counts its own
-    return (f"{count} d x d matrices, d = {d} ({d * d} entries each)", count * d * d)
+    return (f"{count} {name} x {name} matrices, {name} = {d} ({d * d} entries each)",
+            count * d * d)
 
 
 def _points(cfg, *grids):
@@ -165,21 +167,16 @@ def _conformation_memory(cfg, _d):
 
 
 def _compute_convergence(cfg, n_max):
-    """b-major, then (r, phi), then N.  Each distinct S(xi) with r > 0 is built
-    once, before the first b, and each distinct b is one ``convergence_rows``
-    call over every distinct N and squeezing; a row prints r and phi as
-    configured, and SqueezeParam keys the squeezers.  ``convergence`` accepts
-    no r_list or phi_list, so it sweeps their default, [0.0] each."""
-    cutoff = FockCutoff(n_max)
+    """b-major, then (r, phi), then N, from one ``convergence_rows`` call over
+    every distinct b, N and squeezing; a row prints r and phi as configured,
+    and SqueezeParam keys the squeezers.  ``convergence`` accepts no r_list or
+    phi_list, so it sweeps their default, [0.0] each."""
     squeezings = [(r, phi, SqueezeParam(r, phi)) for r in cfg.r_list for phi in cfg.phi_list]
-    squeezers = {xi: squeeze_operator(xi, cutoff) if xi.r != 0.0 else None
-                 for xi in dict.fromkeys(xi for _, _, xi in squeezings)}
-    Ns = list(dict.fromkeys(cfg.N_list))
-    results = {b: channel.convergence_rows(Ns, b, squeezers, cutoff, cfg.tail_tol)
-               for b in dict.fromkeys(cfg.b_list)}
+    results = channel.convergence_rows(cfg.b_list, cfg.N_list, [xi for *_, xi in squeezings],
+                                       FockCutoff(n_max), cfg.tail_tol)
     rows = []
     for b, (r, phi, xi), N in itertools.product(cfg.b_list, squeezings, cfg.N_list):
-        d_hs, bound, entropy = results[b][N, xi]
+        d_hs, bound, entropy = results[b, N, xi]
         rows.append((N, b, r, phi, n_max, d_hs, d_hs * (N + 1), bound, entropy))
     return rows
 
@@ -193,15 +190,19 @@ def _convergence_memory(cfg, d):
     # four squeezings the run peaks at 6.74 MB, 1.6 d^2 above the squeezers and
     # the two stacks (7.95 MB while each product and mixture outlived its use),
     # under a bound of 9.7 MB.  The key rows' temporaries: 20 entries a key (at
-    # most 17 above the rest, at cutoff 15)
+    # most 17 above the rest, at cutoff 15).  With a squeezer, the squeezers and
+    # key rows are d' = padded_dim of the largest b wide, and so is the key
+    # rows' half-stack of reals, which can outgrow the real stack [Re; Im]
     N = max(cfg.N_list)
     keys = channel.key_count(N)
     squeezers = len({SqueezeParam(r, phi) for r in cfg.r_list if r > 0 for phi in cfg.phi_list})
+    w = padded_dim(max(cfg.b_list), d) if squeezers else d
     terms = [_matrices(d),
-             (f"the key-row stack at N = {N} ({keys * d} entries) and the plain "
-              f"mixture's real stack [Re; Im] beside it", 2 * keys * d)]
+             (f"the key-row stack at N = {N} ({keys * w} entries) and the plain "
+              f"mixture's real stack [Re; Im] beside it", 2 * keys * w)]
     if squeezers:
-        terms.append((f"{squeezers} squeezers S(xi) side by side", squeezers * d * d))
+        terms.append((f"{squeezers} squeezers S(xi) side by side, {w} x {w} each",
+                      squeezers * w * w))
     return terms + [("the key rows' temporaries, 20 entries a key", 20 * keys),
                     _held(cfg, _points(cfg), _points(cfg, "b_list")
                           + _points(cfg, "r_list", "phi_list"))]
@@ -211,12 +212,12 @@ def _convergence_memory(cfg, d):
 
 
 def _compute_attack(cfg, n_max):
-    """alpha-major: the tap runs once per distinct squeezer, for every alpha, in
+    """alpha-major: one tap call runs every distinct squeezer, for every alpha, in
     (r, phi) order; a row prints r and phi as configured."""
     alphas = [complex(a) for a in cfg.alpha_list]
     squeezings = [(r, phi, SqueezeParam(r, phi)) for r in cfg.r_list for phi in cfg.phi_list]
-    taps = {xi: attack.attack(alphas, xi, FockCutoff(n_max), cfg.tail_tol)
-            for xi in dict.fromkeys(xi for _, _, xi in squeezings)}
+    xis = list(dict.fromkeys(xi for _, _, xi in squeezings))
+    taps = dict(zip(xis, attack.attack(alphas, xis, FockCutoff(n_max), cfg.tail_tol)))
     return [("coherent" if r == 0.0 else "squeezed_coherent", a.real, a.imag, r, phi, n_max,
              *taps[xi][i]) for i, a in enumerate(alphas) for r, phi, xi in squeezings]
 
@@ -226,16 +227,19 @@ def _attack_memory(cfg, d):
     # builds its target stack beside its input stack, a row per alpha each, with
     # coherent_amplitudes' temporaries: 2.7 times the two (at most 0.4 above the
     # rest).  Beside the splitter's blocks, the stacks and the objects it holds
-    # the two-mode state and apply's output, or a squeezer before the blocks are
-    # built: tracemalloc peaks 3.0 d^2 above the blocks and the stacks at cutoff
-    # 100 and 2.7 d^2 at 150, objects included.  Per-sector and per-alpha
-    # objects: 24 entries each (290 and at most 300 bytes).  The run holds each
-    # tap's tuples, a point each, until it lays out the rows, which share their
-    # floats: a row's cells cover them
+    # the two-mode state and apply's output, or a squeezer: tracemalloc peaks
+    # 3.0 d^2 above the blocks and the stacks at cutoff 100 and 2.7 d^2 at 150,
+    # objects included.  Squeezers and squeezed stacks are d' = padded_dim of
+    # the largest |alpha| wide.  Per-sector and per-alpha objects: 24 entries
+    # each (290 and at most 300 bytes).  The run holds each tap's tuples, a
+    # point each, until it lays out the rows, which share their floats: a row's
+    # cells cover them
     n_alpha = len(cfg.alpha_list)
-    stacks = 2 * n_alpha * d
+    squeezed = any(r > 0 for r in cfg.r_list)
+    w = padded_dim(max(abs(a) for a in cfg.alpha_list), d) if squeezed else d
+    stacks = 2 * n_alpha * w
     blocks = d * (d + 1) * (2 * d + 1) // 6
-    return [_matrices(d, 3),
+    return [_matrices(w, 3, "d'"),
             (f"the beam splitter's blocks, {blocks} real entries (8 bytes each)",
              -(-blocks // 2)),
             (f"2.7 times the input and target stacks ({stacks} entries, a row per "

@@ -29,7 +29,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 def _lazy_numpy():
@@ -249,23 +248,53 @@ def squeeze_operator(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
     return s
 
 
+def padded_dim(amplitude: float, dim: int) -> int:
+    """The smallest dimension d' >= dim past which a coherent state of the given
+    amplitude holds less than 2^-106 of its mass, so its amplitudes beyond are
+    below rounding: S(xi) applied to its row truncated at d' gives the first
+    levels of S(xi) D(alpha)|0> to rounding.
+
+    The Poisson(x) tail from level n > x, x = |alpha|^2, is at most the pmf at n
+    over 1 - x / (n + 1); d' is where that bound falls below 2^-106, found by
+    bisection below a level the bound has passed.  A vacuum needs no padding,
+    and from x = 2^52 on no memory holds a dimension past x: both return dim.
+    """
+    x = amplitude * amplitude
+    if not 0.0 < x < 2.0 ** 52:
+        return dim
+    log_x = math.log(x)
+    lo = max(dim, math.floor(x) + 1)
+    hi = lo + 150 + 16 * math.ceil(math.sqrt(x))
+    while lo < hi:
+        n = (lo + hi) // 2
+        if n * log_x - x - math.lgamma(n + 1.0) - math.log1p(-x / (n + 1.0)) < -106 * _LN2:
+            hi = n
+        else:
+            lo = n + 1
+    return lo
+
+
 def squeezed_coherent_state(xi: SqueezeParam, alphas, cutoff: FockCutoff,
                             tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Normalized amplitudes of S(xi) D(alpha) |0>, one row per alpha of the list
-    ``alphas``, from the exact truncated matrix elements of both factors; alpha = 0
-    gives the squeezed vacuum.  The tail check sees the mass that the coherent row
-    and the squeezing both lose at the cutoff.
+    ``alphas``, from the exact matrix elements of both factors; alpha = 0 gives
+    the squeezed vacuum.  Each coherent row is squeezed at its ``padded_dim``,
+    so the tail check sees the mass the state itself loses at the cutoff.
 
-    Each row is the same as from a one-element list: S(xi) is built once, and
-    none at r = 0, where it is the identity; the rows are checked in order, so
-    the first that fails names its alpha.
+    Each row is the same as from a one-element list: S(xi) is built once, at
+    the widest row's dimension, and none at r = 0, where it is the identity; the
+    rows are checked in order, so the first that fails names its alpha.
     """
-    s = squeeze_operator(xi, cutoff) if xi.r != 0.0 else None
-    rows = coherent_amplitudes(alphas, cutoff)
-    for k, a in enumerate(alphas):
-        rows[k] = _finish_state(rows[k] if s is None else s @ rows[k], tail_tol,
-                                f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={a}")
-    return rows
+    d = cutoff.dim
+    widths = [padded_dim(abs(a), d) if xi.r != 0.0 else d for a in alphas]
+    wide = FockCutoff(max(widths, default=d) - 1)
+    s = squeeze_operator(xi, wide)[:d] if xi.r != 0.0 else None
+    rows = coherent_amplitudes(alphas, wide)
+    for k, (a, w) in enumerate(zip(alphas, widths)):
+        rows[k, :d] = _finish_state(rows[k, :d] if s is None else s[:, :w] @ rows[k, :w],
+                                    tail_tol,
+                                    f"squeezed coherent r={xi.r}, phi={xi.phi}, alpha={a}")
+    return rows[:, :d]
 
 
 def squeezed_coherent_closed_form(xi: SqueezeParam, alpha: complex,
@@ -350,7 +379,6 @@ class TwoModeUnitary:
         return out
 
 
-@lru_cache(maxsize=1)
 def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
     """exp[theta (a0 a1+ - a0+ a1)]; mode-0 annihilation maps to a0 cos + a1 sin.
 
@@ -366,9 +394,8 @@ def beam_splitter(theta: float, cutoff: FockCutoff) -> TwoModeUnitary:
     generator (the Fock form of Risbo's recursion for the Wigner d-matrix).  The
     generator a0 a1+ - a0+ a1 is real in the Fock basis, so every block is real
     orthogonal (Campos et al.), and its d (d+1) (2d+1) / 6 entries are held as
-    float64, 8 bytes each, in one array: 2.8 MB at cutoff 100.  They are cached
-    for the last angle only, which the tap reuses across its grid.  Treat the
-    result as read-only.
+    float64, 8 bytes each, in one array: 2.8 MB at cutoff 100.  A sweep builds
+    it once and applies it to every state of its grid.
     """
     c, sn = math.cos(theta), math.sin(theta)
     d = cutoff.dim

@@ -40,19 +40,20 @@ from cvpqc.channel import (_worst_key, k_factor, key_count, key_displacements, k
 from cvpqc.fock import (DEFAULT_TAIL_TOL, FockCutoff,
                         SqueezeParam, TwoModeUnitary, _finish_state,
                         beam_splitter, check_tails, coherent_amplitudes, row_tails,
-                        displacement_operator, fidelity, hs_distance, squeeze_operator,
-                        squeezed_coherent_state, von_neumann_entropy, wrap_angle)
+                        displacement_operator, fidelity, hs_distance, padded_dim,
+                        squeeze_operator, squeezed_coherent_state, von_neumann_entropy,
+                        wrap_angle)
 from cvpqc.nongauss import even_coherent_state
 
 HERMITICITY_TOL = 1e-12
 EIG_FLOOR = -1e-10
 # how far the Fock tap's arm purity and entropy may sit from attack's closed forms
-# at tail_tol 1e-8.  The Fock input is the truncated coherent row squeezed, S P c,
-# which near the smallest cutoff that passes its tail check is off by more than
-# its tail: over 300 draws (r <= 1, |alpha| <= 3) at that cutoff the purity moved
-# by up to 8.7e-7 and the entropy by up to 3.9e-7; its trace distance from the
-# exact state is of order sqrt(tail_tol)
-TAP_CLOSED_FORM_TOL = 1e-5
+# at tail_tol 1e-8.  The Fock input is its coherent row squeezed at its padded
+# dimension and cut to the cutoff, exact to rounding but for the tail it loses
+# there.  Over 600 draws (r <= 1, |alpha| up to 3.6) at the smallest cutoff that
+# passes the tail check, the purity moved by up to 1.4e-7 and the entropy by up
+# to 5.9e-7, of order tail log(1 / tail)
+TAP_CLOSED_FORM_TOL = 1e-6
 
 
 def xi_value(xi: SqueezeParam) -> complex:
@@ -354,12 +355,20 @@ def _displaced_coherent(alpha: complex, beta: complex, cutoff: FockCutoff) -> np
     return phase * coherent_amplitudes([alpha + beta], cutoff)[0]
 
 
+def padded(cutoff: FockCutoff, alphas) -> FockCutoff:
+    """The cutoff of dimension ``fock.padded_dim`` of the largest |alpha|: coherent
+    rows of ``alphas`` truncated there, squeezed, keep the exact squeezed state's
+    levels up to ``cutoff`` to rounding, as the library squeezes them."""
+    return FockCutoff(padded_dim(max(map(abs, alphas), default=0.0), cutoff.dim) - 1)
+
+
 def key_average(rows: np.ndarray, squeezer: np.ndarray, tail_tol: float,
                 what) -> np.ndarray:
     """Mean of the projectors on the rows v_k of ``rows``, each squeezed by the
-    matrix ``squeezer``: the whole stack at once, where
-    ``channel.squeezed_mixture`` sums blocks of keys.  ``what(k)`` names row k
-    in the TailMassError raised when any row has lost more than ``tail_tol``."""
+    matrix ``squeezer``, d x d' against rows of d' levels: the whole stack at
+    once, where ``channel.squeezed_mixture`` sums blocks of keys.  ``what(k)``
+    names row k in the TailMassError raised when any row has lost more than
+    ``tail_tol``."""
     squeezed = rows @ squeezer.T
     check_tails(row_tails(squeezed), tail_tol, what)
     return squeezed.T @ squeezed.conj() / rows.shape[0]
@@ -369,8 +378,10 @@ def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
             cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """One key branch: squeeze(displace_key(|beta>)) as a projector."""
     p, q = key_to_ring(key_index, N)
-    row = _displaced_coherent(key_displacements(N, b)[key_index], beta, cutoff)
-    return key_average(row[None, :], squeeze_operator(xi, cutoff), tail_tol,
+    alpha = key_displacements(N, b)[key_index]
+    wide = padded(cutoff, [alpha + beta])
+    row = _displaced_coherent(alpha, beta, wide)
+    return key_average(row[None, :], squeeze_operator(xi, wide)[:cutoff.dim], tail_tol,
                         lambda k: f"encrypt beta={beta}, key p={p}, q={q}, r={xi.r}")
 
 
@@ -386,8 +397,10 @@ def decrypt(rho: np.ndarray, xi: SqueezeParam, key_index: int, N: int, b: float,
 def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,
                    cutoff: FockCutoff, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Key-averaged encryption of |beta>."""
-    rows = np.vstack([_displaced_coherent(a, beta, cutoff) for a in key_displacements(N, b)])
-    return key_average(rows, squeeze_operator(xi, cutoff), tail_tol,
+    alphas = key_displacements(N, b)
+    wide = padded(cutoff, alphas + beta)
+    rows = np.vstack([_displaced_coherent(a, beta, wide) for a in alphas])
+    return key_average(rows, squeeze_operator(xi, wide)[:cutoff.dim], tail_tol,
                         _worst_key(N, f"channel output beta={beta}, N={N}"))
 
 
@@ -400,17 +413,20 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
                       tail_tol: float = DEFAULT_TAIL_TOL):
     """(d_hs, triangle_bound, entropy) of one convergence grid point, built from
     scratch: its own target, key rows and plain mixture, shared with no other
-    squeezing.  The entropy is the plain mixture's, which S(xi) leaves
-    unchanged (``test_squeezed_mixture_entropy_is_the_plain_mixtures`` checks
-    that identity).  ``channel.convergence_rows`` must match it cell for cell."""
+    squeezing; the squeezed mixture squeezes key rows padded to
+    ``padded_dim(b, d)``.  The entropy is the plain mixture's, which S(xi)
+    leaves unchanged (``test_squeezed_mixture_entropy_is_the_plain_mixtures``
+    checks that identity).  ``channel.convergence_rows`` must match it cell for
+    cell."""
     mm = disk_state(b, cutoff, tail_tol)
     gam = mixture_gamma(N, b, key_rows(N, b, cutoff), tail_tol)
     d_coh = hs_distance(mm, gam)
     entropy = von_neumann_entropy(gam)
     if xi.r == 0.0:
         return d_coh, d_coh, entropy
-    gam_xi = squeezed_mixture(N, b, key_rows(N, b, cutoff), xi,
-                              squeeze_operator(xi, cutoff), tail_tol)
+    wide = padded(cutoff, [b])
+    gam_xi = squeezed_mixture(N, b, key_rows(N, b, wide), xi,
+                              squeeze_operator(xi, wide)[:cutoff.dim], tail_tol)
     return hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam), entropy
 
 
@@ -440,8 +456,10 @@ def ring_displacements(N: int, b: float, p: int) -> np.ndarray:
 def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: FockCutoff,
                           tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Ring average of squeezed displaced vacua on ring p, built operationally."""
-    return key_average(coherent_amplitudes(ring_displacements(N, b, p), cutoff),
-                        squeeze_operator(xi, cutoff), tail_tol,
+    alphas = ring_displacements(N, b, p)
+    wide = padded(cutoff, alphas)
+    return key_average(coherent_amplitudes(alphas, wide),
+                        squeeze_operator(xi, wide)[:cutoff.dim], tail_tol,
                         lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
 
 

@@ -171,9 +171,9 @@ def test_criterion_06_angular_weight_factor(report):
 
 def test_criterion_07_tap_entanglement_contrast(report):
     cut = FockCutoff(60)
-    coh = attack([1.0], SqueezeParam(0.0), cut)[0][2]  # the entanglement proxy
+    coh = attack([1.0], [SqueezeParam(0.0)], cut)[0][0][2]  # the entanglement proxy
     rs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
-    proxies = [attack([1.0], SqueezeParam(r), cut)[0][2] for r in rs]
+    proxies = [row[0][2] for row in attack([1.0], [SqueezeParam(r) for r in rs], cut)]
     at_half = proxies[rs.index(0.5)]
     monotone = all(a < b for a, b in zip(proxies, proxies[1:]))
     ok = coh < 1e-10 and at_half > 0.05 and monotone

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.integrate import simpson
 
-from cvpqc import channel, experiments
+from cvpqc import channel
 from cvpqc.channel import (
     convergence_rows,
     k_factor,
@@ -47,6 +47,7 @@ from oracles import (
     disk_state,
     disk_uniform_diagonal,
     encrypt,
+    padded,
     projector,
     ring_analytic_matrix,
     ring_displacements,
@@ -271,9 +272,8 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
        n_max=strategies.integers(5, 80))
 def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
     # The tail check must catch every key whose true tail, read from the closed
-    # form at a wide cutoff, is past twice the tolerance.  Single levels are not
-    # compared: a squeezed truncated row differs from the truncated closed form
-    # by more than the tolerance at single levels, though not in norm.
+    # form at a wide cutoff, is past twice the tolerance.  The key rows are
+    # squeezed at their padded dimension, as convergence_rows squeezes them.
     xi, tol = SqueezeParam(r, phi), 1e-8
     worst = 0.0
     for alpha in key_displacements(N, b):
@@ -282,7 +282,9 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
         worst = max(worst, probs[n_max + 1:].sum())
     try:
         cut = FockCutoff(n_max)
-        rho = squeezed_mixture(N, b, key_rows(N, b, cut), xi, squeeze_operator(xi, cut), tol)
+        wide = padded(cut, [b])
+        rho = squeezed_mixture(N, b, key_rows(N, b, wide), xi,
+                               squeeze_operator(xi, wide)[:cut.dim], tol)
     except TailMassError:
         return
     assert worst <= 2.0 * tol
@@ -593,17 +595,19 @@ def test_squeezed_convergence_point_squeezes_once(monkeypatch):
         calls.append(xi)
         return squeeze_operator(xi, cutoff)
 
-    monkeypatch.setattr(experiments, "squeeze_operator", counting)
+    monkeypatch.setattr(channel, "squeeze_operator", counting)
     xis = [SqueezeParam(r, 1.1) for r in (0.3, 0.0, 0.2, 0.3)]
     _, rows = execute(config_from_dict(
         {"experiment": "squeezed_convergence", "b_list": [2.0, 1.5], "N_list": [4, 2],
          "r_list": [xi.r for xi in xis], "phi_list": [1.1], "cutoff": 60}))
     assert calls == [xis[0], xis[2]]
     assert len(rows) == 16
-    # convergence_rows takes the squeezers, None for the plain mixture
-    at = convergence_rows([4, 2], 2.0, {xi: squeeze_operator(xi, C60) if xi.r else None
-                                        for xi in xis}, C60)
-    assert set(at) == set(itertools.product([4, 2], xis))
+    # convergence_rows takes the squeezings, repeats included, and builds their
+    # squeezers itself, none for the plain mixture
+    calls.clear()
+    at = convergence_rows([2.0], [4, 2], xis, C60)
+    assert calls == [xis[0], xis[2]]
+    assert set(at) == set(itertools.product([2.0], [4, 2], xis))
 
 
 def _count_calls(monkeypatch, module, names):
@@ -630,7 +634,7 @@ def test_convergence_task_computes_the_plain_entropy_once(monkeypatch):
     # prints the plain mixture's entropy, computed once per distinct N; each
     # distinct squeezer is built once, and each distinct squeezed mixture once
     calls = _count_calls(monkeypatch, channel, ("squeezed_mixture", "von_neumann_entropy"))
-    calls.update(_count_calls(monkeypatch, experiments, ("squeeze_operator",)))
+    calls.update(_count_calls(monkeypatch, channel, ("squeeze_operator",)))
 
     def counts():
         return {name: len(args) for name, args in calls.items()}
@@ -653,7 +657,7 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
     # per b, and the key rows and the plain mixture once per (b, N)
     calls = _count_calls(monkeypatch, channel, (
         "maximally_mixed", "coherent_amplitudes", "mixture_gamma", "squeezed_mixture"))
-    calls.update(_count_calls(monkeypatch, experiments, ("squeeze_operator",)))
+    calls.update(_count_calls(monkeypatch, channel, ("squeeze_operator",)))
     b_list, r_list, phi_list, N_list = [1.0, 1.5], [0.1, 0.2], [0.0, 1.0], [1, 2, 3]
     _, rows = execute(config_from_dict(
         {"experiment": "squeezed_convergence", "b_list": b_list, "r_list": r_list,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cvpqc
-from cvpqc import attack, channel, experiments, fock, nongauss
+from cvpqc import attack, channel, fock, nongauss
 from cvpqc.cli import _cell, main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
 from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
@@ -172,7 +172,6 @@ def test_validate_counts_the_block_entries_of_the_gate(n_max):
 def _assert_validate_bounds_the_run(monkeypatch, cfg):
     """Run ``cfg`` as a run starts: the tracemalloc peak stays within the bound
     validate prints, the sum of the terms it prints."""
-    fock.beam_splitter.cache_clear()  # attack builds its gate in its first tap
     tracemalloc.start()
     try:
         execute(cfg)
@@ -583,16 +582,28 @@ def test_sidecar_config_echo_runs_again_to_the_same_rows(tmp_path, experiment):
 # the sweep
 
 
+def _count_taps(monkeypatch):
+    """Records the squeezings of each ``attack.attack`` call, one list a call,
+    and counts the gates ``beam_splitter`` builds for the tap."""
+    calls, gates, real_attack, real_gate = [], [], attack.attack, attack.beam_splitter
+    monkeypatch.setattr(attack, "attack", lambda alphas, xis, *rest:
+                        calls.append(list(xis)) or real_attack(alphas, xis, *rest))
+    monkeypatch.setattr(attack, "beam_splitter",
+                        lambda *args: gates.append(args) or real_gate(*args))
+    return calls, gates
+
+
 def test_repeated_r_phi_pair_runs_the_tap_once(monkeypatch):
-    xis, real = [], attack.attack
-    monkeypatch.setattr(attack, "attack",
-                        lambda alphas, xi, *rest: xis.append(xi) or real(alphas, xi, *rest))
+    calls, gates = _count_taps(monkeypatch)
     cfg = config_from_dict({"experiment": "attack", "alpha_list": [0.5, 1.0],
                             "r_list": [0.3, 0.0, 0.3], "phi_list": [1.0, 1.0],
                             "cutoff": 20})
     _, rows = execute(cfg)
     assert len(rows) == 12
+    # one tap call over both distinct squeezings, and one gate for both
+    (xis,) = calls
     assert sorted((xi.r, xi.phi) for xi in xis) == [(0.0, 0.0), (0.3, 1.0)]
+    assert len(gates) == 1
     # each alpha's rows: r = 0.3 twice, r = 0 twice, then r = 0.3 twice again
     for first in (0, 6):
         squeezed, coherent = rows[first], rows[first + 2]
@@ -607,13 +618,13 @@ _WRAPPED_TAP = {"experiment": "attack", "alpha_list": [0.5, -1.0, 0.5],
 
 def test_an_attack_run_taps_once_per_distinct_squeezing(monkeypatch, tmp_path):
     # r = 0 and -0, and phi = 0, 2 pi and -0, are one SqueezeParam each: the 12
-    # (r, phi) pairs are 2 squeezers, so the tap runs twice for all 36 rows
-    xis, real = [], attack.attack
-    monkeypatch.setattr(attack, "attack",
-                        lambda alphas, xi, *rest: xis.append(xi) or real(alphas, xi, *rest))
+    # (r, phi) pairs are 2 squeezers, so one tap call runs both for all 36 rows,
+    # with one gate
+    calls, gates = _count_taps(monkeypatch)
     out = tmp_path / "rows.csv"
     assert main(["run", write_config(tmp_path, **_WRAPPED_TAP), "--out", str(out)]) == 0
-    assert xis == [fock.SqueezeParam(0.3), fock.SqueezeParam(0.0)]
+    assert calls == [[fock.SqueezeParam(0.3), fock.SqueezeParam(0.0)]]
+    assert len(gates) == 1
     # alpha-major rows, each byte for byte the run of its own point; r and phi
     # print as configured, -0 included
     _, rows = read_csv(out)
@@ -658,7 +669,7 @@ def _builds(cfg):
         "conformation": {},
         "convergence": {"maximally_mixed": disks},
         "squeezed_convergence": {"maximally_mixed": disks, "squeeze_operator": squeezed},
-        "attack": {"attack": len(xis), "squeeze_operator": 2 * squeezed},
+        "attack": {"attack": 1, "squeeze_operator": 2 * squeezed},
         "nongauss_overlap": {},
         "nongauss_variance": {},
         "displacement_bs": {"even_coherent_state": 1},
@@ -678,7 +689,7 @@ def test_each_row_is_its_own_points_and_each_state_is_built_once(monkeypatch, ex
             calls[name] += 1
             return real(*args, **kwargs)
         return counted
-    for module, name in ((fock, "squeeze_operator"), (experiments, "squeeze_operator"),
+    for module, name in ((fock, "squeeze_operator"), (channel, "squeeze_operator"),
                          (nongauss, "even_coherent_state"), (channel, "maximally_mixed"),
                          (attack, "attack")):
         monkeypatch.setattr(module, name, count(name, getattr(module, name)))
@@ -710,7 +721,7 @@ def test_each_nongauss_state_is_built_once_a_task(monkeypatch, doc, n_rows):
     def refuse(*_):
         raise AssertionError("a Fock-space state was built")
     for module, name in ((fock, "coherent_amplitudes"), (nongauss, "coherent_amplitudes"),
-                         (fock, "squeeze_operator"), (experiments, "squeeze_operator"),
+                         (fock, "squeeze_operator"), (channel, "squeeze_operator"),
                          (nongauss, "even_coherent_state")):
         monkeypatch.setattr(module, name, refuse)
     _, rows = execute(config_from_dict(doc))

@@ -23,6 +23,7 @@ from cvpqc.fock import (
     displacement_operator,
     fidelity,
     hs_distance,
+    padded_dim,
     quadrature_variance,
     squeeze_operator,
     squeezed_coherent_closed_form,
@@ -218,11 +219,11 @@ def test_squeezed_mixture_reports_the_mass_it_loses(r, tail):
        n_max=strategies.integers(5, 80))
 def test_squeezed_coherent_state_raises_or_matches_closed_form(r, phi, alpha_mag, alpha_arg,
                                                                n_max):
-    # An accepted state has lost at most tol: its raw amplitudes S P c (P truncates
-    # the coherent row c) differ from the truncated closed form P S c by P S (1 - P) c,
-    # whose squared norm is at most the coherent tail, itself at most the tail the
-    # call reports.  Single levels can move by more (4.8e-7 seen): the error is first
-    # order in that amplitude, so the comparison is in the norm the contract bounds.
+    # An accepted state has lost at most tol.  Its raw amplitudes are P S P' c: the
+    # coherent row c truncated at its padded dimension d' (P'), squeezed, and cut to
+    # the cutoff (P).  They differ from the truncated closed form P S c by
+    # P S (1 - P') c, whose squared norm is at most the coherent mass beyond d',
+    # below 2^-106
     xi, tol = SqueezeParam(r, phi), 1e-8
     alpha = alpha_mag * complex(math.cos(alpha_arg), math.sin(alpha_arg))
     closed = squeezed_coherent_closed_form(xi, alpha, FockCutoff(4000))
@@ -234,9 +235,57 @@ def test_squeezed_coherent_state_raises_or_matches_closed_form(r, phi, alpha_mag
     except TailMassError:
         return
     assert probs[n_max + 1:].sum() <= 2.0 * tol
-    raw = squeeze_operator(xi, cut) @ coherent_amplitudes([alpha], cut)[0]
+    wide = FockCutoff(padded_dim(abs(alpha), cut.dim) - 1) if xi.r else cut
+    raw = squeeze_operator(xi, wide)[:cut.dim] @ coherent_amplitudes([alpha], wide)[0]
     assert np.array_equal(state, raw / math.sqrt(np.vdot(raw, raw).real))
     assert np.sum(np.abs(raw - closed[:n_max + 1]) ** 2) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=strategies.floats(0.0, 1.0), phi=strategies.floats(0.0, 2.0 * math.pi),
+       alpha_mag=strategies.floats(0.0, 3.0), alpha_arg=strategies.floats(0.0, 2.0 * math.pi),
+       n_max=strategies.integers(1, 80))
+@example(r=0.5, phi=0.0, alpha_mag=3.0, alpha_arg=0.0, n_max=31)
+def test_an_accepted_squeezed_state_has_the_closed_form_level_probabilities(
+        r, phi, alpha_mag, alpha_arg, n_max):
+    # the state is its exact amplitudes renormalized after the tail check, so each
+    # level probability moves by at most the tail the check accepted.  The example
+    # is where a row truncated at the cutoff and then squeezed is 3.9e-7 off:
+    # r = 0.5, alpha = 3 at cutoff 31, where the state's own tail is 5.1e-11
+    xi, tol = SqueezeParam(r, phi), 1e-8
+    alpha = alpha_mag * complex(math.cos(alpha_arg), math.sin(alpha_arg))
+    cut = FockCutoff(n_max)
+    try:
+        (state,) = squeezed_coherent_state(xi, [alpha], cut, tol)
+    except TailMassError:
+        return
+    exact = np.abs(squeezed_coherent_closed_form(xi, alpha, cut)) ** 2
+    assert np.max(np.abs(np.abs(state) ** 2 - exact)) <= tol
+
+
+def test_each_row_of_a_list_is_squeezed_at_its_own_padded_dim():
+    # at cutoff 31 the rows of alpha = 2, 0.5 and -1.5j are squeezed at 47, 32
+    # and 38 levels, from one S(xi) of 47: each is bit for bit its one-element row
+    xi, cut, alphas = SqueezeParam(0.3, 1.0), FockCutoff(31), [2.0, 0.5, -1.5j]
+    assert [padded_dim(abs(a), cut.dim) for a in alphas] == [47, 32, 38]
+    rows = squeezed_coherent_state(xi, alphas, cut)
+    for a, row in zip(alphas, rows):
+        assert np.array_equal(row, squeezed_coherent_state(xi, [a], cut)[0])
+
+
+def test_padded_dim_is_the_first_dimension_past_the_coherent_tail():
+    # the first dimension n >= dim at which the Poisson(|alpha|^2) mass from level n
+    # on is below 2^-106, summed here term by term; the vacuum, and an amplitude
+    # whose square reaches 2^52, keep dim
+    for amplitude, dim in [(3.0, 32), (3.0, 70), (2.0, 61), (1.5, 31), (0.5, 2), (10.0, 50)]:
+        x = amplitude * amplitude
+        n = dim
+        while math.fsum(math.exp(k * math.log(x) - x - math.lgamma(k + 1.0))
+                        for k in range(n, n + 400)) >= 2.0 ** -106:
+            n += 1
+        assert padded_dim(amplitude, dim) == n
+    assert padded_dim(3.0, 32) == 65 and padded_dim(2.0, 61) == 61
+    assert padded_dim(0.0, 7) == 7 and padded_dim(2.0 ** 26, 7) == 7
 
 
 def test_squeezed_coherent_with_zero_displacement_is_squeezed_vacuum():
@@ -430,10 +479,9 @@ def test_two_mode_unitary_refuses_a_complex_block():
 def test_an_attack_task_at_cutoff_100_holds_less_than_a_complex_gate():
     # the real blocks take 8 bytes an entry: the whole task, gate built inside it,
     # peaks below what its 348,551 block entries took alone at 16 bytes
-    beam_splitter.cache_clear()
     tracemalloc.start()
     try:
-        attack([0.5, 1.0 + 0.5j], SqueezeParam(0.3, 1.0), FockCutoff(100))
+        attack([0.5, 1.0 + 0.5j], [SqueezeParam(0.3, 1.0)], FockCutoff(100))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,7 +521,7 @@ def test_attack_matches_the_box_wide_expm_oracle(alpha, xi):
                                           [alpha / math.sqrt(2.0)], cut)
     box = (purity(rho_b), purity(out.T @ out.conj()), von_neumann_entropy(rho_b),
            fidelity(expected, rho_b))
-    assert np.max(np.abs(np.subtract(attack([alpha], xi, cut)[0], box))) <= 1e-12
+    assert np.max(np.abs(np.subtract(attack([alpha], [xi], cut)[0][0], box))) <= 1e-12
 
 
 def test_two_mode_squeezer_vacuum_series():
@@ -584,7 +632,7 @@ def test_partial_trace_of_product_state_is_pure():
     for mode in (0, 1):
         red = partial_trace_dense(out, mode)
         assert abs(fidelity(half, red) - 1.0) < 1e-8
-    ((bob, eve, ent, fid),) = attack([1.0], SqueezeParam(0.0), cut)
+    ((bob, eve, ent, fid),) = attack([1.0], [SqueezeParam(0.0)], cut)[0]
     assert min(bob, eve, fid) >= 1 - 1e-8
     assert ent < 1e-10
 
@@ -610,7 +658,7 @@ def test_partial_trace_of_tap_matches_dense_oracle():
     rho_b, rho_e = (partial_trace_dense(out, mode) for mode in (0, 1))
     (expected,) = squeezed_coherent_state(SqueezeParam(xi.r / 2, xi.phi),
                                           [alpha / math.sqrt(2.0)], cut)
-    ((bob, eve, ent, fid),) = attack([alpha], xi, cut)
+    ((bob, eve, ent, fid),) = attack([alpha], [xi], cut)[0]
     assert abs(fid - fidelity(expected, rho_b)) < 1e-13
     dense = (purity(rho_b) - bob, purity(rho_e) - eve, von_neumann_entropy(rho_b) - ent)
     assert np.max(np.abs(dense)) <= TAP_CLOSED_FORM_TOL

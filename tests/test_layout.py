@@ -16,8 +16,11 @@ that its module reads it somewhere.  A fourth asks that `src/cvpqc` import
 nothing beyond numpy, the standard library and its own modules, a fifth
 that every parameter of a `src/cvpqc` function is read in its body, unless its
 name starts with an underscore: a parameter that a calling convention passes
-and this function does not need, and a sixth that `config` imports no package
-module but `experiments`, where every per-experiment rule lives.
+and this function does not need, a sixth that `config` imports no package
+module but `experiments`, where every per-experiment rule lives, and a seventh
+that no `src/cvpqc` function is decorated with `functools.lru_cache` or
+`functools.cache`, so that a run in a process that has run others computes
+what a fresh process computes.
 """
 import ast
 import sys
@@ -201,3 +204,23 @@ def package_imports(module):
 
 def test_config_imports_only_experiments():
     assert package_imports("config") == ["experiments"]
+
+
+def cached_functions():
+    """`module.function` for every `src/cvpqc` function, nested ones included, with
+    a decorator named `lru_cache` or `cache`, bare, called or as a `functools`
+    attribute."""
+    cached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in fn.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        cached.append(f"{path.stem}.{fn.name}")
+    return cached
+
+
+def test_no_function_is_cached_across_calls():
+    assert cached_functions() == []
