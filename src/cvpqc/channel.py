@@ -135,13 +135,13 @@ _KEY_BLOCK = 64
 def squeezed_mixture(N: int, b: float, rows: np.ndarray, xi: SqueezeParam,
                      squeezer: np.ndarray, tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Flat average over all M squeezed displaced vacua, summed over blocks of
-    keys; ``rows`` as for mixture_gamma, and ``squeezer`` the d x d' block of
-    ``squeeze_operator(xi, c)`` that maps the rows' d' levels to the d of the
-    mixture, for any c past both.
+    keys; ``rows`` as for mixture_gamma, and ``squeezer`` the first d' columns
+    of the mixture's ``squeeze_operator(xi, cutoff, w)``, w >= d', which map
+    the rows' d' levels to the d of the mixture.
 
-    The squeezer holds exact matrix elements, so a squeezed row keeps only the
-    mass inside the cutoff; a TailMassError names the worst key when any row
-    has lost more than ``tail_tol``.
+    The squeezer's columns are the truncated S|n>, so a squeezed row keeps only
+    the mass inside the cutoff; a TailMassError names the worst key when any
+    row has lost more than ``tail_tol``.
 
     Beside the running sum, one block and its d x d product are live at a
     time: each product is added into the sum as soon as it is formed.
@@ -183,17 +183,18 @@ def convergence_rows(b_list, N_list, xis, cutoff: FockCutoff,
     mixtures.  entropy is the plain mixture's: S(xi) is unitary, so it is every
     squeezed mixture's too, free of the squeezed rows' truncation error.
 
-    Each S(xi) with r > 0 is built once, before the first b, at the
-    ``padded_dim`` of the largest b; r = 0 needs none.  Per b, the target (the
-    complex diagonal matrix of ``maximally_mixed``) is built once, and the key
-    rows, plain mixture and entropy once per N, one N at a time; with a
-    squeezer, the key rows are padded to b's ``padded_dim``, and the plain
-    mixture takes their first d levels.  One squeezed mixture is live at a time.
+    Each S(xi) with r > 0 is built once, before the first b, as its d x d'
+    block, d' the ``padded_dim`` of the largest b; r = 0 needs none.  Per b,
+    the target (the complex diagonal matrix of ``maximally_mixed``) is built
+    once, and the key rows, plain mixture and entropy once per N, one N at a
+    time; with a squeezer, the key rows are padded to b's ``padded_dim``, and
+    the plain mixture takes their first d levels.  One squeezed mixture is
+    live at a time.
     """
     b_list, N_list, xis = (list(dict.fromkeys(v)) for v in (b_list, N_list, xis))
     d = cutoff.dim
-    wide = FockCutoff(padded_dim(max(b_list), d) - 1)
-    squeezers = {xi: squeeze_operator(xi, wide)[:d] for xi in xis if xi.r != 0.0}
+    wide = padded_dim(max(b_list), d)
+    squeezers = {xi: squeeze_operator(xi, cutoff, wide) for xi in xis if xi.r != 0.0}
     out = {}
     for b in b_list:
         mm = np.diag(np.array(maximally_mixed(b, cutoff, tail_tol), dtype=complex))

@@ -20,8 +20,10 @@ take a run's distinct values in one call.  ``conformation``,
 ``nongauss_overlap`` and ``nongauss_variance`` print closed forms, recomputed
 at every point: they build no Fock-space state, so no tail check fails them,
 and their ``cutoff`` column prints the configured or default cutoff, which
-truncates nothing; ``validate`` bounds the two non-Gaussian ones' r and
-|beta| instead, below where their closed forms round by more than tail_tol.
+truncates nothing.  An experiment's ``limits`` refuse the inputs past which
+its computation rounds by more than tail_tol, which no tail check sees: the
+non-Gaussian closed forms' r and |beta|, ``conformation``'s r, and the
+amplitudes the squeezer takes at each r.
 A failing run names the first point whose state fails its tail check, in the
 order the compute builds them.
 """
@@ -53,7 +55,9 @@ class Experiment:
     complex entries) pairs whose sum bounds the run's tracemalloc peak from
     cutoff 1 on; it sits beside the compute function.  ``reads`` names the
     config fields other than the grids and the run fields that the compute
-    reads.
+    reads.  ``limits(cfg)`` yields the config problems past which the compute
+    rounds by more than tail_tol; ``validate`` asks for them once tail_tol is
+    valid.
     """
 
     columns: tuple
@@ -62,6 +66,31 @@ class Experiment:
     default_cutoff: Callable
     memory: Callable
     reads: tuple = ()
+    limits: Callable = lambda cfg: ()
+
+
+# 64 eps, the unit of every rounding limit: a few eps of rounding, amplified by
+# the computation, must stay below tail_tol with this margin
+_UNIT = 2.0 ** -46
+
+
+def _squeezer_limits(cfg, grid, amplitude, what):
+    """The problem at the first r of r_list at which ``squeeze_operator`` rounds
+    a squeezed state of ``amplitude``, the largest of ``grid``, by more than
+    tail_tol, if any; r = 0 builds no squeezer.
+
+    The squeezer rounds a level probability of S(xi) D(alpha)|0> by at most 5
+    times 2^-53 e^{|alpha|^2 tanh r} (measured over r <= 2, |alpha| <= 12 and
+    cutoffs from 10 below the smallest that passes to three times it), so the
+    limit keeps 64 eps e^{|alpha|^2 tanh r} at most tail_tol."""
+    log_tol = math.log(cfg.tail_tol / _UNIT)
+    for r in cfg.r_list:
+        if r > 0 and not amplitude * amplitude * math.tanh(r) <= log_tol:
+            a_max = math.sqrt(max(log_tol, 0.0) / math.tanh(r))
+            yield (f"{grid} entries must be at most {a_max:.4g} at r = {r:.4g}: past it "
+                   "the squeezer's recurrence, which grows rounding by up to "
+                   f"e^{{|alpha|^2 tanh r}}, rounds {what} by more than tail_tol")
+            return
 
 
 def _disk_cutoff(cfg) -> int:
@@ -156,6 +185,17 @@ def _compute_conformation(cfg, n_max):
     return rows
 
 
+def _conformation_limits(cfg):
+    # k_factor cancels 1 - tanh r cos(2 theta - phi) down to 1 - tanh r =
+    # 2 / (1 + e^{2r}) where the cosine is 1, rounding by a few eps tanh r: by
+    # a few eps (e^{2r} - 1) / 2 relative to the value
+    r_max = 0.5 * math.log1p(2.0 * cfg.tail_tol / _UNIT)
+    if any(r > r_max for r in cfg.r_list):
+        yield (f"r_list entries must be at most {r_max:.4g}: past it k_factor, which "
+               "cancels 1 - tanh r cos(2 theta - phi) down to 2 / (1 + e^{2r}), rounds "
+               "by more than tail_tol")
+
+
 def _conformation_memory(cfg, _d):
     # no Fock-space array and no keyed state: its rows are all it holds; the CSV
     # writer, one row at a time, adds nothing to that peak
@@ -181,6 +221,12 @@ def _compute_convergence(cfg, n_max):
     return rows
 
 
+def _convergence_limits(cfg):
+    # a key's amplitude is below b
+    return _squeezer_limits(cfg, "b_list", max(cfg.b_list, default=0.0),
+                            "the squeezed key states")
+
+
 def _convergence_memory(cfg, d):
     # one b at a time: mixture_gamma holds the real stack [Re; Im] beside the key
     # rows of the largest N, two stacks (3.62 MB with the mixture against a 1.66 MB
@@ -201,8 +247,8 @@ def _convergence_memory(cfg, d):
              (f"the key-row stack at N = {N} ({keys * w} entries) and the plain "
               f"mixture's real stack [Re; Im] beside it", 2 * keys * w)]
     if squeezers:
-        terms.append((f"{squeezers} squeezers S(xi) side by side, {w} x {w} each",
-                      squeezers * w * w))
+        terms.append((f"{squeezers} squeezers S(xi) side by side, {d} x {w} each",
+                      squeezers * d * w))
     return terms + [("the key rows' temporaries, 20 entries a key", 20 * keys),
                     _held(cfg, _points(cfg), _points(cfg, "b_list")
                           + _points(cfg, "r_list", "phi_list"))]
@@ -222,6 +268,13 @@ def _compute_attack(cfg, n_max):
              *taps[xi][i]) for i, a in enumerate(alphas) for r, phi, xi in squeezings]
 
 
+def _attack_limits(cfg):
+    # the inputs; each target, at |alpha| / sqrt 2 and r / 2, has the smaller
+    # exponent |alpha|^2 tanh(r/2) / 2
+    return _squeezer_limits(cfg, "alpha_list", max(map(abs, cfg.alpha_list), default=0.0),
+                            "the squeezed inputs")
+
+
 def _attack_memory(cfg, d):
     # the run taps every alpha at one distinct squeezing at a time: each tap
     # builds its target stack beside its input stack, a row per alpha each, with
@@ -229,17 +282,17 @@ def _attack_memory(cfg, d):
     # rest).  Beside the splitter's blocks, the stacks and the objects it holds
     # the two-mode state and apply's output, or a squeezer: tracemalloc peaks
     # 3.0 d^2 above the blocks and the stacks at cutoff 100 and 2.7 d^2 at 150,
-    # objects included.  Squeezers and squeezed stacks are d' = padded_dim of
-    # the largest |alpha| wide.  Per-sector and per-alpha objects: 24 entries
-    # each (290 and at most 300 bytes).  The run holds each tap's tuples, a
-    # point each, until it lays out the rows, which share their floats: a row's
-    # cells cover them
+    # objects included.  A squeezer is d x d', and the squeezed stacks d' wide,
+    # d' = padded_dim of the largest |alpha|.  Per-sector and per-alpha
+    # objects: 24 entries each (290 and at most 300 bytes).  The run holds each
+    # tap's tuples, a point each, until it lays out the rows, which share their
+    # floats: a row's cells cover them
     n_alpha = len(cfg.alpha_list)
     squeezed = any(r > 0 for r in cfg.r_list)
     w = padded_dim(max(abs(a) for a in cfg.alpha_list), d) if squeezed else d
     stacks = 2 * n_alpha * w
     blocks = d * (d + 1) * (2 * d + 1) // 6
-    return [_matrices(w, 3, "d'"),
+    return [(f"3 d x d' matrices, d = {d}, d' = {w} ({d * w} entries each)", 3 * d * w),
             (f"the beam splitter's blocks, {blocks} real entries (8 bytes each)",
              -(-blocks // 2)),
             (f"2.7 times the input and target stacks ({stacks} entries, a row per "
@@ -260,6 +313,23 @@ def _compute_overlap(cfg, n_max):
                                                           SqueezeParam(r, phi))
         rows.append((r, phi, bm, vp, n_max, exact, approx, abs(exact - approx)))
     return rows
+
+
+def _closed_form_limits(cfg):
+    # The closed forms cancel terms of size |beta|^2 and, in the squeezed vacuum's
+    # variance, of size e^{2r}/8 down to e^{-2r}/4: relative to the value they
+    # round by up to about 5 eps |beta|^2 and 5 eps (e^{4r} - 1)/2.  At 64 eps a
+    # unit, these bounds keep every exact and closed_form cell within tail_tol of
+    # its value; the overlap shares the r bound, which keeps |beta|^2 r finite.
+    if any(m * m * _UNIT > cfg.tail_tol for m in cfg.beta_mag_list):
+        yield (f"beta_mag_list entries must be at most {math.sqrt(cfg.tail_tol / _UNIT):.4g}: "
+               "past it the closed forms, which cancel terms of size |beta|^2, "
+               "round by more than tail_tol")
+    r_max = 0.25 * math.log1p(2.0 * cfg.tail_tol / _UNIT)
+    if any(r > r_max for r in cfg.r_list):
+        yield (f"r_list entries must be at most {r_max:.4g}: past it the squeezed "
+               "vacuum's variance, which cancels terms of size e^{2r} to reach "
+               "e^{-2r}/4, rounds by more than tail_tol")
 
 
 def _overlap_memory(cfg, _d):
@@ -340,28 +410,29 @@ REGISTRY = {
         ("N", "b", "r", "phi", "cutoff", "p", "q", "r_p", "theta_pq",
          "k_factor", "vacuum_weight"),
         ("N_list", "b_list", "r_list", "phi_list"), _compute_conformation,
-        lambda cfg: 1, _conformation_memory),
+        lambda cfg: 1, _conformation_memory, limits=_conformation_limits),
     "convergence": Experiment(
         _CONVERGENCE_COLUMNS, ("b_list", "N_list"), _compute_convergence,
         _disk_cutoff, _convergence_memory),
     "squeezed_convergence": Experiment(
         _CONVERGENCE_COLUMNS, ("b_list", "r_list", "phi_list", "N_list"),
-        _compute_convergence, _squeezed_disk_cutoff, _convergence_memory),
+        _compute_convergence, _squeezed_disk_cutoff, _convergence_memory,
+        limits=_convergence_limits),
     "attack": Experiment(
         ("input_kind", "alpha_re", "alpha_im", "r", "phi", "cutoff",
          "bob_purity", "eve_purity", "ent_proxy", "fidelity"),
         ("alpha_list", "r_list", "phi_list"), _compute_attack,
-        lambda cfg: 60, _attack_memory),
+        lambda cfg: 60, _attack_memory, limits=_attack_limits),
     "nongauss_overlap": Experiment(
         ("r", "phi_xi", "beta_mag", "varphi", "cutoff", "exact", "approx",
          "abs_err"),
         ("r_list", "phi_list", "beta_mag_list", "varphi_list"), _compute_overlap,
-        lambda cfg: 40, _overlap_memory),
+        lambda cfg: 40, _overlap_memory, limits=_closed_form_limits),
     "nongauss_variance": Experiment(
         ("kind", "r", "phi_xi", "beta_mag", "varphi", "theta", "cutoff",
          "exact", "closed_form", "approx", "abs_err"),
         ("r_list", "phi_list", "theta_list", "beta_mag_list", "varphi_list"),
-        _compute_variance, lambda cfg: 40, _variance_memory),
+        _compute_variance, lambda cfg: 40, _variance_memory, limits=_closed_form_limits),
     "displacement_bs": Experiment(
         ("input_kind", "input_beta_mag", "input_varphi", "T", "gamma_re",
          "gamma_im", "eff_re", "eff_im", "cutoff", "fidelity"),

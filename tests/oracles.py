@@ -18,7 +18,8 @@ displacement simulated in the two-mode Fock space is the reference for its
 closed form in ``nongauss``; the even coherent state and the squeezed vacuum
 in the Fock basis, with their moments, are the reference for the overlap and
 variance closed forms at small r and |beta|, and cancellation-free forms of the
-same closed forms are their reference at any r and |beta|; and ``convergence_point``, one convergence grid point
+same closed forms are their reference at any r and |beta|, as the one of
+``k_factor`` is conformation's; and ``convergence_point``, one convergence grid point
 built from scratch, is the reference for the convergence sweeps that share
 work across squeezings.  The disk-uniform diagonal's pmf walk written with
 numpy's cumprod and cumsum is the bit-for-bit reference for the library's
@@ -381,7 +382,7 @@ def encrypt(beta: complex, xi: SqueezeParam, key_index: int, N: int, b: float,
     alpha = key_displacements(N, b)[key_index]
     wide = padded(cutoff, [alpha + beta])
     row = _displaced_coherent(alpha, beta, wide)
-    return key_average(row[None, :], squeeze_operator(xi, wide)[:cutoff.dim], tail_tol,
+    return key_average(row[None, :], squeeze_operator(xi, cutoff, wide.dim), tail_tol,
                         lambda k: f"encrypt beta={beta}, key p={p}, q={q}, r={xi.r}")
 
 
@@ -390,7 +391,7 @@ def decrypt(rho: np.ndarray, xi: SqueezeParam, key_index: int, N: int, b: float,
     """Undo one key branch: conjugate by (squeeze . displace_key)^dagger."""
     key_to_ring(key_index, N)  # range check
     alpha = key_displacements(N, b)[key_index]
-    u = squeeze_operator(xi, cutoff) @ displacement_operator(alpha, cutoff)
+    u = squeeze_operator(xi, cutoff, cutoff.dim) @ displacement_operator(alpha, cutoff)
     return u.conj().T @ rho @ u
 
 
@@ -400,7 +401,7 @@ def channel_output(beta: complex, xi: SqueezeParam, N: int, b: float,
     alphas = key_displacements(N, b)
     wide = padded(cutoff, alphas + beta)
     rows = np.vstack([_displaced_coherent(a, beta, wide) for a in alphas])
-    return key_average(rows, squeeze_operator(xi, wide)[:cutoff.dim], tail_tol,
+    return key_average(rows, squeeze_operator(xi, cutoff, wide.dim), tail_tol,
                         _worst_key(N, f"channel output beta={beta}, N={N}"))
 
 
@@ -426,7 +427,7 @@ def convergence_point(N: int, b: float, xi: SqueezeParam, cutoff: FockCutoff,
         return d_coh, d_coh, entropy
     wide = padded(cutoff, [b])
     gam_xi = squeezed_mixture(N, b, key_rows(N, b, wide), xi,
-                              squeeze_operator(xi, wide)[:cutoff.dim], tail_tol)
+                              squeeze_operator(xi, cutoff, wide.dim), tail_tol)
     return hs_distance(mm, gam_xi), d_coh + hs_distance(gam_xi, gam), entropy
 
 
@@ -459,7 +460,7 @@ def squeezed_conformation(N: int, b: float, p: int, xi: SqueezeParam, cutoff: Fo
     alphas = ring_displacements(N, b, p)
     wide = padded(cutoff, alphas)
     return key_average(coherent_amplitudes(alphas, wide),
-                        squeeze_operator(xi, wide)[:cutoff.dim], tail_tol,
+                        squeeze_operator(xi, cutoff, wide.dim), tail_tol,
                         lambda k: f"squeezed ring p={p}, r={xi.r}, q={k + 1}")
 
 
@@ -540,7 +541,7 @@ def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,
     half = SqueezeParam(xi.r / 2, xi.phi)
     c = coherent_state(alpha_each, cutoff, tail_tol)
     state = two_mode_squeezer(half, cutoff).apply(np.outer(c, c))
-    s = squeeze_operator(half, cutoff)
+    s = squeeze_operator(half, cutoff, cutoff.dim)
     state = apply_mode_operator(s, state, 0)
     return apply_mode_operator(s, state, 1)
 
@@ -624,6 +625,15 @@ def overlap_even_vs_squeezed_fock(beta_mag: float, varphi: float, xi: SqueezePar
 # 1, so they round by a few eps relative to the value at any r and |beta|.
 
 
+def k_factor_stable(r: float, phi: float, theta: float) -> float:
+    """1 - tanh r cos x, x = 2 theta - phi, as 2 sin^2(x/2) + cos x (1 - tanh r)
+    with 1 - tanh r = 2 / (1 + e^{2r}): where cos x > 0 both terms are
+    non-negative, and elsewhere the value is above 1."""
+    x = 2.0 * theta - phi
+    e = math.exp(-2.0 * r)
+    return 2.0 * math.sin(0.5 * x) ** 2 + math.cos(x) * 2.0 * e / (1.0 + e)
+
+
 def squeezed_vacuum_variance_stable(r: float, phi: float, theta: float) -> float:
     """(1/4)(e^{-2r} cos^2(theta - phi/2) + e^{2r} sin^2(theta - phi/2))."""
     half = theta - 0.5 * phi
@@ -671,7 +681,7 @@ def truncated_squeeze_check(xi: SqueezeParam, cutoff: FockCutoff) -> float:
     Restricted to levels n <= n_max/3 so the comparison is free of
     truncation-boundary artifacts; the value scales as O(r^2).
     """
-    full = squeeze_operator(xi, cutoff)
+    full = squeeze_operator(xi, cutoff, cutoff.dim)
     trunc = truncated_squeeze_operator(xi, cutoff)
     lo = cutoff.n_max // 3 + 1
     return float(np.linalg.norm(full[:lo, :lo] - trunc[:lo, :lo]))

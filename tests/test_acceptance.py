@@ -75,7 +75,7 @@ def test_criterion_02_squeezed_vacuum_distance_closed_form(report):
     worst = 0.0
     for r in (0.1, 0.2, 0.5, 1.0):
         cut = FockCutoff(120 if r >= 1.0 else 60)
-        col = squeeze_operator(SqueezeParam(r), cut)[:, 0]
+        col = squeeze_operator(SqueezeParam(r), cut, cut.dim)[:, 0]
         sv = projector(col)
         vac = projector(vacuum(cut))
         numeric = hs_distance(sv, vac)
@@ -116,7 +116,7 @@ def test_criterion_04_channel_covariance(report):
         xi = SqueezeParam(float(rng.uniform(0.0, 0.5)),
                           float(rng.uniform(0.0, 2 * math.pi)))
         out = channel_output(beta, xi, N, b, cut)
-        u = squeeze_operator(xi, cut) @ displacement_operator(beta, cut)
+        u = squeeze_operator(xi, cut, cut.dim) @ displacement_operator(beta, cut)
         worst = max(worst, float(np.max(np.abs(out - u @ gamma @ u.conj().T))))
     ok = worst < 1e-9
     assert report(4, "channel output is a displaced squeezed mixture", ok), (
@@ -146,7 +146,7 @@ def test_criterion_06_angular_weight_factor(report):
     worst = 0.0
     for phi in (0.0, math.pi / 2, -math.pi / 2, -math.pi / 4):
         xi = SqueezeParam(0.5, phi)
-        s = squeeze_operator(xi, cut)
+        s = squeeze_operator(xi, cut, cut.dim)
         ratios = []
         for th in angles:
             alpha = radius * np.exp(1j * th)
@@ -160,7 +160,7 @@ def test_criterion_06_angular_weight_factor(report):
             w = abs((s @ coherent_amplitudes([alpha], cut)[0])[0]) ** 2
             worst = max(worst, abs(w / vacuum_weight(xi, alpha) - 1.0))
     # zero squeezing: weights flat around the ring
-    s0 = squeeze_operator(SqueezeParam(0.0), cut)
+    s0 = squeeze_operator(SqueezeParam(0.0), cut, cut.dim)
     w0 = [abs((s0 @ coherent_amplitudes([radius * np.exp(1j * th)], cut)[0])[0]) ** 2
           for th in angles]
     worst = max(worst, float(np.max(np.abs(np.array(w0) / np.mean(w0) - 1.0))))

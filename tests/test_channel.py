@@ -259,10 +259,10 @@ def test_squeezed_mixture_is_unitary_conjugation_of_plain():
     N, b = 4, 2.0
     xi = SqueezeParam(0.3, 0.9)
     cut = C60
-    s = squeeze_operator(xi, cut)
+    s = squeeze_operator(xi, cut, cut.dim)
     rows = key_rows(N, b, cut)
     plain = mixture_gamma(N, b, rows)
-    sq = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut))
+    sq = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut, cut.dim))
     assert np.max(np.abs(sq - s @ plain @ s.conj().T)) < 1e-10
 
 
@@ -284,7 +284,7 @@ def test_squeezed_mixture_raises_or_keeps_its_mass(N, b, r, phi, n_max):
         cut = FockCutoff(n_max)
         wide = padded(cut, [b])
         rho = squeezed_mixture(N, b, key_rows(N, b, wide), xi,
-                               squeeze_operator(xi, wide)[:cut.dim], tol)
+                               squeeze_operator(xi, cut, wide.dim), tol)
     except TailMassError:
         return
     assert worst <= 2.0 * tol
@@ -306,7 +306,7 @@ def test_vacuum_weight_matches_operational_first_amplitude():
     cut = C60
     for phi in (0.0, np.pi / 3):
         xi = SqueezeParam(0.5, phi)
-        s = squeeze_operator(xi, cut)
+        s = squeeze_operator(xi, cut, cut.dim)
         for alpha in ring_displacements(4, 2.0, 4):
             row = s @ coherent_amplitudes([alpha], cut)[0]
             w = abs(row[0]) ** 2
@@ -327,7 +327,7 @@ def test_projector_prefactor_reconstructs_squeezed_projector():
     cut = C60
     xi = SqueezeParam(0.5, 0.8)
     alpha = 1.2 * np.exp(0.9j)
-    row = squeeze_operator(xi, cut) @ coherent_amplitudes([alpha], cut)[0]
+    row = squeeze_operator(xi, cut, cut.dim) @ coherent_amplitudes([alpha], cut)[0]
     proj = np.outer(row, row.conj())
     kap = squeezed_projector_prefactor(xi, alpha, cut)
     weight = math.exp(-abs(alpha) ** 2 * k_factor(xi, float(np.angle(alpha))))
@@ -382,7 +382,7 @@ def test_decrypt_recovers_message():
     # the closed form's phase e^{i Im(alpha conj(beta))} is not 1
     alpha = key_displacements(N, b)[k]
     assert abs((alpha * np.conj(beta)).imag) > 0.1
-    row = squeeze_operator(xi, C60) @ displacement_operator(alpha, C60) @ msg
+    row = squeeze_operator(xi, C60, C60.dim) @ displacement_operator(alpha, C60) @ msg
     assert np.max(np.abs(branch - np.outer(row, row.conj()))[:40, :40]) < 1e-12
 
 
@@ -412,7 +412,7 @@ def test_channel_covariance_under_displacement():
     beta = 0.3 - 0.1j
     cut = C60
     out = channel_output(beta, xi, N, b, cut)
-    s = squeeze_operator(xi, cut)
+    s = squeeze_operator(xi, cut, cut.dim)
     d = displacement_operator(beta, cut)
     u = s @ d
     expect = u @ mixture_gamma(N, b, key_rows(N, b, cut)) @ u.conj().T
@@ -442,7 +442,7 @@ def test_squeezed_vacuum_distance_closed_form_against_numeric():
     # N=1: plain mixture is the vacuum, squeezed mixture is a squeezed vacuum
     rows = key_rows(1, 2.0, C60)
     d_squeeze = hs_distance(squeezed_mixture(1, 2.0, rows, SqueezeParam(r),
-                                             squeeze_operator(SqueezeParam(r), C60)),
+                                             squeeze_operator(SqueezeParam(r), C60, C60.dim)),
                             mixture_gamma(1, 2.0, rows))
     assert abs(d_squeeze - squeezed_vacuum_distance_closed_form(r)) < 1e-8
 
@@ -468,8 +468,8 @@ def test_triangle_bound_holds():
         for xi in (SqueezeParam(0.2, 0.0), SqueezeParam(0.5, np.pi / 3)):
             d_hs, bound, _ = convergence_point(N, 2.0, xi, C60)
             assert d_hs <= bound + 1e-12
-            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, rows, xi, squeeze_operator(xi, C60)),
-                                    gam)
+            s = squeeze_operator(xi, C60, C60.dim)
+            d_squeeze = hs_distance(squeezed_mixture(N, 2.0, rows, xi, s), gam)
             assert abs(bound - (hs_distance(mm, gam) + d_squeeze)) < 1e-15
 
 
@@ -530,14 +530,15 @@ def test_holevo_proxy_pure_for_single_point():
     xi = SqueezeParam(0.4, 0.2)
     rows = key_rows(1, 2.0, C60)
     assert von_neumann_entropy(squeezed_mixture(1, 2.0, rows, xi,
-                                                squeeze_operator(xi, C60))) < 1e-10
+                                                squeeze_operator(xi, C60, C60.dim))) < 1e-10
     assert von_neumann_entropy(mixture_gamma(1, 2.0, rows)) < 1e-10
 
 
 def test_holevo_proxy_entropies_equal_by_unitary_invariance():
     rows = key_rows(4, 2.0, C60)
     xi = SqueezeParam(0.3, 1.1)
-    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, rows, xi, squeeze_operator(xi, C60)))
+    s_sq = von_neumann_entropy(squeezed_mixture(4, 2.0, rows, xi,
+                                                squeeze_operator(xi, C60, C60.dim)))
     s_coh = von_neumann_entropy(mixture_gamma(4, 2.0, rows))
     assert s_coh > 1.0  # genuinely mixed family
     assert abs(s_sq - s_coh) < 1e-8
@@ -556,7 +557,7 @@ _SMALLEST_CUTOFF = dict(zip(_ENTROPY_GRID, [17, 19, 26, 31, 40, 48, 25, 25, 39, 
 
 def _entropy_gap(N, b, xi, cut):
     rows = key_rows(N, b, cut)
-    gam_xi = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut))
+    gam_xi = squeezed_mixture(N, b, rows, xi, squeeze_operator(xi, cut, cut.dim))
     return abs(von_neumann_entropy(gam_xi) - von_neumann_entropy(mixture_gamma(N, b, rows)))
 
 
@@ -575,13 +576,13 @@ def test_squeezed_mixture_entropy_at_the_smallest_accepted_cutoff(b, N, r, phi):
     xi, n_max = SqueezeParam(r, phi), _SMALLEST_CUTOFF[b, N, r, phi]
     below = FockCutoff(n_max - 1)
     with pytest.raises(TailMassError):
-        squeezed_mixture(N, b, key_rows(N, b, below), xi, squeeze_operator(xi, below))
+        squeezed_mixture(N, b, key_rows(N, b, below), xi, squeeze_operator(xi, below, below.dim))
     assert _entropy_gap(N, b, xi, FockCutoff(n_max)) <= 2e-8
 
 
 def test_mixture_entropy_matches_direct_computation():
     xi = SqueezeParam(0.3, 1.1)
-    rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, squeeze_operator(xi, C60))
+    rho = squeezed_mixture(3, 2.0, key_rows(3, 2.0, C60), xi, squeeze_operator(xi, C60, C60.dim))
     entropy = convergence_point(3, 2.0, xi, C60)[2]
     assert abs(entropy - von_neumann_entropy(rho)) < 1e-12
 
@@ -591,9 +592,9 @@ def test_squeezed_convergence_point_squeezes_once(monkeypatch):
     # first b; the plain mixture needs none
     calls = []
 
-    def counting(xi, cutoff):
+    def counting(xi, cutoff, width):
         calls.append(xi)
-        return squeeze_operator(xi, cutoff)
+        return squeeze_operator(xi, cutoff, width)
 
     monkeypatch.setattr(channel, "squeeze_operator", counting)
     xis = [SqueezeParam(r, 1.1) for r in (0.3, 0.0, 0.2, 0.3)]
@@ -665,7 +666,7 @@ def test_convergence_task_builds_shared_work_once_per_b_and_N(monkeypatch):
     assert len(rows) == 24
     pairs = sorted((b, N) for b in b_list for N in N_list)
     assert sorted(args[0] for args in calls["maximally_mixed"]) == b_list
-    assert sorted((xi.r, xi.phi) for xi, _ in calls["squeeze_operator"]) == \
+    assert sorted((xi.r, xi.phi) for xi, *_ in calls["squeeze_operator"]) == \
         sorted(itertools.product(r_list, phi_list))
     assert len(calls["coherent_amplitudes"]) == len(pairs)
     assert sorted((b, N) for N, b, *_ in calls["mixture_gamma"]) == pairs

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cvpqc
 from cvpqc import attack, channel, fock, nongauss
@@ -23,8 +23,8 @@ from cvpqc.cli import _cell, main
 from cvpqc.config import RUN_FIELDS, ConfigError, ExperimentConfig, config_from_dict, validate
 from cvpqc.experiments import REGISTRY, execute, resolve_cutoff
 from cvpqc.fock import FockCutoff, hs_distance
-from oracles import (disk_state, even_variance_stable, overlap_stable, projector,
-                     squeezed_vacuum_variance_stable, vacuum)
+from oracles import (disk_state, even_variance_stable, k_factor_stable, overlap_stable,
+                     projector, squeezed_vacuum_variance_stable, vacuum)
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -494,7 +494,8 @@ def test_conformation_vacuum_weight_is_the_squeezed_vacuum_amplitude(tmp_path):
         rec = dict(zip(cols, row))
         xi = fock.SqueezeParam(float(rec["r"]), float(rec["phi"]))
         alpha = float(rec["r_p"]) * np.exp(1j * float(rec["theta_pq"]))
-        amp = (fock.squeeze_operator(xi, cut) @ fock.coherent_amplitudes([alpha], cut)[0])[0]
+        amp = (fock.squeeze_operator(xi, cut, cut.dim)
+               @ fock.coherent_amplitudes([alpha], cut)[0])[0]
         worst = max(worst, abs(float(rec["vacuum_weight"]) - abs(amp) ** 2))
     assert worst < 1e-12
 
@@ -1044,11 +1045,11 @@ def test_tail_mass_violation_exits_3(tmp_path, capsys):
 def test_failing_attack_config_names_the_first_failing_alpha_of_the_first_failing_task(
         tmp_path, capsys):
     # the taps run in (r, phi) order, each over every alpha: r = 0 fails at alpha = 4
-    # (a coherent row that loses 0.13 at cutoff 20) before r = 1.5 is reached,
-    # although alpha = 1, r = 1.5 comes first in the row order
+    # (a coherent row that loses 0.13 at cutoff 20) before r = 1 is reached,
+    # although alpha = 1, r = 1 comes first in the row order
     out = tmp_path / "rows.csv"
     cfg = write_config(tmp_path, experiment="attack", alpha_list=[1.0, 4.0],
-                       r_list=[0.0, 1.5], cutoff=20)
+                       r_list=[0.0, 1.0], cutoff=20)
     assert main(["run", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "tail mass 1.318e-01" in err
@@ -1428,6 +1429,89 @@ def test_huge_beta_and_r_print_finite_cells_or_exit_2(experiment, beta_mag, r, a
             assert min(printed) >= 0.0, row
         for v in printed:  # a cell below the smallest normal float holds fewer digits
             assert abs(v - ref) <= tail_tol * ref + sys.float_info.min, (row, ref)
+
+
+_PAST_R = ("problem: r_list entries must be at most 3.539: past it the squeezed vacuum's "
+           "variance, which cancels terms of size e^{2r} to reach e^{-2r}/4, rounds by more "
+           "than tail_tol")
+_PAST_SQUEEZER = ("problem: alpha_list entries must be at most 4.205 at r = 1: past it the "
+                  "squeezer's recurrence, which grows rounding by up to e^{|alpha|^2 tanh r}, "
+                  "rounds the squeezed inputs by more than tail_tol")
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ({"experiment": "nongauss_overlap", "r_list": [5.0]}, _PAST_R),
+    ({"experiment": "nongauss_variance", "r_list": [5.0]}, _PAST_R),
+    # the squeezer rounds |alpha| = 9 at r = 1 to a tail of -6.4e+02 at cutoff 150,
+    # and |alpha| = 7 at r = 1, phi = pi/4 to a tail check that passes at cutoff
+    # 218, where the input's true tail is 3.4e-8
+    ({"experiment": "attack", "alpha_list": [9.0], "r_list": [1.0], "cutoff": 150},
+     _PAST_SQUEEZER),
+    ({"experiment": "attack", "alpha_list": [7.0], "r_list": [1.0],
+      "phi_list": [math.pi / 4], "cutoff": 218}, _PAST_SQUEEZER),
+    ({"experiment": "squeezed_convergence", "b_list": [8.0], "r_list": [0.0, 0.3]},
+     "problem: b_list entries must be at most 6.798 at r = 0.3: past it the squeezer's "
+     "recurrence, which grows rounding by up to e^{|alpha|^2 tanh r}, rounds the squeezed "
+     "key states by more than tail_tol"),
+    # k_factor printed 0 at r = 20, where it is 8.5e-18
+    ({"experiment": "conformation", "N_list": [1], "r_list": [20.0]},
+     "problem: r_list entries must be at most 7.079: past it k_factor, which cancels "
+     "1 - tanh r cos(2 theta - phi) down to 2 / (1 + e^{2r}), rounds by more than tail_tol"),
+], ids=["nongauss_overlap", "nongauss_variance", "attack-negative_tail", "attack-masked_tail",
+        "squeezed_convergence", "conformation"])
+def test_validate_names_the_limit_an_input_passes(doc, problem):
+    assert validate(config_from_dict(doc)).render().splitlines() == [problem, "config INVALID"]
+
+
+@settings(max_examples=300, deadline=None)
+@example(r=1.0, phi=math.pi / 4, alpha=7.0, offset=-9, tail_tol=1e-8)
+@given(r=st.one_of(st.sampled_from([0.3, 0.6, 1.0, 1.5]), st.floats(0.01, 1.5)),
+       phi=st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
+                     st.floats(0.0, 2.0 * math.pi)),
+       alpha=st.one_of(st.sampled_from([4.0, 7.0, 9.0, 12.0]), st.floats(0.0, 7.0),
+                       st.floats(0.0, 12.0)),
+       offset=st.integers(-12, 3), tail_tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-3]))
+def test_a_squeezed_state_that_validate_and_its_tail_check_accept_keeps_its_contract(
+        r, phi, alpha, offset, tail_tol):
+    # near the smallest cutoff whose true tail is within tail_tol, where the
+    # squeezer's rounding near the cutoff could hide a tail past it
+    doc = {"experiment": "attack", "alpha_list": [alpha], "r_list": [r], "phi_list": [phi],
+           "tail_tol": tail_tol}
+    if not validate(config_from_dict(doc)).ok:
+        return
+    xi = fock.SqueezeParam(r, phi)
+    probs = np.abs(fock.squeezed_coherent_closed_form(xi, alpha, FockCutoff(2500))) ** 2
+    assert abs(1.0 - probs.sum()) < 1e-10  # the closed form has converged
+    beyond = np.cumsum(probs[::-1])[::-1]  # beyond[n]: the mass at levels n and up
+    n_max = max(1, int(np.argmax(beyond[1:] <= tail_tol)) + offset)
+    try:
+        (state,) = fock.squeezed_coherent_state(xi, [alpha], FockCutoff(n_max), tail_tol)
+    except fock.TailMassError:
+        return
+    assert beyond[n_max + 1] <= tail_tol
+    assert np.max(np.abs(np.abs(state) ** 2 - probs[:n_max + 1])) <= tail_tol
+
+
+@settings(max_examples=200, deadline=None)
+@example(r=12.0, phi=0.0, N=1, tail_tol=1e-8)
+@given(r=st.one_of(st.sampled_from([0.0, 1.0, 7.0, 7.08, 8.0, 9.5, 12.0, 20.0]),
+                   st.floats(0.0, 25.0)),
+       phi=st.one_of(st.sampled_from([0.0, math.pi / 2, -1.0]), st.floats(-10.0, 10.0)),
+       N=st.integers(1, 4), tail_tol=st.sampled_from([1e-12, 1e-8, 1e-4]))
+def test_conformation_prints_each_k_factor_within_tail_tol_or_exits_2(r, phi, N, tail_tol):
+    # where cos(2 theta - phi) = 1, 1 - tanh r cos(2 theta - phi) cancels down to
+    # 2 / (1 + e^{2r}); a run that validate lets through prints it within tail_tol
+    # (relative) of the cancellation-free form
+    cfg = config_from_dict({"experiment": "conformation", "N_list": [N], "r_list": [r],
+                            "phi_list": [phi], "tail_tol": tail_tol})
+    if not validate(cfg).ok:
+        return
+    cols, rows = execute(cfg)
+    for row in rows:
+        cell = dict(zip(cols, row))
+        xi = fock.SqueezeParam(cell["r"], cell["phi"])
+        ref = k_factor_stable(xi.r, xi.phi, cell["theta_pq"])
+        assert abs(cell["k_factor"] - ref) <= tail_tol * ref, (row, ref)
 
 
 def test_console_error_exits_keep_their_messages(tmp_path):

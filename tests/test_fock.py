@@ -142,19 +142,31 @@ def test_displacement_laguerre_unitary_on_interior():
 
 
 def test_squeeze_zero_is_identity():
-    S = squeeze_operator(SqueezeParam(0.0), FockCutoff(15))
+    S = squeeze_operator(SqueezeParam(0.0), FockCutoff(15), 16)
     assert np.allclose(S, np.eye(16), atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=strategies.floats(0.0, 2.0), phi=strategies.floats(0.0, 2.0 * math.pi),
+       d=strategies.integers(1, 120), extra=strategies.integers(0, 140))
+def test_squeeze_operator_block_is_the_first_rows_of_the_square_matrix(r, phi, d, extra):
+    # the recurrence is closed on the first d rows: the d x width block is, byte
+    # for byte, the first d rows of the width x width matrix
+    xi, width = SqueezeParam(r, phi), d + extra
+    block = squeeze_operator(xi, FockCutoff(d - 1), width)
+    assert block.shape == (d, width)
+    assert np.array_equal(block, squeeze_operator(xi, FockCutoff(width - 1), width)[:d])
 
 
 def test_squeeze_leaves_odd_levels_unpopulated():
     for r, phi in ((0.3, 0.0), (0.7, 1.1), (1.2, 4.0)):
-        S = squeeze_operator(SqueezeParam(r, phi), C40)
+        S = squeeze_operator(SqueezeParam(r, phi), C40, C40.dim)
         assert np.max(np.abs(S[1::2, 0])) < 1e-14
 
 
 def test_squeeze_level2_weight_matches_series_term():
     r = 0.5
-    S = squeeze_operator(SqueezeParam(r, 0.0), C60)
+    S = squeeze_operator(SqueezeParam(r, 0.0), C60, C60.dim)
     # second even coefficient of the vacuum column: -tanh(r) sqrt(2)/2 / sqrt(cosh r)
     expected = math.tanh(r) ** 2 / (2.0 * math.cosh(r))
     got = abs(S[2, 0]) ** 2
@@ -163,7 +175,7 @@ def test_squeeze_level2_weight_matches_series_term():
 
 def test_squeezed_vacuum_series_matches_operator_column():
     xi = SqueezeParam(0.6, 2.0)
-    col = squeeze_operator(xi, C60)[:, 0]
+    col = squeeze_operator(xi, C60, C60.dim)[:, 0]
     ser = squeezed_vacuum_amplitudes(xi, C60)
     assert np.max(np.abs(col - ser)) < 1e-14
 
@@ -173,7 +185,7 @@ def test_squeeze_operator_is_unitary():
     # n_max is negligible (read off the expm form at three times the cutoff), and
     # equal to the truncated generator's expm on the interior block
     xi = SqueezeParam(0.3, 0.3)
-    S = squeeze_operator(xi, C60)
+    S = squeeze_operator(xi, C60, C60.dim)
     wide = squeeze_expm(xi, FockCutoff(180))
     tails = np.sum(np.abs(wide[61:, :61]) ** 2, axis=0)
     kept = np.flatnonzero(tails < 1e-15)
@@ -188,7 +200,7 @@ def test_squeeze_operator_is_unitary():
 def test_squeeze_operator_times_coherent_row_is_the_closed_form(r):
     xi = SqueezeParam(r, 1.2)
     for alpha in (1.0, 0.5 - 0.7j):
-        got = squeeze_operator(xi, C60) @ coherent_amplitudes([alpha], C60)[0]
+        got = squeeze_operator(xi, C60, C60.dim) @ coherent_amplitudes([alpha], C60)[0]
         assert np.max(np.abs(got - squeezed_coherent_closed_form(xi, alpha, C60))) <= 1e-14
 
 
@@ -205,7 +217,7 @@ def test_squeezed_mixture_reports_the_mass_it_loses(r, tail):
     cut = FockCutoff(59)
     with pytest.raises(TailMassError) as err:
         squeezed_mixture(16, 2.0, key_rows(16, 2.0, cut), SqueezeParam(r),
-                         squeeze_operator(SqueezeParam(r), cut))
+                         squeeze_operator(SqueezeParam(r), cut, cut.dim))
     assert err.value.tail == pytest.approx(tail, rel=0.01)
 
 
@@ -236,7 +248,7 @@ def test_squeezed_coherent_state_raises_or_matches_closed_form(r, phi, alpha_mag
         return
     assert probs[n_max + 1:].sum() <= 2.0 * tol
     wide = FockCutoff(padded_dim(abs(alpha), cut.dim) - 1) if xi.r else cut
-    raw = squeeze_operator(xi, wide)[:cut.dim] @ coherent_amplitudes([alpha], wide)[0]
+    raw = squeeze_operator(xi, cut, wide.dim) @ coherent_amplitudes([alpha], wide)[0]
     assert np.array_equal(state, raw / math.sqrt(np.vdot(raw, raw).real))
     assert np.sum(np.abs(raw - closed[:n_max + 1]) ** 2) <= tol
 
@@ -602,7 +614,8 @@ def test_hs_distance_unitary_invariance():
     def moved_by(u, m):
         return u @ m @ u.conj().T
 
-    u = displacement_operator(0.5 + 0.2j, cut) @ squeeze_operator(SqueezeParam(0.3, 1.0), cut)
+    u = (displacement_operator(0.5 + 0.2j, cut)
+         @ squeeze_operator(SqueezeParam(0.3, 1.0), cut, cut.dim))
     for _ in range(5):
         r1, r2 = random_density(), random_density()
         base = hs_distance(r1, r2)
@@ -803,7 +816,7 @@ _DENSITY_OUTPUTS = {
     "mixture_gamma": lambda: mixture_gamma(4, 1.5, key_rows(4, 1.5, _C30)),
     "squeezed_conformation": lambda: squeezed_conformation(4, 1.5, 3, _XI, _C30),
     "squeezed_mixture": lambda: squeezed_mixture(4, 1.5, key_rows(4, 1.5, _C30), _XI,
-                                                  squeeze_operator(_XI, _C30)),
+                                                  squeeze_operator(_XI, _C30, _C30.dim)),
     "encrypt": lambda: encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30),
     "decrypt": lambda: decrypt(encrypt(0.4 + 0.2j, _XI, 7, 4, 1.5, _C30), _XI, 7, 4, 1.5,
                                _C30),
@@ -827,7 +840,7 @@ def test_module_outputs_pass_validation(make):
 def test_disk_integral_of_squeezed_coherent_projectors_approaches_identity():
     cut = C40
     xi = SqueezeParam(0.2, 0.5)
-    S = squeeze_operator(xi, cut)
+    S = squeeze_operator(xi, cut, cut.dim)
     R, n_rad, n_ang = 5.0, 251, 256
     radii = np.linspace(0.0, R, n_rad)
     angles = np.arange(n_ang) * 2 * math.pi / n_ang

@@ -17,16 +17,19 @@ nothing beyond numpy, the standard library and its own modules, a fifth
 that every parameter of a `src/cvpqc` function is read in its body, unless its
 name starts with an underscore: a parameter that a calling convention passes
 and this function does not need, a sixth that `config` imports no package
-module but `experiments`, where every per-experiment rule lives, and a seventh
-that no `src/cvpqc` function is decorated with `functools.lru_cache` or
-`functools.cache`, so that a run in a process that has run others computes
-what a fresh process computes.
+module but `experiments`, where every per-experiment rule lives, a seventh that
+no string of `config` names an experiment of `REGISTRY`, so that none of its
+rules is one experiment's, and an eighth that no `src/cvpqc` function is
+decorated with `functools.lru_cache` or `functools.cache`, so that a run in a
+process that has run others computes what a fresh process computes.
 """
 import ast
+import re
 import sys
 from pathlib import Path
 
 import cvpqc
+from cvpqc.experiments import REGISTRY
 
 PACKAGE = Path(cvpqc.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -204,6 +207,19 @@ def package_imports(module):
 
 def test_config_imports_only_experiments():
     assert package_imports("config") == ["experiments"]
+
+
+def named_experiments(module):
+    """The `REGISTRY` experiments that a string of ``module`` names, its
+    docstrings and the literal parts of its f-strings included."""
+    strings = [n.value for n in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(
+        encoding="utf-8"))) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return sorted(name for name in REGISTRY
+                  if any(re.search(rf"\b{name}\b", text) for text in strings))
+
+
+def test_config_names_no_experiment():
+    assert named_experiments("config") == []
 
 
 def cached_functions():

@@ -237,7 +237,7 @@ def test_variance_exact_against_general_machinery():
     # the closed form should agree with the generic moment-based variance
     xi = SqueezeParam(0.3, 1.0)
     cut = FockCutoff(60)
-    sv = squeeze_operator(xi, cut)[:, 0]
+    sv = squeeze_operator(xi, cut, cut.dim)[:, 0]
     st = sv / np.linalg.norm(sv)
     for th in (0.0, 0.7, math.pi / 2):
         assert abs(quadrature_variance(*mode_moments(st), th)
