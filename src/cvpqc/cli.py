@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     except TailMassError as e:
         print(f"tail-mass violation: {e}", file=sys.stderr)
         return EXIT_TAIL
-    except OverflowError as e:  # e.g. cosh r for r past ~710
+    except OverflowError as e:  # e.g. |eff| of displacement_bs past the float range
         print(f"config error: a config value overflows a float: {e}", file=sys.stderr)
         return EXIT_CONFIG
     wall = time.perf_counter() - t0

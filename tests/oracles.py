@@ -6,7 +6,7 @@ splitter's blocks), through scipy's special functions (the Laguerre
 displacement matrix, the incomplete-gamma disk-uniform diagonal), from a
 closed form or a series (the squeezed-vacuum term ratio, the Hermite form
 of the squeezed coherent amplitudes, the vacuum weight of a squeezed key
-from its amplitude α), or by
+from its amplitude α, the tap's fidelity from Gaussian moments), or by
 materializing a block-structured operator or a two-mode density matrix
 densely.  A two-mode pure state is its amplitude matrix
 psi[i, j] = <i, j|psi>, as in the library.  ``check_density`` holds the
@@ -144,8 +144,9 @@ def disk_state(b: float, cutoff: FockCutoff,
 
 def squeeze_expm(xi: SqueezeParam, cutoff: FockCutoff) -> np.ndarray:
     """S(xi) as expm of the truncated generator: exactly unitary on the truncated
-    space, so it agrees with the library's exact matrix elements only on the
-    interior of the basis."""
+    space, so it agrees with the library's recurrence for the matrix elements
+    only on the interior of the basis, where truncation has not reached and the
+    recurrence's rounding is still small."""
     a = annihilation(cutoff)
     adag = a.conj().T
     z = xi_value(xi)
@@ -533,6 +534,28 @@ def tap_output(alpha: complex, xi: SqueezeParam, cutoff: FockCutoff,
     """Amplitude matrix of the 50:50 tap's output for S(xi) D(alpha)|0> (x) |0>."""
     (signal,) = squeezed_coherent_state(xi, [alpha], cutoff, tail_tol)
     return beam_splitter(math.pi / 4, cutoff).apply(np.outer(signal, vacuum(cutoff)))
+
+
+def gaussian_tap_fidelity(alpha: complex, r: float, phi: float) -> float:
+    """The fidelity ``attack`` prints, from Gaussian moments with no cutoff: the
+    overlap exp(-d (V_B + V_e)^-1 d / 2) / sqrt det(V_B + V_e) of the receiver's
+    arm, mean m_in / sqrt 2 and covariance V_B = (V_in + I/2) / 2, with the
+    undisturbed target S(xi/2) D(alpha/sqrt 2)|0>, in the quadratures
+    x = (a + a+)/sqrt 2 and p, where the vacuum has V = I/2."""
+    def moments(alpha, r):
+        # mean (x, p) and covariance of S(xi) D(alpha)|0>, xi = r e^{i phi}
+        a = alpha * math.cosh(r) - alpha.conjugate() * complex(math.cos(phi),
+                                                               math.sin(phi)) * math.sinh(r)
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+        v = 0.5 * np.array([[ch - sh * math.cos(phi), -sh * math.sin(phi)],
+                            [-sh * math.sin(phi), ch + sh * math.cos(phi)]])
+        return _SQRT2 * np.array([a.real, a.imag]), v
+
+    alpha = complex(alpha)
+    m_in, v_in = moments(alpha, r)
+    m_e, v_e = moments(alpha / _SQRT2, r / 2.0)
+    sigma, delta = (v_in + 0.5 * np.eye(2)) / 2.0 + v_e, m_in / _SQRT2 - m_e
+    return math.exp(-0.5 * delta @ np.linalg.solve(sigma, delta)) / math.sqrt(np.linalg.det(sigma))
 
 
 def _factorized_model(alpha_each: complex, xi: SqueezeParam, cutoff: FockCutoff,

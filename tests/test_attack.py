@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies
 
 from cvpqc.attack import attack, thermal_entropy
 from cvpqc.config import config_from_dict
-from cvpqc.experiments import _compute_attack
+from cvpqc.experiments import _compute_attack, execute
 from cvpqc.fock import (FockCutoff, SqueezeParam, TailMassError, fidelity,
                         squeezed_coherent_state, von_neumann_entropy)
-from oracles import (TAP_CLOSED_FORM_TOL, partial_trace_dense, purity, tap_output,
-                     verify_decomposition)
+from oracles import (TAP_CLOSED_FORM_TOL, gaussian_tap_fidelity, partial_trace_dense, purity,
+                     tap_output, verify_decomposition)
 
 C60 = FockCutoff(60)
 
@@ -117,6 +117,27 @@ def test_closed_forms_match_the_fock_tap(r, phi, alpha_mag, alpha_arg, n_max):
     assert abs(fidelity(target, partial_trace_dense(out, 0)) - fid) <= 1e-13
     assert bob == eve and ent >= 0.0
     assert attack([0.0], [SqueezeParam(r)], FockCutoff(80))[0][0][:3] == (bob, eve, ent)
+
+
+@pytest.mark.parametrize("doc, n_rows, tol", [
+    # the benchmark's cutoff; the phi = pi/2 inputs are complex, so a tap that
+    # dropped an imaginary part fails here (worst error 3.9e-12)
+    ({"alpha_list": [0.5, 1.0, 2.0, 3.0], "r_list": [0.0, 0.3, 0.6],
+      "phi_list": [0.0, math.pi / 2], "cutoff": 100}, 24, 1e-9),
+    # near the smallest cutoff the tail checks pass, where squeezing a coherent
+    # row truncated at the cutoff, not past it, puts the fidelity 7.0e-7 off at
+    # alpha = 3, r = 0.5 (worst error 3.9e-11)
+    ({"alpha_list": [3.0, 2.0], "r_list": [0.5, 0.3], "phi_list": [0.0], "cutoff": 31},
+     4, 1e-8),
+], ids=["cutoff100", "cutoff31"])
+def test_printed_fidelity_is_the_gaussian_moment_overlap(doc, n_rows, tol):
+    cols, rows = execute(config_from_dict(dict(doc, experiment="attack")))
+    assert len(rows) == n_rows
+    for row in rows:
+        cell = dict(zip(cols, row))
+        exact = gaussian_tap_fidelity(complex(cell["alpha_re"], cell["alpha_im"]),
+                                      cell["r"], cell["phi"])
+        assert abs(cell["fidelity"] - exact) <= tol, (row, exact)
 
 
 def test_thermal_entropy_is_the_symplectic_form():

@@ -710,6 +710,22 @@ def test_the_large_squeezed_sweep_holds_one_product_and_one_mixture_at_a_time():
     assert squeezed / 16 - plain / 16 <= squeezers + d * d / 2
 
 
+def test_the_large_squeezed_sweep_keeps_its_triangle_bounds_and_one_entropy_a_ring_count():
+    # the benchmark's b = 5 and cutoff 195, summed a block product at a time:
+    # every row's triangle bound holds without slack, and each N prints one
+    # entropy, the plain mixture's, across its four squeezings
+    columns, rows = execute(config_from_dict(
+        {"experiment": "squeezed_convergence", "b_list": [5.0], "N_list": [16, 32],
+         "r_list": [0.1, 0.3], "phi_list": [0.0, math.pi / 2], "cutoff": 195}))
+    rows = [dict(zip(columns, row)) for row in rows]
+    assert len(rows) == 8
+    assert all(row["triangle_bound"] >= row["d_hs"] for row in rows)
+    entropies = {}
+    for row in rows:
+        entropies.setdefault(row["N"], set()).add(row["entropy"])
+    assert sorted(entropies) == [16, 32] and all(len(e) == 1 for e in entropies.values())
+
+
 @pytest.mark.parametrize("experiment", ["convergence", "squeezed_convergence"])
 def test_convergence_rows_match_the_per_point_oracle(experiment):
     # unsorted and repeated grid values: every row lands at its grid position

@@ -482,7 +482,8 @@ def test_conformation_vacuum_weight_is_computed_from_the_rows_own_cells(tmp_path
 
 
 def test_conformation_vacuum_weight_is_the_squeezed_vacuum_amplitude(tmp_path):
-    # |<0|S(xi) D(alpha)|0>|^2 from the exact truncated squeezer and coherent row
+    # |<0|S(xi) D(alpha)|0>|^2 from row 0 of the squeezer's recurrence, far from the
+    # diagonal along which its rounding grows, and the coherent row
     out = str(tmp_path / "rings.csv")
     cfg = write_config(tmp_path, experiment="conformation", N_list=[6], b_list=[2.0],
                        r_list=[0.2, 0.7], phi_list=[0.0, 1.1, -2.0])
@@ -500,18 +501,45 @@ def test_conformation_vacuum_weight_is_the_squeezed_vacuum_amplitude(tmp_path):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("fields, n_rows", [
+    ({"experiment": "nongauss_overlap", "r_list": [0.0, 0.1], "beta_mag_list": [0.25, 0.5]},
+     4),
+    ({"experiment": "nongauss_variance", "r_list": [0.1], "beta_mag_list": [0.25],
+      "theta_list": [0.0, 1.0]}, 4),
+    ({"experiment": "conformation", "N_list": [4, 16], "r_list": [0.0, 0.5],
+      "phi_list": [0.0, -1.0]}, 4 * (10 + 136)),
+], ids=["nongauss_overlap", "nongauss_variance", "conformation"])
+def test_closed_form_rows_do_not_depend_on_the_cutoff(tmp_path, fields, n_rows):
+    # the closed forms truncate nothing: at cutoff 1 and at cutoff 40 every
+    # printed cell but the cutoff is the same
+    cells = {}
+    for n_max in (1, 40):
+        out = tmp_path / f"{n_max}.csv"
+        cfg = write_config(tmp_path, f"{n_max}.json", cutoff=n_max, **fields)
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        cols, rows = read_csv(out)
+        at = cols.index("cutoff")
+        assert {row.pop(at) for row in rows} == {str(n_max)}
+        cells[n_max] = rows
+    assert len(cells[1]) == n_rows
+    assert cells[1] == cells[40]
+
+
 def test_run_mmstate_weights(tmp_path):
+    # each b's mass prints the correctly rounded sum of the weights it prints
     out = str(tmp_path / "mm.csv")
     cfg = write_config(tmp_path, experiment="mmstate",
-                       b_list=[2.0], cutoff=59)
+                       b_list=[2.0, 1.0], cutoff=59)
     assert main(["run", cfg, "--out", out]) == 0
     cols, rows = read_csv(out)
     recs = [dict(zip(cols, r)) for r in rows]
-    assert len(recs) == 60
-    weights = [float(rec["weight"]) for rec in recs]
-    assert sum(weights) == pytest.approx(1.0, abs=1e-6)
-    assert all(a > b for a, b in zip(weights, weights[1:]))
-    assert all(float(rec["mass"]) == pytest.approx(sum(weights)) for rec in recs)
+    assert len(recs) == 120
+    for b, disk in (("2", recs[:60]), ("1", recs[60:])):
+        assert {rec["b"] for rec in disk} == {b}
+        weights = [float(rec["weight"]) for rec in disk]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-6)
+        assert all(x > y for x, y in zip(weights, weights[1:]))
+        assert all(rec["mass"] == f"{math.fsum(weights):.17g}" for rec in disk)
 
 
 def test_float_cells_round_trip_exactly(tmp_path):
@@ -1084,7 +1112,8 @@ def test_nan_amplitudes_exit_3(monkeypatch, tmp_path, capsys, experiment, what):
       "N_list": [1], "cutoff": 5}, "tail mass 1.000e+00"),
 ], ids=["squeezed_convergence-r1.5", "attack-r1000", "squeezed_convergence-r800"])
 def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
-    # the squeezer's exact elements let the tail checks see the mass pushed past n_max
+    # the truncated squeezer is not unitary: its columns keep only the mass below
+    # n_max, so the tail checks see the mass pushed past it
     cfg = write_config(tmp_path, **fields)
     assert main(["run", cfg, "--out", str(tmp_path / "rows.csv")]) == 3
     assert what in capsys.readouterr().err
@@ -1097,8 +1126,11 @@ def test_squeezing_past_the_cutoff_exits_3(tmp_path, capsys, fields, what):
     ({"experiment": "conformation", "r_list": [1000.0], "N_list": [2]}, 2),
     ({"experiment": "squeezed_convergence", "r_list": [800.0], "N_list": [1]},
      2),  # the default-cutoff scale b e^r
+    # |eff| = 2.4e308 is past the float range, while each part is not: the run's
+    # abs of the signal amplitude overflows, before any tail check
+    ({"experiment": "displacement_bs", "eff_re": 1.7e308, "eff_im": 1.7e308, "cutoff": 5}, 2),
 ], ids=["heuristic_cutoff-b", "coherent_amplitudes-alpha", "vacuum_weight-cosh_r",
-        "heuristic_cutoff-e_r"])
+        "heuristic_cutoff-e_r", "coherent_amplitudes-abs_eff"])
 def test_overflowing_values_exit_without_traceback(tmp_path, capsys, fields, code):
     cfg = write_config(tmp_path, **fields)
     assert main(["run", cfg, "--out", str(tmp_path / "rows.csv")]) == code
@@ -1459,8 +1491,13 @@ _PAST_SQUEEZER = ("problem: alpha_list entries must be at most 4.205 at r = 1: p
      "1 - tanh r cos(2 theta - phi) down to 2 / (1 + e^{2r}), rounds by more than tail_tol"),
 ], ids=["nongauss_overlap", "nongauss_variance", "attack-negative_tail", "attack-masked_tail",
         "squeezed_convergence", "conformation"])
-def test_validate_names_the_limit_an_input_passes(doc, problem):
+def test_validate_names_the_limit_an_input_passes(tmp_path, capsys, doc, problem):
     assert validate(config_from_dict(doc)).render().splitlines() == [problem, "config INVALID"]
+    # a run of the same config exits 2 with that report alone, and writes nothing
+    out = tmp_path / "rows.csv"
+    assert main(["run", write_config(tmp_path, **doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [problem, "config INVALID"]
+    assert not out.exists()
 
 
 @settings(max_examples=300, deadline=None)
